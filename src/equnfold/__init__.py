@@ -10,7 +10,7 @@ unfolding realized through finitely many lags (`unfolding`).  `jsonio` and
 """
 
 from .delays import (DelayOperator, ExpVector, bilinear_form,
-                     bilinear_form_quadrature, char_matrix, check_equivariance)
+                     bilinear_form_quadrature, check_equivariance)
 from .errors import (EqunfoldError, FrameError, RootFindingError, SchemaError,
                      StructuralError, UnfoldingError)
 from .frames import SpectralFrame, eigenbasis, find_root, induce_representation

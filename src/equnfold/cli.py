@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 pipeline failure, 2 usage or schema error,
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,13 +37,6 @@ EXIT_NOT_MINIMAL = 3
 
 class UsageError(Exception):
     pass
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("EQUNFOLD_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_range(text):
@@ -80,28 +72,15 @@ def _parse_window(text):
 def cmd_curves(args):
     omegas = _parse_range(args.omega_range)
     branches = _parse_branches(args.branches)
-    nthreads = _threads()
-    chunks = np.array_split(omegas, max(1, min(nthreads, len(omegas))))
-
-    def sweep(chunk):
-        return d3.sweep_curves(args.factor, args.beta, args.tau_n, chunk,
-                               branches=branches)
-
-    if nthreads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = list(pool.map(sweep, chunks))
-    else:
-        parts = [sweep(c) for c in chunks]
-
+    curves = d3.sweep_curves(args.factor, args.beta, args.tau_n, omegas, branches=branches)
     lines = ["omega,alpha,tau_s,sign,branch,factor"]
     for sg in (1, -1):
         for br in branches:
-            for part in parts:
-                for om, al, ts in part[(sg, br)]:
-                    lines.append(
-                        f"{format(om, '.17g')},{format(al, '.17g')},{format(ts, '.17g')},"
-                        f"{sg},{br},{args.factor}"
-                    )
+            for om, al, ts in curves[(sg, br)]:
+                lines.append(
+                    f"{format(om, '.17g')},{format(al, '.17g')},{format(ts, '.17g')},"
+                    f"{sg},{br},{args.factor}"
+                )
     write_text_atomic(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} curve samples to {args.output}")
     return EXIT_OK

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
+from .groups import commutator_residual
 
 # Below this exponent gap the analytic limit of the exponential integral
 # is used (avoids catastrophic cancellation near coincident exponents).
@@ -75,10 +76,6 @@ class DelayOperator:
         return D
 
 
-def char_matrix(op, lam):
-    return op.char_matrix(lam)
-
-
 @dataclass(frozen=True)
 class ExpVector:
     """Pure-exponential history segment.
@@ -115,12 +112,7 @@ def check_equivariance(op, rep):
     """
     if rep.dim != op.n:
         raise StructuralError(f"representation dim {rep.dim} != state dim {op.n}")
-    res = 0.0
-    for g in rep.group.elements():
-        R = rep.matrices[g]
-        for _, A in op.terms:
-            res = max(res, float(np.max(np.abs(R @ A - A @ R))))
-    return res
+    return commutator_residual(rep, [A for _, A in op.terms])
 
 
 def _exp_integral(d, r):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .delays import ExpVector, bilinear_form, check_equivariance
 from .errors import FrameError, RootFindingError, StructuralError
-from .groups import Representation, check_representation
+from .groups import Representation, check_representation, commutator_residual
 
 NULLSPACE_RCOND = 1e-8     # relative singular-value cutoff for null spaces
 CONJ_MATCH_TOL = 1e-9      # tolerance for pairing lam with conj(lam)
@@ -56,10 +56,15 @@ def find_root(op, lam0, tol=1e-12, max_iter=100, deriv_floor=1e-14):
     (suspected multiple root) the iteration switches to a secant method
     started from a perturbed point.
 
+    The iteration stops when ``|det| < tol`` or when a Newton step is at
+    most ``tol * max(1, |lam|)``.  The second test is what converges on
+    large systems: det Delta grows roughly geometrically with the dimension,
+    so at a root its rounding floor can sit far above any absolute ``tol``.
+
     Raises
     ------
     RootFindingError
-        After ``max_iter`` steps without ``|det| < tol``; the exception
+        After ``max_iter`` steps without either test passing; the exception
         carries the last iterate.
     """
     lam = complex(lam0)
@@ -76,8 +81,12 @@ def find_root(op, lam0, tol=1e-12, max_iter=100, deriv_floor=1e-14):
                 return RootResult(root=lam, residual=abs(f), iterations=it + it2,
                                   used_secant=True)
             break
-        lam = lam - f / df
+        step = f / df
+        lam = lam - step
         f = np.linalg.det(op.char_matrix(lam))
+        if abs(step) <= tol * max(1.0, abs(lam)):
+            return RootResult(root=lam, residual=abs(f), iterations=it + 1,
+                              used_secant=False)
     raise RootFindingError(
         f"no convergence after {max_iter} iterations; last iterate {lam} with |det| = {abs(f):.3e}",
         last_iterate=lam, residual=abs(f),
@@ -123,19 +132,6 @@ class SpectralFrame:
     def c(self):
         return len(self.lambdas)
 
-    def blocks(self):
-        """Index groups of equal eigenvalue, in basis order."""
-        out, seen = [], []
-        for i, lam in enumerate(self.lambdas):
-            for k, mu in enumerate(seen):
-                if lam == mu:
-                    out[k].append(i)
-                    break
-            else:
-                seen.append(lam)
-                out.append([i])
-        return [tuple(b) for b in out]
-
     def Phi_at(self, theta):
         """The (n, c) matrix Phi(theta)."""
         return np.column_stack([v(theta) for v in self.phi])
@@ -154,6 +150,20 @@ class SpectralFrame:
             for j, q in enumerate(self.phi):
                 K[i, j] = bilinear_form(p, q, self.op)
         return K
+
+    def gram_residual(self):
+        """Max entrywise ``|(Psi, Phi) - I|``; zero for a normalized frame."""
+        return float(np.max(np.abs(self.gram() - np.eye(self.c))))
+
+    def intertwining_residual(self, rep):
+        """Max entrywise ``|rho(g) Phi(theta) - Phi(theta) G(g)|`` over every
+        element g and nine theta samples spanning [-tau, 0]."""
+        thetas = np.linspace(-self.op.tau, 0.0, 9) if self.op.tau > 0 else [0.0]
+        res = 0.0
+        for th in thetas:
+            P = self.Phi_at(th)
+            res = max(res, float(np.max(np.abs(rep.matrices @ P - P @ self.G.matrices))))
+        return res
 
 
 def _char_scale(op, lam):
@@ -303,7 +313,7 @@ def eigenbasis(op, lambdas, seeds=None, residual_tol=1e-9):
     B = np.diag(np.array(lams, dtype=complex))
     frame = SpectralFrame(op=op, lambdas=tuple(lams), phi=tuple(phi), psi=tuple(psi), B=B)
 
-    gram_residual = np.max(np.abs(frame.gram() - np.eye(c)))
+    gram_residual = frame.gram_residual()
     if gram_residual > residual_tol:
         raise FrameError(f"Gram normalization residual {gram_residual:.3e} exceeds {residual_tol}")
     for v in frame.phi:
@@ -339,6 +349,7 @@ def induce_representation(frame, rep, tol=1e-8):
             for i, ps in enumerate(frame.psi):
                 Gmats[g, i, j] = bilinear_form(ps, moved, op)
     G = Representation(group=group, matrices=Gmats)
+    framed = replace(frame, G=G)
 
     report = check_representation(G, tol=tol)
     if not report.ok:
@@ -346,15 +357,12 @@ def induce_representation(frame, rep, tol=1e-8):
             f"induced matrices violate the representation property "
             f"(max residual {report.max_residual:.3e}); frame inconsistent"
         )
-
-    thetas = np.linspace(-op.tau, 0.0, 9) if op.tau > 0 else np.array([0.0])
+    pw = framed.intertwining_residual(rep)
+    if pw > tol:
+        raise FrameError(f"rho(g) Phi != Phi G(g) (residual {pw:.3e})")
     for g in group.elements():
-        R = rep.matrices[g]
-        for th in thetas:
-            P = frame.Phi_at(th)
-            if np.max(np.abs(R @ P - P @ Gmats[g])) > tol:
-                raise FrameError(f"rho(g) Phi != Phi G(g) at theta={th} for element {g}")
         # (Psi, g.Phi) computed above; compare with (Psi.g, Phi)
+        R = rep.matrices[g]
         H = np.empty((c, c), dtype=complex)
         for i, ps in enumerate(frame.psi):
             moved = ExpVector(ps.direction @ R, ps.exponent, side="row")
@@ -362,7 +370,7 @@ def induce_representation(frame, rep, tol=1e-8):
                 H[i, j] = bilinear_form(moved, ph, op)
         if np.max(np.abs(H - Gmats[g])) > 1e-9:
             raise FrameError(f"(Psi, g.Phi) != (Psi.g, Phi) for element {g}")
-        if np.max(np.abs(frame.B @ Gmats[g] - Gmats[g] @ frame.B)) > 1e-10:
-            raise FrameError(f"B does not commute with G for element {g}")
-
-    return replace(frame, G=G)
+    bg = commutator_residual(G, [frame.B])
+    if bg > 1e-10:
+        raise FrameError(f"B does not commute with G (residual {bg:.3e})")
+    return framed

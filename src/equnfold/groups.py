@@ -120,9 +120,6 @@ class Representation:
     def dim(self):
         return self.matrices.shape[1]
 
-    def matrix(self, g):
-        return self.matrices[g]
-
     def inverse_matrix(self, g):
         """rho(g)^-1, taken as the matrix of the inverse group element."""
         return self.matrices[self.group.inverse[g]]
@@ -287,6 +284,19 @@ def equivariant_average(rep_left, rep_right, M):
     return acc / group.order
 
 
+def commutator_residual(rep, matrices):
+    """Max entrywise ``|rho(g) A - A rho(g)|`` over every element g and every A.
+
+    Zero (within tolerance) exactly when each matrix commutes with the group
+    action.
+    """
+    res = 0.0
+    for A in matrices:
+        A = np.asarray(A, dtype=complex)
+        res = max(res, float(np.max(np.abs(rep.matrices @ A - A @ rep.matrices))))
+    return res
+
+
 def commutant_basis(rep, rcond=1e-10):
     """Orthonormal basis of the matrices commuting with every rho(g).
 
@@ -314,7 +324,3 @@ def commutant_basis(rep, rcond=1e-10):
     rank = int(np.sum(s > tol))
     ns = Vh[rank:].conj().T
     return [ns[:, k].reshape(d, d) for k in range(ns.shape[1])]
-
-
-def commutant_dim(rep, rcond=1e-10):
-    return len(commutant_basis(rep, rcond=rcond))

@@ -20,11 +20,10 @@ unfolding of B.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .delays import DelayOperator
 from .errors import StructuralError, UnfoldingError
-from .groups import commutant_basis, equivariant_average
+from .groups import commutant_basis, commutator_residual, equivariant_average
 
 RANK_RCOND = 1e-9      # relative singular-value threshold for every rank test
 DIAG_TOL = 1e-12       # max off-diagonal magnitude for "B is diagonal"
@@ -182,9 +181,9 @@ def orbit_geometry(B, jordan_spec):
             E[r, ccol] = 1.0
             W_basis.append(E)
     else:
-        BH = B.conj().T
-        ns = null_space(ad_matrix(BH), rcond=RANK_RCOND)
-        W_basis = [ns[:, k].reshape(c, c) for k in range(ns.shape[1])]
+        # The centralizer of B^H is the null space of ad_{B^H} = ad_B^H, i.e.
+        # the left null space of ad_B: its trailing left singular vectors.
+        W_basis = [U[:, k].reshape(c, c) for k in range(rank, c * c)]
 
     if len(W_basis) != delta:
         raise UnfoldingError(
@@ -219,9 +218,8 @@ class GammaOrbitGeometry:
 def gamma_orbit_geometry(B, G, rcond=RANK_RCOND):
     """Restrict the orbit geometry to matrices commuting with the G action."""
     B = np.asarray(B, dtype=complex)
-    for g in G.group.elements():
-        if np.max(np.abs(B @ G.matrices[g] - G.matrices[g] @ B)) > 1e-10 * max(1.0, np.max(np.abs(B))):
-            raise UnfoldingError("B does not commute with the representation")
+    if commutator_residual(G, [B]) > 1e-10 * max(1.0, np.max(np.abs(B))):
+        raise UnfoldingError("B does not commute with the representation")
     comm = commutant_basis(G)
     if not comm:
         raise UnfoldingError("empty commutant")
@@ -427,11 +425,22 @@ def solve_delay_realization(frame, delays, R, sparsity=None, residual_tol=1e-9):
         for (j, l), val in zip(meta, x):
             As[j][i, l] = val
 
-    recon = sum(A @ P for A, P in zip(As, Phis))
-    res = float(np.max(np.abs(recon - R)))
+    res = reconstruction_residual(As, Phis, R)
     if res > residual_tol * scale:
         raise UnfoldingError(f"reconstruction residual {res:.3e} exceeds tolerance")
     return As
+
+
+def reconstruction_residual(coefficients, Phis, R):
+    """Max entrywise ``|sum_j A_j Phi(-r_j) - R|``, given ``Phis[j] = Phi(-r_j)``."""
+    return float(np.max(np.abs(sum(A @ P for A, P in zip(coefficients, Phis)) - R)))
+
+
+def project_slot(frame, rep, R):
+    """Group-average one slot: ``Rbar = (1/|G|) sum_g rho(g) R G(g)^-1`` and
+    its center direction ``Bhat = Psi(0) Rbar``."""
+    Rbar = equivariant_average(rep, frame.G, R)
+    return Rbar, frame.Psi0 @ Rbar
 
 
 @dataclass(frozen=True)
@@ -479,13 +488,7 @@ class UnfoldingFamily:
     def max_equivariance_residual(self):
         if self.rep is None:
             return 0.0
-        res = 0.0
-        for row in self.directions:
-            for A in row:
-                for g in self.rep.group.elements():
-                    R = self.rep.matrices[g]
-                    res = max(res, float(np.max(np.abs(R @ A - A @ R))))
-        return res
+        return commutator_residual(self.rep, [A for row in self.directions for A in row])
 
     def as_operator(self, alpha):
         """The operator at a parameter value, merging lags with the base."""
@@ -532,7 +535,8 @@ def verify_gamma_versality(B, G, directions, rcond=RANK_RCOND):
 
     Versal when the concatenated coordinates reach the commutant dimension;
     mini-versal when additionally the direction count equals the
-    equivariant codimension.  Never raises: the report carries failures.
+    equivariant codimension.  A span that falls short is reported, not
+    raised; a B that does not commute with G raises UnfoldingError.
     """
     geo = gamma_orbit_geometry(B, G, rcond=rcond)
     Kmat = np.column_stack([_vec(K) for K in geo.commutant])  # orthonormal columns
@@ -600,11 +604,7 @@ def assemble_gamma_unfolding(frame, rep, delays, geometry=None, sparsity=None,
     Rbars, Bhats = [], []
     for m, R in enumerate(Rs):
         A_raw = solve_delay_realization(frame, delays, R, sparsity=None)
-        recon = sum(A @ P for A, P in zip(A_raw, Phis))
-        if np.max(np.abs(recon - R)) > 1e-9 * max(1.0, float(np.max(np.abs(R)))):
-            raise UnfoldingError(f"slot {m}: raw reconstruction failed")
-        Rbar = equivariant_average(rep, G, R)
-        Bhat = Psi0 @ Rbar
+        Rbar, Bhat = project_slot(frame, rep, R)
         # Projection identity: averaging the coefficients, the R matrix, or
         # the center direction all land on the same matrix.
         Bhat_from_A = sum(Psi0 @ equivariant_average(rep, rep, A) @ P
@@ -625,8 +625,8 @@ def assemble_gamma_unfolding(frame, rep, delays, geometry=None, sparsity=None,
     for m in theta.selected_rows:
         A_fam = solve_delay_realization(frame, delays, Rbars[m], sparsity=sparsity)
         A_fam = [equivariant_average(rep, rep, A) for A in A_fam]
-        recon = sum(A @ P for A, P in zip(A_fam, Phis))
-        if np.max(np.abs(recon - Rbars[m])) > 1e-9 * max(1.0, float(np.max(np.abs(Rbars[m])))):
+        if reconstruction_residual(A_fam, Phis, Rbars[m]) \
+                > 1e-9 * max(1.0, float(np.max(np.abs(Rbars[m])))):
             raise UnfoldingError(f"slot {m}: projected reconstruction failed")
         directions.append(tuple(A_fam))
 
@@ -663,11 +663,10 @@ def slot_reparametrization(family, rcond=RANK_RCOND):
     rows = []
     for j in range(len(family.delays)):
         V = np.array([_vec(family.directions[m][j]) for m in range(k)])
-        s = np.linalg.svd(V, compute_uv=False)
+        _, s, Vh = np.linalg.svd(V, full_matrices=False)
         if s.size == 0 or s[0] < 1e-14:
             continue
         r = int(np.sum(s > rcond * s[0]))
-        _, _, Vh = np.linalg.svd(V)
         rows.append((V @ Vh[:r].conj().T).T)   # (r, k) coordinates
     if not rows:
         return np.zeros((0, k))

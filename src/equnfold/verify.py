@@ -14,10 +14,11 @@ import numpy as np
 
 from .delays import check_equivariance
 from .errors import EqunfoldError, SchemaError
-from .groups import check_representation, equivariant_average
+from .groups import check_representation, commutator_residual, equivariant_average
 from .jsonio import (SCHEMA, decode_cmatrix, frame_from_doc, model_from_doc,
                      rep_from_doc)
 from .unfolding import (UnfoldingFamily, build_R_matrices, orbit_geometry,
+                        project_slot, reconstruction_residual,
                         semisimple_jordan_spec, theta_extract,
                         verify_gamma_versality)
 
@@ -88,7 +89,13 @@ def parse_artifact(doc):
 
 
 def verify_artifact(doc, tol=DEFAULT_TOL):
-    """Run the full invariant suite against an artifact document."""
+    """Run the full invariant suite against an artifact document.
+
+    A document that does not parse raises SchemaError (StructuralError for
+    mismatched shapes).  Failed invariants are failed checks in the report,
+    including a reduced matrix that does not commute with G, which stops the
+    versality recomputation.
+    """
     op, rep, frame, family, selected, theta_stored = parse_artifact(doc)
     checks = []
 
@@ -106,7 +113,6 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
 
     record("model.equivariance", check_equivariance(op, rep))
 
-    c = frame.c
     null_res = 0.0
     for v in frame.phi:
         D = op.char_matrix(v.exponent)
@@ -115,7 +121,7 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
         D = op.char_matrix(w.exponent)
         null_res = max(null_res, float(np.linalg.norm(w.direction @ D) / np.linalg.norm(w.direction)))
     record("frame.null_vectors", null_res)
-    record("frame.gram_identity", float(np.max(np.abs(frame.gram() - np.eye(c)))))
+    record("frame.gram_identity", frame.gram_residual())
     record("frame.reduced_matrix",
            float(np.max(np.abs(frame.B - np.diag(np.array(frame.lambdas))))))
 
@@ -124,64 +130,46 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
     checks.append(CheckResult(
         "frame.induced_rep", g_report.ok,
         f"max residual {g_report.max_residual:.3e}"))
-    bg = max(float(np.max(np.abs(frame.B @ G.matrices[g] - G.matrices[g] @ frame.B)))
-             for g in G.group.elements())
-    record("frame.B_commutes_with_G", bg)
-    thetas = np.linspace(-op.tau, 0.0, 5) if op.tau > 0 else [0.0]
-    pw = 0.0
-    for g in G.group.elements():
-        R = rep.matrices[g]
-        for th in thetas:
-            P = frame.Phi_at(th)
-            pw = max(pw, float(np.max(np.abs(R @ P - P @ G.matrices[g]))))
-    record("frame.phi_intertwines", pw)
-
-    equiv = 0.0
-    for row in family.directions:
-        for A in row:
-            for g in rep.group.elements():
-                R = rep.matrices[g]
-                equiv = max(equiv, float(np.max(np.abs(R @ A - A @ R))))
-    record("family.coefficient_equivariance", equiv)
+    record("frame.B_commutes_with_G", commutator_residual(G, [frame.B]))
+    record("frame.phi_intertwines", frame.intertwining_residual(rep))
+    record("family.coefficient_equivariance",
+           commutator_residual(rep, [A for row in family.directions for A in row]))
 
     # center directions from the stored coefficients, and their projections
-    Phis = [frame.Phi_at(-r) for r in family.delays]
-    bhats = []
-    proj_res = 0.0
-    for m in range(family.n_parameters):
-        Bh = sum(frame.Psi0 @ A @ P for A, P in zip(family.directions[m], Phis))
-        bhats.append(Bh)
-        proj_res = max(proj_res, float(np.max(np.abs(
-            equivariant_average(G, G, Bh) - Bh))))
-    record("directions.projection_fixed_point", proj_res)
+    bhats = [family.center_direction(frame, m) for m in range(family.n_parameters)]
+    record("directions.projection_fixed_point",
+           max((float(np.max(np.abs(equivariant_average(G, G, Bh) - Bh))) for Bh in bhats),
+               default=0.0))
 
     try:
         geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
-        Rs = build_R_matrices(frame, geometry)
-        Rbars = [equivariant_average(rep, G, R) for R in Rs]
-        theta_re = theta_extract(geometry, [frame.Psi0 @ Rb for Rb in Rbars])
+        Rbars, centers = zip(*(project_slot(frame, rep, R)
+                               for R in build_R_matrices(frame, geometry)))
+        theta_re = theta_extract(geometry, centers)
         dtheta = float(np.max(np.abs(theta_re.theta - theta_stored))) \
             if theta_re.theta.shape == theta_stored.shape else np.inf
         record("theta.matrix_consistency", dtheta)
         checks.append(CheckResult(
             "theta.selected_rows", tuple(theta_re.selected_rows) == tuple(selected),
             f"stored {tuple(selected)}, recomputed {tuple(theta_re.selected_rows)}"))
-        recon = 0.0
-        for m, slot in enumerate(selected):
-            target = Rbars[slot]
-            got = sum(A @ P for A, P in zip(family.directions[m], Phis))
-            recon = max(recon, float(np.max(np.abs(got - target))))
-        record("unfolding.reconstruction", recon)
+        Phis = [frame.Phi_at(-r) for r in family.delays]
+        record("unfolding.reconstruction",
+               max((reconstruction_residual(family.directions[m], Phis, Rbars[slot])
+                    for m, slot in enumerate(selected)), default=0.0))
     except EqunfoldError as exc:
         checks.append(CheckResult("theta.recompute", False, str(exc)))
 
-    ver = verify_gamma_versality(frame.B, G, bhats)
-    checks.append(CheckResult(
-        "versality.span", ver.versal,
-        f"rank {ver.achieved_rank} of {ver.commutant_dim} "
-        f"(tangent {ver.tangent_dim} + {ver.n_directions} directions)"))
-    checks.append(CheckResult(
-        "versality.mini", ver.mini_versal,
-        f"{ver.n_directions} parameters vs codimension {ver.codimension}"))
+    try:
+        ver = verify_gamma_versality(frame.B, G, bhats)
+    except EqunfoldError as exc:
+        checks.append(CheckResult("versality.span", False, str(exc)))
+    else:
+        checks.append(CheckResult(
+            "versality.span", ver.versal,
+            f"rank {ver.achieved_rank} of {ver.commutant_dim} "
+            f"(tangent {ver.tangent_dim} + {ver.n_directions} directions)"))
+        checks.append(CheckResult(
+            "versality.mini", ver.mini_versal,
+            f"{ver.n_directions} parameters vs codimension {ver.codimension}"))
 
     return VerificationReport(checks=tuple(checks))

@@ -6,8 +6,8 @@ import pytest
 
 from equnfold import d3
 from equnfold.cli import main
-from equnfold.jsonio import (canonical_json, model_to_doc, rep_to_doc,
-                             write_json_atomic)
+from equnfold.jsonio import (build_artifact, canonical_json, model_to_doc,
+                             rep_to_doc, write_json_atomic)
 
 
 def run(args):
@@ -32,17 +32,6 @@ class TestCurves:
                     "--tau-n", "4", "--omega-range", "5:0:-1",
                     "--output", str(tmp_path / "x.csv")])
         assert code == 2
-
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        args = ["curves", "--factor", "delta2", "--beta", "0.5", "--tau-n", "3",
-                "--omega-range", "0.5:2:0.01"]
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        monkeypatch.setenv("EQUNFOLD_THREADS", "1")
-        run(args + ["--output", str(a)])
-        monkeypatch.setenv("EQUNFOLD_THREADS", "4")
-        run(args + ["--output", str(b)])
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestDoubleHopf:
@@ -170,6 +159,19 @@ class TestVerify:
         path = tmp_path / "short.json"
         write_json_atomic(str(path), doc)
         assert run(["verify", str(path)]) == 1
+
+    def test_noncommuting_induced_rep_is_reported(self, tmp_path, double_case):
+        r = double_case
+        doc = build_artifact(r.op, r.rep, r.frame, r.assembly, meta={"preset": "d3:double"})
+        # G(1) no longer commutes with B: entry (0, 2) joins distinct eigenvalues
+        doc["frame"]["induced_rep"][1][0][2][0] += 1e-3
+        path = tmp_path / "tampered.json"
+        write_json_atomic(str(path), doc)
+        report = tmp_path / "report.json"
+        assert run(["verify", str(path), "--report", str(report)]) == 1
+        failed = {c["name"] for c in json.loads(report.read_text())["checks"]
+                  if not c["passed"]}
+        assert {"frame.B_commutes_with_G", "versality.span"} <= failed
 
 
 class TestDemo:

@@ -47,6 +47,16 @@ class TestFindRoot:
         assert res.residual < 1e-12
         assert abs(abs(res.root) - 1.0) < 1e-8
 
+    def test_large_ring_stops_on_the_newton_step(self):
+        # |det Delta| grows roughly like 3^N on this one-way ring, so at
+        # N = 24 it stays far above the absolute tolerance even at a root
+        n = 24
+        shift = np.roll(np.eye(n), 1, axis=0)
+        op = DelayOperator(n=n, terms=((0.0, -np.eye(n)), (1.0, 2.0 * shift)))
+        res = find_root(op, 2j)
+        s = np.linalg.svd(op.char_matrix(res.root), compute_uv=False)
+        assert s[-1] < 1e-12 * s[0]
+
 
 class TestEigenbasis:
     def test_pure_ode_frame(self):
