@@ -46,7 +46,10 @@ def _parse_range(text):
         raise UsageError(f"malformed range {text!r}; expected START:STOP:STEP")
     if step <= 0 or b <= a or a <= 0:
         raise UsageError(f"range {text!r} must satisfy 0 < START < STOP with STEP > 0")
-    return np.arange(a, b, step)
+    grid = np.arange(a, b, step)
+    if len(grid) < 2:
+        raise UsageError(f"range {text!r} gives fewer than two samples")
+    return grid
 
 
 def _parse_branches(text):

@@ -132,26 +132,53 @@ def sweep_curves(factor, beta, tau_n, omegas, signs=(1, -1), branches=(0, 1, 2, 
 def _segment_intersections(P, Q):
     """Crossings of two polylines in the plane.
 
-    P, Q are (m, 2) arrays; yields (i, j, t, u, point) for each pair of
-    segments P[i:i+2], Q[j:j+2] that intersect, with local parameters
-    t, u in [0, 1].
+    P, Q are (m, 2) arrays of finite points.  Returns arrays
+    ``(i, j, t, u, point)``, one entry per pair of segments P[i:i+2],
+    Q[j:j+2] that intersect, with local parameters t, u in [0, 1] and the
+    crossing ``point = P[i] + t (P[i+1] - P[i])``; entries are ordered by
+    (i, j).
+
+    Only segment pairs whose bounding boxes, padded by a rounding margin,
+    overlap are tested, so disjoint parallel segments cannot pass as a
+    crossing through a rounding-level denominator.  The pairs are found by
+    a sweep on the first coordinate: Q's segments are sorted by their lower
+    bound, and each P segment takes the window of Q segments that can reach
+    its range.  (On the Hopf curves the first coordinate, alpha, is
+    continuous in omega; the second, tau_s, jumps by 2 pi / omega where the
+    angle wraps.)
     """
     A, Bp = P[:-1], P[1:]
     C, D = Q[:-1], Q[1:]
     r = Bp - A
     s = D - C
-    hits = []
-    for i in range(len(A)):
-        denom = r[i, 0] * s[:, 1] - r[i, 1] * s[:, 0]
-        dx = C[:, 0] - A[i, 0]
-        dy = C[:, 1] - A[i, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (dx * s[:, 1] - dy * s[:, 0]) / denom
-            u = (dx * r[i, 1] - dy * r[i, 0]) / denom
-        ok = np.isfinite(t) & np.isfinite(u) & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
-        for j in np.nonzero(ok)[0]:
-            hits.append((i, int(j), float(t[j]), float(u[j]), A[i] + t[j] * r[i]))
-    return hits
+    plo, phi = np.minimum(A, Bp), np.maximum(A, Bp)
+    qlo, qhi = np.minimum(C, D), np.maximum(C, D)
+    pad = 1e-9 * (1.0 + max(np.max(np.abs(P), initial=0.0), np.max(np.abs(Q), initial=0.0)))
+
+    order = np.argsort(qlo[:, 0], kind="stable")
+    keys = qlo[order, 0]
+    reach = np.max(qhi[:, 0] - qlo[:, 0], initial=0.0)
+    first = np.searchsorted(keys, plo[:, 0] - reach - pad, side="left")
+    last = np.searchsorted(keys, phi[:, 0] + pad, side="right")
+    counts = last - first
+    ii = np.repeat(np.arange(len(A)), counts)
+    jj = order[np.arange(len(ii)) + np.repeat(first - (np.cumsum(counts) - counts), counts)]
+    # the window already bounds qlo[jj, 0] <= phi[ii, 0] + pad
+    near = ((qhi[jj, 0] >= plo[ii, 0] - pad) & (qlo[jj, 1] <= phi[ii, 1] + pad)
+            & (qhi[jj, 1] >= plo[ii, 1] - pad))
+    ii, jj = ii[near], jj[near]
+
+    denom = r[ii, 0] * s[jj, 1] - r[ii, 1] * s[jj, 0]
+    dx = C[jj, 0] - A[ii, 0]
+    dy = C[jj, 1] - A[ii, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (dx * s[jj, 1] - dy * s[jj, 0]) / denom
+        u = (dx * r[ii, 1] - dy * r[ii, 0]) / denom
+    ok = np.isfinite(t) & np.isfinite(u) & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
+    ii, jj, t, u = ii[ok], jj[ok], t[ok], u[ok]
+    idx = np.lexsort((jj, ii))
+    ii, jj, t, u = ii[idx], jj[idx], t[idx], u[idx]
+    return ii, jj, t, u, A[ii] + t[:, None] * r[ii]
 
 
 @dataclass(frozen=True)
@@ -236,6 +263,9 @@ def locate_double_hopf(factor, beta, tau_n, omegas=None, signs=(1, -1),
     """
     if omegas is None:
         omegas = np.arange(0.05, 5.0, 0.005)
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1 or len(omegas) < 2:
+        raise EqunfoldError("the omega grid needs at least two samples")
     curves = sweep_curves(factor, beta, tau_n, omegas, signs=signs, branches=branches)
     keys = sorted(curves)
     step = float(omegas[1] - omegas[0])
@@ -244,17 +274,16 @@ def locate_double_hopf(factor, beta, tau_n, omegas=None, signs=(1, -1),
         for jj in range(ii, len(keys)):
             P = curves[keys[ii]][:, 1:3]
             Q = curves[keys[jj]][:, 1:3]
-            for i, j, t, u, pt in _segment_intersections(P, Q):
-                wA = float(omegas[i]) + t * step
-                wB = float(omegas[j]) + u * step
-                if abs(wA - wB) < 1e-3:
-                    continue            # the same root, or a resonance
-                a0, t0 = pt
-                if not (alpha_window[0] <= a0 <= alpha_window[1]
-                        and tau_s_window[0] < t0 <= tau_s_window[1]):
-                    continue
+            i, j, t, u, pt = _segment_intersections(P, Q)
+            wA = omegas[i] + t * step
+            wB = omegas[j] + u * step
+            a0, t0 = pt[:, 0], pt[:, 1]
+            keep = (~(np.abs(wA - wB) < 1e-3)          # the same root, or a resonance
+                    & (alpha_window[0] <= a0) & (a0 <= alpha_window[1])
+                    & (tau_s_window[0] < t0) & (t0 <= tau_s_window[1]))
+            for seed in zip(a0[keep], t0[keep], wA[keep], wB[keep]):
                 try:
-                    dh = find_double_hopf(factor, beta, tau_n, (a0, t0, wA, wB))
+                    dh = find_double_hopf(factor, beta, tau_n, seed)
                 except EqunfoldError:
                     continue
                 if not (alpha_window[0] <= dh.alpha <= alpha_window[1]

@@ -76,9 +76,14 @@ def parse_artifact(doc):
         if len(row) != len(delays):
             raise SchemaError("one coefficient matrix per delay required")
         directions.append(tuple(decode_cmatrix(A) for A in row))
-    selected = [int(i) for i in _require(unf, "selected_rows", "unfolding")]
+    try:
+        selected = [int(i) for i in _require(unf, "selected_rows", "unfolding")]
+    except (TypeError, ValueError):
+        raise SchemaError("selected_rows must be a list of integers")
     if len(selected) != len(names):
         raise SchemaError("selected_rows must list one slot per parameter")
+    if min(selected, default=0) < 0 or len(set(selected)) != len(selected):
+        raise SchemaError(f"selected_rows {selected} must be distinct non-negative indices")
 
     theta_doc = _require(doc, "theta")
     theta = decode_cmatrix(_require(theta_doc, "matrix", "theta"))
@@ -152,10 +157,16 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
         checks.append(CheckResult(
             "theta.selected_rows", tuple(theta_re.selected_rows) == tuple(selected),
             f"stored {tuple(selected)}, recomputed {tuple(theta_re.selected_rows)}"))
-        Phis = [frame.Phi_at(-r) for r in family.delays]
-        record("unfolding.reconstruction",
-               max((reconstruction_residual(family.directions[m], Phis, Rbars[slot])
-                    for m, slot in enumerate(selected)), default=0.0))
+        missing = [slot for slot in selected if slot >= len(Rbars)]
+        if missing:
+            checks.append(CheckResult(
+                "unfolding.reconstruction", False,
+                f"selected row {missing[0]} is out of range ({len(Rbars)} slots recomputed)"))
+        else:
+            Phis = [frame.Phi_at(-r) for r in family.delays]
+            record("unfolding.reconstruction",
+                   max((reconstruction_residual(family.directions[m], Phis, Rbars[slot])
+                        for m, slot in enumerate(selected)), default=0.0))
     except EqunfoldError as exc:
         checks.append(CheckResult("theta.recompute", False, str(exc)))
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from equnfold import d3
 from equnfold.cli import main
 from equnfold.jsonio import (build_artifact, canonical_json, model_to_doc,
                              rep_to_doc, write_json_atomic)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def run(args):
@@ -35,6 +39,26 @@ class TestCurves:
 
 
 class TestDoubleHopf:
+    def test_one_sample_range_exits_2(self, tmp_path):
+        code = run(["double-hopf", "--factor", "delta2", "--beta", "0.5",
+                    "--tau-n", "3", "--omega-range", "0.05:0.06:0.05",
+                    "--output", str(tmp_path / "dh.json")])
+        assert code == 2
+        assert not (tmp_path / "dh.json").exists()
+
+    @pytest.mark.parametrize("case", ["simple", "double"])
+    def test_points_equal_fixture_exactly(self, tmp_path, case):
+        with open(os.path.join(FIXTURES, "double_hopf_points.json")) as fh:
+            entry = json.load(fh)[case]
+        grid = entry["omega_grid"]
+        out = tmp_path / "dh.json"
+        code = run(["double-hopf", "--factor", entry["factor"],
+                    "--beta", repr(entry["beta"]), "--tau-n", repr(entry["tau_n"]),
+                    "--omega-range", f"{grid['start']}:{grid['stop']}:{grid['step']}",
+                    "--output", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["points"] == entry["points"]
+
     def test_writes_points(self, tmp_path):
         out = tmp_path / "dh.json"
         code = run(["double-hopf", "--factor", "delta1", "--beta", "-0.5",
@@ -159,6 +183,25 @@ class TestVerify:
         path = tmp_path / "short.json"
         write_json_atomic(str(path), doc)
         assert run(["verify", str(path)]) == 1
+
+    def test_out_of_range_selected_row_is_a_failed_check(self, tmp_path, simple_artifact):
+        doc = copy.deepcopy(simple_artifact)
+        doc["unfolding"]["selected_rows"][0] = 99
+        path = tmp_path / "bad.json"
+        write_json_atomic(str(path), doc)
+        report = tmp_path / "report.json"
+        assert run(["verify", str(path), "--report", str(report)]) == 1
+        checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        assert not checks["unfolding.reconstruction"]["passed"]
+        assert "99" in checks["unfolding.reconstruction"]["detail"]
+
+    @pytest.mark.parametrize("rows", [[-1, 1, 2, 3], [1, 1, 2, 3], ["x", 1, 2, 3]])
+    def test_bad_selected_rows_are_schema_errors(self, tmp_path, simple_artifact, rows):
+        doc = copy.deepcopy(simple_artifact)
+        doc["unfolding"]["selected_rows"] = rows
+        path = tmp_path / "bad.json"
+        write_json_atomic(str(path), doc)
+        assert run(["verify", str(path)]) == 2
 
     def test_noncommuting_induced_rep_is_reported(self, tmp_path, double_case):
         r = double_case

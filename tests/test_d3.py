@@ -83,6 +83,10 @@ class TestDoubleHopfLocation:
             assert abs(p.omega1 - q["omega1"]) < 1e-6
             assert abs(p.omega2 - q["omega2"]) < 1e-6
 
+    def test_one_sample_grid_rejected(self):
+        with pytest.raises(EqunfoldError, match="two samples"):
+            d3.locate_double_hopf("delta2", 0.5, 3.0, omegas=np.array([0.05]))
+
     def test_default_delays_are_generic(self, simple_case):
         point = simple_case.point
         delays = d3.default_delays(point)
@@ -92,6 +96,117 @@ class TestDoubleHopfLocation:
             [1j * point.omega1, -1j * point.omega1,
              1j * point.omega2, -1j * point.omega2], delays)
         assert d3.scaled_det(M) > 1e-6
+
+
+def _loop_intersections(P, Q):
+    """Reference: the segment-by-segment loop the sorted sweep replaced."""
+    A, Bp = P[:-1], P[1:]
+    C, D = Q[:-1], Q[1:]
+    r = Bp - A
+    s = D - C
+    hits = []
+    for i in range(len(A)):
+        denom = r[i, 0] * s[:, 1] - r[i, 1] * s[:, 0]
+        dx = C[:, 0] - A[i, 0]
+        dy = C[:, 1] - A[i, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (dx * s[:, 1] - dy * s[:, 0]) / denom
+            u = (dx * r[i, 1] - dy * r[i, 0]) / denom
+        ok = np.isfinite(t) & np.isfinite(u) & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
+        for j in np.nonzero(ok)[0]:
+            hits.append((i, int(j), float(t[j]), float(u[j]), A[i] + t[j] * r[i]))
+    return hits
+
+
+def _assert_same_hits(P, Q):
+    """The sweep's hits equal the loop's exactly, in the same order; returns
+    their number."""
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    ref = _loop_intersections(P, Q)
+    i, j, t, u, pt = d3._segment_intersections(P, Q)
+    assert list(zip(i.tolist(), j.tolist(), t.tolist(), u.tolist())) == \
+        [(a, b, c, e) for a, b, c, e, _ in ref]
+    assert np.array_equal(pt, np.array([p for *_, p in ref]).reshape(-1, 2))
+    return len(ref)
+
+
+class TestCrossingOracle:
+    """The vectorized crossing detection returns exactly the loop's hits."""
+
+    def test_random_polylines(self, rng):
+        n = 0
+        for _ in range(20):
+            P = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 40)), 2))
+            Q = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 40)), 2))
+            n += _assert_same_hits(P, Q) + _assert_same_hits(P, P)
+            walk = np.cumsum(rng.standard_normal((60, 2)) * [1.0, 30.0], axis=0)
+            n += _assert_same_hits(walk, walk[::-1] + 0.5)
+        assert n > 1000
+
+    @pytest.mark.parametrize("unit", [1.0, 0.1, 1e6])
+    def test_lattice_polylines(self, rng, unit):
+        # vertices on a small lattice: shared endpoints, T-junctions,
+        # collinear overlaps, parallel and axis-parallel segments abound
+        n = 0
+        for _ in range(40):
+            P = rng.integers(-3, 4, (int(rng.integers(2, 12)), 2)) * unit
+            Q = rng.integers(-3, 4, (int(rng.integers(2, 12)), 2)) * unit
+            n += _assert_same_hits(P, Q) + _assert_same_hits(P, P)
+        assert n > 100
+
+    def test_adversarial_cases(self):
+        cases = [
+            # shared endpoints, and a polyline against itself
+            ([(0, 0), (1, 1), (2, 0)], [(1, 1), (3, 3)]),
+            ([(0, 0), (1, 1), (2, 0), (3, 1)], [(0, 0), (1, 1), (2, 0), (3, 1)]),
+            # collinear segments, overlapping and disjoint, exact and rounded
+            ([(0, 0), (2, 2), (4, 4)], [(1, 1), (3, 3)]),
+            ([(0, 0), (1, 1)], [(2, 2), (3, 3)]),
+            ([(0.1, 0.3), (0.4, 1.2)], [(0.2, 0.6), (0.7, 2.1)]),
+            # parallel segments
+            ([(0, 0), (4, 0)], [(0, 1), (4, 1)]),
+            ([(0, 0), (1, 2)], [(1, 0), (2, 2)]),
+            # axis-parallel: zero extent in one coordinate, T-junctions
+            ([(0, -2), (0, 2)], [(-1, 0), (1, 0)]),
+            ([(0, -2), (0, 2)], [(0, 0), (1, 0)]),
+            ([(-1, 1), (1, 1)], [(0, 1), (0, 5), (3, 5)]),
+            # zero-length segments
+            ([(0, 0), (0, 0), (1, 1)], [(0, 1), (1, 0), (1, 0)]),
+            # a tau_s-like wrap jump: long in the second coordinate only
+            ([(1.0, 0.1), (1.001, 125.0), (1.002, 0.2), (1.003, 124.0)],
+             [(0.9, 60.0), (1.1, 60.0), (0.9, 61.0), (1.1, 61.0)]),
+            # a long segment in the sweep coordinate among short ones
+            ([(-50.0, 0.0), (50.0, 1.0)],
+             [(x, 0.5 + (-1) ** k) for k, x in enumerate(np.linspace(-40, 40, 30))]),
+        ]
+        n = sum(_assert_same_hits(P, Q) + _assert_same_hits(Q, P) for P, Q in cases)
+        assert n > 40
+
+    def test_rounding_hit_of_disjoint_parallel_segments_is_dropped(self):
+        # P's first segment and Q's first segment lie on one line but do not
+        # meet; the loop's near-zero denominator still put t = u = 1 in range
+        P = np.array([[0, -3], [-1, -1], [1, 1]]) * 0.1
+        Q = np.array([[-3, 3], [-2, 1], [2, -2], [-1, -2]]) * 0.1
+        ref = _loop_intersections(P, Q)
+        assert [(a, b) for a, b, *_ in ref] == [(0, 0), (0, 2), (1, 1)]
+        assert np.max(np.abs(ref[0][4] - Q[1])) > 0.1       # not on Q's segment
+        i, j, t, u, pt = d3._segment_intersections(P, Q)
+        assert list(zip(i.tolist(), j.tolist(), t.tolist(), u.tolist())) == \
+            [(a, b, c, e) for a, b, c, e, _ in ref[1:]]
+        assert np.array_equal(pt, np.array([p for *_, p in ref[1:]]))
+
+    @pytest.mark.parametrize("factor, beta, tau_n, step", [
+        ("delta1", -0.5, 4.0, 0.005),
+        ("delta2", 0.5, 3.0, 0.005),
+        ("delta1", 0.61, 4.23, 0.0025),
+        ("delta2", -0.18, 1.18, 0.0025),
+    ])
+    def test_hopf_curve_pairs(self, factor, beta, tau_n, step):
+        curves = d3.sweep_curves(factor, beta, tau_n, np.arange(0.05, 5.0, step))
+        keys = sorted(curves)
+        n = sum(_assert_same_hits(curves[a][:, 1:3], curves[b][:, 1:3])
+                for k, a in enumerate(keys) for b in keys[k:])
+        assert n > 1000
 
 
 class TestSimpleCase:
