@@ -27,17 +27,18 @@ CONJ_MATCH_TOL = 1e-9      # tolerance for pairing lam with conj(lam)
 
 
 def _adjugate(A):
-    """Adjugate via cofactors; stable at singular A (dimensions are tiny)."""
+    """Adjugate via cofactors; stable at singular A (dimensions are tiny).
+
+    All n^2 minors are gathered at once, ``minors[i, j]`` being A without
+    row j and column i, and their determinants taken in one stacked call,
+    which runs the same LU on the same entries as one call per minor.
+    """
     n = A.shape[0]
-    if n == 1:
-        return np.ones((1, 1), dtype=complex)
-    adj = np.empty_like(A)
+    keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)   # keep[k] = range(n) minus k
+    minors = A[keep[None, :, :, None], keep[:, None, None, :]]
     idx = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            minor = A[np.ix_(idx != j, idx != i)]
-            adj[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-    return adj
+    sign = (-1) ** (idx[:, None] + idx[None, :])
+    return sign * np.linalg.det(minors)
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,12 @@ def find_root(op, lam0, tol=1e-12, max_iter=100, deriv_floor=1e-14):
     """
     lam = complex(lam0)
     used_secant = False
-    f = np.linalg.det(op.char_matrix(lam))
+    D = op.char_matrix(lam)
+    f = np.linalg.det(D)
     for it in range(max_iter):
         if abs(f) < tol:
             return RootResult(root=lam, residual=abs(f), iterations=it, used_secant=used_secant)
-        df = np.trace(_adjugate(op.char_matrix(lam)) @ op.char_matrix_deriv(lam))
+        df = np.trace(_adjugate(D) @ op.char_matrix_deriv(lam))
         if abs(df) < deriv_floor:
             used_secant = True
             lam, f, it2 = _secant(op, lam, tol, max_iter - it)
@@ -83,7 +85,8 @@ def find_root(op, lam0, tol=1e-12, max_iter=100, deriv_floor=1e-14):
             break
         step = f / df
         lam = lam - step
-        f = np.linalg.det(op.char_matrix(lam))
+        D = op.char_matrix(lam)
+        f = np.linalg.det(D)
         if abs(step) <= tol * max(1.0, abs(lam)):
             return RootResult(root=lam, residual=abs(f), iterations=it + 1,
                               used_secant=False)

@@ -126,24 +126,69 @@ class Representation:
 
 
 class _MatrixSet:
-    """Growable stack of equal-shaped matrices with tolerance lookup."""
+    """Growable stack of equal-shaped matrices with tolerance lookup.
+
+    Lookups are screened by a real fingerprint ``key(M) = Re(w^T M z)`` with
+    fixed positive w and ``z = v - iu``, so ``key(M) = w^T (Re M v + Im M u)``.
+    Entrywise ``|M - S| < tol`` implies ``|key(M) - key(S)| < tol * weight``
+    (``weight = sum(w) * sum(v + u)``), and the screen widens that radius by
+    a bound on the rounding of both keys, so it never drops a match; every
+    candidate is then confirmed entrywise.
+    """
 
     def __init__(self, d, tol):
         self.stack = np.empty((0, d, d), dtype=complex)
+        self.keys = np.empty(0)
+        self.max_scale = 0.0    # largest entry magnitude stored, for the rounding bound
         self.tol = tol
+        # fixed weights in [1, 2): fractional parts of multiples of irrationals
+        w, v, u = (np.array([1.0 + k * c % 1.0 for k in range(1, d + 1)])
+                   for c in (5 ** 0.5, 2 ** 0.5, 3 ** 0.5))
+        self._w, self._z = w, v - 1j * u
+        self._weight = float(w.sum() * (v + u).sum())
+        self._rounding = 4.0 * (d + 1) * np.finfo(float).eps
 
     def __len__(self):
         return self.stack.shape[0]
 
-    def find(self, M):
+    def _fingerprint(self, P):
+        """Keys and largest entry magnitudes of a stack of matrices."""
+        return (P @ self._z).real @ self._w, np.max(np.abs(P), axis=(1, 2))
+
+    def lookup(self, P):
+        """Index of the first stored matrix within ``tol`` of each matrix in
+        the stack P, entrywise; -1 where there is none."""
+        out = np.full(len(P), -1)
         if not len(self):
-            return -1
-        residuals = np.max(np.abs(self.stack - M[None, :, :]), axis=(1, 2))
-        hits = np.nonzero(residuals < self.tol)[0]
-        return int(hits[0]) if len(hits) else -1
+            return out
+        # blocks of products bound the (products x stored) screen to about 4k
+        # scalars, so a closure nearing max_order holds no |G|^2 temporaries
+        step = max(1, 4096 // len(self))
+        for lo in range(0, len(P), step):
+            Q = P[lo:lo + step]
+            keys, scales = self._fingerprint(Q)
+            radius = self._weight * (self.tol + self._rounding * (scales + self.max_scale))
+            # a NaN distance (overflowed or non-finite key) stays a candidate
+            near = ~(np.abs(keys[:, None] - self.keys) > radius[:, None])
+            first = np.argmax(near, axis=1)
+            residuals = np.max(np.abs(self.stack[first] - Q), axis=(1, 2))
+            found = near[np.arange(len(Q)), first] & (residuals < self.tol)
+            out[lo:lo + step][found] = first[found]
+            for b in np.nonzero(~found & near.any(axis=1))[0]:
+                for k in np.nonzero(near[b])[0][1:]:
+                    if np.max(np.abs(self.stack[k] - Q[b])) < self.tol:
+                        out[lo + b] = k
+                        break
+        return out
+
+    def find(self, M):
+        return int(self.lookup(M[None])[0])
 
     def add(self, M):
+        key, scale = self._fingerprint(M[None])
         self.stack = np.concatenate([self.stack, M[None, :, :]])
+        self.keys = np.concatenate([self.keys, key])
+        self.max_scale = max(self.max_scale, float(scale[0]))
         return len(self) - 1
 
 
@@ -178,31 +223,29 @@ def close_generators(generators, max_order=DEFAULT_MAX_ORDER, tol=CLOSURE_TOL):
         k = mats.find(g)
         gen_idx.append(k if k >= 0 else mats.add(g))
 
-    grew = True
-    while grew:
-        grew = False
-        for a in range(len(mats)):
-            for b in range(len(mats)):
-                p = mats.stack[a] @ mats.stack[b]
-                if mats.find(p) < 0:
-                    mats.add(p)
-                    grew = True
+    # Pass over the rows a, each row a times every element known when the row
+    # starts, until a pass adds nothing; that pass's rows are the table.
+    while True:
+        n = len(mats)
+        rows = []
+        for a in range(n):
+            products = mats.stack[a] @ mats.stack
+            row = mats.lookup(products)
+            # products found nowhere may still equal one added earlier in the row
+            for b in np.nonzero(row < 0)[0]:
+                k = mats.find(products[b])
+                if k < 0:
+                    k = mats.add(products[b])
                     if len(mats) > max_order:
                         raise StructuralError(
                             f"closure exceeded {max_order} elements; not a finite group at this cap"
                         )
+                row[b] = k
+            rows.append(row)
+        if len(mats) == n:
+            break
 
-    n = len(mats)
-    products = np.einsum("aij,bjk->abik", mats.stack, mats.stack)
-    table = np.empty((n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            k = mats.find(products[a, b])
-            if k < 0:
-                raise StructuralError("closure is not closed; generator set inconsistent")
-            table[a, b] = k
-
-    group = FiniteGroup.from_mul_table(table, generator_indices=gen_idx)
+    group = FiniteGroup.from_mul_table(np.array(rows), generator_indices=gen_idx)
     return Representation(group=group, matrices=mats.stack)
 
 
@@ -235,17 +278,12 @@ def check_representation(rep, tol=1e-9):
     violated = []
     max_res = identity_residual
     for g in group.elements():
-        for h in group.elements():
-            res = float(np.max(np.abs(mats[g] @ mats[h] - mats[group.mul(g, h)])))
-            max_res = max(max_res, res)
-            if res > tol:
-                violated.append((g, h))
+        res = np.max(np.abs(mats[g] @ mats - mats[group.mul_table[g]]), axis=(1, 2))
+        max_res = max(max_res, float(np.fmax.reduce(res)))   # skips NaN, as max() does
+        violated.extend((g, int(h)) for h in np.nonzero(res > tol)[0])
 
-    singular = []
-    for g in group.elements():
-        s = np.linalg.svd(mats[g], compute_uv=False)
-        if s[-1] <= 1e-12 * max(s[0], 1.0):
-            singular.append(g)
+    s = np.linalg.svd(mats, compute_uv=False)
+    singular = [int(g) for g in np.nonzero(s[:, -1] <= 1e-12 * np.maximum(s[:, 0], 1.0))[0]]
 
     if identity_residual > tol:
         violated.insert(0, (group.identity, group.identity))

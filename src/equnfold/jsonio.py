@@ -79,8 +79,15 @@ def write_json_atomic(path, doc):
 
 
 def read_json(path):
+    """Parse a JSON file; malformed text is a :class:`SchemaError`."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: malformed JSON at line {exc.lineno} "
+                              f"column {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 # ------------------------------------------------------------- value codecs
@@ -133,8 +140,11 @@ def model_from_doc(doc):
     try:
         n = int(doc["n"])
         terms = tuple((float(t["delay"]), decode_cmatrix(t["matrix"])) for t in doc["terms"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from exc
+    for r, A in terms:
+        if not (math.isfinite(r) and np.all(np.isfinite(A))):
+            raise SchemaError(f"non-finite delay or matrix entry in the model term at delay {r}")
     return DelayOperator(n=n, terms=terms)
 
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 
@@ -7,8 +8,8 @@ import pytest
 
 from equnfold import d3
 from equnfold.cli import main
-from equnfold.jsonio import (build_artifact, canonical_json, model_to_doc,
-                             rep_to_doc, write_json_atomic)
+from equnfold.jsonio import (build_artifact, canonical_json, encode_cmatrix,
+                             model_to_doc, rep_to_doc, write_json_atomic)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -136,6 +137,58 @@ class TestUnfold:
         }))
         assert run(["unfold", "--config", str(cfg_path)]) == 2
 
+    def test_ring_config_artifact_is_pinned(self, tmp_path):
+        # 12-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1); the digest was
+        # taken before root finding and group closure were vectorized, which
+        # must not move a byte
+        n = 12
+        shift = np.roll(np.eye(n), 1, axis=0)
+        cfg_path = tmp_path / "ring.json"
+        cfg_path.write_text(json.dumps({
+            "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_cmatrix(-np.eye(n))},
+                                        {"delay": 1.0, "matrix": encode_cmatrix(2.0 * shift)}]},
+            "group": {"generators": [encode_cmatrix(shift)]},
+            "lambda_seeds": [[0.0, 2.0], [0.0, -2.0]],
+        }))
+        out = tmp_path / "ring_out.json"
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "3cd7ced964952931380b888098b21b758d43d00f3cb4d4ece15a2eef19e6a5db"
+
+    def test_malformed_json_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text("{not json")
+        assert run(["unfold", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "schema error" in err and "line 1 column 2" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", "x"),
+        ("n", float("inf")),
+        ("delay", "abc"),
+        ("delay", float("nan")),
+        ("delay", float("inf")),
+        ("delay", float("-inf")),
+        ("entry", float("nan")),
+        ("entry", float("inf")),
+    ])
+    def test_bad_model_field_exits_2(self, tmp_path, simple_case, field, value):
+        model = model_to_doc(simple_case.op)
+        if field == "n":
+            model["n"] = value
+        elif field == "delay":
+            model["terms"][1]["delay"] = value
+        else:
+            model["terms"][1]["matrix"][0][1][0] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "model": model,
+            "group": rep_to_doc(simple_case.rep),
+            "lambda_seeds": [[0.0, simple_case.point.omega1]],
+        }))
+        assert run(["unfold", "--config", str(cfg_path),
+                    "--output", str(tmp_path / "o.json")]) == 2
+
     def test_non_equivariant_model_fails_cleanly(self, tmp_path):
         from equnfold.delays import DelayOperator
         op = DelayOperator(n=3, terms=((0.0, np.diag([1.0, 2.0, 3.0])),))
@@ -166,6 +219,17 @@ class TestVerify:
         path = tmp_path / "empty.json"
         path.write_text("{}")
         assert run(["verify", str(path)]) == 2
+
+    @pytest.mark.parametrize("content, message", [
+        (b"{not json", "line 1 column 2"),
+        (b"\xff\xfe{}", "not UTF-8 text"),
+    ])
+    def test_malformed_json_artifact_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert run(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "schema error" in err and message in err
 
     def test_perturbed_coefficient_detected(self, tmp_path, simple_artifact):
         doc = copy.deepcopy(simple_artifact)

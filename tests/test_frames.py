@@ -4,8 +4,10 @@ import pytest
 from equnfold import d3
 from equnfold.delays import DelayOperator, ExpVector, bilinear_form
 from equnfold.errors import FrameError, RootFindingError
-from equnfold.frames import eigenbasis, find_root, induce_representation
+from equnfold.frames import _adjugate, eigenbasis, find_root, induce_representation
 from equnfold.groups import close_generators
+
+from conftest import random_complex
 
 I3 = np.eye(3)
 
@@ -50,12 +52,63 @@ class TestFindRoot:
     def test_large_ring_stops_on_the_newton_step(self):
         # |det Delta| grows roughly like 3^N on this one-way ring, so at
         # N = 24 it stays far above the absolute tolerance even at a root
-        n = 24
-        shift = np.roll(np.eye(n), 1, axis=0)
-        op = DelayOperator(n=n, terms=((0.0, -np.eye(n)), (1.0, 2.0 * shift)))
+        op = _ring(24)
         res = find_root(op, 2j)
         s = np.linalg.svd(op.char_matrix(res.root), compute_uv=False)
         assert s[-1] < 1e-12 * s[0]
+
+
+def _adjugate_loop(A):
+    """Reference: one cofactor determinant per entry, the minors built with
+    ``np.ix_`` (the implementation before the stacked gather)."""
+    n = A.shape[0]
+    if n == 1:
+        return np.ones((1, 1), dtype=complex)
+    adj = np.empty_like(A)
+    idx = np.arange(n)
+    for i in range(n):
+        for j in range(n):
+            minor = A[np.ix_(idx != j, idx != i)]
+            adj[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
+def _ring(n):
+    shift = np.roll(np.eye(n), 1, axis=0)
+    return DelayOperator(n=n, terms=((0.0, -np.eye(n)), (1.0, 2.0 * shift)))
+
+
+class TestAdjugateOracle:
+    """The stacked adjugate is bitwise equal to the per-minor loop, so Newton
+    iterates, roots and artifacts do not move."""
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_random_complex(self, n, rng):
+        A = random_complex(rng, n, n)
+        assert np.array_equal(_adjugate(A), _adjugate_loop(A))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("deficiency", [1, 2])
+    def test_rank_deficient(self, n, deficiency, rng):
+        rank = max(n - deficiency, 0)
+        A = random_complex(rng, n, rank) @ random_complex(rng, rank, n)
+        assert np.array_equal(_adjugate(A), _adjugate_loop(A))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_exactly_singular(self, n, rng):
+        A = random_complex(rng, n, n)
+        A[:, -1] = A[:, 0]          # two equal columns
+        B = np.zeros((n, n), dtype=complex)
+        B[0, 0] = 1.0
+        for M in (A, B, np.zeros((n, n), dtype=complex)):
+            assert np.array_equal(_adjugate(M), _adjugate_loop(M))
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_char_matrix_at_ring_roots(self, n):
+        op = _ring(n)
+        for seed in (2j, 1.5j, -2j):
+            D = op.char_matrix(find_root(op, seed).root)
+            assert np.array_equal(_adjugate(D), _adjugate_loop(D))
 
 
 class TestEigenbasis:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from equnfold.d3 import OMEGA, triangle_rep
+from equnfold.d3 import GAMMA_MAT, KAPPA_MAT, OMEGA, triangle_rep
 from equnfold.errors import StructuralError
-from equnfold.groups import (FiniteGroup, Representation, check_representation,
-                             close_generators, commutant_basis,
+from equnfold.groups import (FiniteGroup, Representation, _MatrixSet,
+                             check_representation, close_generators, commutant_basis,
                              equivariant_average)
 
 from conftest import random_complex
@@ -57,6 +57,119 @@ class TestFiniteGroup:
             close_generators([R], max_order=32)
 
 
+def _close_generators_loop(generators, max_order=512, tol=1e-10):
+    """Reference closure: one linear scan per product lookup and a second
+    pass over all |G|^2 products for the table (the implementation before
+    the fingerprinted closure)."""
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    d = gens[0].shape[0]
+    stack = np.eye(d, dtype=complex)[None]
+
+    def find(M):
+        hits = np.nonzero(np.max(np.abs(stack - M[None, :, :]), axis=(1, 2)) < tol)[0]
+        return int(hits[0]) if len(hits) else -1
+
+    gen_idx = []
+    for g in gens:
+        k = find(g)
+        if k < 0:
+            stack = np.concatenate([stack, g[None]])
+            k = len(stack) - 1
+        gen_idx.append(k)
+    grew = True
+    while grew:
+        grew = False
+        for a in range(len(stack)):
+            for b in range(len(stack)):
+                p = stack[a] @ stack[b]
+                if find(p) < 0:
+                    stack = np.concatenate([stack, p[None]])
+                    grew = True
+                    if len(stack) > max_order:
+                        raise StructuralError("closure exceeded max_order")
+    n = len(stack)
+    products = np.einsum("aij,bjk->abik", stack, stack)
+    table = np.array([[find(products[a, b]) for b in range(n)] for a in range(n)])
+    return stack, table, tuple(gen_idx)
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+def _shift(n):
+    return np.roll(np.eye(n), 1, axis=0)
+
+
+def _reflection(n):
+    return np.eye(n)[(-np.arange(n)) % n]
+
+
+class TestClosureOracle:
+    """The fingerprinted closure finds the same elements, in the same order,
+    with the same multiplication table as the linear-scan closure."""
+
+    @staticmethod
+    def _assert_same(generators):
+        stack, table, gen_idx = _close_generators_loop(generators)
+        rep = close_generators(generators)
+        assert np.array_equal(rep.matrices, stack)
+        assert np.array_equal(rep.group.mul_table, table)
+        assert rep.group.generator_indices == gen_idx
+
+    def test_d3_preset_generators(self):
+        self._assert_same([KAPPA_MAT, GAMMA_MAT])
+        self._assert_same([GAMMA_MAT, KAPPA_MAT, GAMMA_MAT])
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    def test_cyclic_shift(self, n):
+        self._assert_same([_shift(n)])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+    def test_dihedral(self, n):
+        self._assert_same([_shift(n), _reflection(n)])
+
+    def test_rounded_rotation(self):
+        R = _rotation(2 * np.pi / 5)
+        self._assert_same([R])
+        self._assert_same([R, np.diag([1.0, -1.0])])
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 7, 12])
+    def test_roots_of_unity(self, m):
+        self._assert_same([[[np.exp(2j * np.pi / m)]]])
+        self._assert_same([[[np.exp(2j * np.pi / m)]], [[-1.0]]])
+
+    def test_cap_still_fires(self):
+        # an irrational rotation of C^3 about one axis never closes
+        R = np.eye(3)
+        R[:2, :2] = _rotation(1.0)
+        with pytest.raises(StructuralError, match="closure exceeded 512 elements"):
+            close_generators([R])
+
+
+class TestMatrixSetLookup:
+    """The fingerprint screen never drops a match, even one that sits at the
+    entrywise tolerance with every entry moved in the direction that moves
+    the fingerprint most."""
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    @pytest.mark.parametrize("scale", [1.0, 1e5])
+    def test_matches_at_the_tolerance_edge(self, d, scale, rng):
+        tol = 1e-10
+        mats = _MatrixSet(d, tol)
+        for _ in range(6):
+            mats.add(scale * random_complex(rng, d, d))
+        worst = np.exp(1j * np.angle(np.conj(mats._z)))[None, :]
+        for k in range(len(mats)):
+            for step in (0.7, -0.7, 0.99, -0.99, 1.01, -1.01):
+                Q = mats.stack[k] + step * tol * worst
+                hits = np.nonzero(np.max(np.abs(mats.stack - Q), axis=(1, 2)) < tol)[0]
+                expected = int(hits[0]) if len(hits) else -1
+                assert mats.find(Q) == expected
+                if abs(step) == 0.7:
+                    assert expected == k
+
+
 class TestCheckRepresentation:
     def test_triangle_rep_valid(self):
         report = check_representation(triangle_rep())
@@ -91,6 +204,45 @@ class TestCheckRepresentation:
         report = check_representation(Representation(rep.group, mats))
         assert 3 in report.singular_elements
         assert not report.ok
+
+
+def _check_representation_loop(rep, tol=1e-9):
+    """Reference: one product per pair (g, h) and one SVD per element (the
+    implementation before the batched rows)."""
+    group, mats = rep.group, rep.matrices
+    max_res = float(np.max(np.abs(mats[group.identity] - np.eye(rep.dim))))
+    violated, singular = [], []
+    for g in group.elements():
+        for h in group.elements():
+            res = float(np.max(np.abs(mats[g] @ mats[h] - mats[group.mul(g, h)])))
+            max_res = max(max_res, res)
+            if res > tol:
+                violated.append((g, h))
+        s = np.linalg.svd(mats[g], compute_uv=False)
+        if s[-1] <= 1e-12 * max(s[0], 1.0):
+            singular.append(g)
+    return violated, max_res, singular
+
+
+class TestCheckRepresentationOracle:
+    @pytest.mark.parametrize("case", ["valid", "perturbed", "singular", "overflow", "dihedral"])
+    def test_same_report_as_pairwise_loop(self, case, rng):
+        rep = close_generators([_shift(6), _reflection(6)]) if case == "dihedral" \
+            else triangle_rep()
+        mats = rep.matrices.copy()
+        if case in ("perturbed", "dihedral"):
+            mats[[1, 4]] += 1e-6 * random_complex(rng, 2, rep.dim, rep.dim)
+        elif case == "singular":
+            mats[3] = 0.0
+        elif case == "overflow":
+            mats[1] = 1e300 * np.array([[1, -1, 1], [1, 1, -1], [-1, 1, 1]])
+        rep = Representation(rep.group, mats)
+        with np.errstate(over="ignore", invalid="ignore"):
+            violated, max_res, singular = _check_representation_loop(rep)
+            report = check_representation(rep)
+        assert list(report.violated_pairs) == violated
+        assert report.max_residual == max_res
+        assert list(report.singular_elements) == singular
 
 
 class TestEquivariantAverage:
