@@ -1,0 +1,44 @@
+"""Numerical rank: the one rule behind every rank and null-space decision,
+
+    rank(A) = #{ i : s_i > rcond * max(scale, s_1) }
+
+over the singular values s_1 >= s_2 >= ... of A (Golub & Van Loan, *Matrix
+Computations*, 5.4).  It is strict, so an empty or zero matrix has rank 0; a
+stack ``(..., m, n)`` is ranked per matrix.  ``scale`` is the magnitude of
+the problem A comes from (0: A is its own reference).  Relative to s_1 alone
+the cutoff would find no kernel where s_1 itself is the residual, as for
+Delta(lam) at a root of a scalar equation (``frames._char_scale``); relative
+to scale alone it would count a large matrix's rounding noise as rank.
+"""
+
+import numpy as np
+
+RANK_RCOND = 1e-9         # rank tests of the unfolding machinery
+NULLSPACE_RCOND = 1e-8    # null spaces of the characteristic matrix
+COMMUTANT_RCOND = 1e-10   # constraints defining the commutant of a representation
+GRAM_RCOND = 1e-10        # a singular Gram block of an eigenframe
+SINGULAR_RCOND = 1e-12    # a singular element of a representation, at scale 1
+EPS = np.finfo(float).eps  # rcond max(m, n) * EPS (numpy's default): rank lost to rounding only
+
+
+def _count(s, scale, rcond):
+    """The rule applied to descending singular values along the last axis."""
+    return np.sum(s > rcond * np.maximum(scale, s[..., :1]), axis=-1)
+
+
+def rank(A, scale=0.0, rcond=RANK_RCOND):
+    """Numerical rank of A, or an int array of ranks for a stack of matrices."""
+    r = _count(np.linalg.svd(A, compute_uv=False), scale, rcond)
+    return r if np.ndim(A) > 2 else int(r)
+
+
+def svd_rank(A, scale=0.0, rcond=RANK_RCOND, full_matrices=True):
+    """``U, Vh`` of the SVD of A and its numerical rank r."""
+    U, s, Vh = np.linalg.svd(A, full_matrices=full_matrices)
+    return U, Vh, int(_count(s, scale, rcond))
+
+
+def null_basis(A, scale=0.0, rcond=RANK_RCOND):
+    """Orthonormal columns spanning the numerical null space of A."""
+    _, Vh, r = svd_rank(A, scale, rcond)
+    return Vh[r:].conj().T

@@ -25,8 +25,7 @@ from .frames import eigenbasis, find_root, induce_representation
 from .jsonio import (build_artifact, model_from_doc, pair_complex,
                      read_json, rep_from_doc, write_json_atomic,
                      write_text_atomic)
-from .unfolding import (assemble_gamma_unfolding, orbit_geometry,
-                        semisimple_jordan_spec, select_delays)
+from .unfolding import assemble_gamma_unfolding, select_delays
 from .verify import verify_artifact
 
 EXIT_OK = 0
@@ -163,9 +162,7 @@ def _run_config(cfg):
     sparsity = None
     if cfg.get("sparsity"):
         sparsity = [None if m is None else np.asarray(m, dtype=bool) for m in cfg["sparsity"]]
-    geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
-    assembly = assemble_gamma_unfolding(frame, rep, delays, geometry=geometry,
-                                        sparsity=sparsity)
+    assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=sparsity)
     return op, rep, frame, assembly, {"source": "config"}
 
 

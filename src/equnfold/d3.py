@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import EPS, rank
 from .delays import DelayOperator, check_equivariance
 from .errors import EqunfoldError, UnfoldingError
 from .frames import eigenbasis, induce_representation
 from .groups import close_generators
 from .unfolding import (assemble_gamma_unfolding, exponential_delay_matrix,
-                        orbit_geometry, realify, scaled_det,
-                        semisimple_jordan_spec, slot_reparametrization)
+                        realify, scaled_det, slot_reparametrization)
 
 OMEGA = np.exp(2j * np.pi / 3)
 U_SYM = np.array([1.0, 1.0, 1.0])                       # symmetric direction
@@ -418,13 +418,11 @@ def run_case(case, point=None, delays=None):
 
     if delays is None:
         delays = default_delays(point)
-    geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
-    assembly = assemble_gamma_unfolding(frame, rep, delays, geometry=geometry,
-                                        sparsity=structure_masks())
+    assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=structure_masks())
     _assert_case_structure(case, frame, assembly)
 
     complex_reparam = slot_reparametrization(assembly.family)
-    if np.linalg.matrix_rank(complex_reparam) < assembly.family.n_parameters:
+    if rank(complex_reparam, rcond=max(complex_reparam.shape) * EPS) < assembly.family.n_parameters:
         raise EqunfoldError("complex epsilon reparametrization is rank deficient")
     real_family, real_reparam = realify(assembly.family)
 

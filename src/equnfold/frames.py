@@ -18,11 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._linalg import GRAM_RCOND, NULLSPACE_RCOND, null_basis, rank
 from .delays import ExpVector, bilinear_form, check_equivariance
-from .errors import FrameError, RootFindingError, StructuralError
+from .errors import FrameError, RootFindingError
 from .groups import Representation, check_representation, commutator_residual
 
-NULLSPACE_RCOND = 1e-8     # relative singular-value cutoff for null spaces
 CONJ_MATCH_TOL = 1e-9      # tolerance for pairing lam with conj(lam)
 
 
@@ -170,21 +170,9 @@ class SpectralFrame:
 
 
 def _char_scale(op, lam):
-    """Natural magnitude of the characteristic matrix at lam.
-
-    Null-space cutoffs are taken relative to this, not to Delta's own
-    largest singular value: at a root of a scalar equation that largest
-    value *is* the residual and a self-relative test would see no kernel.
-    """
+    """Natural magnitude of Delta(lam), the ``scale`` of its null-space cutoff:
+    at a root of a scalar equation Delta's own singular value is the residual."""
     return 1.0 + abs(lam) + sum(float(np.linalg.norm(A, 2)) for _, A in op.terms)
-
-
-def _null_basis(D, scale, rcond=NULLSPACE_RCOND):
-    """Orthonormal null-space basis of D with an absolute-scale cutoff."""
-    _, s, Vh = np.linalg.svd(D)
-    tol = rcond * max(scale, float(s[0]) if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    return Vh[rank:].conj().T
 
 
 def _phase_fix(v):
@@ -253,7 +241,7 @@ def eigenbasis(op, lambdas, seeds=None, residual_tol=1e-9):
             continue
         D = op.char_matrix(lam)
         scale = _char_scale(op, lam)
-        N = _null_basis(D, scale)
+        N = null_basis(D, scale, NULLSPACE_RCOND)
         if N.shape[1] == 0:
             raise FrameError(f"{lam} is not a characteristic root (empty null space)")
         if i in seeds:
@@ -263,8 +251,7 @@ def eigenbasis(op, lambdas, seeds=None, residual_tol=1e-9):
                     f"inconsistent multiplicities at {lam}: {len(cand)} seeds for a "
                     f"{N.shape[1]}-dimensional null space"
                 )
-            S = np.column_stack(cand)
-            if np.linalg.matrix_rank(S, tol=1e-9 * np.linalg.norm(S, 2)) < len(cand):
+            if rank(np.column_stack(cand)) < len(cand):
                 raise FrameError(f"seed vectors at {lam} are linearly dependent")
             for s in cand:
                 if np.linalg.norm(D @ s) > 1e-8 * scale * np.linalg.norm(s):
@@ -272,7 +259,7 @@ def eigenbasis(op, lambdas, seeds=None, residual_tol=1e-9):
             right[i] = cand
         else:
             right[i] = _order_directions([_phase_fix(N[:, k]) for k in range(N.shape[1])])
-        L = _null_basis(D.T, scale)
+        L = null_basis(D.T, scale, NULLSPACE_RCOND)
         if L.shape[1] != len(right[i]):
             raise FrameError(f"left/right null dimensions disagree at {lam}")
         left_raw[i] = [_phase_fix(L[:, k]) for k in range(L.shape[1])]
@@ -291,18 +278,14 @@ def eigenbasis(op, lambdas, seeds=None, residual_tol=1e-9):
         pos += m
     c = pos
 
-    K = np.empty((c, c), dtype=complex)
-    for i in range(c):
-        for j in range(c):
-            K[i, j] = bilinear_form(psi_raw[i], phi[j], op)
+    K = SpectralFrame(op=op, lambdas=tuple(lams), phi=tuple(phi), psi=tuple(psi_raw), B=None).gram()
 
     # Blockwise inverse keeps each psi a single exponential.
     psi = [None] * c
     for blk in block_slices:
         idx = list(blk)
         Kb = K[np.ix_(idx, idx)]
-        sv = np.linalg.svd(Kb, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
+        if rank(Kb, rcond=GRAM_RCOND) < len(idx):
             raise FrameError(
                 "defective or mis-ordered spectrum: Gram block is singular "
                 f"(eigenvalue {lams[idx[0]]}); Jordan chains in the function space "
@@ -336,8 +319,6 @@ def induce_representation(frame, rep, tol=1e-8):
     B are all checked before the frame is returned.
     """
     op = frame.op
-    if rep.dim != op.n:
-        raise StructuralError(f"representation dim {rep.dim} != state dim {op.n}")
     equiv = check_equivariance(op, rep)
     if equiv > 1e-9:
         raise FrameError(f"operator is not equivariant (residual {equiv:.3e})")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import COMMUTANT_RCOND, EPS, SINGULAR_RCOND, null_basis, rank
 from .errors import StructuralError
 
 # Entrywise tolerance used to identify equal matrices during closure.
@@ -213,7 +214,7 @@ def close_generators(generators, max_order=DEFAULT_MAX_ORDER, tol=CLOSURE_TOL):
     for g in gens:
         if g.shape != (d, d):
             raise StructuralError("generator matrices must share one square shape")
-        if np.linalg.matrix_rank(g) < d:
+        if rank(g, rcond=d * EPS) < d:
             raise StructuralError("singular generator matrix")
 
     mats = _MatrixSet(d, tol)
@@ -282,8 +283,7 @@ def check_representation(rep, tol=1e-9):
         max_res = max(max_res, float(np.fmax.reduce(res)))   # skips NaN, as max() does
         violated.extend((g, int(h)) for h in np.nonzero(res > tol)[0])
 
-    s = np.linalg.svd(mats, compute_uv=False)
-    singular = [int(g) for g in np.nonzero(s[:, -1] <= 1e-12 * np.maximum(s[:, 0], 1.0))[0]]
+    singular = [int(g) for g in np.nonzero(rank(mats, scale=1.0, rcond=SINGULAR_RCOND) < d)[0]]
 
     if identity_residual > tol:
         violated.insert(0, (group.identity, group.identity))
@@ -335,16 +335,14 @@ def commutator_residual(rep, matrices):
     return res
 
 
-def commutant_basis(rep, rcond=1e-10):
+def commutant_basis(rep):
     """Orthonormal basis of the matrices commuting with every rho(g).
 
     Solves the linear constraints ``rho(g) X - X rho(g) = 0`` stacked over a
     generating set (all elements when no generators are recorded) and returns
     the common null space reshaped to matrices.  The basis is orthonormal in
-    the Frobenius inner product.  The zero-singular-value cutoff is taken
-    relative to the representation norm, not to the constraint matrix itself:
-    a (numerically) trivial representation constrains nothing, and its
-    constraint matrix must count as zero rather than as tiny-but-full-rank.
+    the Frobenius inner product.  The cutoff's scale is the representation
+    norm: a numerically trivial representation constrains nothing.
     """
     d = rep.dim
     gens = rep.group.generator_indices or tuple(rep.group.elements())
@@ -356,9 +354,5 @@ def commutant_basis(rep, rcond=1e-10):
         scale = max(scale, float(np.linalg.norm(R, 2)))
         # row-major vec: vec(R X - X R) = (kron(R, I) - kron(I, R^T)) vec(X)
         blocks.append(np.kron(R, eye) - np.kron(eye, R.T))
-    A = np.vstack(blocks)
-    _, s, Vh = np.linalg.svd(A)
-    tol = rcond * scale
-    rank = int(np.sum(s > tol))
-    ns = Vh[rank:].conj().T
+    ns = null_basis(np.vstack(blocks), scale, COMMUTANT_RCOND)
     return [ns[:, k].reshape(d, d) for k in range(ns.shape[1])]

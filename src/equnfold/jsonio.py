@@ -7,6 +7,7 @@ incidental whitespace, so identical inputs produce byte-identical files.
 Writes go through a temp-file rename and are atomic.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import tempfile
 import numpy as np
 
 from .delays import DelayOperator, ExpVector
-from .errors import SchemaError
+from .errors import SchemaError, StructuralError
 from .frames import SpectralFrame
 from .groups import FiniteGroup, Representation, close_generators
 
@@ -129,6 +130,21 @@ def decode_cmatrix(doc):
 
 # ------------------------------------------------------------ domain codecs
 
+@contextlib.contextmanager
+def document_errors():
+    """Report a structural defect of a document being decoded (an empty model,
+    a non-square generator) as the schema error it is; also a decorator."""
+    try:
+        yield
+    except StructuralError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _require_finite(what, *values):
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise SchemaError(f"non-finite entry in {what}")
+
+
 def model_to_doc(op):
     return {
         "n": int(op.n),
@@ -136,6 +152,7 @@ def model_to_doc(op):
     }
 
 
+@document_errors()
 def model_from_doc(doc):
     try:
         n = int(doc["n"])
@@ -143,8 +160,7 @@ def model_from_doc(doc):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from exc
     for r, A in terms:
-        if not (math.isfinite(r) and np.all(np.isfinite(A))):
-            raise SchemaError(f"non-finite delay or matrix entry in the model term at delay {r}")
+        _require_finite(f"the model term at delay {r}", r, A)
     return DelayOperator(n=n, terms=terms)
 
 
@@ -158,12 +174,16 @@ def rep_to_doc(rep):
     }
 
 
+@document_errors()
 def rep_from_doc(doc):
     if "generators" in doc:
-        return close_generators([decode_cmatrix(g) for g in doc["generators"]])
+        gens = [decode_cmatrix(g) for g in doc["generators"]]
+        _require_finite("a group generator", *gens)
+        return close_generators(gens)
     if "mul_table" in doc and "matrices" in doc:
         group = FiniteGroup.from_mul_table(doc["mul_table"])
         mats = np.array([decode_cmatrix(M) for M in doc["matrices"]])
+        _require_finite("a group matrix", mats)
         return Representation(group=group, matrices=mats)
     raise SchemaError("group document needs 'generators' or 'mul_table'+'matrices'")
 
@@ -180,6 +200,7 @@ def frame_to_doc(frame):
     return doc
 
 
+@document_errors()
 def frame_from_doc(doc, op, group=None):
     try:
         lams = [pair_complex(p) for p in doc["eigenvalues"]]
@@ -190,13 +211,17 @@ def frame_from_doc(doc, op, group=None):
         B = decode_cmatrix(doc["reduced_matrix"])
     except KeyError as exc:
         raise SchemaError(f"frame document missing {exc}") from exc
-    if len(phi) != len(lams) or len(psi) != len(lams):
-        raise SchemaError("frame direction counts disagree with eigenvalue count")
+    c = len(lams)
+    if [v.direction.shape for v in phi + psi] != [(op.n,)] * (2 * c) or B.shape != (c, c):
+        raise SchemaError(f"a frame over {c} eigenvalues needs {c} phi and {c} psi directions "
+                          f"of length n = {op.n} and a {c} x {c} reduced matrix")
+    _require_finite("the frame", lams, B, *(v.direction for v in phi + psi))
     G = None
     if "induced_rep" in doc:
         if group is None:
             raise SchemaError("induced representation present but no group supplied")
         mats = np.array([decode_cmatrix(M) for M in doc["induced_rep"]])
+        _require_finite("the induced representation", mats)
         G = Representation(group=group, matrices=mats)
     return SpectralFrame(op=op, lambdas=tuple(lams), phi=phi, psi=psi, B=B, G=G)
 

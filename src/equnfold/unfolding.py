@@ -21,26 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import RANK_RCOND, rank, svd_rank
 from .delays import DelayOperator
 from .errors import StructuralError, UnfoldingError
 from .groups import commutant_basis, commutator_residual, equivariant_average
 
-RANK_RCOND = 1e-9      # relative singular-value threshold for every rank test
 DIAG_TOL = 1e-12       # max off-diagonal magnitude for "B is diagonal"
 EIG_MATCH_TOL = 1e-9   # tolerance for grouping equal diagonal eigenvalues
 
 
 def _vec(M):
     return np.asarray(M, dtype=complex).reshape(-1)
-
-
-def _rank(A, rcond=RANK_RCOND):
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rcond * s[0]))
 
 
 def ad_matrix(B):
@@ -69,15 +60,8 @@ def semisimple_jordan_spec(lambdas):
     ``lambdas`` may repeat; equal values (within tolerance) are merged into
     one eigenvalue with that many size-1 blocks.
     """
-    spec = []
-    for lam in (complex(l) for l in lambdas):
-        for k, (mu, sizes) in enumerate(spec):
-            if abs(mu - lam) < EIG_MATCH_TOL:
-                spec[k] = (mu, sizes + [1])
-                break
-        else:
-            spec.append((lam, [1]))
-    return [(mu, tuple(sizes)) for mu, sizes in spec]
+    lambdas = [complex(l) for l in lambdas]
+    return [(lambdas[block[0]], (1,) * len(block)) for block in _diag_blocks(lambdas)]
 
 
 def _validate_jordan_spec(B, jordan_spec):
@@ -87,14 +71,12 @@ def _validate_jordan_spec(B, jordan_spec):
     if total != c:
         raise UnfoldingError(f"jordan_spec accounts for {total} of {c} dimensions")
     for lam, sizes in jordan_spec:
-        kmax = max(sizes)
         N = B - lam * np.eye(c)
-        ranks = [c]
-        P = np.eye(c, dtype=complex)
-        for _ in range(kmax + 1):
-            P = P @ N
-            ranks.append(_rank(P))
-        for k in range(1, kmax + 1):
+        powers = [N]
+        for _ in range(1, max(sizes)):
+            powers.append(powers[-1] @ N)
+        ranks = [c, *rank(np.array(powers))]
+        for k in range(1, max(sizes) + 1):
             expected = sum(1 for s in sizes if s >= k)
             actual = ranks[k - 1] - ranks[k]
             if actual != expected:
@@ -105,15 +87,15 @@ def _validate_jordan_spec(B, jordan_spec):
 
 
 def _diag_blocks(diag):
-    """Group diagonal entries by (approximate) equality, first-seen order."""
-    blocks, values = [], []
+    """Group equal eigenvalues (within ``EIG_MATCH_TOL`` of a group's first
+    value) into index lists, in first-seen order; the one such grouping."""
+    blocks = []
     for i, lam in enumerate(diag):
-        for k, mu in enumerate(values):
-            if abs(lam - mu) < EIG_MATCH_TOL:
-                blocks[k].append(i)
+        for block in blocks:
+            if abs(lam - diag[block[0]]) < EIG_MATCH_TOL:
+                block.append(i)
                 break
         else:
-            values.append(lam)
             blocks.append([i])
     return blocks
 
@@ -144,10 +126,6 @@ class OrbitGeometry:
     W_basis: tuple      # complement basis; elementary matrices for diagonal B
     delta: int          # orbit codimension == len(W_basis)
 
-    @property
-    def c(self):
-        return self.B.shape[0]
-
     def basis_matrix(self):
         """Columns [vec(T) | vec(W)], a nonsingular c^2 x c^2 matrix."""
         cols = [_vec(T) for T in self.T_basis] + [_vec(W) for W in self.W_basis]
@@ -161,29 +139,27 @@ def orbit_geometry(B, jordan_spec):
     c = B.shape[0]
     _validate_jordan_spec(B, jordan_spec)
 
-    AD = ad_matrix(B)
-    U, s, _ = np.linalg.svd(AD)
-    rank = int(np.sum(s > RANK_RCOND * s[0])) if s[0] > 0 else 0
-    delta = c * c - rank
+    U, _, r = svd_rank(ad_matrix(B))
+    delta = c * c - r
     formula = jordan_codimension(jordan_spec)
     if delta != formula:
         raise UnfoldingError(
             f"rank-based codimension {delta} disagrees with the Jordan formula {formula}; "
             "jordan_spec is wrong for this matrix"
         )
-    T_basis = tuple(U[:, k].reshape(c, c) for k in range(rank))
+    T_basis = tuple(U[:, k].reshape(c, c) for k in range(r))
 
     diag = np.diag(B)
     if c == 1 or np.max(np.abs(B - np.diag(diag))) < DIAG_TOL * max(1.0, np.max(np.abs(diag)) if c else 1.0):
         W_basis = []
-        for (r, ccol) in _diagonal_complement_slots(diag):
+        for (i, j) in _diagonal_complement_slots(diag):
             E = np.zeros((c, c), dtype=complex)
-            E[r, ccol] = 1.0
+            E[i, j] = 1.0
             W_basis.append(E)
     else:
         # The centralizer of B^H is the null space of ad_{B^H} = ad_B^H, i.e.
         # the left null space of ad_B: its trailing left singular vectors.
-        W_basis = [U[:, k].reshape(c, c) for k in range(rank, c * c)]
+        W_basis = [U[:, k].reshape(c, c) for k in range(r, c * c)]
 
     if len(W_basis) != delta:
         raise UnfoldingError(
@@ -191,7 +167,7 @@ def orbit_geometry(B, jordan_spec):
         )
     geo = OrbitGeometry(B=B, jordan_spec=tuple(jordan_spec), T_basis=T_basis,
                         W_basis=tuple(W_basis), delta=delta)
-    if _rank(geo.basis_matrix()) != c * c:
+    if rank(geo.basis_matrix()) != c * c:
         raise UnfoldingError("tangent + complement do not span the matrix space")
     return geo
 
@@ -215,7 +191,7 @@ class GammaOrbitGeometry:
         return len(self.T_basis)
 
 
-def gamma_orbit_geometry(B, G, rcond=RANK_RCOND):
+def gamma_orbit_geometry(B, G):
     """Restrict the orbit geometry to matrices commuting with the G action."""
     B = np.asarray(B, dtype=complex)
     if commutator_residual(G, [B]) > 1e-10 * max(1.0, np.max(np.abs(B))):
@@ -224,15 +200,12 @@ def gamma_orbit_geometry(B, G, rcond=RANK_RCOND):
     if not comm:
         raise UnfoldingError("empty commutant")
     images = np.column_stack([_vec(B @ K - K @ B) for K in comm])
-    U, s, _ = np.linalg.svd(images)
-    # Threshold relative to |B|: commutator columns that vanish to rounding
-    # must count as zero even when every column is tiny.
-    scale = max(float(np.linalg.norm(B, 2)), float(s[0]) if s.size else 0.0)
-    rank = int(np.sum(s > rcond * scale)) if scale > 0 else 0
+    # scale |B|: commutator columns at rounding level count as zero even when all are tiny
+    U, _, r = svd_rank(images, scale=float(np.linalg.norm(B, 2)))
     c = B.shape[0]
-    T_basis = tuple(U[:, k].reshape(c, c) for k in range(rank))
+    T_basis = tuple(U[:, k].reshape(c, c) for k in range(r))
     return GammaOrbitGeometry(B=B, commutant=tuple(comm), T_basis=T_basis,
-                              Z_dim=len(comm) - rank)
+                              Z_dim=len(comm) - r)
 
 
 def project_unfolding_directions(directions, G):
@@ -252,14 +225,10 @@ class ThetaReport:
     theta: np.ndarray        # (p, delta)
     residuals: tuple         # decomposition residual per direction
     selected_rows: tuple     # indices of the selected rows
-    rank: int
-
-    @property
-    def k(self):
-        return len(self.selected_rows)
+    rank: int                # == len(selected_rows)
 
 
-def theta_extract(geometry, directions, residual_tol=1e-8, rank_rcond=RANK_RCOND):
+def theta_extract(geometry, directions, residual_tol=1e-8):
     """Decompose each direction over [tangent | complement] and pick rows.
 
     Every direction must split as ``[B, y] + sum_j theta_j Omega_j`` (it
@@ -294,7 +263,7 @@ def theta_extract(geometry, directions, residual_tol=1e-8, rank_rcond=RANK_RCOND
         row = theta[i].copy()
         for q in basis:
             row = row - (q.conj() @ row) * q
-        if scale > 0 and np.linalg.norm(row) > rank_rcond * scale:
+        if scale > 0 and np.linalg.norm(row) > RANK_RCOND * scale:
             selected.append(i)
             basis.append(row / np.linalg.norm(row))
     return ThetaReport(theta=theta, residuals=tuple(residuals),
@@ -320,7 +289,7 @@ def scaled_det(M):
     return float(abs(np.linalg.det(M / norms)))
 
 
-def build_R_matrices(frame, geometry, rank_rcond=RANK_RCOND):
+def build_R_matrices(frame, geometry):
     """One n x c matrix per unfolding slot, realizing it through Psi(0).
 
     The slot Omega = E_{r,c} (an elementary matrix of the diagonal-B
@@ -334,6 +303,7 @@ def build_R_matrices(frame, geometry, rank_rcond=RANK_RCOND):
     n = frame.op.n
     c = frame.c
     lams = np.array(frame.lambdas)
+    blocks = _diag_blocks(lams)
     Rs = []
     for m, W in enumerate(geometry.W_basis):
         nz = np.argwhere(np.abs(W) > 1e-12)
@@ -343,9 +313,9 @@ def build_R_matrices(frame, geometry, rank_rcond=RANK_RCOND):
                 "diagonal-frame complement (semisimple spectrum)"
             )
         r, ccol = int(nz[0][0]), int(nz[0][1])
-        block = [i for i in range(c) if abs(lams[i] - lams[r]) < EIG_MATCH_TOL]
+        block = next(b for b in blocks if r in b)
         Pi = Psi0[block, :]
-        if _rank(Pi, rank_rcond) < len(block):
+        if rank(Pi) < len(block):
             raise UnfoldingError(
                 f"adjoint rows dependent at eigenvalue {lams[r]}; "
                 "unfolding-space realization fails"
@@ -396,10 +366,10 @@ def solve_delay_realization(frame, delays, R, sparsity=None, residual_tol=1e-9):
 
     Phis = [frame.Phi_at(-r) for r in delays]
     stacked = np.vstack(Phis)
-    rank = _rank(stacked)
-    if rank < c:
+    rk = rank(stacked)
+    if rk < c:
         raise UnfoldingError(
-            f"stacked basis col(Phi(-r_j)) has rank {rank} < {c}; "
+            f"stacked basis col(Phi(-r_j)) has rank {rk} < {c}; "
             "lags are too few or coincide"
         )
 
@@ -530,7 +500,7 @@ class VersalityReport:
         return self.commutant_dim - self.achieved_rank
 
 
-def verify_gamma_versality(B, G, directions, rcond=RANK_RCOND):
+def verify_gamma_versality(B, G, directions):
     """Check ``Mat^Gamma = [B, Mat^Gamma] + span(directions)`` by rank.
 
     Versal when the concatenated coordinates reach the commutant dimension;
@@ -538,7 +508,7 @@ def verify_gamma_versality(B, G, directions, rcond=RANK_RCOND):
     equivariant codimension.  A span that falls short is reported, not
     raised; a B that does not commute with G raises UnfoldingError.
     """
-    geo = gamma_orbit_geometry(B, G, rcond=rcond)
+    geo = gamma_orbit_geometry(B, G)
     Kmat = np.column_stack([_vec(K) for K in geo.commutant])  # orthonormal columns
     equiv_res = 0.0
     cols = [Kmat.conj().T @ _vec(T) for T in geo.T_basis]
@@ -548,15 +518,15 @@ def verify_gamma_versality(B, G, directions, rcond=RANK_RCOND):
         equiv_res = max(equiv_res, float(np.linalg.norm(v - Kmat @ coords)))
         cols.append(coords)
     A = np.column_stack(cols) if cols else np.zeros((len(geo.commutant), 0))
-    rank = _rank(A, rcond)
-    versal = rank == geo.commutant_dim
+    achieved = rank(A)
+    versal = achieved == geo.commutant_dim
     return VersalityReport(
         versal=versal,
         mini_versal=versal and len(directions) == geo.Z_dim,
         commutant_dim=geo.commutant_dim,
         tangent_dim=geo.tangent_dim,
         codimension=geo.Z_dim,
-        achieved_rank=rank,
+        achieved_rank=achieved,
         n_directions=len(directions),
         max_equivariance_residual=equiv_res,
     )
@@ -574,8 +544,7 @@ class GammaUnfolding:
     projected_r: tuple       # group-averaged Rbar^m per slot
 
 
-def assemble_gamma_unfolding(frame, rep, delays, geometry=None, sparsity=None,
-                             name_prefix="alpha"):
+def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     """Full pipeline from a normalized equivariant frame to a mini-versal family.
 
     Steps: build one R-matrix per unfolding slot; solve the (unrestricted)
@@ -591,10 +560,7 @@ def assemble_gamma_unfolding(frame, rep, delays, geometry=None, sparsity=None,
     """
     if frame.G is None:
         raise UnfoldingError("frame carries no induced representation; run induce_representation")
-    if geometry is None:
-        geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
-    if np.max(np.abs(geometry.B - frame.B)) > 1e-12:
-        raise UnfoldingError("geometry was computed for a different reduced matrix")
+    geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
 
     G = frame.G
     Psi0 = frame.Psi0
@@ -643,7 +609,7 @@ def assemble_gamma_unfolding(frame, rep, delays, geometry=None, sparsity=None,
         base=frame.op,
         delays=tuple(float(r) for r in delays),
         directions=tuple(directions),
-        names=tuple(f"{name_prefix}_{m + 1}" for m in theta.selected_rows),
+        names=tuple(f"alpha_{m + 1}" for m in theta.selected_rows),
         rep=rep,
     )
     return GammaUnfolding(family=family, theta=theta, versality=versality,
@@ -651,7 +617,7 @@ def assemble_gamma_unfolding(frame, rep, delays, geometry=None, sparsity=None,
                           projected_r=tuple(Rbars))
 
 
-def slot_reparametrization(family, rcond=RANK_RCOND):
+def slot_reparametrization(family):
     """Coefficient matrix of the parameters against per-lag patterns.
 
     For each lag the coefficients across parameters span a small pattern
@@ -663,10 +629,8 @@ def slot_reparametrization(family, rcond=RANK_RCOND):
     rows = []
     for j in range(len(family.delays)):
         V = np.array([_vec(family.directions[m][j]) for m in range(k)])
-        _, s, Vh = np.linalg.svd(V, full_matrices=False)
-        if s.size == 0 or s[0] < 1e-14:
-            continue
-        r = int(np.sum(s > rcond * s[0]))
+        # scale 1e-14 / rcond: a lag whose coefficients all lie below 1e-14 has no pattern
+        _, Vh, r = svd_rank(V, scale=1e-14 / RANK_RCOND, full_matrices=False)
         rows.append((V @ Vh[:r].conj().T).T)   # (r, k) coordinates
     if not rows:
         return np.zeros((0, k))
@@ -720,15 +684,15 @@ def realify(family, tol=1e-9):
                                   directions=tuple(new_dirs), names=tuple(new_names),
                                   rep=family.rep)
     E = slot_reparametrization(real_family)
-    if _rank(E) < real_family.n_parameters:
+    if rank(E) < real_family.n_parameters:
         raise UnfoldingError(
             "epsilon reparametrization of the real family is rank deficient "
-            f"({_rank(E)} < {real_family.n_parameters})"
+            f"({rank(E)} < {real_family.n_parameters})"
         )
     return real_family, E
 
 
-def select_delays(frame, rank_rcond=RANK_RCOND, gap=1e-9):
+def select_delays(frame, gap=1e-9):
     """Default lag selection: the operator's own lags plus 0, extended by an
     equally spaced grid in (0, tau] until the stacked basis reaches full rank.
     """
@@ -737,7 +701,7 @@ def select_delays(frame, rank_rcond=RANK_RCOND, gap=1e-9):
     lags = sorted({0.0} | {float(r) for r, _ in frame.op.terms})
 
     def rank_of(ls):
-        return _rank(np.vstack([frame.Phi_at(-r) for r in ls]), rank_rcond)
+        return rank(np.vstack([frame.Phi_at(-r) for r in ls]))
 
     if rank_of(lags) >= c:
         return lags

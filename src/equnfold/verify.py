@@ -15,8 +15,8 @@ import numpy as np
 from .delays import check_equivariance
 from .errors import EqunfoldError, SchemaError
 from .groups import check_representation, commutator_residual, equivariant_average
-from .jsonio import (SCHEMA, decode_cmatrix, frame_from_doc, model_from_doc,
-                     rep_from_doc)
+from .jsonio import (SCHEMA, decode_cmatrix, document_errors, frame_from_doc,
+                     model_from_doc, rep_from_doc)
 from .unfolding import (UnfoldingFamily, build_R_matrices, orbit_geometry,
                         project_slot, reconstruction_residual,
                         semisimple_jordan_spec, theta_extract,
@@ -53,6 +53,7 @@ def _require(doc, key, context="artifact"):
     return doc[key]
 
 
+@document_errors()
 def parse_artifact(doc):
     """Decode the artifact document; schema violations raise SchemaError."""
     if not isinstance(doc, dict):
@@ -68,14 +69,8 @@ def parse_artifact(doc):
     unf = _require(doc, "unfolding")
     delays = [float(r) for r in _require(unf, "delays", "unfolding")]
     names = list(_require(unf, "parameters", "unfolding"))
-    coeff_doc = _require(unf, "coefficients", "unfolding")
-    if len(coeff_doc) != len(names):
-        raise SchemaError("one coefficient list per parameter required")
-    directions = []
-    for row in coeff_doc:
-        if len(row) != len(delays):
-            raise SchemaError("one coefficient matrix per delay required")
-        directions.append(tuple(decode_cmatrix(A) for A in row))
+    directions = [tuple(decode_cmatrix(A) for A in row)
+                  for row in _require(unf, "coefficients", "unfolding")]
     try:
         selected = [int(i) for i in _require(unf, "selected_rows", "unfolding")]
     except (TypeError, ValueError):
@@ -96,8 +91,8 @@ def parse_artifact(doc):
 def verify_artifact(doc, tol=DEFAULT_TOL):
     """Run the full invariant suite against an artifact document.
 
-    A document that does not parse raises SchemaError (StructuralError for
-    mismatched shapes).  Failed invariants are failed checks in the report,
+    A document that does not parse, or has mismatched shapes, raises
+    SchemaError.  Failed invariants are failed checks in the report,
     including a reduced matrix that does not commute with G, which stops the
     versality recomputation.
     """

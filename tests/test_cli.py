@@ -155,6 +155,16 @@ class TestUnfold:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             "3cd7ced964952931380b888098b21b758d43d00f3cb4d4ece15a2eef19e6a5db"
 
+    @pytest.mark.parametrize("preset, digest", [
+        # the digests perfbench/expected.json holds for the benchmark's gate
+        ("d3:simple", "dbec54e4367045876531edfcb1f1b732b1a53de50b4ad1b812faa47a5f8aedb9"),
+        ("d3:double", "2acc2381794c8cef9772c2244c5a7f22feb9ed9f827848fba1fa0aa868368f56"),
+    ])
+    def test_preset_artifact_is_pinned(self, tmp_path, preset, digest):
+        out = tmp_path / "preset.json"
+        assert run(["unfold", "--preset", preset, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_malformed_json_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")
@@ -266,6 +276,35 @@ class TestVerify:
         path = tmp_path / "bad.json"
         write_json_atomic(str(path), doc)
         assert run(["verify", str(path)]) == 2
+
+    @pytest.mark.parametrize("path, mutate", [
+        # non-finite entries
+        (("group", "generators", 0, 0, 0), lambda z: [float("nan"), 0.0]),
+        (("frame", "induced_rep", 1, 0, 0), lambda z: [float("nan"), 0.0]),
+        (("frame", "phi_directions", 0, 0), lambda z: [float("nan"), 0.0]),
+        (("frame", "reduced_matrix", 0, 0), lambda z: [0.0, float("inf")]),
+        # structural defects
+        (("model", "terms"), lambda terms: []),
+        (("group", "generators", 0), lambda g: g[:2]),              # 2 x 3
+        (("frame", "induced_rep"), lambda mats: mats[:-1]),
+        (("unfolding", "coefficients", 0, 0), lambda A: A[:2]),
+        (("frame", "phi_directions", 0), lambda v: v[:2]),
+        (("frame", "psi_directions", 0), lambda v: v + [[0.0, 0.0]]),
+        (("frame", "reduced_matrix"), lambda B: B[:-1]),
+    ], ids=["generator-nan", "induced-rep-nan", "phi-nan", "reduced-matrix-inf",
+            "empty-terms", "non-square-generator", "short-induced-rep",
+            "coefficient-shape", "short-phi", "long-psi", "reduced-matrix-shape"])
+    def test_defective_document_is_schema_error(self, tmp_path, capsys, simple_artifact,
+                                                path, mutate):
+        doc = copy.deepcopy(simple_artifact)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = mutate(node[path[-1]])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["verify", str(bad)]) == 2
+        assert "schema error" in capsys.readouterr().err
 
     def test_noncommuting_induced_rep_is_reported(self, tmp_path, double_case):
         r = double_case

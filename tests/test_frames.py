@@ -186,6 +186,12 @@ class TestEigenbasis:
         with pytest.raises(FrameError, match="null space"):
             eigenbasis(op, [lam], seeds={0: [d3.V_ROT, d3.U_SYM]})
 
+    def test_dependent_seeds_rejected(self, double_case):
+        op = double_case.op
+        lam = 1j * double_case.point.omega1
+        with pytest.raises(FrameError, match="linearly dependent"):
+            eigenbasis(op, [lam], seeds={0: [d3.V_ROT, 2 * d3.V_ROT]})
+
 
 class TestInduceRepresentation:
     def test_trivial_group(self, simple_case):

@@ -49,6 +49,11 @@ class TestFiniteGroup:
         with pytest.raises(StructuralError):
             close_generators([np.zeros((2, 2))])
 
+    def test_rejects_generator_singular_to_rounding(self):
+        # smallest singular value ~6e-16: singular at rounding level only
+        with pytest.raises(StructuralError, match="singular"):
+            close_generators([np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])])
+
     def test_closure_cap(self):
         # an irrational rotation never closes
         th = 1.0

@@ -15,8 +15,7 @@ from equnfold.frames import eigenbasis, find_root, induce_representation
 from equnfold.groups import close_generators
 from equnfold.jsonio import build_artifact
 from equnfold.unfolding import (assemble_gamma_unfolding, gamma_orbit_geometry,
-                                orbit_geometry, realify, select_delays,
-                                semisimple_jordan_spec)
+                                realify, select_delays)
 from equnfold.verify import verify_artifact
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -104,8 +103,7 @@ class TestRotationRing:
     def test_mini_versal_ring(self, rotation_ring):
         op, rep, frame = rotation_ring
         delays = select_delays(frame)
-        geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
-        asm = assemble_gamma_unfolding(frame, rep, delays, geometry=geometry)
+        asm = assemble_gamma_unfolding(frame, rep, delays)
         assert asm.versality.mini_versal
         assert asm.versality.n_directions == 2
         fam = asm.family
