@@ -307,13 +307,13 @@ def locate_double_hopf(factor, beta, tau_n, omegas=None, signs=(1, -1),
     return uniq
 
 
-def default_delays(point, max_retries=10, det_floor=1e-10):
+def default_delays(point):
     """Lags {0, tau_s, tau_n, tau_3} with tau_3 chosen generically.
 
     tau_3 starts from the largest multiple of tau/7 in (0, tau] distinct
-    from the other lags (tau = history horizon) and is halved, at most
-    ``max_retries`` times, until the row-scaled exponential-delay matrix
-    over the four critical eigenvalues is safely nonsingular.
+    from the other lags (tau = history horizon) and is halved, at most ten
+    times, until the row-scaled exponential-delay matrix over the four
+    critical eigenvalues has a determinant above 1e-10.
     """
     tau = max(point.tau_s, point.tau_n)
     others = [0.0, point.tau_s, point.tau_n]
@@ -327,9 +327,9 @@ def default_delays(point, max_retries=10, det_floor=1e-10):
         raise UnfoldingError("no admissible fourth lag on the tau/7 grid")
     lams = np.array([1j * point.omega1, -1j * point.omega1,
                      1j * point.omega2, -1j * point.omega2])
-    for _ in range(max_retries):
+    for _ in range(10):
         M = exponential_delay_matrix(lams, others + [tau3])
-        if scaled_det(M) > det_floor and all(abs(tau3 - r) > 1e-9 for r in others):
+        if scaled_det(M) > 1e-10 and all(abs(tau3 - r) > 1e-9 for r in others):
             return others + [tau3]
         tau3 = tau3 / 2.0
     raise UnfoldingError("could not find a generic fourth lag (determinant stays small)")

@@ -115,33 +115,63 @@ def check_equivariance(op, rep):
     return commutator_residual(rep, [A for _, A in op.terms])
 
 
-def _exp_integral(d, r):
-    """``int_0^{-r} exp(d xi) dxi`` with the analytic limit at d = 0."""
-    if abs(d) < EXPONENT_GAP:
-        return -r
-    return (np.exp(-d * r) - 1.0) / d
+def _cmul(a, b):
+    """Complex product ``(a_r b_r - a_i b_i) + i (a_r b_i + a_i b_r)``, taken
+    entrywise in real arithmetic so it rounds as a scalar complex product
+    does (numpy's vectorized complex multiply may fuse a product and a sum)."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def pairing_matrix(W, lam, V, mu, op):
+    """Every adjoint pairing ``(psi_i, phi_j)_n`` in closed form, as a (p, q) matrix.
+
+    Row i is psi_i(s) = W[i] exp(-lam_i s) and column j is
+    phi_j(theta) = V[j] exp(mu_j theta), so W is (p, n) and V is (q, n);
+
+        (psi_i, phi_j)_n = w u - sum_k exp(-lam r_k) (w A_k u) E(mu - lam, r_k),
+
+    with E(d, r) = int_0^{-r} exp(d xi) dxi, and E = -r, its analytic limit,
+    where |d| < EXPONENT_GAP.  For an eigenpair at a common root lam the
+    pairing collapses to ``w Delta'(lam) u``.
+
+    ``w A_k`` and ``exp(-lam_i r_k)`` are taken once per row and term.  Each
+    entry goes through the same scalar operations as a lone pairing: one
+    BLAS dot per product ``w u`` (stacked matmul of row against column),
+    one vector-matrix product per ``w A_k``, and real-arithmetic complex
+    products (:func:`_cmul`), so a stacked call is bitwise equal to one call
+    per entry.
+    """
+    W = np.ascontiguousarray(W, dtype=complex)
+    V = np.ascontiguousarray(V, dtype=complex)
+    lam = np.asarray(lam, dtype=complex).reshape(-1)
+    mu = np.asarray(mu, dtype=complex).reshape(-1)
+    if W.shape != (len(lam), op.n) or V.shape != (len(mu), op.n):
+        raise StructuralError("direction length does not match operator dimension")
+    cols = V[None, :, :, None]
+    val = (W[:, None, None, :] @ cols)[:, :, 0, 0]
+    d = mu[None, :] - lam[:, None]
+    small = np.abs(d) < EXPONENT_GAP
+    d = np.where(small, 1.0, d)
+    for r, A in op.terms:
+        r_c = np.complex128(r)
+        e = np.exp(_cmul(-lam, r_c))
+        wAu = ((W[:, None, :] @ A)[:, None, :, :] @ cols)[:, :, 0, 0]
+        E = np.where(small, -r, (np.exp(_cmul(-d, r_c)) - 1.0) / d)
+        val -= _cmul(_cmul(e[:, None], wAu), E)
+    return val
 
 
 def bilinear_form(psi, phi, op):
-    """Adjoint bilinear form ``(psi, phi)_n`` evaluated in closed form.
-
-    For psi(s) = w exp(-lam s) and phi(theta) = u exp(mu theta),
-
-        (psi, phi)_n = w u - sum_k exp(-lam r_k) (w A_k u) E(mu - lam, r_k),
-
-    with E(d, r) = int_0^{-r} exp(d xi) dxi.  For an eigenpair at a common
-    root lam this collapses to ``w Delta'(lam) u``.
-    """
+    """Adjoint bilinear form ``(psi, phi)_n`` of one row and one column
+    exponential vector: the 1 x 1 case of :func:`pairing_matrix`."""
     if psi.side != "row" or phi.side != "column":
         raise StructuralError("bilinear form takes (row, column) exponential vectors")
-    w, lam = psi.direction, psi.exponent
-    u, mu = phi.direction, phi.exponent
-    if len(w) != op.n or len(u) != op.n:
-        raise StructuralError("direction length does not match operator dimension")
-    val = w @ u
-    for r, A in op.terms:
-        val -= np.exp(-lam * r) * (w @ A @ u) * _exp_integral(mu - lam, r)
-    return complex(val)
+    return complex(pairing_matrix(psi.direction[None], [psi.exponent],
+                                  phi.direction[None], [phi.exponent], op)[0, 0])
 
 
 def bilinear_form_quadrature(psi, phi, op, npoints=64):

@@ -19,11 +19,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._linalg import GRAM_RCOND, NULLSPACE_RCOND, null_basis, rank
-from .delays import ExpVector, bilinear_form, check_equivariance
+from .delays import ExpVector, check_equivariance, pairing_matrix
 from .errors import FrameError, RootFindingError
 from .groups import Representation, check_representation, commutator_residual
 
 CONJ_MATCH_TOL = 1e-9      # tolerance for pairing lam with conj(lam)
+DERIV_FLOOR = 1e-14        # |d det| below this: suspected multiple root, use the secant
+FRAME_RESIDUAL_TOL = 1e-9  # Gram and null-vector residuals of a built frame
 
 
 def _adjugate(A):
@@ -49,11 +51,11 @@ class RootResult:
     used_secant: bool        # derivative collapsed; secant fallback engaged
 
 
-def find_root(op, lam0, tol=1e-12, max_iter=100, deriv_floor=1e-14):
+def find_root(op, lam0, tol=1e-12, max_iter=100):
     """Newton iteration on ``det Delta(lam)`` from the initial guess lam0.
 
     The derivative is evaluated through Jacobi's formula
-    ``d det = tr(adj(Delta) Delta')``.  If it collapses below ``deriv_floor``
+    ``d det = tr(adj(Delta) Delta')``.  If it collapses below ``DERIV_FLOOR``
     (suspected multiple root) the iteration switches to a secant method
     started from a perturbed point.
 
@@ -65,38 +67,51 @@ def find_root(op, lam0, tol=1e-12, max_iter=100, deriv_floor=1e-14):
     Raises
     ------
     RootFindingError
-        After ``max_iter`` steps without either test passing; the exception
-        carries the last iterate.
+        After ``max_iter`` steps without either test passing, or at the first
+        iterate where lam or det Delta(lam) is not finite (an overflowed
+        exponential); the exception carries the last iterate.
     """
-    lam = complex(lam0)
-    used_secant = False
-    D = op.char_matrix(lam)
-    f = np.linalg.det(D)
-    for it in range(max_iter):
-        if abs(f) < tol:
-            return RootResult(root=lam, residual=abs(f), iterations=it, used_secant=used_secant)
-        df = np.trace(_adjugate(D) @ op.char_matrix_deriv(lam))
-        if abs(df) < deriv_floor:
-            used_secant = True
-            lam, f, it2 = _secant(op, lam, tol, max_iter - it)
-            if abs(f) < tol:
-                return RootResult(root=lam, residual=abs(f), iterations=it + it2,
-                                  used_secant=True)
-            break
-        step = f / df
-        lam = lam - step
+    with np.errstate(all="ignore"):     # overflow is caught as a non-finite iterate
+        lam = complex(lam0)
         D = op.char_matrix(lam)
         f = np.linalg.det(D)
-        if abs(step) <= tol * max(1.0, abs(lam)):
-            return RootResult(root=lam, residual=abs(f), iterations=it + 1,
-                              used_secant=False)
+        for it in range(max_iter):
+            _require_finite_iterate(lam, f, it)
+            if abs(f) < tol:
+                return RootResult(root=lam, residual=abs(f), iterations=it,
+                                  used_secant=False)
+            df = np.trace(_adjugate(D) @ op.char_matrix_deriv(lam))
+            if abs(df) < DERIV_FLOOR:
+                lam, f, it2 = _secant(op, lam, tol, max_iter - it)
+                _require_finite_iterate(lam, f, it + it2)
+                if abs(f) < tol:
+                    return RootResult(root=lam, residual=abs(f), iterations=it + it2,
+                                      used_secant=True)
+                break
+            step = f / df
+            lam = lam - step
+            D = op.char_matrix(lam)
+            f = np.linalg.det(D)
+            if abs(step) <= tol * max(1.0, abs(lam)):
+                _require_finite_iterate(lam, f, it + 1)
+                return RootResult(root=lam, residual=abs(f), iterations=it + 1,
+                                  used_secant=False)
     raise RootFindingError(
         f"no convergence after {max_iter} iterations; last iterate {lam} with |det| = {abs(f):.3e}",
         last_iterate=lam, residual=abs(f),
     )
 
 
+def _require_finite_iterate(lam, f, iterations):
+    if not (np.isfinite(lam) and np.isfinite(f)):
+        raise RootFindingError(
+            f"non-finite iterate {lam} with det {f} after {iterations} iterations",
+            last_iterate=lam, residual=abs(f),
+        )
+
+
 def _secant(op, lam, tol, max_iter):
+    """Secant steps from lam; stops early on convergence or a non-finite value."""
     # perturbed second point off the current contour
     scale = max(1.0, abs(lam))
     a = lam
@@ -104,7 +119,7 @@ def _secant(op, lam, tol, max_iter):
     fa = np.linalg.det(op.char_matrix(a))
     fb = np.linalg.det(op.char_matrix(b))
     for it in range(max_iter):
-        if abs(fb) < tol:
+        if abs(fb) < tol or not (np.isfinite(b) and np.isfinite(fb)):
             return b, fb, it
         denom = fb - fa
         if denom == 0:
@@ -148,11 +163,8 @@ class SpectralFrame:
         return self.Psi_at(0.0)
 
     def gram(self):
-        K = np.empty((self.c, self.c), dtype=complex)
-        for i, p in enumerate(self.psi):
-            for j, q in enumerate(self.phi):
-                K[i, j] = bilinear_form(p, q, self.op)
-        return K
+        """The pairing matrix ``(Psi, Phi)``; the identity for a normalized frame."""
+        return pairing_matrix(*_stack(self.psi), *_stack(self.phi), self.op)
 
     def gram_residual(self):
         """Max entrywise ``|(Psi, Phi) - I|``; zero for a normalized frame."""
@@ -169,10 +181,16 @@ class SpectralFrame:
         return res
 
 
-def _char_scale(op, lam):
+def _stack(vectors):
+    """Directions (rows) and exponents of a sequence of ExpVectors."""
+    return np.array([v.direction for v in vectors]), np.array([v.exponent for v in vectors])
+
+
+def _char_scale(norm_sum, lam):
     """Natural magnitude of Delta(lam), the ``scale`` of its null-space cutoff:
-    at a root of a scalar equation Delta's own singular value is the residual."""
-    return 1.0 + abs(lam) + sum(float(np.linalg.norm(A, 2)) for _, A in op.terms)
+    at a root of a scalar equation Delta's own singular value is the residual.
+    ``norm_sum`` is ``sum_k ||A_k||_2`` over the operator's terms, in order."""
+    return 1.0 + abs(lam) + norm_sum
 
 
 def _phase_fix(v):
@@ -189,7 +207,7 @@ def _order_directions(cols):
     return sorted(cols, key=key)
 
 
-def eigenbasis(op, lambdas, seeds=None, residual_tol=1e-9):
+def eigenbasis(op, lambdas, seeds=None):
     """Build a normalized :class:`SpectralFrame` over the given eigenvalues.
 
     Parameters
@@ -222,6 +240,7 @@ def eigenbasis(op, lambdas, seeds=None, residual_tol=1e-9):
     lambdas = [complex(l) for l in lambdas]
     seeds = dict(seeds or {})
     real_op = op.is_real
+    norm_sum = sum(float(np.linalg.norm(A, 2)) for _, A in op.terms)
 
     # conjugate partner appearing *earlier* in the list
     partner = [None] * len(lambdas)
@@ -240,7 +259,7 @@ def eigenbasis(op, lambdas, seeds=None, residual_tol=1e-9):
             left_raw[i] = [w.conj() for w in left_raw[partner[i]]]
             continue
         D = op.char_matrix(lam)
-        scale = _char_scale(op, lam)
+        scale = _char_scale(norm_sum, lam)
         N = null_basis(D, scale, NULLSPACE_RCOND)
         if N.shape[1] == 0:
             raise FrameError(f"{lam} is not a characteristic root (empty null space)")
@@ -300,12 +319,13 @@ def eigenbasis(op, lambdas, seeds=None, residual_tol=1e-9):
     frame = SpectralFrame(op=op, lambdas=tuple(lams), phi=tuple(phi), psi=tuple(psi), B=B)
 
     gram_residual = frame.gram_residual()
-    if gram_residual > residual_tol:
-        raise FrameError(f"Gram normalization residual {gram_residual:.3e} exceeds {residual_tol}")
+    if gram_residual > FRAME_RESIDUAL_TOL:
+        raise FrameError(f"Gram normalization residual {gram_residual:.3e} "
+                         f"exceeds {FRAME_RESIDUAL_TOL}")
     for v in frame.phi:
         r = np.linalg.norm(op.char_matrix(v.exponent) @ v.direction) \
-            / (np.linalg.norm(v.direction) * _char_scale(op, v.exponent))
-        if r > residual_tol:
+            / (np.linalg.norm(v.direction) * _char_scale(norm_sum, v.exponent))
+        if r > FRAME_RESIDUAL_TOL:
             raise FrameError(f"null-vector residual {r:.3e} at {v.exponent}")
     return frame
 
@@ -323,16 +343,15 @@ def induce_representation(frame, rep, tol=1e-8):
     if equiv > 1e-9:
         raise FrameError(f"operator is not equivariant (residual {equiv:.3e})")
 
-    c = frame.c
-    group = rep.group
-    Gmats = np.empty((group.order, c, c), dtype=complex)
-    for g in group.elements():
-        R = rep.matrices[g]
-        for j, ph in enumerate(frame.phi):
-            moved = ExpVector(R @ ph.direction, ph.exponent, side="column")
-            for i, ps in enumerate(frame.psi):
-                Gmats[g, i, j] = bilinear_form(ps, moved, op)
-    G = Representation(group=group, matrices=Gmats)
+    c, n = frame.c, op.n
+    order = rep.group.order
+    W, lam = _stack(frame.psi)
+    V, mu = _stack(frame.phi)
+    # columns rho(g) phi_j over all g, one matrix-vector product each
+    moved_phi = (rep.matrices[:, None] @ V[None, :, :, None])[..., 0].reshape(order * c, n)
+    Gmats = pairing_matrix(W, lam, moved_phi, np.tile(mu, order), op)
+    Gmats = np.ascontiguousarray(Gmats.reshape(c, order, c).transpose(1, 0, 2))
+    G = Representation(group=rep.group, matrices=Gmats)
     framed = replace(frame, G=G)
 
     report = check_representation(G, tol=tol)
@@ -344,16 +363,12 @@ def induce_representation(frame, rep, tol=1e-8):
     pw = framed.intertwining_residual(rep)
     if pw > tol:
         raise FrameError(f"rho(g) Phi != Phi G(g) (residual {pw:.3e})")
-    for g in group.elements():
-        # (Psi, g.Phi) computed above; compare with (Psi.g, Phi)
-        R = rep.matrices[g]
-        H = np.empty((c, c), dtype=complex)
-        for i, ps in enumerate(frame.psi):
-            moved = ExpVector(ps.direction @ R, ps.exponent, side="row")
-            for j, ph in enumerate(frame.phi):
-                H[i, j] = bilinear_form(moved, ph, op)
-        if np.max(np.abs(H - Gmats[g])) > 1e-9:
-            raise FrameError(f"(Psi, g.Phi) != (Psi.g, Phi) for element {g}")
+    # (Psi, g.Phi) is G(g); compare with (Psi.g, Phi), rows psi_i rho(g) over all g
+    moved_psi = (W[None, :, None, :] @ rep.matrices[:, None])[:, :, 0, :].reshape(order * c, n)
+    H = pairing_matrix(moved_psi, np.tile(lam, order), V, mu, op).reshape(order, c, c)
+    bad = np.nonzero(np.max(np.abs(H - Gmats), axis=(1, 2)) > 1e-9)[0]
+    if len(bad):
+        raise FrameError(f"(Psi, g.Phi) != (Psi.g, Phi) for element {bad[0]}")
     bg = commutator_residual(G, [frame.B])
     if bg > 1e-10:
         raise FrameError(f"B does not commute with G (residual {bg:.3e})")

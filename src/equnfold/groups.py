@@ -305,15 +305,19 @@ def equivariant_average(rep_left, rep_right, M):
     mixed arguments project onto the intertwiner space (used to project
     the rectangular R-matrices of the unfolding construction).
 
+    M may be a ``(..., dL, dR)`` stack; each matrix is averaged on its own
+    by the same per-element products, so a stack gives, bit for bit, what
+    one call per matrix gives.
+
     The ``1/|G|`` normalization is always applied so the operator is a true
     projection (idempotent on square inputs).
     """
     if not rep_left.group.same_group(rep_right.group):
         raise StructuralError("representations live on different groups")
     M = np.asarray(M, dtype=complex)
-    if M.shape != (rep_left.dim, rep_right.dim):
+    if M.ndim < 2 or M.shape[-2:] != (rep_left.dim, rep_right.dim):
         raise StructuralError(
-            f"matrix shape {M.shape} does not match ({rep_left.dim}, {rep_right.dim})"
+            f"matrix shape {M.shape} does not end in ({rep_left.dim}, {rep_right.dim})"
         )
     group = rep_left.group
     acc = np.zeros_like(M)

@@ -140,9 +140,25 @@ def document_errors():
         raise SchemaError(str(exc)) from exc
 
 
-def _require_finite(what, *values):
+def require_finite(what, *values):
     if not all(np.all(np.isfinite(v)) for v in values):
         raise SchemaError(f"non-finite entry in {what}")
+
+
+def decode_cmatrix_stack(doc, path, shape=None):
+    """A non-empty list of finite complex matrices of one shape (``shape``,
+    else the first matrix's) as a stack; errors name ``path``, the list's
+    place in the document.  Shapes are compared before stacking, so a
+    ragged list is a schema error, not a numpy one."""
+    if not isinstance(doc, list) or not doc:
+        raise SchemaError(f"{path} must be a non-empty list of matrices")
+    mats = [decode_cmatrix(M) for M in doc]
+    shape = shape or mats[0].shape
+    for k, M in enumerate(mats):
+        if M.shape != shape:
+            raise SchemaError(f"{path}[{k}] has shape {M.shape}, expected {shape}")
+        require_finite(f"{path}[{k}]", M)
+    return np.array(mats)
 
 
 def model_to_doc(op):
@@ -160,7 +176,7 @@ def model_from_doc(doc):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from exc
     for r, A in terms:
-        _require_finite(f"the model term at delay {r}", r, A)
+        require_finite(f"the model term at delay {r}", r, A)
     return DelayOperator(n=n, terms=terms)
 
 
@@ -177,14 +193,11 @@ def rep_to_doc(rep):
 @document_errors()
 def rep_from_doc(doc):
     if "generators" in doc:
-        gens = [decode_cmatrix(g) for g in doc["generators"]]
-        _require_finite("a group generator", *gens)
-        return close_generators(gens)
+        return close_generators(decode_cmatrix_stack(doc["generators"], "group.generators"))
     if "mul_table" in doc and "matrices" in doc:
         group = FiniteGroup.from_mul_table(doc["mul_table"])
-        mats = np.array([decode_cmatrix(M) for M in doc["matrices"]])
-        _require_finite("a group matrix", mats)
-        return Representation(group=group, matrices=mats)
+        return Representation(group=group,
+                              matrices=decode_cmatrix_stack(doc["matrices"], "group.matrices"))
     raise SchemaError("group document needs 'generators' or 'mul_table'+'matrices'")
 
 
@@ -215,14 +228,13 @@ def frame_from_doc(doc, op, group=None):
     if [v.direction.shape for v in phi + psi] != [(op.n,)] * (2 * c) or B.shape != (c, c):
         raise SchemaError(f"a frame over {c} eigenvalues needs {c} phi and {c} psi directions "
                           f"of length n = {op.n} and a {c} x {c} reduced matrix")
-    _require_finite("the frame", lams, B, *(v.direction for v in phi + psi))
+    require_finite("the frame", lams, B, *(v.direction for v in phi + psi))
     G = None
     if "induced_rep" in doc:
         if group is None:
             raise SchemaError("induced representation present but no group supplied")
-        mats = np.array([decode_cmatrix(M) for M in doc["induced_rep"]])
-        _require_finite("the induced representation", mats)
-        G = Representation(group=group, matrices=mats)
+        G = Representation(group=group, matrices=decode_cmatrix_stack(
+            doc["induced_rep"], "frame.induced_rep", shape=(c, c)))
     return SpectralFrame(op=op, lambdas=tuple(lams), phi=phi, psi=psi, B=B, G=G)
 
 

@@ -28,6 +28,10 @@ from .groups import commutant_basis, commutator_residual, equivariant_average
 
 DIAG_TOL = 1e-12       # max off-diagonal magnitude for "B is diagonal"
 EIG_MATCH_TOL = 1e-9   # tolerance for grouping equal diagonal eigenvalues
+THETA_RESIDUAL_TOL = 1e-8      # relative decomposition residual of a direction
+REALIZATION_TOL = 1e-9         # relative residual of a delay realization
+CONJ_PAIR_TOL = 1e-9           # relative gap of a conjugate direction pair
+LAG_GAP = 1e-9                 # a grid lag this close to an existing one is skipped
 
 
 def _vec(M):
@@ -228,14 +232,15 @@ class ThetaReport:
     rank: int                # == len(selected_rows)
 
 
-def theta_extract(geometry, directions, residual_tol=1e-8):
+def theta_extract(geometry, directions):
     """Decompose each direction over [tangent | complement] and pick rows.
 
     Every direction must split as ``[B, y] + sum_j theta_j Omega_j`` (it
     always does, the bases span the space); the least-squares residual is
-    reported and must stay below ``residual_tol``.  Row selection walks the
-    rows in order and keeps those outside the span of the rows already
-    kept, with a relative tolerance on the rejection test.
+    reported and must stay below ``THETA_RESIDUAL_TOL`` relative to the
+    direction.  Row selection walks the rows in order and keeps those
+    outside the span of the rows already kept, with a relative tolerance on
+    the rejection test.
     """
     S = geometry.basis_matrix()
     t = len(geometry.T_basis)
@@ -248,7 +253,7 @@ def theta_extract(geometry, directions, residual_tol=1e-8):
             raise StructuralError(f"direction {i} has shape {D.shape}")
         x, *_ = np.linalg.lstsq(S, _vec(D), rcond=None)
         res = float(np.linalg.norm(S @ x - _vec(D)))
-        if res > residual_tol * max(1.0, float(np.linalg.norm(D))):
+        if res > THETA_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(D))):
             raise UnfoldingError(
                 f"direction {i} does not decompose over tangent+complement "
                 f"(residual {res:.3e}); the bases are not complementary"
@@ -329,7 +334,24 @@ def build_R_matrices(frame, geometry):
     return Rs
 
 
-def solve_delay_realization(frame, delays, R, sparsity=None, residual_tol=1e-9):
+def _lag_basis(frame, delays, context=""):
+    """``[Phi(-r_j)]`` over the lags, after checking that each lag lies in
+    the history horizon and that the stacked basis has full rank c."""
+    tau = frame.op.tau
+    for r in delays:
+        if r < 0 or r > tau + 1e-12:
+            raise UnfoldingError(f"{context}lag {r} outside the history horizon [0, {tau}]")
+    Phis = [frame.Phi_at(-r) for r in delays]
+    rk = rank(np.vstack(Phis))
+    if rk < frame.c:
+        raise UnfoldingError(
+            f"{context}stacked basis col(Phi(-r_j)) has rank {rk} < {frame.c}; "
+            "lags are too few or coincide"
+        )
+    return Phis
+
+
+def solve_delay_realization(frame, delays, R, sparsity=None):
     """Solve ``sum_j A_j Phi(-r_j) = R`` for coefficient matrices A_j.
 
     Rows of the A_j decouple; each row is an underdetermined linear system
@@ -341,15 +363,11 @@ def solve_delay_realization(frame, delays, R, sparsity=None, residual_tol=1e-9):
     UnfoldingError
         If the stacked matrix col(Phi(-r_0), ..., Phi(-r_J)) has rank < c
         (e.g. two equal lags make the exponential-delay matrix singular),
-        or if the reconstruction residual exceeds ``residual_tol`` (an
-        infeasible sparsity mask).
+        or if the reconstruction residual exceeds ``REALIZATION_TOL``
+        relative to R (an infeasible sparsity mask).
     """
     n, c = frame.op.n, frame.c
     delays = [float(r) for r in delays]
-    tau = frame.op.tau
-    for r in delays:
-        if r < 0 or r > tau + 1e-12:
-            raise UnfoldingError(f"lag {r} outside the history horizon [0, {tau}]")
     R = np.asarray(R, dtype=complex)
     if R.shape != (n, c):
         raise StructuralError(f"target shape {R.shape} != ({n}, {c})")
@@ -364,17 +382,9 @@ def solve_delay_realization(frame, delays, R, sparsity=None, residual_tol=1e-9):
     else:
         masks = [np.ones((n, n), dtype=bool)] * len(delays)
 
-    Phis = [frame.Phi_at(-r) for r in delays]
-    stacked = np.vstack(Phis)
-    rk = rank(stacked)
-    if rk < c:
-        raise UnfoldingError(
-            f"stacked basis col(Phi(-r_j)) has rank {rk} < {c}; "
-            "lags are too few or coincide"
-        )
-
+    Phis = _lag_basis(frame, delays)
     As = [np.zeros((n, n), dtype=complex) for _ in delays]
-    scale = max(1.0, float(np.max(np.abs(R))))
+    bound = REALIZATION_TOL * max(1.0, float(np.max(np.abs(R))))
     for i in range(n):
         cols, meta = [], []
         for j, mask in enumerate(masks):
@@ -382,13 +392,13 @@ def solve_delay_realization(frame, delays, R, sparsity=None, residual_tol=1e-9):
                 cols.append(Phis[j][l, :])
                 meta.append((j, int(l)))
         if not cols:
-            if np.max(np.abs(R[i, :])) > residual_tol * scale:
+            if np.max(np.abs(R[i, :])) > bound:
                 raise UnfoldingError(f"sparsity mask leaves row {i} empty but target is nonzero")
             continue
         Msys = np.array(cols).T
         x, *_ = np.linalg.lstsq(Msys, R[i, :], rcond=None)
         res = float(np.linalg.norm(Msys @ x - R[i, :]))
-        if res > residual_tol * scale:
+        if res > bound:
             raise UnfoldingError(
                 f"sparsity mask infeasible: row {i} least-squares residual {res:.3e}"
             )
@@ -396,7 +406,7 @@ def solve_delay_realization(frame, delays, R, sparsity=None, residual_tol=1e-9):
             As[j][i, l] = val
 
     res = reconstruction_residual(As, Phis, R)
-    if res > residual_tol * scale:
+    if res > bound:
         raise UnfoldingError(f"reconstruction residual {res:.3e} exceeds tolerance")
     return As
 
@@ -407,8 +417,9 @@ def reconstruction_residual(coefficients, Phis, R):
 
 
 def project_slot(frame, rep, R):
-    """Group-average one slot: ``Rbar = (1/|G|) sum_g rho(g) R G(g)^-1`` and
-    its center direction ``Bhat = Psi(0) Rbar``."""
+    """Group-average a slot, or a ``(p, n, c)`` stack of slots:
+    ``Rbar = (1/|G|) sum_g rho(g) R G(g)^-1`` and its center direction
+    ``Bhat = Psi(0) Rbar``."""
     Rbar = equivariant_average(rep, frame.G, R)
     return Rbar, frame.Psi0 @ Rbar
 
@@ -544,17 +555,47 @@ class GammaUnfolding:
     projected_r: tuple       # group-averaged Rbar^m per slot
 
 
+def _realize_slots(Phis, Rs):
+    """Unrestricted minimum-norm realizations of every slot at once.
+
+    Without masks every row of every slot solves the same system
+    ``x @ col(Phi(-r_j)) = R^m[i, :]``, so one least-squares call takes all
+    p * n right-hand sides.  Returns the (p, J, n, n) coefficients
+    ``A[m, j]``; each slot keeps its row-residual and reconstruction bounds.
+    """
+    p, n, c = Rs.shape
+    J = len(Phis)
+    Msys = np.vstack(Phis).T                       # (c, J n); column j n + l is Phi(-r_j)[l]
+    rhs = Rs.reshape(p * n, c).T                   # column m n + i is row i of R^m
+    X, *_ = np.linalg.lstsq(Msys, rhs, rcond=None)
+    bounds = REALIZATION_TOL * np.maximum(1.0, np.max(np.abs(Rs), axis=(1, 2)))
+    row_res = np.linalg.norm(Msys @ X - rhs, axis=0).reshape(p, n)
+    A = X.reshape(J, n, p, n).transpose(2, 0, 3, 1)     # A[m, j, i, l] = X[j n + l, m n + i]
+    recon = np.max(np.abs((A @ np.array(Phis)).sum(axis=1) - Rs), axis=(1, 2))
+    for m in range(p):
+        if np.max(row_res[m]) > bounds[m]:
+            i = int(np.argmax(row_res[m]))
+            raise UnfoldingError(
+                f"slot {m}: row {i} least-squares residual {row_res[m, i]:.3e}")
+        if recon[m] > bounds[m]:
+            raise UnfoldingError(
+                f"slot {m}: reconstruction residual {recon[m]:.3e} exceeds tolerance")
+    return A
+
+
 def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     """Full pipeline from a normalized equivariant frame to a mini-versal family.
 
     Steps: build one R-matrix per unfolding slot; solve the (unrestricted)
-    delay realization for coefficients A_j^m and check it reconstructs R^m;
-    group-average everything and verify the projection identity
-    ``sum_j Psi(0) pi(A_j) Phi(-r_j) = pi(Psi(0) R^m) = Psi(0) Rbar^m``;
+    delay realization of every slot for coefficients A_j^m and check it
+    reconstructs R^m; group-average everything and verify the projection
+    identity ``sum_j Psi(0) pi(A_j) Phi(-r_j) = pi(Psi(0) R^m) = Psi(0) Rbar^m``;
     extract Theta over the orbit complement and keep the earliest maximal
     independent rows; re-solve the selected slots against the projected
     targets Rbar^m under the sparsity masks (the structure-preserving
     representative); finally verify equivariant versality of the selection.
+    The slots are handled as one stack except for the masked re-solves,
+    whose coefficients are the family's.
 
     Raises on span deficiency; returns a :class:`GammaUnfolding`.
     """
@@ -564,24 +605,23 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
 
     G = frame.G
     Psi0 = frame.Psi0
-    Phis = [frame.Phi_at(-float(r)) for r in delays]
+    delays = [float(r) for r in delays]
+    Rs = np.array(build_R_matrices(frame, geometry))             # (p, n, c)
+    p = len(Rs)
+    Phis = _lag_basis(frame, delays, context=f"slots 0-{p - 1}: ")
+    A_raw = _realize_slots(Phis, Rs)
 
-    Rs = build_R_matrices(frame, geometry)
-    Rbars, Bhats = [], []
-    for m, R in enumerate(Rs):
-        A_raw = solve_delay_realization(frame, delays, R, sparsity=None)
-        Rbar, Bhat = project_slot(frame, rep, R)
-        # Projection identity: averaging the coefficients, the R matrix, or
-        # the center direction all land on the same matrix.
-        Bhat_from_A = sum(Psi0 @ equivariant_average(rep, rep, A) @ P
-                          for A, P in zip(A_raw, Phis))
-        Bhat_from_C = equivariant_average(G, G, Psi0 @ R)
-        err = max(float(np.max(np.abs(Bhat - Bhat_from_A))),
-                  float(np.max(np.abs(Bhat - Bhat_from_C))))
-        if err > 1e-10 * max(1.0, float(np.max(np.abs(Bhat)))):
-            raise UnfoldingError(f"slot {m}: projection identity violated ({err:.3e})")
-        Rbars.append(Rbar)
-        Bhats.append(Bhat)
+    Rbars, Bhats = project_slot(frame, rep, Rs)
+    # Projection identity: averaging the coefficients, the R matrix, or
+    # the center direction all land on the same matrix.
+    Bhat_from_A = (Psi0 @ equivariant_average(rep, rep, A_raw) @ np.array(Phis)).sum(axis=1)
+    Bhat_from_C = equivariant_average(G, G, Psi0 @ Rs)
+    err = np.maximum(np.max(np.abs(Bhats - Bhat_from_A), axis=(1, 2)),
+                     np.max(np.abs(Bhats - Bhat_from_C), axis=(1, 2)))
+    bounds = 1e-10 * np.maximum(1.0, np.max(np.abs(Bhats), axis=(1, 2)))
+    bad = np.nonzero(err > bounds)[0]
+    if len(bad):
+        raise UnfoldingError(f"slot {bad[0]}: projection identity violated ({err[bad[0]]:.3e})")
 
     theta = theta_extract(geometry, Bhats)
     if not theta.selected_rows:
@@ -589,10 +629,10 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
 
     directions = []
     for m in theta.selected_rows:
-        A_fam = solve_delay_realization(frame, delays, Rbars[m], sparsity=sparsity)
-        A_fam = [equivariant_average(rep, rep, A) for A in A_fam]
+        A_fam = equivariant_average(
+            rep, rep, solve_delay_realization(frame, delays, Rbars[m], sparsity=sparsity))
         if reconstruction_residual(A_fam, Phis, Rbars[m]) \
-                > 1e-9 * max(1.0, float(np.max(np.abs(Rbars[m])))):
+                > REALIZATION_TOL * max(1.0, float(np.max(np.abs(Rbars[m])))):
             raise UnfoldingError(f"slot {m}: projected reconstruction failed")
         directions.append(tuple(A_fam))
 
@@ -607,7 +647,7 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
 
     family = UnfoldingFamily(
         base=frame.op,
-        delays=tuple(float(r) for r in delays),
+        delays=tuple(delays),
         directions=tuple(directions),
         names=tuple(f"alpha_{m + 1}" for m in theta.selected_rows),
         rep=rep,
@@ -637,7 +677,7 @@ def slot_reparametrization(family):
     return np.vstack(rows)
 
 
-def realify(family, tol=1e-9):
+def realify(family):
     """Replace conjugate direction pairs (L, conj L) by (Re L, Im L).
 
     Directions with real coefficients pass through unchanged.  Every
@@ -656,7 +696,7 @@ def realify(family, tol=1e-9):
         if used[m]:
             continue
         row = family.directions[m]
-        if all(np.max(np.abs(A.imag)) < tol * scale for A in row):
+        if all(np.max(np.abs(A.imag)) < CONJ_PAIR_TOL * scale for A in row):
             used[m] = True
             new_dirs.append(row)
             new_names.append(family.names[m])
@@ -665,8 +705,8 @@ def realify(family, tol=1e-9):
         for mp in range(m + 1, k):
             if used[mp]:
                 continue
-            if all(np.max(np.abs(family.directions[mp][j] - row[j].conj())) < tol * scale
-                   for j in range(len(row))):
+            if all(np.max(np.abs(family.directions[mp][j] - row[j].conj()))
+                   < CONJ_PAIR_TOL * scale for j in range(len(row))):
                 mate = mp
                 break
         if mate is None:
@@ -692,7 +732,7 @@ def realify(family, tol=1e-9):
     return real_family, E
 
 
-def select_delays(frame, gap=1e-9):
+def select_delays(frame):
     """Default lag selection: the operator's own lags plus 0, extended by an
     equally spaced grid in (0, tau] until the stacked basis reaches full rank.
     """
@@ -708,7 +748,7 @@ def select_delays(frame, gap=1e-9):
     extras = 0
     for k in range(1, c + 1):
         cand = tau * k / (c + 1)
-        if any(abs(cand - r) < gap for r in lags):
+        if any(abs(cand - r) < LAG_GAP for r in lags):
             continue
         lags = sorted(lags + [cand])
         extras += 1

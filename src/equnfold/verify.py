@@ -15,8 +15,8 @@ import numpy as np
 from .delays import check_equivariance
 from .errors import EqunfoldError, SchemaError
 from .groups import check_representation, commutator_residual, equivariant_average
-from .jsonio import (SCHEMA, decode_cmatrix, document_errors, frame_from_doc,
-                     model_from_doc, rep_from_doc)
+from .jsonio import (SCHEMA, decode_cmatrix, decode_cmatrix_stack, document_errors,
+                     frame_from_doc, model_from_doc, rep_from_doc, require_finite)
 from .unfolding import (UnfoldingFamily, build_R_matrices, orbit_geometry,
                         project_slot, reconstruction_residual,
                         semisimple_jordan_spec, theta_extract,
@@ -67,10 +67,18 @@ def parse_artifact(doc):
         raise SchemaError("artifact frame carries no induced representation")
 
     unf = _require(doc, "unfolding")
-    delays = [float(r) for r in _require(unf, "delays", "unfolding")]
+    try:
+        delays = [float(r) for r in _require(unf, "delays", "unfolding")]
+    except (TypeError, ValueError):
+        raise SchemaError("unfolding.delays must be a list of numbers")
+    require_finite("unfolding.delays", delays)
     names = list(_require(unf, "parameters", "unfolding"))
-    directions = [tuple(decode_cmatrix(A) for A in row)
-                  for row in _require(unf, "coefficients", "unfolding")]
+    coefficients = _require(unf, "coefficients", "unfolding")
+    if not isinstance(coefficients, list):
+        raise SchemaError("unfolding.coefficients must be a list")
+    directions = [tuple(decode_cmatrix_stack(row, f"unfolding.coefficients[{m}]",
+                                             shape=(op.n, op.n)))
+                  for m, row in enumerate(coefficients)]
     try:
         selected = [int(i) for i in _require(unf, "selected_rows", "unfolding")]
     except (TypeError, ValueError):
@@ -136,15 +144,14 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
            commutator_residual(rep, [A for row in family.directions for A in row]))
 
     # center directions from the stored coefficients, and their projections
-    bhats = [family.center_direction(frame, m) for m in range(family.n_parameters)]
+    bhats = np.array([family.center_direction(frame, m) for m in range(family.n_parameters)]
+                     ).reshape(family.n_parameters, frame.c, frame.c)
     record("directions.projection_fixed_point",
-           max((float(np.max(np.abs(equivariant_average(G, G, Bh) - Bh))) for Bh in bhats),
-               default=0.0))
+           float(np.max(np.abs(equivariant_average(G, G, bhats) - bhats), initial=0.0)))
 
     try:
         geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
-        Rbars, centers = zip(*(project_slot(frame, rep, R)
-                               for R in build_R_matrices(frame, geometry)))
+        Rbars, centers = project_slot(frame, rep, np.array(build_R_matrices(frame, geometry)))
         theta_re = theta_extract(geometry, centers)
         dtheta = float(np.max(np.abs(theta_re.theta - theta_stored))) \
             if theta_re.theta.shape == theta_stored.shape else np.inf

@@ -165,6 +165,20 @@ class TestUnfold:
         assert run(["unfold", "--preset", preset, "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("preset, digest", [
+        ("d3:simple", "714dc972b48989772f09d8cbaf90dc4fe14e0206519541d7e612d8ec0383ec7c"),
+        ("d3:double", "f2b50a9ee5abf0e813d66e5df1143f35214a802010b1f736e2b53615467bfa73"),
+    ])
+    def test_preset_verify_report_is_pinned(self, tmp_path, capsys, preset, digest):
+        # every residual the report prints is recomputed from the artifact,
+        # so the lines pin the pairing, averaging and slot arithmetic too
+        out = tmp_path / "preset.json"
+        assert run(["unfold", "--preset", preset, "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
     def test_malformed_json_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")
@@ -305,6 +319,31 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         assert run(["verify", str(bad)]) == 2
         assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc["unfolding"]["coefficients"][0][1][0][0].__setitem__(0, float("nan")),
+         "non-finite entry in unfolding.coefficients[0][1]"),
+        (lambda doc: doc["unfolding"]["delays"].__setitem__(1, float("inf")),
+         "non-finite entry in unfolding.delays"),
+        (lambda doc: doc["frame"]["induced_rep"][1].pop(),
+         "frame.induced_rep[1] has shape (3, 4), expected (4, 4)"),
+        (lambda doc: doc["group"]["matrices"][2].pop(),
+         "group.matrices[2] has shape (2, 3), expected (3, 3)"),
+        (lambda doc: doc["group"]["matrices"][1][0].pop(),
+         "malformed complex matrix"),
+    ], ids=["coefficient-nan", "delay-inf", "ragged-induced-rep", "ragged-group-matrices",
+            "ragged-group-matrix"])
+    def test_defect_names_its_place(self, tmp_path, capsys, simple_artifact, simple_case,
+                                    mutate, message):
+        doc = copy.deepcopy(simple_artifact)
+        rep = simple_case.rep
+        doc["group"] = {"mul_table": rep.group.mul_table.tolist(),
+                        "matrices": [encode_cmatrix(M) for M in rep.matrices]}
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["verify", str(bad)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_noncommuting_induced_rep_is_reported(self, tmp_path, double_case):
         r = double_case

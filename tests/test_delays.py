@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from equnfold.d3 import D3ModelParams, d3_operator, delta1, delta2, triangle_rep
-from equnfold.delays import (DelayOperator, ExpVector, bilinear_form,
-                             bilinear_form_quadrature, check_equivariance)
+from equnfold.delays import (EXPONENT_GAP, DelayOperator, ExpVector, bilinear_form,
+                             bilinear_form_quadrature, check_equivariance, pairing_matrix)
 from equnfold.errors import StructuralError
+from equnfold.frames import eigenbasis, find_root, induce_representation
+from equnfold.groups import close_generators
 
 from conftest import random_complex
 
@@ -199,3 +201,108 @@ class TestQuadratureOracle:
             quad = bilinear_form_quadrature(psi, phi, op, npoints=64)
             assert abs(closed - quad) < 1e-8
             assert abs(closed - 1.0) < 1e-9   # normalized frame
+
+
+def _pairing_scalar(w, lam, u, mu, op):
+    """Reference: the closed form one entry at a time in Python and numpy
+    scalars (the implementation before the pairing was stacked)."""
+    lam, mu = complex(lam), complex(mu)
+    val = w @ u
+    for r, A in op.terms:
+        d = mu - lam
+        E = -r if abs(d) < EXPONENT_GAP else (np.exp(-d * r) - 1.0) / d
+        val -= np.exp(-lam * r) * (w @ A @ u) * E
+    return complex(val)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def ring12():
+    """Frame and group of the 12-cell one-way ring of the pinned ring artifact."""
+    n = 12
+    shift = np.roll(np.eye(n), 1, axis=0)
+    op = DelayOperator(n=n, terms=((0.0, -np.eye(n)), (1.0, 2.0 * shift)))
+    rep = close_generators([shift])
+    frame = eigenbasis(op, [find_root(op, seed).root for seed in (2j, -2j)])
+    return induce_representation(frame, rep), rep
+
+
+def _moved_pairing(frame, rep):
+    """Rows psi_i and columns rho(g) phi_j, stacked over the group elements."""
+    W = np.array([v.direction for v in frame.psi])
+    lam = np.array([v.exponent for v in frame.psi])
+    V = np.array([R @ v.direction for R in rep.matrices for v in frame.phi])
+    mu = np.array([v.exponent for _ in rep.matrices for v in frame.phi])
+    return W, lam, V, mu
+
+
+class TestPairingMatrix:
+    """The stacked pairing runs the scalar operations of one pairing per
+    entry, so Gram matrices, induced actions and artifacts keep their bits."""
+
+    @pytest.fixture(params=["simple", "double", "ring12"])
+    def case(self, request):
+        if request.param == "ring12":
+            return request.getfixturevalue("ring12")
+        r = request.getfixturevalue(f"{request.param}_case")
+        return r.frame, r.rep
+
+    def test_stacked_equals_scalar_formula_bitwise(self, case):
+        frame, rep = case
+        W, lam, V, mu = _moved_pairing(frame, rep)
+        P = pairing_matrix(W, lam, V, mu, frame.op)
+        ref = [[_pairing_scalar(w, l, u, m, frame.op) for u, m in zip(V, mu)]
+               for w, l in zip(W, lam)]
+        assert _same_bits(P, ref)
+
+    def test_bilinear_form_equals_pairing_matrix_bitwise(self, case):
+        frame, rep = case
+        W, lam, V, mu = _moved_pairing(frame, rep)
+        P = pairing_matrix(W, lam, V, mu, frame.op)
+        pairs = [[bilinear_form(ExpVector(w, l, "row"), ExpVector(u, m, "column"), frame.op)
+                  for u, m in zip(V, mu)] for w, l in zip(W, lam)]
+        assert np.array_equal(P, pairs) and _same_bits(P, pairs)
+
+    def test_gram_and_induced_action_are_the_entrywise_pairings(self, case):
+        frame, rep = case
+        op = frame.op
+        gram = [[bilinear_form(p, q, op) for q in frame.phi] for p in frame.psi]
+        assert _same_bits(frame.gram(), gram)
+        c, order = frame.c, rep.group.order
+        W, lam, V, mu = _moved_pairing(frame, rep)
+        entries = [[bilinear_form(ExpVector(w, l, "row"), ExpVector(u, m, "column"), op)
+                    for u, m in zip(V, mu)] for w, l in zip(W, lam)]
+        G = np.array(entries).reshape(c, order, c).transpose(1, 0, 2)
+        assert _same_bits(frame.G.matrices, G)
+
+    def test_agrees_with_quadrature(self, simple_case, double_case):
+        frame = double_case.frame
+        quad = [[bilinear_form_quadrature(p, q, frame.op) for q in frame.phi]
+                for p in frame.psi]
+        assert np.max(np.abs(frame.gram() - quad)) < 1e-10
+        frame = simple_case.frame
+        W, lam, V, mu = _moved_pairing(frame, simple_case.rep)
+        quad = [[bilinear_form_quadrature(ExpVector(w, l, "row"), ExpVector(u, m, "column"),
+                                          frame.op)
+                 for u, m in zip(V[:8], mu[:8])] for w, l in zip(W, lam)]
+        assert np.max(np.abs(pairing_matrix(W, lam, V[:8], mu[:8], frame.op) - quad)) < 1e-10
+
+    def test_random_operators_bitwise(self, rng):
+        for n in (1, 2, 5, 12, 24):
+            lags = (0.0, 0.7, 2.5)
+            op = DelayOperator(n=n, terms=tuple((r, random_complex(rng, n, n)) for r in lags))
+            lam, mu = random_complex(rng, 3), random_complex(rng, 4)
+            mu[1] = lam[0]                       # a coincident exponent: E = -r
+            W, V = random_complex(rng, 3, n), random_complex(rng, 4, n)
+            ref = [[_pairing_scalar(w, l, u, m, op) for u, m in zip(V, mu)]
+                   for w, l in zip(W, lam)]
+            assert _same_bits(pairing_matrix(W, lam, V, mu, op), ref)
+
+    def test_direction_length_checked(self):
+        op = scalar_delay_op()
+        with pytest.raises(StructuralError):
+            pairing_matrix(np.ones((1, 2)), [1j], np.ones((1, 1)), [1j], op)

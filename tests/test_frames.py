@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,16 @@ class TestFindRoot:
         assert res.used_secant
         assert res.residual < 1e-12
         assert abs(abs(res.root) - 1.0) < 1e-8
+
+    def test_stops_at_the_first_non_finite_iterate(self, simple_case):
+        # from 1.1399 the first Newton step lands far in the left half-plane,
+        # where exp(-lam r) overflows and det Delta is NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RootFindingError, match="non-finite") as err:
+                find_root(simple_case.op, 1.1399)
+        assert "after 1 iterations" in str(err.value)
+        assert err.value.last_iterate is not None
 
     def test_large_ring_stops_on_the_newton_step(self):
         # |det Delta| grows roughly like 3^N on this one-way ring, so at

@@ -29,6 +29,15 @@ def brute_average(rep, M):
     return total / rep.group.order
 
 
+def _average_loop(left, right, M):
+    """Reference: one matrix, one element at a time (the implementation
+    before stacks were accepted)."""
+    acc = np.zeros_like(M)
+    for g in left.group.elements():
+        acc += left.matrices[g] @ M @ right.inverse_matrix(g)
+    return acc / left.group.order
+
+
 class TestFiniteGroup:
     def test_triangle_closure(self):
         rep = triangle_rep()
@@ -280,8 +289,21 @@ class TestEquivariantAverage:
 
     def test_shape_mismatch_rejected(self):
         rep = triangle_rep()
-        with pytest.raises(StructuralError):
-            equivariant_average(rep, rep, np.zeros((2, 3)))
+        for shape in ((2, 3), (4, 3, 2), (3,)):
+            with pytest.raises(StructuralError):
+                equivariant_average(rep, rep, np.zeros(shape))
+
+    def test_stack_equals_one_call_per_matrix_bitwise(self, rng, double_case):
+        rep, G = double_case.rep, double_case.frame.G
+        for left, right, stack in ((rep, rep, random_complex(rng, 5, 3, 3)),
+                                   (rep, G, random_complex(rng, 16, 3, 8)),
+                                   (G, G, random_complex(rng, 2, 4, 8, 8))):
+            out = equivariant_average(left, right, stack)
+            flat = stack.reshape(-1, *stack.shape[-2:])
+            ref = np.array([_average_loop(left, right, M) for M in flat])
+            one = np.array([equivariant_average(left, right, M) for M in flat])
+            for got in (out.reshape(ref.shape), one):
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 class TestProjectionAlgebra:

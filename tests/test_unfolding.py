@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from equnfold import d3
 from equnfold.delays import DelayOperator, ExpVector
 from equnfold.errors import UnfoldingError
 from equnfold.frames import SpectralFrame
-from equnfold.groups import close_generators, commutant_basis, equivariant_average
-from equnfold.unfolding import (OrbitGeometry, UnfoldingFamily,
+from equnfold.groups import (Representation, close_generators, commutant_basis,
+                             equivariant_average)
+from equnfold.unfolding import (OrbitGeometry, UnfoldingFamily, assemble_gamma_unfolding,
                                 build_R_matrices, exponential_delay_matrix,
                                 gamma_orbit_geometry, jordan_codimension,
                                 orbit_geometry, project_unfolding_directions,
@@ -327,6 +330,22 @@ class TestSolveDelayRealization:
 
 
 class TestAssembledPipeline:
+    def test_coinciding_lags_name_the_slots(self, simple_case):
+        p = simple_case.point
+        with pytest.raises(UnfoldingError, match=r"^slots 0-3: stacked basis .* rank \d < 4"):
+            assemble_gamma_unfolding(simple_case.frame, simple_case.rep,
+                                     [0.0, p.tau_s, p.tau_s, p.tau_n])
+
+    def test_projection_identity_failure_names_the_slot(self, double_case):
+        # a frame whose induced action is trivial although rho is not: the
+        # averaged coefficients no longer land on the averaged slot
+        frame = double_case.frame
+        trivial = Representation(frame.G.group, np.broadcast_to(
+            np.eye(frame.c), frame.G.matrices.shape))
+        with pytest.raises(UnfoldingError, match=r"^slot \d+: projection identity violated"):
+            assemble_gamma_unfolding(replace(frame, G=trivial), double_case.rep,
+                                     double_case.delays, sparsity=d3.structure_masks())
+
     def test_tangent_space_projection_identity(self, double_case, rng):
         # the commutant projection maps the full tangent space onto the
         # equivariant one: mutual containment via projection residuals
