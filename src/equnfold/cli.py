@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 pipeline failure, 2 usage or schema error,
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -23,8 +24,8 @@ from . import d3
 from .errors import EqunfoldError, SchemaError
 from .frames import eigenbasis, find_root, induce_representation
 from .jsonio import (build_artifact, model_from_doc, pair_complex,
-                     read_json, rep_from_doc, write_json_atomic,
-                     write_text_atomic)
+                     read_json, rep_from_doc, require_finite,
+                     write_json_atomic, write_text_atomic)
 from .unfolding import assemble_gamma_unfolding, select_delays
 from .verify import verify_artifact
 
@@ -124,8 +125,75 @@ def _load_inline_or_path(value, loader):
     return loader(value)
 
 
+def _config_seeds(doc):
+    if not isinstance(doc, list):
+        raise SchemaError("lambda_seeds must be a list of [re, im] pairs or a preset name")
+    seeds = []
+    for k, p in enumerate(doc):
+        try:
+            z = pair_complex(p)
+        except SchemaError as exc:
+            raise SchemaError(f"lambda_seeds[{k}]: {exc}") from exc
+        require_finite(f"lambda_seeds[{k}]", z)
+        seeds.append(z)
+    return seeds
+
+
+def _config_number(value, what):
+    """A finite float from a config field; strings and booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:           # an integer beyond the float range
+        value = math.inf
+    require_finite(what, value)
+    return value
+
+
+def _config_root_tol(doc):
+    if doc is None:
+        doc = {}
+    if not isinstance(doc, dict):
+        raise SchemaError(f"tolerances must be an object, got {doc!r}")
+    tol = _config_number(doc.get("root_tol", 1e-12), "tolerances.root_tol")
+    if not tol > 0:
+        raise SchemaError("tolerances must be positive")
+    return tol
+
+
+def _config_delays(doc):
+    """The configured lags, or None (absent or empty) to select them."""
+    if doc is None or doc == []:
+        return None
+    if not isinstance(doc, list):
+        raise SchemaError(f"delays must be a list of numbers, got {doc!r}")
+    return [_config_number(r, f"delays[{k}]") for k, r in enumerate(doc)]
+
+
+def _config_sparsity(doc):
+    """Per-lag boolean masks (None for an unrestricted lag), or None."""
+    if doc is None or doc == []:
+        return None
+    if not isinstance(doc, list):
+        raise SchemaError(f"sparsity must be a list of masks or nulls, got {doc!r}")
+    masks = []
+    for k, m in enumerate(doc):
+        if m is not None and not isinstance(m, list):
+            raise SchemaError(f"sparsity[{k}] must be a 0/1 matrix or null")
+        try:
+            masks.append(None if m is None else np.asarray(m, dtype=bool))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"sparsity[{k}]: {exc}") from exc
+    return masks
+
+
 def _run_config(cfg):
     """Run the generic pipeline described by a config document."""
+    if not isinstance(cfg, dict):
+        raise SchemaError("config must be a JSON object")
+    if not isinstance(cfg.get("output", ""), str):
+        raise SchemaError(f"output must be a path, got {cfg['output']!r}")
     seeds = cfg.get("lambda_seeds")
     if isinstance(seeds, str):
         # a preset string stands in for the whole model/group/seed triple
@@ -142,15 +210,14 @@ def _run_config(cfg):
         raise SchemaError(f"config is missing {exc}")
     op = _load_inline_or_path(model_doc, model_from_doc)
     rep = _load_inline_or_path(group_doc, rep_from_doc)
-
-    tolerances = cfg.get("tolerances") or {}
-    root_tol = tolerances.get("root_tol", 1e-12)
-    if not root_tol > 0:
-        raise SchemaError("tolerances must be positive")
+    seeds = _config_seeds(seeds)
+    root_tol = _config_root_tol(cfg.get("tolerances"))
+    delays = _config_delays(cfg.get("delays"))
+    sparsity = _config_sparsity(cfg.get("sparsity"))
 
     roots = []
     for seed in seeds:
-        res = find_root(op, pair_complex(seed), tol=root_tol)
+        res = find_root(op, seed, tol=root_tol)
         if all(abs(res.root - r) > 1e-8 for r in roots):
             roots.append(res.root)
     if not roots:
@@ -158,10 +225,8 @@ def _run_config(cfg):
 
     frame = eigenbasis(op, roots)
     frame = induce_representation(frame, rep)
-    delays = [float(r) for r in cfg["delays"]] if cfg.get("delays") else select_delays(frame)
-    sparsity = None
-    if cfg.get("sparsity"):
-        sparsity = [None if m is None else np.asarray(m, dtype=bool) for m in cfg["sparsity"]]
+    if delays is None:
+        delays = select_delays(frame)
     assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=sparsity)
     return op, rep, frame, assembly, {"source": "config"}
 

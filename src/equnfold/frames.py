@@ -28,19 +28,24 @@ DERIV_FLOOR = 1e-14        # |d det| below this: suspected multiple root, use th
 FRAME_RESIDUAL_TOL = 1e-9  # Gram and null-vector residuals of a built frame
 
 
-def _adjugate(A):
-    """Adjugate via cofactors; stable at singular A (dimensions are tiny).
+def _det_derivative(D, Dp):
+    """``d det Delta = tr(adj(Delta) Delta')`` (Jacobi's formula), stable at a
+    singular Delta (dimensions are tiny).
 
-    All n^2 minors are gathered at once, ``minors[i, j]`` being A without
-    row j and column i, and their determinants taken in one stacked call,
-    which runs the same LU on the same entries as one call per minor.
+    The trace reads ``adj[i, j]`` only against ``Dp[j, i]``, so only the
+    cofactors on the support of ``Dp.T`` are taken; the others stay exact
+    zeros, whose products add exact zeros to the same sums in the same order.
+    The minors are gathered at once, ``minors[k]`` being D without row j_k
+    and column i_k, and their determinants taken in one stacked call, which
+    runs the same LU on the same entries as one call per minor.
     """
-    n = A.shape[0]
+    n = D.shape[0]
     keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)   # keep[k] = range(n) minus k
-    minors = A[keep[None, :, :, None], keep[:, None, None, :]]
-    idx = np.arange(n)
-    sign = (-1) ** (idx[:, None] + idx[None, :])
-    return sign * np.linalg.det(minors)
+    i, j = np.nonzero(Dp.T)
+    minors = D[keep[j][:, :, None], keep[i][:, None, :]]
+    adj = np.zeros((n, n), dtype=complex)
+    adj[i, j] = (-1) ** (i + j) * np.linalg.det(minors)
+    return np.trace(adj @ Dp)
 
 
 @dataclass(frozen=True)
@@ -55,9 +60,10 @@ def find_root(op, lam0, tol=1e-12, max_iter=100):
     """Newton iteration on ``det Delta(lam)`` from the initial guess lam0.
 
     The derivative is evaluated through Jacobi's formula
-    ``d det = tr(adj(Delta) Delta')``.  If it collapses below ``DERIV_FLOOR``
-    (suspected multiple root) the iteration switches to a secant method
-    started from a perturbed point.
+    ``d det = tr(adj(Delta) Delta')``, taking only the cofactors on the
+    support of ``Delta'^T`` (2n of the n^2 on a ring).  If it collapses
+    below ``DERIV_FLOOR`` (suspected multiple root) the iteration switches
+    to a secant method started from a perturbed point.
 
     The iteration stops when ``|det| < tol`` or when a Newton step is at
     most ``tol * max(1, |lam|)``.  The second test is what converges on
@@ -80,7 +86,7 @@ def find_root(op, lam0, tol=1e-12, max_iter=100):
             if abs(f) < tol:
                 return RootResult(root=lam, residual=abs(f), iterations=it,
                                   used_secant=False)
-            df = np.trace(_adjugate(D) @ op.char_matrix_deriv(lam))
+            df = _det_derivative(D, op.char_matrix_deriv(lam))
             if abs(df) < DERIV_FLOOR:
                 lam, f, it2 = _secant(op, lam, tol, max_iter - it)
                 _require_finite_iterate(lam, f, it + it2)

@@ -102,7 +102,7 @@ def pair_complex(p):
     try:
         re, im = p
         return complex(float(re), float(im))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"expected a [re, im] pair, got {p!r}") from exc
 
 

@@ -141,19 +141,14 @@ class TestUnfold:
         # 12-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1); the digest was
         # taken before root finding and group closure were vectorized, which
         # must not move a byte
-        n = 12
-        shift = np.roll(np.eye(n), 1, axis=0)
-        cfg_path = tmp_path / "ring.json"
-        cfg_path.write_text(json.dumps({
-            "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_cmatrix(-np.eye(n))},
-                                        {"delay": 1.0, "matrix": encode_cmatrix(2.0 * shift)}]},
-            "group": {"generators": [encode_cmatrix(shift)]},
-            "lambda_seeds": [[0.0, 2.0], [0.0, -2.0]],
-        }))
-        out = tmp_path / "ring_out.json"
-        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        assert _ring_artifact_digest(tmp_path, 12) == \
             "3cd7ced964952931380b888098b21b758d43d00f3cb4d4ece15a2eef19e6a5db"
+
+    def test_24_cell_ring_config_artifact_is_pinned(self, tmp_path):
+        # the same ring at N = 24, where Newton reads 48 of the 576 cofactors;
+        # the digest was taken while find_root still took all of them
+        assert _ring_artifact_digest(tmp_path, 24) == \
+            "f17a91e1c3e9dce103b6dd855ce82a934b588f4d532f39012e951c07117d0703"
 
     @pytest.mark.parametrize("preset, digest", [
         # the digests perfbench/expected.json holds for the benchmark's gate
@@ -213,6 +208,45 @@ class TestUnfold:
         assert run(["unfold", "--config", str(cfg_path),
                     "--output", str(tmp_path / "o.json")]) == 2
 
+    @pytest.mark.parametrize("field, value, message", [
+        (None, [], "config must be a JSON object"),
+        ("tolerances", [1], "tolerances must be an object"),
+        ("tolerances", {"root_tol": "x"}, "tolerances.root_tol"),
+        ("tolerances", {"root_tol": [1]}, "tolerances.root_tol"),
+        ("tolerances", {"root_tol": True}, "tolerances.root_tol"),
+        ("tolerances", {"root_tol": float("nan")}, "tolerances.root_tol"),
+        ("tolerances", {"root_tol": float("inf")}, "tolerances.root_tol"),
+        ("lambda_seeds", 5, "lambda_seeds"),
+        ("lambda_seeds", [[float("nan"), 1.0]], "lambda_seeds[0]"),
+        ("lambda_seeds", [[0.0, 1.0], [0.0, float("-inf")]], "lambda_seeds[1]"),
+        ("lambda_seeds", [[0.0, 1.0, 2.0]], "lambda_seeds[0]"),
+        ("delays", 3, "delays"),
+        ("delays", ["a"], "delays[0]"),
+        ("delays", [0.0, float("nan")], "delays[1]"),
+        ("sparsity", 3, "sparsity"),
+        ("sparsity", [[[1, 0], [1]]], "sparsity[0]"),
+        ("output", 5, "output"),
+    ], ids=["list-config", "tolerances-list", "root-tol-string", "root-tol-list",
+            "root-tol-bool", "root-tol-nan", "root-tol-inf", "seeds-number", "seed-nan",
+            "seed-inf", "seed-triple", "delays-number", "delays-string", "delays-nan",
+            "sparsity-number", "sparsity-ragged", "output-number"])
+    def test_bad_config_field_exits_2(self, tmp_path, capsys, simple_case, field, value,
+                                      message):
+        cfg = {
+            "model": model_to_doc(simple_case.op),
+            "group": rep_to_doc(simple_case.rep),
+            "lambda_seeds": [[0.0, simple_case.point.omega1]],
+        }
+        if field is None:
+            cfg = value
+        else:
+            cfg[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["unfold", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error") and message in err, err
+
     def test_non_equivariant_model_fails_cleanly(self, tmp_path):
         from equnfold.delays import DelayOperator
         op = DelayOperator(n=3, terms=((0.0, np.diag([1.0, 2.0, 3.0])),))
@@ -226,6 +260,22 @@ class TestUnfold:
         code = run(["unfold", "--config", str(cfg_path),
                     "--output", str(tmp_path / "o.json")])
         assert code == 1
+
+
+def _ring_artifact_digest(tmp_path, n):
+    """sha256 of the ``unfold --config`` artifact of the n-cell one-way ring
+    u_j' = -u_j + 2 u_{j-1}(t - 1), seeded at +-2i."""
+    shift = np.roll(np.eye(n), 1, axis=0)
+    cfg_path = tmp_path / "ring.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_cmatrix(-np.eye(n))},
+                                    {"delay": 1.0, "matrix": encode_cmatrix(2.0 * shift)}]},
+        "group": {"generators": [encode_cmatrix(shift)]},
+        "lambda_seeds": [[0.0, 2.0], [0.0, -2.0]],
+    }))
+    out = tmp_path / "ring_out.json"
+    assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 class TestVerify:

@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from equnfold import d3
+from equnfold import d3, frames
 from equnfold.delays import DelayOperator, ExpVector, bilinear_form
 from equnfold.errors import FrameError, RootFindingError
-from equnfold.frames import _adjugate, eigenbasis, find_root, induce_representation
+from equnfold.frames import _det_derivative, eigenbasis, find_root, induce_representation
 from equnfold.groups import close_generators
 
 from conftest import random_complex
@@ -90,21 +90,80 @@ def _ring(n):
     return DelayOperator(n=n, terms=((0.0, -np.eye(n)), (1.0, 2.0 * shift)))
 
 
+def _reference_derivative(D, Dp):
+    """Reference Jacobi derivative from the full per-minor adjugate."""
+    return np.trace(_adjugate_loop(D) @ Dp)
+
+
+def _root_outcome(op, seed):
+    """find_root's result, or the message and last iterate it raised with."""
+    try:
+        res = find_root(op, seed)
+    except RootFindingError as exc:
+        return str(exc), exc.last_iterate
+    return res.root, res.residual, res.iterations, res.used_secant
+
+
+def _random_operator(rng, n):
+    return DelayOperator(n=n, terms=((0.0, random_complex(rng, n, n)),
+                                     (0.7, random_complex(rng, n, n)),
+                                     (1.3, random_complex(rng, n, n))))
+
+
+class TestRootOracle:
+    """find_root with the cofactors restricted to Delta'^T's support returns
+    the roots, residuals, iteration counts and secant flags of find_root
+    with the full adjugate, on sparse (ring) and dense Delta'."""
+
+    def _assert_same_as_reference(self, op, seeds, monkeypatch):
+        got = [_root_outcome(op, s) for s in seeds]
+        with monkeypatch.context() as m:
+            m.setattr(frames, "_det_derivative", _reference_derivative)
+            want = [_root_outcome(op, s) for s in seeds]
+        assert got == want
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 8, 12, 16, 24])
+    def test_ring_ladder(self, n, monkeypatch):
+        self._assert_same_as_reference(_ring(n), (2j, -2j, 1.5j), monkeypatch)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_random_dense_operator(self, n, rng, monkeypatch):
+        op = _random_operator(rng, n)
+        seeds = [complex(z) for z in random_complex(rng, 4)]
+        self._assert_same_as_reference(op, seeds, monkeypatch)
+
+    def test_d3_operator(self, monkeypatch):
+        beta, tau_n, omega = -0.5, 4.0, 1.3
+        alpha, tau_s = d3.hopf_curve("delta1", omega, beta, tau_n, sign=1, branch=1)
+        op = d3.d3_operator(d3.D3ModelParams(alpha=float(alpha), beta=beta,
+                                             tau_s=float(tau_s), tau_n=tau_n))
+        seeds = (1j * omega * 1.01, -1j * omega * 0.99, 0.1 + 2.0j, 0.0)
+        self._assert_same_as_reference(op, seeds, monkeypatch)
+
+    def test_secant_fallback(self, monkeypatch):
+        # det Delta = lam^2 + 1: the derivative vanishes at the seed 0
+        op = DelayOperator(n=2, terms=((0.0, np.array([[0.0, 1.0], [-1.0, 0.0]])),))
+        self._assert_same_as_reference(op, (0.0, 0.5j), monkeypatch)
+        assert find_root(op, 0.0).used_secant
+
+
 class TestAdjugateOracle:
-    """The stacked adjugate is bitwise equal to the per-minor loop, so Newton
-    iterates, roots and artifacts do not move."""
+    """The restricted Jacobi derivative equals the trace against the
+    per-minor adjugate loop exactly, so Newton iterates, roots and artifacts
+    do not move."""
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_random_complex(self, n, rng):
-        A = random_complex(rng, n, n)
-        assert np.array_equal(_adjugate(A), _adjugate_loop(A))
+        A, Ap = random_complex(rng, n, n), random_complex(rng, n, n)
+        assert _det_derivative(A, Ap) == _reference_derivative(A, Ap)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
     @pytest.mark.parametrize("deficiency", [1, 2])
     def test_rank_deficient(self, n, deficiency, rng):
         rank = max(n - deficiency, 0)
         A = random_complex(rng, n, rank) @ random_complex(rng, rank, n)
-        assert np.array_equal(_adjugate(A), _adjugate_loop(A))
+        Ap = random_complex(rng, n, n)
+        assert _det_derivative(A, Ap) == _reference_derivative(A, Ap)
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_exactly_singular(self, n, rng):
@@ -112,15 +171,38 @@ class TestAdjugateOracle:
         A[:, -1] = A[:, 0]          # two equal columns
         B = np.zeros((n, n), dtype=complex)
         B[0, 0] = 1.0
+        Ap = random_complex(rng, n, n)
         for M in (A, B, np.zeros((n, n), dtype=complex)):
-            assert np.array_equal(_adjugate(M), _adjugate_loop(M))
+            assert _det_derivative(M, Ap) == _reference_derivative(M, Ap)
 
     @pytest.mark.parametrize("n", [8, 24])
     def test_char_matrix_at_ring_roots(self, n):
         op = _ring(n)
         for seed in (2j, 1.5j, -2j):
-            D = op.char_matrix(find_root(op, seed).root)
-            assert np.array_equal(_adjugate(D), _adjugate_loop(D))
+            lam = find_root(op, seed).root
+            D, Dp = op.char_matrix(lam), op.char_matrix_deriv(lam)
+            assert np.count_nonzero(Dp) == 2 * n
+            assert _det_derivative(D, Dp) == _reference_derivative(D, Dp)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    @pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 0.9])
+    def test_randomly_masked_derivative(self, n, density, rng):
+        for A in (random_complex(rng, n, n), _singular(rng, n)):
+            Ap = random_complex(rng, n, n) * (rng.random((n, n)) < density)
+            assert _det_derivative(A, Ap) == _reference_derivative(A, Ap)
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_zero_derivative_matrix(self, n, rng):
+        Z = np.zeros((n, n), dtype=complex)
+        for A in (random_complex(rng, n, n), _singular(rng, n), Z):
+            assert _det_derivative(A, Z) == 0
+
+
+def _singular(rng, n):
+    """A random complex matrix of rank n - 1: two equal columns, or 0 at n = 1."""
+    A = random_complex(rng, n, n)
+    A[:, -1] = A[:, 0] if n > 1 else 0.0
+    return A
 
 
 class TestEigenbasis:
