@@ -188,6 +188,18 @@ def _config_sparsity(doc):
     return masks
 
 
+def _check_sparsity(masks, n_delays, n):
+    """One mask (or None) per lag, each n x n; checked once the lags are known."""
+    if masks is None:
+        return
+    if len(masks) != n_delays:
+        raise SchemaError(f"sparsity must hold one mask per delay: {len(masks)} masks "
+                          f"for {n_delays} delays")
+    for k, m in enumerate(masks):
+        if m is not None and m.shape != (n, n):
+            raise SchemaError(f"sparsity[{k}] has shape {m.shape}, expected ({n}, {n})")
+
+
 def _run_config(cfg):
     """Run the generic pipeline described by a config document."""
     if not isinstance(cfg, dict):
@@ -227,6 +239,7 @@ def _run_config(cfg):
     frame = induce_representation(frame, rep)
     if delays is None:
         delays = select_delays(frame)
+    _check_sparsity(sparsity, len(delays), op.n)
     assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=sparsity)
     return op, rep, frame, assembly, {"source": "config"}
 

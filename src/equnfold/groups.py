@@ -197,9 +197,16 @@ def close_generators(generators, max_order=DEFAULT_MAX_ORDER, tol=CLOSURE_TOL):
     """Close a list of matrices under products and return a Representation.
 
     The identity gets index 0; the given generators come next (deduplicated),
-    followed by the remaining products in discovery order.  Entry comparison
-    uses an absolute tolerance so exact 0/1 and root-of-unity generators are
-    deduplicated despite rounding.
+    followed by the remaining products in discovery order: passes over the
+    rows ``a`` known when a pass starts, each row ``a`` times every element
+    known when the row starts, until every element is known.  Entry
+    comparison uses an absolute tolerance so exact 0/1 and root-of-unity
+    generators are deduplicated despite rounding.
+
+    Each product of matrices is taken once: the elements are found on the
+    Cayley graph (element times generator), the table follows from that by
+    integer composition, the discovery order is replayed on the table, and
+    an element's matrix is the product of the pair that discovered it.
 
     Raises
     ------
@@ -223,31 +230,81 @@ def close_generators(generators, max_order=DEFAULT_MAX_ORDER, tol=CLOSURE_TOL):
     for g in gens:
         k = mats.find(g)
         gen_idx.append(k if k >= 0 else mats.add(g))
+    start = len(mats)
+    right, parents = _cayley_graph(mats, gen_idx, max_order)
+    table = _compose_table(right, parents, gen_idx)
+    order, pos, pairs = _discovery_order(table, start)
 
-    # Pass over the rows a, each row a times every element known when the row
-    # starts, until a pass adds nothing; that pass's rows are the table.
-    while True:
-        n = len(mats)
-        rows = []
-        for a in range(n):
-            products = mats.stack[a] @ mats.stack
-            row = mats.lookup(products)
-            # products found nowhere may still equal one added earlier in the row
-            for b in np.nonzero(row < 0)[0]:
-                k = mats.find(products[b])
-                if k < 0:
-                    k = mats.add(products[b])
-                    if len(mats) > max_order:
-                        raise StructuralError(
-                            f"closure exceeded {max_order} elements; not a finite group at this cap"
-                        )
-                row[b] = k
-            rows.append(row)
-        if len(mats) == n:
-            break
+    matrices = np.empty((len(order), d, d), dtype=complex)
+    matrices[:start] = mats.stack[:start]
+    for z, (a, b) in enumerate(pairs, start=start):
+        matrices[z] = matrices[a] @ matrices[b]
+    group = FiniteGroup.from_mul_table(pos[table[np.ix_(order, order)]],
+                                       generator_indices=gen_idx)
+    return Representation(group=group, matrices=matrices)
 
-    group = FiniteGroup.from_mul_table(np.array(rows), generator_indices=gen_idx)
-    return Representation(group=group, matrices=mats.stack)
+
+def _cayley_graph(mats, gen_idx, max_order):
+    """Grow ``mats`` (the identity and the generators ``gen_idx``) to the
+    group they generate, a level of products ``element @ generator`` at a
+    time.  Returns ``right[x, j]``, the index of ``x * gen_idx[j]``, and the
+    pair ``(x, j)`` that found each element added here."""
+    gens = mats.stack[gen_idx]
+    right = np.empty((0, len(gen_idx)), dtype=int)
+    parents = []
+    while len(right) < len(mats):
+        level = mats.stack[len(right):]
+        products = (level[:, None] @ gens).reshape(-1, *gens.shape[1:])
+        found = mats.lookup(products)
+        known = len(mats)
+        # products found nowhere may still equal one added earlier in the level
+        for p in np.nonzero(found < 0)[0]:
+            found[p] = mats.find(products[p]) if len(mats) > known else -1
+            if found[p] < 0:
+                found[p] = mats.add(products[p])
+                if len(mats) > max_order:
+                    raise StructuralError(
+                        f"closure exceeded {max_order} elements; not a finite group at this cap"
+                    )
+                x, j = divmod(int(p), len(gen_idx))
+                parents.append((len(right) + x, j))
+        right = np.concatenate([right, found.reshape(len(level), len(gen_idx))])
+    return right, parents
+
+
+def _compose_table(right, parents, gen_idx):
+    """The multiplication table from the Cayley graph: the column of
+    ``z = x * g_j`` is ``right[column of x, j]``, since ``a z = (a x) g_j``."""
+    order = len(right)
+    columns = np.empty((order, order), dtype=int)
+    columns[0] = np.arange(order)
+    columns[gen_idx] = right.T
+    for z, (x, j) in enumerate(parents, start=order - len(parents)):
+        columns[z] = right[columns[x], j]
+    return columns.T
+
+
+def _discovery_order(table, start):
+    """Replay the closure's row passes on the table: the element indices in
+    discovery order, their positions in that order, and for each element
+    after the first ``start`` the pair of positions whose product found it."""
+    order = np.arange(len(table))      # the first ``start`` keep their indices
+    pos = np.full(len(table), -1)
+    pos[:start] = order[:start]
+    pairs = []
+    size = start
+    while size < len(table):
+        for a in range(size):
+            row = table[order[a], order[:size]]
+            for b in np.nonzero(pos[row] < 0)[0]:
+                if pos[row[b]] < 0:
+                    pos[row[b]] = size
+                    order[size] = row[b]
+                    pairs.append((a, int(b)))
+                    size += 1
+            if size == len(table):
+                break
+    return order, pos, pairs
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ Writes go through a temp-file rename and are atomic.
 """
 
 import contextlib
+import functools
+import itertools
 import json
 import math
 import os
@@ -32,6 +34,28 @@ def _fmt_float(x):
     return format(x, ".17g")
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_row_template(n):
+    return "[" + ",".join(["[%.17g,%.17g]"] * n) + "]"
+
+
+def _pair_row_text(obj):
+    """The text of a list of ``[re, im]`` float pairs, formatted in one ``%``
+    operation (``%.17g`` prints what ``format(x, ".17g")`` prints); None when
+    ``obj`` is not such a list."""
+    try:
+        if set(map(len, obj)) != {2}:
+            return None
+    except TypeError:
+        return None
+    flat = tuple(itertools.chain.from_iterable(obj))
+    if set(map(type, flat)) != {float}:
+        return None
+    if not all(map(math.isfinite, flat)):
+        raise SchemaError("non-finite number cannot be serialized")
+    return _pair_row_template(len(obj)) % flat
+
+
 def canonical_json(obj):
     """Deterministic JSON text (sorted keys, 17-significant-digit floats)."""
     if obj is None:
@@ -45,7 +69,10 @@ def canonical_json(obj):
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
+        text = _pair_row_text(obj)
+        if text is None:
+            text = "[" + ",".join(canonical_json(v) for v in obj) + "]"
+        return text
     if isinstance(obj, np.ndarray):
         return canonical_json(obj.tolist())
     if isinstance(obj, dict):
@@ -106,20 +133,46 @@ def pair_complex(p):
         raise SchemaError(f"expected a [re, im] pair, got {p!r}") from exc
 
 
+def _encode_pairs(a):
+    """Nested ``[re, im]`` lists of a complex array; the same Python floats
+    that :func:`complex_pair` gives entry by entry."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
+def _decode_pairs(doc, ndim):
+    """The complex array of a numeric document of shape ``(..., 2)`` with
+    ``ndim`` complex axes, viewed as complex; None for anything else (None
+    or string entries, ints beyond 64 bits, ragged rows), which the per-entry
+    decoders handle and report."""
+    try:
+        a = np.array(doc)
+    except ValueError:
+        return None
+    if a.dtype.kind not in "fiu" or a.ndim != ndim + 1 or a.shape[-1] != 2:
+        return None
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+
+
 def encode_cvector(v):
-    return [complex_pair(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+    return _encode_pairs(np.ravel(v))
 
 
 def decode_cvector(doc):
-    return np.array([pair_complex(p) for p in doc], dtype=complex)
+    v = _decode_pairs(doc, 1)
+    if v is None:
+        v = np.array([pair_complex(p) for p in doc], dtype=complex)
+    return v
 
 
 def encode_cmatrix(M):
-    M = np.asarray(M, dtype=complex)
-    return [[complex_pair(z) for z in row] for row in M]
+    return _encode_pairs(M)
 
 
 def decode_cmatrix(doc):
+    M = _decode_pairs(doc, 2)
+    if M is not None:
+        return M
     try:
         return np.array([[pair_complex(p) for p in row] for row in doc], dtype=complex)
     except SchemaError:

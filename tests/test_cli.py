@@ -225,11 +225,15 @@ class TestUnfold:
         ("delays", [0.0, float("nan")], "delays[1]"),
         ("sparsity", 3, "sparsity"),
         ("sparsity", [[[1, 0], [1]]], "sparsity[0]"),
+        ("sparsity", [[[1]], None], "sparsity must hold one mask per delay"),
+        ("sparsity", [None], "sparsity must hold one mask per delay"),
+        ("sparsity", [[[1]], None, None], "sparsity[0] has shape (1, 1)"),
         ("output", 5, "output"),
     ], ids=["list-config", "tolerances-list", "root-tol-string", "root-tol-list",
             "root-tol-bool", "root-tol-nan", "root-tol-inf", "seeds-number", "seed-nan",
             "seed-inf", "seed-triple", "delays-number", "delays-string", "delays-nan",
-            "sparsity-number", "sparsity-ragged", "output-number"])
+            "sparsity-number", "sparsity-ragged", "sparsity-short", "sparsity-one",
+            "sparsity-shape", "output-number"])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, simple_case, field, value,
                                       message):
         cfg = {

@@ -67,7 +67,7 @@ class TestFiniteGroup:
         # an irrational rotation never closes
         th = 1.0
         R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="closure exceeded 32 elements"):
             close_generators([R], max_order=32)
 
 
@@ -159,6 +159,90 @@ class TestClosureOracle:
         R[:2, :2] = _rotation(1.0)
         with pytest.raises(StructuralError, match="closure exceeded 512 elements"):
             close_generators([R])
+
+
+def _close_generators_rows(generators, max_order=512, tol=1e-10):
+    """Reference closure: passes over the rows, each row times every element
+    known when it starts, until a pass adds nothing (the implementation
+    before the Cayley-graph closure).  Every product is taken again on each
+    pass; the last pass's rows are the table."""
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    d = gens[0].shape[0]
+    mats = _MatrixSet(d, tol)
+    mats.add(np.eye(d, dtype=complex))
+    gen_idx = []
+    for g in gens:
+        k = mats.find(g)
+        gen_idx.append(k if k >= 0 else mats.add(g))
+    while True:
+        n = len(mats)
+        rows = []
+        for a in range(n):
+            products = mats.stack[a] @ mats.stack
+            row = mats.lookup(products)
+            for b in np.nonzero(row < 0)[0]:
+                k = mats.find(products[b])
+                if k < 0:
+                    k = mats.add(products[b])
+                    if len(mats) > max_order:
+                        raise StructuralError(
+                            f"closure exceeded {max_order} elements; not a finite group at this cap"
+                        )
+                row[b] = k
+            rows.append(row)
+        if len(mats) == n:
+            break
+    group = FiniteGroup.from_mul_table(np.array(rows), generator_indices=gen_idx)
+    return Representation(group=group, matrices=mats.stack)
+
+
+def _random_unitary(rng, d):
+    Q, R = np.linalg.qr(random_complex(rng, d, d))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+class TestCayleyClosureOracle:
+    """The Cayley-graph closure returns the row-pass closure's elements in its
+    order, bit for bit, with its table, inverses and generator indices."""
+
+    @staticmethod
+    def _assert_same(generators):
+        old = _close_generators_rows(generators)
+        new = close_generators(generators)
+        assert np.array_equal(new.group.mul_table, old.group.mul_table)
+        assert np.array_equal(new.group.inverse, old.group.inverse)
+        assert new.group.identity == old.group.identity
+        assert new.group.generator_indices == old.group.generator_indices
+        assert new.matrices.shape == old.matrices.shape
+        assert np.array_equal(new.matrices.view(np.uint64), old.matrices.view(np.uint64))
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    @pytest.mark.parametrize("form", ["permutation", "rotation"])
+    def test_cyclic_and_dihedral(self, n, form):
+        if form == "permutation":
+            step, flip = _shift(n), _reflection(n)
+        else:
+            step, flip = _rotation(2 * np.pi / n), np.diag([1.0, -1.0])
+        self._assert_same([step])
+        self._assert_same([step, flip])
+        self._assert_same([flip, step])
+
+    def test_preset_group(self):
+        self._assert_same([KAPPA_MAT, GAMMA_MAT])
+        self._assert_same([GAMMA_MAT, KAPPA_MAT, GAMMA_MAT])
+        self._assert_same([np.eye(3), KAPPA_MAT])
+        rep = act8_rep()
+        gens = [rep.matrices[g] for g in rep.group.generator_indices]
+        self._assert_same(gens)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12])
+    def test_random_unitary_conjugates(self, n, rng):
+        for gens in ([_shift(n)], [_shift(n), _reflection(n)], [KAPPA_MAT, GAMMA_MAT]):
+            U = _random_unitary(rng, gens[0].shape[0])
+            self._assert_same([U @ g @ U.conj().T for g in gens])
+        U = _random_unitary(rng, 2)
+        self._assert_same([U @ _rotation(2 * np.pi / n) @ U.conj().T,
+                           U @ np.diag([1.0, -1.0]) @ U.conj().T])
 
 
 class TestMatrixSetLookup:

@@ -1,12 +1,18 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equnfold.delays import DelayOperator
 from equnfold.errors import SchemaError
 from equnfold.groups import FiniteGroup, Representation
-from equnfold.jsonio import (canonical_json, decode_cmatrix, encode_cmatrix,
-                             frame_from_doc, frame_to_doc, model_from_doc,
-                             model_to_doc, rep_from_doc, rep_to_doc)
+from equnfold.jsonio import (canonical_json, complex_pair, decode_cmatrix, decode_cvector,
+                             encode_cmatrix, encode_cvector, frame_from_doc, frame_to_doc,
+                             model_from_doc, model_to_doc, pair_complex, rep_from_doc,
+                             rep_to_doc)
 
 from conftest import random_complex
 
@@ -90,3 +96,151 @@ class TestCanonicalText:
         text = canonical_json({"a": np.float64(0.5), "b": np.int64(3),
                                "c": np.arange(2.0)})
         assert text == '{"a":0.5,"b":3,"c":[0,1]}'
+
+
+# ------------------------------------------------- oracles for the codecs
+
+def _canonical_json_per_float(obj):
+    """Reference serializer: one recursive call and one ``format`` per float
+    (the implementation before pair rows were formatted at once)."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(float(obj)):
+            raise SchemaError("non-finite number cannot be serialized")
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_canonical_json_per_float(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return _canonical_json_per_float(obj.tolist())
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + _canonical_json_per_float(obj[k])
+                              for k in sorted(obj)) + "}"
+    raise SchemaError(f"cannot serialize {type(obj).__name__}")
+
+
+def _decode_cmatrix_per_entry(doc):
+    """Reference decoder: one ``pair_complex`` per entry."""
+    try:
+        return np.array([[pair_complex(p) for p in row] for row in doc], dtype=complex)
+    except SchemaError:
+        raise
+    except Exception as exc:
+        raise SchemaError(f"malformed complex matrix: {exc}") from exc
+
+
+def _outcome(f, *args):
+    """A call's result, or the type and message of the schema error it raised."""
+    try:
+        return f(*args)
+    except SchemaError as exc:
+        return (SchemaError, str(exc))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -3e-320,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1, 1e16, 1e22]
+floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+pairs = st.lists(floats, min_size=2, max_size=2)
+pair_rows = st.lists(pairs, max_size=8)
+# leaves that must leave a list of pairs on the per-float path
+odd_leaves = (st.integers(-10 ** 30, 10 ** 30) | st.booleans() | st.none()
+              | st.text(max_size=3) | floats.map(np.float64))
+documents = st.recursive(
+    floats | odd_leaves | pair_rows,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30)
+
+
+def _complex_arrays(shape):
+    return st.lists(floats, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape)).map(
+        lambda xs: np.array(xs).view(complex).reshape(shape))
+
+
+matrix_shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
+
+
+class TestCanonicalJsonOracle:
+    """Pair rows formatted at once give the per-float serializer's text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_rows)
+    def test_pair_rows(self, doc):
+        assert canonical_json(doc) == _canonical_json_per_float(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(documents)
+    def test_documents(self, doc):
+        assert _outcome(canonical_json, doc) == _outcome(_canonical_json_per_float, doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix_shapes.flatmap(_complex_arrays))
+    def test_encoded_matrices(self, A):
+        doc = {"m": encode_cmatrix(A), "v": encode_cvector(A),
+               "z": [complex_pair(z) for z in A.reshape(-1)]}
+        assert doc["v"] == doc["z"]
+        assert canonical_json(doc) == _canonical_json_per_float(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(pairs, min_size=1, max_size=6), st.data(),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_pair_raises_as_before(self, doc, data, bad):
+        k = data.draw(st.integers(0, 2 * len(doc) - 1))
+        doc[k // 2][k % 2] = bad
+        expected = _outcome(_canonical_json_per_float, doc)
+        assert expected == (SchemaError, "non-finite number cannot be serialized")
+        assert _outcome(canonical_json, doc) == expected
+        assert _outcome(canonical_json, {"a": [doc]}) == expected
+
+
+class TestDecodeOracle:
+    """The array decoder returns the per-entry decoder's bits, and rejects
+    what it rejects with the same message."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix_shapes.flatmap(_complex_arrays))
+    def test_roundtrip_is_bitwise(self, A):
+        assert np.array_equal(_bits(decode_cmatrix(encode_cmatrix(A))), _bits(A))
+        v = A.reshape(-1)
+        assert np.array_equal(_bits(decode_cvector(encode_cvector(v))), _bits(v))
+        # through the text, -0.0 is written "-0" and parses as the int 0
+        parsed = json.loads(canonical_json(encode_cmatrix(A)))
+        assert np.array_equal(_bits(decode_cmatrix(parsed)),
+                              _bits(_decode_cmatrix_per_entry(parsed)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.lists(st.integers(-2 ** 70, 2 ** 70) | floats,
+                                      min_size=2, max_size=2), min_size=2, max_size=2),
+                    min_size=1, max_size=3))
+    def test_int_entries_convert_as_float_does(self, doc):
+        assert np.array_equal(_bits(decode_cmatrix(doc)),
+                              _bits(_decode_cmatrix_per_entry(doc)))
+
+    @pytest.mark.parametrize("doc", [
+        [[[None, 1.0]]],                      # np.asarray(..., float) would give NaN
+        [[[1.0, 2.0, 3.0]]],                  # three-element pair
+        [[[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]],    # ragged rows
+        [[[1.0, 2.0], [3.0]]],                # ragged pair
+        [[[10 ** 400, 0.0]]],                 # int beyond float
+        [[[[1.0, 2.0], [3.0, 4.0]]]],         # nested one level deeper
+        [[["x", 1.0]]],
+        [[5.0]],
+        [5.0],
+        5.0,
+        None,
+    ], ids=["none", "triple", "ragged-rows", "ragged-pair", "huge-int", "deeper", "string",
+            "bare-number-row", "bare-number-list", "number", "null"])
+    def test_defects_rejected_as_before(self, doc):
+        expected = _outcome(_decode_cmatrix_per_entry, doc)
+        assert expected[0] is SchemaError
+        assert _outcome(decode_cmatrix, doc) == expected
