@@ -20,7 +20,7 @@ from .unfolding import (GammaOrbitGeometry, OrbitGeometry, ThetaReport,
                         UnfoldingFamily, assemble_gamma_unfolding,
                         build_R_matrices, exponential_delay_matrix,
                         gamma_orbit_geometry, jordan_codimension,
-                        orbit_geometry, project_unfolding_directions, realify,
+                        orbit_geometry, realify,
                         scaled_det, select_delays, semisimple_jordan_spec,
                         slot_reparametrization, solve_delay_realization,
                         theta_extract, verify_gamma_versality)

@@ -7,7 +7,6 @@ emit machine-readable artifacts:
     double-hopf  locate curve crossings and refine them (JSON)
     unfold       run the equivariant unfolding pipeline (JSON artifact)
     verify       re-run the invariant suite against an artifact
-    d3-demo      both worked cases end to end
 
 Exit codes: 0 success, 1 pipeline failure, 2 usage or schema error,
 3 versal-but-not-minimal result from ``unfold``.
@@ -15,7 +14,6 @@ Exit codes: 0 success, 1 pipeline failure, 2 usage or schema error,
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -77,13 +75,12 @@ def cmd_curves(args):
     branches = _parse_branches(args.branches)
     curves = d3.sweep_curves(args.factor, args.beta, args.tau_n, omegas, branches=branches)
     lines = ["omega,alpha,tau_s,sign,branch,factor"]
-    for sg in (1, -1):
-        for br in branches:
-            for om, al, ts in curves[(sg, br)]:
-                lines.append(
-                    f"{format(om, '.17g')},{format(al, '.17g')},{format(ts, '.17g')},"
-                    f"{sg},{br},{args.factor}"
-                )
+    for (sg, br), rows in curves.items():
+        for om, al, ts in rows:
+            lines.append(
+                f"{format(om, '.17g')},{format(al, '.17g')},{format(ts, '.17g')},"
+                f"{sg},{br},{args.factor}"
+            )
     write_text_atomic(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} curve samples to {args.output}")
     return EXIT_OK
@@ -305,23 +302,6 @@ def cmd_verify(args):
     return EXIT_OK if report.ok else EXIT_PIPELINE
 
 
-def cmd_d3_demo(args):
-    os.makedirs(args.output_dir, exist_ok=True)
-    for case in ("simple", "double"):
-        result = d3.run_case(case)
-        doc = build_artifact(result.op, result.rep, result.frame, result.assembly,
-                             meta={"preset": f"d3:{case}"})
-        path = os.path.join(args.output_dir, f"d3_{case}.json")
-        write_json_atomic(path, doc)
-        p = result.point
-        ver = result.assembly.versality
-        print(f"[{case}] factor={p.factor} alpha*={p.alpha:.6f} tau_s*={p.tau_s:.6f} "
-              f"omega=({p.omega1:.6f}, {p.omega2:.6f})")
-        print(f"         c={result.frame.c} parameters={ver.n_directions} "
-              f"codim={ver.codimension} mini-versal={ver.mini_versal} -> {path}")
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="equnfold",
@@ -361,10 +341,6 @@ def build_parser():
     v.add_argument("--report", default=None, help="write a JSON report here")
     v.add_argument("--tol", type=float, default=1e-8)
     v.set_defaults(func=cmd_verify)
-
-    demo = sub.add_parser("d3-demo", help="run both worked cases")
-    demo.add_argument("--output-dir", dest="output_dir", default=".")
-    demo.set_defaults(func=cmd_d3_demo)
 
     return parser
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import EPS, rank
-from .delays import DelayOperator, check_equivariance
+from .delays import DelayOperator
 from .errors import EqunfoldError, UnfoldingError
 from .frames import eigenbasis, induce_representation
 from .groups import close_generators
@@ -65,27 +65,37 @@ def d3_operator(p):
     ))
 
 
+# c in the factor lam + 1 - alpha e^{-lam tau_s} - c beta e^{-lam tau_n}: the
+# eigenvalue of the neighbour coupling J - I on the symmetric mode (delta1)
+# and on the rotation modes (delta2)
+_COUPLING = {"delta1": 2.0, "delta2": -1.0}
+_SIGNS = (1, -1)                # the two branches alpha = +-sqrt(C^2 + S^2)
+_REFINE_TOL = 1e-10             # max |F| of a refined double-Hopf point
+_REFINE_MAX_ITER = 100
+
+
+def _factor_coupling(factor):
+    try:
+        return _COUPLING[factor]
+    except KeyError:
+        raise EqunfoldError(f"unknown factor {factor!r}; use 'delta1' or 'delta2'") from None
+
+
+def factor_value(factor, lam, alpha, beta, tau_s, tau_n):
+    """A characteristic factor of the model at lam; ``det Delta`` is
+    ``delta1 * delta2**2``."""
+    c = _factor_coupling(factor)
+    return lam + 1.0 - alpha * np.exp(-lam * tau_s) - c * beta * np.exp(-lam * tau_n)
+
+
 def delta1(lam, p):
     """First characteristic factor (symmetric mode)."""
-    return lam + 1.0 - p.alpha * np.exp(-lam * p.tau_s) - 2.0 * p.beta * np.exp(-lam * p.tau_n)
+    return factor_value("delta1", lam, p.alpha, p.beta, p.tau_s, p.tau_n)
 
 
 def delta2(lam, p):
     """Second characteristic factor (rotation modes; squared in det)."""
-    return lam + 1.0 - p.alpha * np.exp(-lam * p.tau_s) + p.beta * np.exp(-lam * p.tau_n)
-
-
-def _factor_coupling(factor):
-    if factor in (1, "delta1"):
-        return 2.0
-    if factor in (2, "delta2"):
-        return -1.0
-    raise EqunfoldError(f"unknown factor {factor!r}; use 'delta1' or 'delta2'")
-
-
-def factor_value(factor, lam, alpha, beta, tau_s, tau_n):
-    c = _factor_coupling(factor)
-    return lam + 1.0 - alpha * np.exp(-lam * tau_s) - c * beta * np.exp(-lam * tau_n)
+    return factor_value("delta2", lam, p.alpha, p.beta, p.tau_s, p.tau_n)
 
 
 def hopf_curve(factor, omega, beta, tau_n, sign=1, branch=0):
@@ -94,7 +104,7 @@ def hopf_curve(factor, omega, beta, tau_n, sign=1, branch=0):
     Solving ``factor(i omega) = 0`` for alpha and tau_s at fixed beta,
     tau_n gives  alpha cos(omega tau_s) = C  and  alpha sin(omega tau_s) = S
     with C = 1 - c beta cos(omega tau_n), S = -omega - c beta sin(omega tau_n)
-    (c = 2 for the first factor, -1 for the second).  ``sign`` picks the
+    (c the factor's coupling, ``_COUPLING``).  ``sign`` picks the
     branch alpha = +-sqrt(C^2 + S^2); ``branch`` adds full turns to the
     angle so tau_s covers every positive solution.
 
@@ -114,15 +124,15 @@ def hopf_curve(factor, omega, beta, tau_n, sign=1, branch=0):
     return alpha, tau_s
 
 
-def sweep_curves(factor, beta, tau_n, omegas, signs=(1, -1), branches=(0, 1, 2, 3)):
-    """Sample all requested curve branches.
+def sweep_curves(factor, beta, tau_n, omegas, branches=(0, 1, 2, 3)):
+    """Sample the requested curve branches of both signs.
 
-    Returns a dict keyed by (sign, branch) whose values are (m, 3) arrays of
-    rows (omega, alpha, tau_s).
+    Returns a dict keyed by (sign, branch), sign 1 first, whose values are
+    (m, 3) arrays of rows (omega, alpha, tau_s).
     """
     omegas = np.asarray(omegas, dtype=float)
     out = {}
-    for sg in signs:
+    for sg in _SIGNS:
         for br in branches:
             a, t = hopf_curve(factor, omegas, beta, tau_n, sign=sg, branch=br)
             out[(sg, br)] = np.column_stack([omegas, a, t])
@@ -197,7 +207,7 @@ class DoubleHopfPoint:
                              tau_s=self.tau_s, tau_n=self.tau_n)
 
 
-def find_double_hopf(factor, beta, tau_n, seed, tol=1e-10, max_iter=100):
+def find_double_hopf(factor, beta, tau_n, seed):
     """Newton refinement of a double-Hopf point of one factor.
 
     ``seed`` is (alpha, tau_s, omega1, omega2); the four real equations are
@@ -211,19 +221,18 @@ def find_double_hopf(factor, beta, tau_n, seed, tol=1e-10, max_iter=100):
         refined frequencies collide (resonant point).
     """
     c = _factor_coupling(factor)
-    name = "delta1" if c == 2.0 else "delta2"
     x = np.array(seed, dtype=float)
     if abs(x[2] - x[3]) < 1e-6:
         raise EqunfoldError("seed frequencies coincide; not a non-resonant double Hopf")
     res = np.inf
-    for _ in range(max_iter):
+    for _ in range(_REFINE_MAX_ITER):
         a, ts, o1, o2 = x
         F = np.empty(4)
         Jm = np.zeros((4, 4))
         for k, w in enumerate((o1, o2)):
             lam = 1j * w
             es = np.exp(-lam * ts)
-            f = lam + 1.0 - a * es - c * beta * np.exp(-lam * tau_n)
+            f = factor_value(factor, lam, a, beta, ts, tau_n)
             F[2 * k] = f.real
             F[2 * k + 1] = f.imag
             dfda = -es
@@ -234,39 +243,38 @@ def find_double_hopf(factor, beta, tau_n, seed, tol=1e-10, max_iter=100):
             Jm[2 * k, 2 + k] = dfdw.real
             Jm[2 * k + 1, 2 + k] = dfdw.imag
         res = float(np.max(np.abs(F)))
-        if res < tol:
+        if res < _REFINE_TOL:
             break
         try:
             step = np.linalg.solve(Jm, F)
         except np.linalg.LinAlgError:
             raise EqunfoldError(f"singular Jacobian at {x} (residual {res:.3e})")
         x = x - step
-    if res >= tol:
+    if res >= _REFINE_TOL:
         raise EqunfoldError(f"double-Hopf refinement stalled at residual {res:.3e}; trace ends at {x}")
     if abs(x[2] - x[3]) < 1e-6:
         raise EqunfoldError("refined frequencies collide; not a non-resonant double Hopf")
     o1, o2 = sorted((abs(x[2]), abs(x[3])))
-    return DoubleHopfPoint(factor=name, beta=beta, tau_n=tau_n, alpha=float(x[0]),
+    return DoubleHopfPoint(factor=factor, beta=beta, tau_n=tau_n, alpha=float(x[0]),
                            tau_s=float(x[1]), omega1=float(o1), omega2=float(o2),
                            residual=res)
 
 
-def locate_double_hopf(factor, beta, tau_n, omegas=None, signs=(1, -1),
-                       branches=(0, 1, 2, 3), alpha_window=(-4.0, 4.0),
-                       tau_s_window=(0.0, 10.0), require_distinct_factor=True):
+def locate_double_hopf(factor, beta, tau_n, omegas=None, branches=(0, 1, 2, 3),
+                       alpha_window=(-4.0, 4.0), tau_s_window=(0.0, 10.0)):
     """Sweep curve branches, intersect them, refine every crossing.
 
     Returns the surviving :class:`DoubleHopfPoint` list sorted by
-    (tau_s, alpha, omega1), deduplicated.  ``require_distinct_factor``
-    drops points where the *other* factor also vanishes (higher
-    codimension than double Hopf).
+    (tau_s, alpha, omega1), deduplicated.  Points where the *other* factor
+    also vanishes (higher codimension than double Hopf) are dropped.
     """
     if omegas is None:
         omegas = np.arange(0.05, 5.0, 0.005)
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or len(omegas) < 2:
         raise EqunfoldError("the omega grid needs at least two samples")
-    curves = sweep_curves(factor, beta, tau_n, omegas, signs=signs, branches=branches)
+    curves = sweep_curves(factor, beta, tau_n, omegas, branches=branches)
+    (other,) = set(_COUPLING) - {factor}
     keys = sorted(curves)
     step = float(omegas[1] - omegas[0])
     points = []
@@ -291,12 +299,9 @@ def locate_double_hopf(factor, beta, tau_n, omegas=None, signs=(1, -1),
                     continue
                 if dh.omega1 <= 0 or abs(dh.tau_s - tau_n) < 1e-6:
                     continue
-                if require_distinct_factor:
-                    other = "delta2" if dh.factor == "delta1" else "delta1"
-                    p = dh.params()
-                    if min(abs(factor_value(other, 1j * dh.omega1, p.alpha, beta, p.tau_s, tau_n)),
-                           abs(factor_value(other, 1j * dh.omega2, p.alpha, beta, p.tau_s, tau_n))) < 1e-6:
-                        continue
+                if min(abs(factor_value(other, 1j * w, dh.alpha, beta, dh.tau_s, tau_n))
+                       for w in (dh.omega1, dh.omega2)) < 1e-6:
+                    continue
                 points.append(dh)
 
     uniq = []
@@ -373,16 +378,17 @@ def default_point(case):
     return pts[0]
 
 
-def run_case(case, point=None, delays=None):
+def run_case(case, point=None):
     """Run the whole pipeline at a double-Hopf point of either factor.
 
     ``case="simple"`` expects a point of the first factor (four simple
     imaginary eigenvalues, c = 4); ``case="double"`` a point of the second
     (four double eigenvalues, c = 8).  The eigenbasis is seeded with the
     symmetric/rotation directions so the basis and its ordering are
-    deterministic.  Structural facts (trivial or block-diagonal induced
-    action, Theta profile, coefficient patterns, conjugate pairing,
-    reparametrization rank) are asserted before returning.
+    deterministic.  The lags are :func:`default_delays` and the
+    coefficients keep the model's coupling structure
+    (:func:`structure_masks`).  The family is returned whether or not it is
+    minimal; ``assembly.versality`` says which.
     """
     if case not in _CASE_DEFAULTS:
         raise EqunfoldError(f"unknown case {case!r}")
@@ -397,8 +403,6 @@ def run_case(case, point=None, delays=None):
         raise EqunfoldError("tau_s and tau_n coincide; unfolding lags would collide")
     op = d3_operator(params)
     rep = triangle_rep()
-    if check_equivariance(op, rep) > 1e-12:
-        raise EqunfoldError("model lost equivariance (corrupted parameters?)")
 
     lambdas = [1j * point.omega1, -1j * point.omega1,
                1j * point.omega2, -1j * point.omega2]
@@ -416,10 +420,8 @@ def run_case(case, point=None, delays=None):
                             "the located point is not of the expected factor type")
     frame = induce_representation(frame, rep)
 
-    if delays is None:
-        delays = default_delays(point)
+    delays = default_delays(point)
     assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=structure_masks())
-    _assert_case_structure(case, frame, assembly)
 
     complex_reparam = slot_reparametrization(assembly.family)
     if rank(complex_reparam, rcond=max(complex_reparam.shape) * EPS) < assembly.family.n_parameters:
@@ -430,47 +432,6 @@ def run_case(case, point=None, delays=None):
                         delays=tuple(float(r) for r in delays), assembly=assembly,
                         real_family=real_family, real_reparam=real_reparam,
                         complex_reparam=complex_reparam)
-
-
-def _assert_case_structure(case, frame, assembly):
-    c = frame.c
-    G = frame.G
-    theta = assembly.theta
-
-    if case == "simple":
-        for g in G.group.elements():
-            if np.max(np.abs(G.matrices[g] - np.eye(c))) > 1e-8:
-                raise EqunfoldError("induced action is not trivial in the simple case")
-        offdiag = np.max(np.abs(theta.theta - np.diag(np.diag(theta.theta))))
-        if offdiag > 1e-8 or np.min(np.abs(np.diag(theta.theta))) < 1e-8:
-            raise EqunfoldError("Theta is not diagonal with nonzero diagonal")
-        if theta.selected_rows != (0, 1, 2, 3):
-            raise EqunfoldError(f"expected all four rows selected, got {theta.selected_rows}")
-    else:
-        zero_rows = np.max(np.abs(theta.theta[4:12])) if theta.theta.shape[0] >= 12 else np.inf
-        dup = np.max(np.abs(theta.theta[12:16] - theta.theta[0:4]))
-        if zero_rows > 1e-8 or dup > 1e-8:
-            raise EqunfoldError("Theta does not show the zero/duplicate row profile")
-        if theta.rank != 4 or theta.selected_rows != (0, 1, 2, 3):
-            raise EqunfoldError(f"expected rank 4 with rows 1-4 selected, got "
-                                f"rank {theta.rank}, rows {theta.selected_rows}")
-        for m in range(4, 12):
-            if np.max(np.abs(assembly.directions[m])) > 1e-9:
-                raise EqunfoldError(f"projected direction {m + 1} should vanish")
-
-    if not assembly.versality.mini_versal:
-        raise EqunfoldError("assembled family is not mini-versal")
-
-    I = np.eye(3)
-    offp = np.ones((3, 3)) - I
-    patterns = [I, I, offp, offp]
-    for m, row in enumerate(assembly.family.directions):
-        for A, pat in zip(row, patterns):
-            coef = np.vdot(pat, A) / np.vdot(pat, pat)
-            if np.max(np.abs(A - coef * pat)) > 1e-8 * max(1.0, float(np.max(np.abs(A)))):
-                raise EqunfoldError(
-                    f"coefficient of parameter {m + 1} does not follow the structure pattern"
-                )
 
 
 def eta_pair(v):

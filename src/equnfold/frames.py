@@ -172,6 +172,15 @@ class SpectralFrame:
         """The pairing matrix ``(Psi, Phi)``; the identity for a normalized frame."""
         return pairing_matrix(*_stack(self.psi), *_stack(self.phi), self.op)
 
+    def null_vector_residuals(self):
+        """``||Delta(lam) v|| / ||v||`` for each phi column, then each psi
+        row; zero for exact null vectors."""
+        op = self.op
+        return ([float(np.linalg.norm(op.char_matrix(v.exponent) @ v.direction)
+                       / np.linalg.norm(v.direction)) for v in self.phi]
+                + [float(np.linalg.norm(w.direction @ op.char_matrix(w.exponent))
+                         / np.linalg.norm(w.direction)) for w in self.psi])
+
     def gram_residual(self):
         """Max entrywise ``|(Psi, Phi) - I|``; zero for a normalized frame."""
         return float(np.max(np.abs(self.gram() - np.eye(self.c))))
@@ -328,9 +337,8 @@ def eigenbasis(op, lambdas, seeds=None):
     if gram_residual > FRAME_RESIDUAL_TOL:
         raise FrameError(f"Gram normalization residual {gram_residual:.3e} "
                          f"exceeds {FRAME_RESIDUAL_TOL}")
-    for v in frame.phi:
-        r = np.linalg.norm(op.char_matrix(v.exponent) @ v.direction) \
-            / (np.linalg.norm(v.direction) * _char_scale(norm_sum, v.exponent))
+    for v, r in zip(frame.phi + frame.psi, frame.null_vector_residuals()):
+        r /= _char_scale(norm_sum, v.exponent)
         if r > FRAME_RESIDUAL_TOL:
             raise FrameError(f"null-vector residual {r:.3e} at {v.exponent}")
     return frame

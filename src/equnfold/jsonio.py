@@ -160,9 +160,12 @@ def encode_cvector(v):
 
 def decode_cvector(doc):
     v = _decode_pairs(doc, 1)
-    if v is None:
-        v = np.array([pair_complex(p) for p in doc], dtype=complex)
-    return v
+    if v is not None:
+        return v
+    try:
+        return np.array([pair_complex(p) for p in doc], dtype=complex)
+    except TypeError as exc:        # a number where the list of pairs belongs
+        raise SchemaError(f"malformed complex vector: {exc}") from exc
 
 
 def encode_cmatrix(M):
@@ -277,6 +280,8 @@ def frame_from_doc(doc, op, group=None):
         B = decode_cmatrix(doc["reduced_matrix"])
     except KeyError as exc:
         raise SchemaError(f"frame document missing {exc}") from exc
+    except TypeError as exc:        # a number where a list belongs
+        raise SchemaError(f"malformed frame document: {exc}") from exc
     c = len(lams)
     if [v.direction.shape for v in phi + psi] != [(op.n,)] * (2 * c) or B.shape != (c, c):
         raise SchemaError(f"a frame over {c} eigenvalues needs {c} phi and {c} psi directions "

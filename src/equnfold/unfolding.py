@@ -212,11 +212,6 @@ def gamma_orbit_geometry(B, G):
                               Z_dim=len(comm) - r)
 
 
-def project_unfolding_directions(directions, G):
-    """Apply the commutant projection (group average) to each direction."""
-    return [equivariant_average(G, G, D) for D in directions]
-
-
 @dataclass(frozen=True)
 class ThetaReport:
     """Coordinates of unfolding directions in the orbit complement.

@@ -121,14 +121,7 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
 
     record("model.equivariance", check_equivariance(op, rep))
 
-    null_res = 0.0
-    for v in frame.phi:
-        D = op.char_matrix(v.exponent)
-        null_res = max(null_res, float(np.linalg.norm(D @ v.direction) / np.linalg.norm(v.direction)))
-    for w in frame.psi:
-        D = op.char_matrix(w.exponent)
-        null_res = max(null_res, float(np.linalg.norm(w.direction @ D) / np.linalg.norm(w.direction)))
-    record("frame.null_vectors", null_res)
+    record("frame.null_vectors", max(frame.null_vector_residuals(), default=0.0))
     record("frame.gram_identity", frame.gram_residual())
     record("frame.reduced_matrix",
            float(np.max(np.abs(frame.B - np.diag(np.array(frame.lambdas))))))

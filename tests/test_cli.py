@@ -32,6 +32,18 @@ class TestCurves:
         first = lines[1].split(",")
         assert first[3] == "1" and first[4] == "0" and first[5] == "delta1"
 
+    @pytest.mark.parametrize("factor, beta, tau_n, digest", [
+        # the presets' slices; taken while each factor's formula was still
+        # written out on its own
+        ("delta1", "-0.5", "4", "e8fd89a86ba2af07981cb5f0995549b3087c148a271e372c6bad1b65ffce8453"),
+        ("delta2", "0.5", "3", "e1ea29545cfb2df2eb0e8e318ba2d62eb0185dd779c050661c743b1c258f4671"),
+    ])
+    def test_csv_is_pinned(self, tmp_path, factor, beta, tau_n, digest):
+        out = tmp_path / "c.csv"
+        assert run(["curves", "--factor", factor, "--beta", beta, "--tau-n", tau_n,
+                    "--omega-range", "0.05:5:0.005", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_malformed_range_exits_2(self, tmp_path, capsys):
         code = run(["curves", "--factor", "delta1", "--beta", "-0.5",
                     "--tau-n", "4", "--omega-range", "5:0:-1",
@@ -359,9 +371,15 @@ class TestVerify:
         (("frame", "phi_directions", 0), lambda v: v[:2]),
         (("frame", "psi_directions", 0), lambda v: v + [[0.0, 0.0]]),
         (("frame", "reduced_matrix"), lambda B: B[:-1]),
+        # numbers where lists belong
+        (("frame", "phi_directions"), lambda dirs: [5] * len(dirs)),
+        (("frame", "phi_directions"), lambda dirs: 5),
+        (("frame", "psi_directions"), lambda dirs: [5] * len(dirs)),
+        (("frame", "eigenvalues"), lambda lams: 5),
     ], ids=["generator-nan", "induced-rep-nan", "phi-nan", "reduced-matrix-inf",
             "empty-terms", "non-square-generator", "short-induced-rep",
-            "coefficient-shape", "short-phi", "long-psi", "reduced-matrix-shape"])
+            "coefficient-shape", "short-phi", "long-psi", "reduced-matrix-shape",
+            "phi-number-entries", "phi-number", "psi-number-entries", "eigenvalues-number"])
     def test_defective_document_is_schema_error(self, tmp_path, capsys, simple_artifact,
                                                 path, mutate):
         doc = copy.deepcopy(simple_artifact)
@@ -411,15 +429,6 @@ class TestVerify:
         failed = {c["name"] for c in json.loads(report.read_text())["checks"]
                   if not c["passed"]}
         assert {"frame.B_commutes_with_G", "versality.span"} <= failed
-
-
-class TestDemo:
-    def test_runs_both_cases(self, tmp_path):
-        code = run(["d3-demo", "--output-dir", str(tmp_path)])
-        assert code == 0
-        for case in ("simple", "double"):
-            doc = json.loads((tmp_path / f"d3_{case}.json").read_text())
-            assert doc["report"]["versality"]["mini_versal"] is True
 
 
 class TestCanonicalJson:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from equnfold import d3
+from equnfold.delays import check_equivariance
 from equnfold.errors import EqunfoldError
 from equnfold.groups import equivariant_average
 
@@ -12,6 +13,8 @@ I3 = np.eye(3)
 J3 = np.ones((3, 3))
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+with open(os.path.join(FIXTURES, "double_hopf_points.json")) as _fh:
+    FIXTURE_POINTS = json.load(_fh)
 
 
 class TestModel:
@@ -20,7 +23,7 @@ class TestModel:
         op = d3.d3_operator(p)
         lags = sorted(r for r, _ in op.terms)
         assert lags == [0.0, 1.0, 2.0]
-        assert d3.check_equivariance(op, d3.triangle_rep()) == 0.0
+        assert check_equivariance(op, d3.triangle_rep()) == 0.0
 
     def test_uncoupled_limit(self):
         p = d3.D3ModelParams(alpha=0.0, beta=0.0, tau_s=1.0, tau_n=2.0)
@@ -306,6 +309,52 @@ class TestDoubleCase:
         assert (ver.tangent_dim, ver.n_directions, ver.commutant_dim) == (12, 4, 16)
         s = np.linalg.svd(double_case.real_reparam, compute_uv=False)
         assert s[-1] > 1e-8 * s[0]
+
+
+def _assert_case_structure(case, frame, assembly):
+    """The structural facts of a worked case: a trivial induced action and a
+    diagonal Theta (simple), or Theta's zero/duplicate row profile and
+    vanishing mixed-slot directions (double); all four rows selected, a
+    mini-versal family, and coefficients on the model's coupling pattern."""
+    c = frame.c
+    theta = assembly.theta
+    if case == "simple":
+        for g in frame.G.group.elements():
+            assert np.max(np.abs(frame.G.matrices[g] - np.eye(c))) <= 1e-8
+        offdiag = np.max(np.abs(theta.theta - np.diag(np.diag(theta.theta))))
+        assert offdiag <= 1e-8 and np.min(np.abs(np.diag(theta.theta))) >= 1e-8
+        assert theta.selected_rows == (0, 1, 2, 3)
+    else:
+        assert theta.theta.shape[0] >= 12
+        assert np.max(np.abs(theta.theta[4:12])) <= 1e-8
+        assert np.max(np.abs(theta.theta[12:16] - theta.theta[0:4])) <= 1e-8
+        assert theta.rank == 4 and theta.selected_rows == (0, 1, 2, 3)
+        for m in range(4, 12):
+            assert np.max(np.abs(assembly.directions[m])) <= 1e-9
+    assert assembly.versality.mini_versal
+    patterns = [I3, I3, J3 - I3, J3 - I3]
+    for row in assembly.family.directions:
+        for A, pat in zip(row, patterns):
+            coef = np.vdot(pat, A) / np.vdot(pat, pat)
+            assert np.max(np.abs(A - coef * pat)) <= 1e-8 * max(1.0, float(np.max(np.abs(A))))
+
+
+class TestCaseStructure:
+    """What the worked cases show, at the presets and at every fixture point."""
+
+    def test_presets(self, simple_case, double_case):
+        for r in (simple_case, double_case):
+            _assert_case_structure(r.case, r.frame, r.assembly)
+
+    @pytest.mark.parametrize("case, index", [
+        (case, i) for case in ("simple", "double")
+        for i in range(len(FIXTURE_POINTS[case]["points"]))])
+    def test_fixture_point(self, case, index):
+        entry = FIXTURE_POINTS[case]
+        point = d3.DoubleHopfPoint(factor=entry["factor"], beta=entry["beta"],
+                                   tau_n=entry["tau_n"], **entry["points"][index])
+        r = d3.run_case(case, point)
+        _assert_case_structure(case, r.frame, r.assembly)
 
 
 class TestRunCaseGuards:

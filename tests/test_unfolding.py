@@ -12,8 +12,7 @@ from equnfold.groups import (Representation, close_generators, commutant_basis,
 from equnfold.unfolding import (OrbitGeometry, UnfoldingFamily, assemble_gamma_unfolding,
                                 build_R_matrices, exponential_delay_matrix,
                                 gamma_orbit_geometry, jordan_codimension,
-                                orbit_geometry, project_unfolding_directions,
-                                realify, scaled_det, select_delays,
+                                orbit_geometry, realify, scaled_det, select_delays,
                                 semisimple_jordan_spec,
                                 solve_delay_realization, theta_extract,
                                 verify_gamma_versality)
@@ -171,13 +170,13 @@ class TestProjectDirections:
         G = double_case.frame.G
         comm = commutant_basis(G)
         D = comm[0] + 0.5 * comm[3]
-        out = project_unfolding_directions([D], G)[0]
+        out = equivariant_average(G, G, D)
         assert np.max(np.abs(out - D)) < 1e-12
 
     def test_trivial_projection(self, rng):
         rep1 = close_generators([np.eye(4)])
         D = rng.standard_normal((4, 4))
-        out = project_unfolding_directions([D], rep1)[0]
+        out = equivariant_average(rep1, rep1, D)
         assert np.max(np.abs(out - D)) < 1e-14
 
     def test_double_case_kills_mixed_slots(self, double_case):
@@ -185,7 +184,7 @@ class TestProjectDirections:
         # eight off-diagonal block slots and reproduces the assembly output
         frame = double_case.frame
         raw = [frame.Psi0 @ R for R in double_case.assembly.r_matrices]
-        projected = project_unfolding_directions(raw, frame.G)
+        projected = equivariant_average(frame.G, frame.G, np.array(raw))
         for m, P in enumerate(projected):
             assert np.max(np.abs(P - double_case.assembly.directions[m])) < 1e-12
             if 4 <= m < 12:
