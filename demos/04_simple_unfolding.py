@@ -11,6 +11,7 @@ lags {0, tau_s}, coupling-pattern coefficients at {tau_n, tau_3}.
 import numpy as np
 
 from equnfold import d3
+from equnfold.unfolding import realify
 
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
@@ -39,7 +40,8 @@ ver = result.assembly.versality
 print(f"\nequivariant versality: tangent {ver.tangent_dim} + directions "
       f"{ver.n_directions} = {ver.commutant_dim}; mini-versal = {ver.mini_versal}")
 
-print("\nreal family parameters:", result.real_family.names)
-s = np.linalg.svd(result.real_reparam, compute_uv=False)
+real_family, real_reparam = realify(fam)
+print("\nreal family parameters:", real_family.names)
+s = np.linalg.svd(real_reparam, compute_uv=False)
 print(f"reparametrization condition: smallest/largest singular value "
       f"= {s[-1] / s[0]:.3e}")

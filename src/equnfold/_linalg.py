@@ -39,6 +39,10 @@ def svd_rank(A, scale=0.0, rcond=RANK_RCOND, full_matrices=True):
 
 
 def null_basis(A, scale=0.0, rcond=RANK_RCOND):
-    """Orthonormal columns spanning the numerical null space of A."""
-    _, Vh, r = svd_rank(A, scale, rcond)
+    """Orthonormal columns spanning the numerical null space of A.
+
+    A tall or square A takes the thin SVD, whose ``Vh`` is already square; a
+    wide one needs the full SVD for the null rows beyond its row count."""
+    A = np.asarray(A)
+    _, Vh, r = svd_rank(A, scale, rcond, full_matrices=A.shape[-2] < A.shape[-1])
     return Vh[r:].conj().T

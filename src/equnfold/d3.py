@@ -14,17 +14,16 @@ pipeline runs end to end, in both the simple-eigenvalue (first factor)
 and double-eigenvalue (second factor) cases.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import EPS, rank
 from .delays import DelayOperator
 from .errors import EqunfoldError, UnfoldingError
 from .frames import eigenbasis, induce_representation
 from .groups import close_generators
-from .unfolding import (assemble_gamma_unfolding, exponential_delay_matrix,
-                        realify, scaled_det, slot_reparametrization)
+from .unfolding import assemble_gamma_unfolding, exponential_delay_matrix, scaled_det
 
 OMEGA = np.exp(2j * np.pi / 3)
 U_SYM = np.array([1.0, 1.0, 1.0])                       # symmetric direction
@@ -34,13 +33,19 @@ KAPPA_MAT = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
 GAMMA_MAT = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
 
 
+@functools.cache
 def triangle_rep():
     """Permutation representation of the 6-element triangle group on C^3.
 
     Generated by the swap ``kappa`` and the 3-cycle ``gamma``; their element
-    indices are recorded on the group (``generator_indices``).
+    indices are recorded on the group (``generator_indices``).  It is a
+    constant of the model, built once per process; every caller shares it,
+    so its arrays are read-only.
     """
-    return close_generators([KAPPA_MAT, GAMMA_MAT])
+    rep = close_generators([KAPPA_MAT, GAMMA_MAT])
+    for a in (rep.matrices, rep.group.mul_table, rep.group.inverse):
+        a.flags.writeable = False
+    return rep
 
 
 @dataclass(frozen=True)
@@ -358,9 +363,6 @@ class D3CaseResult:
     frame: object
     delays: tuple
     assembly: object              # GammaUnfolding
-    real_family: object
-    real_reparam: np.ndarray
-    complex_reparam: np.ndarray
 
 
 _CASE_DEFAULTS = {
@@ -388,7 +390,9 @@ def run_case(case, point=None):
     deterministic.  The lags are :func:`default_delays` and the
     coefficients keep the model's coupling structure
     (:func:`structure_masks`).  The family is returned whether or not it is
-    minimal; ``assembly.versality`` says which.
+    minimal; ``assembly.versality`` says which.  The complex family is
+    returned as built; a reader of the real family calls
+    :func:`~equnfold.unfolding.realify` on ``assembly.family``.
     """
     if case not in _CASE_DEFAULTS:
         raise EqunfoldError(f"unknown case {case!r}")
@@ -422,16 +426,8 @@ def run_case(case, point=None):
 
     delays = default_delays(point)
     assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=structure_masks())
-
-    complex_reparam = slot_reparametrization(assembly.family)
-    if rank(complex_reparam, rcond=max(complex_reparam.shape) * EPS) < assembly.family.n_parameters:
-        raise EqunfoldError("complex epsilon reparametrization is rank deficient")
-    real_family, real_reparam = realify(assembly.family)
-
     return D3CaseResult(case=case, point=point, op=op, rep=rep, frame=frame,
-                        delays=tuple(float(r) for r in delays), assembly=assembly,
-                        real_family=real_family, real_reparam=real_reparam,
-                        complex_reparam=complex_reparam)
+                        delays=tuple(float(r) for r in delays), assembly=assembly)
 
 
 def eta_pair(v):

@@ -248,6 +248,8 @@ def rep_to_doc(rep):
 
 @document_errors()
 def rep_from_doc(doc):
+    if not isinstance(doc, dict):
+        raise SchemaError("group document must be a JSON object")
     if "generators" in doc:
         return close_generators(decode_cmatrix_stack(doc["generators"], "group.generators"))
     if "mul_table" in doc and "matrices" in doc:

@@ -240,21 +240,27 @@ def theta_extract(geometry, directions):
     S = geometry.basis_matrix()
     t = len(geometry.T_basis)
     p = len(directions)
-    theta = np.zeros((p, geometry.delta), dtype=complex)
-    residuals = []
+    V = np.zeros((p, S.shape[0]), dtype=complex)        # row i is vec(direction i)
     for i, D in enumerate(directions):
         D = np.asarray(D, dtype=complex)
         if D.shape != geometry.B.shape:
             raise StructuralError(f"direction {i} has shape {D.shape}")
-        x, *_ = np.linalg.lstsq(S, _vec(D), rcond=None)
-        res = float(np.linalg.norm(S @ x - _vec(D)))
-        if res > THETA_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(D))):
-            raise UnfoldingError(
-                f"direction {i} does not decompose over tangent+complement "
-                f"(residual {res:.3e}); the bases are not complementary"
-            )
-        theta[i] = x[t:]
-        residuals.append(res)
+        V[i] = _vec(D)
+    theta = np.zeros((p, geometry.delta), dtype=complex)
+    residuals = []
+    if p:
+        # one solve against S takes every direction; each column's residual
+        # is still its own matrix-vector product (they are artifact bytes)
+        X = np.linalg.lstsq(S, V.T, rcond=None)[0].T.copy()
+        for i, (x, v) in enumerate(zip(X, V)):
+            res = float(np.linalg.norm(S @ x - v))
+            if res > THETA_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(v))):
+                raise UnfoldingError(
+                    f"direction {i} does not decompose over tangent+complement "
+                    f"(residual {res:.3e}); the bases are not complementary"
+                )
+            theta[i] = x[t:]
+            residuals.append(res)
 
     scale = float(np.max(np.abs(theta))) if p else 0.0
     selected = []
@@ -297,15 +303,18 @@ def build_R_matrices(frame, geometry):
     solves the underdetermined system  Pi v = unit vector selecting row r,
     Pi being the rows of Psi(0) belonging to the eigenvalue block of r.
     The minimal-norm solution is taken.  Then ``Psi(0) R = Omega`` modulo
-    the orbit tangent space, exactly.
+    the orbit tangent space, exactly.  Pi depends only on the block, so each
+    block is rank-tested and solved once, for all its unit vectors at once.
     """
     Psi0 = frame.Psi0
     n = frame.op.n
     c = frame.c
     lams = np.array(frame.lambdas)
     blocks = _diag_blocks(lams)
+    block_of = {r: k for k, block in enumerate(blocks) for r in block}
+    solutions = {}      # block index -> column j solves Pi v = e_j
     Rs = []
-    for m, W in enumerate(geometry.W_basis):
+    for W in geometry.W_basis:
         nz = np.argwhere(np.abs(W) > 1e-12)
         if len(nz) != 1 or abs(W[nz[0][0], nz[0][1]] - 1.0) > 1e-12:
             raise UnfoldingError(
@@ -313,18 +322,18 @@ def build_R_matrices(frame, geometry):
                 "diagonal-frame complement (semisimple spectrum)"
             )
         r, ccol = int(nz[0][0]), int(nz[0][1])
-        block = next(b for b in blocks if r in b)
-        Pi = Psi0[block, :]
-        if rank(Pi) < len(block):
-            raise UnfoldingError(
-                f"adjoint rows dependent at eigenvalue {lams[r]}; "
-                "unfolding-space realization fails"
-            )
-        e = np.zeros(len(block), dtype=complex)
-        e[block.index(r)] = 1.0
-        v, *_ = np.linalg.lstsq(Pi, e, rcond=None)
+        k = block_of[r]
+        block = blocks[k]
+        if k not in solutions:
+            Pi = Psi0[block, :]
+            if rank(Pi) < len(block):
+                raise UnfoldingError(
+                    f"adjoint rows dependent at eigenvalue {lams[r]}; "
+                    "unfolding-space realization fails"
+                )
+            solutions[k] = np.linalg.lstsq(Pi, np.eye(len(block), dtype=complex), rcond=None)[0]
         R = np.zeros((n, c), dtype=complex)
-        R[:, ccol] = v
+        R[:, ccol] = solutions[k][:, block.index(r)]
         Rs.append(R)
     return Rs
 
@@ -346,12 +355,14 @@ def _lag_basis(frame, delays, context=""):
     return Phis
 
 
-def solve_delay_realization(frame, delays, R, sparsity=None):
+def solve_delay_realization(frame, delays, R, sparsity=None, Phis=None):
     """Solve ``sum_j A_j Phi(-r_j) = R`` for coefficient matrices A_j.
 
     Rows of the A_j decouple; each row is an underdetermined linear system
     solved at minimal norm, optionally restricted to the entries allowed by
     a per-delay boolean mask (entries outside a mask are pinned to zero).
+    ``Phis`` is the lag basis ``[Phi(-r_j)]`` when the caller has already
+    built and rank-tested it for these lags; otherwise it is built here.
 
     Raises
     ------
@@ -377,7 +388,8 @@ def solve_delay_realization(frame, delays, R, sparsity=None):
     else:
         masks = [np.ones((n, n), dtype=bool)] * len(delays)
 
-    Phis = _lag_basis(frame, delays)
+    if Phis is None:
+        Phis = _lag_basis(frame, delays)
     As = [np.zeros((n, n), dtype=complex) for _ in delays]
     bound = REALIZATION_TOL * max(1.0, float(np.max(np.abs(R))))
     for i in range(n):
@@ -482,10 +494,12 @@ class UnfoldingFamily:
                             if r in base_lags or np.max(np.abs(A)) > 0))
         return DelayOperator(n=self.base.n, terms=kept)
 
-    def center_direction(self, frame, m):
-        """Reduced-matrix direction of parameter m: sum_j Psi(0) A_j Phi(-r_j)."""
-        return sum(frame.Psi0 @ A @ frame.Phi_at(-r)
-                   for r, A in zip(self.delays, self.directions[m]))
+    def center_directions(self, frame, Phis):
+        """Reduced-matrix directions ``sum_j Psi(0) A_j^m Phi(-r_j)`` of every
+        parameter m, a ``(p, c, c)`` stack, given ``Phis[j] = Phi(-r_j)``."""
+        Psi0 = frame.Psi0
+        return np.array([sum(Psi0 @ A @ P for A, P in zip(row, Phis))
+                         for row in self.directions]).reshape(self.n_parameters, frame.c, frame.c)
 
 
 @dataclass(frozen=True)
@@ -512,8 +526,12 @@ def verify_gamma_versality(B, G, directions):
     Versal when the concatenated coordinates reach the commutant dimension;
     mini-versal when additionally the direction count equals the
     equivariant codimension.  A span that falls short is reported, not
-    raised; a B that does not commute with G raises UnfoldingError.
+    raised; a B that does not commute with G, or a direction with a
+    non-finite entry (whose span has no rank), raises UnfoldingError.
     """
+    for i, D in enumerate(directions):
+        if not np.all(np.isfinite(D)):
+            raise UnfoldingError(f"direction {i} has a non-finite entry")
     geo = gamma_orbit_geometry(B, G)
     Kmat = np.column_stack([_vec(K) for K in geo.commutant])  # orthonormal columns
     equiv_res = 0.0
@@ -624,8 +642,8 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
 
     directions = []
     for m in theta.selected_rows:
-        A_fam = equivariant_average(
-            rep, rep, solve_delay_realization(frame, delays, Rbars[m], sparsity=sparsity))
+        A_fam = equivariant_average(rep, rep, solve_delay_realization(
+            frame, delays, Rbars[m], sparsity=sparsity, Phis=Phis))
         if reconstruction_residual(A_fam, Phis, Rbars[m]) \
                 > REALIZATION_TOL * max(1.0, float(np.max(np.abs(Rbars[m])))):
             raise UnfoldingError(f"slot {m}: projected reconstruction failed")

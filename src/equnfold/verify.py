@@ -72,7 +72,9 @@ def parse_artifact(doc):
     except (TypeError, ValueError):
         raise SchemaError("unfolding.delays must be a list of numbers")
     require_finite("unfolding.delays", delays)
-    names = list(_require(unf, "parameters", "unfolding"))
+    names = _require(unf, "parameters", "unfolding")
+    if not isinstance(names, list):
+        raise SchemaError("unfolding.parameters must be a list of names")
     coefficients = _require(unf, "coefficients", "unfolding")
     if not isinstance(coefficients, list):
         raise SchemaError("unfolding.coefficients must be a list")
@@ -137,8 +139,8 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
            commutator_residual(rep, [A for row in family.directions for A in row]))
 
     # center directions from the stored coefficients, and their projections
-    bhats = np.array([family.center_direction(frame, m) for m in range(family.n_parameters)]
-                     ).reshape(family.n_parameters, frame.c, frame.c)
+    Phis = [frame.Phi_at(-r) for r in family.delays]
+    bhats = family.center_directions(frame, Phis)
     record("directions.projection_fixed_point",
            float(np.max(np.abs(equivariant_average(G, G, bhats) - bhats), initial=0.0)))
 
@@ -158,7 +160,6 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
                 "unfolding.reconstruction", False,
                 f"selected row {missing[0]} is out of range ({len(Rbars)} slots recomputed)"))
         else:
-            Phis = [frame.Phi_at(-r) for r in family.delays]
             record("unfolding.reconstruction",
                    max((reconstruction_residual(family.directions[m], Phis, Rbars[slot])
                         for m, slot in enumerate(selected)), default=0.0))

@@ -357,6 +357,78 @@ class TestVerify:
         write_json_atomic(str(path), doc)
         assert run(["verify", str(path)]) == 2
 
+    @pytest.mark.parametrize("field", ["group", "parameters"])
+    @pytest.mark.parametrize("value", [None, 5, 0, -1, 1e308, True])
+    def test_wrong_type_group_or_parameters_is_schema_error(self, tmp_path, capsys,
+                                                            simple_artifact, field, value):
+        doc = copy.deepcopy(simple_artifact)
+        (doc if field == "group" else doc["unfolding"])[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["verify", str(bad)]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", [
+        ("frame", "eigenvalues", 0, 1),
+        ("frame", "psi_directions", 0, 0, 0),
+        ("frame", "psi_directions", 3, 2, 1),
+        ("unfolding", "delays", 3),
+    ], ids=["eigenvalue-imag", "psi-first", "psi-last", "delay"])
+    def test_overflowing_entry_fails_versality_span(self, tmp_path, simple_artifact, path):
+        # 1e308 parses as a finite number, but the center directions
+        # recomputed from it overflow, and their span has no rank
+        doc = copy.deepcopy(simple_artifact)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 1e308
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        assert run(["verify", str(bad), "--report", str(report)]) == 1
+        checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        assert not checks["versality.span"]["passed"]
+        assert "non-finite" in checks["versality.span"]["detail"]
+
+    def test_single_field_mutations_exit_cleanly(self, tmp_path, simple_artifact):
+        """Every node of a ``d3:simple`` artifact (the first and last entry of
+        each list) replaced by a wrong value or deleted: verify exits 0, 1 or
+        2 and never raises.  Three of the seven replacements per node, in
+        rotation, so each replacement reaches every part of the document."""
+        text = json.dumps(simple_artifact)
+
+        def paths(node, path=()):
+            keys = (sorted(node) if isinstance(node, dict)
+                    else sorted({0, len(node) - 1}) if isinstance(node, list) and node else [])
+            for k in keys:
+                yield path + (k,)
+                yield from paths(node[k], path + (k,))
+
+        delete = object()
+        values = (None, "x", [], 5, 1e308, True, delete)
+        bad = tmp_path / "mutant.json"
+        faults = []
+        for i, path in enumerate(paths(json.loads(text))):
+            for k in range(3):
+                value = values[(3 * i + k) % len(values)]
+                doc = json.loads(text)
+                node = doc
+                for key in path[:-1]:
+                    node = node[key]
+                if value is delete:
+                    del node[path[-1]]
+                else:
+                    node[path[-1]] = value
+                bad.write_text(json.dumps(doc))
+                try:
+                    code = run(["verify", str(bad)])
+                except Exception as exc:       # a raw traceback is the fault looked for
+                    faults.append((path, value, repr(exc)))
+                else:
+                    if code not in (0, 1, 2):
+                        faults.append((path, value, f"exit {code}"))
+        assert not faults
+
     @pytest.mark.parametrize("path, mutate", [
         # non-finite entries
         (("group", "generators", 0, 0, 0), lambda z: [float("nan"), 0.0]),

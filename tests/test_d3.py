@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from equnfold import d3
+from equnfold._linalg import EPS, rank
 from equnfold.delays import check_equivariance
 from equnfold.errors import EqunfoldError
 from equnfold.groups import equivariant_average
+from equnfold.unfolding import realify, slot_reparametrization
 
 I3 = np.eye(3)
 J3 = np.ones((3, 3))
@@ -213,34 +215,15 @@ class TestCrossingOracle:
 
 
 class TestSimpleCase:
-    def test_structure(self, simple_case):
-        r = simple_case
-        assert r.frame.c == 4
-        for g in r.frame.G.group.elements():
-            assert np.max(np.abs(r.frame.G.matrices[g] - np.eye(4))) < 1e-8
-        th = r.assembly.theta
-        assert th.selected_rows == (0, 1, 2, 3)
-        off = th.theta - np.diag(np.diag(th.theta))
-        assert np.max(np.abs(off)) < 1e-10
-        assert np.min(np.abs(np.diag(th.theta))) > 1e-8
-
-    def test_coefficient_patterns(self, simple_case):
-        fam = simple_case.assembly.family
-        patterns = [I3, I3, J3 - I3, J3 - I3]
-        for row in fam.directions:
-            for A, pat in zip(row, patterns):
-                coef = np.vdot(pat, A) / np.vdot(pat, pat)
-                assert np.max(np.abs(A - coef * pat)) < 1e-10
-
     def test_conjugate_pairs_and_real_family(self, simple_case):
         fam = simple_case.assembly.family
         for a, b in ((0, 1), (2, 3)):
             for j in range(4):
                 assert np.max(np.abs(fam.directions[b][j]
                                      - fam.directions[a][j].conj())) < 1e-10
-        s = np.linalg.svd(simple_case.complex_reparam, compute_uv=False)
+        s = np.linalg.svd(slot_reparametrization(fam), compute_uv=False)
         assert s[-1] > 1e-8 * s[0]
-        s = np.linalg.svd(simple_case.real_reparam, compute_uv=False)
+        s = np.linalg.svd(realify(fam)[1], compute_uv=False)
         assert s[-1] > 1e-8 * s[0]
 
     def test_versality_dimensions(self, simple_case):
@@ -250,16 +233,6 @@ class TestSimpleCase:
 
 
 class TestDoubleCase:
-    def test_structure(self, double_case):
-        r = double_case
-        assert r.frame.c == 8
-        th = r.assembly.theta
-        assert np.max(np.abs(th.theta[4:12])) < 1e-10
-        assert np.max(np.abs(th.theta[12:16] - th.theta[0:4])) < 1e-10
-        assert th.rank == 4 and th.selected_rows == (0, 1, 2, 3)
-        for m in range(4, 12):
-            assert np.max(np.abs(r.assembly.directions[m])) < 1e-10
-
     def test_projected_slots_match_table_pattern(self, double_case):
         # which of the two rotation functionals vanish on each solved vector
         expected_eta1 = [True, False, True, False,
@@ -295,19 +268,11 @@ class TestDoubleCase:
                 else:
                     assert colnorm < 1e-12
 
-    def test_coefficient_patterns(self, double_case):
-        fam = double_case.assembly.family
-        patterns = [I3, I3, J3 - I3, J3 - I3]
-        for row in fam.directions:
-            for A, pat in zip(row, patterns):
-                coef = np.vdot(pat, A) / np.vdot(pat, pat)
-                assert np.max(np.abs(A - coef * pat)) < 1e-10
-
     def test_versality_and_reparametrization(self, double_case):
         ver = double_case.assembly.versality
         assert ver.mini_versal
         assert (ver.tangent_dim, ver.n_directions, ver.commutant_dim) == (12, 4, 16)
-        s = np.linalg.svd(double_case.real_reparam, compute_uv=False)
+        s = np.linalg.svd(realify(double_case.assembly.family)[1], compute_uv=False)
         assert s[-1] > 1e-8 * s[0]
 
 
@@ -315,28 +280,34 @@ def _assert_case_structure(case, frame, assembly):
     """The structural facts of a worked case: a trivial induced action and a
     diagonal Theta (simple), or Theta's zero/duplicate row profile and
     vanishing mixed-slot directions (double); all four rows selected, a
-    mini-versal family, and coefficients on the model's coupling pattern."""
+    mini-versal family, coefficients on the model's coupling pattern, and
+    independent per-lag parameters, complex and realified."""
     c = frame.c
     theta = assembly.theta
+    assert c == (4 if case == "simple" else 8)
     if case == "simple":
         for g in frame.G.group.elements():
-            assert np.max(np.abs(frame.G.matrices[g] - np.eye(c))) <= 1e-8
+            assert np.max(np.abs(frame.G.matrices[g] - np.eye(c))) < 1e-8
         offdiag = np.max(np.abs(theta.theta - np.diag(np.diag(theta.theta))))
-        assert offdiag <= 1e-8 and np.min(np.abs(np.diag(theta.theta))) >= 1e-8
+        assert offdiag < 1e-10 and np.min(np.abs(np.diag(theta.theta))) > 1e-8
         assert theta.selected_rows == (0, 1, 2, 3)
     else:
         assert theta.theta.shape[0] >= 12
-        assert np.max(np.abs(theta.theta[4:12])) <= 1e-8
-        assert np.max(np.abs(theta.theta[12:16] - theta.theta[0:4])) <= 1e-8
+        assert np.max(np.abs(theta.theta[4:12])) < 1e-10
+        assert np.max(np.abs(theta.theta[12:16] - theta.theta[0:4])) < 1e-10
         assert theta.rank == 4 and theta.selected_rows == (0, 1, 2, 3)
         for m in range(4, 12):
-            assert np.max(np.abs(assembly.directions[m])) <= 1e-9
+            assert np.max(np.abs(assembly.directions[m])) < 1e-10
     assert assembly.versality.mini_versal
+    fam = assembly.family
     patterns = [I3, I3, J3 - I3, J3 - I3]
-    for row in assembly.family.directions:
+    for row in fam.directions:
         for A, pat in zip(row, patterns):
             coef = np.vdot(pat, A) / np.vdot(pat, pat)
-            assert np.max(np.abs(A - coef * pat)) <= 1e-8 * max(1.0, float(np.max(np.abs(A))))
+            assert np.max(np.abs(A - coef * pat)) < 1e-10
+    E = slot_reparametrization(fam)
+    assert rank(E, rcond=max(E.shape) * EPS) == fam.n_parameters
+    realify(fam)            # raises on an unpaired direction or a rank-deficient real family
 
 
 class TestCaseStructure:

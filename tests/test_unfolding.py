@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 from equnfold import d3
+from equnfold._linalg import RANK_RCOND, rank
+from equnfold.cli import _run_config
 from equnfold.delays import DelayOperator, ExpVector
 from equnfold.errors import UnfoldingError
 from equnfold.frames import SpectralFrame
 from equnfold.groups import (Representation, close_generators, commutant_basis,
                              equivariant_average)
-from equnfold.unfolding import (OrbitGeometry, UnfoldingFamily, assemble_gamma_unfolding,
+from equnfold.jsonio import encode_cmatrix
+from equnfold.unfolding import (OrbitGeometry, UnfoldingFamily, _diag_blocks,
+                                assemble_gamma_unfolding,
                                 build_R_matrices, exponential_delay_matrix,
                                 gamma_orbit_geometry, jordan_codimension,
                                 orbit_geometry, realify, scaled_det, select_delays,
                                 semisimple_jordan_spec,
                                 solve_delay_realization, theta_extract,
                                 verify_gamma_versality)
+
+from test_d3 import FIXTURE_POINTS
 
 I3 = np.eye(3)
 J3 = np.ones((3, 3))
@@ -275,6 +281,172 @@ class TestBuildRMatrices:
         assert np.max(np.abs(report.theta - np.eye(4))) < 1e-9
 
 
+def _theta_extract_per_direction(geometry, directions):
+    """Reference: one least-squares solve per direction, then the row
+    selection (the implementation before the stacked solve).  Returns
+    Theta, the residuals and the selected rows."""
+    S = geometry.basis_matrix()
+    t = len(geometry.T_basis)
+    p = len(directions)
+    theta = np.zeros((p, geometry.delta), dtype=complex)
+    residuals = []
+    for i, D in enumerate(directions):
+        v = np.asarray(D, dtype=complex).reshape(-1)
+        x, *_ = np.linalg.lstsq(S, v, rcond=None)
+        residuals.append(float(np.linalg.norm(S @ x - v)))
+        theta[i] = x[t:]
+    scale = float(np.max(np.abs(theta))) if p else 0.0
+    selected, basis = [], []
+    for i in range(p):
+        row = theta[i].copy()
+        for q in basis:
+            row = row - (q.conj() @ row) * q
+        if scale > 0 and np.linalg.norm(row) > RANK_RCOND * scale:
+            selected.append(i)
+            basis.append(row / np.linalg.norm(row))
+    return theta, tuple(residuals), tuple(selected)
+
+
+def _build_R_per_slot(frame, geometry):
+    """Reference: one rank test and one least-squares solve per slot, each
+    against a unit vector (the implementation before the per-block solve)."""
+    Psi0 = frame.Psi0
+    blocks = _diag_blocks(np.array(frame.lambdas))
+    Rs = []
+    for W in geometry.W_basis:
+        ((r, ccol),) = np.argwhere(np.abs(W) > 1e-12)
+        block = next(b for b in blocks if r in b)
+        Pi = Psi0[block, :]
+        assert rank(Pi) == len(block)
+        e = np.zeros(len(block), dtype=complex)
+        e[block.index(r)] = 1.0
+        v, *_ = np.linalg.lstsq(Pi, e, rcond=None)
+        R = np.zeros((frame.op.n, frame.c), dtype=complex)
+        R[:, ccol] = v
+        Rs.append(R)
+    return Rs
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_same_as_per_system_solves(frame, directions, assembly=None):
+    """``build_R_matrices`` and ``theta_extract`` give, bit for bit, what one
+    solve per slot and one per direction give; so does the assembly built
+    from them, when given.  Multi-right-hand-side least squares matching
+    single solves is a property of the LAPACK build; a failure names the
+    site that lost it."""
+    geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
+    ref_Rs = _build_R_per_slot(frame, geometry)
+    ref_theta, ref_residuals, ref_selected = _theta_extract_per_direction(geometry, directions)
+    reports = [theta_extract(geometry, directions)]
+    stacks = [build_R_matrices(frame, geometry)]
+    if assembly is not None:
+        reports.append(assembly.theta)
+        stacks.append(assembly.r_matrices)
+    for Rs in stacks:
+        assert len(Rs) == len(ref_Rs)
+        for m, (R, R_ref) in enumerate(zip(Rs, ref_Rs)):
+            assert _same_bits(R, R_ref), f"build_R_matrices: slot {m} differs from its own solve"
+    for report in reports:
+        assert _same_bits(report.theta, ref_theta), "theta_extract: Theta differs"
+        assert _same_bits(report.residuals, ref_residuals), "theta_extract: residuals differ"
+        assert report.selected_rows == ref_selected, "theta_extract: selected rows differ"
+        assert report.rank == len(ref_selected)
+
+
+def _ring_case(n):
+    """``unfold --config`` on the n-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1)."""
+    shift = np.roll(np.eye(n), 1, axis=0)
+    _, _, frame, assembly, _ = _run_config({
+        "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_cmatrix(-np.eye(n))},
+                                    {"delay": 1.0, "matrix": encode_cmatrix(2.0 * shift)}]},
+        "group": {"generators": [encode_cmatrix(shift)]},
+        "lambda_seeds": [[0.0, 2.0], [0.0, -2.0]],
+    })
+    return frame, assembly
+
+
+class TestStackedSolvesMatchPerSystemSolves:
+    def test_presets(self, simple_case, double_case):
+        for r in (simple_case, double_case):
+            _assert_same_as_per_system_solves(r.frame, r.assembly.directions, r.assembly)
+
+    @pytest.mark.parametrize("case, index", [
+        (case, i) for case in ("simple", "double")
+        for i in range(len(FIXTURE_POINTS[case]["points"]))])
+    def test_fixture_point(self, case, index):
+        entry = FIXTURE_POINTS[case]
+        point = d3.DoubleHopfPoint(factor=entry["factor"], beta=entry["beta"],
+                                   tau_n=entry["tau_n"], **entry["points"][index])
+        r = d3.run_case(case, point)
+        _assert_same_as_per_system_solves(r.frame, r.assembly.directions, r.assembly)
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    def test_ring_ladder(self, n):
+        frame, assembly = _ring_case(n)
+        _assert_same_as_per_system_solves(frame, assembly.directions, assembly)
+
+    @staticmethod
+    def _random_frame(rng, n, sizes):
+        """A hand-built frame over dense random data: eigenvalue k repeated
+        ``sizes[k]`` times (at most n, so each block's Psi(0) rows are
+        independent), dense psi and phi directions, a dense operator."""
+        def dense(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        lams = np.repeat(dense(len(sizes)), sizes)
+        rng.shuffle(lams)
+        return SpectralFrame(
+            op=DelayOperator(n=n, terms=((0.0, dense(n, n)),)), lambdas=tuple(lams),
+            phi=tuple(ExpVector(dense(n), l, side="column") for l in lams),
+            psi=tuple(ExpVector(dense(n), l, side="row") for l in lams),
+            B=np.diag(lams))
+
+    def test_random_dense(self, rng):
+        # c <= 8, the range of every pinned artifact (test_large_basis_agrees_to_rounding)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            sizes = rng.integers(1, n + 1, int(rng.integers(1, 4)))
+            while sizes.sum() > 8:
+                sizes = sizes[:-1]
+            frame = self._random_frame(rng, n, sizes)
+            c = frame.c
+            shape = (int(rng.integers(1, 2 * c + 1)), c, c)
+            directions = list(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            _assert_same_as_per_system_solves(frame, directions)
+
+    def test_random_dense_large_blocks(self, rng):
+        for n, sizes in [(12, [12]), (24, [3, 8, 1])]:
+            frame = self._random_frame(rng, n, sizes)
+            geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
+            for m, (R, R_ref) in enumerate(zip(build_R_matrices(frame, geometry),
+                                               _build_R_per_slot(frame, geometry))):
+                assert _same_bits(R, R_ref), f"build_R_matrices: slot {m} differs"
+
+    def test_large_basis_agrees_to_rounding(self, rng):
+        # From c = 9 (an 81 x 81 basis) on, the multi-right-hand-side path of
+        # the LAPACK build may take other BLAS kernels than single solves:
+        # Theta then agrees with one solve per direction only to rounding
+        for c in (9, 12):
+            lams = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+            geometry = orbit_geometry(np.diag(lams), semisimple_jordan_spec(lams))
+            directions = list(rng.standard_normal((9, c, c)) + 1j * rng.standard_normal((9, c, c)))
+            report = theta_extract(geometry, directions)
+            theta, residuals, selected = _theta_extract_per_direction(geometry, directions)
+            assert np.max(np.abs(report.theta - theta)) <= 1e-13 * np.max(np.abs(theta))
+            assert max(report.residuals) <= 1e-13 and report.selected_rows == selected
+
+    def test_no_directions(self, simple_case):
+        _assert_same_as_per_system_solves(simple_case.frame, [])
+        geometry = orbit_geometry(simple_case.frame.B,
+                                  semisimple_jordan_spec(simple_case.frame.lambdas))
+        report = theta_extract(geometry, [])
+        assert report.theta.shape == (0, geometry.delta)
+        assert report.residuals == () and report.selected_rows == () and report.rank == 0
+
+
 class TestExponentialDelayMatrix:
     def test_equal_delays_singular(self):
         lams = [1j, -1j, 2j, -2j]
@@ -427,12 +599,12 @@ class TestRealify:
             realify(f2)
 
     def test_simple_case_reparametrization(self, simple_case):
-        E = simple_case.real_reparam
+        real_family, E = realify(simple_case.assembly.family)
         assert E.shape == (4, 4)
         s = np.linalg.svd(E, compute_uv=False)
         assert s[-1] > 1e-8 * s[0]
         # all real-family coefficients are real matrices
-        for row in simple_case.real_family.directions:
+        for row in real_family.directions:
             for A in row:
                 assert np.max(np.abs(A.imag)) < 1e-12
 
