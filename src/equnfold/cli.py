@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 pipeline failure, 2 usage or schema error,
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -21,9 +20,9 @@ import numpy as np
 from . import d3
 from .errors import EqunfoldError, SchemaError
 from .frames import eigenbasis, find_root, induce_representation
-from .jsonio import (build_artifact, model_from_doc, pair_complex,
-                     read_json, rep_from_doc, require_finite,
-                     write_json_atomic, write_text_atomic)
+from .jsonio import (build_artifact, field, invalid, items, model_from_doc, number,
+                     pair_complex, read_json, rep_from_doc, write_json_atomic,
+                     write_text_atomic)
 from .unfolding import assemble_gamma_unfolding, select_delays
 from .verify import verify_artifact
 
@@ -116,73 +115,30 @@ def cmd_double_hopf(args):
     return EXIT_OK if points else EXIT_PIPELINE
 
 
-def _load_inline_or_path(value, loader):
-    if isinstance(value, str):
-        return loader(read_json(value))
-    return loader(value)
+CONFIG_KEYS = ("model", "group", "lambda_seeds", "delays", "sparsity", "tolerances", "output")
 
 
-def _config_seeds(doc):
-    if not isinstance(doc, list):
-        raise SchemaError("lambda_seeds must be a list of [re, im] pairs or a preset name")
-    seeds = []
-    for k, p in enumerate(doc):
-        try:
-            z = pair_complex(p)
-        except SchemaError as exc:
-            raise SchemaError(f"lambda_seeds[{k}]: {exc}") from exc
-        require_finite(f"lambda_seeds[{k}]", z)
-        seeds.append(z)
-    return seeds
+def _check_keys(doc, path, keys):
+    """A misspelled key would otherwise be ignored, and its default used."""
+    for key in doc:
+        if key not in keys:
+            raise SchemaError(f"unknown key {key!r} in {path}; expected one of {', '.join(keys)}")
 
 
-def _config_number(value, what):
-    """A finite float from a config field; strings and booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{what} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:           # an integer beyond the float range
-        value = math.inf
-    require_finite(what, value)
-    return value
+def _mask_entry(x, path):
+    if not (isinstance(x, int) and x in (0, 1)):      # a bool is an int
+        raise invalid(path, "0, 1, true or false", x)
+    return bool(x)
 
 
-def _config_root_tol(doc):
+def _mask(doc, path):
+    """A lag's 0/1 mask, or None for an unrestricted lag."""
     if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise SchemaError(f"tolerances must be an object, got {doc!r}")
-    tol = _config_number(doc.get("root_tol", 1e-12), "tolerances.root_tol")
-    if not tol > 0:
-        raise SchemaError("tolerances must be positive")
-    return tol
-
-
-def _config_delays(doc):
-    """The configured lags, or None (absent or empty) to select them."""
-    if doc is None or doc == []:
         return None
-    if not isinstance(doc, list):
-        raise SchemaError(f"delays must be a list of numbers, got {doc!r}")
-    return [_config_number(r, f"delays[{k}]") for k, r in enumerate(doc)]
-
-
-def _config_sparsity(doc):
-    """Per-lag boolean masks (None for an unrestricted lag), or None."""
-    if doc is None or doc == []:
-        return None
-    if not isinstance(doc, list):
-        raise SchemaError(f"sparsity must be a list of masks or nulls, got {doc!r}")
-    masks = []
-    for k, m in enumerate(doc):
-        if m is not None and not isinstance(m, list):
-            raise SchemaError(f"sparsity[{k}] must be a 0/1 matrix or null")
-        try:
-            masks.append(None if m is None else np.asarray(m, dtype=bool))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"sparsity[{k}]: {exc}") from exc
-    return masks
+    rows = items(doc, path, lambda row, p: items(row, p, _mask_entry))
+    if len(set(map(len, rows))) > 1:
+        raise SchemaError(f"{path} has rows of different lengths")
+    return np.array(rows, dtype=bool)
 
 
 def _check_sparsity(masks, n_delays, n):
@@ -198,31 +154,34 @@ def _check_sparsity(masks, n_delays, n):
 
 
 def _run_config(cfg):
-    """Run the generic pipeline described by a config document."""
+    """Run the generic pipeline described by a config document; the results
+    come with the config's output path ("" when it names none)."""
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
-    if not isinstance(cfg.get("output", ""), str):
-        raise SchemaError(f"output must be a path, got {cfg['output']!r}")
-    seeds = cfg.get("lambda_seeds")
+    _check_keys(cfg, "config", CONFIG_KEYS)
+    output = field(cfg, "", "output", "")[0]
+    if not isinstance(output, str):
+        raise SchemaError(f"output must be a path, got {output!r}")
+    seeds, seeds_path = field(cfg, "", "lambda_seeds")
     if isinstance(seeds, str):
         # a preset string stands in for the whole model/group/seed triple
         if "model" in cfg or "group" in cfg:
             raise SchemaError("preset lambda_seeds cannot be combined with an "
                               "explicit model or group")
-        return _run_preset(seeds)
-    try:
-        model_doc = cfg["model"]
-        group_doc = cfg["group"]
-        if seeds is None:
-            raise KeyError("'lambda_seeds'")
-    except KeyError as exc:
-        raise SchemaError(f"config is missing {exc}")
-    op = _load_inline_or_path(model_doc, model_from_doc)
-    rep = _load_inline_or_path(group_doc, rep_from_doc)
-    seeds = _config_seeds(seeds)
-    root_tol = _config_root_tol(cfg.get("tolerances"))
-    delays = _config_delays(cfg.get("delays"))
-    sparsity = _config_sparsity(cfg.get("sparsity"))
+        return _run_preset(seeds) + (output,)
+    # model and group may be inline documents or paths to JSON files
+    model, group = (field(cfg, "", key)[0] for key in ("model", "group"))
+    op = model_from_doc(read_json(model) if isinstance(model, str) else model)
+    rep = rep_from_doc(read_json(group) if isinstance(group, str) else group)
+    seeds = items(seeds, seeds_path, pair_complex)
+    tolerances, path = field(cfg, "", "tolerances", {})
+    root_tol = number(*field(tolerances, path, "root_tol", 1e-12))
+    _check_keys(tolerances, path, ("root_tol",))
+    if not root_tol > 0:
+        raise SchemaError("tolerances must be positive")
+    # no lags: the pipeline selects them; no masks: every entry is free
+    delays = items(*field(cfg, "", "delays", []), number) or None
+    sparsity = items(*field(cfg, "", "sparsity", []), _mask) or None
 
     roots = []
     for seed in seeds:
@@ -238,7 +197,7 @@ def _run_config(cfg):
         delays = select_delays(frame)
     _check_sparsity(sparsity, len(delays), op.n)
     assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=sparsity)
-    return op, rep, frame, assembly, {"source": "config"}
+    return op, rep, frame, assembly, {"source": "config"}, output
 
 
 def _run_preset(preset):
@@ -267,10 +226,8 @@ def cmd_unfold(args):
     if args.preset:
         op, rep, frame, assembly, meta = _run_preset(args.preset)
     else:
-        cfg = read_json(args.config)
-        op, rep, frame, assembly, meta = _run_config(cfg)
-        if not args.output and cfg.get("output"):
-            args.output = cfg["output"]
+        op, rep, frame, assembly, meta, output = _run_config(read_json(args.config))
+        args.output = args.output or output
     doc = build_artifact(op, rep, frame, assembly, meta=meta)
     out = args.output or "unfold.json"
     write_json_atomic(out, doc)

@@ -116,6 +116,60 @@ def read_json(path):
                               f"column {exc.colno}: {exc.msg}") from exc
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        except ValueError as exc:   # an integer literal longer than int() converts
+            raise SchemaError(f"{path}: {exc}") from exc
+
+
+# ------------------------------------------------------------------ readers
+#
+# Every value read from a document is read by one of these, given the JSON
+# path of the value (``model.terms[1].delay``); a schema error names it.
+
+def invalid(path, expected, value):
+    """The schema error for ``value`` at ``path``, which is not ``expected``."""
+    got = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+    return SchemaError(f"{path} must be {expected}, got {got}")
+
+
+def field(doc, path, key, default=None):
+    """``(value, path)`` of ``key`` in the object at ``path`` ("" for the
+    document itself).  A key that is absent or null takes ``default``; with
+    no default, the key is required."""
+    if not isinstance(doc, dict):
+        raise invalid(path, "an object", doc)
+    child = f"{path}.{key}" if path else key
+    value = default if doc.get(key) is None else doc[key]
+    if value is None:
+        raise SchemaError(f"{child} is required")
+    return value, child
+
+
+def number(x, path):
+    """A finite float.  A bool or a string is not a number, and an integer
+    beyond the float range is not finite."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise invalid(path, "a number", x)
+    try:
+        x = float(x)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise SchemaError(f"non-finite entry in {path}")
+    return x
+
+
+def integer(x, path):
+    """A non-negative int; a bool or a float (0.9, or 3.0) is not one."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise invalid(path, "a non-negative integer", x)
+    return x
+
+
+def items(doc, path, read):
+    """The list at ``path``, each entry read by ``read(entry, f"{path}[k]")``."""
+    if not isinstance(doc, list):
+        raise invalid(path, "a list", doc)
+    return [read(x, f"{path}[{k}]") for k, x in enumerate(doc)]
 
 
 # ------------------------------------------------------------- value codecs
@@ -125,12 +179,10 @@ def complex_pair(z):
     return [float(z.real), float(z.imag)]
 
 
-def pair_complex(p):
-    try:
-        re, im = p
-        return complex(float(re), float(im))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"expected a [re, im] pair, got {p!r}") from exc
+def pair_complex(p, path):
+    if not isinstance(p, list) or len(p) != 2:
+        raise invalid(path, "a [re, im] pair", p)
+    return complex(number(p[0], f"{path}[0]"), number(p[1], f"{path}[1]"))
 
 
 def _encode_pairs(a):
@@ -140,48 +192,43 @@ def _encode_pairs(a):
     return np.stack((a.real, a.imag), -1).tolist()
 
 
-def _decode_pairs(doc, ndim):
-    """The complex array of a numeric document of shape ``(..., 2)`` with
-    ``ndim`` complex axes, viewed as complex; None for anything else (None
-    or string entries, ints beyond 64 bits, ragged rows), which the per-entry
-    decoders handle and report."""
+def _decode_pairs(doc, path, ndim):
+    """The complex array of a document of ``[re, im]`` pairs nested ``ndim``
+    lists deep.  A finite numeric document of that shape is converted at
+    once; anything else (None or string entries, ints beyond 64 bits, ragged
+    rows, non-finite entries) is read entry by entry, which names the entry
+    at fault."""
     try:
         a = np.array(doc)
-    except ValueError:
-        return None
-    if a.dtype.kind not in "fiu" or a.ndim != ndim + 1 or a.shape[-1] != 2:
-        return None
-    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+    except ValueError:              # ragged: read entry by entry below
+        a = np.array(None)
+    if a.dtype.kind in "fiu" and a.ndim == ndim + 1 and a.shape[-1] == 2:
+        a = np.ascontiguousarray(a, dtype=float)
+        if np.isfinite(a).all():
+            return a.view(complex)[..., 0]
+    read = pair_complex
+    for _ in range(ndim):
+        read = functools.partial(items, read=read)
+    try:
+        return np.array(read(doc, path), dtype=complex)
+    except ValueError as exc:       # rows of different lengths
+        raise SchemaError(f"malformed complex matrix {path}: {exc}") from exc
 
 
 def encode_cvector(v):
     return _encode_pairs(np.ravel(v))
 
 
-def decode_cvector(doc):
-    v = _decode_pairs(doc, 1)
-    if v is not None:
-        return v
-    try:
-        return np.array([pair_complex(p) for p in doc], dtype=complex)
-    except TypeError as exc:        # a number where the list of pairs belongs
-        raise SchemaError(f"malformed complex vector: {exc}") from exc
+def decode_cvector(doc, path="vector"):
+    return _decode_pairs(doc, path, 1)
 
 
 def encode_cmatrix(M):
     return _encode_pairs(M)
 
 
-def decode_cmatrix(doc):
-    M = _decode_pairs(doc, 2)
-    if M is not None:
-        return M
-    try:
-        return np.array([[pair_complex(p) for p in row] for row in doc], dtype=complex)
-    except SchemaError:
-        raise
-    except Exception as exc:
-        raise SchemaError(f"malformed complex matrix: {exc}") from exc
+def decode_cmatrix(doc, path="matrix"):
+    return _decode_pairs(doc, path, 2)
 
 
 # ------------------------------------------------------------ domain codecs
@@ -196,24 +243,17 @@ def document_errors():
         raise SchemaError(str(exc)) from exc
 
 
-def require_finite(what, *values):
-    if not all(np.all(np.isfinite(v)) for v in values):
-        raise SchemaError(f"non-finite entry in {what}")
-
-
 def decode_cmatrix_stack(doc, path, shape=None):
     """A non-empty list of finite complex matrices of one shape (``shape``,
-    else the first matrix's) as a stack; errors name ``path``, the list's
-    place in the document.  Shapes are compared before stacking, so a
-    ragged list is a schema error, not a numpy one."""
-    if not isinstance(doc, list) or not doc:
+    else the first matrix's) as a stack.  Shapes are compared before
+    stacking, so a ragged list is a schema error, not a numpy one."""
+    mats = items(doc, path, decode_cmatrix)
+    if not mats:
         raise SchemaError(f"{path} must be a non-empty list of matrices")
-    mats = [decode_cmatrix(M) for M in doc]
     shape = shape or mats[0].shape
     for k, M in enumerate(mats):
         if M.shape != shape:
             raise SchemaError(f"{path}[{k}] has shape {M.shape}, expected {shape}")
-        require_finite(f"{path}[{k}]", M)
     return np.array(mats)
 
 
@@ -225,15 +265,11 @@ def model_to_doc(op):
 
 
 @document_errors()
-def model_from_doc(doc):
-    try:
-        n = int(doc["n"])
-        terms = tuple((float(t["delay"]), decode_cmatrix(t["matrix"])) for t in doc["terms"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"malformed model document: {exc}") from exc
-    for r, A in terms:
-        require_finite(f"the model term at delay {r}", r, A)
-    return DelayOperator(n=n, terms=terms)
+def model_from_doc(doc, path="model"):
+    def term(t, p):
+        return number(*field(t, p, "delay")), decode_cmatrix(*field(t, p, "matrix"))
+    return DelayOperator(n=integer(*field(doc, path, "n")),
+                         terms=tuple(items(*field(doc, path, "terms"), term)))
 
 
 def rep_to_doc(rep):
@@ -247,16 +283,16 @@ def rep_to_doc(rep):
 
 
 @document_errors()
-def rep_from_doc(doc):
-    if not isinstance(doc, dict):
-        raise SchemaError("group document must be a JSON object")
-    if "generators" in doc:
-        return close_generators(decode_cmatrix_stack(doc["generators"], "group.generators"))
-    if "mul_table" in doc and "matrices" in doc:
-        group = FiniteGroup.from_mul_table(doc["mul_table"])
-        return Representation(group=group,
-                              matrices=decode_cmatrix_stack(doc["matrices"], "group.matrices"))
-    raise SchemaError("group document needs 'generators' or 'mul_table'+'matrices'")
+def rep_from_doc(doc, path="group"):
+    generators, generators_path = field(doc, path, "generators", [])
+    if generators != []:
+        return close_generators(decode_cmatrix_stack(generators, generators_path))
+    table, table_path = field(doc, path, "mul_table")
+    table = items(table, table_path, lambda row, p: items(row, p, integer))
+    if any(len(row) != len(table) or max(row) >= len(table) for row in table):
+        raise SchemaError(f"{table_path} must be a square table of element indices")
+    return Representation(group=FiniteGroup.from_mul_table(table),
+                          matrices=decode_cmatrix_stack(*field(doc, path, "matrices")))
 
 
 def frame_to_doc(frame):
@@ -272,30 +308,24 @@ def frame_to_doc(frame):
 
 
 @document_errors()
-def frame_from_doc(doc, op, group=None):
-    try:
-        lams = [pair_complex(p) for p in doc["eigenvalues"]]
-        phi = tuple(ExpVector(decode_cvector(v), l, side="column")
-                    for v, l in zip(doc["phi_directions"], lams))
-        psi = tuple(ExpVector(decode_cvector(v), l, side="row")
-                    for v, l in zip(doc["psi_directions"], lams))
-        B = decode_cmatrix(doc["reduced_matrix"])
-    except KeyError as exc:
-        raise SchemaError(f"frame document missing {exc}") from exc
-    except TypeError as exc:        # a number where a list belongs
-        raise SchemaError(f"malformed frame document: {exc}") from exc
+def frame_from_doc(doc, op, group=None, path="frame"):
+    lams = items(*field(doc, path, "eigenvalues"), pair_complex)
+    phis = items(*field(doc, path, "phi_directions"), decode_cvector)
+    psis = items(*field(doc, path, "psi_directions"), decode_cvector)
+    B = decode_cmatrix(*field(doc, path, "reduced_matrix"))
     c = len(lams)
-    if [v.direction.shape for v in phi + psi] != [(op.n,)] * (2 * c) or B.shape != (c, c):
+    if [v.shape for v in phis + psis] != [(op.n,)] * (2 * c) or B.shape != (c, c):
         raise SchemaError(f"a frame over {c} eigenvalues needs {c} phi and {c} psi directions "
                           f"of length n = {op.n} and a {c} x {c} reduced matrix")
-    require_finite("the frame", lams, B, *(v.direction for v in phi + psi))
-    G = None
-    if "induced_rep" in doc:
-        if group is None:
-            raise SchemaError("induced representation present but no group supplied")
-        G = Representation(group=group, matrices=decode_cmatrix_stack(
-            doc["induced_rep"], "frame.induced_rep", shape=(c, c)))
-    return SpectralFrame(op=op, lambdas=tuple(lams), phi=phi, psi=psi, B=B, G=G)
+    induced, induced_path = field(doc, path, "induced_rep", [])
+    if induced != [] and group is None:
+        raise SchemaError("induced representation present but no group supplied")
+    G = None if induced == [] else Representation(
+        group=group, matrices=decode_cmatrix_stack(induced, induced_path, shape=(c, c)))
+    return SpectralFrame(op=op, lambdas=tuple(lams),
+                         phi=tuple(ExpVector(v, l, side="column") for v, l in zip(phis, lams)),
+                         psi=tuple(ExpVector(v, l, side="row") for v, l in zip(psis, lams)),
+                         B=B, G=G)
 
 
 def build_artifact(op, rep, frame, assembly, meta=None):

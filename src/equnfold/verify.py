@@ -15,8 +15,8 @@ import numpy as np
 from .delays import check_equivariance
 from .errors import EqunfoldError, SchemaError
 from .groups import check_representation, commutator_residual, equivariant_average
-from .jsonio import (SCHEMA, decode_cmatrix, decode_cmatrix_stack, document_errors,
-                     frame_from_doc, model_from_doc, rep_from_doc, require_finite)
+from .jsonio import (SCHEMA, decode_cmatrix, decode_cmatrix_stack, document_errors, field,
+                     frame_from_doc, integer, items, model_from_doc, number, rep_from_doc)
 from .unfolding import (UnfoldingFamily, build_R_matrices, orbit_geometry,
                         project_slot, reconstruction_residual,
                         semisimple_jordan_spec, theta_extract,
@@ -47,12 +47,6 @@ class VerificationReport:
         return [f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in self.checks]
 
 
-def _require(doc, key, context="artifact"):
-    if not isinstance(doc, dict) or key not in doc:
-        raise SchemaError(f"{context} is missing required key {key!r}")
-    return doc[key]
-
-
 @document_errors()
 def parse_artifact(doc):
     """Decode the artifact document; schema violations raise SchemaError."""
@@ -60,38 +54,23 @@ def parse_artifact(doc):
         raise SchemaError("artifact must be a JSON object")
     if doc.get("schema") != SCHEMA:
         raise SchemaError(f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA!r}")
-    op = model_from_doc(_require(doc, "model"))
-    rep = rep_from_doc(_require(doc, "group"))
-    frame = frame_from_doc(_require(doc, "frame"), op, group=rep.group)
+    op = model_from_doc(*field(doc, "", "model"))
+    rep = rep_from_doc(*field(doc, "", "group"))
+    frame = frame_from_doc(field(doc, "", "frame")[0], op, group=rep.group)
     if frame.G is None:
         raise SchemaError("artifact frame carries no induced representation")
 
-    unf = _require(doc, "unfolding")
-    try:
-        delays = [float(r) for r in _require(unf, "delays", "unfolding")]
-    except (TypeError, ValueError):
-        raise SchemaError("unfolding.delays must be a list of numbers")
-    require_finite("unfolding.delays", delays)
-    names = _require(unf, "parameters", "unfolding")
-    if not isinstance(names, list):
-        raise SchemaError("unfolding.parameters must be a list of names")
-    coefficients = _require(unf, "coefficients", "unfolding")
-    if not isinstance(coefficients, list):
-        raise SchemaError("unfolding.coefficients must be a list")
-    directions = [tuple(decode_cmatrix_stack(row, f"unfolding.coefficients[{m}]",
-                                             shape=(op.n, op.n)))
-                  for m, row in enumerate(coefficients)]
-    try:
-        selected = [int(i) for i in _require(unf, "selected_rows", "unfolding")]
-    except (TypeError, ValueError):
-        raise SchemaError("selected_rows must be a list of integers")
+    unf = field(doc, "", "unfolding")
+    delays = items(*field(*unf, "delays"), number)
+    names = items(*field(*unf, "parameters"), lambda name, _: name)
+    directions = items(*field(*unf, "coefficients"),
+                       lambda row, p: tuple(decode_cmatrix_stack(row, p, shape=(op.n, op.n))))
+    selected = items(*field(*unf, "selected_rows"), integer)
     if len(selected) != len(names):
-        raise SchemaError("selected_rows must list one slot per parameter")
-    if min(selected, default=0) < 0 or len(set(selected)) != len(selected):
-        raise SchemaError(f"selected_rows {selected} must be distinct non-negative indices")
-
-    theta_doc = _require(doc, "theta")
-    theta = decode_cmatrix(_require(theta_doc, "matrix", "theta"))
+        raise SchemaError("unfolding.selected_rows must list one slot per parameter")
+    if len(set(selected)) != len(selected):
+        raise SchemaError(f"unfolding.selected_rows {selected} must be distinct")
+    theta = decode_cmatrix(*field(*field(doc, "", "theta"), "matrix"))
 
     family = UnfoldingFamily(base=op, delays=tuple(delays), directions=tuple(directions),
                              names=tuple(names), rep=None)

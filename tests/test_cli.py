@@ -19,6 +19,56 @@ def run(args):
     return main(list(args))
 
 
+DELETE = object()
+# replacements for one node of a document: wrong types, a number beyond the
+# float range, a non-integer index, a number as a string, and deletion
+MUTANT_VALUES = (None, "x", [], 5, 1e308, True, DELETE, 10 ** 400, 0.5, "0", {})
+
+
+def _mutation_faults(tmp_path, doc, command, exits, under=()):
+    """Every node of ``doc`` below ``under`` (the first and last entry of
+    each list) replaced by a wrong value or deleted, three of the values per
+    node in rotation, so that each value reaches every part of the document;
+    the mutants on which ``command + [file]`` raised or left ``exits``."""
+    text = json.dumps(doc)
+
+    def paths(node, path=()):
+        keys = (sorted(node) if isinstance(node, dict)
+                else sorted({0, len(node) - 1}) if isinstance(node, list) and node else [])
+        for k in keys:
+            yield path + (k,)
+            yield from paths(node[k], path + (k,))
+
+    bad = tmp_path / "mutant.json"
+    faults = []
+    nodes = [path for path in paths(doc) if path[:len(under)] == under]
+    for i, path in enumerate(nodes):
+        for k in range(3):
+            value = MUTANT_VALUES[(3 * i + k) % len(MUTANT_VALUES)]
+            mutant = json.loads(text)
+            node = mutant
+            for key in path[:-1]:
+                node = node[key]
+            if value is DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+            bad.write_text(json.dumps(mutant))
+            try:
+                code = run(command + [str(bad)])
+            except Exception as exc:       # a raw traceback is the fault looked for
+                faults.append((path, value, repr(exc)))
+            else:
+                if code not in exits:
+                    faults.append((path, value, f"exit {code}"))
+    return faults
+
+
+def _table_group(rep):
+    return {"mul_table": rep.group.mul_table.tolist(),
+            "matrices": [encode_cmatrix(M) for M in rep.matrices]}
+
+
 class TestCurves:
     def test_writes_csv(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -156,6 +206,11 @@ class TestUnfold:
         assert _ring_artifact_digest(tmp_path, 12) == \
             "3cd7ced964952931380b888098b21b758d43d00f3cb4d4ece15a2eef19e6a5db"
 
+    def test_ring3_fixture_is_the_three_cell_ring(self):
+        # the installed console script reads this fixture in CI
+        with open(os.path.join(FIXTURES, "ring3_config.json")) as fh:
+            assert json.load(fh) == _ring_config(3)
+
     def test_24_cell_ring_config_artifact_is_pinned(self, tmp_path):
         # the same ring at N = 24, where Newton reads 48 of the 576 cofactors;
         # the digest was taken while find_root still took all of them
@@ -196,14 +251,18 @@ class TestUnfold:
     @pytest.mark.parametrize("field, value", [
         ("n", "x"),
         ("n", float("inf")),
+        ("n", 3.9),
+        ("n", "3"),
         ("delay", "abc"),
         ("delay", float("nan")),
         ("delay", float("inf")),
         ("delay", float("-inf")),
+        ("delay", "0"),
+        ("delay", False),
         ("entry", float("nan")),
         ("entry", float("inf")),
     ])
-    def test_bad_model_field_exits_2(self, tmp_path, simple_case, field, value):
+    def test_bad_model_field_exits_2(self, tmp_path, capsys, simple_case, field, value):
         model = model_to_doc(simple_case.op)
         if field == "n":
             model["n"] = value
@@ -219,6 +278,9 @@ class TestUnfold:
         }))
         assert run(["unfold", "--config", str(cfg_path),
                     "--output", str(tmp_path / "o.json")]) == 2
+        path = {"n": "model.n", "delay": "model.terms[1].delay",
+                "entry": "model.terms[1].matrix[0][1][0]"}[field]
+        assert path in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, message", [
         (None, [], "config must be a JSON object"),
@@ -241,11 +303,18 @@ class TestUnfold:
         ("sparsity", [None], "sparsity must hold one mask per delay"),
         ("sparsity", [[[1]], None, None], "sparsity[0] has shape (1, 1)"),
         ("output", 5, "output"),
+        ("lambda_seeds", [["0", "1.8"]], "lambda_seeds[0][0]"),
+        ("sparsity", [[["0"]]], "sparsity[0][0][0]"),
+        ("sparsity", [[[0.5]]], "sparsity[0][0][0]"),
+        ("sparsity", [[[2]]], "sparsity[0][0][0]"),
+        ("sparsty", [None], "'sparsty'"),
+        ("tolerances", {"root_tl": 1e-9}, "'root_tl'"),
     ], ids=["list-config", "tolerances-list", "root-tol-string", "root-tol-list",
             "root-tol-bool", "root-tol-nan", "root-tol-inf", "seeds-number", "seed-nan",
             "seed-inf", "seed-triple", "delays-number", "delays-string", "delays-nan",
             "sparsity-number", "sparsity-ragged", "sparsity-short", "sparsity-one",
-            "sparsity-shape", "output-number"])
+            "sparsity-shape", "output-number", "seed-strings", "mask-string", "mask-half",
+            "mask-two", "misspelled-key", "misspelled-tolerance"])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, simple_case, field, value,
                                       message):
         cfg = {
@@ -263,6 +332,42 @@ class TestUnfold:
         err = capsys.readouterr().err
         assert err.startswith("schema error") and message in err, err
 
+    @pytest.mark.parametrize("mutate", [
+        lambda t: t[1].__setitem__(2, "x"),
+        lambda t: t[1].__setitem__(2, None),
+        lambda t: t[1].__setitem__(2, 1.5),
+        lambda t: t[1].pop(),
+    ], ids=["string", "null", "float", "ragged"])
+    def test_malformed_group_table_exits_2(self, tmp_path, capsys, simple_case, mutate):
+        group = _table_group(simple_case.rep)
+        mutate(group["mul_table"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "model": model_to_doc(simple_case.op),
+            "group": group,
+            "lambda_seeds": [[0.0, simple_case.point.omega1]],
+        }))
+        assert run(["unfold", "--config", str(cfg_path)]) == 2
+        assert "group.mul_table" in capsys.readouterr().err
+
+    def test_single_field_config_mutations_exit_cleanly(self, tmp_path, simple_case):
+        """Every node of a ``d3:simple`` config with every key set and its
+        group in table form, replaced by a wrong value or deleted:
+        ``unfold --config`` exits 0, 1, 2 or 3 and never raises."""
+        point, family = simple_case.point, simple_case.assembly.family
+        cfg = {
+            "model": model_to_doc(simple_case.op),
+            "group": _table_group(simple_case.rep),
+            "lambda_seeds": [[0.0, point.omega1], [0.0, -point.omega1],
+                             [0.0, point.omega2], [0.0, -point.omega2]],
+            "delays": list(family.delays),
+            "sparsity": [None] * len(family.delays),
+            "tolerances": {"root_tol": 1e-12},
+            "output": "unused.json",
+        }
+        command = ["unfold", "--output", str(tmp_path / "o.json"), "--config"]
+        assert not _mutation_faults(tmp_path, cfg, command, (0, 1, 2, 3))
+
     def test_non_equivariant_model_fails_cleanly(self, tmp_path):
         from equnfold.delays import DelayOperator
         op = DelayOperator(n=3, terms=((0.0, np.diag([1.0, 2.0, 3.0])),))
@@ -278,17 +383,22 @@ class TestUnfold:
         assert code == 1
 
 
-def _ring_artifact_digest(tmp_path, n):
-    """sha256 of the ``unfold --config`` artifact of the n-cell one-way ring
-    u_j' = -u_j + 2 u_{j-1}(t - 1), seeded at +-2i."""
+def _ring_config(n):
+    """The config of the n-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1),
+    seeded at +-2i."""
     shift = np.roll(np.eye(n), 1, axis=0)
-    cfg_path = tmp_path / "ring.json"
-    cfg_path.write_text(json.dumps({
+    return {
         "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_cmatrix(-np.eye(n))},
                                     {"delay": 1.0, "matrix": encode_cmatrix(2.0 * shift)}]},
         "group": {"generators": [encode_cmatrix(shift)]},
         "lambda_seeds": [[0.0, 2.0], [0.0, -2.0]],
-    }))
+    }
+
+
+def _ring_artifact_digest(tmp_path, n):
+    """sha256 of the ``unfold --config`` artifact of :func:`_ring_config`."""
+    cfg_path = tmp_path / "ring.json"
+    cfg_path.write_text(json.dumps(_ring_config(n)))
     out = tmp_path / "ring_out.json"
     assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
@@ -313,6 +423,7 @@ class TestVerify:
     @pytest.mark.parametrize("content, message", [
         (b"{not json", "line 1 column 2"),
         (b"\xff\xfe{}", "not UTF-8 text"),
+        pytest.param(b'{"schema": ' + b"1" * 5000 + b"}", "schema error", id="long-integer"),
     ])
     def test_malformed_json_artifact_exits_2(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.json"
@@ -390,44 +501,13 @@ class TestVerify:
         assert not checks["versality.span"]["passed"]
         assert "non-finite" in checks["versality.span"]["detail"]
 
-    def test_single_field_mutations_exit_cleanly(self, tmp_path, simple_artifact):
-        """Every node of a ``d3:simple`` artifact (the first and last entry of
-        each list) replaced by a wrong value or deleted: verify exits 0, 1 or
-        2 and never raises.  Three of the seven replacements per node, in
-        rotation, so each replacement reaches every part of the document."""
-        text = json.dumps(simple_artifact)
-
-        def paths(node, path=()):
-            keys = (sorted(node) if isinstance(node, dict)
-                    else sorted({0, len(node) - 1}) if isinstance(node, list) and node else [])
-            for k in keys:
-                yield path + (k,)
-                yield from paths(node[k], path + (k,))
-
-        delete = object()
-        values = (None, "x", [], 5, 1e308, True, delete)
-        bad = tmp_path / "mutant.json"
-        faults = []
-        for i, path in enumerate(paths(json.loads(text))):
-            for k in range(3):
-                value = values[(3 * i + k) % len(values)]
-                doc = json.loads(text)
-                node = doc
-                for key in path[:-1]:
-                    node = node[key]
-                if value is delete:
-                    del node[path[-1]]
-                else:
-                    node[path[-1]] = value
-                bad.write_text(json.dumps(doc))
-                try:
-                    code = run(["verify", str(bad)])
-                except Exception as exc:       # a raw traceback is the fault looked for
-                    faults.append((path, value, repr(exc)))
-                else:
-                    if code not in (0, 1, 2):
-                        faults.append((path, value, f"exit {code}"))
-        assert not faults
+    def test_single_field_mutations_exit_cleanly(self, tmp_path, simple_artifact, simple_case):
+        """Every node of a ``d3:simple`` artifact, and of its group in table
+        form, replaced by a wrong value or deleted: verify exits 0, 1 or 2
+        and never raises."""
+        assert not _mutation_faults(tmp_path, simple_artifact, ["verify"], (0, 1, 2))
+        doc = dict(simple_artifact, group=_table_group(simple_case.rep))
+        assert not _mutation_faults(tmp_path, doc, ["verify"], (0, 1, 2), under=("group",))
 
     @pytest.mark.parametrize("path, mutate", [
         # non-finite entries
@@ -475,14 +555,31 @@ class TestVerify:
          "group.matrices[2] has shape (2, 3), expected (3, 3)"),
         (lambda doc: doc["group"]["matrices"][1][0].pop(),
          "malformed complex matrix"),
+        (lambda doc: doc["unfolding"]["delays"].__setitem__(0, 10 ** 400),
+         "non-finite entry in unfolding.delays[0]"),
+        (lambda doc: doc["group"]["mul_table"][1].__setitem__(2, "0"), "group.mul_table[1][2]"),
+        (lambda doc: doc["group"]["mul_table"][1].__setitem__(2, None), "group.mul_table[1][2]"),
+        (lambda doc: doc["group"]["mul_table"][1].__setitem__(2, 1.5), "group.mul_table[1][2]"),
+        (lambda doc: doc["group"]["mul_table"][1].pop(), "group.mul_table"),
+        (lambda doc: doc["unfolding"]["selected_rows"].__setitem__(0, 0.9),
+         "unfolding.selected_rows[0]"),
+        (lambda doc: doc["unfolding"]["selected_rows"].__setitem__(0, "0"),
+         "unfolding.selected_rows[0]"),
+        (lambda doc: doc["model"].__setitem__("n", 3.9), "model.n"),
+        (lambda doc: doc["model"].__setitem__("n", "3"), "model.n"),
+        (lambda doc: doc["model"]["terms"][0].__setitem__("delay", "0"), "model.terms[0].delay"),
+        (lambda doc: doc["model"]["terms"][0].__setitem__("delay", False), "model.terms[0].delay"),
+        (lambda doc: doc["frame"]["eigenvalues"].__setitem__(0, ["0", "1.8"]),
+         "frame.eigenvalues[0][0]"),
     ], ids=["coefficient-nan", "delay-inf", "ragged-induced-rep", "ragged-group-matrices",
-            "ragged-group-matrix"])
+            "ragged-group-matrix", "delay-huge-int", "table-string", "table-null",
+            "table-float", "table-ragged", "selected-row-float", "selected-row-string",
+            "n-float", "n-string", "model-delay-string", "model-delay-bool",
+            "eigenvalue-strings"])
     def test_defect_names_its_place(self, tmp_path, capsys, simple_artifact, simple_case,
                                     mutate, message):
         doc = copy.deepcopy(simple_artifact)
-        rep = simple_case.rep
-        doc["group"] = {"mul_table": rep.group.mul_table.tolist(),
-                        "matrices": [encode_cmatrix(M) for M in rep.matrices]}
+        doc["group"] = _table_group(simple_case.rep)
         mutate(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

@@ -10,7 +10,7 @@ from equnfold.delays import DelayOperator
 from equnfold.errors import SchemaError
 from equnfold.groups import FiniteGroup, Representation
 from equnfold.jsonio import (canonical_json, complex_pair, decode_cmatrix, decode_cvector,
-                             encode_cmatrix, encode_cvector, frame_from_doc, frame_to_doc,
+                             encode_cmatrix, encode_cvector, frame_from_doc, frame_to_doc, items,
                              model_from_doc, model_to_doc, pair_complex, rep_from_doc,
                              rep_to_doc)
 
@@ -125,14 +125,13 @@ def _canonical_json_per_float(obj):
     raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
 
-def _decode_cmatrix_per_entry(doc):
-    """Reference decoder: one ``pair_complex`` per entry."""
+def _decode_cmatrix_per_entry(doc, path="matrix"):
+    """Reference decoder: one ``pair_complex`` per entry, each given its path."""
+    rows = items(doc, path, lambda row, p: items(row, p, pair_complex))
     try:
-        return np.array([[pair_complex(p) for p in row] for row in doc], dtype=complex)
-    except SchemaError:
-        raise
-    except Exception as exc:
-        raise SchemaError(f"malformed complex matrix: {exc}") from exc
+        return np.array(rows, dtype=complex)
+    except ValueError as exc:
+        raise SchemaError(f"malformed complex matrix {path}: {exc}") from exc
 
 
 def _outcome(f, *args):

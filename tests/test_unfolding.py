@@ -360,7 +360,7 @@ def _assert_same_as_per_system_solves(frame, directions, assembly=None):
 def _ring_case(n):
     """``unfold --config`` on the n-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1)."""
     shift = np.roll(np.eye(n), 1, axis=0)
-    _, _, frame, assembly, _ = _run_config({
+    _, _, frame, assembly, _, _ = _run_config({
         "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_cmatrix(-np.eye(n))},
                                     {"delay": 1.0, "matrix": encode_cmatrix(2.0 * shift)}]},
         "group": {"generators": [encode_cmatrix(shift)]},
