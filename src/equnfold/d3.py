@@ -144,6 +144,84 @@ def sweep_curves(factor, beta, tau_n, omegas, branches=(0, 1, 2, 3)):
     return out
 
 
+@dataclass(frozen=True)
+class _Segments:
+    """A polyline's segments, prepared once for any number of pair tests.
+
+    ``A`` and ``r`` are the segments' starts and directions, ``lo`` and
+    ``hi`` their bounding boxes, ``order``/``keys`` the sweep order on the
+    first coordinate and ``reach`` the widest extent in it; ``index`` maps
+    each row back to its segment in the whole polyline.  ``absmax`` is the
+    largest |coordinate| of the whole polyline: it sets the rounding pad, so
+    a pair test gives the same bits whether or not segments were left out.
+    """
+
+    A: np.ndarray
+    r: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    order: np.ndarray
+    keys: np.ndarray
+    reach: float
+    absmax: float
+    index: np.ndarray
+
+
+def _prepare_segments(P, window=None):
+    """Prepare the segments P[i:i+2] of the (m, 2) polyline P.
+
+    With ``window = ((x0, x1), (y0, y1))`` only the segments whose bounding
+    box meets that rectangle, padded by 1e-6 (1 + max |P|), are kept.
+    """
+    A = P[:-1]
+    r = P[1:] - A
+    lo, hi = np.minimum(A, P[1:]), np.maximum(A, P[1:])
+    absmax = float(np.max(np.abs(P), initial=0.0))
+    index = np.arange(len(A))
+    if window is not None:
+        (x0, x1), (y0, y1) = window
+        m = 1e-6 * (1.0 + absmax)
+        index = np.flatnonzero((lo[:, 0] <= x1 + m) & (hi[:, 0] >= x0 - m)
+                               & (lo[:, 1] <= y1 + m) & (hi[:, 1] >= y0 - m))
+        A, r, lo, hi = A[index], r[index], lo[index], hi[index]
+    order = np.argsort(lo[:, 0], kind="stable")
+    reach = float(np.max(hi[:, 0] - lo[:, 0], initial=0.0))
+    return _Segments(A=A, r=r, lo=lo, hi=hi, order=order, keys=lo[order, 0],
+                     reach=reach, absmax=absmax, index=index)
+
+
+def _pair_intersections(p, q, same=False):
+    """Crossings of two prepared polylines, in the polylines' own segment
+    indices; see :func:`_segment_intersections`.  ``same`` says that p and
+    q are one polyline: neighbouring segments (|i - j| <= 1), which only
+    meet at their shared endpoint, are then not tested."""
+    pad = 1e-9 * (1.0 + max(p.absmax, q.absmax))
+    first = np.searchsorted(q.keys, p.lo[:, 0] - q.reach - pad, side="left")
+    last = np.searchsorted(q.keys, p.hi[:, 0] + pad, side="right")
+    counts = last - first
+    ii = np.repeat(np.arange(len(p.A)), counts)
+    jj = q.order[np.arange(len(ii)) + np.repeat(first - (np.cumsum(counts) - counts), counts)]
+    # the window already bounds q.lo[jj, 0] <= p.hi[ii, 0] + pad
+    near = ((q.hi[jj, 0] >= p.lo[ii, 0] - pad) & (q.lo[jj, 1] <= p.hi[ii, 1] + pad)
+            & (q.hi[jj, 1] >= p.lo[ii, 1] - pad))
+    if same:
+        near &= np.abs(p.index[ii] - q.index[jj]) > 1
+    ii, jj = ii[near], jj[near]
+
+    A, r, C, s = p.A, p.r, q.A, q.r
+    denom = r[ii, 0] * s[jj, 1] - r[ii, 1] * s[jj, 0]
+    dx = C[jj, 0] - A[ii, 0]
+    dy = C[jj, 1] - A[ii, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (dx * s[jj, 1] - dy * s[jj, 0]) / denom
+        u = (dx * r[ii, 1] - dy * r[ii, 0]) / denom
+    ok = np.isfinite(t) & np.isfinite(u) & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
+    ii, jj, t, u = ii[ok], jj[ok], t[ok], u[ok]
+    idx = np.lexsort((jj, ii))
+    ii, jj, t, u = ii[idx], jj[idx], t[idx], u[idx]
+    return p.index[ii], q.index[jj], t, u, A[ii] + t[:, None] * r[ii]
+
+
 def _segment_intersections(P, Q):
     """Crossings of two polylines in the plane.
 
@@ -162,38 +240,38 @@ def _segment_intersections(P, Q):
     continuous in omega; the second, tau_s, jumps by 2 pi / omega where the
     angle wraps.)
     """
-    A, Bp = P[:-1], P[1:]
-    C, D = Q[:-1], Q[1:]
-    r = Bp - A
-    s = D - C
-    plo, phi = np.minimum(A, Bp), np.maximum(A, Bp)
-    qlo, qhi = np.minimum(C, D), np.maximum(C, D)
-    pad = 1e-9 * (1.0 + max(np.max(np.abs(P), initial=0.0), np.max(np.abs(Q), initial=0.0)))
+    return _pair_intersections(_prepare_segments(P), _prepare_segments(Q))
 
-    order = np.argsort(qlo[:, 0], kind="stable")
-    keys = qlo[order, 0]
-    reach = np.max(qhi[:, 0] - qlo[:, 0], initial=0.0)
-    first = np.searchsorted(keys, plo[:, 0] - reach - pad, side="left")
-    last = np.searchsorted(keys, phi[:, 0] + pad, side="right")
-    counts = last - first
-    ii = np.repeat(np.arange(len(A)), counts)
-    jj = order[np.arange(len(ii)) + np.repeat(first - (np.cumsum(counts) - counts), counts)]
-    # the window already bounds qlo[jj, 0] <= phi[ii, 0] + pad
-    near = ((qhi[jj, 0] >= plo[ii, 0] - pad) & (qlo[jj, 1] <= phi[ii, 1] + pad)
-            & (qhi[jj, 1] >= plo[ii, 1] - pad))
-    ii, jj = ii[near], jj[near]
 
-    denom = r[ii, 0] * s[jj, 1] - r[ii, 1] * s[jj, 0]
-    dx = C[jj, 0] - A[ii, 0]
-    dy = C[jj, 1] - A[ii, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (dx * s[jj, 1] - dy * s[jj, 0]) / denom
-        u = (dx * r[ii, 1] - dy * r[ii, 0]) / denom
-    ok = np.isfinite(t) & np.isfinite(u) & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
-    ii, jj, t, u = ii[ok], jj[ok], t[ok], u[ok]
-    idx = np.lexsort((jj, ii))
-    ii, jj, t, u = ii[idx], jj[idx], t[idx], u[idx]
-    return ii, jj, t, u, A[ii] + t[:, None] * r[ii]
+def _crossing_seeds(curves, omegas, alpha_window, tau_s_window):
+    """Newton seeds (alpha, tau_s, omega_A, omega_B) at the crossings of
+    every pair of curve branches, one row each, ordered by branch pair (in
+    sorted key order, a branch with itself included) and then by segment
+    pair (i, j).
+
+    A seed is kept when its point lies in the window and its two
+    frequencies differ by at least 1e-3 (closer ones are one root, or a
+    resonance).  Each branch is prepared once, keeping only the segments
+    whose box meets the window padded by 1e-6 (1 + max |curve|), far above
+    the rounding of a crossing point; a branch against itself skips
+    neighbouring segments, whose only common point is the sample they share.
+    """
+    step = float(omegas[1] - omegas[0])
+    keys = sorted(curves)
+    prepared = [_prepare_segments(curves[k][:, 1:3], (alpha_window, tau_s_window))
+                for k in keys]
+    seeds = [np.empty((0, 4))]
+    for a in range(len(keys)):
+        for b in range(a, len(keys)):
+            i, j, t, u, pt = _pair_intersections(prepared[a], prepared[b], same=a == b)
+            wA = omegas[i] + t * step
+            wB = omegas[j] + u * step
+            a0, t0 = pt[:, 0], pt[:, 1]
+            keep = (~(np.abs(wA - wB) < 1e-3)
+                    & (alpha_window[0] <= a0) & (a0 <= alpha_window[1])
+                    & (tau_s_window[0] < t0) & (t0 <= tau_s_window[1]))
+            seeds.append(np.column_stack([a0[keep], t0[keep], wA[keep], wB[keep]]))
+    return np.concatenate(seeds)
 
 
 @dataclass(frozen=True)
@@ -222,8 +300,9 @@ def find_double_hopf(factor, beta, tau_n, seed):
     Raises
     ------
     EqunfoldError
-        If the seeded frequencies coincide, the iteration stalls, or the
-        refined frequencies collide (resonant point).
+        If the seeded frequencies coincide, the iteration stalls, or a
+        refined frequency is zero or the two collide in modulus (+omega and
+        -omega are one pair of roots).
     """
     c = _factor_coupling(factor)
     x = np.array(seed, dtype=float)
@@ -257,9 +336,11 @@ def find_double_hopf(factor, beta, tau_n, seed):
         x = x - step
     if res >= _REFINE_TOL:
         raise EqunfoldError(f"double-Hopf refinement stalled at residual {res:.3e}; trace ends at {x}")
-    if abs(x[2] - x[3]) < 1e-6:
-        raise EqunfoldError("refined frequencies collide; not a non-resonant double Hopf")
     o1, o2 = sorted((abs(x[2]), abs(x[3])))
+    if o1 < 1e-6:
+        raise EqunfoldError(f"refined frequency {o1:.3e} is zero; not a double Hopf")
+    if o2 - o1 < 1e-6:
+        raise EqunfoldError("refined frequencies collide; not a non-resonant double Hopf")
     return DoubleHopfPoint(factor=factor, beta=beta, tau_n=tau_n, alpha=float(x[0]),
                            tau_s=float(x[1]), omega1=float(o1), omega2=float(o2),
                            residual=res)
@@ -269,45 +350,41 @@ def locate_double_hopf(factor, beta, tau_n, omegas=None, branches=(0, 1, 2, 3),
                        alpha_window=(-4.0, 4.0), tau_s_window=(0.0, 10.0)):
     """Sweep curve branches, intersect them, refine every crossing.
 
-    Returns the surviving :class:`DoubleHopfPoint` list sorted by
-    (tau_s, alpha, omega1), deduplicated.  Points where the *other* factor
-    also vanishes (higher codimension than double Hopf) are dropped.
+    ``omegas`` is a uniform grid: finite, positive, strictly increasing, each
+    step within 1e-6 relative of the first (seed frequencies are
+    interpolated with that step).  Returns the surviving
+    :class:`DoubleHopfPoint` list sorted by (tau_s, alpha, omega1),
+    deduplicated.  Points where the *other* factor also vanishes (higher
+    codimension than double Hopf) are dropped.
     """
     if omegas is None:
         omegas = np.arange(0.05, 5.0, 0.005)
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or len(omegas) < 2:
         raise EqunfoldError("the omega grid needs at least two samples")
+    if not (np.all(np.isfinite(omegas)) and omegas[0] > 0):
+        raise EqunfoldError("the omega grid must be finite and positive")
+    steps = np.diff(omegas)
+    if not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= 1e-6 * steps[0])):
+        raise EqunfoldError("the omega grid must increase in equal steps "
+                            "(each within 1e-6 relative of the first)")
     curves = sweep_curves(factor, beta, tau_n, omegas, branches=branches)
     (other,) = set(_COUPLING) - {factor}
-    keys = sorted(curves)
-    step = float(omegas[1] - omegas[0])
     points = []
-    for ii in range(len(keys)):
-        for jj in range(ii, len(keys)):
-            P = curves[keys[ii]][:, 1:3]
-            Q = curves[keys[jj]][:, 1:3]
-            i, j, t, u, pt = _segment_intersections(P, Q)
-            wA = omegas[i] + t * step
-            wB = omegas[j] + u * step
-            a0, t0 = pt[:, 0], pt[:, 1]
-            keep = (~(np.abs(wA - wB) < 1e-3)          # the same root, or a resonance
-                    & (alpha_window[0] <= a0) & (a0 <= alpha_window[1])
-                    & (tau_s_window[0] < t0) & (t0 <= tau_s_window[1]))
-            for seed in zip(a0[keep], t0[keep], wA[keep], wB[keep]):
-                try:
-                    dh = find_double_hopf(factor, beta, tau_n, seed)
-                except EqunfoldError:
-                    continue
-                if not (alpha_window[0] <= dh.alpha <= alpha_window[1]
-                        and tau_s_window[0] < dh.tau_s <= tau_s_window[1]):
-                    continue
-                if dh.omega1 <= 0 or abs(dh.tau_s - tau_n) < 1e-6:
-                    continue
-                if min(abs(factor_value(other, 1j * w, dh.alpha, beta, dh.tau_s, tau_n))
-                       for w in (dh.omega1, dh.omega2)) < 1e-6:
-                    continue
-                points.append(dh)
+    for seed in _crossing_seeds(curves, omegas, alpha_window, tau_s_window):
+        try:
+            dh = find_double_hopf(factor, beta, tau_n, seed)
+        except EqunfoldError:
+            continue
+        if not (alpha_window[0] <= dh.alpha <= alpha_window[1]
+                and tau_s_window[0] < dh.tau_s <= tau_s_window[1]):
+            continue
+        if abs(dh.tau_s - tau_n) < 1e-6:
+            continue
+        if min(abs(factor_value(other, 1j * w, dh.alpha, beta, dh.tau_s, tau_n))
+               for w in (dh.omega1, dh.omega2)) < 1e-6:
+            continue
+        points.append(dh)
 
     uniq = []
     for dh in sorted(points, key=lambda d: (d.tau_s, d.alpha, d.omega1)):

@@ -235,7 +235,8 @@ def theta_extract(geometry, directions):
     reported and must stay below ``THETA_RESIDUAL_TOL`` relative to the
     direction.  Row selection walks the rows in order and keeps those
     outside the span of the rows already kept, with a relative tolerance on
-    the rejection test.
+    the rejection test.  A direction with a non-finite entry is an
+    :class:`UnfoldingError`.
     """
     S = geometry.basis_matrix()
     t = len(geometry.T_basis)
@@ -245,6 +246,8 @@ def theta_extract(geometry, directions):
         D = np.asarray(D, dtype=complex)
         if D.shape != geometry.B.shape:
             raise StructuralError(f"direction {i} has shape {D.shape}")
+        if not np.all(np.isfinite(D)):
+            raise UnfoldingError(f"direction {i} has a non-finite entry")
         V[i] = _vec(D)
     theta = np.zeros((p, geometry.delta), dtype=complex)
     residuals = []

@@ -92,6 +92,42 @@ class TestDoubleHopfLocation:
         with pytest.raises(EqunfoldError, match="two samples"):
             d3.locate_double_hopf("delta2", 0.5, 3.0, omegas=np.array([0.05]))
 
+    @pytest.mark.parametrize("omegas, message", [
+        (np.geomspace(0.05, 5.0, 990), "equal steps"),
+        (np.arange(0.05, 5.0, 0.005)[::-1], "equal steps"),
+        (np.array([0.05, 0.1, 0.1, 0.15]), "equal steps"),
+        (np.append(np.arange(0.05, 1.0, 0.01), 1.5), "equal steps"),
+        (np.arange(0.0, 5.0, 0.005), "finite and positive"),
+        (np.array([0.05, np.nan, 0.15]), "finite and positive"),
+        (np.array([0.05, 0.1, np.inf]), "finite and positive"),
+    ])
+    def test_unusable_grid_rejected(self, omegas, message):
+        # every seed frequency is interpolated with the first step
+        with pytest.raises(EqunfoldError, match=message):
+            d3.locate_double_hopf("delta2", 0.5, 3.0, omegas=omegas)
+
+    def test_fine_arange_grids_accepted(self):
+        for step in (0.02, 0.005, 1e-4):
+            d3.locate_double_hopf("delta1", -0.5, 4.0, omegas=np.arange(0.05, 5.0, step),
+                                  branches=(0,), alpha_window=(0.0, 0.0))
+
+    @pytest.mark.parametrize("factor, beta, tau_n, step", [
+        ("delta1", 0.6799355610250828, 4.77872438043175, 0.0025),     # omega1 ~ 4.5e-23
+        ("delta1", -0.9758738803124023, 4.324374246273145, 0.01),     # omega1 = omega2
+    ])
+    def test_zero_and_collided_frequencies_dropped(self, factor, beta, tau_n, step):
+        points = d3.locate_double_hopf(factor, beta, tau_n,
+                                       omegas=np.arange(0.05, 5.0, step))
+        assert len(points) > 10
+        for p in points:
+            assert p.omega1 > 1e-6 and p.omega2 - p.omega1 > 1e-6
+
+    def test_refinement_to_opposite_frequencies_rejected(self):
+        # +omega and -omega are one pair of roots, not two frequencies
+        p = d3.locate_double_hopf("delta2", 0.5, 3.0)[0]
+        with pytest.raises(EqunfoldError, match="collide"):
+            d3.find_double_hopf("delta2", 0.5, 3.0, (p.alpha, p.tau_s, p.omega1, -p.omega1))
+
     def test_default_delays_are_generic(self, simple_case):
         point = simple_case.point
         delays = d3.default_delays(point)
@@ -212,6 +248,62 @@ class TestCrossingOracle:
         n = sum(_assert_same_hits(curves[a][:, 1:3], curves[b][:, 1:3])
                 for k, a in enumerate(keys) for b in keys[k:])
         assert n > 1000
+
+
+def _pair_loop_seeds(curves, omegas, alpha_window, tau_s_window):
+    """Reference: ``_segment_intersections`` on every branch pair of whole
+    curves, then the window and frequency filters.  It needs no
+    non-adjacency filter: a branch's neighbouring segments meet only at the
+    sample they share, where the two frequencies agree."""
+    step = float(omegas[1] - omegas[0])
+    keys = sorted(curves)
+    rows = [np.empty((0, 4))]
+    for k, a in enumerate(keys):
+        for b in keys[k:]:
+            i, j, t, u, pt = d3._segment_intersections(curves[a][:, 1:3], curves[b][:, 1:3])
+            wA, wB = omegas[i] + t * step, omegas[j] + u * step
+            a0, t0 = pt[:, 0], pt[:, 1]
+            keep = ((np.abs(wA - wB) >= 1e-3)
+                    & (alpha_window[0] <= a0) & (a0 <= alpha_window[1])
+                    & (tau_s_window[0] < t0) & (t0 <= tau_s_window[1]))
+            rows.append(np.column_stack([a0, t0, wA, wB])[keep])
+    return np.concatenate(rows)
+
+
+def _assert_same_seeds(factor, beta, tau_n, step):
+    omegas = np.arange(0.05, 5.0, step)
+    curves = d3.sweep_curves(factor, beta, tau_n, omegas)
+    window = ((-4.0, 4.0), (0.0, 10.0))
+    seeds = d3._crossing_seeds(curves, omegas, *window)
+    ref = _pair_loop_seeds(curves, omegas, *window)
+    assert seeds.shape == ref.shape
+    assert seeds.tobytes() == ref.tobytes()
+    return len(ref)
+
+
+class TestCrossingSeeds:
+    """The seeds built from branches prepared once, restricted to the window,
+    are the per-pair loop's, bit for bit and in the same order."""
+
+    @pytest.mark.parametrize("factor, beta, tau_n, step", [
+        ("delta1", -0.5, 4.0, 0.005),              # the two fixture slices
+        ("delta2", 0.5, 3.0, 0.005),
+        ("delta1", 0.61, 4.23, 0.0025),
+        ("delta2", -0.18, 1.18, 0.0025),
+    ])
+    def test_curve_slices(self, factor, beta, tau_n, step):
+        _assert_same_seeds(factor, beta, tau_n, step)
+
+    def test_seeded_slices(self, rng):
+        n = 0
+        for k in range(40):
+            beta, tau_n = rng.uniform(-1.0, 1.0), rng.uniform(1.0, 5.0)
+            n += _assert_same_seeds(("delta1", "delta2")[k % 2], beta, tau_n,
+                                    (0.02, 0.01, 0.005, 0.0025)[k % 4])
+        assert n > 100
+
+    def test_no_branches_gives_no_seeds(self):
+        assert d3.locate_double_hopf("delta1", -0.5, 4.0, branches=()) == []
 
 
 class TestSimpleCase:

@@ -232,6 +232,15 @@ class TestThetaExtract:
         with pytest.raises(UnfoldingError, match="complementary"):
             theta_extract(bad, [geo.W_basis[0]])
 
+    def test_non_finite_direction_named(self):
+        B = np.diag([1j, -1j, 2j, -2j])
+        geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
+        D = np.array(geo.W_basis[1])
+        D[0, 0] = np.nan
+        for bad in (D, np.where(D == D, D, np.inf)):
+            with pytest.raises(UnfoldingError, match="direction 1 has a non-finite entry"):
+                theta_extract(geo, [geo.W_basis[0], bad])
+
 
 def scalar_frame(psi0=2.0, lam=0.5):
     """Hand-built one-dimensional frame with a prescribed Psi(0)."""
