@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 pipeline failure, 2 usage or schema error,
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -41,6 +42,8 @@ def _parse_range(text):
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise UsageError(f"malformed range {text!r}; expected START:STOP:STEP")
+    if not all(map(math.isfinite, (a, b, step))):
+        raise UsageError(f"range {text!r} must be finite")
     if step <= 0 or b <= a or a <= 0:
         raise UsageError(f"range {text!r} must satisfy 0 < START < STOP with STEP > 0")
     grid = np.arange(a, b, step)
@@ -64,6 +67,8 @@ def _parse_window(text):
         a, b = (float(x) for x in text.split(":"))
     except ValueError:
         raise UsageError(f"malformed window {text!r}; expected A:B")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise UsageError(f"window {text!r} must be finite")
     if b <= a:
         raise UsageError(f"window {text!r} is empty")
     return (a, b)
@@ -183,11 +188,23 @@ def _run_config(cfg):
     delays = items(*field(cfg, "", "delays", []), number) or None
     sparsity = items(*field(cfg, "", "sparsity", []), _mask) or None
 
-    roots = []
+    # On an exactly real model (imaginary parts exactly 0.0: within a
+    # tolerance, Delta(conj(lam)) is not conj(Delta(lam))) Newton's method
+    # from a conjugate seed takes the conjugate steps bit for bit, so a seed
+    # whose conjugate Newton already solved takes the conjugate root.  A
+    # secant fallback starts asymmetrically, so its root is not mirrored.
+    real = not any(A.imag.any() for _, A in op.terms)
+    roots, solved = [], {}
     for seed in seeds:
-        res = find_root(op, seed, tol=root_tol)
-        if all(abs(res.root - r) > 1e-8 for r in roots):
-            roots.append(res.root)
+        if seed.conjugate() in solved:
+            root = solved[seed.conjugate()].conjugate()
+        else:
+            res = find_root(op, seed, tol=root_tol)
+            root = res.root
+            if real and not res.used_secant:
+                solved[seed] = root
+        if all(abs(root - r) > 1e-8 for r in roots):
+            roots.append(root)
     if not roots:
         raise EqunfoldError("no characteristic roots found from the given seeds")
 
@@ -259,6 +276,24 @@ def cmd_verify(args):
     return EXIT_OK if report.ok else EXIT_PIPELINE
 
 
+def _finite(text):
+    """A flag's float value; argparse names the flag in the error."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return x
+
+
+def _tolerance(text):
+    x = _finite(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return x
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="equnfold",
@@ -268,8 +303,8 @@ def build_parser():
 
     c = sub.add_parser("curves", help="sample imaginary-root curves (CSV)")
     c.add_argument("--factor", choices=("delta1", "delta2"), required=True)
-    c.add_argument("--beta", type=float, required=True)
-    c.add_argument("--tau-n", dest="tau_n", type=float, required=True)
+    c.add_argument("--beta", type=_finite, required=True)
+    c.add_argument("--tau-n", dest="tau_n", type=_finite, required=True)
     c.add_argument("--omega-range", dest="omega_range", required=True,
                    metavar="A:B:STEP")
     c.add_argument("--branches", default="0..3", metavar="K..L")
@@ -278,8 +313,8 @@ def build_parser():
 
     h = sub.add_parser("double-hopf", help="locate double-Hopf points (JSON)")
     h.add_argument("--factor", choices=("delta1", "delta2"), required=True)
-    h.add_argument("--beta", type=float, required=True)
-    h.add_argument("--tau-n", dest="tau_n", type=float, required=True)
+    h.add_argument("--beta", type=_finite, required=True)
+    h.add_argument("--tau-n", dest="tau_n", type=_finite, required=True)
     h.add_argument("--omega-range", dest="omega_range", default="0.05:5:0.005")
     h.add_argument("--branches", default="0..3")
     h.add_argument("--alpha-window", dest="alpha_window", default="-4:4")
@@ -296,7 +331,7 @@ def build_parser():
     v = sub.add_parser("verify", help="re-run invariants against an artifact")
     v.add_argument("artifact")
     v.add_argument("--report", default=None, help="write a JSON report here")
-    v.add_argument("--tol", type=float, default=1e-8)
+    v.add_argument("--tol", type=_tolerance, default=1e-8)
     v.set_defaults(func=cmd_verify)
 
     return parser

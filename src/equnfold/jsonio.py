@@ -192,19 +192,27 @@ def _encode_pairs(a):
     return np.stack((a.real, a.imag), -1).tolist()
 
 
+def _holds_bool(doc, depth):
+    """Whether the nested lists ``doc``, ``depth`` deep, hold a bool: numpy
+    reads ``true`` as 1.0."""
+    for _ in range(depth - 1):
+        doc = itertools.chain.from_iterable(doc)
+    return bool in set(map(type, doc))
+
+
 def _decode_pairs(doc, path, ndim):
     """The complex array of a document of ``[re, im]`` pairs nested ``ndim``
     lists deep.  A finite numeric document of that shape is converted at
-    once; anything else (None or string entries, ints beyond 64 bits, ragged
-    rows, non-finite entries) is read entry by entry, which names the entry
-    at fault."""
+    once; anything else (None, bool or string entries, ints beyond 64 bits,
+    ragged rows, non-finite entries) is read entry by entry, which names the
+    entry at fault."""
     try:
         a = np.array(doc)
     except ValueError:              # ragged: read entry by entry below
         a = np.array(None)
     if a.dtype.kind in "fiu" and a.ndim == ndim + 1 and a.shape[-1] == 2:
         a = np.ascontiguousarray(a, dtype=float)
-        if np.isfinite(a).all():
+        if np.isfinite(a).all() and not _holds_bool(doc, a.ndim):
             return a.view(complex)[..., 0]
     read = pair_complex
     for _ in range(ndim):

@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from equnfold import d3
+from equnfold import cli, d3
 from equnfold.cli import main
+from equnfold.frames import find_root
 from equnfold.jsonio import (build_artifact, canonical_json, encode_cmatrix,
                              model_to_doc, rep_to_doc, write_json_atomic)
 
@@ -17,6 +18,14 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def run(args):
     return main(list(args))
+
+
+def usage_error(args, capsys):
+    """The stderr of a command that argparse refuses (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
 DELETE = object()
@@ -100,6 +109,22 @@ class TestCurves:
                     "--output", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("omega_range", ["0.05:inf:0.5", "0.05:nan:0.5"])
+    def test_non_finite_range_exits_2(self, tmp_path, capsys, omega_range):
+        # unchecked, np.arange raises a raw ValueError on a non-finite STOP
+        code = run(["curves", "--factor", "delta1", "--beta", "-0.5",
+                    "--tau-n", "4", "--omega-range", omega_range,
+                    "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_finite_tau_n_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        err = usage_error(["curves", "--factor", "delta1", "--beta", "0.5", "--tau-n", "inf",
+                           "--omega-range", "0.05:1:0.5", "--output", str(out)], capsys)
+        assert "argument --tau-n: must be a finite number, got 'inf'" in err
+        assert not out.exists()
+
 
 class TestDoubleHopf:
     def test_one_sample_range_exits_2(self, tmp_path):
@@ -108,6 +133,23 @@ class TestDoubleHopf:
                     "--output", str(tmp_path / "dh.json")])
         assert code == 2
         assert not (tmp_path / "dh.json").exists()
+
+    @pytest.mark.parametrize("window", [["--alpha-window", "nan:4"],
+                                        ["--tau-s-window", "0:inf"]])
+    def test_non_finite_window_exits_2(self, tmp_path, capsys, window):
+        # unchecked, a NaN bound fails only at the write, as a non-serializable number
+        out = tmp_path / "dh.json"
+        assert run(["double-hopf", "--factor", "delta1", "--beta", "-0.5", "--tau-n", "4",
+                    *window, "--output", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_beta_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "dh.json"
+        err = usage_error(["double-hopf", "--factor", "delta1", "--beta", "nan",
+                           "--tau-n", "4", "--output", str(out)], capsys)
+        assert "argument --beta: must be a finite number, got 'nan'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["simple", "double"])
     def test_points_equal_fixture_exactly(self, tmp_path, case):
@@ -368,6 +410,26 @@ class TestUnfold:
         command = ["unfold", "--output", str(tmp_path / "o.json"), "--config"]
         assert not _mutation_faults(tmp_path, cfg, command, (0, 1, 2, 3))
 
+    @pytest.mark.parametrize("gain, calls", [
+        (2.0, 1),                   # the root from -2i is the conjugate of the one from 2i
+        (2.0 + 1e-13j, 2),          # real within 1e-12 only: Delta(conj) is not conj(Delta)
+        (2.0 * np.exp(0.1j), 2),
+    ], ids=["real", "nearly-real", "complex"])
+    def test_newton_runs_once_per_conjugate_seed_pair(self, tmp_path, monkeypatch, gain,
+                                                      calls):
+        seeds = []
+
+        def counting_find_root(op, seed, **kw):
+            seeds.append(seed)
+            return find_root(op, seed, **kw)
+
+        monkeypatch.setattr(cli, "find_root", counting_find_root)
+        cfg_path = tmp_path / "ring.json"
+        cfg_path.write_text(json.dumps(_ring_config(6, gain)))
+        assert run(["unfold", "--config", str(cfg_path),
+                    "--output", str(tmp_path / "o.json")]) == 0
+        assert seeds == [2j, -2j][:calls]
+
     def test_non_equivariant_model_fails_cleanly(self, tmp_path):
         from equnfold.delays import DelayOperator
         op = DelayOperator(n=3, terms=((0.0, np.diag([1.0, 2.0, 3.0])),))
@@ -383,13 +445,13 @@ class TestUnfold:
         assert code == 1
 
 
-def _ring_config(n):
-    """The config of the n-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1),
+def _ring_config(n, gain=2.0):
+    """The config of the n-cell one-way ring u_j' = -u_j + gain u_{j-1}(t - 1),
     seeded at +-2i."""
     shift = np.roll(np.eye(n), 1, axis=0)
     return {
         "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_cmatrix(-np.eye(n))},
-                                    {"delay": 1.0, "matrix": encode_cmatrix(2.0 * shift)}]},
+                                    {"delay": 1.0, "matrix": encode_cmatrix(gain * shift)}]},
         "group": {"generators": [encode_cmatrix(shift)]},
         "lambda_seeds": [[0.0, 2.0], [0.0, -2.0]],
     }
@@ -414,6 +476,20 @@ class TestVerify:
         rep_doc = json.loads(report.read_text())
         assert rep_doc["ok"] is True
         assert all(c["passed"] for c in rep_doc["checks"])
+
+    @pytest.mark.parametrize("tol, message", [
+        ("inf", "must be a finite number, got 'inf'"),
+        ("nan", "must be a finite number, got 'nan'"),
+        ("0", "must be positive, got '0'"),
+        ("-0.5", "must be positive, got '-0.5'"),
+    ], ids=["inf", "nan", "zero", "negative"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, simple_artifact, tol,
+                                             message):
+        # unchecked, inf would pass every check and nan fail every check
+        path = tmp_path / "simple.json"
+        write_json_atomic(str(path), simple_artifact)
+        err = usage_error(["verify", str(path), "--tol", tol], capsys)
+        assert f"argument --tol: {message}" in err
 
     def test_empty_artifact_is_schema_error(self, tmp_path):
         path = tmp_path / "empty.json"

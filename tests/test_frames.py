@@ -147,6 +147,49 @@ class TestRootOracle:
         assert find_root(op, 0.0).used_secant
 
 
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _real_operator(rng, n, lags):
+    """A model with exactly real coefficients: an instantaneous term and
+    ``lags`` delayed ones."""
+    delays = np.concatenate(([0.0], rng.uniform(0.2, 2.0, lags)))
+    return DelayOperator(n=n, terms=tuple((r, rng.standard_normal((n, n))) for r in delays))
+
+
+class TestConjugateSeed:
+    """On a model with exactly real coefficients, Newton's method from the
+    conjugate seed reaches the conjugate root bit for bit, in as many steps:
+    the fact ``unfold --config`` rests on when it solves one seed of each
+    conjugate pair."""
+
+    def _assert_mirrored(self, op, seed):
+        a = find_root(op, seed)
+        b = find_root(op, seed.conjugate())
+        assert not (a.used_secant or b.used_secant)
+        assert _bits(b.root) == _bits(a.root.conjugate())
+        assert (b.iterations, b.residual) == (a.iterations, a.residual)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 8, 12, 16, 24])
+    def test_ring_ladder(self, n):
+        for seed in (2j, 1.5j, 0.1 + 2.5j):
+            self._assert_mirrored(_ring(n), seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_random_real_operator(self, n, rng):
+        mirrored = 0
+        for lags in (1, 2, 3):
+            op = _real_operator(rng, n, lags)
+            for seed in rng.uniform(-0.5, 0.5, 4) + 1j * rng.uniform(0.5, 3.0, 4):
+                try:
+                    self._assert_mirrored(op, complex(seed))
+                except RootFindingError:
+                    continue
+                mirrored += 1
+        assert mirrored >= 6
+
+
 class TestAdjugateOracle:
     """The restricted Jacobi derivative equals the trace against the
     per-minor adjugate loop exactly, so Newton iterates, roots and artifacts

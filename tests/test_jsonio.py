@@ -233,12 +233,15 @@ class TestDecodeOracle:
         [[[10 ** 400, 0.0]]],                 # int beyond float
         [[[[1.0, 2.0], [3.0, 4.0]]]],         # nested one level deeper
         [[["x", 1.0]]],
+        [[[True, 0.0], [0.0, 0.0]]],          # np.array reads true as 1.0
+        [[[1, 0], [0, False]]],               # and false as 0
         [[5.0]],
         [5.0],
         5.0,
         None,
     ], ids=["none", "triple", "ragged-rows", "ragged-pair", "huge-int", "deeper", "string",
-            "bare-number-row", "bare-number-list", "number", "null"])
+            "bool-among-floats", "bool-among-ints", "bare-number-row", "bare-number-list",
+            "number", "null"])
     def test_defects_rejected_as_before(self, doc):
         expected = _outcome(_decode_cmatrix_per_entry, doc)
         assert expected[0] is SchemaError
