@@ -46,7 +46,10 @@ def _parse_range(text):
         raise UsageError(f"range {text!r} must be finite")
     if step <= 0 or b <= a or a <= 0:
         raise UsageError(f"range {text!r} must satisfy 0 < START < STOP with STEP > 0")
-    grid = np.arange(a, b, step)
+    try:
+        grid = np.arange(a, b, step)
+    except (ValueError, MemoryError):
+        raise UsageError(f"range {text!r} gives too many samples") from None
     if len(grid) < 2:
         raise UsageError(f"range {text!r} gives fewer than two samples")
     return grid

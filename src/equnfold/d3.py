@@ -14,7 +14,9 @@ pipeline runs end to end, in both the simple-eigenvalue (first factor)
 and double-eigenvalue (second factor) cases.
 """
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,103 +146,168 @@ def sweep_curves(factor, beta, tau_n, omegas, branches=(0, 1, 2, 3)):
     return out
 
 
-@dataclass(frozen=True)
-class _Segments:
-    """A polyline's segments, prepared once for any number of pair tests.
-
-    ``A`` and ``r`` are the segments' starts and directions, ``lo`` and
-    ``hi`` their bounding boxes, ``order``/``keys`` the sweep order on the
-    first coordinate and ``reach`` the widest extent in it; ``index`` maps
-    each row back to its segment in the whole polyline.  ``absmax`` is the
-    largest |coordinate| of the whole polyline: it sets the rounding pad, so
-    a pair test gives the same bits whether or not segments were left out.
-    """
-
-    A: np.ndarray
-    r: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    order: np.ndarray
-    keys: np.ndarray
-    reach: float
-    absmax: float
-    index: np.ndarray
+_BAND_SCALE = 4.0               # crossing sweep: band height over the mean segment height
+_SWEEP_BLOCK = 4096             # crossing sweep: candidate pairs per block
 
 
-def _prepare_segments(P, window=None):
-    """Prepare the segments P[i:i+2] of the (m, 2) polyline P.
+def _crossings(polylines, window=None):
+    """Crossings of every pair of polylines, a polyline with itself included.
+
+    ``polylines`` are (m, 2) arrays of finite points.  Returns arrays
+    ``(a, b, i, j, t, u, point)``, one entry per pair of segments
+    ``P_a[i:i+2]``, ``P_b[j:j+2]`` (a <= b) that intersect, with local
+    parameters t, u in [0, 1] and ``point = P_a[i] + t (P_a[i+1] - P_a[i])``;
+    entries are ordered by (a, b, i, j).  A polyline against itself skips
+    neighbouring segments (|i - j| <= 1), whose only common point is the
+    sample they share.
 
     With ``window = ((x0, x1), (y0, y1))`` only the segments whose bounding
-    box meets that rectangle, padded by 1e-6 (1 + max |P|), are kept.
+    box meets that rectangle, padded by 1e-6 (1 + max |P_a|), are kept.
+
+    A pair is tested only when the segments' bounding boxes, padded by
+    1e-9 (1 + max(max |P_a|, max |P_b|)), overlap, so disjoint parallel
+    segments cannot pass as a crossing through a rounding-level denominator.
+    Each pad is taken over a whole polyline, so a pair gives the same bits
+    whether or not segments were left out.
+
+    The pairs come from one sweep over all polylines.  The second
+    coordinate is cut into bands; each segment is copied into every band
+    its box, padded by the margin (twice the largest pad), touches; the
+    copies are sorted by (band, rank of the lower first coordinate), two
+    integers.  In each of its bands a segment takes the copies whose lower
+    first coordinate lies in its own first-coordinate range, widened below
+    by the widest extent of any segment, and by the margin on both sides.
+    A pair is kept only in the first band the two share.  The band height
+    is ``_BAND_SCALE`` times the mean padded height, and at least the
+    segments' whole padded extent over their number, so there are at most
+    n + 1 bands and about two copies per segment.
     """
-    A = P[:-1]
-    r = P[1:] - A
-    lo, hi = np.minimum(A, P[1:]), np.maximum(A, P[1:])
-    absmax = float(np.max(np.abs(P), initial=0.0))
-    index = np.arange(len(A))
-    if window is not None:
-        (x0, x1), (y0, y1) = window
-        m = 1e-6 * (1.0 + absmax)
-        index = np.flatnonzero((lo[:, 0] <= x1 + m) & (hi[:, 0] >= x0 - m)
-                               & (lo[:, 1] <= y1 + m) & (hi[:, 1] >= y0 - m))
-        A, r, lo, hi = A[index], r[index], lo[index], hi[index]
-    order = np.argsort(lo[:, 0], kind="stable")
-    reach = float(np.max(hi[:, 0] - lo[:, 0], initial=0.0))
-    return _Segments(A=A, r=r, lo=lo, hi=hi, order=order, keys=lo[order, 0],
-                     reach=reach, absmax=absmax, index=index)
+    A, B, label, index, absmax = _stacked_segments(polylines, window)
+    if not len(A):
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty, empty, empty, np.empty(0), np.empty(0), np.empty((0, 2))
+    padb = 1e-9 * (1.0 + absmax)
+    margin = 2.0 * float(padb.max())
+    seg, band, blo, start, counts, edges = _sweep_queries(A, B, margin)
+    hits = []
+    for r0, r1 in zip(edges, np.append(edges[1:], len(seg))):
+        c = counts[r0:r1]
+        ii = np.repeat(seg[r0:r1], c)
+        jj = seg[np.arange(len(ii)) + np.repeat(start[r0:r1] - (np.cumsum(c) - c), c)]
+        k = np.repeat(band[r0:r1], c)
+        # each pair once (in branch order, in the first band the two share),
+        # and no neighbouring segments of one branch
+        a, b = label[ii], label[jj]
+        keep = (((a < b) | ((a == b) & (np.abs(index[ii] - index[jj]) > 1)))
+                & (k == np.maximum(blo[ii], blo[jj])))
+        ii, jj = ii[keep], jj[keep]
+        Ai, Bi, Aj, Bj = A[ii], B[ii], A[jj], B[jj]
+        pad = np.maximum(padb[label[ii]], padb[label[jj]])[:, None]
+        near = ((np.minimum(Aj, Bj) <= np.maximum(Ai, Bi) + pad)
+                & (np.maximum(Aj, Bj) >= np.minimum(Ai, Bi) - pad)).all(axis=1)
+        ii, jj, Ai, Aj = ii[near], jj[near], Ai[near], Aj[near]
+        ri, rj = Bi[near] - Ai, Bj[near] - Aj
+        denom = ri[:, 0] * rj[:, 1] - ri[:, 1] * rj[:, 0]
+        dx = Aj[:, 0] - Ai[:, 0]
+        dy = Aj[:, 1] - Ai[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (dx * rj[:, 1] - dy * rj[:, 0]) / denom
+            u = (dx * ri[:, 1] - dy * ri[:, 0]) / denom
+        ok = np.isfinite(t) & np.isfinite(u) & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
+        hits.append((ii[ok], jj[ok], t[ok], u[ok]))
 
-
-def _pair_intersections(p, q, same=False):
-    """Crossings of two prepared polylines, in the polylines' own segment
-    indices; see :func:`_segment_intersections`.  ``same`` says that p and
-    q are one polyline: neighbouring segments (|i - j| <= 1), which only
-    meet at their shared endpoint, are then not tested."""
-    pad = 1e-9 * (1.0 + max(p.absmax, q.absmax))
-    first = np.searchsorted(q.keys, p.lo[:, 0] - q.reach - pad, side="left")
-    last = np.searchsorted(q.keys, p.hi[:, 0] + pad, side="right")
-    counts = last - first
-    ii = np.repeat(np.arange(len(p.A)), counts)
-    jj = q.order[np.arange(len(ii)) + np.repeat(first - (np.cumsum(counts) - counts), counts)]
-    # the window already bounds q.lo[jj, 0] <= p.hi[ii, 0] + pad
-    near = ((q.hi[jj, 0] >= p.lo[ii, 0] - pad) & (q.lo[jj, 1] <= p.hi[ii, 1] + pad)
-            & (q.hi[jj, 1] >= p.lo[ii, 1] - pad))
-    if same:
-        near &= np.abs(p.index[ii] - q.index[jj]) > 1
-    ii, jj = ii[near], jj[near]
-
-    A, r, C, s = p.A, p.r, q.A, q.r
-    denom = r[ii, 0] * s[jj, 1] - r[ii, 1] * s[jj, 0]
-    dx = C[jj, 0] - A[ii, 0]
-    dy = C[jj, 1] - A[ii, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (dx * s[jj, 1] - dy * s[jj, 0]) / denom
-        u = (dx * r[ii, 1] - dy * r[ii, 0]) / denom
-    ok = np.isfinite(t) & np.isfinite(u) & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
-    ii, jj, t, u = ii[ok], jj[ok], t[ok], u[ok]
-    idx = np.lexsort((jj, ii))
+    ii, jj, t, u = (np.concatenate(c) for c in zip(*hits))
+    a, b = label[ii], label[jj]
+    idx = np.lexsort((index[jj], index[ii], b, a))
     ii, jj, t, u = ii[idx], jj[idx], t[idx], u[idx]
-    return p.index[ii], q.index[jj], t, u, A[ii] + t[:, None] * r[ii]
+    return (a[idx], b[idx], index[ii], index[jj], t, u,
+            A[ii] + t[:, None] * (B[ii] - A[ii]))
+
+
+def _stacked_segments(polylines, window):
+    """The segments of all polylines, stacked: their starts ``A`` and ends
+    ``B``, the polyline (``label``) and segment (``index``) of each row, and
+    each polyline's largest |coordinate|.  With a window, each polyline is
+    cut to the segments of :func:`_crossings` before stacking."""
+    parts = [(np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.intp),
+              np.empty(0, dtype=np.intp))]
+    absmax = []
+    for a, P in enumerate(polylines):
+        A, B = P[:-1], P[1:]
+        absmax.append(float(np.max(np.abs(P), initial=0.0)))
+        if window is None:
+            index = np.arange(len(A))
+        else:
+            m = 1e-6 * (1.0 + absmax[-1])
+            keep = np.ones(len(A), dtype=bool)
+            for c, (w0, w1) in enumerate(window):
+                keep &= ((np.minimum(A[:, c], B[:, c]) <= w1 + m)
+                         & (np.maximum(A[:, c], B[:, c]) >= w0 - m))
+            index = np.flatnonzero(keep)
+            A, B = A[index], B[index]
+        parts.append((A, B, np.full(len(A), a), index))
+    A, B, label, index = (np.concatenate(c) for c in zip(*parts))
+    return A, B, label, index, np.array(absmax)
+
+
+def _sweep_queries(A, B, margin):
+    """The query rows of :func:`_crossings`' sweep, one per copy of a
+    segment in a band, sorted by (band, alpha rank): each row's segment and
+    band and the run of rows (``start``, ``counts``) whose segments it takes;
+    each segment's first band; and the row edges of blocks holding about
+    ``_SWEEP_BLOCK`` candidates each."""
+    n = len(A)
+    blo, copies = _bands(A[:, 1], B[:, 1], margin)
+    rank, first, stop = _alpha_ranks(A[:, 0], B[:, 0], margin)
+    seg = np.repeat(np.arange(n), copies)
+    band = blo[seg] + (np.arange(len(seg)) - np.repeat(np.cumsum(copies) - copies, copies))
+    keys = band * n + rank[seg]
+    del copies, rank                        # n-sized arrays freed early keep the heap small
+    order = np.argsort(keys, kind="stable")
+    keys, seg, band = keys[order], seg[order], band[order]
+    del order
+    start = np.searchsorted(keys, band * n + first[seg], side="left")
+    counts = np.searchsorted(keys, band * n + stop[seg], side="left") - start
+    ends = np.cumsum(counts)
+    edges = np.searchsorted(ends, np.arange(0, ends[-1], _SWEEP_BLOCK), side="right")
+    return seg, band, blo, start, counts, edges
+
+
+def _bands(y_a, y_b, margin):
+    """Each segment's first band and its number of bands, from the second
+    coordinates of its two ends padded by ``margin``."""
+    ylo = np.minimum(y_a, y_b) - margin
+    yhi = np.maximum(y_a, y_b) + margin
+    n, y0 = len(ylo), float(ylo.min())
+    height = max(_BAND_SCALE * float(np.mean(yhi - ylo)), (float(yhi.max()) - y0) / n)
+    if not np.isfinite(height):             # the extent overflows: one band
+        return np.zeros(n, dtype=np.intp), np.ones(n, dtype=np.intp)
+    # the quotients are not negative, so truncation floors them
+    blo = ((ylo - y0) / height).astype(np.intp)
+    return blo, ((yhi - y0) / height).astype(np.intp) - blo + 1
+
+
+def _alpha_ranks(x_a, x_b, margin):
+    """Each segment's rank in the order of lower first coordinates, and the
+    ranks ``first`` to ``stop`` (exclusive) of the segments it takes."""
+    xlo, xhi = np.minimum(x_a, x_b), np.maximum(x_a, x_b)
+    order = np.argsort(xlo, kind="stable")
+    rank = np.empty(len(xlo), dtype=np.intp)
+    rank[order] = np.arange(len(xlo))
+    x_sorted = xlo[order]
+    reach = float(np.max(xhi - xlo))
+    first = np.searchsorted(x_sorted, xlo - reach - margin, side="left")
+    stop = np.searchsorted(x_sorted, xhi + margin, side="right")
+    return rank, first, stop
 
 
 def _segment_intersections(P, Q):
-    """Crossings of two polylines in the plane.
-
-    P, Q are (m, 2) arrays of finite points.  Returns arrays
-    ``(i, j, t, u, point)``, one entry per pair of segments P[i:i+2],
-    Q[j:j+2] that intersect, with local parameters t, u in [0, 1] and the
-    crossing ``point = P[i] + t (P[i+1] - P[i])``; entries are ordered by
-    (i, j).
-
-    Only segment pairs whose bounding boxes, padded by a rounding margin,
-    overlap are tested, so disjoint parallel segments cannot pass as a
-    crossing through a rounding-level denominator.  The pairs are found by
-    a sweep on the first coordinate: Q's segments are sorted by their lower
-    bound, and each P segment takes the window of Q segments that can reach
-    its range.  (On the Hopf curves the first coordinate, alpha, is
-    continuous in omega; the second, tau_s, jumps by 2 pi / omega where the
-    angle wraps.)
-    """
-    return _pair_intersections(_prepare_segments(P), _prepare_segments(Q))
+    """Crossings of two polylines in the plane: :func:`_crossings` of
+    ``[P, Q]``, keeping only the pairs of a P segment and a Q segment.
+    Returns arrays ``(i, j, t, u, point)`` ordered by (i, j)."""
+    a, b, i, j, t, u, pt = _crossings([P, Q])
+    cross = a < b
+    return i[cross], j[cross], t[cross], u[cross], pt[cross]
 
 
 def _crossing_seeds(curves, omegas, alpha_window, tau_s_window):
@@ -251,27 +318,30 @@ def _crossing_seeds(curves, omegas, alpha_window, tau_s_window):
 
     A seed is kept when its point lies in the window and its two
     frequencies differ by at least 1e-3 (closer ones are one root, or a
-    resonance).  Each branch is prepared once, keeping only the segments
-    whose box meets the window padded by 1e-6 (1 + max |curve|), far above
-    the rounding of a crossing point; a branch against itself skips
-    neighbouring segments, whose only common point is the sample they share.
+    resonance).  Each branch is cut to the segments whose box meets the
+    window padded by 1e-6 (1 + max |curve|), far above the rounding of a
+    crossing point, and all branches go through one sweep
+    (:func:`_crossings`).  The four branches of one sign share alpha and
+    differ in tau_s, so the sweep cuts tau_s into bands and, within a band,
+    pairs segments by alpha.  Its candidates hold every pair the padded-box
+    test accepts: two boxes that overlap after padding both touch the band
+    of the higher of their lower tau_s ends, and the alpha range a segment
+    takes exceeds the padded test's by the margin, far more than the
+    rounding of its bounds.  A pair sharing several bands is tested once,
+    in the first.  A branch against itself skips neighbouring segments,
+    whose only common point is the sample they share.
     """
     step = float(omegas[1] - omegas[0])
     keys = sorted(curves)
-    prepared = [_prepare_segments(curves[k][:, 1:3], (alpha_window, tau_s_window))
-                for k in keys]
-    seeds = [np.empty((0, 4))]
-    for a in range(len(keys)):
-        for b in range(a, len(keys)):
-            i, j, t, u, pt = _pair_intersections(prepared[a], prepared[b], same=a == b)
-            wA = omegas[i] + t * step
-            wB = omegas[j] + u * step
-            a0, t0 = pt[:, 0], pt[:, 1]
-            keep = (~(np.abs(wA - wB) < 1e-3)
-                    & (alpha_window[0] <= a0) & (a0 <= alpha_window[1])
-                    & (tau_s_window[0] < t0) & (t0 <= tau_s_window[1]))
-            seeds.append(np.column_stack([a0[keep], t0[keep], wA[keep], wB[keep]]))
-    return np.concatenate(seeds)
+    _, _, i, j, t, u, pt = _crossings([curves[k][:, 1:3] for k in keys],
+                                      (alpha_window, tau_s_window))
+    wA = omegas[i] + t * step
+    wB = omegas[j] + u * step
+    a0, t0 = pt[:, 0], pt[:, 1]
+    keep = (~(np.abs(wA - wB) < 1e-3)
+            & (alpha_window[0] <= a0) & (a0 <= alpha_window[1])
+            & (tau_s_window[0] < t0) & (t0 <= tau_s_window[1]))
+    return np.column_stack([a0[keep], t0[keep], wA[keep], wB[keep]])
 
 
 @dataclass(frozen=True)
@@ -290,6 +360,15 @@ class DoubleHopfPoint:
                              tau_s=self.tau_s, tau_n=self.tau_n)
 
 
+def _exp(z):
+    """``cmath.exp``, but inf or nan where numpy gives them (a diverging
+    Newton trace) instead of an exception."""
+    try:
+        return cmath.exp(z)
+    except (OverflowError, ValueError):
+        return complex(np.exp(z))
+
+
 def find_double_hopf(factor, beta, tau_n, seed):
     """Newton refinement of a double-Hopf point of one factor.
 
@@ -305,45 +384,47 @@ def find_double_hopf(factor, beta, tau_n, seed):
         -omega are one pair of roots).
     """
     c = _factor_coupling(factor)
-    x = np.array(seed, dtype=float)
+    cb = c * beta
+    x = [float(v) for v in seed]
     if abs(x[2] - x[3]) < 1e-6:
         raise EqunfoldError("seed frequencies coincide; not a non-resonant double Hopf")
-    res = np.inf
+    res = math.inf
     for _ in range(_REFINE_MAX_ITER):
+        # Python complex arithmetic, in factor_value's expression order
         a, ts, o1, o2 = x
-        F = np.empty(4)
+        F = []
         Jm = np.zeros((4, 4))
         for k, w in enumerate((o1, o2)):
             lam = 1j * w
-            es = np.exp(-lam * ts)
-            f = factor_value(factor, lam, a, beta, ts, tau_n)
-            F[2 * k] = f.real
-            F[2 * k + 1] = f.imag
+            es = _exp(-lam * ts)
+            en = _exp(-lam * tau_n)
+            f = lam + 1.0 - a * es - cb * en
+            F += (f.real, f.imag)
             dfda = -es
             dfdts = a * lam * es
-            dfdw = 1j * (1.0 + a * ts * es + c * beta * tau_n * np.exp(-lam * tau_n))
+            dfdw = 1j * (1.0 + a * ts * es + cb * tau_n * en)
             Jm[2 * k, 0], Jm[2 * k, 1] = dfda.real, dfdts.real
             Jm[2 * k + 1, 0], Jm[2 * k + 1, 1] = dfda.imag, dfdts.imag
             Jm[2 * k, 2 + k] = dfdw.real
             Jm[2 * k + 1, 2 + k] = dfdw.imag
-        res = float(np.max(np.abs(F)))
+        res = math.nan if any(map(math.isnan, F)) else max(map(abs, F))
         if res < _REFINE_TOL:
             break
         try:
             step = np.linalg.solve(Jm, F)
         except np.linalg.LinAlgError:
-            raise EqunfoldError(f"singular Jacobian at {x} (residual {res:.3e})")
-        x = x - step
+            raise EqunfoldError(f"singular Jacobian at {np.array(x)} (residual {res:.3e})")
+        x = [v - s for v, s in zip(x, step.tolist())]
     if res >= _REFINE_TOL:
-        raise EqunfoldError(f"double-Hopf refinement stalled at residual {res:.3e}; trace ends at {x}")
+        raise EqunfoldError(f"double-Hopf refinement stalled at residual {res:.3e}; "
+                            f"trace ends at {np.array(x)}")
     o1, o2 = sorted((abs(x[2]), abs(x[3])))
     if o1 < 1e-6:
         raise EqunfoldError(f"refined frequency {o1:.3e} is zero; not a double Hopf")
     if o2 - o1 < 1e-6:
         raise EqunfoldError("refined frequencies collide; not a non-resonant double Hopf")
-    return DoubleHopfPoint(factor=factor, beta=beta, tau_n=tau_n, alpha=float(x[0]),
-                           tau_s=float(x[1]), omega1=float(o1), omega2=float(o2),
-                           residual=res)
+    return DoubleHopfPoint(factor=factor, beta=beta, tau_n=tau_n, alpha=x[0],
+                           tau_s=x[1], omega1=o1, omega2=o2, residual=res)
 
 
 def locate_double_hopf(factor, beta, tau_n, omegas=None, branches=(0, 1, 2, 3),

@@ -118,6 +118,15 @@ class TestCurves:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_oversized_range_exits_2(self, tmp_path, capsys):
+        # np.arange refuses this size before allocating anything
+        out = tmp_path / "big.csv"
+        code = run(["curves", "--factor", "delta1", "--beta", "0.5", "--tau-n", "3",
+                    "--omega-range", "0.05:1e30:1", "--output", str(out)])
+        assert code == 2
+        assert "range '0.05:1e30:1' gives too many samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_tau_n_exits_2(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         err = usage_error(["curves", "--factor", "delta1", "--beta", "0.5", "--tau-n", "inf",

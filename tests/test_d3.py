@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -270,10 +271,10 @@ def _pair_loop_seeds(curves, omegas, alpha_window, tau_s_window):
     return np.concatenate(rows)
 
 
-def _assert_same_seeds(factor, beta, tau_n, step):
+def _assert_same_seeds(factor, beta, tau_n, step, branches=(0, 1, 2, 3),
+                       window=((-4.0, 4.0), (0.0, 10.0))):
     omegas = np.arange(0.05, 5.0, step)
-    curves = d3.sweep_curves(factor, beta, tau_n, omegas)
-    window = ((-4.0, 4.0), (0.0, 10.0))
+    curves = d3.sweep_curves(factor, beta, tau_n, omegas, branches=branches)
     seeds = d3._crossing_seeds(curves, omegas, *window)
     ref = _pair_loop_seeds(curves, omegas, *window)
     assert seeds.shape == ref.shape
@@ -304,6 +305,120 @@ class TestCrossingSeeds:
 
     def test_no_branches_gives_no_seeds(self):
         assert d3.locate_double_hopf("delta1", -0.5, 4.0, branches=()) == []
+
+    @pytest.mark.parametrize("factor, beta, tau_n, step, branches, window, some", [
+        # a window far wider than the curves (the CLI accepts +-1e300), and
+        # branches at negative tau_s
+        ("delta1", -0.5, 4.0, 0.02, range(-2, 6), ((-1e300, 1e300), (-1e300, 1e300)), True),
+        ("delta2", 0.61, 4.23, 0.0025, range(-2, 6), ((-1e300, 1e300), (-1e300, 1e300)), True),
+        ("delta2", 0.5, 3.0, 0.0025, (0,), ((-1e300, 1e300), (-1e300, 1e300)), True),
+        ("delta1", -0.18, 1.18, 0.02, (3,), ((-4.0, 4.0), (0.0, 10.0)), False),
+        ("delta1", -0.5, 4.0, 0.0025, (3,), ((-1e300, 1e300), (0.0, 1e300)), True),
+        # a window no segment meets
+        ("delta2", 0.5, 3.0, 0.0025, (0, 1, 2, 3), ((50.0, 60.0), (0.0, 10.0)), False),
+        ("delta1", -0.5, 4.0, 0.02, range(-2, 6), ((-4.0, 4.0), (-1e300, -1e299)), False),
+    ])
+    def test_wide_and_empty_windows_and_odd_branches(self, factor, beta, tau_n, step,
+                                                     branches, window, some):
+        assert (_assert_same_seeds(factor, beta, tau_n, step, tuple(branches), window) > 0) == some
+
+
+def _numpy_find_double_hopf(factor, beta, tau_n, seed):
+    """Reference: the Newton refinement of ``find_double_hopf`` in numpy
+    scalar arithmetic (``np.exp``, numpy complex products, ``factor_value``)."""
+    c = d3._factor_coupling(factor)
+    x = np.array(seed, dtype=float)
+    if abs(x[2] - x[3]) < 1e-6:
+        raise EqunfoldError("seed frequencies coincide; not a non-resonant double Hopf")
+    res = np.inf
+    for _ in range(d3._REFINE_MAX_ITER):
+        a, ts, o1, o2 = x
+        F = np.empty(4)
+        Jm = np.zeros((4, 4))
+        for k, w in enumerate((o1, o2)):
+            lam = 1j * w
+            es = np.exp(-lam * ts)
+            f = d3.factor_value(factor, lam, a, beta, ts, tau_n)
+            F[2 * k] = f.real
+            F[2 * k + 1] = f.imag
+            dfda = -es
+            dfdts = a * lam * es
+            dfdw = 1j * (1.0 + a * ts * es + c * beta * tau_n * np.exp(-lam * tau_n))
+            Jm[2 * k, 0], Jm[2 * k, 1] = dfda.real, dfdts.real
+            Jm[2 * k + 1, 0], Jm[2 * k + 1, 1] = dfda.imag, dfdts.imag
+            Jm[2 * k, 2 + k] = dfdw.real
+            Jm[2 * k + 1, 2 + k] = dfdw.imag
+        res = float(np.max(np.abs(F)))
+        if res < d3._REFINE_TOL:
+            break
+        try:
+            step = np.linalg.solve(Jm, F)
+        except np.linalg.LinAlgError:
+            raise EqunfoldError(f"singular Jacobian at {x} (residual {res:.3e})")
+        x = x - step
+    if res >= d3._REFINE_TOL:
+        raise EqunfoldError(f"double-Hopf refinement stalled at residual {res:.3e}; trace ends at {x}")
+    o1, o2 = sorted((abs(x[2]), abs(x[3])))
+    if o1 < 1e-6:
+        raise EqunfoldError(f"refined frequency {o1:.3e} is zero; not a double Hopf")
+    if o2 - o1 < 1e-6:
+        raise EqunfoldError("refined frequencies collide; not a non-resonant double Hopf")
+    return d3.DoubleHopfPoint(factor=factor, beta=beta, tau_n=tau_n, alpha=float(x[0]),
+                              tau_s=float(x[1]), omega1=float(o1), omega2=float(o2),
+                              residual=res)
+
+
+def _refinement(refine, factor, beta, tau_n, seed):
+    """A refinement's outcome: each field of the point, floats in hex, or
+    the error message."""
+    try:
+        p = refine(factor, beta, tau_n, seed)
+    except EqunfoldError as exc:
+        return ("error", str(exc))
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(p))
+
+
+def _assert_same_refinements(factor, beta, tau_n, step):
+    """Every seed of a slice refines to the reference's point or message
+    exactly; returns how many seeds failed to refine."""
+    omegas = np.arange(0.05, 5.0, step)
+    curves = d3.sweep_curves(factor, beta, tau_n, omegas)
+    failed = 0
+    for seed in d3._crossing_seeds(curves, omegas, (-4.0, 4.0), (0.0, 10.0)):
+        got = _refinement(d3.find_double_hopf, factor, beta, tau_n, seed)
+        assert got == _refinement(_numpy_find_double_hopf, factor, beta, tau_n, seed)
+        failed += got[0] == "error"
+    return failed
+
+
+class TestNewtonOracle:
+    """The scalar Newton refinement gives the numpy-scalar one's points and
+    messages bit for bit."""
+
+    @pytest.mark.parametrize("case", ["simple", "double"])
+    def test_fixture_slices(self, case):
+        cfg = d3._CASE_DEFAULTS[case]
+        _assert_same_refinements(cfg["factor"], cfg["beta"], cfg["tau_n"], 0.005)
+
+    def test_seeded_slices(self, rng):
+        failed = 0
+        for k in range(40):
+            beta, tau_n = rng.uniform(-1.0, 1.0), rng.uniform(1.0, 5.0)
+            failed += _assert_same_refinements(("delta1", "delta2")[k % 2], beta, tau_n,
+                                               (0.02, 0.01, 0.005, 0.0025)[k % 4])
+        assert failed > 10          # stalled and rejected refinements are compared too
+
+    @pytest.mark.parametrize("seed", [
+        (1.0, 1.0, 2.0, 2.0),                       # coinciding frequencies
+        (1.0, 1.0, 0.0, 0.0),
+        (0.0, 0.0, 1e-300, 2.0),                    # a singular Jacobian
+        (1e300, 1e300, 1e300, -1e300),              # overflow to nan
+        (-0.9, 2.5, 1.1, -1.1),
+    ])
+    def test_degenerate_seeds(self, seed):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (_refinement(d3.find_double_hopf, "delta2", 0.5, 3.0, seed)
+                    == _refinement(_numpy_find_double_hopf, "delta2", 0.5, 3.0, seed))
 
 
 class TestSimpleCase:
