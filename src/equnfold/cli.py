@@ -95,11 +95,12 @@ def cmd_curves(args):
 
 def cmd_double_hopf(args):
     omegas = _parse_range(args.omega_range)
+    alpha_window = _parse_window(args.alpha_window)
+    tau_s_window = _parse_window(args.tau_s_window)
     points = d3.locate_double_hopf(
         args.factor, args.beta, args.tau_n, omegas=omegas,
         branches=_parse_branches(args.branches),
-        alpha_window=_parse_window(args.alpha_window),
-        tau_s_window=_parse_window(args.tau_s_window),
+        alpha_window=alpha_window, tau_s_window=tau_s_window,
     )
     doc = {
         "schema": "equivar-unfold/1",
@@ -107,8 +108,8 @@ def cmd_double_hopf(args):
         "factor": args.factor,
         "beta": args.beta,
         "tau_n": args.tau_n,
-        "alpha_window": list(_parse_window(args.alpha_window)),
-        "tau_s_window": list(_parse_window(args.tau_s_window)),
+        "alpha_window": list(alpha_window),
+        "tau_s_window": list(tau_s_window),
         "points": [
             {"alpha": p.alpha, "tau_s": p.tau_s, "omega1": p.omega1,
              "omega2": p.omega2, "residual": p.residual}

@@ -415,7 +415,7 @@ def find_double_hopf(factor, beta, tau_n, seed):
         except np.linalg.LinAlgError:
             raise EqunfoldError(f"singular Jacobian at {np.array(x)} (residual {res:.3e})")
         x = [v - s for v, s in zip(x, step.tolist())]
-    if res >= _REFINE_TOL:
+    if not res < _REFINE_TOL:          # a nan residual (overflow) stalls too
         raise EqunfoldError(f"double-Hopf refinement stalled at residual {res:.3e}; "
                             f"trace ends at {np.array(x)}")
     o1, o2 = sorted((abs(x[2]), abs(x[3])))

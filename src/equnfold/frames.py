@@ -26,6 +26,7 @@ from .groups import Representation, check_representation, commutator_residual
 CONJ_MATCH_TOL = 1e-9      # tolerance for pairing lam with conj(lam)
 DERIV_FLOOR = 1e-14        # |d det| below this: suspected multiple root, use the secant
 FRAME_RESIDUAL_TOL = 1e-9  # Gram and null-vector residuals of a built frame
+INDUCED_REP_TOL = 1e-8     # representation and intertwining residuals of an induced G
 
 
 def _det_derivative(D, Dp):
@@ -344,7 +345,7 @@ def eigenbasis(op, lambdas, seeds=None):
     return frame
 
 
-def induce_representation(frame, rep, tol=1e-8):
+def induce_representation(frame, rep):
     """Attach the induced representation G on the center coordinates.
 
     ``G(g)_ij = (psi_i, rho(g) phi_j)_n``; validity of the homomorphism
@@ -368,14 +369,14 @@ def induce_representation(frame, rep, tol=1e-8):
     G = Representation(group=rep.group, matrices=Gmats)
     framed = replace(frame, G=G)
 
-    report = check_representation(G, tol=tol)
+    report = check_representation(G, tol=INDUCED_REP_TOL)
     if not report.ok:
         raise FrameError(
             f"induced matrices violate the representation property "
             f"(max residual {report.max_residual:.3e}); frame inconsistent"
         )
     pw = framed.intertwining_residual(rep)
-    if pw > tol:
+    if pw > INDUCED_REP_TOL:
         raise FrameError(f"rho(g) Phi != Phi G(g) (residual {pw:.3e})")
     # (Psi, g.Phi) is G(g); compare with (Psi.g, Phi), rows psi_i rho(g) over all g
     moved_psi = (W[None, :, None, :] @ rep.matrices[:, None])[:, :, 0, :].reshape(order * c, n)

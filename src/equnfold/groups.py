@@ -193,15 +193,15 @@ class _MatrixSet:
         return len(self) - 1
 
 
-def close_generators(generators, max_order=DEFAULT_MAX_ORDER, tol=CLOSURE_TOL):
+def close_generators(generators, max_order=DEFAULT_MAX_ORDER):
     """Close a list of matrices under products and return a Representation.
 
     The identity gets index 0; the given generators come next (deduplicated),
     followed by the remaining products in discovery order: passes over the
     rows ``a`` known when a pass starts, each row ``a`` times every element
     known when the row starts, until every element is known.  Entry
-    comparison uses an absolute tolerance so exact 0/1 and root-of-unity
-    generators are deduplicated despite rounding.
+    comparison uses the absolute tolerance ``CLOSURE_TOL`` so exact 0/1 and
+    root-of-unity generators are deduplicated despite rounding.
 
     Each product of matrices is taken once: the elements are found on the
     Cayley graph (element times generator), the table follows from that by
@@ -224,7 +224,7 @@ def close_generators(generators, max_order=DEFAULT_MAX_ORDER, tol=CLOSURE_TOL):
         if rank(g, rcond=d * EPS) < d:
             raise StructuralError("singular generator matrix")
 
-    mats = _MatrixSet(d, tol)
+    mats = _MatrixSet(d, CLOSURE_TOL)
     mats.add(np.eye(d, dtype=complex))
     gen_idx = []
     for g in gens:

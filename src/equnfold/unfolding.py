@@ -299,7 +299,8 @@ def scaled_det(M):
 
 
 def build_R_matrices(frame, geometry):
-    """One n x c matrix per unfolding slot, realizing it through Psi(0).
+    """The ``(p, n, c)`` stack of one matrix per unfolding slot, each realizing
+    its slot through Psi(0).
 
     The slot Omega = E_{r,c} (an elementary matrix of the diagonal-B
     complement) is realized by placing a vector v in column c, where v
@@ -316,8 +317,8 @@ def build_R_matrices(frame, geometry):
     blocks = _diag_blocks(lams)
     block_of = {r: k for k, block in enumerate(blocks) for r in block}
     solutions = {}      # block index -> column j solves Pi v = e_j
-    Rs = []
-    for W in geometry.W_basis:
+    Rs = np.zeros((len(geometry.W_basis), n, c), dtype=complex)
+    for m, W in enumerate(geometry.W_basis):
         nz = np.argwhere(np.abs(W) > 1e-12)
         if len(nz) != 1 or abs(W[nz[0][0], nz[0][1]] - 1.0) > 1e-12:
             raise UnfoldingError(
@@ -335,9 +336,7 @@ def build_R_matrices(frame, geometry):
                     "unfolding-space realization fails"
                 )
             solutions[k] = np.linalg.lstsq(Pi, np.eye(len(block), dtype=complex), rcond=None)[0]
-        R = np.zeros((n, c), dtype=complex)
-        R[:, ccol] = solutions[k][:, block.index(r)]
-        Rs.append(R)
+        Rs[m, :, ccol] = solutions[k][:, block.index(r)]
     return Rs
 
 
@@ -361,69 +360,93 @@ def _lag_basis(frame, delays, context=""):
 def solve_delay_realization(frame, delays, R, sparsity=None, Phis=None):
     """Solve ``sum_j A_j Phi(-r_j) = R`` for coefficient matrices A_j.
 
-    Rows of the A_j decouple; each row is an underdetermined linear system
-    solved at minimal norm, optionally restricted to the entries allowed by
-    a per-delay boolean mask (entries outside a mask are pinned to zero).
-    ``Phis`` is the lag basis ``[Phi(-r_j)]`` when the caller has already
-    built and rank-tested it for these lags; otherwise it is built here.
+    ``R`` is one ``(n, c)`` target or a ``(p, n, c)`` stack of them; the
+    result is the ``(J, n, n)`` coefficients ``A[j]``, or ``(p, J, n, n)``
+    with ``A[k, j]`` for target k.  Row i of the A_j solves
+    ``x @ col(Phi(-r_j)) = R[i, :]`` at minimal norm over the entries that
+    a per-delay boolean mask allows (entries outside a mask are pinned to
+    zero).  Rows whose mask pattern is the same at every lag share that
+    system, so one least-squares call takes all of them, in every target:
+    without masks, one call takes the whole stack.  ``Phis`` is the lag
+    basis ``[Phi(-r_j)]`` when the caller has already built and rank-tested
+    it for these lags; otherwise it is built here.
 
     Raises
     ------
     UnfoldingError
         If the stacked matrix col(Phi(-r_0), ..., Phi(-r_J)) has rank < c
         (e.g. two equal lags make the exponential-delay matrix singular),
-        or if the reconstruction residual exceeds ``REALIZATION_TOL``
-        relative to R (an infeasible sparsity mask).
+        or if, for some target, a row's residual or the reconstruction
+        residual exceeds ``REALIZATION_TOL`` relative to that target (an
+        infeasible sparsity mask).  For a stack the message names the
+        target by its position k.
     """
     n, c = frame.op.n, frame.c
     delays = [float(r) for r in delays]
     R = np.asarray(R, dtype=complex)
-    if R.shape != (n, c):
+    if R.ndim not in (2, 3) or R.shape[-2:] != (n, c):
         raise StructuralError(f"target shape {R.shape} != ({n}, {c})")
-    if sparsity is not None:
-        if len(sparsity) != len(delays):
-            raise StructuralError("one sparsity mask per delay required")
-        masks = [np.ones((n, n), dtype=bool) if m is None else np.asarray(m, dtype=bool)
-                 for m in sparsity]
-        for m in masks:
-            if m.shape != (n, n):
-                raise StructuralError(f"mask shape {m.shape} != ({n}, {n})")
-    else:
-        masks = [np.ones((n, n), dtype=bool)] * len(delays)
+    J = len(delays)
+    masks = [np.ones((n, n), dtype=bool) if m is None else np.asarray(m, dtype=bool)
+             for m in ([None] * J if sparsity is None else sparsity)]
+    if len(masks) != J:
+        raise StructuralError("one sparsity mask per delay required")
+    for m in masks:
+        if m.shape != (n, n):
+            raise StructuralError(f"mask shape {m.shape} != ({n}, {n})")
 
     if Phis is None:
         Phis = _lag_basis(frame, delays)
-    As = [np.zeros((n, n), dtype=complex) for _ in delays]
-    bound = REALIZATION_TOL * max(1.0, float(np.max(np.abs(R))))
-    for i in range(n):
-        cols, meta = [], []
-        for j, mask in enumerate(masks):
-            for l in np.nonzero(mask[i])[0]:
-                cols.append(Phis[j][l, :])
-                meta.append((j, int(l)))
-        if not cols:
-            if np.max(np.abs(R[i, :])) > bound:
-                raise UnfoldingError(f"sparsity mask leaves row {i} empty but target is nonzero")
+    Rs = R.reshape(-1, n, c)
+    p = len(Rs)
+    Msys = np.vstack(Phis).T                   # (c, J n); column j n + l is Phi(-r_j)[l]
+    allowed = np.hstack(masks)                 # allowed[i, j n + l] = mask_j[i, l]
+    X = np.zeros((p, n, J * n), dtype=complex)
+    row_res = np.zeros((p, n))                 # an empty row's "residual" is its target
+    patterns, which = np.unique(allowed, axis=0, return_inverse=True)
+    for g, pattern in enumerate(patterns):
+        rows = np.flatnonzero(which == g)
+        targets = Rs[:, rows, :]
+        if not pattern.any():
+            row_res[:, rows] = np.max(np.abs(targets), axis=2)
             continue
-        Msys = np.array(cols).T
-        x, *_ = np.linalg.lstsq(Msys, R[i, :], rcond=None)
-        res = float(np.linalg.norm(Msys @ x - R[i, :]))
-        if res > bound:
-            raise UnfoldingError(
-                f"sparsity mask infeasible: row {i} least-squares residual {res:.3e}"
-            )
-        for (j, l), val in zip(meta, x):
-            As[j][i, l] = val
+        cols = np.nonzero(pattern)[0]
+        rhs = targets.reshape(-1, c).T         # column k len(rows) + t is row rows[t] of R[k]
+        x, *_ = np.linalg.lstsq(Msys[:, cols], rhs, rcond=None)
+        row_res[:, rows] = np.linalg.norm(Msys[:, cols] @ x - rhs, axis=0).reshape(p, -1)
+        X[:, rows[:, None], cols] = x.T.reshape(p, len(rows), len(cols))
 
-    res = reconstruction_residual(As, Phis, R)
-    if res > bound:
-        raise UnfoldingError(f"reconstruction residual {res:.3e} exceeds tolerance")
-    return As
+    A = X.reshape(p, n, J, n).transpose(0, 2, 1, 3)     # A[k, j, i, l] = X[k, i, j n + l]
+    recon = reconstruction_residual(A, Phis, Rs)
+    bounds = _realization_bound(Rs)
+    empty = ~allowed.any(axis=1)
+    for k in range(p):
+        where = f"target {k}: " if R.ndim == 3 else ""
+        bad = np.nonzero(row_res[k] > bounds[k])[0]
+        if len(bad) and empty[bad[0]]:
+            raise UnfoldingError(
+                f"{where}sparsity mask leaves row {bad[0]} empty but target is nonzero")
+        if len(bad):
+            raise UnfoldingError(f"{where}sparsity mask infeasible: row {bad[0]} "
+                                 f"least-squares residual {row_res[k, bad[0]]:.3e}")
+        if recon[k] > bounds[k]:
+            raise UnfoldingError(
+                f"{where}reconstruction residual {recon[k]:.3e} exceeds tolerance")
+    return A.reshape(R.shape[:-2] + (J, n, n))
 
 
 def reconstruction_residual(coefficients, Phis, R):
-    """Max entrywise ``|sum_j A_j Phi(-r_j) - R|``, given ``Phis[j] = Phi(-r_j)``."""
-    return float(np.max(np.abs(sum(A @ P for A, P in zip(coefficients, Phis)) - R)))
+    """Max entrywise ``|sum_j A_j Phi(-r_j) - R|``, given ``Phis[j] = Phi(-r_j)``;
+    one value per target for ``(p, J, n, n)`` coefficients of a ``(p, n, c)``
+    stack of targets."""
+    A = np.asarray(coefficients)
+    return np.max(np.abs(sum(A[..., j, :, :] @ P for j, P in enumerate(Phis)) - R),
+                  axis=(-2, -1))
+
+
+def _realization_bound(R):
+    """``REALIZATION_TOL * max(1, max|R|)``, one value per target of a stack."""
+    return REALIZATION_TOL * np.maximum(1.0, np.max(np.abs(R), axis=(-2, -1)))
 
 
 def project_slot(frame, rep, R):
@@ -571,34 +594,6 @@ class GammaUnfolding:
     projected_r: tuple       # group-averaged Rbar^m per slot
 
 
-def _realize_slots(Phis, Rs):
-    """Unrestricted minimum-norm realizations of every slot at once.
-
-    Without masks every row of every slot solves the same system
-    ``x @ col(Phi(-r_j)) = R^m[i, :]``, so one least-squares call takes all
-    p * n right-hand sides.  Returns the (p, J, n, n) coefficients
-    ``A[m, j]``; each slot keeps its row-residual and reconstruction bounds.
-    """
-    p, n, c = Rs.shape
-    J = len(Phis)
-    Msys = np.vstack(Phis).T                       # (c, J n); column j n + l is Phi(-r_j)[l]
-    rhs = Rs.reshape(p * n, c).T                   # column m n + i is row i of R^m
-    X, *_ = np.linalg.lstsq(Msys, rhs, rcond=None)
-    bounds = REALIZATION_TOL * np.maximum(1.0, np.max(np.abs(Rs), axis=(1, 2)))
-    row_res = np.linalg.norm(Msys @ X - rhs, axis=0).reshape(p, n)
-    A = X.reshape(J, n, p, n).transpose(2, 0, 3, 1)     # A[m, j, i, l] = X[j n + l, m n + i]
-    recon = np.max(np.abs((A @ np.array(Phis)).sum(axis=1) - Rs), axis=(1, 2))
-    for m in range(p):
-        if np.max(row_res[m]) > bounds[m]:
-            i = int(np.argmax(row_res[m]))
-            raise UnfoldingError(
-                f"slot {m}: row {i} least-squares residual {row_res[m, i]:.3e}")
-        if recon[m] > bounds[m]:
-            raise UnfoldingError(
-                f"slot {m}: reconstruction residual {recon[m]:.3e} exceeds tolerance")
-    return A
-
-
 def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     """Full pipeline from a normalized equivariant frame to a mini-versal family.
 
@@ -609,9 +604,11 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     extract Theta over the orbit complement and keep the earliest maximal
     independent rows; re-solve the selected slots against the projected
     targets Rbar^m under the sparsity masks (the structure-preserving
-    representative); finally verify equivariant versality of the selection.
-    The slots are handled as one stack except for the masked re-solves,
-    whose coefficients are the family's.
+    representative), average those coefficients and check that they
+    reconstruct Rbar^m; finally verify equivariant versality of the
+    selection.  Each step takes the slots as one stack: the two
+    realizations are one :func:`solve_delay_realization` call each, and the
+    masked call's target k is the k-th selected slot.
 
     Raises on span deficiency; returns a :class:`GammaUnfolding`.
     """
@@ -622,10 +619,10 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     G = frame.G
     Psi0 = frame.Psi0
     delays = [float(r) for r in delays]
-    Rs = np.array(build_R_matrices(frame, geometry))             # (p, n, c)
+    Rs = build_R_matrices(frame, geometry)                       # (p, n, c)
     p = len(Rs)
     Phis = _lag_basis(frame, delays, context=f"slots 0-{p - 1}: ")
-    A_raw = _realize_slots(Phis, Rs)
+    A_raw = solve_delay_realization(frame, delays, Rs, Phis=Phis)
 
     Rbars, Bhats = project_slot(frame, rep, Rs)
     # Projection identity: averaging the coefficients, the R matrix, or
@@ -643,16 +640,15 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     if not theta.selected_rows:
         raise UnfoldingError("no independent unfolding directions survive the projection")
 
-    directions = []
-    for m in theta.selected_rows:
-        A_fam = equivariant_average(rep, rep, solve_delay_realization(
-            frame, delays, Rbars[m], sparsity=sparsity, Phis=Phis))
-        if reconstruction_residual(A_fam, Phis, Rbars[m]) \
-                > REALIZATION_TOL * max(1.0, float(np.max(np.abs(Rbars[m])))):
-            raise UnfoldingError(f"slot {m}: projected reconstruction failed")
-        directions.append(tuple(A_fam))
+    selected = list(theta.selected_rows)
+    A_fam = equivariant_average(rep, rep, solve_delay_realization(
+        frame, delays, Rbars[selected], sparsity=sparsity, Phis=Phis))
+    bad = np.nonzero(reconstruction_residual(A_fam, Phis, Rbars[selected])
+                     > _realization_bound(Rbars[selected]))[0]
+    if len(bad):
+        raise UnfoldingError(f"slot {selected[bad[0]]}: projected reconstruction failed")
 
-    versality = verify_gamma_versality(frame.B, G, [Bhats[m] for m in theta.selected_rows])
+    versality = verify_gamma_versality(frame.B, G, Bhats[selected])
     if not versality.versal:
         raise UnfoldingError(
             "selected directions do not span the equivariant complement: "
@@ -664,8 +660,8 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     family = UnfoldingFamily(
         base=frame.op,
         delays=tuple(delays),
-        directions=tuple(directions),
-        names=tuple(f"alpha_{m + 1}" for m in theta.selected_rows),
+        directions=A_fam,
+        names=tuple(f"alpha_{m + 1}" for m in selected),
         rep=rep,
     )
     return GammaUnfolding(family=family, theta=theta, versality=versality,

@@ -125,7 +125,7 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
 
     try:
         geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
-        Rbars, centers = project_slot(frame, rep, np.array(build_R_matrices(frame, geometry)))
+        Rbars, centers = project_slot(frame, rep, build_R_matrices(frame, geometry))
         theta_re = theta_extract(geometry, centers)
         dtheta = float(np.max(np.abs(theta_re.theta - theta_stored))) \
             if theta_re.theta.shape == theta_stored.shape else np.inf
@@ -140,7 +140,7 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
                 f"selected row {missing[0]} is out of range ({len(Rbars)} slots recomputed)"))
         else:
             record("unfolding.reconstruction",
-                   max((reconstruction_residual(family.directions[m], Phis, Rbars[slot])
+                   max((float(reconstruction_residual(family.directions[m], Phis, Rbars[slot]))
                         for m, slot in enumerate(selected)), default=0.0))
     except EqunfoldError as exc:
         checks.append(CheckResult("theta.recompute", False, str(exc)))

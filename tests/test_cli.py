@@ -9,8 +9,8 @@ import pytest
 from equnfold import cli, d3
 from equnfold.cli import main
 from equnfold.frames import find_root
-from equnfold.jsonio import (build_artifact, canonical_json, encode_cmatrix,
-                             model_to_doc, rep_to_doc, write_json_atomic)
+from equnfold.jsonio import (build_artifact, canonical_json, decode_cmatrix,
+                             encode_cmatrix, model_to_doc, rep_to_doc, write_json_atomic)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -223,6 +223,32 @@ class TestUnfold:
         assert code == 0
         doc = json.loads((tmp_path / "from_config.json").read_text())
         assert doc["report"]["versality"]["mini_versal"] is True
+
+    def test_masked_config_keeps_coefficients_in_their_masks(self, tmp_path, simple_case):
+        # the d3:simple model, roots and lags as a config whose sparsity lists
+        # the structure masks as 0/1 rows; without them, entries outside the
+        # masks are nonzero, so the masks are what zeroes them
+        point, masks = simple_case.point, d3.structure_masks()
+        cfg = {
+            "model": model_to_doc(simple_case.op),
+            "group": rep_to_doc(simple_case.rep),
+            "lambda_seeds": [[0.0, point.omega1], [0.0, -point.omega1],
+                             [0.0, point.omega2], [0.0, -point.omega2]],
+            "delays": list(simple_case.delays),
+        }
+        for sparsity in ([m.astype(int).tolist() for m in masks], None):
+            if sparsity:
+                cfg["sparsity"] = sparsity
+            else:
+                del cfg["sparsity"]
+            cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 0
+            assert run(["verify", str(out)]) == 0
+            rows = json.loads(out.read_text())["unfolding"]["coefficients"]
+            outside = [decode_cmatrix(A)[~mask] for row in rows for A, mask in zip(row, masks)]
+            assert len(rows) == 4
+            assert all(np.all(x == 0) for x in outside) == bool(sparsity)
 
     def test_config_with_preset_seeds(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

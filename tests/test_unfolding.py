@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,8 @@ from equnfold.frames import SpectralFrame
 from equnfold.groups import (Representation, close_generators, commutant_basis,
                              equivariant_average)
 from equnfold.jsonio import encode_cmatrix
-from equnfold.unfolding import (OrbitGeometry, UnfoldingFamily, _diag_blocks,
-                                assemble_gamma_unfolding,
+from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
+                                _diag_blocks, assemble_gamma_unfolding,
                                 build_R_matrices, exponential_delay_matrix,
                                 gamma_orbit_geometry, jordan_codimension,
                                 orbit_geometry, realify, scaled_det, select_delays,
@@ -21,6 +22,7 @@ from equnfold.unfolding import (OrbitGeometry, UnfoldingFamily, _diag_blocks,
                                 solve_delay_realization, theta_extract,
                                 verify_gamma_versality)
 
+from conftest import random_complex
 from test_d3 import FIXTURE_POINTS
 
 I3 = np.eye(3)
@@ -378,10 +380,129 @@ def _ring_case(n):
     return frame, assembly
 
 
+def _solve_per_row(Phis, R, sparsity=None):
+    """Reference: the delay realization of one target with one least-squares
+    call per row and its checks (the implementation before the stacked
+    solve), given ``Phis[j] = Phi(-r_j)``."""
+    n = R.shape[0]
+    masks = [np.ones((n, n), dtype=bool) if m is None else np.asarray(m, dtype=bool)
+             for m in (sparsity or [None] * len(Phis))]
+    As = [np.zeros((n, n), dtype=complex) for _ in Phis]
+    bound = REALIZATION_TOL * max(1.0, float(np.max(np.abs(R))))
+    for i in range(n):
+        cols, meta = [], []
+        for j, mask in enumerate(masks):
+            for l in np.nonzero(mask[i])[0]:
+                cols.append(Phis[j][l, :])
+                meta.append((j, int(l)))
+        if not cols:
+            if np.max(np.abs(R[i, :])) > bound:
+                raise UnfoldingError(f"sparsity mask leaves row {i} empty but target is nonzero")
+            continue
+        Msys = np.array(cols).T
+        x, *_ = np.linalg.lstsq(Msys, R[i, :], rcond=None)
+        res = float(np.linalg.norm(Msys @ x - R[i, :]))
+        if res > bound:
+            raise UnfoldingError(f"sparsity mask infeasible: row {i} least-squares residual {res:.3e}")
+        for (j, l), val in zip(meta, x):
+            As[j][i, l] = val
+    res = float(np.max(np.abs(sum(A @ P for A, P in zip(As, Phis)) - R)))
+    if res > bound:
+        raise UnfoldingError(f"reconstruction residual {res:.3e} exceeds tolerance")
+    return np.array(As)
+
+
+def _realize_slots_reference(Phis, Rs):
+    """Reference: the unmasked realization of a ``(p, n, c)`` stack in one
+    least-squares call (the stacked solve before masks were stacked too)."""
+    p, n, c = Rs.shape
+    X, *_ = np.linalg.lstsq(np.vstack(Phis).T, Rs.reshape(p * n, c).T, rcond=None)
+    return X.reshape(len(Phis), n, p, n).transpose(2, 0, 3, 1)
+
+
+def _error(call):
+    """The message ``call()`` raises as an UnfoldingError, or None."""
+    try:
+        call()
+    except UnfoldingError as exc:
+        return str(exc)
+    return None
+
+
+def _residual_free(message):
+    return re.sub(r"residual \S+", "residual", message)
+
+
+def _assert_realization_matches_references(frame, delays, Rs, sparsity=None):
+    """``solve_delay_realization`` on the ``(p, n, c)`` stack ``Rs``, and on
+    each target alone, gives the per-row reference's coefficients bit for
+    bit, or the reference's first error (its residual value aside) prefixed
+    with the failing target; without masks the stack also gives the
+    one-call reference's coefficients."""
+    Phis = [frame.Phi_at(-r) for r in delays]
+    Rs = np.asarray(Rs, dtype=complex)
+    errors = [_error(lambda: _solve_per_row(Phis, R, sparsity)) for R in Rs]
+    for k, R in enumerate(Rs):
+        if errors[k] is None:
+            got = solve_delay_realization(frame, delays, R, sparsity=sparsity)
+            assert np.array_equal(got, _solve_per_row(Phis, R, sparsity)), f"target {k}"
+        else:
+            got = _error(lambda: solve_delay_realization(frame, delays, R, sparsity=sparsity))
+            assert _residual_free(got) == _residual_free(errors[k])
+    first = next((k for k, e in enumerate(errors) if e is not None), None)
+    if first is None:
+        got = solve_delay_realization(frame, delays, Rs, sparsity=sparsity)
+        ref = np.array([_solve_per_row(Phis, R, sparsity) for R in Rs])
+        assert got.shape == (len(Rs), len(delays), frame.op.n, frame.op.n)
+        assert np.array_equal(got, ref)
+        if sparsity is None:
+            assert np.array_equal(got, _realize_slots_reference(Phis, Rs))
+    else:
+        got = _error(lambda: solve_delay_realization(frame, delays, Rs, sparsity=sparsity))
+        assert _residual_free(got) == _residual_free(f"target {first}: {errors[first]}")
+    return errors
+
+
+def _assert_assembly_matches_references(frame, rep, assembly, sparsity=None):
+    """Both realizations of an assembly agree with the references on the raw
+    and projected stacks, and the family's coefficients are the averaged
+    per-row realizations of the selected projected slots."""
+    delays = assembly.family.delays
+    Phis = [frame.Phi_at(-r) for r in delays]
+    Rbars = np.array(assembly.projected_r)
+    for Rs in (np.array(assembly.r_matrices), Rbars):
+        for masks in (None,) if sparsity is None else (None, sparsity):
+            _assert_realization_matches_references(frame, delays, Rs, masks)
+    for row, m in zip(assembly.family.directions, assembly.theta.selected_rows):
+        ref = equivariant_average(rep, rep, _solve_per_row(Phis, Rbars[m], sparsity))
+        assert np.array_equal(np.array(row), ref), f"slot {m}"
+
+
 class TestStackedSolvesMatchPerSystemSolves:
     def test_presets(self, simple_case, double_case):
         for r in (simple_case, double_case):
             _assert_same_as_per_system_solves(r.frame, r.assembly.directions, r.assembly)
+            _assert_assembly_matches_references(r.frame, r.rep, r.assembly, d3.structure_masks())
+
+    def test_random_masks(self, simple_case, double_case, rng):
+        # random per-lag masks with one row empty at every lag; targets that
+        # the masks realize (that row zero) and generic ones, alone and mixed
+        outcomes = set()
+        for r in (simple_case, double_case):
+            frame, delays = r.frame, r.delays
+            n, c, J = frame.op.n, frame.c, len(delays)
+            Phis = [frame.Phi_at(-x) for x in delays]
+            for _ in range(8):
+                masks = rng.random((J, n, n)) < 0.6
+                masks[:, int(rng.integers(n))] = False
+                A = random_complex(rng, 3, J, n, n) * masks
+                realizable = sum(A[:, j] @ P for j, P in enumerate(Phis))
+                generic = random_complex(rng, 3, n, c)
+                for Rs in (realizable, generic, np.concatenate([realizable, generic])):
+                    errors = _assert_realization_matches_references(frame, delays, Rs,
+                                                                    list(masks))
+                    outcomes.update(e.split(" row")[0] if e else "solved" for e in errors)
+        assert outcomes == {"solved", "sparsity mask leaves", "sparsity mask infeasible:"}
 
     @pytest.mark.parametrize("case, index", [
         (case, i) for case in ("simple", "double")
@@ -392,11 +513,13 @@ class TestStackedSolvesMatchPerSystemSolves:
                                    tau_n=entry["tau_n"], **entry["points"][index])
         r = d3.run_case(case, point)
         _assert_same_as_per_system_solves(r.frame, r.assembly.directions, r.assembly)
+        _assert_assembly_matches_references(r.frame, r.rep, r.assembly, d3.structure_masks())
 
     @pytest.mark.parametrize("n", range(3, 25))
     def test_ring_ladder(self, n):
         frame, assembly = _ring_case(n)
         _assert_same_as_per_system_solves(frame, assembly.directions, assembly)
+        _assert_assembly_matches_references(frame, assembly.family.rep, assembly)
 
     @staticmethod
     def _random_frame(rng, n, sizes):
@@ -501,6 +624,26 @@ class TestSolveDelayRealization:
         R = double_case.assembly.r_matrices[0]
         with pytest.raises(UnfoldingError, match="mask"):
             solve_delay_realization(frame, delays, R, sparsity=d3.structure_masks())
+
+    def test_empty_row(self, simple_case, rng):
+        # row 1 is masked out at every lag: a zero target row gives a zero
+        # coefficient row, a nonzero one is refused; a stack names the target
+        frame, delays = simple_case.frame, simple_case.delays
+        masks = [np.ones((3, 3), dtype=bool) for _ in delays]
+        for m in masks:
+            m[1] = False
+        A = random_complex(rng, len(delays), 3, 3) * np.array(masks)
+        R = sum(Aj @ frame.Phi_at(-r) for Aj, r in zip(A, delays))
+        assert not np.any(R[1])
+        As = solve_delay_realization(frame, delays, R, sparsity=masks)
+        assert not np.any(As[:, 1]) and np.all(As[:, [0, 2]] != 0)
+        bad = R.copy()
+        bad[1, 2] = 1e-3
+        with pytest.raises(UnfoldingError,
+                           match=r"^sparsity mask leaves row 1 empty but target is nonzero$"):
+            solve_delay_realization(frame, delays, bad, sparsity=masks)
+        with pytest.raises(UnfoldingError, match=r"^target 1: sparsity mask leaves row 1 empty"):
+            solve_delay_realization(frame, delays, np.array([R, bad]), sparsity=masks)
 
     def test_lag_outside_horizon_rejected(self, simple_case):
         frame = simple_case.frame
