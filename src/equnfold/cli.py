@@ -173,10 +173,11 @@ def _run_config(cfg):
         raise SchemaError(f"output must be a path, got {output!r}")
     seeds, seeds_path = field(cfg, "", "lambda_seeds")
     if isinstance(seeds, str):
-        # a preset string stands in for the whole model/group/seed triple
-        if "model" in cfg or "group" in cfg:
-            raise SchemaError("preset lambda_seeds cannot be combined with an "
-                              "explicit model or group")
+        # a preset string stands in for the whole model, group, seeds, lags,
+        # masks and tolerances
+        for key in ("model", "group", "delays", "sparsity", "tolerances"):
+            if key in cfg:
+                raise SchemaError(f"preset lambda_seeds cannot be combined with {key!r}")
         return _run_preset(seeds) + (output,)
     # model and group may be inline documents or paths to JSON files
     model, group = (field(cfg, "", key)[0] for key in ("model", "group"))

@@ -76,7 +76,6 @@ def d3_operator(p):
 # eigenvalue of the neighbour coupling J - I on the symmetric mode (delta1)
 # and on the rotation modes (delta2)
 _COUPLING = {"delta1": 2.0, "delta2": -1.0}
-_SIGNS = (1, -1)                # the two branches alpha = +-sqrt(C^2 + S^2)
 _REFINE_TOL = 1e-10             # max |F| of a refined double-Hopf point
 _REFINE_MAX_ITER = 100
 
@@ -105,6 +104,17 @@ def delta2(lam, p):
     return factor_value("delta2", lam, p.alpha, p.beta, p.tau_s, p.tau_n)
 
 
+def _hopf_angles(factor, omega, beta, tau_n):
+    """alpha and the angle theta = omega tau_s (mod 2 pi) at ``omega`` of
+    the curves alpha = +-sqrt(C^2 + S^2) (see :func:`hopf_curve`), keyed by
+    sign, 1 first."""
+    c = _factor_coupling(factor)
+    C = 1.0 - c * beta * np.cos(omega * tau_n)
+    S = -omega - c * beta * np.sin(omega * tau_n)
+    alpha = np.hypot(C, S)
+    return {1: (alpha, np.arctan2(S, C)), -1: (-alpha, np.arctan2(-S, -C))}
+
+
 def hopf_curve(factor, omega, beta, tau_n, sign=1, branch=0):
     """Point (alpha, tau_s) on a curve of imaginary roots of a factor.
 
@@ -117,33 +127,22 @@ def hopf_curve(factor, omega, beta, tau_n, sign=1, branch=0):
 
     Accepts scalar or array ``omega``.
     """
-    c = _factor_coupling(factor)
     omega = np.asarray(omega, dtype=float)
-    C = 1.0 - c * beta * np.cos(omega * tau_n)
-    S = -omega - c * beta * np.sin(omega * tau_n)
-    alpha = np.hypot(C, S)
-    if sign < 0:
-        alpha = -alpha
-        theta = np.arctan2(-S, -C)
-    else:
-        theta = np.arctan2(S, C)
-    tau_s = (theta + 2.0 * np.pi * branch) / omega
-    return alpha, tau_s
+    alpha, theta = _hopf_angles(factor, omega, beta, tau_n)[-1 if sign < 0 else 1]
+    return alpha, (theta + 2.0 * np.pi * branch) / omega
 
 
 def sweep_curves(factor, beta, tau_n, omegas, branches=(0, 1, 2, 3)):
     """Sample the requested curve branches of both signs.
 
     Returns a dict keyed by (sign, branch), sign 1 first, whose values are
-    (m, 3) arrays of rows (omega, alpha, tau_s).
+    (m, 3) arrays of rows (omega, alpha, tau_s), each equal to
+    :func:`hopf_curve`'s; the angles are taken once per sign.
     """
     omegas = np.asarray(omegas, dtype=float)
-    out = {}
-    for sg in _SIGNS:
-        for br in branches:
-            a, t = hopf_curve(factor, omegas, beta, tau_n, sign=sg, branch=br)
-            out[(sg, br)] = np.column_stack([omegas, a, t])
-    return out
+    return {(sg, br): np.column_stack([omegas, alpha, (theta + 2.0 * np.pi * br) / omegas])
+            for sg, (alpha, theta) in _hopf_angles(factor, omegas, beta, tau_n).items()
+            for br in branches}
 
 
 _BAND_SCALE = 4.0               # crossing sweep: band height over the mean segment height
@@ -170,37 +169,46 @@ def _crossings(polylines, window=None):
     Each pad is taken over a whole polyline, so a pair gives the same bits
     whether or not segments were left out.
 
-    The pairs come from one sweep over all polylines.  The second
-    coordinate is cut into bands; each segment is copied into every band
-    its box, padded by the margin (twice the largest pad), touches; the
-    copies are sorted by (band, rank of the lower first coordinate), two
-    integers.  In each of its bands a segment takes the copies whose lower
-    first coordinate lies in its own first-coordinate range, widened below
-    by the widest extent of any segment, and by the margin on both sides.
-    A pair is kept only in the first band the two share.  The band height
+    The pairs come from one sweep over all polylines, in one direction.
+    The second coordinate is cut into bands; each segment is copied into
+    every band its box, padded by the margin (twice the largest pad),
+    touches; the copies are sorted by (band, rank of the lower first
+    coordinate), two integers.  In each of its bands a segment takes the
+    copies ranked after it whose lower first coordinate is at most its
+    upper one plus the margin, so each pair is found once, from its segment
+    of lower rank, with no backward window: padded boxes that overlap put
+    the later segment's lower bound within the pad of the earlier one's
+    upper bound, and the margin exceeds the pad far beyond rounding.  A pair
+    is kept only in the first band the two share, then put in polyline
+    order (a polyline's pairs with itself in both orders).  The band height
     is ``_BAND_SCALE`` times the mean padded height, and at least the
     segments' whole padded extent over their number, so there are at most
     n + 1 bands and about two copies per segment.
     """
     A, B, label, index, absmax = _stacked_segments(polylines, window)
+    empty = np.empty(0, dtype=np.intp)
     if not len(A):
-        empty = np.empty(0, dtype=np.intp)
         return empty, empty, empty, empty, np.empty(0), np.empty(0), np.empty((0, 2))
     padb = 1e-9 * (1.0 + absmax)
     margin = 2.0 * float(padb.max())
-    seg, band, blo, start, counts, edges = _sweep_queries(A, B, margin)
-    hits = []
+    seg, band, blo, counts, edges = _sweep_queries(A, B, margin)
+    hits = [(empty, empty, np.empty(0), np.empty(0))]      # there may be no candidates
     for r0, r1 in zip(edges, np.append(edges[1:], len(seg))):
         c = counts[r0:r1]
         ii = np.repeat(seg[r0:r1], c)
-        jj = seg[np.arange(len(ii)) + np.repeat(start[r0:r1] - (np.cumsum(c) - c), c)]
+        # row r takes the c[r] rows right after it
+        jj = seg[np.arange(len(ii)) + np.repeat(np.arange(r0 + 1, r1 + 1) - np.cumsum(c) + c, c)]
         k = np.repeat(band[r0:r1], c)
-        # each pair once (in branch order, in the first band the two share),
-        # and no neighbouring segments of one branch
+        # each pair in the first band the two share, no neighbouring
+        # segments of one polyline; then in polyline order, both orders
+        # when the polyline is the same
         a, b = label[ii], label[jj]
-        keep = (((a < b) | ((a == b) & (np.abs(index[ii] - index[jj]) > 1)))
-                & (k == np.maximum(blo[ii], blo[jj])))
-        ii, jj = ii[keep], jj[keep]
+        keep = ((k == np.maximum(blo[ii], blo[jj]))
+                & ((a != b) | (np.abs(index[ii] - index[jj]) > 1)))
+        ii, jj, a, b = ii[keep], jj[keep], a[keep], b[keep]
+        ii, jj = np.where(a > b, jj, ii), np.where(a > b, ii, jj)
+        same = a == b
+        ii, jj = np.concatenate([ii, jj[same]]), np.concatenate([jj, ii[same]])
         Ai, Bi, Aj, Bj = A[ii], B[ii], A[jj], B[jj]
         pad = np.maximum(padb[label[ii]], padb[label[jj]])[:, None]
         near = ((np.minimum(Aj, Bj) <= np.maximum(Ai, Bi) + pad)
@@ -253,12 +261,12 @@ def _stacked_segments(polylines, window):
 def _sweep_queries(A, B, margin):
     """The query rows of :func:`_crossings`' sweep, one per copy of a
     segment in a band, sorted by (band, alpha rank): each row's segment and
-    band and the run of rows (``start``, ``counts``) whose segments it takes;
-    each segment's first band; and the row edges of blocks holding about
-    ``_SWEEP_BLOCK`` candidates each."""
+    band and the number of rows right after it (``counts``) whose segments
+    it takes; each segment's first band; and the row edges of blocks holding
+    about ``_SWEEP_BLOCK`` candidates each."""
     n = len(A)
     blo, copies = _bands(A[:, 1], B[:, 1], margin)
-    rank, first, stop = _alpha_ranks(A[:, 0], B[:, 0], margin)
+    rank, stop = _alpha_ranks(A[:, 0], B[:, 0], margin)
     seg = np.repeat(np.arange(n), copies)
     band = blo[seg] + (np.arange(len(seg)) - np.repeat(np.cumsum(copies) - copies, copies))
     keys = band * n + rank[seg]
@@ -266,11 +274,10 @@ def _sweep_queries(A, B, margin):
     order = np.argsort(keys, kind="stable")
     keys, seg, band = keys[order], seg[order], band[order]
     del order
-    start = np.searchsorted(keys, band * n + first[seg], side="left")
-    counts = np.searchsorted(keys, band * n + stop[seg], side="left") - start
+    counts = np.searchsorted(keys, band * n + stop[seg], side="left") - np.arange(1, len(seg) + 1)
     ends = np.cumsum(counts)
     edges = np.searchsorted(ends, np.arange(0, ends[-1], _SWEEP_BLOCK), side="right")
-    return seg, band, blo, start, counts, edges
+    return seg, band, blo, counts, edges
 
 
 def _bands(y_a, y_b, margin):
@@ -289,25 +296,14 @@ def _bands(y_a, y_b, margin):
 
 def _alpha_ranks(x_a, x_b, margin):
     """Each segment's rank in the order of lower first coordinates, and the
-    ranks ``first`` to ``stop`` (exclusive) of the segments it takes."""
+    rank ``stop`` below which lie all segments whose lower first coordinate
+    is at most its upper one plus ``margin``."""
     xlo, xhi = np.minimum(x_a, x_b), np.maximum(x_a, x_b)
     order = np.argsort(xlo, kind="stable")
     rank = np.empty(len(xlo), dtype=np.intp)
     rank[order] = np.arange(len(xlo))
-    x_sorted = xlo[order]
-    reach = float(np.max(xhi - xlo))
-    first = np.searchsorted(x_sorted, xlo - reach - margin, side="left")
-    stop = np.searchsorted(x_sorted, xhi + margin, side="right")
-    return rank, first, stop
-
-
-def _segment_intersections(P, Q):
-    """Crossings of two polylines in the plane: :func:`_crossings` of
-    ``[P, Q]``, keeping only the pairs of a P segment and a Q segment.
-    Returns arrays ``(i, j, t, u, point)`` ordered by (i, j)."""
-    a, b, i, j, t, u, pt = _crossings([P, Q])
-    cross = a < b
-    return i[cross], j[cross], t[cross], u[cross], pt[cross]
+    stop = np.searchsorted(xlo[order], xhi + margin, side="right")
+    return rank, stop
 
 
 def _crossing_seeds(curves, omegas, alpha_window, tau_s_window):

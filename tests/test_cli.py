@@ -14,6 +14,12 @@ from equnfold.jsonio import (build_artifact, canonical_json, decode_cmatrix,
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+# the preset artifacts' digests, which perfbench/expected.json holds for the
+# benchmark's gate
+PRESET_DIGESTS = {
+    "d3:simple": "dbec54e4367045876531edfcb1f1b732b1a53de50b4ad1b812faa47a5f8aedb9",
+    "d3:double": "2acc2381794c8cef9772c2244c5a7f22feb9ed9f827848fba1fa0aa868368f56",
+}
 
 
 def run(args):
@@ -257,6 +263,23 @@ class TestUnfold:
         assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["meta"]["preset"] == "d3:simple"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_DIGESTS["d3:simple"]
+
+    @pytest.mark.parametrize("extra", [
+        # the preset's own lags, masks and tolerances come with it; these
+        # keys were once ignored, and the preset's artifact written
+        {"delays": [0, 1, 2, 3], "sparsity": [[[0] * 3] * 3] * 4,
+         "tolerances": {"root_tol": 1e-3}},
+        {"sparsity": [None] * 4},
+        {"tolerances": {"root_tol": 1e-3}},
+    ])
+    def test_config_preset_rejects_pipeline_keys(self, tmp_path, capsys, extra):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lambda_seeds": "d3:simple", **extra}))
+        out = tmp_path / "o.json"
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 2
+        assert f"cannot be combined with {next(iter(extra))!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_preset_conflicts_with_model(self, tmp_path, simple_case):
         cfg_path = tmp_path / "cfg.json"
@@ -294,11 +317,7 @@ class TestUnfold:
         assert _ring_artifact_digest(tmp_path, 24) == \
             "f17a91e1c3e9dce103b6dd855ce82a934b588f4d532f39012e951c07117d0703"
 
-    @pytest.mark.parametrize("preset, digest", [
-        # the digests perfbench/expected.json holds for the benchmark's gate
-        ("d3:simple", "dbec54e4367045876531edfcb1f1b732b1a53de50b4ad1b812faa47a5f8aedb9"),
-        ("d3:double", "2acc2381794c8cef9772c2244c5a7f22feb9ed9f827848fba1fa0aa868368f56"),
-    ])
+    @pytest.mark.parametrize("preset, digest", PRESET_DIGESTS.items())
     def test_preset_artifact_is_pinned(self, tmp_path, preset, digest):
         out = tmp_path / "preset.json"
         assert run(["unfold", "--preset", preset, "--output", str(out)]) == 0

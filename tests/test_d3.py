@@ -60,6 +60,20 @@ class TestHopfCurves:
             alpha, _ = d3.hopf_curve("delta1", omega, beta=0.0, tau_n=1.0, sign=1)
             assert abs(alpha - np.sqrt(1.0 + omega ** 2)) < 1e-12
 
+    @pytest.mark.parametrize("branches", [(0,), (3,), (0, 1, 2, 3), tuple(range(-2, 6))])
+    def test_sweep_equals_hopf_curve(self, rng, branches):
+        # the sweep takes each sign's angle once; every branch is still
+        # hopf_curve's, bit for bit
+        for k in range(8):
+            factor = ("delta1", "delta2")[k % 2]
+            beta, tau_n = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 5.0)
+            omegas = np.arange(0.05, 5.0, (0.02, 0.01, 0.005, 0.0025)[k % 4])
+            curves = d3.sweep_curves(factor, beta, tau_n, omegas, branches=branches)
+            assert list(curves) == [(sg, br) for sg in (1, -1) for br in branches]
+            for (sg, br), rows in curves.items():
+                alpha, tau_s = d3.hopf_curve(factor, omegas, beta, tau_n, sign=sg, branch=br)
+                assert rows.tobytes() == np.column_stack([omegas, alpha, tau_s]).tobytes()
+
     def test_sweep_shape(self):
         omegas = np.arange(0.5, 1.0, 0.1)
         curves = d3.sweep_curves("delta1", -0.5, 4.0, omegas, branches=(0, 1))
@@ -160,12 +174,21 @@ def _loop_intersections(P, Q):
     return hits
 
 
+def _segment_intersections(P, Q):
+    """Crossings of two polylines in the plane: ``d3._crossings`` of
+    ``[P, Q]``, keeping only the pairs of a P segment and a Q segment.
+    Returns arrays ``(i, j, t, u, point)`` ordered by (i, j)."""
+    a, b, i, j, t, u, pt = d3._crossings([P, Q])
+    cross = a < b
+    return i[cross], j[cross], t[cross], u[cross], pt[cross]
+
+
 def _assert_same_hits(P, Q):
     """The sweep's hits equal the loop's exactly, in the same order; returns
     their number."""
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     ref = _loop_intersections(P, Q)
-    i, j, t, u, pt = d3._segment_intersections(P, Q)
+    i, j, t, u, pt = _segment_intersections(P, Q)
     assert list(zip(i.tolist(), j.tolist(), t.tolist(), u.tolist())) == \
         [(a, b, c, e) for a, b, c, e, _ in ref]
     assert np.array_equal(pt, np.array([p for *_, p in ref]).reshape(-1, 2))
@@ -224,6 +247,28 @@ class TestCrossingOracle:
         n = sum(_assert_same_hits(P, Q) + _assert_same_hits(Q, P) for P, Q in cases)
         assert n > 40
 
+    def test_tied_lower_alphas(self, rng):
+        # every pair is found once, from whichever segment ranks lower, when
+        # many segments share one lower alpha: a zigzag whose segments all
+        # start at alpha 0, a comb of vertical segments, and exact copies
+        zigzag = [(2.0 * (k % 2), 0.5 * k) for k in range(30)]
+        comb = [(x, y) for k, x in enumerate(np.linspace(0.0, 2.0, 15))
+                for y in ((-1.0, 20.0), (20.0, -1.0))[k % 2]]
+        teeth = [(0.0, (-1) ** k * k) for k in range(20)]
+        walk = np.cumsum(rng.standard_normal((60, 2)) * [1.0, 30.0], axis=0)
+        curve = d3.sweep_curves("delta2", 0.5, 3.0, np.arange(0.05, 5.0, 0.02))[(1, 1)][:, 1:3]
+        n = sum(_assert_same_hits(P, Q) for P, Q in [
+            (zigzag, comb), (comb, zigzag), (zigzag, teeth), (teeth, comb),
+            (zigzag, np.copy(zigzag)), (comb, np.copy(comb)), (walk, walk.copy()),
+            (curve, curve.copy())])
+        assert n > 500
+        # a polyline with itself: both orders of each pair, neighbours skipped
+        for P in (np.array(zigzag), np.array(comb), walk, curve):
+            ref = [(i, j, t, u) for i, j, t, u, _ in _loop_intersections(P, P)
+                   if abs(i - j) > 1]
+            a, b, i, j, t, u, _ = d3._crossings([P])
+            assert list(zip(i.tolist(), j.tolist(), t.tolist(), u.tolist())) == ref
+
     def test_rounding_hit_of_disjoint_parallel_segments_is_dropped(self):
         # P's first segment and Q's first segment lie on one line but do not
         # meet; the loop's near-zero denominator still put t = u = 1 in range
@@ -232,7 +277,7 @@ class TestCrossingOracle:
         ref = _loop_intersections(P, Q)
         assert [(a, b) for a, b, *_ in ref] == [(0, 0), (0, 2), (1, 1)]
         assert np.max(np.abs(ref[0][4] - Q[1])) > 0.1       # not on Q's segment
-        i, j, t, u, pt = d3._segment_intersections(P, Q)
+        i, j, t, u, pt = _segment_intersections(P, Q)
         assert list(zip(i.tolist(), j.tolist(), t.tolist(), u.tolist())) == \
             [(a, b, c, e) for a, b, c, e, _ in ref[1:]]
         assert np.array_equal(pt, np.array([p for *_, p in ref[1:]]))
@@ -261,7 +306,7 @@ def _pair_loop_seeds(curves, omegas, alpha_window, tau_s_window):
     rows = [np.empty((0, 4))]
     for k, a in enumerate(keys):
         for b in keys[k:]:
-            i, j, t, u, pt = d3._segment_intersections(curves[a][:, 1:3], curves[b][:, 1:3])
+            i, j, t, u, pt = _segment_intersections(curves[a][:, 1:3], curves[b][:, 1:3])
             wA, wB = omegas[i] + t * step, omegas[j] + u * step
             a0, t0 = pt[:, 0], pt[:, 1]
             keep = ((np.abs(wA - wB) >= 1e-3)
