@@ -249,14 +249,16 @@ def eigenbasis(op, lambdas, seeds=None):
     Raises
     ------
     FrameError
-        On a singular Gram matrix ("defective or mis-ordered spectrum"; a
-        Jordan chain in the function space is unsupported), on seed
-        mismatches, or when some lam is not actually a root.
+        On a Gram block singular against the size of Delta' ("defective or
+        mis-ordered spectrum"; a Jordan chain in the function space is
+        unsupported), on seed mismatches, or when some lam is not actually a
+        root.
     """
     lambdas = [complex(l) for l in lambdas]
     seeds = dict(seeds or {})
     real_op = op.is_real
     norm_sum = sum(float(np.linalg.norm(A, 2)) for _, A in op.terms)
+    deriv_size = 1.0 + sum(r * float(np.linalg.norm(A, 2)) for r, A in op.terms)
 
     # conjugate partner appearing *earlier* in the list
     partner = [None] * len(lambdas)
@@ -320,11 +322,15 @@ def eigenbasis(op, lambdas, seeds=None):
     for blk in block_slices:
         idx = list(blk)
         Kb = K[np.ix_(idx, idx)]
-        if rank(Kb, rcond=GRAM_RCOND) < len(idx):
+        # the pairing of a null pair is w Delta'(lam) u: rank it against the
+        # size of that product, since a block of one is its own reference
+        size = deriv_size * max(np.linalg.norm(psi_raw[i].direction)
+                                * np.linalg.norm(phi[i].direction) for i in idx)
+        if rank(Kb, scale=size, rcond=GRAM_RCOND) < len(idx):
             raise FrameError(
                 "defective or mis-ordered spectrum: Gram block is singular "
-                f"(eigenvalue {lams[idx[0]]}); Jordan chains in the function space "
-                "are unsupported"
+                f"(eigenvalue {lams[idx[0]]}), as on a Jordan chain of that root; "
+                "Jordan chains in the function space are unsupported"
             )
         Kbi = np.linalg.inv(Kb)
         for r, i in enumerate(idx):

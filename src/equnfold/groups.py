@@ -126,82 +126,17 @@ class Representation:
         return self.matrices[self.group.inverse[g]]
 
 
-class _MatrixSet:
-    """Growable stack of equal-shaped matrices with tolerance lookup.
-
-    Lookups are screened by a real fingerprint ``key(M) = Re(w^T M z)`` with
-    fixed positive w and ``z = v - iu``, so ``key(M) = w^T (Re M v + Im M u)``.
-    Entrywise ``|M - S| < tol`` implies ``|key(M) - key(S)| < tol * weight``
-    (``weight = sum(w) * sum(v + u)``), and the screen widens that radius by
-    a bound on the rounding of both keys, so it never drops a match; every
-    candidate is then confirmed entrywise.
-    """
-
-    def __init__(self, d, tol):
-        self.stack = np.empty((0, d, d), dtype=complex)
-        self.keys = np.empty(0)
-        self.max_scale = 0.0    # largest entry magnitude stored, for the rounding bound
-        self.tol = tol
-        # fixed weights in [1, 2): fractional parts of multiples of irrationals
-        w, v, u = (np.array([1.0 + k * c % 1.0 for k in range(1, d + 1)])
-                   for c in (5 ** 0.5, 2 ** 0.5, 3 ** 0.5))
-        self._w, self._z = w, v - 1j * u
-        self._weight = float(w.sum() * (v + u).sum())
-        self._rounding = 4.0 * (d + 1) * np.finfo(float).eps
-
-    def __len__(self):
-        return self.stack.shape[0]
-
-    def _fingerprint(self, P):
-        """Keys and largest entry magnitudes of a stack of matrices."""
-        return (P @ self._z).real @ self._w, np.max(np.abs(P), axis=(1, 2))
-
-    def lookup(self, P):
-        """Index of the first stored matrix within ``tol`` of each matrix in
-        the stack P, entrywise; -1 where there is none."""
-        out = np.full(len(P), -1)
-        if not len(self):
-            return out
-        # blocks of products bound the (products x stored) screen to about 4k
-        # scalars, so a closure nearing max_order holds no |G|^2 temporaries
-        step = max(1, 4096 // len(self))
-        for lo in range(0, len(P), step):
-            Q = P[lo:lo + step]
-            keys, scales = self._fingerprint(Q)
-            radius = self._weight * (self.tol + self._rounding * (scales + self.max_scale))
-            # a NaN distance (overflowed or non-finite key) stays a candidate
-            near = ~(np.abs(keys[:, None] - self.keys) > radius[:, None])
-            first = np.argmax(near, axis=1)
-            residuals = np.max(np.abs(self.stack[first] - Q), axis=(1, 2))
-            found = near[np.arange(len(Q)), first] & (residuals < self.tol)
-            out[lo:lo + step][found] = first[found]
-            for b in np.nonzero(~found & near.any(axis=1))[0]:
-                for k in np.nonzero(near[b])[0][1:]:
-                    if np.max(np.abs(self.stack[k] - Q[b])) < self.tol:
-                        out[lo + b] = k
-                        break
-        return out
-
-    def find(self, M):
-        return int(self.lookup(M[None])[0])
-
-    def add(self, M):
-        key, scale = self._fingerprint(M[None])
-        self.stack = np.concatenate([self.stack, M[None, :, :]])
-        self.keys = np.concatenate([self.keys, key])
-        self.max_scale = max(self.max_scale, float(scale[0]))
-        return len(self) - 1
-
-
 def close_generators(generators, max_order=DEFAULT_MAX_ORDER):
     """Close a list of matrices under products and return a Representation.
 
     The identity gets index 0; the given generators come next (deduplicated),
     followed by the remaining products in discovery order: passes over the
     rows ``a`` known when a pass starts, each row ``a`` times every element
-    known when the row starts, until every element is known.  Entry
-    comparison uses the absolute tolerance ``CLOSURE_TOL`` so exact 0/1 and
-    root-of-unity generators are deduplicated despite rounding.
+    known when the row starts, until every element is known.  A product is
+    looked up directly, entrywise against every stored matrix at once, and
+    is the first one it is within the absolute tolerance ``CLOSURE_TOL`` of,
+    so exact 0/1 and root-of-unity generators are deduplicated despite
+    rounding.
 
     Each product of matrices is taken once: the elements are found on the
     Cayley graph (element times generator), the table follows from that by
@@ -224,19 +159,20 @@ def close_generators(generators, max_order=DEFAULT_MAX_ORDER):
         if rank(g, rcond=d * EPS) < d:
             raise StructuralError("singular generator matrix")
 
-    mats = _MatrixSet(d, CLOSURE_TOL)
-    mats.add(np.eye(d, dtype=complex))
+    stack = np.eye(d, dtype=complex)[None]
     gen_idx = []
     for g in gens:
-        k = mats.find(g)
-        gen_idx.append(k if k >= 0 else mats.add(g))
-    start = len(mats)
-    right, parents = _cayley_graph(mats, gen_idx, max_order)
+        k = int(_lookup(stack, g[None])[0])
+        if k < 0:
+            k, stack = len(stack), np.concatenate([stack, g[None]])
+        gen_idx.append(k)
+    start = len(stack)
+    stack, right, parents = _cayley_graph(stack, gen_idx, max_order)
     table = _compose_table(right, parents, gen_idx)
     order, pos, pairs = _discovery_order(table, start)
 
     matrices = np.empty((len(order), d, d), dtype=complex)
-    matrices[:start] = mats.stack[:start]
+    matrices[:start] = stack[:start]
     for z, (a, b) in enumerate(pairs, start=start):
         matrices[z] = matrices[a] @ matrices[b]
     group = FiniteGroup.from_mul_table(pos[table[np.ix_(order, order)]],
@@ -244,32 +180,54 @@ def close_generators(generators, max_order=DEFAULT_MAX_ORDER):
     return Representation(group=group, matrices=matrices)
 
 
-def _cayley_graph(mats, gen_idx, max_order):
-    """Grow ``mats`` (the identity and the generators ``gen_idx``) to the
+def _lookup(stack, P):
+    """Index of the first matrix of ``stack`` within ``CLOSURE_TOL`` of each
+    matrix in the stack P, entrywise; -1 where there is none (a product with
+    a NaN entry matches nothing)."""
+    out = np.full(len(P), -1)
+    # blocks of products bound the (products x stored x entries) comparison
+    # to about 4k scalars, so a closure nearing max_order holds no |G|^2
+    # temporaries
+    step = max(1, 4096 // stack[0].size // len(stack))
+    for lo in range(0, len(P), step):
+        near = np.all(np.abs(stack - P[lo:lo + step, None]) < CLOSURE_TOL, axis=(2, 3))
+        first = np.argmax(near, axis=1)
+        out[lo:lo + step] = np.where(near[np.arange(len(first)), first], first, -1)
+    return out
+
+
+def _cayley_graph(stack, gen_idx, max_order):
+    """Grow ``stack`` (the identity and the generators ``gen_idx``) to the
     group they generate, a level of products ``element @ generator`` at a
-    time.  Returns ``right[x, j]``, the index of ``x * gen_idx[j]``, and the
-    pair ``(x, j)`` that found each element added here."""
-    gens = mats.stack[gen_idx]
+    time.  Returns the grown stack, ``right[x, j]``, the index of
+    ``x * gen_idx[j]``, and the pair ``(x, j)`` that found each element
+    added here."""
+    gens = stack[gen_idx]
     right = np.empty((0, len(gen_idx)), dtype=int)
     parents = []
-    while len(right) < len(mats):
-        level = mats.stack[len(right):]
+    while len(right) < len(stack):
+        level = stack[len(right):]
         products = (level[:, None] @ gens).reshape(-1, *gens.shape[1:])
-        found = mats.lookup(products)
-        known = len(mats)
+        found = _lookup(stack, products)
+        known = len(stack)
+        added = []      # positions in products of the elements this level adds
         # products found nowhere may still equal one added earlier in the level
         for p in np.nonzero(found < 0)[0]:
-            found[p] = mats.find(products[p]) if len(mats) > known else -1
-            if found[p] < 0:
-                found[p] = mats.add(products[p])
-                if len(mats) > max_order:
-                    raise StructuralError(
-                        f"closure exceeded {max_order} elements; not a finite group at this cap"
-                    )
-                x, j = divmod(int(p), len(gen_idx))
-                parents.append((len(right) + x, j))
+            k = _lookup(products[added], products[p:p + 1])[0] if added else -1
+            if k >= 0:
+                found[p] = known + k
+                continue
+            found[p] = known + len(added)
+            added.append(p)
+            if known + len(added) > max_order:
+                raise StructuralError(
+                    f"closure exceeded {max_order} elements; not a finite group at this cap"
+                )
+            x, j = divmod(int(p), len(gen_idx))
+            parents.append((len(right) + x, j))
+        stack = np.concatenate([stack, products[added]])
         right = np.concatenate([right, found.reshape(len(level), len(gen_idx))])
-    return right, parents
+    return stack, right, parents
 
 
 def _compose_table(right, parents, gen_idx):

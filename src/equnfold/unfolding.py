@@ -196,13 +196,27 @@ class GammaOrbitGeometry:
 
 
 def gamma_orbit_geometry(B, G):
-    """Restrict the orbit geometry to matrices commuting with the G action."""
+    """Restrict the orbit geometry to matrices commuting with the G action.
+
+    Raises UnfoldingError when the commutant's dimension by rank disagrees
+    with the character formula."""
     B = np.asarray(B, dtype=complex)
     if commutator_residual(G, [B]) > 1e-10 * max(1.0, np.max(np.abs(B))):
         raise UnfoldingError("B does not commute with the representation")
     comm = commutant_basis(G)
     if not comm:
         raise UnfoldingError("empty commutant")
+    # Schur's lemma: dim Mat^Gamma = (1/|Gamma|) sum_g |tr G(g)|^2, an integer
+    # up to rounding (within 1e-14 at the presets, the fixture points and the
+    # rings), checks the null-space cut of commutant_basis; a non-finite or
+    # non-integral sum fails the comparison too
+    characters = np.trace(G.matrices, axis1=1, axis2=2)
+    formula = float(np.sum(np.abs(characters) ** 2)) / G.group.order
+    if not abs(formula - len(comm)) < 1e-6:
+        raise UnfoldingError(
+            f"commutant dimension {len(comm)} by rank disagrees with {formula:.6g} "
+            "by the character formula"
+        )
     images = np.column_stack([_vec(B @ K - K @ B) for K in comm])
     # scale |B|: commutator columns at rounding level count as zero even when all are tiny
     U, _, r = svd_rank(images, scale=float(np.linalg.norm(B, 2)))

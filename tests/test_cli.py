@@ -9,6 +9,7 @@ import pytest
 from equnfold import cli, d3
 from equnfold.cli import main
 from equnfold.frames import find_root
+from equnfold.groups import close_generators
 from equnfold.jsonio import (build_artifact, canonical_json, decode_cmatrix,
                              encode_cmatrix, model_to_doc, rep_to_doc, write_json_atomic)
 
@@ -279,6 +280,23 @@ class TestUnfold:
         out = tmp_path / "o.json"
         assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 2
         assert f"cannot be combined with {next(iter(extra))!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("group", ["trivial", "D3"])
+    def test_bogdanov_takens_config_exits_1_naming_the_jordan_chain(self, tmp_path, capsys,
+                                                                     group):
+        # lambda = 0 is a double root of Delta1 with a one-dimensional null
+        # space: once a 1-parameter "mini-versal" family with psi ~ 1e15 that
+        # verify passed (trivial group), or a misleading representation
+        # error (D3)
+        op = d3.d3_operator(d3.D3ModelParams(alpha=2.0, beta=-0.5, tau_s=1.0, tau_n=3.0))
+        rep = close_generators([np.eye(3)]) if group == "trivial" else d3.triangle_rep()
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_path.write_text(json.dumps({"model": model_to_doc(op), "group": rep_to_doc(rep),
+                                        "lambda_seeds": [[0.0, 0.0]]}))
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "defective or mis-ordered spectrum" in err and "Jordan chain" in err
         assert not out.exists()
 
     def test_config_preset_conflicts_with_model(self, tmp_path, simple_case):

@@ -304,6 +304,14 @@ class TestEigenbasis:
         with pytest.raises(FrameError, match="defective"):
             eigenbasis(op, [0.0])
 
+    def test_bogdanov_takens_root_rejected(self):
+        # Delta1(0) = Delta1'(0) = 0: a double root with a one-dimensional null
+        # space, whose 1 x 1 Gram block (~1e-16) is singular against the size
+        # of Delta' although it is its own largest singular value
+        op = d3.d3_operator(d3.D3ModelParams(alpha=2.0, beta=-0.5, tau_s=1.0, tau_n=3.0))
+        with pytest.raises(FrameError, match="defective .* Jordan chain"):
+            eigenbasis(op, [0.0])
+
     def test_not_a_root_rejected(self):
         op = DelayOperator(n=1, terms=((0.0, [[1.0]]),))
         with pytest.raises(FrameError):

@@ -3,7 +3,7 @@ import pytest
 
 from equnfold.d3 import GAMMA_MAT, KAPPA_MAT, OMEGA, triangle_rep
 from equnfold.errors import StructuralError
-from equnfold.groups import (FiniteGroup, Representation, _MatrixSet,
+from equnfold.groups import (CLOSURE_TOL, FiniteGroup, Representation, _lookup,
                              check_representation, close_generators, commutant_basis,
                              equivariant_average)
 
@@ -120,7 +120,7 @@ def _reflection(n):
 
 
 class TestClosureOracle:
-    """The fingerprinted closure finds the same elements, in the same order,
+    """The closure finds the same elements, in the same order,
     with the same multiplication table as the linear-scan closure."""
 
     @staticmethod
@@ -168,32 +168,41 @@ def _close_generators_rows(generators, max_order=512, tol=1e-10):
     pass; the last pass's rows are the table."""
     gens = [np.asarray(g, dtype=complex) for g in generators]
     d = gens[0].shape[0]
-    mats = _MatrixSet(d, tol)
-    mats.add(np.eye(d, dtype=complex))
+    stack = np.eye(d, dtype=complex)[None]
+
+    def lookup(P):
+        near = np.max(np.abs(stack - P[:, None]), axis=(2, 3)) < tol
+        return np.where(near.any(axis=1), np.argmax(near, axis=1), -1)
+
+    def add(M):
+        nonlocal stack
+        stack = np.concatenate([stack, M[None]])
+        return len(stack) - 1
+
     gen_idx = []
     for g in gens:
-        k = mats.find(g)
-        gen_idx.append(k if k >= 0 else mats.add(g))
+        k = lookup(g[None])[0]
+        gen_idx.append(int(k) if k >= 0 else add(g))
     while True:
-        n = len(mats)
+        n = len(stack)
         rows = []
         for a in range(n):
-            products = mats.stack[a] @ mats.stack
-            row = mats.lookup(products)
+            products = stack[a] @ stack
+            row = lookup(products)
             for b in np.nonzero(row < 0)[0]:
-                k = mats.find(products[b])
+                k = lookup(products[b][None])[0]
                 if k < 0:
-                    k = mats.add(products[b])
-                    if len(mats) > max_order:
+                    k = add(products[b])
+                    if len(stack) > max_order:
                         raise StructuralError(
                             f"closure exceeded {max_order} elements; not a finite group at this cap"
                         )
                 row[b] = k
             rows.append(row)
-        if len(mats) == n:
+        if len(stack) == n:
             break
     group = FiniteGroup.from_mul_table(np.array(rows), generator_indices=gen_idx)
-    return Representation(group=group, matrices=mats.stack)
+    return Representation(group=group, matrices=stack)
 
 
 def _random_unitary(rng, d):
@@ -245,27 +254,37 @@ class TestCayleyClosureOracle:
                            U @ np.diag([1.0, -1.0]) @ U.conj().T])
 
 
-class TestMatrixSetLookup:
-    """The fingerprint screen never drops a match, even one that sits at the
-    entrywise tolerance with every entry moved in the direction that moves
-    the fingerprint most."""
+class TestLookup:
+    """The closure's lookup returns the first stored matrix within
+    ``CLOSURE_TOL`` entrywise, on either side of the tolerance edge with
+    every entry moved, one product at a time or many in blocks, and never
+    matches a product with a NaN entry."""
 
     @pytest.mark.parametrize("d", [1, 3, 6])
     @pytest.mark.parametrize("scale", [1.0, 1e5])
     def test_matches_at_the_tolerance_edge(self, d, scale, rng):
-        tol = 1e-10
-        mats = _MatrixSet(d, tol)
-        for _ in range(6):
-            mats.add(scale * random_complex(rng, d, d))
-        worst = np.exp(1j * np.angle(np.conj(mats._z)))[None, :]
-        for k in range(len(mats)):
+        stack = scale * random_complex(rng, 6, d, d)
+        queries, expected = [], []
+        for k in range(len(stack)):
+            move = np.exp(2j * np.pi * rng.random((d, d)))
             for step in (0.7, -0.7, 0.99, -0.99, 1.01, -1.01):
-                Q = mats.stack[k] + step * tol * worst
-                hits = np.nonzero(np.max(np.abs(mats.stack - Q), axis=(1, 2)) < tol)[0]
-                expected = int(hits[0]) if len(hits) else -1
-                assert mats.find(Q) == expected
+                Q = stack[k] + step * CLOSURE_TOL * move
+                hits = np.nonzero(np.max(np.abs(stack - Q), axis=(1, 2)) < CLOSURE_TOL)[0]
+                queries.append(Q)
+                expected.append(int(hits[0]) if len(hits) else -1)
+                assert _lookup(stack, Q[None])[0] == expected[-1]
                 if abs(step) == 0.7:
-                    assert expected == k
+                    assert expected[-1] == k
+        assert -1 in expected
+        assert _lookup(stack, np.array(queries)).tolist() == expected
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_nan_product_matches_nothing(self, d, rng):
+        stack = random_complex(rng, 6, d, d)
+        P = stack.copy()
+        P[2, -1, -1] = np.nan
+        assert _lookup(stack, P).tolist() == [0, 1, -1, 3, 4, 5]
+        assert _lookup(stack, P[2:3]).tolist() == [-1]
 
 
 class TestCheckRepresentation:

@@ -172,6 +172,33 @@ class TestGammaOrbitGeometry:
         with pytest.raises(UnfoldingError):
             gamma_orbit_geometry(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 1.0]]), rep)
 
+    def test_commutant_cut_checked_by_characters(self):
+        # a delta2 point where constraint singular values at 6.5e-11..2.8e-10
+        # straddle COMMUTANT_RCOND: rank finds 12 commuting matrices, the
+        # character formula 16
+        point = d3.DoubleHopfPoint(
+            factor="delta2", beta=-0.6692187347605176, tau_n=4.612060677412268,
+            alpha=-3.836239627070401, tau_s=0.5972620017503194,
+            omega1=3.0492224800348477, omega2=3.3817111720009483, residual=0.0)
+        with pytest.raises(UnfoldingError,
+                           match="commutant dimension 12 by rank disagrees with 16 by the character"):
+            d3.run_case("double", point)
+
+    def test_misplaced_commutant_cut_fails_by_name(self, double_case, monkeypatch):
+        # a cutoff above every constraint singular value counts all 64 as null
+        monkeypatch.setattr("equnfold.groups.COMMUTANT_RCOND", 2.0)
+        with pytest.raises(UnfoldingError,
+                           match="commutant dimension 64 by rank disagrees with 16 by the character"):
+            gamma_orbit_geometry(double_case.frame.B, double_case.frame.G)
+
+    @pytest.mark.parametrize("entry, formula", [(0.5, "0.25"), (1e200, "inf")])
+    def test_character_sum_not_an_integer_is_a_disagreement(self, entry, formula):
+        # a 1 x 1 "representation" of the trivial group: rank finds one
+        # commuting matrix, but |tr|^2 is 0.25, or overflows
+        G = Representation(group=close_generators([[[1.0]]]).group, matrices=[[[entry]]])
+        with pytest.raises(UnfoldingError, match=f"disagrees with {formula} by the character"):
+            gamma_orbit_geometry(np.zeros((1, 1)), G)
+
 
 class TestProjectDirections:
     def test_equivariant_direction_unchanged(self, double_case):
