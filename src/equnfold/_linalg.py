@@ -15,7 +15,7 @@ import numpy as np
 
 RANK_RCOND = 1e-9         # rank tests of the unfolding machinery
 NULLSPACE_RCOND = 1e-8    # null spaces of the characteristic matrix
-COMMUTANT_RCOND = 1e-10   # constraints defining the commutant of a representation
+REP_TOL = 1e-8            # residuals of an induced representation, and the commutant cut
 GRAM_RCOND = 1e-10        # a singular Gram block of an eigenframe
 SINGULAR_RCOND = 1e-12    # a singular element of a representation, at scale 1
 EPS = np.finfo(float).eps  # rcond max(m, n) * EPS (numpy's default): rank lost to rounding only

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import GRAM_RCOND, NULLSPACE_RCOND, null_basis, rank
+from ._linalg import GRAM_RCOND, NULLSPACE_RCOND, REP_TOL, null_basis, rank
 from .delays import ExpVector, check_equivariance, pairing_matrix
 from .errors import FrameError, RootFindingError
 from .groups import Representation, check_representation, commutator_residual
@@ -26,7 +26,6 @@ from .groups import Representation, check_representation, commutator_residual
 CONJ_MATCH_TOL = 1e-9      # tolerance for pairing lam with conj(lam)
 DERIV_FLOOR = 1e-14        # |d det| below this: suspected multiple root, use the secant
 FRAME_RESIDUAL_TOL = 1e-9  # Gram and null-vector residuals of a built frame
-INDUCED_REP_TOL = 1e-8     # representation and intertwining residuals of an induced G
 
 
 def _det_derivative(D, Dp):
@@ -375,14 +374,14 @@ def induce_representation(frame, rep):
     G = Representation(group=rep.group, matrices=Gmats)
     framed = replace(frame, G=G)
 
-    report = check_representation(G, tol=INDUCED_REP_TOL)
+    report = check_representation(G, tol=REP_TOL)
     if not report.ok:
         raise FrameError(
             f"induced matrices violate the representation property "
             f"(max residual {report.max_residual:.3e}); frame inconsistent"
         )
     pw = framed.intertwining_residual(rep)
-    if pw > INDUCED_REP_TOL:
+    if pw > REP_TOL:
         raise FrameError(f"rho(g) Phi != Phi G(g) (residual {pw:.3e})")
     # (Psi, g.Phi) is G(g); compare with (Psi.g, Phi), rows psi_i rho(g) over all g
     moved_psi = (W[None, :, None, :] @ rep.matrices[:, None])[:, :, 0, :].reshape(order * c, n)

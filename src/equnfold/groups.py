@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import COMMUTANT_RCOND, EPS, SINGULAR_RCOND, null_basis, rank
+from ._linalg import EPS, REP_TOL, SINGULAR_RCOND, null_basis, rank
 from .errors import StructuralError
 
 # Entrywise tolerance used to identify equal matrices during closure.
@@ -360,8 +360,10 @@ def commutant_basis(rep):
     Solves the linear constraints ``rho(g) X - X rho(g) = 0`` stacked over a
     generating set (all elements when no generators are recorded) and returns
     the common null space reshaped to matrices.  The basis is orthonormal in
-    the Frobenius inner product.  The cutoff's scale is the representation
-    norm: a numerically trivial representation constrains nothing.
+    the Frobenius inner product.  The cut is ``REP_TOL``, the residual an
+    induced representation is held to, so its constraint noise counts as
+    null; its scale is the representation norm: a numerically trivial
+    representation constrains nothing.
     """
     d = rep.dim
     gens = rep.group.generator_indices or tuple(rep.group.elements())
@@ -373,5 +375,5 @@ def commutant_basis(rep):
         scale = max(scale, float(np.linalg.norm(R, 2)))
         # row-major vec: vec(R X - X R) = (kron(R, I) - kron(I, R^T)) vec(X)
         blocks.append(np.kron(R, eye) - np.kron(eye, R.T))
-    ns = null_basis(np.vstack(blocks), scale, COMMUTANT_RCOND)
+    ns = null_basis(np.vstack(blocks), scale, REP_TOL)
     return [ns[:, k].reshape(d, d) for k in range(ns.shape[1])]

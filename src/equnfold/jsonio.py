@@ -304,19 +304,19 @@ def rep_from_doc(doc, path="group"):
 
 
 def frame_to_doc(frame):
-    doc = {
+    return {
         "eigenvalues": [complex_pair(l) for l in frame.lambdas],
         "phi_directions": [encode_cvector(v.direction) for v in frame.phi],
         "psi_directions": [encode_cvector(v.direction) for v in frame.psi],
         "reduced_matrix": encode_cmatrix(frame.B),
+        "induced_rep": _encode_pairs(frame.G.matrices),
     }
-    if frame.G is not None:
-        doc["induced_rep"] = [encode_cmatrix(M) for M in frame.G.matrices]
-    return doc
 
 
 @document_errors()
-def frame_from_doc(doc, op, group=None, path="frame"):
+def frame_from_doc(doc, op, group, path="frame"):
+    """The frame at ``path`` of a document, with its induced representation
+    of ``group``."""
     lams = items(*field(doc, path, "eigenvalues"), pair_complex)
     phis = items(*field(doc, path, "phi_directions"), decode_cvector)
     psis = items(*field(doc, path, "psi_directions"), decode_cvector)
@@ -325,11 +325,8 @@ def frame_from_doc(doc, op, group=None, path="frame"):
     if [v.shape for v in phis + psis] != [(op.n,)] * (2 * c) or B.shape != (c, c):
         raise SchemaError(f"a frame over {c} eigenvalues needs {c} phi and {c} psi directions "
                           f"of length n = {op.n} and a {c} x {c} reduced matrix")
-    induced, induced_path = field(doc, path, "induced_rep", [])
-    if induced != [] and group is None:
-        raise SchemaError("induced representation present but no group supplied")
-    G = None if induced == [] else Representation(
-        group=group, matrices=decode_cmatrix_stack(induced, induced_path, shape=(c, c)))
+    G = Representation(group=group, matrices=decode_cmatrix_stack(
+        *field(doc, path, "induced_rep"), shape=(c, c)))
     return SpectralFrame(op=op, lambdas=tuple(lams),
                          phi=tuple(ExpVector(v, l, side="column") for v, l in zip(phis, lams)),
                          psi=tuple(ExpVector(v, l, side="row") for v, l in zip(psis, lams)),
@@ -349,7 +346,7 @@ def build_artifact(op, rep, frame, assembly, meta=None):
         "unfolding": {
             "delays": [float(r) for r in fam.delays],
             "parameters": list(fam.names),
-            "coefficients": [[encode_cmatrix(A) for A in row] for row in fam.directions],
+            "coefficients": _encode_pairs(fam.directions),
             "selected_rows": [int(i) for i in theta.selected_rows],
         },
         "theta": {

@@ -129,6 +129,7 @@ class OrbitGeometry:
     T_basis: tuple      # basis of im(ad_B), as matrices
     W_basis: tuple      # complement basis; elementary matrices for diagonal B
     delta: int          # orbit codimension == len(W_basis)
+    slots: tuple = None     # (row, col) of each elementary W; None for non-diagonal B
 
     def basis_matrix(self):
         """Columns [vec(T) | vec(W)], a nonsingular c^2 x c^2 matrix."""
@@ -154,9 +155,11 @@ def orbit_geometry(B, jordan_spec):
     T_basis = tuple(U[:, k].reshape(c, c) for k in range(r))
 
     diag = np.diag(B)
+    slots = None
     if c == 1 or np.max(np.abs(B - np.diag(diag))) < DIAG_TOL * max(1.0, np.max(np.abs(diag)) if c else 1.0):
+        slots = tuple(_diagonal_complement_slots(diag))
         W_basis = []
-        for (i, j) in _diagonal_complement_slots(diag):
+        for (i, j) in slots:
             E = np.zeros((c, c), dtype=complex)
             E[i, j] = 1.0
             W_basis.append(E)
@@ -170,7 +173,7 @@ def orbit_geometry(B, jordan_spec):
             f"complement dimension {len(W_basis)} != codimension {delta}"
         )
     geo = OrbitGeometry(B=B, jordan_spec=tuple(jordan_spec), T_basis=T_basis,
-                        W_basis=tuple(W_basis), delta=delta)
+                        W_basis=tuple(W_basis), delta=delta, slots=slots)
     if rank(geo.basis_matrix()) != c * c:
         raise UnfoldingError("tangent + complement do not span the matrix space")
     return geo
@@ -316,30 +319,27 @@ def build_R_matrices(frame, geometry):
     """The ``(p, n, c)`` stack of one matrix per unfolding slot, each realizing
     its slot through Psi(0).
 
-    The slot Omega = E_{r,c} (an elementary matrix of the diagonal-B
-    complement) is realized by placing a vector v in column c, where v
-    solves the underdetermined system  Pi v = unit vector selecting row r,
-    Pi being the rows of Psi(0) belonging to the eigenvalue block of r.
-    The minimal-norm solution is taken.  Then ``Psi(0) R = Omega`` modulo
-    the orbit tangent space, exactly.  Pi depends only on the block, so each
-    block is rank-tested and solved once, for all its unit vectors at once.
+    The slot Omega = E_{r,c} (the elementary matrix of the diagonal-B
+    complement at ``geometry.slots[m]``) is realized by placing a vector v
+    in column c, where v solves the underdetermined system  Pi v = unit
+    vector selecting row r, Pi being the rows of Psi(0) belonging to the
+    eigenvalue block of r.  The minimal-norm solution is taken.  Then
+    ``Psi(0) R = Omega`` modulo the orbit tangent space, exactly.  Pi
+    depends only on the block, so each block is rank-tested and solved
+    once, for all its unit vectors at once.
     """
+    if geometry.slots is None:
+        raise UnfoldingError(
+            "complement basis is not elementary; the delay realization needs the "
+            "diagonal-frame complement (semisimple spectrum)"
+        )
     Psi0 = frame.Psi0
-    n = frame.op.n
-    c = frame.c
     lams = np.array(frame.lambdas)
     blocks = _diag_blocks(lams)
     block_of = {r: k for k, block in enumerate(blocks) for r in block}
     solutions = {}      # block index -> column j solves Pi v = e_j
-    Rs = np.zeros((len(geometry.W_basis), n, c), dtype=complex)
-    for m, W in enumerate(geometry.W_basis):
-        nz = np.argwhere(np.abs(W) > 1e-12)
-        if len(nz) != 1 or abs(W[nz[0][0], nz[0][1]] - 1.0) > 1e-12:
-            raise UnfoldingError(
-                "complement basis is not elementary; the delay realization needs the "
-                "diagonal-frame complement (semisimple spectrum)"
-            )
-        r, ccol = int(nz[0][0]), int(nz[0][1])
+    Rs = np.zeros((len(geometry.slots), frame.op.n, frame.c), dtype=complex)
+    for m, (r, ccol) in enumerate(geometry.slots):
         k = block_of[r]
         block = blocks[k]
         if k not in solutions:
@@ -463,45 +463,46 @@ def _realization_bound(R):
     return REALIZATION_TOL * np.maximum(1.0, np.max(np.abs(R), axis=(-2, -1)))
 
 
-def project_slot(frame, rep, R):
-    """Group-average a slot, or a ``(p, n, c)`` stack of slots:
-    ``Rbar = (1/|G|) sum_g rho(g) R G(g)^-1`` and its center direction
-    ``Bhat = Psi(0) Rbar``."""
-    Rbar = equivariant_average(rep, frame.G, R)
-    return Rbar, frame.Psi0 @ Rbar
+def slot_stacks(frame, rep, geometry):
+    """Derive the unfolding slots of an equivariant frame, in order: the
+    ``(p, n, c)`` stack R of :func:`build_R_matrices`, its group average
+    ``Rbar = (1/|G|) sum_g rho(g) R G(g)^-1``, the ``(p, c, c)`` center
+    directions ``Bhat = Psi(0) Rbar``, and their Theta report.  The build
+    and ``verify`` derive slots only here."""
+    Rs = build_R_matrices(frame, geometry)
+    Rbars = equivariant_average(rep, frame.G, Rs)
+    Bhats = frame.Psi0 @ Rbars
+    return Rs, Rbars, Bhats, theta_extract(geometry, Bhats)
 
 
 @dataclass(frozen=True)
 class UnfoldingFamily:
     """Parametrized family ``L(alpha) z = L0 z + sum_m alpha_m sum_j A_j^m z(-r_j)``.
 
-    ``directions[m][j]`` is the coefficient of parameter m at lag
+    ``directions[m, j]`` is the coefficient of parameter m at lag
     ``delays[j]``.  When ``rep`` is set the family claims equivariance and
     every coefficient is checked to commute with the group action.
     """
 
     base: DelayOperator
     delays: tuple
-    directions: tuple    # (p, ndelays) nested tuple of (n, n) arrays
+    directions: np.ndarray   # (p, J, n, n): one (n, n) matrix per parameter and lag
     names: tuple
     rep: object = None
 
     def __post_init__(self):
-        n = self.base.n
-        dirs = []
-        for m, row in enumerate(self.directions):
-            if len(row) != len(self.delays):
-                raise StructuralError(f"parameter {m}: one coefficient per lag required")
-            row = tuple(np.asarray(A, dtype=complex) for A in row)
-            for A in row:
-                if A.shape != (n, n):
-                    raise StructuralError(f"coefficient shape {A.shape} != ({n}, {n})")
-            dirs.append(row)
-        object.__setattr__(self, "directions", tuple(dirs))
         object.__setattr__(self, "delays", tuple(float(r) for r in self.delays))
         object.__setattr__(self, "names", tuple(self.names))
-        if len(self.names) != len(self.directions):
-            raise StructuralError("one name per parameter required")
+        # checked, never reshaped: a reshape would take swapped p and J
+        shape = (len(self.names), len(self.delays), self.base.n, self.base.n)
+        try:
+            directions = np.asarray(self.directions, dtype=complex)
+        except ValueError:      # rows of different lengths
+            directions = None
+        if directions is None or directions.shape != shape:
+            raise StructuralError(f"coefficients must form a (parameters, lags, n, n) = "
+                                  f"{shape} stack")
+        object.__setattr__(self, "directions", directions)
         if self.rep is not None:
             res = self.max_equivariance_residual()
             if res > 1e-10:
@@ -516,7 +517,8 @@ class UnfoldingFamily:
     def max_equivariance_residual(self):
         if self.rep is None:
             return 0.0
-        return commutator_residual(self.rep, [A for row in self.directions for A in row])
+        n = self.base.n
+        return commutator_residual(self.rep, self.directions.reshape(-1, n, n))
 
     def as_operator(self, alpha):
         """The operator at a parameter value, merging lags with the base."""
@@ -603,26 +605,27 @@ class GammaUnfolding:
     family: UnfoldingFamily
     theta: ThetaReport
     versality: VersalityReport
-    directions: tuple        # all p projected center directions Bhat_m
-    r_matrices: tuple        # raw R^m per slot
-    projected_r: tuple       # group-averaged Rbar^m per slot
+    directions: np.ndarray   # (p, c, c) projected center directions Bhat_m
+    r_matrices: np.ndarray   # (p, n, c) raw R^m per slot
+    projected_r: np.ndarray  # (p, n, c) group-averaged Rbar^m per slot
 
 
 def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     """Full pipeline from a normalized equivariant frame to a mini-versal family.
 
-    Steps: build one R-matrix per unfolding slot; solve the (unrestricted)
-    delay realization of every slot for coefficients A_j^m and check it
-    reconstructs R^m; group-average everything and verify the projection
-    identity ``sum_j Psi(0) pi(A_j) Phi(-r_j) = pi(Psi(0) R^m) = Psi(0) Rbar^m``;
-    extract Theta over the orbit complement and keep the earliest maximal
-    independent rows; re-solve the selected slots against the projected
-    targets Rbar^m under the sparsity masks (the structure-preserving
-    representative), average those coefficients and check that they
-    reconstruct Rbar^m; finally verify equivariant versality of the
-    selection.  Each step takes the slots as one stack: the two
-    realizations are one :func:`solve_delay_realization` call each, and the
-    masked call's target k is the k-th selected slot.
+    Steps: derive the slot stacks R^m, Rbar^m, the center directions and
+    their Theta over the orbit complement (:func:`slot_stacks`); solve the
+    (unrestricted) delay realization of every slot for coefficients A_j^m
+    and check it reconstructs R^m; group-average the coefficients and verify
+    the projection identity
+    ``sum_j Psi(0) pi(A_j) Phi(-r_j) = pi(Psi(0) R^m) = Psi(0) Rbar^m``;
+    keep Theta's earliest maximal independent rows; re-solve the selected
+    slots against the projected targets Rbar^m under the sparsity masks
+    (the structure-preserving representative), average those coefficients
+    and check that they reconstruct Rbar^m; finally verify equivariant
+    versality of the selection.  Each step takes the slots as one stack:
+    the two realizations are one :func:`solve_delay_realization` call each,
+    and the masked call's target k is the k-th selected slot.
 
     Raises on span deficiency; returns a :class:`GammaUnfolding`.
     """
@@ -633,12 +636,10 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     G = frame.G
     Psi0 = frame.Psi0
     delays = [float(r) for r in delays]
-    Rs = build_R_matrices(frame, geometry)                       # (p, n, c)
-    p = len(Rs)
-    Phis = _lag_basis(frame, delays, context=f"slots 0-{p - 1}: ")
+    Rs, Rbars, Bhats, theta = slot_stacks(frame, rep, geometry)
+    Phis = _lag_basis(frame, delays, context=f"slots 0-{len(Rs) - 1}: ")
     A_raw = solve_delay_realization(frame, delays, Rs, Phis=Phis)
 
-    Rbars, Bhats = project_slot(frame, rep, Rs)
     # Projection identity: averaging the coefficients, the R matrix, or
     # the center direction all land on the same matrix.
     Bhat_from_A = (Psi0 @ equivariant_average(rep, rep, A_raw) @ np.array(Phis)).sum(axis=1)
@@ -650,7 +651,6 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     if len(bad):
         raise UnfoldingError(f"slot {bad[0]}: projection identity violated ({err[bad[0]]:.3e})")
 
-    theta = theta_extract(geometry, Bhats)
     if not theta.selected_rows:
         raise UnfoldingError("no independent unfolding directions survive the projection")
 
@@ -679,8 +679,7 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
         rep=rep,
     )
     return GammaUnfolding(family=family, theta=theta, versality=versality,
-                          directions=tuple(Bhats), r_matrices=tuple(Rs),
-                          projected_r=tuple(Rbars))
+                          directions=Bhats, r_matrices=Rs, projected_r=Rbars)
 
 
 def slot_reparametrization(family):
@@ -694,7 +693,7 @@ def slot_reparametrization(family):
     k = family.n_parameters
     rows = []
     for j in range(len(family.delays)):
-        V = np.array([_vec(family.directions[m][j]) for m in range(k)])
+        V = family.directions[:, j].reshape(k, -1)
         # scale 1e-14 / rcond: a lag whose coefficients all lie below 1e-14 has no pattern
         _, Vh, r = svd_rank(V, scale=1e-14 / RANK_RCOND, full_matrices=False)
         rows.append((V @ Vh[:r].conj().T).T)   # (r, k) coordinates
@@ -714,40 +713,30 @@ def realify(family):
 
     Returns the real family and that reparametrization matrix.
     """
-    k = family.n_parameters
-    scale = max(1.0, max(float(np.max(np.abs(A))) for row in family.directions for A in row))
-    used = [False] * k
+    D = family.directions
+    tol = CONJ_PAIR_TOL * max(1.0, float(np.max(np.abs(D), initial=0.0)))
+    real = np.max(np.abs(D.imag), axis=(1, 2, 3), initial=0.0) < tol
+    used = np.zeros(len(D), dtype=bool)
     new_dirs, new_names = [], []
-    for m in range(k):
+    for m, name in enumerate(family.names):
         if used[m]:
             continue
-        row = family.directions[m]
-        if all(np.max(np.abs(A.imag)) < CONJ_PAIR_TOL * scale for A in row):
-            used[m] = True
-            new_dirs.append(row)
-            new_names.append(family.names[m])
+        used[m] = True
+        if real[m]:
+            new_dirs.append(D[m])
+            new_names.append(name)
             continue
-        mate = None
-        for mp in range(m + 1, k):
-            if used[mp]:
-                continue
-            if all(np.max(np.abs(family.directions[mp][j] - row[j].conj()))
-                   < CONJ_PAIR_TOL * scale for j in range(len(row))):
-                mate = mp
-                break
-        if mate is None:
+        gaps = np.max(np.abs(D[m + 1:] - D[m].conj()), axis=(1, 2, 3), initial=0.0)
+        mates = np.nonzero(~used[m + 1:] & (gaps < tol))[0]
+        if not len(mates):
             raise UnfoldingError(
-                f"direction {family.names[m]} has no conjugate partner; "
-                "cannot form a real family"
-            )
-        used[m] = used[mate] = True
-        new_dirs.append(tuple(A.real.astype(complex) for A in row))
-        new_dirs.append(tuple(A.imag.astype(complex) for A in row))
-        new_names.append(f"{family.names[m]}_re")
-        new_names.append(f"{family.names[m]}_im")
+                f"direction {name} has no conjugate partner; cannot form a real family")
+        used[m + 1 + mates[0]] = True
+        new_dirs += [D[m].real.astype(complex), D[m].imag.astype(complex)]
+        new_names += [f"{name}_re", f"{name}_im"]
 
     real_family = UnfoldingFamily(base=family.base, delays=family.delays,
-                                  directions=tuple(new_dirs), names=tuple(new_names),
+                                  directions=new_dirs, names=new_names,
                                   rep=family.rep)
     E = slot_reparametrization(real_family)
     if rank(E) < real_family.n_parameters:

@@ -17,10 +17,8 @@ from .errors import EqunfoldError, SchemaError
 from .groups import check_representation, commutator_residual, equivariant_average
 from .jsonio import (SCHEMA, decode_cmatrix, decode_cmatrix_stack, document_errors, field,
                      frame_from_doc, integer, items, model_from_doc, number, rep_from_doc)
-from .unfolding import (UnfoldingFamily, build_R_matrices, orbit_geometry,
-                        project_slot, reconstruction_residual,
-                        semisimple_jordan_spec, theta_extract,
-                        verify_gamma_versality)
+from .unfolding import (UnfoldingFamily, orbit_geometry, reconstruction_residual,
+                        semisimple_jordan_spec, slot_stacks, verify_gamma_versality)
 
 DEFAULT_TOL = 1e-8
 
@@ -56,15 +54,13 @@ def parse_artifact(doc):
         raise SchemaError(f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA!r}")
     op = model_from_doc(*field(doc, "", "model"))
     rep = rep_from_doc(*field(doc, "", "group"))
-    frame = frame_from_doc(field(doc, "", "frame")[0], op, group=rep.group)
-    if frame.G is None:
-        raise SchemaError("artifact frame carries no induced representation")
+    frame = frame_from_doc(field(doc, "", "frame")[0], op, rep.group)
 
     unf = field(doc, "", "unfolding")
     delays = items(*field(*unf, "delays"), number)
     names = items(*field(*unf, "parameters"), lambda name, _: name)
     directions = items(*field(*unf, "coefficients"),
-                       lambda row, p: tuple(decode_cmatrix_stack(row, p, shape=(op.n, op.n))))
+                       lambda row, p: decode_cmatrix_stack(row, p, shape=(op.n, op.n)))
     selected = items(*field(*unf, "selected_rows"), integer)
     if len(selected) != len(names):
         raise SchemaError("unfolding.selected_rows must list one slot per parameter")
@@ -72,8 +68,7 @@ def parse_artifact(doc):
         raise SchemaError(f"unfolding.selected_rows {selected} must be distinct")
     theta = decode_cmatrix(*field(*field(doc, "", "theta"), "matrix"))
 
-    family = UnfoldingFamily(base=op, delays=tuple(delays), directions=tuple(directions),
-                             names=tuple(names), rep=None)
+    family = UnfoldingFamily(base=op, delays=delays, directions=directions, names=names)
     return op, rep, frame, family, selected, theta
 
 
@@ -115,7 +110,7 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
     record("frame.B_commutes_with_G", commutator_residual(G, [frame.B]))
     record("frame.phi_intertwines", frame.intertwining_residual(rep))
     record("family.coefficient_equivariance",
-           commutator_residual(rep, [A for row in family.directions for A in row]))
+           commutator_residual(rep, family.directions.reshape(-1, op.n, op.n)))
 
     # center directions from the stored coefficients, and their projections
     Phis = [frame.Phi_at(-r) for r in family.delays]
@@ -125,8 +120,7 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
 
     try:
         geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
-        Rbars, centers = project_slot(frame, rep, build_R_matrices(frame, geometry))
-        theta_re = theta_extract(geometry, centers)
+        _, Rbars, _, theta_re = slot_stacks(frame, rep, geometry)
         dtheta = float(np.max(np.abs(theta_re.theta - theta_stored))) \
             if theta_re.theta.shape == theta_stored.shape else np.inf
         record("theta.matrix_consistency", dtheta)
@@ -139,9 +133,8 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
                 "unfolding.reconstruction", False,
                 f"selected row {missing[0]} is out of range ({len(Rbars)} slots recomputed)"))
         else:
-            record("unfolding.reconstruction",
-                   max((float(reconstruction_residual(family.directions[m], Phis, Rbars[slot]))
-                        for m, slot in enumerate(selected)), default=0.0))
+            record("unfolding.reconstruction", float(np.max(reconstruction_residual(
+                family.directions, Phis, Rbars[selected]), initial=0.0)))
     except EqunfoldError as exc:
         checks.append(CheckResult("theta.recompute", False, str(exc)))
 

@@ -1,10 +1,15 @@
 import copy
+import functools
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from equnfold import cli, d3
 from equnfold.cli import main
@@ -25,6 +30,17 @@ PRESET_DIGESTS = {
 
 def run(args):
     return main(list(args))
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy was dropped to cut import time; only a fresh interpreter shows
+    # what importing the CLI loads
+    code = ("import sys, equnfold.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": package_root})
+    assert out.stdout.strip() == "[]"
 
 
 def usage_error(args, capsys):
@@ -235,18 +251,9 @@ class TestUnfold:
         # the d3:simple model, roots and lags as a config whose sparsity lists
         # the structure masks as 0/1 rows; without them, entries outside the
         # masks are nonzero, so the masks are what zeroes them
-        point, masks = simple_case.point, d3.structure_masks()
-        cfg = {
-            "model": model_to_doc(simple_case.op),
-            "group": rep_to_doc(simple_case.rep),
-            "lambda_seeds": [[0.0, point.omega1], [0.0, -point.omega1],
-                             [0.0, point.omega2], [0.0, -point.omega2]],
-            "delays": list(simple_case.delays),
-        }
-        for sparsity in ([m.astype(int).tolist() for m in masks], None):
-            if sparsity:
-                cfg["sparsity"] = sparsity
-            else:
+        cfg, masks = _preset_config(simple_case), d3.structure_masks()
+        for sparsity in (cfg["sparsity"], None):
+            if not sparsity:
                 del cfg["sparsity"]
             cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
             cfg_path.write_text(json.dumps(cfg))
@@ -538,6 +545,60 @@ def _ring_artifact_digest(tmp_path, n):
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def _preset_config(r):
+    """The model, group, roots and lags of a ``d3.run_case`` result under the
+    structure masks, as a config."""
+    w = (r.point.omega1, -r.point.omega1, r.point.omega2, -r.point.omega2)
+    return {"model": model_to_doc(r.op), "group": rep_to_doc(r.rep),
+            "lambda_seeds": [[0.0, x] for x in w], "delays": list(r.delays),
+            "sparsity": [m.astype(int).tolist() for m in d3.structure_masks()]}
+
+
+@functools.lru_cache(maxsize=None)
+def _time_config(case):
+    if case == "ring3":
+        with open(os.path.join(FIXTURES, "ring3_config.json")) as fh:
+            return json.load(fh)
+    return _preset_config(d3.run_case(case))
+
+
+def _rescaled(cfg, s):
+    """``cfg`` in the time t / s: lags r / s, coefficients s A_k, seeds s lam
+    (the characteristic matrix is s Delta(lam), so its roots scale by s)."""
+    out = copy.deepcopy(cfg)
+    for term in out["model"]["terms"]:
+        term["delay"] /= s
+        term["matrix"] = encode_cmatrix(s * decode_cmatrix(term["matrix"]))
+    out["lambda_seeds"] = [[s * re, s * im] for re, im in cfg["lambda_seeds"]]
+    if "delays" in cfg:
+        out["delays"] = [r / s for r in cfg["delays"]]
+    return out
+
+
+def _unfold_outcome(tmp_path, cfg):
+    """What ``unfold --config`` decides: exit code, selected rows,
+    commutant dimension, codimension, achieved rank and lag count."""
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = run(["unfold", "--config", str(cfg_path), "--output", str(out)])
+    doc = json.loads(out.read_text())
+    ver = doc["report"]["versality"]
+    return (code, doc["unfolding"]["selected_rows"], ver["commutant_dim"],
+            ver["codimension"], ver["achieved_rank"], len(doc["unfolding"]["delays"]))
+
+
+class TestTimeRescaling:
+    @pytest.mark.parametrize("case", ["simple", "double", "ring3"])
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(s=0.25)
+    @example(s=3.0)
+    @given(s=st.floats(0.25, 3.0))
+    def test_outcome_is_unchanged(self, tmp_path, case, s):
+        cfg = _time_config(case)
+        assert _unfold_outcome(tmp_path, _rescaled(cfg, s)) == _unfold_outcome(tmp_path, cfg)
+
+
 class TestVerify:
     def test_artifact_roundtrip(self, tmp_path, simple_artifact):
         path = tmp_path / "simple.json"
@@ -676,10 +737,15 @@ class TestVerify:
         (("frame", "phi_directions"), lambda dirs: 5),
         (("frame", "psi_directions"), lambda dirs: [5] * len(dirs)),
         (("frame", "eigenvalues"), lambda lams: 5),
+        # a family or frame part missing or in excess
+        (("unfolding", "coefficients", 0), lambda row: row[:-1]),   # one lag short
+        (("unfolding", "coefficients"), lambda rows: rows + rows[:1]),
+        (("frame", "induced_rep"), lambda mats: None),
     ], ids=["generator-nan", "induced-rep-nan", "phi-nan", "reduced-matrix-inf",
             "empty-terms", "non-square-generator", "short-induced-rep",
             "coefficient-shape", "short-phi", "long-psi", "reduced-matrix-shape",
-            "phi-number-entries", "phi-number", "psi-number-entries", "eigenvalues-number"])
+            "phi-number-entries", "phi-number", "psi-number-entries", "eigenvalues-number",
+            "short-coefficient-row", "extra-coefficient-row", "null-induced-rep"])
     def test_defective_document_is_schema_error(self, tmp_path, capsys, simple_artifact,
                                                 path, mutate):
         doc = copy.deepcopy(simple_artifact)

@@ -79,11 +79,6 @@ class TestFrameCodec:
         for g in double_case.rep.group.elements():
             assert np.array_equal(frame2.G.matrices[g], frame.G.matrices[g])
 
-    def test_induced_rep_needs_group(self, double_case):
-        doc = frame_to_doc(double_case.frame)
-        with pytest.raises(SchemaError):
-            frame_from_doc(doc, double_case.frame.op)
-
 
 class TestCanonicalText:
     def test_full_precision_roundtrip(self, rng):

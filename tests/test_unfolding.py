@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from equnfold.errors import UnfoldingError
 from equnfold.frames import SpectralFrame
 from equnfold.groups import (Representation, close_generators, commutant_basis,
                              equivariant_average)
-from equnfold.jsonio import encode_cmatrix
+from equnfold.jsonio import build_artifact, canonical_json, encode_cmatrix
 from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
                                 _diag_blocks, assemble_gamma_unfolding,
                                 build_R_matrices, exponential_delay_matrix,
@@ -21,6 +22,7 @@ from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
                                 semisimple_jordan_spec,
                                 solve_delay_realization, theta_extract,
                                 verify_gamma_versality)
+from equnfold.verify import verify_artifact
 
 from conftest import random_complex
 from test_d3 import FIXTURE_POINTS
@@ -173,20 +175,24 @@ class TestGammaOrbitGeometry:
             gamma_orbit_geometry(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 1.0]]), rep)
 
     def test_commutant_cut_checked_by_characters(self):
-        # a delta2 point where constraint singular values at 6.5e-11..2.8e-10
-        # straddle COMMUTANT_RCOND: rank finds 12 commuting matrices, the
-        # character formula 16
+        # a delta2 point whose induced G carries errors near 1e-10: twelve
+        # constraint singular values at 6.5e-11..2.8e-10 are noise, below
+        # the cut at the representation tolerance, so the commutant has the
+        # 16 matrices of the character formula and the family is minimal
         point = d3.DoubleHopfPoint(
             factor="delta2", beta=-0.6692187347605176, tau_n=4.612060677412268,
             alpha=-3.836239627070401, tau_s=0.5972620017503194,
             omega1=3.0492224800348477, omega2=3.3817111720009483, residual=0.0)
-        with pytest.raises(UnfoldingError,
-                           match="commutant dimension 12 by rank disagrees with 16 by the character"):
-            d3.run_case("double", point)
+        r = d3.run_case("double", point)
+        ver = r.assembly.versality
+        assert ver.mini_versal and (ver.n_directions, ver.commutant_dim) == (4, 16)
+        doc = json.loads(canonical_json(build_artifact(r.op, r.rep, r.frame, r.assembly)))
+        report = verify_artifact(doc)
+        assert report.ok, report.lines()
 
     def test_misplaced_commutant_cut_fails_by_name(self, double_case, monkeypatch):
         # a cutoff above every constraint singular value counts all 64 as null
-        monkeypatch.setattr("equnfold.groups.COMMUTANT_RCOND", 2.0)
+        monkeypatch.setattr("equnfold.groups.REP_TOL", 2.0)
         with pytest.raises(UnfoldingError,
                            match="commutant dimension 64 by rank disagrees with 16 by the character"):
             gamma_orbit_geometry(double_case.frame.B, double_case.frame.G)
