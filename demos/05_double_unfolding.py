@@ -15,6 +15,15 @@ from equnfold import d3
 
 np.set_printoptions(precision=4, suppress=True, linewidth=140)
 
+
+def eta_pair(v):
+    """The two rotation-character functionals of a 3-vector: how a direction
+    splits over the rotation eigenvectors (both vanish on the symmetric mode)."""
+    w = d3.OMEGA
+    return (v[0] + w.conjugate() * v[1] + w * v[2],
+            v[0] + w * v[1] + w.conjugate() * v[2])
+
+
 result = d3.run_case("double")
 p = result.point
 print(f"double-Hopf point: alpha*={p.alpha:.6f}  tau_s*={p.tau_s:.6f}  "
@@ -41,7 +50,7 @@ print(f"selected slots: {tuple(i + 1 for i in theta.selected_rows)}")
 print("\nrotation-functional signature per slot (eta1, eta2):")
 for m, R in enumerate(result.assembly.r_matrices):
     col = int(np.argmax(np.abs(R).sum(axis=0)))
-    e1, e2 = d3.eta_pair(R[:, col])
+    e1, e2 = eta_pair(R[:, col])
     print(f"  slot {m + 1:2d}: ({abs(e1):.4f}, {abs(e2):.4f})")
 
 ver = result.assembly.versality

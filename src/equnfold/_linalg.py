@@ -9,6 +9,9 @@ the problem A comes from (0: A is its own reference).  Relative to s_1 alone
 the cutoff would find no kernel where s_1 itself is the residual, as for
 Delta(lam) at a root of a scalar equation (``frames._char_scale``); relative
 to scale alone it would count a large matrix's rounding noise as rank.
+
+Each bound is one named constant, here when modules share it; a bound on a
+quantity with a magnitude is ``tol * max(1, size)`` (:func:`scaled`).
 """
 
 import numpy as np
@@ -18,7 +21,15 @@ NULLSPACE_RCOND = 1e-8    # null spaces of the characteristic matrix
 REP_TOL = 1e-8            # residuals of an induced representation, and the commutant cut
 GRAM_RCOND = 1e-10        # a singular Gram block of an eigenframe
 SINGULAR_RCOND = 1e-12    # a singular element of a representation, at scale 1
+COMMUTE_TOL = 1e-10       # a built B, or family coefficient, commutes with the group (scaled)
+LAG_MATCH_TOL = 1e-14     # two lags this close are one lag (scaled)
+LAG_GAP = 1e-9            # a chosen lag this close to another collides with it
 EPS = np.finfo(float).eps  # rcond max(m, n) * EPS (numpy's default): rank lost to rounding only
+
+
+def scaled(tol, size):
+    """The bound ``tol * max(1, size)``; a NaN size counts as 1, as in ``max``."""
+    return tol * np.fmax(1.0, size)
 
 
 def _count(s, scale, rcond):

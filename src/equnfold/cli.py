@@ -19,18 +19,20 @@ import sys
 import numpy as np
 
 from . import d3
+from ._linalg import scaled
 from .errors import EqunfoldError, SchemaError
-from .frames import eigenbasis, find_root, induce_representation
+from .frames import ROOT_TOL, eigenbasis, find_root, induce_representation
 from .jsonio import (build_artifact, field, invalid, items, model_from_doc, number,
                      pair_complex, read_json, rep_from_doc, write_json_atomic,
                      write_text_atomic)
 from .unfolding import assemble_gamma_unfolding, select_delays
-from .verify import verify_artifact
+from .verify import DEFAULT_TOL, verify_artifact
 
 EXIT_OK = 0
 EXIT_PIPELINE = 1
 EXIT_USAGE = 2
 EXIT_NOT_MINIMAL = 3
+ROOT_MATCH_TOL = 1e-8   # roots from two seeds this close (scaled) are one root
 
 
 class UsageError(Exception):
@@ -185,7 +187,7 @@ def _run_config(cfg):
     rep = rep_from_doc(read_json(group) if isinstance(group, str) else group)
     seeds = items(seeds, seeds_path, pair_complex)
     tolerances, path = field(cfg, "", "tolerances", {})
-    root_tol = number(*field(tolerances, path, "root_tol", 1e-12))
+    root_tol = number(*field(tolerances, path, "root_tol", ROOT_TOL))
     _check_keys(tolerances, path, ("root_tol",))
     if not root_tol > 0:
         raise SchemaError("tolerances must be positive")
@@ -208,7 +210,7 @@ def _run_config(cfg):
             root = res.root
             if real and not res.used_secant:
                 solved[seed] = root
-        if all(abs(root - r) > 1e-8 for r in roots):
+        if all(abs(root - r) > scaled(ROOT_MATCH_TOL, abs(r)) for r in roots):
             roots.append(root)
     if not roots:
         raise EqunfoldError("no characteristic roots found from the given seeds")
@@ -336,7 +338,7 @@ def build_parser():
     v = sub.add_parser("verify", help="re-run invariants against an artifact")
     v.add_argument("artifact")
     v.add_argument("--report", default=None, help="write a JSON report here")
-    v.add_argument("--tol", type=_tolerance, default=1e-8)
+    v.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     v.set_defaults(func=cmd_verify)
 
     return parser

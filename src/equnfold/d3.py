@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import LAG_GAP
 from .delays import DelayOperator
 from .errors import EqunfoldError, UnfoldingError
 from .frames import eigenbasis, induce_representation
@@ -78,6 +79,10 @@ def d3_operator(p):
 _COUPLING = {"delta1": 2.0, "delta2": -1.0}
 _REFINE_TOL = 1e-10             # max |F| of a refined double-Hopf point
 _REFINE_MAX_ITER = 100
+_POINT_TOL = 1e-6               # frequency, zero and coincidence tests of a point and grid
+_SEED_GAP = 1e-3                # seed frequencies closer than this are one root or a resonance
+_DEDUP_RADIUS = 1e-5            # located points this close in (alpha, tau_s) are one
+_GENERIC_DET = 1e-10            # min row-scaled determinant of a generic lag selection
 
 
 def _factor_coupling(factor):
@@ -92,16 +97,6 @@ def factor_value(factor, lam, alpha, beta, tau_s, tau_n):
     ``delta1 * delta2**2``."""
     c = _factor_coupling(factor)
     return lam + 1.0 - alpha * np.exp(-lam * tau_s) - c * beta * np.exp(-lam * tau_n)
-
-
-def delta1(lam, p):
-    """First characteristic factor (symmetric mode)."""
-    return factor_value("delta1", lam, p.alpha, p.beta, p.tau_s, p.tau_n)
-
-
-def delta2(lam, p):
-    """Second characteristic factor (rotation modes; squared in det)."""
-    return factor_value("delta2", lam, p.alpha, p.beta, p.tau_s, p.tau_n)
 
 
 def _hopf_angles(factor, omega, beta, tau_n):
@@ -147,6 +142,8 @@ def sweep_curves(factor, beta, tau_n, omegas, branches=(0, 1, 2, 3)):
 
 _BAND_SCALE = 4.0               # crossing sweep: band height over the mean segment height
 _SWEEP_BLOCK = 4096             # crossing sweep: candidate pairs per block
+_WINDOW_PAD = 1e-6              # crossing sweep: window pad, relative to 1 + max |P_a|
+_PAIR_PAD = 1e-9                # crossing sweep: box pad, relative to 1 + max |P_a|, |P_b|
 
 
 def _crossings(polylines, window=None):
@@ -189,7 +186,7 @@ def _crossings(polylines, window=None):
     empty = np.empty(0, dtype=np.intp)
     if not len(A):
         return empty, empty, empty, empty, np.empty(0), np.empty(0), np.empty((0, 2))
-    padb = 1e-9 * (1.0 + absmax)
+    padb = _PAIR_PAD * (1.0 + absmax)
     margin = 2.0 * float(padb.max())
     seg, band, blo, counts, edges = _sweep_queries(A, B, margin)
     hits = [(empty, empty, np.empty(0), np.empty(0))]      # there may be no candidates
@@ -246,7 +243,7 @@ def _stacked_segments(polylines, window):
         if window is None:
             index = np.arange(len(A))
         else:
-            m = 1e-6 * (1.0 + absmax[-1])
+            m = _WINDOW_PAD * (1.0 + absmax[-1])
             keep = np.ones(len(A), dtype=bool)
             for c, (w0, w1) in enumerate(window):
                 keep &= ((np.minimum(A[:, c], B[:, c]) <= w1 + m)
@@ -334,7 +331,7 @@ def _crossing_seeds(curves, omegas, alpha_window, tau_s_window):
     wA = omegas[i] + t * step
     wB = omegas[j] + u * step
     a0, t0 = pt[:, 0], pt[:, 1]
-    keep = (~(np.abs(wA - wB) < 1e-3)
+    keep = (~(np.abs(wA - wB) < _SEED_GAP)
             & (alpha_window[0] <= a0) & (a0 <= alpha_window[1])
             & (tau_s_window[0] < t0) & (t0 <= tau_s_window[1]))
     return np.column_stack([a0[keep], t0[keep], wA[keep], wB[keep]])
@@ -382,7 +379,7 @@ def find_double_hopf(factor, beta, tau_n, seed):
     c = _factor_coupling(factor)
     cb = c * beta
     x = [float(v) for v in seed]
-    if abs(x[2] - x[3]) < 1e-6:
+    if abs(x[2] - x[3]) < _POINT_TOL:
         raise EqunfoldError("seed frequencies coincide; not a non-resonant double Hopf")
     res = math.inf
     for _ in range(_REFINE_MAX_ITER):
@@ -415,9 +412,9 @@ def find_double_hopf(factor, beta, tau_n, seed):
         raise EqunfoldError(f"double-Hopf refinement stalled at residual {res:.3e}; "
                             f"trace ends at {np.array(x)}")
     o1, o2 = sorted((abs(x[2]), abs(x[3])))
-    if o1 < 1e-6:
+    if o1 < _POINT_TOL:
         raise EqunfoldError(f"refined frequency {o1:.3e} is zero; not a double Hopf")
-    if o2 - o1 < 1e-6:
+    if o2 - o1 < _POINT_TOL:
         raise EqunfoldError("refined frequencies collide; not a non-resonant double Hopf")
     return DoubleHopfPoint(factor=factor, beta=beta, tau_n=tau_n, alpha=x[0],
                            tau_s=x[1], omega1=o1, omega2=o2, residual=res)
@@ -442,7 +439,7 @@ def locate_double_hopf(factor, beta, tau_n, omegas=None, branches=(0, 1, 2, 3),
     if not (np.all(np.isfinite(omegas)) and omegas[0] > 0):
         raise EqunfoldError("the omega grid must be finite and positive")
     steps = np.diff(omegas)
-    if not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= 1e-6 * steps[0])):
+    if not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= _POINT_TOL * steps[0])):
         raise EqunfoldError("the omega grid must increase in equal steps "
                             "(each within 1e-6 relative of the first)")
     curves = sweep_curves(factor, beta, tau_n, omegas, branches=branches)
@@ -456,16 +453,16 @@ def locate_double_hopf(factor, beta, tau_n, omegas=None, branches=(0, 1, 2, 3),
         if not (alpha_window[0] <= dh.alpha <= alpha_window[1]
                 and tau_s_window[0] < dh.tau_s <= tau_s_window[1]):
             continue
-        if abs(dh.tau_s - tau_n) < 1e-6:
+        if abs(dh.tau_s - tau_n) < _POINT_TOL:
             continue
         if min(abs(factor_value(other, 1j * w, dh.alpha, beta, dh.tau_s, tau_n))
-               for w in (dh.omega1, dh.omega2)) < 1e-6:
+               for w in (dh.omega1, dh.omega2)) < _POINT_TOL:
             continue
         points.append(dh)
 
     uniq = []
     for dh in sorted(points, key=lambda d: (d.tau_s, d.alpha, d.omega1)):
-        if all(abs(dh.alpha - q.alpha) > 1e-5 or abs(dh.tau_s - q.tau_s) > 1e-5
+        if all(abs(dh.alpha - q.alpha) > _DEDUP_RADIUS or abs(dh.tau_s - q.tau_s) > _DEDUP_RADIUS
                for q in uniq):
             uniq.append(dh)
     return uniq
@@ -481,19 +478,17 @@ def default_delays(point):
     """
     tau = max(point.tau_s, point.tau_n)
     others = [0.0, point.tau_s, point.tau_n]
-    tau3 = None
     for k in range(7, 0, -1):
-        cand = tau * k / 7.0
-        if all(abs(cand - r) > 1e-9 for r in others):
-            tau3 = cand
+        tau3 = tau * k / 7.0
+        if all(abs(tau3 - r) > LAG_GAP for r in others):
             break
-    if tau3 is None:
+    else:
         raise UnfoldingError("no admissible fourth lag on the tau/7 grid")
     lams = np.array([1j * point.omega1, -1j * point.omega1,
                      1j * point.omega2, -1j * point.omega2])
     for _ in range(10):
         M = exponential_delay_matrix(lams, others + [tau3])
-        if scaled_det(M) > 1e-10 and all(abs(tau3 - r) > 1e-9 for r in others):
+        if scaled_det(M) > _GENERIC_DET and all(abs(tau3 - r) > LAG_GAP for r in others):
             return others + [tau3]
         tau3 = tau3 / 2.0
     raise UnfoldingError("could not find a generic fourth lag (determinant stays small)")
@@ -557,7 +552,7 @@ def run_case(case, point=None):
         raise EqunfoldError(f"case {case!r} needs a {expected_factor} point, got {point.factor}")
 
     params = point.params()
-    if abs(params.tau_s - params.tau_n) < 1e-9:
+    if abs(params.tau_s - params.tau_n) < LAG_GAP:
         raise EqunfoldError("tau_s and tau_n coincide; unfolding lags would collide")
     op = d3_operator(params)
     rep = triangle_rep()
@@ -582,12 +577,3 @@ def run_case(case, point=None):
     assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=structure_masks())
     return D3CaseResult(case=case, point=point, op=op, rep=rep, frame=frame,
                         delays=tuple(float(r) for r in delays), assembly=assembly)
-
-
-def eta_pair(v):
-    """The two rotation-character functionals of a 3-vector: how a direction
-    splits over the rotation eigenvectors (both vanish on the symmetric mode)."""
-    v = np.asarray(v, dtype=complex).reshape(3)
-    w = OMEGA
-    return (v[0] + w.conjugate() * v[1] + w * v[2],
-            v[0] + w * v[1] + w.conjugate() * v[2])

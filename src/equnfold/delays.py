@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import LAG_MATCH_TOL, scaled
 from .errors import StructuralError
 from .groups import commutator_residual
 
 # Below this exponent gap the analytic limit of the exponential integral
 # is used (avoids catastrophic cancellation near coincident exponents).
 EXPONENT_GAP = 1e-9
+REAL_TOL = 1e-12    # max |imag| of the coefficients of a real operator
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ class DelayOperator:
             r = float(r)
             if r < 0:
                 raise StructuralError(f"negative delay {r}")
-            if any(abs(r - s) < 1e-14 for s in seen):
+            if any(abs(r - s) < scaled(LAG_MATCH_TOL, r) for s in seen):
                 raise StructuralError(f"duplicate delay {r}")
             seen.append(r)
             A = np.asarray(A, dtype=complex)
@@ -59,7 +61,7 @@ class DelayOperator:
 
     @property
     def is_real(self):
-        return all(np.max(np.abs(A.imag)) < 1e-12 for _, A in self.terms)
+        return all(np.max(np.abs(A.imag)) < REAL_TOL for _, A in self.terms)
 
     def char_matrix(self, lam):
         """Characteristic matrix ``Delta(lam) = lam I - sum_k A_k exp(-lam r_k)``."""

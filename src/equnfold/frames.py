@@ -18,14 +18,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import GRAM_RCOND, NULLSPACE_RCOND, REP_TOL, null_basis, rank
+from ._linalg import COMMUTE_TOL, GRAM_RCOND, NULLSPACE_RCOND, REP_TOL, null_basis, rank, scaled
 from .delays import ExpVector, check_equivariance, pairing_matrix
 from .errors import FrameError, RootFindingError
 from .groups import Representation, check_representation, commutator_residual
 
 CONJ_MATCH_TOL = 1e-9      # tolerance for pairing lam with conj(lam)
 DERIV_FLOOR = 1e-14        # |d det| below this: suspected multiple root, use the secant
-FRAME_RESIDUAL_TOL = 1e-9  # Gram and null-vector residuals of a built frame
+ROOT_TOL = 1e-12           # |det| or relative Newton step of a converged root
+FRAME_RESIDUAL_TOL = 1e-9  # Gram, pairing and null-vector residuals of a built frame
+EQUIVARIANCE_TOL = 1e-9    # commutation residual of the operator's terms with the group
+SECANT_STEP = 1e-6         # relative offset of the secant fallback's second point
+SIGNIFICANT_RCOND = 1e-12  # a component below this times max |v| is not significant
 
 
 def _det_derivative(D, Dp):
@@ -56,7 +60,7 @@ class RootResult:
     used_secant: bool        # derivative collapsed; secant fallback engaged
 
 
-def find_root(op, lam0, tol=1e-12, max_iter=100):
+def find_root(op, lam0, tol=ROOT_TOL, max_iter=100):
     """Newton iteration on ``det Delta(lam)`` from the initial guess lam0.
 
     The derivative is evaluated through Jacobi's formula
@@ -121,7 +125,7 @@ def _secant(op, lam, tol, max_iter):
     # perturbed second point off the current contour
     scale = max(1.0, abs(lam))
     a = lam
-    b = lam + 1e-6 * scale * (1.0 + 1.0j)
+    b = lam + SECANT_STEP * scale * (1.0 + 1.0j)
     fa = np.linalg.det(op.char_matrix(a))
     fb = np.linalg.det(op.char_matrix(b))
     for it in range(max_iter):
@@ -208,18 +212,14 @@ def _char_scale(norm_sum, lam):
     return 1.0 + abs(lam) + norm_sum
 
 
+def _first_significant(v):
+    """Index of the first entry of v above ``SIGNIFICANT_RCOND`` max |v|."""
+    return int(np.argmax(np.abs(v) > SIGNIFICANT_RCOND * np.max(np.abs(v))))
+
+
 def _phase_fix(v):
-    k = np.argmax(np.abs(v) > 1e-12 * np.max(np.abs(v)))
-    ph = v[k] / abs(v[k])
-    return v / ph
-
-
-def _order_directions(cols):
-    """Deterministic ordering: descending |first significant component|."""
-    def key(v):
-        k = int(np.argmax(np.abs(v) > 1e-12 * np.max(np.abs(v))))
-        return (-abs(v[k]), k)
-    return sorted(cols, key=key)
+    k = _first_significant(v)
+    return v / (v[k] / abs(v[k]))
 
 
 def eigenbasis(op, lambdas, seeds=None):
@@ -290,15 +290,17 @@ def eigenbasis(op, lambdas, seeds=None):
             if rank(np.column_stack(cand)) < len(cand):
                 raise FrameError(f"seed vectors at {lam} are linearly dependent")
             for s in cand:
-                if np.linalg.norm(D @ s) > 1e-8 * scale * np.linalg.norm(s):
+                if np.linalg.norm(D @ s) > NULLSPACE_RCOND * scale * np.linalg.norm(s):
                     raise FrameError(f"seed vector at {lam} is not in the null space")
             right[i] = cand
         else:
-            right[i] = _order_directions([_phase_fix(N[:, k]) for k in range(N.shape[1])])
+            # deterministic order: descending |first significant component|
+            right[i] = sorted((_phase_fix(u) for u in N.T), key=lambda u: (
+                -abs(u[_first_significant(u)]), _first_significant(u)))
         L = null_basis(D.T, scale, NULLSPACE_RCOND)
         if L.shape[1] != len(right[i]):
             raise FrameError(f"left/right null dimensions disagree at {lam}")
-        left_raw[i] = [_phase_fix(L[:, k]) for k in range(L.shape[1])]
+        left_raw[i] = [_phase_fix(w) for w in L.T]
 
     phi, psi_raw, lams = [], [], []
     block_slices = []
@@ -360,7 +362,7 @@ def induce_representation(frame, rep):
     """
     op = frame.op
     equiv = check_equivariance(op, rep)
-    if equiv > 1e-9:
+    if equiv > EQUIVARIANCE_TOL:
         raise FrameError(f"operator is not equivariant (residual {equiv:.3e})")
 
     c, n = frame.c, op.n
@@ -386,10 +388,10 @@ def induce_representation(frame, rep):
     # (Psi, g.Phi) is G(g); compare with (Psi.g, Phi), rows psi_i rho(g) over all g
     moved_psi = (W[None, :, None, :] @ rep.matrices[:, None])[:, :, 0, :].reshape(order * c, n)
     H = pairing_matrix(moved_psi, np.tile(lam, order), V, mu, op).reshape(order, c, c)
-    bad = np.nonzero(np.max(np.abs(H - Gmats), axis=(1, 2)) > 1e-9)[0]
+    bad = np.nonzero(np.max(np.abs(H - Gmats), axis=(1, 2)) > FRAME_RESIDUAL_TOL)[0]
     if len(bad):
         raise FrameError(f"(Psi, g.Phi) != (Psi.g, Phi) for element {bad[0]}")
     bg = commutator_residual(G, [frame.B])
-    if bg > 1e-10:
+    if bg > scaled(COMMUTE_TOL, np.max(np.abs(frame.B))):
         raise FrameError(f"B does not commute with G (residual {bg:.3e})")
     return framed

@@ -19,8 +19,8 @@ import numpy as np
 from ._linalg import EPS, REP_TOL, SINGULAR_RCOND, null_basis, rank
 from .errors import StructuralError
 
-# Entrywise tolerance used to identify equal matrices during closure.
-CLOSURE_TOL = 1e-10
+CLOSURE_TOL = 1e-10         # entrywise: closure products this close are one element
+HOMOMORPHISM_TOL = 1e-9     # default bound of check_representation
 DEFAULT_MAX_ORDER = 512
 
 
@@ -279,7 +279,7 @@ class RepresentationReport:
         return not self.violated_pairs and not self.singular_elements
 
 
-def check_representation(rep, tol=1e-9):
+def check_representation(rep, tol=HOMOMORPHISM_TOL):
     """Verify rho(gh) = rho(g)rho(h) on every pair, plus identity/invertibility.
 
     Returns a :class:`RepresentationReport`; an empty ``violated_pairs`` list

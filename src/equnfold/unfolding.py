@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_RCOND, rank, svd_rank
+from ._linalg import COMMUTE_TOL, LAG_GAP, LAG_MATCH_TOL, RANK_RCOND, rank, scaled, svd_rank
 from .delays import DelayOperator
 from .errors import StructuralError, UnfoldingError
 from .groups import commutant_basis, commutator_residual, equivariant_average
@@ -31,7 +31,10 @@ EIG_MATCH_TOL = 1e-9   # tolerance for grouping equal diagonal eigenvalues
 THETA_RESIDUAL_TOL = 1e-8      # relative decomposition residual of a direction
 REALIZATION_TOL = 1e-9         # relative residual of a delay realization
 CONJ_PAIR_TOL = 1e-9           # relative gap of a conjugate direction pair
-LAG_GAP = 1e-9                 # a grid lag this close to an existing one is skipped
+PROJECTION_TOL = 1e-10         # relative gap of the three projections of a slot
+CHARACTER_TOL = 1e-6           # distance of the character sum from the commutant's rank
+HORIZON_PAD = 1e-12            # a lag this far beyond the history horizon is still inside
+PATTERN_FLOOR = 1e-14          # a lag whose coefficients all lie below this has no pattern
 
 
 def _vec(M):
@@ -156,7 +159,7 @@ def orbit_geometry(B, jordan_spec):
 
     diag = np.diag(B)
     slots = None
-    if c == 1 or np.max(np.abs(B - np.diag(diag))) < DIAG_TOL * max(1.0, np.max(np.abs(diag)) if c else 1.0):
+    if c == 1 or np.max(np.abs(B - np.diag(diag))) < scaled(DIAG_TOL, np.max(np.abs(diag))):
         slots = tuple(_diagonal_complement_slots(diag))
         W_basis = []
         for (i, j) in slots:
@@ -204,7 +207,7 @@ def gamma_orbit_geometry(B, G):
     Raises UnfoldingError when the commutant's dimension by rank disagrees
     with the character formula."""
     B = np.asarray(B, dtype=complex)
-    if commutator_residual(G, [B]) > 1e-10 * max(1.0, np.max(np.abs(B))):
+    if commutator_residual(G, [B]) > scaled(COMMUTE_TOL, np.max(np.abs(B))):
         raise UnfoldingError("B does not commute with the representation")
     comm = commutant_basis(G)
     if not comm:
@@ -215,7 +218,7 @@ def gamma_orbit_geometry(B, G):
     # non-integral sum fails the comparison too
     characters = np.trace(G.matrices, axis1=1, axis2=2)
     formula = float(np.sum(np.abs(characters) ** 2)) / G.group.order
-    if not abs(formula - len(comm)) < 1e-6:
+    if not abs(formula - len(comm)) < CHARACTER_TOL:
         raise UnfoldingError(
             f"commutant dimension {len(comm)} by rank disagrees with {formula:.6g} "
             "by the character formula"
@@ -274,7 +277,7 @@ def theta_extract(geometry, directions):
         X = np.linalg.lstsq(S, V.T, rcond=None)[0].T.copy()
         for i, (x, v) in enumerate(zip(X, V)):
             res = float(np.linalg.norm(S @ x - v))
-            if res > THETA_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(v))):
+            if res > scaled(THETA_RESIDUAL_TOL, np.linalg.norm(v)):
                 raise UnfoldingError(
                     f"direction {i} does not decompose over tangent+complement "
                     f"(residual {res:.3e}); the bases are not complementary"
@@ -359,7 +362,7 @@ def _lag_basis(frame, delays, context=""):
     the history horizon and that the stacked basis has full rank c."""
     tau = frame.op.tau
     for r in delays:
-        if r < 0 or r > tau + 1e-12:
+        if r < 0 or r > tau + HORIZON_PAD:
             raise UnfoldingError(f"{context}lag {r} outside the history horizon [0, {tau}]")
     Phis = [frame.Phi_at(-r) for r in delays]
     rk = rank(np.vstack(Phis))
@@ -432,7 +435,7 @@ def solve_delay_realization(frame, delays, R, sparsity=None, Phis=None):
 
     A = X.reshape(p, n, J, n).transpose(0, 2, 1, 3)     # A[k, j, i, l] = X[k, i, j n + l]
     recon = reconstruction_residual(A, Phis, Rs)
-    bounds = _realization_bound(Rs)
+    bounds = scaled(REALIZATION_TOL, np.max(np.abs(Rs), axis=(-2, -1)))
     empty = ~allowed.any(axis=1)
     for k in range(p):
         where = f"target {k}: " if R.ndim == 3 else ""
@@ -456,11 +459,6 @@ def reconstruction_residual(coefficients, Phis, R):
     A = np.asarray(coefficients)
     return np.max(np.abs(sum(A[..., j, :, :] @ P for j, P in enumerate(Phis)) - R),
                   axis=(-2, -1))
-
-
-def _realization_bound(R):
-    """``REALIZATION_TOL * max(1, max|R|)``, one value per target of a stack."""
-    return REALIZATION_TOL * np.maximum(1.0, np.max(np.abs(R), axis=(-2, -1)))
 
 
 def slot_stacks(frame, rep, geometry):
@@ -505,7 +503,7 @@ class UnfoldingFamily:
         object.__setattr__(self, "directions", directions)
         if self.rep is not None:
             res = self.max_equivariance_residual()
-            if res > 1e-10:
+            if res > scaled(COMMUTE_TOL, np.max(np.abs(directions), initial=0.0)):
                 raise StructuralError(
                     f"family flagged equivariant but a coefficient has residual {res:.3e}"
                 )
@@ -529,7 +527,7 @@ class UnfoldingFamily:
         terms = {r: A.copy() for r, A in self.base.terms}
         for am, row in zip(alpha, self.directions):
             for r, A in zip(self.delays, row):
-                key = next((s for s in terms if abs(s - r) < 1e-14), r)
+                key = next((s for s in terms if abs(s - r) < scaled(LAG_MATCH_TOL, r)), r)
                 terms[key] = terms.get(key, 0) + am * A
         # lags outside the base that received no contribution are dropped
         kept = tuple(sorted((r, A) for r, A in terms.items()
@@ -646,7 +644,7 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     Bhat_from_C = equivariant_average(G, G, Psi0 @ Rs)
     err = np.maximum(np.max(np.abs(Bhats - Bhat_from_A), axis=(1, 2)),
                      np.max(np.abs(Bhats - Bhat_from_C), axis=(1, 2)))
-    bounds = 1e-10 * np.maximum(1.0, np.max(np.abs(Bhats), axis=(1, 2)))
+    bounds = scaled(PROJECTION_TOL, np.max(np.abs(Bhats), axis=(1, 2)))
     bad = np.nonzero(err > bounds)[0]
     if len(bad):
         raise UnfoldingError(f"slot {bad[0]}: projection identity violated ({err[bad[0]]:.3e})")
@@ -657,8 +655,8 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     selected = list(theta.selected_rows)
     A_fam = equivariant_average(rep, rep, solve_delay_realization(
         frame, delays, Rbars[selected], sparsity=sparsity, Phis=Phis))
-    bad = np.nonzero(reconstruction_residual(A_fam, Phis, Rbars[selected])
-                     > _realization_bound(Rbars[selected]))[0]
+    bad = np.nonzero(reconstruction_residual(A_fam, Phis, Rbars[selected]) > scaled(
+        REALIZATION_TOL, np.max(np.abs(Rbars[selected]), axis=(-2, -1))))[0]
     if len(bad):
         raise UnfoldingError(f"slot {selected[bad[0]]}: projected reconstruction failed")
 
@@ -694,8 +692,7 @@ def slot_reparametrization(family):
     rows = []
     for j in range(len(family.delays)):
         V = family.directions[:, j].reshape(k, -1)
-        # scale 1e-14 / rcond: a lag whose coefficients all lie below 1e-14 has no pattern
-        _, Vh, r = svd_rank(V, scale=1e-14 / RANK_RCOND, full_matrices=False)
+        _, Vh, r = svd_rank(V, scale=PATTERN_FLOOR / RANK_RCOND, full_matrices=False)
         rows.append((V @ Vh[:r].conj().T).T)   # (r, k) coordinates
     if not rows:
         return np.zeros((0, k))
@@ -714,7 +711,7 @@ def realify(family):
     Returns the real family and that reparametrization matrix.
     """
     D = family.directions
-    tol = CONJ_PAIR_TOL * max(1.0, float(np.max(np.abs(D), initial=0.0)))
+    tol = scaled(CONJ_PAIR_TOL, np.max(np.abs(D), initial=0.0))
     real = np.max(np.abs(D.imag), axis=(1, 2, 3), initial=0.0) < tol
     used = np.zeros(len(D), dtype=bool)
     new_dirs, new_names = [], []

@@ -48,7 +48,8 @@ def test_criterion_1_characteristic_factorization():
             lam = complex(*rng.uniform(-3, 3, 2))
             p = d3.D3ModelParams(alpha=a, beta=b, tau_s=ts, tau_n=tn)
             det = np.linalg.det(d3.d3_operator(p).char_matrix(lam))
-            ref = d3.delta1(lam, p) * d3.delta2(lam, p) ** 2
+            ref = (d3.factor_value("delta1", lam, a, b, ts, tn)
+                   * d3.factor_value("delta2", lam, a, b, ts, tn) ** 2)
             worst = max(worst, abs(det - ref) / (1.0 + abs(det)))
     assert worst < 1e-10
     assert t.seconds < 1.0

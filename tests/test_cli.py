@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -509,6 +510,23 @@ class TestUnfold:
                     "--output", str(tmp_path / "o.json")]) == 0
         assert seeds == [2j, -2j][:calls]
 
+    def test_roots_within_the_relative_gap_are_one(self, tmp_path, monkeypatch):
+        # at |lam| = 2e3 Newton stops at steps up to 2e-9, so two seeds can
+        # end on one root further apart than 1e-8: still one root
+        found = []
+
+        def nudged_find_root(op, seed, **kw):
+            res = find_root(op, seed, **kw)
+            found.append(res.root)
+            return dataclasses.replace(res, root=res.root * (1 + 1e-11)) if len(found) == 2 else res
+
+        monkeypatch.setattr(cli, "find_root", nudged_find_root)
+        cfg = _rescaled(_ring_config(3), 1e3)
+        cfg["lambda_seeds"].append(cfg["lambda_seeds"][0])
+        assert _unfold_outcome(tmp_path, cfg)[0] == 0
+        assert len(found) == 2
+        assert len(json.loads((tmp_path / "out.json").read_text())["frame"]["eigenvalues"]) == 2
+
     def test_non_equivariant_model_fails_cleanly(self, tmp_path):
         from equnfold.delays import DelayOperator
         op = DelayOperator(n=3, terms=((0.0, np.diag([1.0, 2.0, 3.0])),))
@@ -593,10 +611,37 @@ class TestTimeRescaling:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @example(s=0.25)
     @example(s=3.0)
+    @example(s=1e7)      # bounds on a quantity with a magnitude are relative to it
+    @example(s=1e9)
     @given(s=st.floats(0.25, 3.0))
     def test_outcome_is_unchanged(self, tmp_path, case, s):
         cfg = _time_config(case)
         assert _unfold_outcome(tmp_path, _rescaled(cfg, s)) == _unfold_outcome(tmp_path, cfg)
+
+
+def _conjugated(cfg, Q):
+    """``cfg`` in the basis of the unitary Q: every model term and group
+    generator M becomes Q M Q^H.  The spectrum, and with it the seeds, is
+    unchanged; lags and sparsity masks are kept as given."""
+    out = copy.deepcopy(cfg)
+    for term in out["model"]["terms"]:
+        term["matrix"] = encode_cmatrix(Q @ decode_cmatrix(term["matrix"]) @ Q.conj().T)
+    out["group"]["generators"] = [encode_cmatrix(Q @ decode_cmatrix(g) @ Q.conj().T)
+                                  for g in cfg["group"]["generators"]]
+    return out
+
+
+class TestUnitaryConjugation:
+    @pytest.mark.parametrize("case", ["simple", "double", "ring3"])
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_outcome_is_unchanged(self, tmp_path, case, seed):
+        cfg = _time_config(case)
+        rng = np.random.default_rng(seed)
+        n = cfg["model"]["n"]
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        assert _unfold_outcome(tmp_path, _conjugated(cfg, Q)) == _unfold_outcome(tmp_path, cfg)
 
 
 class TestVerify:

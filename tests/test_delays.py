@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from equnfold.d3 import D3ModelParams, d3_operator, delta1, delta2, triangle_rep
+from equnfold.d3 import D3ModelParams, d3_operator, factor_value, triangle_rep
 from equnfold.delays import (EXPONENT_GAP, DelayOperator, ExpVector, bilinear_form,
                              bilinear_form_quadrature, check_equivariance, pairing_matrix)
 from equnfold.errors import StructuralError
@@ -23,6 +23,12 @@ class TestDelayOperator:
     def test_duplicate_delay_rejected(self):
         with pytest.raises(StructuralError):
             DelayOperator(n=1, terms=((1.0, [[1.0]]), (1.0, [[2.0]])))
+
+    def test_duplicate_delay_is_relative_to_the_lag(self):
+        # one rounding step apart is one lag at any magnitude; 1e-9 apart is two
+        with pytest.raises(StructuralError, match="duplicate delay"):
+            DelayOperator(n=1, terms=((1e3, [[1.0]]), (np.nextafter(1e3, 2e3), [[2.0]])))
+        assert len(DelayOperator(n=1, terms=((1e3, [[1.0]]), (1e3 + 1e-9, [[2.0]]))).terms) == 2
 
     def test_negative_delay_rejected(self):
         with pytest.raises(StructuralError):
@@ -50,7 +56,8 @@ class TestCharMatrix:
             op = d3_operator(p)
             lam = complex(*rng.standard_normal(2))
             det = np.linalg.det(op.char_matrix(lam))
-            ref = delta1(lam, p) * delta2(lam, p) ** 2
+            args = (lam, p.alpha, p.beta, p.tau_s, p.tau_n)
+            ref = factor_value("delta1", *args) * factor_value("delta2", *args) ** 2
             assert abs(det - ref) / (1 + abs(det)) < 1e-10
 
     def test_scalar_example(self):

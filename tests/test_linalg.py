@@ -1,9 +1,49 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equnfold._linalg import RANK_RCOND, null_basis, rank, svd_rank
+import equnfold
+from equnfold._linalg import RANK_RCOND, null_basis, rank, scaled, svd_rank
+
+
+def _inline_tolerances(source):
+    """(line, value) of every float literal with 0 < |x| <= 1e-3 outside an
+    UPPERCASE module-level assignment; docstrings are strings, never floats."""
+    tree = ast.parse(source)
+    named = set()
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        if targets and all(isinstance(t, ast.Name) and t.id.isupper() for t in targets):
+            named.update(map(id, ast.walk(node)))
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < abs(node.value) <= 1e-3 and id(node) not in named]
+
+
+def test_every_tolerance_is_a_named_constant():
+    # one tolerance policy: a bound is defined once, by name, and read by name
+    package = pathlib.Path(equnfold.__file__).parent
+    found = {path.name: _inline_tolerances(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_inline_tolerance_finder():
+    source = ('"""Docstring with 1e-9."""\nTOL = 1e-9\n_PAD = -2e-4\nlower = 1e-6\n'
+              'def f(x, tol=1e-12):\n    return x < 1e-3 * 1e-2 or x > 0.5\n')
+    assert _inline_tolerances(source) == [(4, 1e-6), (5, 1e-12), (6, 1e-3)]
+
+
+def test_scaled_bound():
+    assert scaled(1e-9, 0.25) == 1e-9                  # absolute below magnitude 1
+    assert scaled(1e-9, 1e6) == 1e-9 * 1e6             # relative above it
+    assert scaled(1e-9, np.nan) == 1e-9                # NaN counts as 1, as in max(1, nan)
+    assert scaled(1e-9, np.array([0.0, 4.0])).tolist() == [1e-9, 4e-9]
 
 
 @pytest.mark.parametrize("A, scale, expected", [

@@ -9,7 +9,7 @@ from equnfold import d3
 from equnfold._linalg import RANK_RCOND, rank
 from equnfold.cli import _run_config
 from equnfold.delays import DelayOperator, ExpVector
-from equnfold.errors import UnfoldingError
+from equnfold.errors import StructuralError, UnfoldingError
 from equnfold.frames import SpectralFrame
 from equnfold.groups import (Representation, close_generators, commutant_basis,
                              equivariant_average)
@@ -759,6 +759,24 @@ class TestAssembledPipeline:
             assert np.allclose(A0, A1)
         op1 = fam.as_operator([1e-3, 0, 0, 0])
         assert len(op1.terms) == len({*fam.delays, *[r for r, _ in fam.base.terms]})
+
+    def test_family_lag_merges_with_base_lag_at_any_magnitude(self):
+        base = DelayOperator(n=1, terms=((0.0, [[-1.0]]), (1e3, [[0.5]])))
+        fam = UnfoldingFamily(base=base, delays=(np.nextafter(1e3, 2e3),),
+                              directions=[[[[1.0]]]], names=("a",))
+        op = fam.as_operator([1.0])
+        assert [r for r, _ in op.terms] == [0.0, 1e3]
+        assert op.terms[1][1][0, 0] == 1.5
+
+    def test_coefficient_equivariance_is_relative_to_its_size(self):
+        rep = d3.triangle_rep()
+        base = d3.d3_operator(d3.D3ModelParams(alpha=1.0, beta=0.5, tau_s=1.0, tau_n=2.0))
+        A = 1e6 * (np.eye(3) + np.ones((3, 3)))     # commutes with every permutation
+        A[0, 0] += 1e-6                             # 1e-12 of |A| off
+        UnfoldingFamily(base=base, delays=(0.0,), directions=[[A]], names=("a",), rep=rep)
+        A[0, 0] += 1e-3                             # 1e-9 of |A| off
+        with pytest.raises(StructuralError, match="residual"):
+            UnfoldingFamily(base=base, delays=(0.0,), directions=[[A]], names=("a",), rep=rep)
 
 
 class TestRealify:
