@@ -17,7 +17,7 @@ and double-eigenvalue (second factor) cases.
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ def triangle_rep():
     return rep
 
 
-@dataclass(frozen=True)
-class D3ModelParams:
+class D3ModelParams(NamedTuple):
     """Gains and lags of the three-cell model."""
 
     alpha: float
@@ -337,8 +336,7 @@ def _crossing_seeds(curves, omegas, alpha_window, tau_s_window):
     return np.column_stack([a0[keep], t0[keep], wA[keep], wB[keep]])
 
 
-@dataclass(frozen=True)
-class DoubleHopfPoint:
+class DoubleHopfPoint(NamedTuple):
     factor: str
     beta: float
     tau_n: float
@@ -501,8 +499,7 @@ def structure_masks():
     return [diag, diag, ~diag, ~diag]
 
 
-@dataclass(frozen=True)
-class D3CaseResult:
+class D3CaseResult(NamedTuple):
     """Artifacts of one end-to-end run at a double-Hopf point."""
 
     case: str                     # "simple" or "double"

@@ -13,7 +13,7 @@ Two evaluations of the adjoint bilinear form are provided: a closed form
 quadrature used as an independent oracle in the test-suite.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,21 +27,22 @@ EXPONENT_GAP = 1e-9
 REAL_TOL = 1e-12    # max |imag| of the coefficients of a real operator
 
 
-@dataclass(frozen=True)
-class DelayOperator:
-    """Point-delay linear operator ``L0 z = sum_k A_k z(-r_k)`` on C^n."""
+class DelayOperator(NamedTuple("DelayOperator", [("n", int), ("terms", tuple)])):
+    """Point-delay linear operator ``L0 z = sum_k A_k z(-r_k)`` on C^n.
 
-    n: int
-    terms: tuple  # ((r_k, A_k), ...) with r_k >= 0 and A_k an (n, n) matrix
+    ``terms`` is ``((r_k, A_k), ...)`` with r_k >= 0 and A_k an (n, n) matrix.
+    """
 
-    def __post_init__(self):
-        if self.n <= 0:
+    __slots__ = ()
+
+    def __new__(cls, n, terms):
+        if n <= 0:
             raise StructuralError("state dimension must be positive")
-        if not self.terms:
+        if not terms:
             raise StructuralError("need at least one delay term")
         clean = []
         seen = []
-        for r, A in self.terms:
+        for r, A in terms:
             r = float(r)
             if r < 0:
                 raise StructuralError(f"negative delay {r}")
@@ -49,10 +50,10 @@ class DelayOperator:
                 raise StructuralError(f"duplicate delay {r}")
             seen.append(r)
             A = np.asarray(A, dtype=complex)
-            if A.shape != (self.n, self.n):
-                raise StructuralError(f"coefficient shape {A.shape} != ({self.n}, {self.n})")
+            if A.shape != (n, n):
+                raise StructuralError(f"coefficient shape {A.shape} != ({n}, {n})")
             clean.append((r, A))
-        object.__setattr__(self, "terms", tuple(clean))
+        return super().__new__(cls, n, tuple(clean))
 
     @property
     def tau(self):
@@ -78,24 +79,21 @@ class DelayOperator:
         return D
 
 
-@dataclass(frozen=True)
-class ExpVector:
+class ExpVector(NamedTuple("ExpVector", [("direction", np.ndarray), ("exponent", complex),
+                                         ("side", str)])):
     """Pure-exponential history segment.
 
     ``side="column"`` represents phi(theta) = u exp(lam theta) on [-tau, 0];
     ``side="row"`` represents psi(s) = w exp(-lam s) on [0, tau].
     """
 
-    direction: np.ndarray
-    exponent: complex
-    side: str = "column"
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = np.asarray(self.direction, dtype=complex).reshape(-1)
-        if self.side not in ("column", "row"):
-            raise StructuralError(f"unknown side {self.side!r}")
-        object.__setattr__(self, "direction", v)
-        object.__setattr__(self, "exponent", complex(self.exponent))
+    def __new__(cls, direction, exponent, side="column"):
+        v = np.asarray(direction, dtype=complex).reshape(-1)
+        if side not in ("column", "row"):
+            raise StructuralError(f"unknown side {side!r}")
+        return super().__new__(cls, v, complex(exponent), side)
 
     def __call__(self, t):
         if self.side == "column":

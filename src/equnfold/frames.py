@@ -14,7 +14,7 @@ the pairing ``G(g)_ij = (psi_i, rho(g) phi_j)``; B commutes with every
 G(g).
 """
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ def _det_derivative(D, Dp):
     return np.trace(adj @ Dp)
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     root: complex
     residual: float          # |det Delta(root)|
     iterations: int
@@ -139,8 +138,7 @@ def _secant(op, lam, tol, max_iter):
     return b, fb, max_iter
 
 
-@dataclass(frozen=True)
-class SpectralFrame:
+class SpectralFrame(NamedTuple):
     """Normalized eigenframe for a finite critical spectrum.
 
     ``lambdas`` lists the eigenvalues with multiplicity (one entry per basis
@@ -374,7 +372,7 @@ def induce_representation(frame, rep):
     Gmats = pairing_matrix(W, lam, moved_phi, np.tile(mu, order), op)
     Gmats = np.ascontiguousarray(Gmats.reshape(c, order, c).transpose(1, 0, 2))
     G = Representation(group=rep.group, matrices=Gmats)
-    framed = replace(frame, G=G)
+    framed = frame._replace(G=G)
 
     report = check_representation(G, tol=REP_TOL)
     if not report.ok:

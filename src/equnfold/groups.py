@@ -12,7 +12,7 @@ closing a set of matrices under products (the usual way to specify a small
 symmetry group such as the dihedral group of the triangle).
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ HOMOMORPHISM_TOL = 1e-9     # default bound of check_representation
 DEFAULT_MAX_ORDER = 512
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(NamedTuple):
     """A finite group given by its multiplication table.
 
     Attributes
@@ -44,7 +43,7 @@ class FiniteGroup:
     mul_table: np.ndarray
     identity: int
     inverse: np.ndarray
-    generator_indices: tuple = field(default=())
+    generator_indices: tuple = ()
 
     @property
     def order(self):
@@ -102,20 +101,20 @@ class FiniteGroup:
         )
 
 
-@dataclass(frozen=True)
-class Representation:
-    """Matrices ``rho(g)``, one per group element, acting on ``C^dim``."""
+class Representation(NamedTuple("Representation", [("group", FiniteGroup),
+                                                   ("matrices", np.ndarray)])):
+    """Matrices ``rho(g)``, one per group element, acting on ``C^dim``;
+    ``matrices`` is an ``(order, dim, dim)`` complex stack."""
 
-    group: FiniteGroup
-    matrices: np.ndarray  # (order, dim, dim) complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=complex)
-        if mats.ndim != 3 or mats.shape[0] != self.group.order or mats.shape[1] != mats.shape[2]:
+    def __new__(cls, group, matrices):
+        mats = np.asarray(matrices, dtype=complex)
+        if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
             raise StructuralError(
-                f"expected {self.group.order} square matrices of equal size, got shape {mats.shape}"
+                f"expected {group.order} square matrices of equal size, got shape {mats.shape}"
             )
-        object.__setattr__(self, "matrices", mats)
+        return super().__new__(cls, group, mats)
 
     @property
     def dim(self):
@@ -265,8 +264,7 @@ def _discovery_order(table, start):
     return order, pos, pairs
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
+class RepresentationReport(NamedTuple):
     """Result of checking the homomorphism property of a representation."""
 
     violated_pairs: tuple       # pairs (g, h) with rho(g)rho(h) != rho(gh)

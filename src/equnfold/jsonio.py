@@ -68,7 +68,8 @@ def canonical_json(obj):
         return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
+    # a record (a NamedTuple: named fields) is a tuple but not a list
+    if isinstance(obj, (list, tuple)) and not hasattr(obj, "_fields"):
         text = _pair_row_text(obj)
         if text is None:
             text = "[" + ",".join(canonical_json(v) for v in obj) + "]"

@@ -17,7 +17,7 @@ family of equivariant operators whose reduction is an equivariant versal
 unfolding of B.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +123,7 @@ def _diagonal_complement_slots(diag):
     return [pos for _, pos in slots]
 
 
-@dataclass(frozen=True)
-class OrbitGeometry:
+class OrbitGeometry(NamedTuple):
     """Tangent space and unfolding complement of the similarity orbit at B."""
 
     B: np.ndarray
@@ -182,8 +181,7 @@ def orbit_geometry(B, jordan_spec):
     return geo
 
 
-@dataclass(frozen=True)
-class GammaOrbitGeometry:
+class GammaOrbitGeometry(NamedTuple):
     """Equivariant orbit data: the commutant, its ad_B image, and the
     dimension of the equivariant centralizer (the equivariant codimension)."""
 
@@ -232,8 +230,7 @@ def gamma_orbit_geometry(B, G):
                               Z_dim=len(comm) - r)
 
 
-@dataclass(frozen=True)
-class ThetaReport:
+class ThetaReport(NamedTuple):
     """Coordinates of unfolding directions in the orbit complement.
 
     Row i holds the W-coordinates of direction i after removing its
@@ -473,40 +470,39 @@ def slot_stacks(frame, rep, geometry):
     return Rs, Rbars, Bhats, theta_extract(geometry, Bhats)
 
 
-@dataclass(frozen=True)
-class UnfoldingFamily:
+class UnfoldingFamily(NamedTuple("UnfoldingFamily", [
+        ("base", DelayOperator), ("delays", tuple), ("directions", np.ndarray),
+        ("names", tuple), ("rep", object)])):
     """Parametrized family ``L(alpha) z = L0 z + sum_m alpha_m sum_j A_j^m z(-r_j)``.
 
-    ``directions[m, j]`` is the coefficient of parameter m at lag
-    ``delays[j]``.  When ``rep`` is set the family claims equivariance and
-    every coefficient is checked to commute with the group action.
+    ``directions[m, j]``, one (n, n) matrix in a ``(p, J, n, n)`` stack, is
+    the coefficient of parameter m at lag ``delays[j]``.  When ``rep`` is set
+    the family claims equivariance and every coefficient is checked to
+    commute with the group action.
     """
 
-    base: DelayOperator
-    delays: tuple
-    directions: np.ndarray   # (p, J, n, n): one (n, n) matrix per parameter and lag
-    names: tuple
-    rep: object = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "delays", tuple(float(r) for r in self.delays))
-        object.__setattr__(self, "names", tuple(self.names))
+    def __new__(cls, base, delays, directions, names, rep=None):
+        delays = tuple(float(r) for r in delays)
+        names = tuple(names)
         # checked, never reshaped: a reshape would take swapped p and J
-        shape = (len(self.names), len(self.delays), self.base.n, self.base.n)
+        shape = (len(names), len(delays), base.n, base.n)
         try:
-            directions = np.asarray(self.directions, dtype=complex)
+            directions = np.asarray(directions, dtype=complex)
         except ValueError:      # rows of different lengths
             directions = None
         if directions is None or directions.shape != shape:
             raise StructuralError(f"coefficients must form a (parameters, lags, n, n) = "
                                   f"{shape} stack")
-        object.__setattr__(self, "directions", directions)
-        if self.rep is not None:
+        self = super().__new__(cls, base, delays, directions, names, rep)
+        if rep is not None:
             res = self.max_equivariance_residual()
             if res > scaled(COMMUTE_TOL, np.max(np.abs(directions), initial=0.0)):
                 raise StructuralError(
                     f"family flagged equivariant but a coefficient has residual {res:.3e}"
                 )
+        return self
 
     @property
     def n_parameters(self):
@@ -542,8 +538,7 @@ class UnfoldingFamily:
                          for row in self.directions]).reshape(self.n_parameters, frame.c, frame.c)
 
 
-@dataclass(frozen=True)
-class VersalityReport:
+class VersalityReport(NamedTuple):
     """Outcome of the equivariant span test for a direction family."""
 
     versal: bool
@@ -596,8 +591,7 @@ def verify_gamma_versality(B, G, directions):
     )
 
 
-@dataclass(frozen=True)
-class GammaUnfolding:
+class GammaUnfolding(NamedTuple):
     """Everything produced by :func:`assemble_gamma_unfolding`."""
 
     family: UnfoldingFamily

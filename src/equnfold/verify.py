@@ -8,7 +8,7 @@ of the stored directions.  A perturbed coefficient or a dropped direction
 therefore fails a specific named check.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,15 +23,13 @@ from .unfolding import (UnfoldingFamily, orbit_geometry, reconstruction_residual
 DEFAULT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple
 
     @property

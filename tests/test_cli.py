@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import hashlib
 import json
@@ -34,10 +33,11 @@ def run(args):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy was dropped to cut import time; only a fresh interpreter shows
+    # scipy was dropped to cut import time, and the records are NamedTuples,
+    # not dataclasses, for the same reason; only a fresh interpreter shows
     # what importing the CLI loads
     code = ("import sys, equnfold.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'dataclasses')))")
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": package_root})
@@ -518,7 +518,7 @@ class TestUnfold:
         def nudged_find_root(op, seed, **kw):
             res = find_root(op, seed, **kw)
             found.append(res.root)
-            return dataclasses.replace(res, root=res.root * (1 + 1e-11)) if len(found) == 2 else res
+            return res._replace(root=res.root * (1 + 1e-11)) if len(found) == 2 else res
 
         monkeypatch.setattr(cli, "find_root", nudged_find_root)
         cfg = _rescaled(_ring_config(3), 1e3)

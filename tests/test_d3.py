@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 
@@ -429,7 +428,7 @@ def _refinement(refine, factor, beta, tau_n, seed):
         p = refine(factor, beta, tau_n, seed)
     except EqunfoldError as exc:
         return ("error", str(exc))
-    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(p))
+    return tuple(v.hex() if isinstance(v, float) else v for v in tuple(p))
 
 
 def _assert_same_refinements(factor, beta, tau_n, step):

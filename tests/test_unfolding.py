@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -699,7 +698,7 @@ class TestAssembledPipeline:
         trivial = Representation(frame.G.group, np.broadcast_to(
             np.eye(frame.c), frame.G.matrices.shape))
         with pytest.raises(UnfoldingError, match=r"^slot \d+: projection identity violated"):
-            assemble_gamma_unfolding(replace(frame, G=trivial), double_case.rep,
+            assemble_gamma_unfolding(frame._replace(G=trivial), double_case.rep,
                                      double_case.delays, sparsity=d3.structure_masks())
 
     def test_tangent_space_projection_identity(self, double_case, rng):
