@@ -7,7 +7,7 @@ Computations*, 5.4).  It is strict, so an empty or zero matrix has rank 0; a
 stack ``(..., m, n)`` is ranked per matrix.  ``scale`` is the magnitude of
 the problem A comes from (0: A is its own reference).  Relative to s_1 alone
 the cutoff would find no kernel where s_1 itself is the residual, as for
-Delta(lam) at a root of a scalar equation (``frames._char_scale``); relative
+Delta(lam) at a root of a scalar equation (``invariants.char_scale``); relative
 to scale alone it would count a large matrix's rounding noise as rank.
 
 Each bound is one named constant, here when modules share it; a bound on a
@@ -21,7 +21,7 @@ NULLSPACE_RCOND = 1e-8    # null spaces of the characteristic matrix
 REP_TOL = 1e-8            # residuals of an induced representation, and the commutant cut
 GRAM_RCOND = 1e-10        # a singular Gram block of an eigenframe
 SINGULAR_RCOND = 1e-12    # a singular element of a representation, at scale 1
-COMMUTE_TOL = 1e-10       # a built B, or family coefficient, commutes with the group (scaled)
+REALIZATION_TOL = 1e-9    # relative residual of a delay realization, row by row and whole
 LAG_MATCH_TOL = 1e-14     # two lags this close are one lag (scaled)
 LAG_GAP = 1e-9            # a chosen lag this close to another collides with it
 EPS = np.finfo(float).eps  # rcond max(m, n) * EPS (numpy's default): rank lost to rounding only

@@ -18,16 +18,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import COMMUTE_TOL, GRAM_RCOND, NULLSPACE_RCOND, REP_TOL, null_basis, rank, scaled
-from .delays import ExpVector, check_equivariance, pairing_matrix
+from . import invariants
+from ._linalg import GRAM_RCOND, NULLSPACE_RCOND, null_basis, rank
+from .delays import ExpVector, pairing_matrix
 from .errors import FrameError, RootFindingError
-from .groups import Representation, check_representation, commutator_residual
+from .groups import Representation
 
 CONJ_MATCH_TOL = 1e-9      # tolerance for pairing lam with conj(lam)
 DERIV_FLOOR = 1e-14        # |d det| below this: suspected multiple root, use the secant
 ROOT_TOL = 1e-12           # |det| or relative Newton step of a converged root
-FRAME_RESIDUAL_TOL = 1e-9  # Gram, pairing and null-vector residuals of a built frame
-EQUIVARIANCE_TOL = 1e-9    # commutation residual of the operator's terms with the group
 SECANT_STEP = 1e-6         # relative offset of the secant fallback's second point
 SIGNIFICANT_RCOND = 1e-12  # a component below this times max |v| is not significant
 
@@ -174,40 +173,10 @@ class SpectralFrame(NamedTuple):
         """The pairing matrix ``(Psi, Phi)``; the identity for a normalized frame."""
         return pairing_matrix(*_stack(self.psi), *_stack(self.phi), self.op)
 
-    def null_vector_residuals(self):
-        """``||Delta(lam) v|| / ||v||`` for each phi column, then each psi
-        row; zero for exact null vectors."""
-        op = self.op
-        return ([float(np.linalg.norm(op.char_matrix(v.exponent) @ v.direction)
-                       / np.linalg.norm(v.direction)) for v in self.phi]
-                + [float(np.linalg.norm(w.direction @ op.char_matrix(w.exponent))
-                         / np.linalg.norm(w.direction)) for w in self.psi])
-
-    def gram_residual(self):
-        """Max entrywise ``|(Psi, Phi) - I|``; zero for a normalized frame."""
-        return float(np.max(np.abs(self.gram() - np.eye(self.c))))
-
-    def intertwining_residual(self, rep):
-        """Max entrywise ``|rho(g) Phi(theta) - Phi(theta) G(g)|`` over every
-        element g and nine theta samples spanning [-tau, 0]."""
-        thetas = np.linspace(-self.op.tau, 0.0, 9) if self.op.tau > 0 else [0.0]
-        res = 0.0
-        for th in thetas:
-            P = self.Phi_at(th)
-            res = max(res, float(np.max(np.abs(rep.matrices @ P - P @ self.G.matrices))))
-        return res
-
 
 def _stack(vectors):
     """Directions (rows) and exponents of a sequence of ExpVectors."""
     return np.array([v.direction for v in vectors]), np.array([v.exponent for v in vectors])
-
-
-def _char_scale(norm_sum, lam):
-    """Natural magnitude of Delta(lam), the ``scale`` of its null-space cutoff:
-    at a root of a scalar equation Delta's own singular value is the residual.
-    ``norm_sum`` is ``sum_k ||A_k||_2`` over the operator's terms, in order."""
-    return 1.0 + abs(lam) + norm_sum
 
 
 def _first_significant(v):
@@ -274,7 +243,7 @@ def eigenbasis(op, lambdas, seeds=None):
             left_raw[i] = [w.conj() for w in left_raw[partner[i]]]
             continue
         D = op.char_matrix(lam)
-        scale = _char_scale(norm_sum, lam)
+        scale = invariants.char_scale(norm_sum, lam)
         N = null_basis(D, scale, NULLSPACE_RCOND)
         if N.shape[1] == 0:
             raise FrameError(f"{lam} is not a characteristic root (empty null space)")
@@ -339,14 +308,9 @@ def eigenbasis(op, lambdas, seeds=None):
     B = np.diag(np.array(lams, dtype=complex))
     frame = SpectralFrame(op=op, lambdas=tuple(lams), phi=tuple(phi), psi=tuple(psi), B=B)
 
-    gram_residual = frame.gram_residual()
-    if gram_residual > FRAME_RESIDUAL_TOL:
-        raise FrameError(f"Gram normalization residual {gram_residual:.3e} "
-                         f"exceeds {FRAME_RESIDUAL_TOL}")
-    for v, r in zip(frame.phi + frame.psi, frame.null_vector_residuals()):
-        r /= _char_scale(norm_sum, v.exponent)
-        if r > FRAME_RESIDUAL_TOL:
-            raise FrameError(f"null-vector residual {r:.3e} at {v.exponent}")
+    invariants.check("frame.gram_identity", frame)
+    invariants.check("frame.null_vectors", frame,
+                     where=lambda k: f"eigenvalue {(frame.phi + frame.psi)[k].exponent}")
     return frame
 
 
@@ -359,9 +323,7 @@ def induce_representation(frame, rep):
     B are all checked before the frame is returned.
     """
     op = frame.op
-    equiv = check_equivariance(op, rep)
-    if equiv > EQUIVARIANCE_TOL:
-        raise FrameError(f"operator is not equivariant (residual {equiv:.3e})")
+    invariants.check("model.equivariance", op, rep)
 
     c, n = frame.c, op.n
     order = rep.group.order
@@ -374,22 +336,11 @@ def induce_representation(frame, rep):
     G = Representation(group=rep.group, matrices=Gmats)
     framed = frame._replace(G=G)
 
-    report = check_representation(G, tol=REP_TOL)
-    if not report.ok:
-        raise FrameError(
-            f"induced matrices violate the representation property "
-            f"(max residual {report.max_residual:.3e}); frame inconsistent"
-        )
-    pw = framed.intertwining_residual(rep)
-    if pw > REP_TOL:
-        raise FrameError(f"rho(g) Phi != Phi G(g) (residual {pw:.3e})")
+    invariants.check("frame.induced_rep", G)
+    invariants.check("frame.phi_intertwines", framed, rep)
     # (Psi, g.Phi) is G(g); compare with (Psi.g, Phi), rows psi_i rho(g) over all g
     moved_psi = (W[None, :, None, :] @ rep.matrices[:, None])[:, :, 0, :].reshape(order * c, n)
     H = pairing_matrix(moved_psi, np.tile(lam, order), V, mu, op).reshape(order, c, c)
-    bad = np.nonzero(np.max(np.abs(H - Gmats), axis=(1, 2)) > FRAME_RESIDUAL_TOL)[0]
-    if len(bad):
-        raise FrameError(f"(Psi, g.Phi) != (Psi.g, Phi) for element {bad[0]}")
-    bg = commutator_residual(G, [frame.B])
-    if bg > scaled(COMMUTE_TOL, np.max(np.abs(frame.B))):
-        raise FrameError(f"B does not commute with G (residual {bg:.3e})")
+    invariants.check("frame.two_sided_pairing", H, G, where=lambda k: f"element {k}")
+    invariants.check("frame.B_commutes_with_G", G, frame.B)
     return framed

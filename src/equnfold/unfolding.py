@@ -21,18 +21,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import COMMUTE_TOL, LAG_GAP, LAG_MATCH_TOL, RANK_RCOND, rank, scaled, svd_rank
+from . import invariants
+from ._linalg import (LAG_GAP, LAG_MATCH_TOL, RANK_RCOND, REALIZATION_TOL, rank, scaled,
+                      svd_rank)
 from .delays import DelayOperator
 from .errors import StructuralError, UnfoldingError
-from .groups import commutant_basis, commutator_residual, equivariant_average
+from .groups import commutant_basis, equivariant_average
 
 DIAG_TOL = 1e-12       # max off-diagonal magnitude for "B is diagonal"
 EIG_MATCH_TOL = 1e-9   # tolerance for grouping equal diagonal eigenvalues
-THETA_RESIDUAL_TOL = 1e-8      # relative decomposition residual of a direction
-REALIZATION_TOL = 1e-9         # relative residual of a delay realization
 CONJ_PAIR_TOL = 1e-9           # relative gap of a conjugate direction pair
-PROJECTION_TOL = 1e-10         # relative gap of the three projections of a slot
-CHARACTER_TOL = 1e-6           # distance of the character sum from the commutant's rank
 HORIZON_PAD = 1e-12            # a lag this far beyond the history horizon is still inside
 PATTERN_FLOOR = 1e-14          # a lag whose coefficients all lie below this has no pattern
 
@@ -139,6 +137,22 @@ class OrbitGeometry(NamedTuple):
         return np.column_stack(cols)
 
 
+def _is_diagonal(B):
+    diag = np.diag(B)
+    return len(B) == 1 or np.max(np.abs(B - np.diag(diag))) < scaled(DIAG_TOL, np.max(np.abs(diag)))
+
+
+def _character_sum(G, blocks):
+    """``(1/|Gamma|) sum_b sum_g |tr G(g)_bb|^2`` over the diagonal blocks b: by
+    Schur's lemma the dimension of the matrices that commute with G and keep
+    each block, an integer up to rounding (within 1e-14 at the presets, the
+    fixture points and the rings); non-finite or non-integral if G is no
+    representation."""
+    diagonals = np.diagonal(G.matrices, axis1=1, axis2=2)
+    return sum(float(np.sum(np.abs(diagonals[:, b].sum(axis=1)) ** 2))
+               for b in blocks) / G.group.order
+
+
 def orbit_geometry(B, jordan_spec):
     """Compute :class:`OrbitGeometry`, cross-checking rank against the
     closed-form codimension for the declared Jordan structure."""
@@ -156,10 +170,9 @@ def orbit_geometry(B, jordan_spec):
         )
     T_basis = tuple(U[:, k].reshape(c, c) for k in range(r))
 
-    diag = np.diag(B)
     slots = None
-    if c == 1 or np.max(np.abs(B - np.diag(diag))) < scaled(DIAG_TOL, np.max(np.abs(diag))):
-        slots = tuple(_diagonal_complement_slots(diag))
+    if _is_diagonal(B):
+        slots = tuple(_diagonal_complement_slots(np.diag(B)))
         W_basis = []
         for (i, j) in slots:
             E = np.zeros((c, c), dtype=complex)
@@ -189,6 +202,7 @@ class GammaOrbitGeometry(NamedTuple):
     commutant: tuple        # orthonormal basis of Mat^Gamma
     T_basis: tuple          # basis of [B, Mat^Gamma]
     Z_dim: int              # dim of the equivariant centralizer of B
+    Z_formula: float        # the same by characters; NaN for a B not diagonal
 
     @property
     def commutant_dim(self):
@@ -202,32 +216,32 @@ class GammaOrbitGeometry(NamedTuple):
 def gamma_orbit_geometry(B, G):
     """Restrict the orbit geometry to matrices commuting with the G action.
 
-    Raises UnfoldingError when the commutant's dimension by rank disagrees
-    with the character formula."""
+    The character sums (:func:`_character_sum`) check both rank decisions:
+    dim Mat^Gamma, over one block, the commutant's null-space cut; and, for
+    a diagonal B, Z = sum_lam (1/|Gamma|) sum_g |chi_lam(g)|^2 over the
+    eigenvalue blocks (chi_lam the character of G on lam's eigenspace), the
+    rank of the commutator images."""
     B = np.asarray(B, dtype=complex)
-    if commutator_residual(G, [B]) > scaled(COMMUTE_TOL, np.max(np.abs(B))):
-        raise UnfoldingError("B does not commute with the representation")
+    c = B.shape[0]
+    invariants.check("frame.B_commutes_with_G", G, B)
     comm = commutant_basis(G)
     if not comm:
         raise UnfoldingError("empty commutant")
-    # Schur's lemma: dim Mat^Gamma = (1/|Gamma|) sum_g |tr G(g)|^2, an integer
-    # up to rounding (within 1e-14 at the presets, the fixture points and the
-    # rings), checks the null-space cut of commutant_basis; a non-finite or
-    # non-integral sum fails the comparison too
-    characters = np.trace(G.matrices, axis1=1, axis2=2)
-    formula = float(np.sum(np.abs(characters) ** 2)) / G.group.order
-    if not abs(formula - len(comm)) < CHARACTER_TOL:
-        raise UnfoldingError(
-            f"commutant dimension {len(comm)} by rank disagrees with {formula:.6g} "
-            "by the character formula"
-        )
+    formula = _character_sum(G, [list(range(c))])
+    invariants.check("versality.commutant_formula", formula, len(comm), where=lambda _: (
+        f"commutant dimension {len(comm)} by rank disagrees with {formula:.6g} "
+        "by the character formula"))
     images = np.column_stack([_vec(B @ K - K @ B) for K in comm])
     # scale |B|: commutator columns at rounding level count as zero even when all are tiny
     U, _, r = svd_rank(images, scale=float(np.linalg.norm(B, 2)))
-    c = B.shape[0]
+    Z_dim, Z_formula = len(comm) - r, np.nan
+    if _is_diagonal(B):
+        Z_formula = _character_sum(G, _diag_blocks(np.diag(B)))
+        invariants.check("versality.codimension_formula", Z_formula, Z_dim, where=lambda _: (
+            f"Z = {Z_dim} by rank disagrees with {Z_formula:.6g} by the character formula"))
     T_basis = tuple(U[:, k].reshape(c, c) for k in range(r))
-    return GammaOrbitGeometry(B=B, commutant=tuple(comm), T_basis=T_basis,
-                              Z_dim=len(comm) - r)
+    return GammaOrbitGeometry(B=B, commutant=tuple(comm), T_basis=T_basis, Z_dim=Z_dim,
+                              Z_formula=Z_formula)
 
 
 class ThetaReport(NamedTuple):
@@ -249,8 +263,8 @@ def theta_extract(geometry, directions):
 
     Every direction must split as ``[B, y] + sum_j theta_j Omega_j`` (it
     always does, the bases span the space); the least-squares residual is
-    reported and must stay below ``THETA_RESIDUAL_TOL`` relative to the
-    direction.  Row selection walks the rows in order and keeps those
+    reported and held to the invariant ``theta.decomposition``, relative to
+    the direction.  Row selection walks the rows in order and keeps those
     outside the span of the rows already kept, with a relative tolerance on
     the rejection test.  A direction with a non-finite entry is an
     :class:`UnfoldingError`.
@@ -272,15 +286,9 @@ def theta_extract(geometry, directions):
         # one solve against S takes every direction; each column's residual
         # is still its own matrix-vector product (they are artifact bytes)
         X = np.linalg.lstsq(S, V.T, rcond=None)[0].T.copy()
-        for i, (x, v) in enumerate(zip(X, V)):
-            res = float(np.linalg.norm(S @ x - v))
-            if res > scaled(THETA_RESIDUAL_TOL, np.linalg.norm(v)):
-                raise UnfoldingError(
-                    f"direction {i} does not decompose over tangent+complement "
-                    f"(residual {res:.3e}); the bases are not complementary"
-                )
-            theta[i] = x[t:]
-            residuals.append(res)
+        residuals = [float(np.linalg.norm(S @ x - v)) for x, v in zip(X, V)]
+        invariants.check("theta.decomposition", residuals, V, where=lambda i: f"direction {i}")
+        theta[:] = X[:, t:]
 
     scale = float(np.max(np.abs(theta))) if p else 0.0
     selected = []
@@ -431,7 +439,6 @@ def solve_delay_realization(frame, delays, R, sparsity=None, Phis=None):
         X[:, rows[:, None], cols] = x.T.reshape(p, len(rows), len(cols))
 
     A = X.reshape(p, n, J, n).transpose(0, 2, 1, 3)     # A[k, j, i, l] = X[k, i, j n + l]
-    recon = reconstruction_residual(A, Phis, Rs)
     bounds = scaled(REALIZATION_TOL, np.max(np.abs(Rs), axis=(-2, -1)))
     empty = ~allowed.any(axis=1)
     for k in range(p):
@@ -443,19 +450,9 @@ def solve_delay_realization(frame, delays, R, sparsity=None, Phis=None):
         if len(bad):
             raise UnfoldingError(f"{where}sparsity mask infeasible: row {bad[0]} "
                                  f"least-squares residual {row_res[k, bad[0]]:.3e}")
-        if recon[k] > bounds[k]:
-            raise UnfoldingError(
-                f"{where}reconstruction residual {recon[k]:.3e} exceeds tolerance")
+    invariants.check("unfolding.reconstruction", A, Phis, Rs,
+                     where=(lambda k: f"target {k}") if R.ndim == 3 else None)
     return A.reshape(R.shape[:-2] + (J, n, n))
-
-
-def reconstruction_residual(coefficients, Phis, R):
-    """Max entrywise ``|sum_j A_j Phi(-r_j) - R|``, given ``Phis[j] = Phi(-r_j)``;
-    one value per target for ``(p, J, n, n)`` coefficients of a ``(p, n, c)``
-    stack of targets."""
-    A = np.asarray(coefficients)
-    return np.max(np.abs(sum(A[..., j, :, :] @ P for j, P in enumerate(Phis)) - R),
-                  axis=(-2, -1))
 
 
 def slot_stacks(frame, rep, geometry):
@@ -495,24 +492,13 @@ class UnfoldingFamily(NamedTuple("UnfoldingFamily", [
         if directions is None or directions.shape != shape:
             raise StructuralError(f"coefficients must form a (parameters, lags, n, n) = "
                                   f"{shape} stack")
-        self = super().__new__(cls, base, delays, directions, names, rep)
         if rep is not None:
-            res = self.max_equivariance_residual()
-            if res > scaled(COMMUTE_TOL, np.max(np.abs(directions), initial=0.0)):
-                raise StructuralError(
-                    f"family flagged equivariant but a coefficient has residual {res:.3e}"
-                )
-        return self
+            invariants.check("family.coefficient_equivariance", rep, directions)
+        return super().__new__(cls, base, delays, directions, names, rep)
 
     @property
     def n_parameters(self):
         return len(self.directions)
-
-    def max_equivariance_residual(self):
-        if self.rep is None:
-            return 0.0
-        n = self.base.n
-        return commutator_residual(self.rep, self.directions.reshape(-1, n, n))
 
     def as_operator(self, alpha):
         """The operator at a parameter value, merging lags with the base."""
@@ -546,6 +532,7 @@ class VersalityReport(NamedTuple):
     commutant_dim: int
     tangent_dim: int
     codimension: int         # dim of the equivariant centralizer
+    codimension_formula: float   # the same by characters (GammaOrbitGeometry.Z_formula)
     achieved_rank: int
     n_directions: int
     max_equivariance_residual: float
@@ -585,6 +572,7 @@ def verify_gamma_versality(B, G, directions):
         commutant_dim=geo.commutant_dim,
         tangent_dim=geo.tangent_dim,
         codimension=geo.Z_dim,
+        codimension_formula=geo.Z_formula,
         achieved_rank=achieved,
         n_directions=len(directions),
         max_equivariance_residual=equiv_res,
@@ -636,12 +624,8 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     # the center direction all land on the same matrix.
     Bhat_from_A = (Psi0 @ equivariant_average(rep, rep, A_raw) @ np.array(Phis)).sum(axis=1)
     Bhat_from_C = equivariant_average(G, G, Psi0 @ Rs)
-    err = np.maximum(np.max(np.abs(Bhats - Bhat_from_A), axis=(1, 2)),
-                     np.max(np.abs(Bhats - Bhat_from_C), axis=(1, 2)))
-    bounds = scaled(PROJECTION_TOL, np.max(np.abs(Bhats), axis=(1, 2)))
-    bad = np.nonzero(err > bounds)[0]
-    if len(bad):
-        raise UnfoldingError(f"slot {bad[0]}: projection identity violated ({err[bad[0]]:.3e})")
+    invariants.check("directions.projection_identity", Bhats, Bhat_from_A, Bhat_from_C,
+                     where=lambda m: f"slot {m}")
 
     if not theta.selected_rows:
         raise UnfoldingError("no independent unfolding directions survive the projection")
@@ -649,10 +633,8 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     selected = list(theta.selected_rows)
     A_fam = equivariant_average(rep, rep, solve_delay_realization(
         frame, delays, Rbars[selected], sparsity=sparsity, Phis=Phis))
-    bad = np.nonzero(reconstruction_residual(A_fam, Phis, Rbars[selected]) > scaled(
-        REALIZATION_TOL, np.max(np.abs(Rbars[selected]), axis=(-2, -1))))[0]
-    if len(bad):
-        raise UnfoldingError(f"slot {selected[bad[0]]}: projected reconstruction failed")
+    invariants.check("unfolding.reconstruction", A_fam, Phis, Rbars[selected],
+                     where=lambda k: f"slot {selected[k]}")
 
     versality = verify_gamma_versality(frame.B, G, Bhats[selected])
     if not versality.versal:

@@ -1,32 +1,15 @@
-"""Re-verification of unfold artifacts.
-
-Everything a produced artifact claims is re-derived from its own data:
-representation validity, model equivariance, frame residuals, induced
-action, coefficient equivariance, reconstruction of the projected
-unfolding slots, Theta consistency, and the equivariant span (versality)
-of the stored directions.  A perturbed coefficient or a dropped direction
-therefore fails a specific named check.
-"""
+"""Re-verification of unfold artifacts: every invariant of the table in
+``invariants`` that an artifact determines is re-derived from its own data,
+so a perturbed coefficient or a dropped direction fails a named check."""
 
 from typing import NamedTuple
 
-import numpy as np
-
-from .delays import check_equivariance
 from .errors import EqunfoldError, SchemaError
-from .groups import check_representation, commutator_residual, equivariant_average
+from .invariants import DEFAULT_TOL, INVARIANTS, CheckResult
 from .jsonio import (SCHEMA, decode_cmatrix, decode_cmatrix_stack, document_errors, field,
                      frame_from_doc, integer, items, model_from_doc, number, rep_from_doc)
-from .unfolding import (UnfoldingFamily, orbit_geometry, reconstruction_residual,
-                        semisimple_jordan_spec, slot_stacks, verify_gamma_versality)
-
-DEFAULT_TOL = 1e-8
-
-
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
+from .unfolding import (UnfoldingFamily, orbit_geometry, semisimple_jordan_spec, slot_stacks,
+                        verify_gamma_versality)
 
 
 class VerificationReport(NamedTuple):
@@ -71,82 +54,61 @@ def parse_artifact(doc):
 
 
 def verify_artifact(doc, tol=DEFAULT_TOL):
-    """Run the full invariant suite against an artifact document.
+    """Report, in table order, each invariant that the artifact determines at
+    base tolerance ``tol``, each followed by the decisions that rest on it:
+    the stored Theta rows, and the span and minimality of the family.
 
     A document that does not parse, or has mismatched shapes, raises
-    SchemaError.  Failed invariants are failed checks in the report,
-    including a reduced matrix that does not commute with G, which stops the
-    versality recomputation.
+    SchemaError; a recomputation that raises (a reduced matrix that does not
+    commute with G stops the versality one) is a failed check.
     """
     op, rep, frame, family, selected, theta_stored = parse_artifact(doc)
-    checks = []
-
-    def record(name, residual, bound=tol, extra=""):
-        passed = residual <= bound
-        detail = f"residual {residual:.3e} (tol {bound:.1e})" + (f"; {extra}" if extra else "")
-        checks.append(CheckResult(name=name, passed=passed, detail=detail))
-        return passed
-
-    rep_report = check_representation(rep, tol=tol)
-    checks.append(CheckResult(
-        "group.representation", rep_report.ok,
-        f"max residual {rep_report.max_residual:.3e}, "
-        f"{len(rep_report.violated_pairs)} violated pairs"))
-
-    record("model.equivariance", check_equivariance(op, rep))
-
-    record("frame.null_vectors", max(frame.null_vector_residuals(), default=0.0))
-    record("frame.gram_identity", frame.gram_residual())
-    record("frame.reduced_matrix",
-           float(np.max(np.abs(frame.B - np.diag(np.array(frame.lambdas))))))
-
     G = frame.G
-    g_report = check_representation(G, tol=tol)
-    checks.append(CheckResult(
-        "frame.induced_rep", g_report.ok,
-        f"max residual {g_report.max_residual:.3e}"))
-    record("frame.B_commutes_with_G", commutator_residual(G, [frame.B]))
-    record("frame.phi_intertwines", frame.intertwining_residual(rep))
-    record("family.coefficient_equivariance",
-           commutator_residual(rep, family.directions.reshape(-1, op.n, op.n)))
-
-    # center directions from the stored coefficients, and their projections
+    # center directions from the stored coefficients
     Phis = [frame.Phi_at(-r) for r in family.delays]
     bhats = family.center_directions(frame, Phis)
-    record("directions.projection_fixed_point",
-           float(np.max(np.abs(equivariant_average(G, G, bhats) - bhats), initial=0.0)))
+    args = {"group.representation": (rep,), "model.equivariance": (op, rep),
+            "frame.null_vectors": (frame,), "frame.gram_identity": (frame,),
+            "frame.reduced_matrix": (frame,), "frame.induced_rep": (G,),
+            "frame.B_commutes_with_G": (G, frame.B), "frame.phi_intertwines": (frame, rep),
+            "family.coefficient_equivariance": (rep, family.directions),
+            "directions.projection_fixed_point": (G, bhats)}
+    after = {}      # the decisions, by the invariant they follow
 
     try:
         geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
         _, Rbars, _, theta_re = slot_stacks(frame, rep, geometry)
-        dtheta = float(np.max(np.abs(theta_re.theta - theta_stored))) \
-            if theta_re.theta.shape == theta_stored.shape else np.inf
-        record("theta.matrix_consistency", dtheta)
-        checks.append(CheckResult(
+    except EqunfoldError as exc:
+        after["directions.projection_fixed_point"] = [
+            CheckResult("theta.recompute", False, str(exc))]
+    else:
+        args["theta.matrix_consistency"] = (theta_re.theta, theta_stored)
+        rows = after["theta.matrix_consistency"] = [CheckResult(
             "theta.selected_rows", tuple(theta_re.selected_rows) == tuple(selected),
-            f"stored {tuple(selected)}, recomputed {tuple(theta_re.selected_rows)}"))
+            f"stored {tuple(selected)}, recomputed {tuple(theta_re.selected_rows)}")]
         missing = [slot for slot in selected if slot >= len(Rbars)]
         if missing:
-            checks.append(CheckResult(
+            rows.append(CheckResult(
                 "unfolding.reconstruction", False,
                 f"selected row {missing[0]} is out of range ({len(Rbars)} slots recomputed)"))
         else:
-            record("unfolding.reconstruction", float(np.max(reconstruction_residual(
-                family.directions, Phis, Rbars[selected]), initial=0.0)))
-    except EqunfoldError as exc:
-        checks.append(CheckResult("theta.recompute", False, str(exc)))
+            args["unfolding.reconstruction"] = (family.directions, Phis, Rbars[selected])
 
     try:
         ver = verify_gamma_versality(frame.B, G, bhats)
+        args["versality.codimension_formula"] = (ver.codimension_formula, ver.codimension)
+        span = [CheckResult("versality.span", ver.versal,
+                            f"rank {ver.achieved_rank} of {ver.commutant_dim} "
+                            f"(tangent {ver.tangent_dim} + {ver.n_directions} directions)"),
+                CheckResult("versality.mini", ver.mini_versal,
+                            f"{ver.n_directions} parameters vs codimension {ver.codimension}")]
     except EqunfoldError as exc:
-        checks.append(CheckResult("versality.span", False, str(exc)))
-    else:
-        checks.append(CheckResult(
-            "versality.span", ver.versal,
-            f"rank {ver.achieved_rank} of {ver.commutant_dim} "
-            f"(tangent {ver.tangent_dim} + {ver.n_directions} directions)"))
-        checks.append(CheckResult(
-            "versality.mini", ver.mini_versal,
-            f"{ver.n_directions} parameters vs codimension {ver.codimension}"))
+        span = [CheckResult("versality.span", False, str(exc))]
+    after["unfolding.reconstruction"] = span
 
+    checks = []
+    for inv in INVARIANTS:
+        if inv.name in args:
+            checks.append(inv.report(*args[inv.name], tol=tol))
+        checks += after.get(inv.name, [])
     return VerificationReport(checks=tuple(checks))

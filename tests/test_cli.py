@@ -15,6 +15,7 @@ from equnfold import cli, d3
 from equnfold.cli import main
 from equnfold.frames import find_root
 from equnfold.groups import close_generators
+from equnfold.invariants import BY_NAME
 from equnfold.jsonio import (build_artifact, canonical_json, decode_cmatrix,
                              encode_cmatrix, model_to_doc, rep_to_doc, write_json_atomic)
 
@@ -350,8 +351,8 @@ class TestUnfold:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("preset, digest", [
-        ("d3:simple", "714dc972b48989772f09d8cbaf90dc4fe14e0206519541d7e612d8ec0383ec7c"),
-        ("d3:double", "f2b50a9ee5abf0e813d66e5df1143f35214a802010b1f736e2b53615467bfa73"),
+        ("d3:simple", "f81dada34b059fbb1dc6bfb2d22886d7908bbd881b2b2e6c70a406ad26df0152"),
+        ("d3:double", "a68c89ca12e9edea0ea7fb8f10ff50ce0004dbdacfae3171b793dbcc894508e7"),
     ])
     def test_preset_verify_report_is_pinned(self, tmp_path, capsys, preset, digest):
         # every residual the report prints is recomputed from the artifact,
@@ -595,14 +596,16 @@ def _rescaled(cfg, s):
 
 def _unfold_outcome(tmp_path, cfg):
     """What ``unfold --config`` decides: exit code, selected rows,
-    commutant dimension, codimension, achieved rank and lag count."""
+    commutant dimension, codimension, achieved rank and lag count; then the
+    exit code of ``verify`` on the artifact it wrote."""
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
     cfg_path.write_text(json.dumps(cfg))
     code = run(["unfold", "--config", str(cfg_path), "--output", str(out)])
     doc = json.loads(out.read_text())
     ver = doc["report"]["versality"]
     return (code, doc["unfolding"]["selected_rows"], ver["commutant_dim"],
-            ver["codimension"], ver["achieved_rank"], len(doc["unfolding"]["delays"]))
+            ver["codimension"], ver["achieved_rank"], len(doc["unfolding"]["delays"]),
+            run(["verify", str(out)]))
 
 
 class TestTimeRescaling:
@@ -642,6 +645,47 @@ class TestUnitaryConjugation:
         n = cfg["model"]["n"]
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         assert _unfold_outcome(tmp_path, _conjugated(cfg, Q)) == _unfold_outcome(tmp_path, cfg)
+
+
+def _reflection_off_generators(rep):
+    """A group element that is not a generator and whose permutation matrix
+    has trace 1, a swap: on each double eigenvalue of d3:double its induced
+    character is 0."""
+    gens = rep.group.generator_indices
+    return next(g for g in rep.group.elements() if g > max(gens)
+                and np.trace(rep.matrices[g]).real == 1)
+
+
+_SWAP = _reflection_off_generators(d3.triangle_rep())
+# invariant -> (artifact: "simple", "double" or "table" (simple, its group
+# as a table), the changes (path of a number, how many of its last keys index
+# the array that holds it, sign), other checks that fail with it); each
+# number changes by 1e-3 times max(1, the largest magnitude in its array)
+TAMPERS = {
+    "group.representation": ("table", [(("group", "matrices", 1, 0, 0, 0), 4, 1)], ()),
+    "model.equivariance": ("simple", [(("model", "terms", 1, "matrix", 0, 1, 0), 3, 1)], ()),
+    "frame.null_vectors": ("simple", [(("frame", "eigenvalues", 0, 1), 2, 1)], ()),
+    "frame.gram_identity": ("simple", [(("frame", "psi_directions", 0, 0, 0), 3, 1)], ()),
+    "frame.reduced_matrix": ("simple", [(("frame", "reduced_matrix", 0, 0, 1), 3, 1)], ()),
+    "frame.induced_rep": ("double", [(("frame", "induced_rep", 1, 0, 0, 0), 3, 1)], ()),
+    # G(1) no longer commutes with B: entry (0, 2) joins distinct eigenvalues
+    "frame.B_commutes_with_G": ("double", [(("frame", "induced_rep", 1, 0, 2, 0), 3, 1)],
+                                ("versality.span",)),
+    "frame.phi_intertwines": ("simple", [(("frame", "phi_directions", 0, 0, 0), 3, 1)], ()),
+    # break equivariance of one stored coefficient
+    "family.coefficient_equivariance": (
+        "simple", [(("unfolding", "coefficients", 0, 0, 0, 1, 0), 3, 1)], ()),
+    "directions.projection_fixed_point": (
+        "double", [(("frame", "psi_directions", 0, 0, 0), 3, 1)], ()),
+    "theta.matrix_consistency": ("simple", [(("theta", "matrix", 0, 0, 0), 3, 1)], ()),
+    "unfolding.reconstruction": ("simple", [(("unfolding", "delays", 3), 1, -1)], ()),
+    # the character sum on the eigenvalue blocks moves by 2 (1e-3)^2 / 6 when
+    # two of a swap's diagonal entries in different blocks move apart; the
+    # commutant's sum, over the whole trace, does not move
+    "versality.codimension_formula": ("double", [
+        (("frame", "induced_rep", _SWAP, 0, 0, 0), 3, 1),
+        (("frame", "induced_rep", _SWAP, 2, 2, 0), 3, -1)], ()),
+}
 
 
 class TestVerify:
@@ -685,14 +729,6 @@ class TestVerify:
         assert run(["verify", str(path)]) == 2
         err = capsys.readouterr().err
         assert "schema error" in err and message in err
-
-    def test_perturbed_coefficient_detected(self, tmp_path, simple_artifact):
-        doc = copy.deepcopy(simple_artifact)
-        # break equivariance of one stored coefficient by 1e-3
-        doc["unfolding"]["coefficients"][0][0][0][1][0] += 1e-3
-        path = tmp_path / "bad.json"
-        write_json_atomic(str(path), doc)
-        assert run(["verify", str(path)]) == 1
 
     def test_missing_direction_detected(self, tmp_path, simple_artifact):
         doc = copy.deepcopy(simple_artifact)
@@ -845,18 +881,35 @@ class TestVerify:
         assert run(["verify", str(bad)]) == 2
         assert message in capsys.readouterr().err
 
-    def test_noncommuting_induced_rep_is_reported(self, tmp_path, double_case):
+    @pytest.mark.parametrize("name", TAMPERS)
+    def test_tamper_fails_its_invariant(self, tmp_path, simple_artifact, double_case,
+                                        simple_case, name):
+        """One targeted change per invariant that verify reports fails that
+        invariant by name, so none is dead and no relative bound lets a
+        change of 1e-3 of the quantity's size through."""
+        case, changes, also = TAMPERS[name]
         r = double_case
-        doc = build_artifact(r.op, r.rep, r.frame, r.assembly, meta={"preset": "d3:double"})
-        # G(1) no longer commutes with B: entry (0, 2) joins distinct eigenvalues
-        doc["frame"]["induced_rep"][1][0][2][0] += 1e-3
-        path = tmp_path / "tampered.json"
+        doc = copy.deepcopy(simple_artifact if case == "simple" else build_artifact(
+            r.op, r.rep, r.frame, r.assembly, meta={"preset": "d3:double"}))
+        path, report = tmp_path / "tampered.json", tmp_path / "report.json"
         write_json_atomic(str(path), doc)
-        report = tmp_path / "report.json"
+        assert run(["verify", str(path), "--report", str(report)]) == 0
+        checks = json.loads(report.read_text())["checks"]
+        # every invariant that verify reports has its case here
+        assert {c["name"] for c in checks} & set(BY_NAME) == set(TAMPERS)
+        if case == "table":
+            doc["group"] = _table_group(simple_case.rep)
+        for keys, depth, sign in changes:
+            *outer, last = keys
+            node = functools.reduce(lambda node, key: node[key], outer, doc)
+            size = np.max(np.abs(functools.reduce(lambda node, key: node[key],
+                                                  keys[:-depth], doc)), initial=1.0)
+            node[last] += sign * 1e-3 * size
+        write_json_atomic(str(path), doc)
         assert run(["verify", str(path), "--report", str(report)]) == 1
         failed = {c["name"] for c in json.loads(report.read_text())["checks"]
                   if not c["passed"]}
-        assert {"frame.B_commutes_with_G", "versality.span"} <= failed
+        assert {name, *also} <= failed
 
 
 class TestCanonicalJson:

@@ -548,8 +548,9 @@ def _assert_case_structure(case, frame, assembly):
     """The structural facts of a worked case: a trivial induced action and a
     diagonal Theta (simple), or Theta's zero/duplicate row profile and
     vanishing mixed-slot directions (double); all four rows selected, a
-    mini-versal family, coefficients on the model's coupling pattern, and
-    independent per-lag parameters, complex and realified."""
+    mini-versal family whose codimension the character formula confirms,
+    coefficients on the model's coupling pattern, and independent per-lag
+    parameters, complex and realified."""
     c = frame.c
     theta = assembly.theta
     assert c == (4 if case == "simple" else 8)
@@ -567,6 +568,9 @@ def _assert_case_structure(case, frame, assembly):
         for m in range(4, 12):
             assert np.max(np.abs(assembly.directions[m])) < 1e-10
     assert assembly.versality.mini_versal
+    # the character formula of Z agrees with the rank that found it
+    ver = assembly.versality
+    assert abs(ver.codimension_formula - ver.codimension) < 1e-12
     fam = assembly.family
     patterns = [I3, I3, J3 - I3, J3 - I3]
     for row in fam.directions:

@@ -382,5 +382,5 @@ class TestInduceRepresentation:
     def test_non_equivariant_operator_rejected(self):
         op = DelayOperator(n=3, terms=((0.0, np.diag([1.0, 2.0, 3.0])),))
         frame = eigenbasis(op, [1.0])
-        with pytest.raises(FrameError, match="equivariant"):
+        with pytest.raises(FrameError, match="^model.equivariance: residual"):
             induce_representation(frame, d3.triangle_rep())

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from equnfold import d3
-from equnfold._linalg import RANK_RCOND, rank
+from equnfold._linalg import RANK_RCOND, rank, svd_rank
 from equnfold.cli import _run_config
 from equnfold.delays import DelayOperator, ExpVector
 from equnfold.errors import StructuralError, UnfoldingError
 from equnfold.frames import SpectralFrame
 from equnfold.groups import (Representation, close_generators, commutant_basis,
                              equivariant_average)
+from equnfold.invariants import BY_NAME
 from equnfold.jsonio import build_artifact, canonical_json, encode_cmatrix
 from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
                                 _diag_blocks, assemble_gamma_unfolding,
@@ -196,6 +197,15 @@ class TestGammaOrbitGeometry:
                            match="commutant dimension 64 by rank disagrees with 16 by the character"):
             gamma_orbit_geometry(double_case.frame.B, double_case.frame.G)
 
+    def test_misplaced_codimension_cut_fails_by_name(self, double_case, monkeypatch):
+        # a cutoff above every commutator image's singular value finds no
+        # tangent space, so all 16 commuting matrices would count toward Z
+        monkeypatch.setattr("equnfold.unfolding.svd_rank",
+                            lambda A, scale=0.0: svd_rank(A, scale, rcond=2.0))
+        with pytest.raises(UnfoldingError, match=r"^versality.codimension_formula \(Z = 16 "
+                                                 r"by rank disagrees with 4 by the character"):
+            gamma_orbit_geometry(double_case.frame.B, double_case.frame.G)
+
     @pytest.mark.parametrize("entry, formula", [(0.5, "0.25"), (1e200, "inf")])
     def test_character_sum_not_an_integer_is_a_disagreement(self, entry, formula):
         # a 1 x 1 "representation" of the trivial group: rank finds one
@@ -263,7 +273,7 @@ class TestThetaExtract:
                             W_basis=(geo.T_basis[0], geo.T_basis[1],
                                      geo.T_basis[2], geo.T_basis[3]),
                             delta=4)
-        with pytest.raises(UnfoldingError, match="complementary"):
+        with pytest.raises(UnfoldingError, match=r"^theta.decomposition \(direction 0\): residual"):
             theta_extract(bad, [geo.W_basis[0]])
 
     def test_non_finite_direction_named(self):
@@ -550,6 +560,8 @@ class TestStackedSolvesMatchPerSystemSolves:
     @pytest.mark.parametrize("n", range(3, 25))
     def test_ring_ladder(self, n):
         frame, assembly = _ring_case(n)
+        ver = assembly.versality
+        assert abs(ver.codimension_formula - ver.codimension) < 1e-12
         _assert_same_as_per_system_solves(frame, assembly.directions, assembly)
         _assert_assembly_matches_references(frame, assembly.family.rep, assembly)
 
@@ -697,7 +709,8 @@ class TestAssembledPipeline:
         frame = double_case.frame
         trivial = Representation(frame.G.group, np.broadcast_to(
             np.eye(frame.c), frame.G.matrices.shape))
-        with pytest.raises(UnfoldingError, match=r"^slot \d+: projection identity violated"):
+        with pytest.raises(UnfoldingError,
+                           match=r"^directions.projection_identity \(slot \d+\): residual"):
             assemble_gamma_unfolding(frame._replace(G=trivial), double_case.rep,
                                      double_case.delays, sparsity=d3.structure_masks())
 
@@ -736,7 +749,7 @@ class TestAssembledPipeline:
         asm = simple_case.assembly
         frame = simple_case.frame
         fam = asm.family
-        assert fam.max_equivariance_residual() < 1e-10
+        assert BY_NAME["family.coefficient_equivariance"].residual(fam.rep, fam.directions) < 1e-10
         for m, slot in enumerate(asm.theta.selected_rows):
             recon = sum(A @ frame.Phi_at(-r)
                         for A, r in zip(fam.directions[m], fam.delays))
