@@ -8,16 +8,18 @@ fixed points.
 
 import numpy as np
 
-from equnfold.groups import (check_representation, commutant_basis,
-                             equivariant_average)
+from equnfold.groups import commutant_basis, equivariant_average
 from equnfold.d3 import triangle_rep
+from equnfold.invariants import BY_NAME, DEFAULT_TOL
 
 np.set_printoptions(precision=4, suppress=True)
 
 rep = triangle_rep()
 print(f"closed group of order {rep.group.order}, "
       f"generators at indices {rep.group.generator_indices}")
-print("homomorphism check:", "ok" if check_representation(rep).ok else "FAILED")
+# rho(x) rho(g) = rho(xg) over every element x and generator g, at verify's bound
+check = BY_NAME["group.representation"].report(rep, tol=DEFAULT_TOL)
+print(f"homomorphism check: {'ok' if check.passed else 'FAILED'}, {check.detail}")
 
 # Averaging E11 spreads the single diagonal entry evenly over the diagonal.
 E11 = np.zeros((3, 3))

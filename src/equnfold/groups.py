@@ -10,6 +10,10 @@ onto the space of maps intertwining two representations.
 Groups can be entered directly as a multiplication table, or generated by
 closing a set of matrices under products (the usual way to specify a small
 symmetry group such as the dihedral group of the triangle).
+
+A fact that products preserve (rho is a homomorphism; a matrix commutes
+with rho) holds on every element when it holds on a generating set, so it is
+checked on :attr:`FiniteGroup.generators` only.
 """
 
 from typing import NamedTuple
@@ -20,7 +24,6 @@ from ._linalg import EPS, REP_TOL, SINGULAR_RCOND, null_basis, rank
 from .errors import StructuralError
 
 CLOSURE_TOL = 1e-10         # entrywise: closure products this close are one element
-HOMOMORPHISM_TOL = 1e-9     # default bound of check_representation
 DEFAULT_MAX_ORDER = 512
 
 
@@ -48,6 +51,13 @@ class FiniteGroup(NamedTuple):
     @property
     def order(self):
         return self.mul_table.shape[0]
+
+    @property
+    def generators(self):
+        """``generator_indices``, or every element when none are recorded (a
+        group read from a table); the homomorphism, commutation and
+        intertwining residuals are taken over these."""
+        return self.generator_indices or tuple(self.elements())
 
     def mul(self, a, b):
         return int(self.mul_table[a, b])
@@ -264,49 +274,23 @@ def _discovery_order(table, start):
     return order, pos, pairs
 
 
-class RepresentationReport(NamedTuple):
-    """Result of checking the homomorphism property of a representation."""
+def check_representation(rep):
+    """The worst entrywise residual of rho(e) = I and of rho(x) rho(g) = rho(xg)
+    over every element x and generator g (:attr:`FiniteGroup.generators`),
+    skipping NaN as ``max`` does; inf when some rho(x) is numerically
+    singular.
 
-    violated_pairs: tuple       # pairs (g, h) with rho(g)rho(h) != rho(gh)
-    max_residual: float         # worst entrywise residual over all pairs
-    identity_residual: float    # max |rho(e) - I|
-    singular_elements: tuple    # indices g with numerically singular rho(g)
-
-    @property
-    def ok(self):
-        return not self.violated_pairs and not self.singular_elements
-
-
-def check_representation(rep, tol=HOMOMORPHISM_TOL):
-    """Verify rho(gh) = rho(g)rho(h) on every pair, plus identity/invertibility.
-
-    Returns a :class:`RepresentationReport`; an empty ``violated_pairs`` list
-    means the homomorphism property holds within ``tol``.
+    By induction on word length, rho is a homomorphism exactly when these
+    residuals vanish: |G| products per generator instead of |G|^2.
     """
-    group = rep.group
-    mats = rep.matrices
-    d = rep.dim
-
-    identity_residual = float(np.max(np.abs(mats[group.identity] - np.eye(d))))
-
-    violated = []
-    max_res = identity_residual
-    for g in group.elements():
-        res = np.max(np.abs(mats[g] @ mats - mats[group.mul_table[g]]), axis=(1, 2))
-        max_res = max(max_res, float(np.fmax.reduce(res)))   # skips NaN, as max() does
-        violated.extend((g, int(h)) for h in np.nonzero(res > tol)[0])
-
-    singular = [int(g) for g in np.nonzero(rank(mats, scale=1.0, rcond=SINGULAR_RCOND) < d)[0]]
-
-    if identity_residual > tol:
-        violated.insert(0, (group.identity, group.identity))
-
-    return RepresentationReport(
-        violated_pairs=tuple(violated),
-        max_residual=max_res,
-        identity_residual=identity_residual,
-        singular_elements=tuple(singular),
-    )
+    group, mats = rep.group, rep.matrices
+    if np.any(rank(mats, scale=1.0, rcond=SINGULAR_RCOND) < rep.dim):
+        return np.inf
+    worst = np.fmax.reduce(np.abs(mats[group.identity] - np.eye(rep.dim)), axis=None)
+    for g in group.generators:
+        worst = np.fmax(worst, np.fmax.reduce(
+            np.abs(mats @ mats[g] - mats[group.mul_table[:, g]]), axis=None))
+    return float(worst)
 
 
 def equivariant_average(rep_left, rep_right, M):
@@ -340,23 +324,24 @@ def equivariant_average(rep_left, rep_right, M):
 
 
 def commutator_residual(rep, matrices):
-    """Max entrywise ``|rho(g) A - A rho(g)|`` over every element g and every A.
+    """Max entrywise ``|rho(g) A - A rho(g)|`` over every generator g and every A.
 
     Zero (within tolerance) exactly when each matrix commutes with the group
-    action.
+    action, for a rho that is a homomorphism (:func:`check_representation`).
     """
+    gens = rep.matrices[list(rep.group.generators)]
     res = 0.0
     for A in matrices:
         A = np.asarray(A, dtype=complex)
-        res = max(res, float(np.max(np.abs(rep.matrices @ A - A @ rep.matrices))))
+        res = max(res, float(np.max(np.abs(gens @ A - A @ gens))))
     return res
 
 
 def commutant_basis(rep):
     """Orthonormal basis of the matrices commuting with every rho(g).
 
-    Solves the linear constraints ``rho(g) X - X rho(g) = 0`` stacked over a
-    generating set (all elements when no generators are recorded) and returns
+    Solves the linear constraints ``rho(g) X - X rho(g) = 0`` stacked over the
+    generators (:attr:`FiniteGroup.generators`) and returns
     the common null space reshaped to matrices.  The basis is orthonormal in
     the Frobenius inner product.  The cut is ``REP_TOL``, the residual an
     induced representation is held to, so its constraint noise counts as
@@ -364,11 +349,10 @@ def commutant_basis(rep):
     representation constrains nothing.
     """
     d = rep.dim
-    gens = rep.group.generator_indices or tuple(rep.group.elements())
     eye = np.eye(d)
     blocks = []
     scale = 1.0
-    for g in gens:
+    for g in rep.group.generators:
         R = rep.matrices[g]
         scale = max(scale, float(np.linalg.norm(R, 2)))
         # row-major vec: vec(R X - X R) = (kron(R, I) - kron(I, R^T)) vec(X)

@@ -213,32 +213,34 @@ class GammaOrbitGeometry(NamedTuple):
         return len(self.T_basis)
 
 
-def gamma_orbit_geometry(B, G):
+def gamma_orbit_geometry(B, G, tol=None):
     """Restrict the orbit geometry to matrices commuting with the G action.
 
     The character sums (:func:`_character_sum`) check both rank decisions:
     dim Mat^Gamma, over one block, the commutant's null-space cut; and, for
     a diagonal B, Z = sum_lam (1/|Gamma|) sum_g |chi_lam(g)|^2 over the
     eigenvalue blocks (chi_lam the character of G on lam's eigenspace), the
-    rank of the commutator images."""
+    rank of the commutator images.  Each invariant it asserts holds at its
+    own tolerance, or at ``tol`` where that is looser."""
     B = np.asarray(B, dtype=complex)
     c = B.shape[0]
-    invariants.check("frame.B_commutes_with_G", G, B)
+    invariants.check("frame.B_commutes_with_G", G, B, tol=tol)
     comm = commutant_basis(G)
     if not comm:
         raise UnfoldingError("empty commutant")
     formula = _character_sum(G, [list(range(c))])
-    invariants.check("versality.commutant_formula", formula, len(comm), where=lambda _: (
-        f"commutant dimension {len(comm)} by rank disagrees with {formula:.6g} "
-        "by the character formula"))
+    invariants.check("versality.commutant_formula", formula, len(comm), tol=tol,
+                     where=lambda _: (f"commutant dimension {len(comm)} by rank disagrees "
+                                      f"with {formula:.6g} by the character formula"))
     images = np.column_stack([_vec(B @ K - K @ B) for K in comm])
     # scale |B|: commutator columns at rounding level count as zero even when all are tiny
     U, _, r = svd_rank(images, scale=float(np.linalg.norm(B, 2)))
     Z_dim, Z_formula = len(comm) - r, np.nan
     if _is_diagonal(B):
         Z_formula = _character_sum(G, _diag_blocks(np.diag(B)))
-        invariants.check("versality.codimension_formula", Z_formula, Z_dim, where=lambda _: (
-            f"Z = {Z_dim} by rank disagrees with {Z_formula:.6g} by the character formula"))
+        invariants.check("versality.codimension_formula", Z_formula, Z_dim, tol=tol,
+                         where=lambda _: (f"Z = {Z_dim} by rank disagrees with "
+                                          f"{Z_formula:.6g} by the character formula"))
     T_basis = tuple(U[:, k].reshape(c, c) for k in range(r))
     return GammaOrbitGeometry(B=B, commutant=tuple(comm), T_basis=T_basis, Z_dim=Z_dim,
                               Z_formula=Z_formula)
@@ -542,7 +544,7 @@ class VersalityReport(NamedTuple):
         return self.commutant_dim - self.achieved_rank
 
 
-def verify_gamma_versality(B, G, directions):
+def verify_gamma_versality(B, G, directions, tol=None):
     """Check ``Mat^Gamma = [B, Mat^Gamma] + span(directions)`` by rank.
 
     Versal when the concatenated coordinates reach the commutant dimension;
@@ -550,11 +552,12 @@ def verify_gamma_versality(B, G, directions):
     equivariant codimension.  A span that falls short is reported, not
     raised; a B that does not commute with G, or a direction with a
     non-finite entry (whose span has no rank), raises UnfoldingError.
+    ``tol`` loosens the geometry's checks (:func:`gamma_orbit_geometry`).
     """
     for i, D in enumerate(directions):
         if not np.all(np.isfinite(D)):
             raise UnfoldingError(f"direction {i} has a non-finite entry")
-    geo = gamma_orbit_geometry(B, G)
+    geo = gamma_orbit_geometry(B, G, tol)
     Kmat = np.column_stack([_vec(K) for K in geo.commutant])  # orthonormal columns
     equiv_res = 0.0
     cols = [Kmat.conj().T @ _vec(T) for T in geo.T_basis]

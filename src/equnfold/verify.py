@@ -60,7 +60,9 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
 
     A document that does not parse, or has mismatched shapes, raises
     SchemaError; a recomputation that raises (a reduced matrix that does not
-    commute with G stops the versality one) is a failed check.
+    commute with G stops the versality one) is a failed check.  The versality
+    recomputation asserts its invariants at ``tol`` where that is looser than
+    their own tolerance, so no line fails an entry that passes on its own line.
     """
     op, rep, frame, family, selected, theta_stored = parse_artifact(doc)
     G = frame.G
@@ -95,7 +97,7 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
             args["unfolding.reconstruction"] = (family.directions, Phis, Rbars[selected])
 
     try:
-        ver = verify_gamma_versality(frame.B, G, bhats)
+        ver = verify_gamma_versality(frame.B, G, bhats, tol)
         args["versality.codimension_formula"] = (ver.codimension_formula, ver.codimension)
         span = [CheckResult("versality.span", ver.versal,
                             f"rank {ver.achieved_rank} of {ver.commutant_dim} "

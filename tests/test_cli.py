@@ -352,7 +352,7 @@ class TestUnfold:
 
     @pytest.mark.parametrize("preset, digest", [
         ("d3:simple", "f81dada34b059fbb1dc6bfb2d22886d7908bbd881b2b2e6c70a406ad26df0152"),
-        ("d3:double", "a68c89ca12e9edea0ea7fb8f10ff50ce0004dbdacfae3171b793dbcc894508e7"),
+        ("d3:double", "d5bc5dcf6c9722635a8f5efa051c2deba5b46757c8c384681fb4e7135fe99379"),
     ])
     def test_preset_verify_report_is_pinned(self, tmp_path, capsys, preset, digest):
         # every residual the report prints is recomputed from the artifact,
@@ -686,6 +686,19 @@ TAMPERS = {
         (("frame", "induced_rep", _SWAP, 0, 0, 0), 3, 1),
         (("frame", "induced_rep", _SWAP, 2, 2, 0), 3, -1)], ()),
 }
+# every tamper verify is run on, by id: (invariant, tamper as in TAMPERS,
+# verify's --tol); at the default --tol the invariant fails, at a loose one
+# it passes
+TAMPER_CASES = {name: (name, tamper, None) for name, tamper in TAMPERS.items()} | {
+    # a swap is no generator: the products x g that land on it read it
+    "frame.induced_rep-off-generators": (
+        "frame.induced_rep", ("double", [(("frame", "induced_rep", _SWAP, 1, 0, 0), 3, 1)], ()),
+        None),
+    # the commutation passes at --tol 1e-2, on its own line and inside the
+    # versality check alike
+    "frame.B_commutes_with_G-tol-1e-2": (
+        "frame.B_commutes_with_G", TAMPERS["frame.B_commutes_with_G"], "1e-2"),
+}
 
 
 class TestVerify:
@@ -881,13 +894,14 @@ class TestVerify:
         assert run(["verify", str(bad)]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", TAMPERS)
+    @pytest.mark.parametrize("key", TAMPER_CASES)
     def test_tamper_fails_its_invariant(self, tmp_path, simple_artifact, double_case,
-                                        simple_case, name):
+                                        simple_case, key):
         """One targeted change per invariant that verify reports fails that
         invariant by name, so none is dead and no relative bound lets a
-        change of 1e-3 of the quantity's size through."""
-        case, changes, also = TAMPERS[name]
+        change of 1e-3 of the quantity's size through; and no line fails an
+        entry that passes on its own line."""
+        name, (case, changes, also), tol = TAMPER_CASES[key]
         r = double_case
         doc = copy.deepcopy(simple_artifact if case == "simple" else build_artifact(
             r.op, r.rep, r.frame, r.assembly, meta={"preset": "d3:double"}))
@@ -906,10 +920,15 @@ class TestVerify:
                                                   keys[:-depth], doc)), initial=1.0)
             node[last] += sign * 1e-3 * size
         write_json_atomic(str(path), doc)
-        assert run(["verify", str(path), "--report", str(report)]) == 1
-        failed = {c["name"] for c in json.loads(report.read_text())["checks"]
-                  if not c["passed"]}
-        assert {name, *also} <= failed
+        code = run(["verify", str(path), "--report", str(report),
+                    *([] if tol is None else ["--tol", tol])])
+        checks = json.loads(report.read_text())["checks"]
+        failed = {c["name"] for c in checks if not c["passed"]}
+        assert code == (1 if failed else 0)
+        assert ({name, *also} <= failed) if tol is None else (name not in failed)
+        passed = {c["name"] for c in checks if c["passed"]}
+        assert not [(c["name"], entry) for c in checks if not c["passed"]
+                    for entry in passed if entry in c["detail"]]
 
 
 class TestCanonicalJson:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from equnfold.d3 import GAMMA_MAT, KAPPA_MAT, OMEGA, triangle_rep
+from equnfold._linalg import scaled
 from equnfold.errors import StructuralError
 from equnfold.groups import (CLOSURE_TOL, FiniteGroup, Representation, _lookup,
                              check_representation, close_generators, commutant_basis,
                              equivariant_average)
+from equnfold.invariants import BY_NAME, DEFAULT_TOL
 
 from conftest import random_complex
 
@@ -289,25 +291,20 @@ class TestLookup:
 
 class TestCheckRepresentation:
     def test_triangle_rep_valid(self):
-        report = check_representation(triangle_rep())
-        assert report.ok
-        assert report.max_residual == 0.0
+        assert check_representation(triangle_rep()) == 0.0
 
     def test_trivial_rep_valid(self):
         group = triangle_rep().group
         mats = np.broadcast_to(np.eye(4), (6, 4, 4)).astype(complex)
-        assert check_representation(Representation(group, mats.copy())).ok
+        assert check_representation(Representation(group, mats.copy())) == 0.0
 
     def test_transposed_generator_detected(self):
         rep = triangle_rep()
         gam = rep.group.generator_indices[1]
-        kap = rep.group.generator_indices[0]
         mats = rep.matrices.copy()
         mats[gam] = mats[gam].T     # gamma^-1 in place of gamma
-        bad = Representation(rep.group, mats)
-        report = check_representation(bad)
-        assert not report.ok
-        assert (gam, kap) in report.violated_pairs
+        # a permutation matrix in place of another: some entry is off by 1
+        assert check_representation(Representation(rep.group, mats)) == 1.0
 
     def test_shape_mismatch_is_structural(self):
         group = triangle_rep().group
@@ -318,9 +315,22 @@ class TestCheckRepresentation:
         rep = triangle_rep()
         mats = rep.matrices.copy()
         mats[3] = 0.0
-        report = check_representation(Representation(rep.group, mats))
-        assert 3 in report.singular_elements
-        assert not report.ok
+        assert check_representation(Representation(rep.group, mats)) == np.inf
+
+    def test_generators_default_to_every_element(self):
+        rep = triangle_rep()
+        assert rep.group.generators == rep.group.generator_indices == (1, 2)
+        table = FiniteGroup.from_mul_table(rep.group.mul_table)
+        assert table.generators == tuple(range(6))
+
+    def test_non_generator_element_detected(self):
+        # the last element the closure finds is a word of length 3 or more in
+        # the hexagon's rotation and reflection; the product x g that lands on
+        # it reads its matrix
+        rep = close_generators([_shift(6), _reflection(6)])
+        mats = rep.matrices.copy()
+        mats[-1, 0, 0] += 1e-3
+        assert check_representation(Representation(rep.group, mats)) == pytest.approx(1e-3)
 
 
 def _check_representation_loop(rep, tol=1e-9):
@@ -344,6 +354,9 @@ def _check_representation_loop(rep, tol=1e-9):
 class TestCheckRepresentationOracle:
     @pytest.mark.parametrize("case", ["valid", "perturbed", "singular", "overflow", "dihedral"])
     def test_same_report_as_pairwise_loop(self, case, rng):
+        """The entry ``group.representation`` fails exactly when the loop over
+        every pair, at the entry's bound, finds a violated pair or a singular
+        element; its residual, over the products x g, is at most the loop's."""
         rep = close_generators([_shift(6), _reflection(6)]) if case == "dihedral" \
             else triangle_rep()
         mats = rep.matrices.copy()
@@ -354,12 +367,14 @@ class TestCheckRepresentationOracle:
         elif case == "overflow":
             mats[1] = 1e300 * np.array([[1, -1, 1], [1, 1, -1], [-1, 1, 1]])
         rep = Representation(rep.group, mats)
+        entry = BY_NAME["group.representation"]
         with np.errstate(over="ignore", invalid="ignore"):
-            violated, max_res, singular = _check_representation_loop(rep)
-            report = check_representation(rep)
-        assert list(report.violated_pairs) == violated
-        assert report.max_residual == max_res
-        assert list(report.singular_elements) == singular
+            bound = min(scaled(DEFAULT_TOL, np.max(np.abs(mats)) ** 2), np.finfo(float).max)
+            violated, max_res, singular = _check_representation_loop(rep, tol=bound)
+            residual = check_representation(rep)
+            passed = entry.report(rep, tol=DEFAULT_TOL).passed
+        assert passed == (not violated and not singular)
+        assert residual <= (np.inf if singular else max_res)
 
 
 class TestEquivariantAverage:

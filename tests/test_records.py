@@ -11,7 +11,6 @@ import pytest
 import equnfold
 from equnfold.errors import SchemaError
 from equnfold.frames import find_root
-from equnfold.groups import check_representation
 from equnfold.jsonio import canonical_json
 from equnfold.unfolding import gamma_orbit_geometry, orbit_geometry, semisimple_jordan_spec
 from equnfold.verify import verify_artifact
@@ -31,8 +30,8 @@ def _record_types():
 
 RECORDS = ("CheckResult", "D3CaseResult", "D3ModelParams", "DelayOperator", "DoubleHopfPoint",
            "ExpVector", "FiniteGroup", "GammaOrbitGeometry", "GammaUnfolding", "OrbitGeometry",
-           "Representation", "RepresentationReport", "RootResult", "SpectralFrame", "ThetaReport",
-           "UnfoldingFamily", "VerificationReport", "VersalityReport")
+           "Representation", "RootResult", "SpectralFrame", "ThetaReport", "UnfoldingFamily",
+           "VerificationReport", "VersalityReport")
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +44,6 @@ def records(simple_case, simple_artifact):
         "D3CaseResult": r, "DoubleHopfPoint": r.point, "D3ModelParams": r.point.params(),
         "DelayOperator": r.op, "ExpVector": frame.phi[0],
         "FiniteGroup": r.rep.group, "Representation": r.rep,
-        "RepresentationReport": check_representation(r.rep),
         "RootResult": find_root(r.op, frame.lambdas[0]), "SpectralFrame": frame,
         "OrbitGeometry": orbit_geometry(frame.B, semisimple_jordan_spec(np.diag(frame.B))),
         "GammaOrbitGeometry": gamma_orbit_geometry(frame.B, frame.G),
