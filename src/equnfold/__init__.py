@@ -16,10 +16,9 @@ from .errors import (EqunfoldError, FrameError, RootFindingError, SchemaError,
 from .frames import SpectralFrame, eigenbasis, find_root, induce_representation
 from .groups import (FiniteGroup, Representation, check_representation,
                      close_generators, commutant_basis, equivariant_average)
-from .unfolding import (GammaOrbitGeometry, OrbitGeometry, ThetaReport,
-                        UnfoldingFamily, assemble_gamma_unfolding,
-                        build_R_matrices, exponential_delay_matrix,
-                        gamma_orbit_geometry, jordan_codimension,
+from .unfolding import (OrbitGeometry, ThetaReport, UnfoldingFamily,
+                        assemble_gamma_unfolding, build_R_matrices,
+                        exponential_delay_matrix, jordan_codimension,
                         orbit_geometry, realify,
                         scaled_det, select_delays, semisimple_jordan_spec,
                         slot_reparametrization, solve_delay_realization,

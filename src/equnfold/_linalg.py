@@ -49,6 +49,12 @@ def svd_rank(A, scale=0.0, rcond=RANK_RCOND, full_matrices=True):
     return U, Vh, int(_count(s, scale, rcond))
 
 
+def ad_matrix(B):
+    """Matrix of ``Y -> B Y - Y B`` acting on row-major vec(Y)."""
+    eye = np.eye(B.shape[0])
+    return np.kron(B, eye) - np.kron(eye, B.T)
+
+
 def null_basis(A, scale=0.0, rcond=RANK_RCOND):
     """Orthonormal columns spanning the numerical null space of A.
 

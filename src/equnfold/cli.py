@@ -22,10 +22,10 @@ from . import d3
 from ._linalg import scaled
 from .errors import EqunfoldError, SchemaError
 from .frames import ROOT_TOL, eigenbasis, find_root, induce_representation
-from .jsonio import (build_artifact, field, invalid, items, model_from_doc, number,
-                     pair_complex, read_json, rep_from_doc, write_json_atomic,
-                     write_text_atomic)
-from .unfolding import assemble_gamma_unfolding, select_delays
+from .jsonio import (SCHEMA, build_artifact, document_errors, field, invalid, items,
+                     model_from_doc, number, pair_complex, read_json, rep_from_doc,
+                     write_json_atomic, write_text_atomic)
+from .unfolding import assemble_gamma_unfolding, check_sparsity, select_delays
 from .verify import DEFAULT_TOL, verify_artifact
 
 EXIT_OK = 0
@@ -105,7 +105,7 @@ def cmd_double_hopf(args):
         alpha_window=alpha_window, tau_s_window=tau_s_window,
     )
     doc = {
-        "schema": "equivar-unfold/1",
+        "schema": SCHEMA,
         "kind": "double-hopf-points",
         "factor": args.factor,
         "beta": args.beta,
@@ -150,18 +150,6 @@ def _mask(doc, path):
     if len(set(map(len, rows))) > 1:
         raise SchemaError(f"{path} has rows of different lengths")
     return np.array(rows, dtype=bool)
-
-
-def _check_sparsity(masks, n_delays, n):
-    """One mask (or None) per lag, each n x n; checked once the lags are known."""
-    if masks is None:
-        return
-    if len(masks) != n_delays:
-        raise SchemaError(f"sparsity must hold one mask per delay: {len(masks)} masks "
-                          f"for {n_delays} delays")
-    for k, m in enumerate(masks):
-        if m is not None and m.shape != (n, n):
-            raise SchemaError(f"sparsity[{k}] has shape {m.shape}, expected ({n}, {n})")
 
 
 def _run_config(cfg):
@@ -219,7 +207,8 @@ def _run_config(cfg):
     frame = induce_representation(frame, rep)
     if delays is None:
         delays = select_delays(frame)
-    _check_sparsity(sparsity, len(delays), op.n)
+    with document_errors():
+        check_sparsity(sparsity, len(delays), op.n)
     assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=sparsity)
     return op, rep, frame, assembly, {"source": "config"}, output
 
@@ -269,7 +258,7 @@ def cmd_verify(args):
         print(line)
     if args.report:
         out = {
-            "schema": "equivar-unfold/1",
+            "schema": SCHEMA,
             "kind": "verification-report",
             "ok": report.ok,
             "checks": [

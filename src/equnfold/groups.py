@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import EPS, REP_TOL, SINGULAR_RCOND, null_basis, rank
+from ._linalg import EPS, REP_TOL, SINGULAR_RCOND, ad_matrix, null_basis, rank
 from .errors import StructuralError
 
 CLOSURE_TOL = 1e-10         # entrywise: closure products this close are one element
@@ -338,7 +338,8 @@ def commutator_residual(rep, matrices):
 
 
 def commutant_basis(rep):
-    """Orthonormal basis of the matrices commuting with every rho(g).
+    """Orthonormal basis of the matrices commuting with every rho(g), as a
+    ``(k, dim, dim)`` stack.
 
     Solves the linear constraints ``rho(g) X - X rho(g) = 0`` stacked over the
     generators (:attr:`FiniteGroup.generators`) and returns
@@ -348,14 +349,7 @@ def commutant_basis(rep):
     null; its scale is the representation norm: a numerically trivial
     representation constrains nothing.
     """
-    d = rep.dim
-    eye = np.eye(d)
-    blocks = []
-    scale = 1.0
-    for g in rep.group.generators:
-        R = rep.matrices[g]
-        scale = max(scale, float(np.linalg.norm(R, 2)))
-        # row-major vec: vec(R X - X R) = (kron(R, I) - kron(I, R^T)) vec(X)
-        blocks.append(np.kron(R, eye) - np.kron(eye, R.T))
-    ns = null_basis(np.vstack(blocks), scale, REP_TOL)
-    return [ns[:, k].reshape(d, d) for k in range(ns.shape[1])]
+    gens = rep.matrices[list(rep.group.generators)]
+    scale = max(1.0, *(float(np.linalg.norm(R, 2)) for R in gens))
+    ns = null_basis(np.vstack([ad_matrix(R) for R in gens]), scale, REP_TOL)
+    return ns.T.reshape(-1, rep.dim, rep.dim)

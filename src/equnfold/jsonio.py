@@ -166,6 +166,13 @@ def integer(x, path):
     return x
 
 
+def boolean(x, path):
+    """A JSON true or false; 0 and 1 are not one."""
+    if not isinstance(x, bool):
+        raise invalid(path, "true or false", x)
+    return x
+
+
 def items(doc, path, read):
     """The list at ``path``, each entry read by ``read(entry, f"{path}[k]")``."""
     if not isinstance(doc, list):

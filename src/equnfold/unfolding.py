@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import invariants
-from ._linalg import (LAG_GAP, LAG_MATCH_TOL, RANK_RCOND, REALIZATION_TOL, rank, scaled,
-                      svd_rank)
+from ._linalg import (LAG_GAP, LAG_MATCH_TOL, RANK_RCOND, REALIZATION_TOL, ad_matrix, rank,
+                      scaled, svd_rank)
 from .delays import DelayOperator
 from .errors import StructuralError, UnfoldingError
 from .groups import commutant_basis, equivariant_average
@@ -37,13 +37,6 @@ PATTERN_FLOOR = 1e-14          # a lag whose coefficients all lie below this has
 
 def _vec(M):
     return np.asarray(M, dtype=complex).reshape(-1)
-
-
-def ad_matrix(B):
-    """Matrix of ``Y -> B Y - Y B`` acting on row-major vec(Y)."""
-    c = B.shape[0]
-    eye = np.eye(c)
-    return np.kron(B, eye) - np.kron(eye, B.T)
 
 
 def jordan_codimension(jordan_spec):
@@ -194,58 +187,6 @@ def orbit_geometry(B, jordan_spec):
     return geo
 
 
-class GammaOrbitGeometry(NamedTuple):
-    """Equivariant orbit data: the commutant, its ad_B image, and the
-    dimension of the equivariant centralizer (the equivariant codimension)."""
-
-    B: np.ndarray
-    commutant: tuple        # orthonormal basis of Mat^Gamma
-    T_basis: tuple          # basis of [B, Mat^Gamma]
-    Z_dim: int              # dim of the equivariant centralizer of B
-    Z_formula: float        # the same by characters; NaN for a B not diagonal
-
-    @property
-    def commutant_dim(self):
-        return len(self.commutant)
-
-    @property
-    def tangent_dim(self):
-        return len(self.T_basis)
-
-
-def gamma_orbit_geometry(B, G, tol=None):
-    """Restrict the orbit geometry to matrices commuting with the G action.
-
-    The character sums (:func:`_character_sum`) check both rank decisions:
-    dim Mat^Gamma, over one block, the commutant's null-space cut; and, for
-    a diagonal B, Z = sum_lam (1/|Gamma|) sum_g |chi_lam(g)|^2 over the
-    eigenvalue blocks (chi_lam the character of G on lam's eigenspace), the
-    rank of the commutator images.  Each invariant it asserts holds at its
-    own tolerance, or at ``tol`` where that is looser."""
-    B = np.asarray(B, dtype=complex)
-    c = B.shape[0]
-    invariants.check("frame.B_commutes_with_G", G, B, tol=tol)
-    comm = commutant_basis(G)
-    if not comm:
-        raise UnfoldingError("empty commutant")
-    formula = _character_sum(G, [list(range(c))])
-    invariants.check("versality.commutant_formula", formula, len(comm), tol=tol,
-                     where=lambda _: (f"commutant dimension {len(comm)} by rank disagrees "
-                                      f"with {formula:.6g} by the character formula"))
-    images = np.column_stack([_vec(B @ K - K @ B) for K in comm])
-    # scale |B|: commutator columns at rounding level count as zero even when all are tiny
-    U, _, r = svd_rank(images, scale=float(np.linalg.norm(B, 2)))
-    Z_dim, Z_formula = len(comm) - r, np.nan
-    if _is_diagonal(B):
-        Z_formula = _character_sum(G, _diag_blocks(np.diag(B)))
-        invariants.check("versality.codimension_formula", Z_formula, Z_dim, tol=tol,
-                         where=lambda _: (f"Z = {Z_dim} by rank disagrees with "
-                                          f"{Z_formula:.6g} by the character formula"))
-    T_basis = tuple(U[:, k].reshape(c, c) for k in range(r))
-    return GammaOrbitGeometry(B=B, commutant=tuple(comm), T_basis=T_basis, Z_dim=Z_dim,
-                              Z_formula=Z_formula)
-
-
 class ThetaReport(NamedTuple):
     """Coordinates of unfolding directions in the orbit complement.
 
@@ -266,10 +207,10 @@ def theta_extract(geometry, directions):
     Every direction must split as ``[B, y] + sum_j theta_j Omega_j`` (it
     always does, the bases span the space); the least-squares residual is
     reported and held to the invariant ``theta.decomposition``, relative to
-    the direction.  Row selection walks the rows in order and keeps those
-    outside the span of the rows already kept, with a relative tolerance on
-    the rejection test.  A direction with a non-finite entry is an
-    :class:`UnfoldingError`.
+    the direction.  Row selection walks the rows in order and keeps a row
+    when it raises the numerical rank (:func:`_linalg.rank` at scale
+    max|Theta|) of the rows already kept.  A direction with a non-finite
+    entry is an :class:`UnfoldingError`.
     """
     S = geometry.basis_matrix()
     t = len(geometry.T_basis)
@@ -294,14 +235,9 @@ def theta_extract(geometry, directions):
 
     scale = float(np.max(np.abs(theta))) if p else 0.0
     selected = []
-    basis = []
     for i in range(p):
-        row = theta[i].copy()
-        for q in basis:
-            row = row - (q.conj() @ row) * q
-        if scale > 0 and np.linalg.norm(row) > RANK_RCOND * scale:
+        if rank(theta[selected + [i]], scale=scale) > len(selected):
             selected.append(i)
-            basis.append(row / np.linalg.norm(row))
     return ThetaReport(theta=theta, residuals=tuple(residuals),
                        selected_rows=tuple(selected), rank=len(selected))
 
@@ -381,6 +317,19 @@ def _lag_basis(frame, delays, context=""):
     return Phis
 
 
+def check_sparsity(sparsity, n_delays, n):
+    """Raise StructuralError unless ``sparsity`` (None: no masks) holds one
+    mask per lag, each n x n or None (every entry free)."""
+    if sparsity is None:
+        return
+    if len(sparsity) != n_delays:
+        raise StructuralError(f"sparsity must hold one mask per delay: {len(sparsity)} masks "
+                              f"for {n_delays} delays")
+    for k, m in enumerate(sparsity):
+        if m is not None and np.shape(m) != (n, n):
+            raise StructuralError(f"sparsity[{k}] has shape {np.shape(m)}, expected ({n}, {n})")
+
+
 def solve_delay_realization(frame, delays, R, sparsity=None, Phis=None):
     """Solve ``sum_j A_j Phi(-r_j) = R`` for coefficient matrices A_j.
 
@@ -411,13 +360,9 @@ def solve_delay_realization(frame, delays, R, sparsity=None, Phis=None):
     if R.ndim not in (2, 3) or R.shape[-2:] != (n, c):
         raise StructuralError(f"target shape {R.shape} != ({n}, {c})")
     J = len(delays)
+    check_sparsity(sparsity, J, n)
     masks = [np.ones((n, n), dtype=bool) if m is None else np.asarray(m, dtype=bool)
              for m in ([None] * J if sparsity is None else sparsity)]
-    if len(masks) != J:
-        raise StructuralError("one sparsity mask per delay required")
-    for m in masks:
-        if m.shape != (n, n):
-            raise StructuralError(f"mask shape {m.shape} != ({n}, {n})")
 
     if Phis is None:
         Phis = _lag_basis(frame, delays)
@@ -457,12 +402,14 @@ def solve_delay_realization(frame, delays, R, sparsity=None, Phis=None):
     return A.reshape(R.shape[:-2] + (J, n, n))
 
 
-def slot_stacks(frame, rep, geometry):
+def slot_stacks(frame, rep):
     """Derive the unfolding slots of an equivariant frame, in order: the
-    ``(p, n, c)`` stack R of :func:`build_R_matrices`, its group average
+    ``(p, n, c)`` stack R of :func:`build_R_matrices` over the orbit
+    geometry of the frame's semisimple B, its group average
     ``Rbar = (1/|G|) sum_g rho(g) R G(g)^-1``, the ``(p, c, c)`` center
     directions ``Bhat = Psi(0) Rbar``, and their Theta report.  The build
     and ``verify`` derive slots only here."""
+    geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
     Rs = build_R_matrices(frame, geometry)
     Rbars = equivariant_average(rep, frame.G, Rs)
     Bhats = frame.Psi0 @ Rbars
@@ -534,7 +481,7 @@ class VersalityReport(NamedTuple):
     commutant_dim: int
     tangent_dim: int
     codimension: int         # dim of the equivariant centralizer
-    codimension_formula: float   # the same by characters (GammaOrbitGeometry.Z_formula)
+    codimension_formula: float   # the same by characters; NaN for a B not diagonal
     achieved_rank: int
     n_directions: int
     max_equivariance_residual: float
@@ -547,35 +494,60 @@ class VersalityReport(NamedTuple):
 def verify_gamma_versality(B, G, directions, tol=None):
     """Check ``Mat^Gamma = [B, Mat^Gamma] + span(directions)`` by rank.
 
-    Versal when the concatenated coordinates reach the commutant dimension;
-    mini-versal when additionally the direction count equals the
-    equivariant codimension.  A span that falls short is reported, not
-    raised; a B that does not commute with G, or a direction with a
-    non-finite entry (whose span has no rank), raises UnfoldingError.
-    ``tol`` loosens the geometry's checks (:func:`gamma_orbit_geometry`).
+    Versal when the concatenated coordinates reach dim Mat^Gamma;
+    mini-versal when additionally the direction count equals Z, the
+    dimension of the equivariant centralizer (the equivariant codimension):
+    dim Mat^Gamma minus the rank of the commutator images [B, K] at scale
+    ||B||_2.  The character sums (:func:`_character_sum`) check both rank
+    decisions: dim Mat^Gamma, over one block, the commutant's null-space cut;
+    and, for a diagonal B, Z = sum_lam (1/|Gamma|) sum_g |chi_lam(g)|^2 over
+    the eigenvalue blocks (chi_lam the character of G on lam's eigenspace).
+    A span that falls short is reported, not raised; a B that does not
+    commute with G, a failed character check, or a direction with a
+    non-finite entry (whose span has no rank) raises UnfoldingError.  Each
+    invariant holds at its own tolerance, or at ``tol`` where that is looser.
     """
     for i, D in enumerate(directions):
         if not np.all(np.isfinite(D)):
             raise UnfoldingError(f"direction {i} has a non-finite entry")
-    geo = gamma_orbit_geometry(B, G, tol)
-    Kmat = np.column_stack([_vec(K) for K in geo.commutant])  # orthonormal columns
+    B = np.asarray(B, dtype=complex)
+    c = B.shape[0]
+    invariants.check("frame.B_commutes_with_G", G, B, tol=tol)
+    comm = commutant_basis(G)
+    k = len(comm)
+    if not k:
+        raise UnfoldingError("empty commutant")
+    formula = _character_sum(G, [list(range(c))])
+    invariants.check("versality.commutant_formula", formula, k, tol=tol,
+                     where=lambda _: (f"commutant dimension {k} by rank disagrees "
+                                      f"with {formula:.6g} by the character formula"))
+    images = np.column_stack([_vec(B @ K - K @ B) for K in comm])
+    # scale |B|: commutator columns at rounding level count as zero even when all are tiny
+    U, _, r = svd_rank(images, scale=float(np.linalg.norm(B, 2)))
+    Z_dim, Z_formula = k - r, np.nan
+    if _is_diagonal(B):
+        Z_formula = _character_sum(G, _diag_blocks(np.diag(B)))
+        invariants.check("versality.codimension_formula", Z_formula, Z_dim, tol=tol,
+                         where=lambda _: (f"Z = {Z_dim} by rank disagrees with "
+                                          f"{Z_formula:.6g} by the character formula"))
+
+    Kmat = np.ascontiguousarray(comm.reshape(k, -1).T)     # orthonormal vec columns
+    cols = [Kmat.conj().T @ U[:, :r]]       # the tangent space [B, Mat^Gamma]
     equiv_res = 0.0
-    cols = [Kmat.conj().T @ _vec(T) for T in geo.T_basis]
     for D in directions:
         v = _vec(D)
         coords = Kmat.conj().T @ v
         equiv_res = max(equiv_res, float(np.linalg.norm(v - Kmat @ coords)))
-        cols.append(coords)
-    A = np.column_stack(cols) if cols else np.zeros((len(geo.commutant), 0))
-    achieved = rank(A)
-    versal = achieved == geo.commutant_dim
+        cols.append(coords[:, None])
+    achieved = rank(np.hstack(cols))
+    versal = achieved == k
     return VersalityReport(
         versal=versal,
-        mini_versal=versal and len(directions) == geo.Z_dim,
-        commutant_dim=geo.commutant_dim,
-        tangent_dim=geo.tangent_dim,
-        codimension=geo.Z_dim,
-        codimension_formula=geo.Z_formula,
+        mini_versal=versal and len(directions) == Z_dim,
+        commutant_dim=k,
+        tangent_dim=r,
+        codimension=Z_dim,
+        codimension_formula=Z_formula,
         achieved_rank=achieved,
         n_directions=len(directions),
         max_equivariance_residual=equiv_res,
@@ -614,12 +586,11 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     """
     if frame.G is None:
         raise UnfoldingError("frame carries no induced representation; run induce_representation")
-    geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
 
     G = frame.G
     Psi0 = frame.Psi0
     delays = [float(r) for r in delays]
-    Rs, Rbars, Bhats, theta = slot_stacks(frame, rep, geometry)
+    Rs, Rbars, Bhats, theta = slot_stacks(frame, rep)
     Phis = _lag_basis(frame, delays, context=f"slots 0-{len(Rs) - 1}: ")
     A_raw = solve_delay_realization(frame, delays, Rs, Phis=Phis)
 

@@ -6,10 +6,19 @@ from typing import NamedTuple
 
 from .errors import EqunfoldError, SchemaError
 from .invariants import DEFAULT_TOL, INVARIANTS, CheckResult
-from .jsonio import (SCHEMA, decode_cmatrix, decode_cmatrix_stack, document_errors, field,
-                     frame_from_doc, integer, items, model_from_doc, number, rep_from_doc)
-from .unfolding import (UnfoldingFamily, orbit_geometry, semisimple_jordan_spec, slot_stacks,
+from .jsonio import (SCHEMA, boolean, decode_cmatrix, decode_cmatrix_stack, document_errors,
+                     field, frame_from_doc, integer, items, model_from_doc, number,
+                     rep_from_doc)
+# orbit_geometry is unused here, but bound: the benchmark's tracer self-test
+# checks that it wraps and restores verify.orbit_geometry
+from .unfolding import (UnfoldingFamily, orbit_geometry, slot_stacks,  # noqa: F401
                         verify_gamma_versality)
+
+# the stored decisions (report.versality.<key>, with their readers) that the
+# lines versality.span and versality.mini compare with the recomputed ones
+SPAN_FIELDS = {"versal": boolean, "commutant_dim": integer, "tangent_dim": integer,
+               "achieved_rank": integer, "n_directions": integer}
+MINI_FIELDS = {"mini_versal": boolean, "codimension": integer}
 
 
 class VerificationReport(NamedTuple):
@@ -47,16 +56,33 @@ def parse_artifact(doc):
         raise SchemaError("unfolding.selected_rows must list one slot per parameter")
     if len(set(selected)) != len(selected):
         raise SchemaError(f"unfolding.selected_rows {selected} must be distinct")
-    theta = decode_cmatrix(*field(*field(doc, "", "theta"), "matrix"))
+    theta_doc = field(doc, "", "theta")
+    theta = decode_cmatrix(*field(*theta_doc, "matrix"))
+    stored = {"theta.selected_rows": tuple(items(*field(*theta_doc, "selected_rows"), integer)),
+              "theta.rank": integer(*field(*theta_doc, "rank"))}
+    versality = field(*field(doc, "", "report"), "versality")
+    for key, read in (SPAN_FIELDS | MINI_FIELDS).items():
+        value, path = field(*versality, key)
+        stored[path] = read(value, path)
 
     family = UnfoldingFamily(base=op, delays=delays, directions=directions, names=names)
-    return op, rep, frame, family, selected, theta
+    return op, rep, frame, family, selected, theta, stored
+
+
+def _decision(name, passed, detail, stored, expected):
+    """The decision line ``name``; it also fails on each stored field (a path
+    of ``stored``) that differs from its value in ``expected``, and names it."""
+    wrong = [f"stored {path} {stored[path]}, expected {value}"
+             for path, value in expected.items() if stored[path] != value]
+    return CheckResult(name, passed and not wrong, "; ".join([detail, *wrong]))
 
 
 def verify_artifact(doc, tol=DEFAULT_TOL):
     """Report, in table order, each invariant that the artifact determines at
     base tolerance ``tol``, each followed by the decisions that rest on it:
-    the stored Theta rows, and the span and minimality of the family.
+    the stored Theta rows, and the span and minimality of the family.  Each
+    decision line also compares the decisions the artifact stores with it
+    (``theta.selected_rows`` and ``theta.rank``, and ``report.versality``).
 
     A document that does not parse, or has mismatched shapes, raises
     SchemaError; a recomputation that raises (a reduced matrix that does not
@@ -64,7 +90,7 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
     recomputation asserts its invariants at ``tol`` where that is looser than
     their own tolerance, so no line fails an entry that passes on its own line.
     """
-    op, rep, frame, family, selected, theta_stored = parse_artifact(doc)
+    op, rep, frame, family, selected, theta_stored, stored = parse_artifact(doc)
     G = frame.G
     # center directions from the stored coefficients
     Phis = [frame.Phi_at(-r) for r in family.delays]
@@ -78,16 +104,16 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
     after = {}      # the decisions, by the invariant they follow
 
     try:
-        geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
-        _, Rbars, _, theta_re = slot_stacks(frame, rep, geometry)
+        _, Rbars, _, theta_re = slot_stacks(frame, rep)
     except EqunfoldError as exc:
         after["directions.projection_fixed_point"] = [
             CheckResult("theta.recompute", False, str(exc))]
     else:
         args["theta.matrix_consistency"] = (theta_re.theta, theta_stored)
-        rows = after["theta.matrix_consistency"] = [CheckResult(
+        rows = after["theta.matrix_consistency"] = [_decision(
             "theta.selected_rows", tuple(theta_re.selected_rows) == tuple(selected),
-            f"stored {tuple(selected)}, recomputed {tuple(theta_re.selected_rows)}")]
+            f"stored {tuple(selected)}, recomputed {tuple(theta_re.selected_rows)}",
+            stored, {"theta.selected_rows": tuple(selected), "theta.rank": len(selected)})]
         missing = [slot for slot in selected if slot >= len(Rbars)]
         if missing:
             rows.append(CheckResult(
@@ -99,11 +125,15 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
     try:
         ver = verify_gamma_versality(frame.B, G, bhats, tol)
         args["versality.codimension_formula"] = (ver.codimension_formula, ver.codimension)
-        span = [CheckResult("versality.span", ver.versal,
-                            f"rank {ver.achieved_rank} of {ver.commutant_dim} "
-                            f"(tangent {ver.tangent_dim} + {ver.n_directions} directions)"),
-                CheckResult("versality.mini", ver.mini_versal,
-                            f"{ver.n_directions} parameters vs codimension {ver.codimension}")]
+        span = [_decision("versality.span", ver.versal,
+                          f"rank {ver.achieved_rank} of {ver.commutant_dim} "
+                          f"(tangent {ver.tangent_dim} + {ver.n_directions} directions)",
+                          stored, {f"report.versality.{key}": getattr(ver, key)
+                                   for key in SPAN_FIELDS}),
+                _decision("versality.mini", ver.mini_versal,
+                          f"{ver.n_directions} parameters vs codimension {ver.codimension}",
+                          stored, {f"report.versality.{key}": getattr(ver, key)
+                                   for key in MINI_FIELDS})]
     except EqunfoldError as exc:
         span = [CheckResult("versality.span", False, str(exc))]
     after["unfolding.reconstruction"] = span

@@ -763,6 +763,35 @@ class TestVerify:
         assert not checks["unfolding.reconstruction"]["passed"]
         assert "99" in checks["unfolding.reconstruction"]["detail"]
 
+    @pytest.mark.parametrize("path, value, line", [
+        (("report", "versality", "versal"), False, "versality.span"),
+        (("report", "versality", "commutant_dim"), 15, "versality.span"),
+        (("report", "versality", "tangent_dim"), 11, "versality.span"),
+        (("report", "versality", "achieved_rank"), 15, "versality.span"),
+        (("report", "versality", "n_directions"), 3, "versality.span"),
+        (("report", "versality", "mini_versal"), False, "versality.mini"),
+        (("report", "versality", "codimension"), 7, "versality.mini"),
+        (("theta", "selected_rows"), [0, 1], "theta.selected_rows"),
+        (("theta", "rank"), 9, "theta.selected_rows"),
+    ], ids=["versal", "commutant-dim", "tangent-dim", "achieved-rank", "n-directions",
+            "mini-versal", "codimension", "theta-selected-rows", "theta-rank"])
+    def test_tampered_stored_decision_fails_its_line(self, tmp_path, simple_artifact, path,
+                                                     value, line):
+        # only the line that owns the field fails, and its detail names the
+        # field with the stored and the recomputed value
+        doc = copy.deepcopy(simple_artifact)
+        node = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        expected, node[path[-1]] = node[path[-1]], value
+        bad, report = tmp_path / "bad.json", tmp_path / "report.json"
+        write_json_atomic(str(bad), doc)
+        assert run(["verify", str(bad), "--report", str(report)]) == 1
+        failed = {c["name"]: c["detail"] for c in json.loads(report.read_text())["checks"]
+                  if not c["passed"]}
+        assert list(failed) == [line]
+        stored = tuple(value) if isinstance(value, list) else value
+        expected = tuple(expected) if isinstance(expected, list) else expected
+        assert f"stored {'.'.join(path)} {stored}, expected {expected}" in failed[line]
+
     @pytest.mark.parametrize("rows", [[-1, 1, 2, 3], [1, 1, 2, 3], ["x", 1, 2, 3]])
     def test_bad_selected_rows_are_schema_errors(self, tmp_path, simple_artifact, rows):
         doc = copy.deepcopy(simple_artifact)
@@ -879,11 +908,22 @@ class TestVerify:
         (lambda doc: doc["model"]["terms"][0].__setitem__("delay", False), "model.terms[0].delay"),
         (lambda doc: doc["frame"]["eigenvalues"].__setitem__(0, ["0", "1.8"]),
          "frame.eigenvalues[0][0]"),
+        (lambda doc: doc.pop("report"), "report is required"),
+        (lambda doc: doc["report"]["versality"].pop("codimension"),
+         "report.versality.codimension is required"),
+        (lambda doc: doc["report"]["versality"].__setitem__("mini_versal", 1),
+         "report.versality.mini_versal must be true or false, got 1"),
+        (lambda doc: doc["report"]["versality"].__setitem__("achieved_rank", True),
+         "report.versality.achieved_rank must be a non-negative integer"),
+        (lambda doc: doc["theta"].__setitem__("rank", 4.0), "theta.rank"),
+        (lambda doc: doc["theta"]["selected_rows"].__setitem__(0, "0"),
+         "theta.selected_rows[0]"),
     ], ids=["coefficient-nan", "delay-inf", "ragged-induced-rep", "ragged-group-matrices",
             "ragged-group-matrix", "delay-huge-int", "table-string", "table-null",
             "table-float", "table-ragged", "selected-row-float", "selected-row-string",
             "n-float", "n-string", "model-delay-string", "model-delay-bool",
-            "eigenvalue-strings"])
+            "eigenvalue-strings", "no-report", "no-codimension", "mini-versal-int",
+            "achieved-rank-bool", "theta-rank-float", "theta-row-string"])
     def test_defect_names_its_place(self, tmp_path, capsys, simple_artifact, simple_case,
                                     mutate, message):
         doc = copy.deepcopy(simple_artifact)

@@ -14,8 +14,8 @@ from equnfold.delays import DelayOperator, check_equivariance
 from equnfold.frames import eigenbasis, find_root, induce_representation
 from equnfold.groups import close_generators
 from equnfold.jsonio import build_artifact
-from equnfold.unfolding import (assemble_gamma_unfolding, gamma_orbit_geometry,
-                                realify, select_delays)
+from equnfold.unfolding import (assemble_gamma_unfolding, realify, select_delays,
+                                verify_gamma_versality)
 from equnfold.verify import verify_artifact
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -95,10 +95,10 @@ class TestRotationRing:
         # orbit is a point: the whole 2-dimensional commutant must be
         # unfolded by parameters
         op, rep, frame = rotation_ring
-        geo = gamma_orbit_geometry(frame.B, frame.G)
-        assert geo.commutant_dim == 2
-        assert geo.tangent_dim == 0
-        assert geo.Z_dim == 2
+        ver = verify_gamma_versality(frame.B, frame.G, [])
+        assert ver.commutant_dim == 2
+        assert ver.tangent_dim == 0
+        assert ver.codimension == 2
 
     def test_mini_versal_ring(self, rotation_ring):
         op, rep, frame = rotation_ring

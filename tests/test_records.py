@@ -12,7 +12,7 @@ import equnfold
 from equnfold.errors import SchemaError
 from equnfold.frames import find_root
 from equnfold.jsonio import canonical_json
-from equnfold.unfolding import gamma_orbit_geometry, orbit_geometry, semisimple_jordan_spec
+from equnfold.unfolding import orbit_geometry, semisimple_jordan_spec
 from equnfold.verify import verify_artifact
 
 
@@ -29,7 +29,7 @@ def _record_types():
 
 
 RECORDS = ("CheckResult", "D3CaseResult", "D3ModelParams", "DelayOperator", "DoubleHopfPoint",
-           "ExpVector", "FiniteGroup", "GammaOrbitGeometry", "GammaUnfolding", "OrbitGeometry",
+           "ExpVector", "FiniteGroup", "GammaUnfolding", "OrbitGeometry",
            "Representation", "RootResult", "SpectralFrame", "ThetaReport", "UnfoldingFamily",
            "VerificationReport", "VersalityReport")
 
@@ -46,7 +46,6 @@ def records(simple_case, simple_artifact):
         "FiniteGroup": r.rep.group, "Representation": r.rep,
         "RootResult": find_root(r.op, frame.lambdas[0]), "SpectralFrame": frame,
         "OrbitGeometry": orbit_geometry(frame.B, semisimple_jordan_spec(np.diag(frame.B))),
-        "GammaOrbitGeometry": gamma_orbit_geometry(frame.B, frame.G),
         "GammaUnfolding": assembly, "UnfoldingFamily": assembly.family,
         "ThetaReport": assembly.theta, "VersalityReport": assembly.versality,
         "VerificationReport": report, "CheckResult": report.checks[0],

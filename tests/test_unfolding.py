@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equnfold import d3
 from equnfold._linalg import RANK_RCOND, rank, svd_rank
@@ -17,7 +19,7 @@ from equnfold.jsonio import build_artifact, canonical_json, encode_cmatrix
 from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
                                 _diag_blocks, assemble_gamma_unfolding,
                                 build_R_matrices, exponential_delay_matrix,
-                                gamma_orbit_geometry, jordan_codimension,
+                                jordan_codimension,
                                 orbit_geometry, realify, scaled_det, select_delays,
                                 semisimple_jordan_spec,
                                 solve_delay_realization, theta_extract,
@@ -142,27 +144,30 @@ class TestOrbitGeometry:
 
 
 class TestGammaOrbitGeometry:
+    """The orbit geometry restricted to Mat^Gamma, as ``verify_gamma_versality``
+    reports it for an empty direction family."""
+
     def test_trivial_group_reduces_to_plain_geometry(self):
         B = np.diag([1j, -1j, 2j, -2j])
         rep1 = close_generators([np.eye(4)])
-        geo = gamma_orbit_geometry(B, rep1)
-        assert geo.commutant_dim == 16
-        assert geo.tangent_dim == 12
-        assert geo.Z_dim == 4
+        ver = verify_gamma_versality(B, rep1, [])
+        assert ver.commutant_dim == 16
+        assert ver.tangent_dim == 12
+        assert ver.codimension == 4
 
     def test_simple_case_dimensions(self, simple_case):
         frame = simple_case.frame
-        geo = gamma_orbit_geometry(frame.B, frame.G)
-        assert (geo.commutant_dim, geo.tangent_dim, geo.Z_dim) == (16, 12, 4)
+        ver = verify_gamma_versality(frame.B, frame.G, [])
+        assert (ver.commutant_dim, ver.tangent_dim, ver.codimension) == (16, 12, 4)
 
     def test_double_case_dimensions(self, double_case):
         frame = double_case.frame
-        geo = gamma_orbit_geometry(frame.B, frame.G)
-        assert (geo.commutant_dim, geo.tangent_dim, geo.Z_dim) == (16, 12, 4)
+        ver = verify_gamma_versality(frame.B, frame.G, [])
+        assert (ver.commutant_dim, ver.tangent_dim, ver.codimension) == (16, 12, 4)
 
     def test_appendix_rank_nullity(self, double_case):
-        geo = gamma_orbit_geometry(double_case.frame.B, double_case.frame.G)
-        assert geo.commutant_dim == geo.tangent_dim + geo.Z_dim
+        ver = verify_gamma_versality(double_case.frame.B, double_case.frame.G, [])
+        assert ver.commutant_dim == ver.tangent_dim + ver.codimension
 
     def test_noncommuting_matrix_rejected(self, simple_case):
         G = simple_case.frame.G
@@ -172,7 +177,7 @@ class TestGammaOrbitGeometry:
         # B itself commutes with a trivial action, so force a real group
         rep = d3.triangle_rep()
         with pytest.raises(UnfoldingError):
-            gamma_orbit_geometry(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 1.0]]), rep)
+            verify_gamma_versality(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 1.0]]), rep, [])
 
     def test_commutant_cut_checked_by_characters(self):
         # a delta2 point whose induced G carries errors near 1e-10: twelve
@@ -195,7 +200,7 @@ class TestGammaOrbitGeometry:
         monkeypatch.setattr("equnfold.groups.REP_TOL", 2.0)
         with pytest.raises(UnfoldingError,
                            match="commutant dimension 64 by rank disagrees with 16 by the character"):
-            gamma_orbit_geometry(double_case.frame.B, double_case.frame.G)
+            verify_gamma_versality(double_case.frame.B, double_case.frame.G, [])
 
     def test_misplaced_codimension_cut_fails_by_name(self, double_case, monkeypatch):
         # a cutoff above every commutator image's singular value finds no
@@ -204,7 +209,7 @@ class TestGammaOrbitGeometry:
                             lambda A, scale=0.0: svd_rank(A, scale, rcond=2.0))
         with pytest.raises(UnfoldingError, match=r"^versality.codimension_formula \(Z = 16 "
                                                  r"by rank disagrees with 4 by the character"):
-            gamma_orbit_geometry(double_case.frame.B, double_case.frame.G)
+            verify_gamma_versality(double_case.frame.B, double_case.frame.G, [])
 
     @pytest.mark.parametrize("entry, formula", [(0.5, "0.25"), (1e200, "inf")])
     def test_character_sum_not_an_integer_is_a_disagreement(self, entry, formula):
@@ -212,7 +217,7 @@ class TestGammaOrbitGeometry:
         # commuting matrix, but |tr|^2 is 0.25, or overflows
         G = Representation(group=close_generators([[[1.0]]]).group, matrices=[[[entry]]])
         with pytest.raises(UnfoldingError, match=f"disagrees with {formula} by the character"):
-            gamma_orbit_geometry(np.zeros((1, 1)), G)
+            verify_gamma_versality(np.zeros((1, 1)), G, [])
 
 
 class TestProjectDirections:
@@ -241,7 +246,51 @@ class TestProjectDirections:
                 assert np.max(np.abs(P)) < 1e-12
 
 
+_DIAGONAL_GEOMETRY = orbit_geometry(np.diag([1j, -1j, 2j, -2j]),
+                                    semisimple_jordan_spec([1j, -1j, 2j, -2j]))
+
+
+@st.composite
+def planted_thetas(draw):
+    """Theta over the four diagonal slots of ``_DIAGONAL_GEOMETRY``: zero
+    rows, independent rows (orthogonal, each of norm 10^e, e in -5..0) and
+    rows that combine earlier independent ones with integer weights in
+    -2..2, times 10^e, e in -2..2.  Every entry is at most 800, so an
+    independent row keeps at least 1e-5 / 800 of max|Theta|, far from the
+    cut 1e-9 (up to 2e-9 for the rank rule, whose cut may follow s_1).
+    Returns Theta and the rows a correct choice keeps."""
+    delta = _DIAGONAL_GEOMETRY.delta
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Q = np.linalg.qr(random_complex(rng, delta, delta))[0]
+    rows, independent = [], []
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["zero", "independent", "combination"]))
+        if kind == "independent" and len(independent) < delta:
+            rows.append(10.0 ** draw(st.integers(-5, 0)) * Q[len(independent)])
+            independent.append(i)
+        elif kind == "combination" and independent:
+            weights = draw(st.lists(st.integers(-2, 2), min_size=len(independent),
+                                    max_size=len(independent)))
+            rows.append(10.0 ** draw(st.integers(-2, 2))
+                        * (np.array(weights) @ np.array(rows)[independent]))
+        else:
+            rows.append(np.zeros(delta, dtype=complex))
+    return np.array(rows, dtype=complex).reshape(-1, delta), tuple(independent)
+
+
 class TestThetaExtract:
+    @settings(max_examples=200, deadline=None)
+    @given(planted_thetas())
+    def test_rank_rule_keeps_the_planted_rows(self, planted):
+        # each row of Theta as the diagonal direction of its four slots; the
+        # rank rule keeps the planted independent rows, as Gram-Schmidt does
+        theta, independent = planted
+        report = theta_extract(_DIAGONAL_GEOMETRY, [np.diag(row) for row in theta])
+        assert np.max(np.abs(report.theta - theta), initial=0.0) <= \
+            1e-13 * np.max(np.abs(theta), initial=1.0)
+        assert report.selected_rows == _gram_schmidt_rows(report.theta) == independent
+        assert report.rank == len(independent)
+
     def test_omega_basis_gives_identity(self):
         B = np.diag([1j, -1j, 2j, -2j])
         geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
@@ -334,30 +383,36 @@ class TestBuildRMatrices:
         assert np.max(np.abs(report.theta - np.eye(4))) < 1e-9
 
 
+def _gram_schmidt_rows(theta):
+    """Reference: Theta's rows chosen by Gram-Schmidt (the implementation
+    before the rank rule), each row kept when its residual against the rows
+    already kept exceeds ``RANK_RCOND * max|Theta|``."""
+    scale = float(np.max(np.abs(theta), initial=0.0))
+    selected, basis = [], []
+    for i, row in enumerate(theta):
+        row = row.copy()
+        for q in basis:
+            row = row - (q.conj() @ row) * q
+        if scale > 0 and np.linalg.norm(row) > RANK_RCOND * scale:
+            selected.append(i)
+            basis.append(row / np.linalg.norm(row))
+    return tuple(selected)
+
+
 def _theta_extract_per_direction(geometry, directions):
-    """Reference: one least-squares solve per direction, then the row
-    selection (the implementation before the stacked solve).  Returns
+    """Reference: one least-squares solve per direction (the implementation
+    before the stacked solve), then the Gram-Schmidt row choice.  Returns
     Theta, the residuals and the selected rows."""
     S = geometry.basis_matrix()
     t = len(geometry.T_basis)
-    p = len(directions)
-    theta = np.zeros((p, geometry.delta), dtype=complex)
+    theta = np.zeros((len(directions), geometry.delta), dtype=complex)
     residuals = []
     for i, D in enumerate(directions):
         v = np.asarray(D, dtype=complex).reshape(-1)
         x, *_ = np.linalg.lstsq(S, v, rcond=None)
         residuals.append(float(np.linalg.norm(S @ x - v)))
         theta[i] = x[t:]
-    scale = float(np.max(np.abs(theta))) if p else 0.0
-    selected, basis = [], []
-    for i in range(p):
-        row = theta[i].copy()
-        for q in basis:
-            row = row - (q.conj() @ row) * q
-        if scale > 0 and np.linalg.norm(row) > RANK_RCOND * scale:
-            selected.append(i)
-            basis.append(row / np.linalg.norm(row))
-    return theta, tuple(residuals), tuple(selected)
+    return theta, tuple(residuals), _gram_schmidt_rows(theta)
 
 
 def _build_R_per_slot(frame, geometry):
@@ -406,7 +461,8 @@ def _assert_same_as_per_system_solves(frame, directions, assembly=None):
     for report in reports:
         assert _same_bits(report.theta, ref_theta), "theta_extract: Theta differs"
         assert _same_bits(report.residuals, ref_residuals), "theta_extract: residuals differ"
-        assert report.selected_rows == ref_selected, "theta_extract: selected rows differ"
+        assert report.selected_rows == ref_selected, \
+            "theta_extract: the rank rule and Gram-Schmidt choose different rows"
         assert report.rank == len(ref_selected)
 
 
@@ -716,12 +772,15 @@ class TestAssembledPipeline:
 
     def test_tangent_space_projection_identity(self, double_case, rng):
         # the commutant projection maps the full tangent space onto the
-        # equivariant one: mutual containment via projection residuals
+        # equivariant one, spanned by the images [B, K] of the commutant:
+        # mutual containment via projection residuals
         frame = double_case.frame
-        geo = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
-        ggeo = gamma_orbit_geometry(frame.B, frame.G)
+        B = frame.B
+        geo = orbit_geometry(B, semisimple_jordan_spec(frame.lambdas))
         T = np.column_stack([T.reshape(-1) for T in geo.T_basis])
-        TG = np.column_stack([T.reshape(-1) for T in ggeo.T_basis])
+        TG = np.column_stack([(B @ K - K @ B).reshape(-1) for K in commutant_basis(frame.G)])
+        assert rank(TG, scale=np.linalg.norm(B, 2)) == \
+            verify_gamma_versality(B, frame.G, []).tangent_dim == 12
         # project full tangent basis, check containment in equivariant tangent
         for k in range(T.shape[1]):
             D = equivariant_average(frame.G, frame.G, T[:, k].reshape(8, 8))
