@@ -35,25 +35,28 @@ EXIT_NOT_MINIMAL = 3
 ROOT_MATCH_TOL = 1e-8   # roots from two seeds this close (scaled) are one root
 
 
-class UsageError(Exception):
-    pass
+PRESETS = ("d3:simple", "d3:double")
 
+
+# Flag values are read by argparse ``type=`` functions: a bad value exits 2
+# with a message that argparse prefixes with the flag's name.
 
 def _parse_range(text):
     try:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError:
-        raise UsageError(f"malformed range {text!r}; expected START:STOP:STEP")
+        raise argparse.ArgumentTypeError(f"malformed range {text!r}; expected START:STOP:STEP")
     if not all(map(math.isfinite, (a, b, step))):
-        raise UsageError(f"range {text!r} must be finite")
+        raise argparse.ArgumentTypeError(f"range {text!r} must be finite")
     if step <= 0 or b <= a or a <= 0:
-        raise UsageError(f"range {text!r} must satisfy 0 < START < STOP with STEP > 0")
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} must satisfy 0 < START < STOP with STEP > 0")
     try:
         grid = np.arange(a, b, step)
     except (ValueError, MemoryError):
-        raise UsageError(f"range {text!r} gives too many samples") from None
+        raise argparse.ArgumentTypeError(f"range {text!r} gives too many samples") from None
     if len(grid) < 2:
-        raise UsageError(f"range {text!r} gives fewer than two samples")
+        raise argparse.ArgumentTypeError(f"range {text!r} gives fewer than two samples")
     return grid
 
 
@@ -61,9 +64,9 @@ def _parse_branches(text):
     try:
         lo, hi = (int(x) for x in text.split(".."))
     except ValueError:
-        raise UsageError(f"malformed branch range {text!r}; expected K..L")
+        raise argparse.ArgumentTypeError(f"malformed branch range {text!r}; expected K..L")
     if hi < lo:
-        raise UsageError(f"branch range {text!r} is empty")
+        raise argparse.ArgumentTypeError(f"branch range {text!r} is empty")
     return tuple(range(lo, hi + 1))
 
 
@@ -71,18 +74,17 @@ def _parse_window(text):
     try:
         a, b = (float(x) for x in text.split(":"))
     except ValueError:
-        raise UsageError(f"malformed window {text!r}; expected A:B")
+        raise argparse.ArgumentTypeError(f"malformed window {text!r}; expected A:B")
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise UsageError(f"window {text!r} must be finite")
+        raise argparse.ArgumentTypeError(f"window {text!r} must be finite")
     if b <= a:
-        raise UsageError(f"window {text!r} is empty")
+        raise argparse.ArgumentTypeError(f"window {text!r} is empty")
     return (a, b)
 
 
 def cmd_curves(args):
-    omegas = _parse_range(args.omega_range)
-    branches = _parse_branches(args.branches)
-    curves = d3.sweep_curves(args.factor, args.beta, args.tau_n, omegas, branches=branches)
+    curves = d3.sweep_curves(args.factor, args.beta, args.tau_n, args.omega_range,
+                             branches=args.branches)
     lines = ["omega,alpha,tau_s,sign,branch,factor"]
     for (sg, br), rows in curves.items():
         for om, al, ts in rows:
@@ -96,13 +98,9 @@ def cmd_curves(args):
 
 
 def cmd_double_hopf(args):
-    omegas = _parse_range(args.omega_range)
-    alpha_window = _parse_window(args.alpha_window)
-    tau_s_window = _parse_window(args.tau_s_window)
     points = d3.locate_double_hopf(
-        args.factor, args.beta, args.tau_n, omegas=omegas,
-        branches=_parse_branches(args.branches),
-        alpha_window=alpha_window, tau_s_window=tau_s_window,
+        args.factor, args.beta, args.tau_n, omegas=args.omega_range, branches=args.branches,
+        alpha_window=args.alpha_window, tau_s_window=args.tau_s_window,
     )
     doc = {
         "schema": SCHEMA,
@@ -110,8 +108,8 @@ def cmd_double_hopf(args):
         "factor": args.factor,
         "beta": args.beta,
         "tau_n": args.tau_n,
-        "alpha_window": list(alpha_window),
-        "tau_s_window": list(tau_s_window),
+        "alpha_window": list(args.alpha_window),
+        "tau_s_window": list(args.tau_s_window),
         "points": [
             {"alpha": p.alpha, "tau_s": p.tau_s, "omega1": p.omega1,
              "omega2": p.omega2, "residual": p.residual}
@@ -163,6 +161,8 @@ def _run_config(cfg):
         raise SchemaError(f"output must be a path, got {output!r}")
     seeds, seeds_path = field(cfg, "", "lambda_seeds")
     if isinstance(seeds, str):
+        if seeds not in PRESETS:
+            raise invalid(seeds_path, f"{' or '.join(PRESETS)}, or a list of seeds", seeds)
         # a preset string stands in for the whole model, group, seeds, lags,
         # masks and tolerances
         for key in ("model", "group", "delays", "sparsity", "tolerances"):
@@ -214,8 +214,6 @@ def _run_config(cfg):
 
 
 def _run_preset(preset):
-    if preset not in ("d3:simple", "d3:double"):
-        raise UsageError(f"unknown preset {preset!r}; use d3:simple or d3:double")
     case = preset.split(":")[1]
     result = d3.run_case(case)
     meta = {
@@ -234,15 +232,10 @@ def _run_preset(preset):
 
 
 def cmd_unfold(args):
-    if bool(args.preset) == bool(args.config):
-        raise UsageError("exactly one of --preset or --config is required")
-    if args.preset:
-        op, rep, frame, assembly, meta = _run_preset(args.preset)
-    else:
-        op, rep, frame, assembly, meta, output = _run_config(read_json(args.config))
-        args.output = args.output or output
+    cfg = {"lambda_seeds": args.preset} if args.preset else read_json(args.config)
+    op, rep, frame, assembly, meta, output = _run_config(cfg)
     doc = build_artifact(op, rep, frame, assembly, meta=meta)
-    out = args.output or "unfold.json"
+    out = args.output or output or "unfold.json"
     write_json_atomic(out, doc)
     ver = assembly.versality
     kind = "mini-versal" if ver.mini_versal else "versal (not minimal)"
@@ -301,9 +294,9 @@ def build_parser():
     c.add_argument("--factor", choices=("delta1", "delta2"), required=True)
     c.add_argument("--beta", type=_finite, required=True)
     c.add_argument("--tau-n", dest="tau_n", type=_finite, required=True)
-    c.add_argument("--omega-range", dest="omega_range", required=True,
+    c.add_argument("--omega-range", dest="omega_range", type=_parse_range, required=True,
                    metavar="A:B:STEP")
-    c.add_argument("--branches", default="0..3", metavar="K..L")
+    c.add_argument("--branches", type=_parse_branches, default="0..3", metavar="K..L")
     c.add_argument("--output", default="curves.csv")
     c.set_defaults(func=cmd_curves)
 
@@ -311,16 +304,22 @@ def build_parser():
     h.add_argument("--factor", choices=("delta1", "delta2"), required=True)
     h.add_argument("--beta", type=_finite, required=True)
     h.add_argument("--tau-n", dest="tau_n", type=_finite, required=True)
-    h.add_argument("--omega-range", dest="omega_range", default="0.05:5:0.005")
-    h.add_argument("--branches", default="0..3")
-    h.add_argument("--alpha-window", dest="alpha_window", default="-4:4")
-    h.add_argument("--tau-s-window", dest="tau_s_window", default="0:10")
+    h.add_argument("--omega-range", dest="omega_range", type=_parse_range,
+                   default="0.05:5:0.005", metavar="A:B:STEP")
+    h.add_argument("--branches", type=_parse_branches, default="0..3", metavar="K..L")
+    # argparse reads a value that starts with "-" and is not a number as a flag
+    h.add_argument("--alpha-window", dest="alpha_window", type=_parse_window, default="-4:4",
+                   metavar="A:B", help="a negative A needs the = form: --alpha-window=-3:3")
+    h.add_argument("--tau-s-window", dest="tau_s_window", type=_parse_window, default="0:10",
+                   metavar="A:B", help="a negative A needs the = form: --tau-s-window=-1:9")
     h.add_argument("--output", default="double_hopf.json")
     h.set_defaults(func=cmd_double_hopf)
 
     u = sub.add_parser("unfold", help="run the unfolding pipeline (JSON artifact)")
-    u.add_argument("--preset", help="d3:simple or d3:double")
-    u.add_argument("--config", help="JSON config file")
+    source = u.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=PRESETS,
+                        help='a worked case; the config {"lambda_seeds": PRESET}')
+    source.add_argument("--config", help="JSON config file")
     u.add_argument("--output", default=None)
     u.set_defaults(func=cmd_unfold)
 
@@ -338,9 +337,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_USAGE

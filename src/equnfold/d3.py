@@ -21,12 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import LAG_GAP
+from ._linalg import LAG_GAP, rank
 from .delays import DelayOperator
 from .errors import EqunfoldError, UnfoldingError
 from .frames import eigenbasis, induce_representation
 from .groups import close_generators
-from .unfolding import assemble_gamma_unfolding, exponential_delay_matrix, scaled_det
+from .unfolding import assemble_gamma_unfolding, exponential_delay_matrix
 
 OMEGA = np.exp(2j * np.pi / 3)
 U_SYM = np.array([1.0, 1.0, 1.0])                       # symmetric direction
@@ -81,7 +81,6 @@ _REFINE_MAX_ITER = 100
 _POINT_TOL = 1e-6               # frequency, zero and coincidence tests of a point and grid
 _SEED_GAP = 1e-3                # seed frequencies closer than this are one root or a resonance
 _DEDUP_RADIUS = 1e-5            # located points this close in (alpha, tau_s) are one
-_GENERIC_DET = 1e-10            # min row-scaled determinant of a generic lag selection
 
 
 def _factor_coupling(factor):
@@ -471,8 +470,8 @@ def default_delays(point):
 
     tau_3 starts from the largest multiple of tau/7 in (0, tau] distinct
     from the other lags (tau = history horizon) and is halved, at most ten
-    times, until the row-scaled exponential-delay matrix over the four
-    critical eigenvalues has a determinant above 1e-10.
+    times, until the exponential-delay matrix over the four critical
+    eigenvalues has full numerical rank (``_linalg.rank``).
     """
     tau = max(point.tau_s, point.tau_n)
     others = [0.0, point.tau_s, point.tau_n]
@@ -486,10 +485,10 @@ def default_delays(point):
                      1j * point.omega2, -1j * point.omega2])
     for _ in range(10):
         M = exponential_delay_matrix(lams, others + [tau3])
-        if scaled_det(M) > _GENERIC_DET and all(abs(tau3 - r) > LAG_GAP for r in others):
+        if rank(M) == len(lams) and all(abs(tau3 - r) > LAG_GAP for r in others):
             return others + [tau3]
         tau3 = tau3 / 2.0
-    raise UnfoldingError("could not find a generic fourth lag (determinant stays small)")
+    raise UnfoldingError("could not find a generic fourth lag (the rank stays below 4)")
 
 
 def structure_masks():

@@ -182,20 +182,15 @@ def items(doc, path, read):
 
 # ------------------------------------------------------------- value codecs
 
-def complex_pair(z):
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def pair_complex(p, path):
     if not isinstance(p, list) or len(p) != 2:
         raise invalid(path, "a [re, im] pair", p)
     return complex(number(p[0], f"{path}[0]"), number(p[1], f"{path}[1]"))
 
 
-def _encode_pairs(a):
-    """Nested ``[re, im]`` lists of a complex array; the same Python floats
-    that :func:`complex_pair` gives entry by entry."""
+def encode_complex(a):
+    """Nested ``[re, im]`` lists of a complex array of any shape (a scalar is
+    one pair), holding the Python floats of its real and imaginary parts."""
     a = np.asarray(a, dtype=complex)
     return np.stack((a.real, a.imag), -1).tolist()
 
@@ -208,7 +203,7 @@ def _holds_bool(doc, depth):
     return bool in set(map(type, doc))
 
 
-def _decode_pairs(doc, path, ndim):
+def decode_complex(doc, path, ndim):
     """The complex array of a document of ``[re, im]`` pairs nested ``ndim``
     lists deep.  A finite numeric document of that shape is converted at
     once; anything else (None, bool or string entries, ints beyond 64 bits,
@@ -231,22 +226,6 @@ def _decode_pairs(doc, path, ndim):
         raise SchemaError(f"malformed complex matrix {path}: {exc}") from exc
 
 
-def encode_cvector(v):
-    return _encode_pairs(np.ravel(v))
-
-
-def decode_cvector(doc, path="vector"):
-    return _decode_pairs(doc, path, 1)
-
-
-def encode_cmatrix(M):
-    return _encode_pairs(M)
-
-
-def decode_cmatrix(doc, path="matrix"):
-    return _decode_pairs(doc, path, 2)
-
-
 # ------------------------------------------------------------ domain codecs
 
 @contextlib.contextmanager
@@ -263,7 +242,7 @@ def decode_cmatrix_stack(doc, path, shape=None):
     """A non-empty list of finite complex matrices of one shape (``shape``,
     else the first matrix's) as a stack.  Shapes are compared before
     stacking, so a ragged list is a schema error, not a numpy one."""
-    mats = items(doc, path, decode_cmatrix)
+    mats = items(doc, path, functools.partial(decode_complex, ndim=2))
     if not mats:
         raise SchemaError(f"{path} must be a non-empty list of matrices")
     shape = shape or mats[0].shape
@@ -276,14 +255,14 @@ def decode_cmatrix_stack(doc, path, shape=None):
 def model_to_doc(op):
     return {
         "n": int(op.n),
-        "terms": [{"delay": float(r), "matrix": encode_cmatrix(A)} for r, A in op.terms],
+        "terms": [{"delay": float(r), "matrix": encode_complex(A)} for r, A in op.terms],
     }
 
 
 @document_errors()
 def model_from_doc(doc, path="model"):
     def term(t, p):
-        return number(*field(t, p, "delay")), decode_cmatrix(*field(t, p, "matrix"))
+        return number(*field(t, p, "delay")), decode_complex(*field(t, p, "matrix"), 2)
     return DelayOperator(n=integer(*field(doc, path, "n")),
                          terms=tuple(items(*field(doc, path, "terms"), term)))
 
@@ -291,10 +270,10 @@ def model_from_doc(doc, path="model"):
 def rep_to_doc(rep):
     gens = rep.group.generator_indices
     if gens:
-        return {"generators": [encode_cmatrix(rep.matrices[g]) for g in gens]}
+        return {"generators": encode_complex(rep.matrices[list(gens)])}
     return {
         "mul_table": rep.group.mul_table.tolist(),
-        "matrices": [encode_cmatrix(M) for M in rep.matrices],
+        "matrices": encode_complex(rep.matrices),
     }
 
 
@@ -313,11 +292,11 @@ def rep_from_doc(doc, path="group"):
 
 def frame_to_doc(frame):
     return {
-        "eigenvalues": [complex_pair(l) for l in frame.lambdas],
-        "phi_directions": [encode_cvector(v.direction) for v in frame.phi],
-        "psi_directions": [encode_cvector(v.direction) for v in frame.psi],
-        "reduced_matrix": encode_cmatrix(frame.B),
-        "induced_rep": _encode_pairs(frame.G.matrices),
+        "eigenvalues": encode_complex(frame.lambdas),
+        "phi_directions": encode_complex([v.direction for v in frame.phi]),
+        "psi_directions": encode_complex([v.direction for v in frame.psi]),
+        "reduced_matrix": encode_complex(frame.B),
+        "induced_rep": encode_complex(frame.G.matrices),
     }
 
 
@@ -326,9 +305,11 @@ def frame_from_doc(doc, op, group, path="frame"):
     """The frame at ``path`` of a document, with its induced representation
     of ``group``."""
     lams = items(*field(doc, path, "eigenvalues"), pair_complex)
-    phis = items(*field(doc, path, "phi_directions"), decode_cvector)
-    psis = items(*field(doc, path, "psi_directions"), decode_cvector)
-    B = decode_cmatrix(*field(doc, path, "reduced_matrix"))
+    # one vector at a time, so that an error names its direction
+    vector = functools.partial(decode_complex, ndim=1)
+    phis = items(*field(doc, path, "phi_directions"), vector)
+    psis = items(*field(doc, path, "psi_directions"), vector)
+    B = decode_complex(*field(doc, path, "reduced_matrix"), 2)
     c = len(lams)
     if [v.shape for v in phis + psis] != [(op.n,)] * (2 * c) or B.shape != (c, c):
         raise SchemaError(f"a frame over {c} eigenvalues needs {c} phi and {c} psi directions "
@@ -354,11 +335,11 @@ def build_artifact(op, rep, frame, assembly, meta=None):
         "unfolding": {
             "delays": [float(r) for r in fam.delays],
             "parameters": list(fam.names),
-            "coefficients": _encode_pairs(fam.directions),
+            "coefficients": encode_complex(fam.directions),
             "selected_rows": [int(i) for i in theta.selected_rows],
         },
         "theta": {
-            "matrix": encode_cmatrix(theta.theta),
+            "matrix": encode_complex(theta.theta),
             "row_residuals": [float(r) for r in theta.residuals],
             "selected_rows": [int(i) for i in theta.selected_rows],
             "rank": int(theta.rank),

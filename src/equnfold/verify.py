@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 from .errors import EqunfoldError, SchemaError
 from .invariants import DEFAULT_TOL, INVARIANTS, CheckResult
-from .jsonio import (SCHEMA, boolean, decode_cmatrix, decode_cmatrix_stack, document_errors,
+from .jsonio import (SCHEMA, boolean, decode_cmatrix_stack, decode_complex, document_errors,
                      field, frame_from_doc, integer, items, model_from_doc, number,
                      rep_from_doc)
 # orbit_geometry is unused here, but bound: the benchmark's tracer self-test
@@ -57,7 +57,7 @@ def parse_artifact(doc):
     if len(set(selected)) != len(selected):
         raise SchemaError(f"unfolding.selected_rows {selected} must be distinct")
     theta_doc = field(doc, "", "theta")
-    theta = decode_cmatrix(*field(*theta_doc, "matrix"))
+    theta = decode_complex(*field(*theta_doc, "matrix"), 2)
     stored = {"theta.selected_rows": tuple(items(*field(*theta_doc, "selected_rows"), integer)),
               "theta.rank": integer(*field(*theta_doc, "rank"))}
     versality = field(*field(doc, "", "report"), "versality")

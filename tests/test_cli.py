@@ -16,8 +16,8 @@ from equnfold.cli import main
 from equnfold.frames import find_root
 from equnfold.groups import close_generators
 from equnfold.invariants import BY_NAME
-from equnfold.jsonio import (build_artifact, canonical_json, decode_cmatrix,
-                             encode_cmatrix, model_to_doc, rep_to_doc, write_json_atomic)
+from equnfold.jsonio import (build_artifact, canonical_json, decode_complex,
+                             encode_complex, model_to_doc, rep_to_doc, write_json_atomic)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -45,11 +45,13 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def usage_error(args, capsys):
-    """The stderr of a command that argparse refuses (exit 2)."""
+def usage_error(args, capsys, out=None):
+    """The stderr of a command that argparse refuses (exit 2), which writes
+    no file ``out``."""
     with pytest.raises(SystemExit) as exc:
         run(args)
     assert exc.value.code == 2
+    assert out is None or not out.exists()
     return capsys.readouterr().err
 
 
@@ -100,7 +102,7 @@ def _mutation_faults(tmp_path, doc, command, exits, under=()):
 
 def _table_group(rep):
     return {"mul_table": rep.group.mul_table.tolist(),
-            "matrices": [encode_cmatrix(M) for M in rep.matrices]}
+            "matrices": [encode_complex(M) for M in rep.matrices]}
 
 
 class TestCurves:
@@ -129,28 +131,25 @@ class TestCurves:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_malformed_range_exits_2(self, tmp_path, capsys):
-        code = run(["curves", "--factor", "delta1", "--beta", "-0.5",
-                    "--tau-n", "4", "--omega-range", "5:0:-1",
-                    "--output", str(tmp_path / "x.csv")])
-        assert code == 2
+        out = tmp_path / "x.csv"
+        err = usage_error(["curves", "--factor", "delta1", "--beta", "-0.5", "--tau-n", "4",
+                           "--omega-range", "5:0:-1", "--output", str(out)], capsys, out)
+        assert "argument --omega-range: range '5:0:-1' must satisfy" in err
 
     @pytest.mark.parametrize("omega_range", ["0.05:inf:0.5", "0.05:nan:0.5"])
     def test_non_finite_range_exits_2(self, tmp_path, capsys, omega_range):
         # unchecked, np.arange raises a raw ValueError on a non-finite STOP
-        code = run(["curves", "--factor", "delta1", "--beta", "-0.5",
-                    "--tau-n", "4", "--omega-range", omega_range,
-                    "--output", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "must be finite" in capsys.readouterr().err
+        out = tmp_path / "x.csv"
+        err = usage_error(["curves", "--factor", "delta1", "--beta", "-0.5", "--tau-n", "4",
+                           "--omega-range", omega_range, "--output", str(out)], capsys, out)
+        assert "argument --omega-range:" in err and "must be finite" in err
 
     def test_oversized_range_exits_2(self, tmp_path, capsys):
         # np.arange refuses this size before allocating anything
         out = tmp_path / "big.csv"
-        code = run(["curves", "--factor", "delta1", "--beta", "0.5", "--tau-n", "3",
-                    "--omega-range", "0.05:1e30:1", "--output", str(out)])
-        assert code == 2
-        assert "range '0.05:1e30:1' gives too many samples" in capsys.readouterr().err
-        assert not out.exists()
+        err = usage_error(["curves", "--factor", "delta1", "--beta", "0.5", "--tau-n", "3",
+                           "--omega-range", "0.05:1e30:1", "--output", str(out)], capsys, out)
+        assert "argument --omega-range: range '0.05:1e30:1' gives too many samples" in err
 
     def test_non_finite_tau_n_exits_2(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -161,22 +160,32 @@ class TestCurves:
 
 
 class TestDoubleHopf:
-    def test_one_sample_range_exits_2(self, tmp_path):
-        code = run(["double-hopf", "--factor", "delta2", "--beta", "0.5",
-                    "--tau-n", "3", "--omega-range", "0.05:0.06:0.05",
-                    "--output", str(tmp_path / "dh.json")])
-        assert code == 2
-        assert not (tmp_path / "dh.json").exists()
+    def test_one_sample_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "dh.json"
+        err = usage_error(["double-hopf", "--factor", "delta2", "--beta", "0.5", "--tau-n", "3",
+                           "--omega-range", "0.05:0.06:0.05", "--output", str(out)], capsys, out)
+        assert "argument --omega-range:" in err and "fewer than two samples" in err
 
     @pytest.mark.parametrize("window", [["--alpha-window", "nan:4"],
                                         ["--tau-s-window", "0:inf"]])
     def test_non_finite_window_exits_2(self, tmp_path, capsys, window):
         # unchecked, a NaN bound fails only at the write, as a non-serializable number
         out = tmp_path / "dh.json"
+        err = usage_error(["double-hopf", "--factor", "delta1", "--beta", "-0.5", "--tau-n", "4",
+                           *window, "--output", str(out)], capsys, out)
+        assert f"argument {window[0]}:" in err and "must be finite" in err
+
+    def test_negative_window_start_takes_the_equals_form(self, tmp_path):
+        # argparse reads "-3:3" after a space as a flag, not as the flag's value
+        out = tmp_path / "dh.json"
         assert run(["double-hopf", "--factor", "delta1", "--beta", "-0.5", "--tau-n", "4",
-                    *window, "--output", str(out)]) == 2
-        assert "must be finite" in capsys.readouterr().err
-        assert not out.exists()
+                    "--alpha-window=-3:3", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        points = d3.locate_double_hopf("delta1", -0.5, 4.0, alpha_window=(-3.0, 3.0))
+        assert doc["alpha_window"] == [-3.0, 3.0]
+        assert doc["points"] == [{"alpha": p.alpha, "tau_s": p.tau_s, "omega1": p.omega1,
+                                  "omega2": p.omega2, "residual": p.residual} for p in points]
+        assert points and all(-3.0 <= p.alpha <= 3.0 for p in points)
 
     def test_non_finite_beta_exits_2(self, tmp_path, capsys):
         out = tmp_path / "dh.json"
@@ -227,11 +236,28 @@ class TestUnfold:
         run(["unfold", "--preset", "d3:simple", "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unknown_preset(self, tmp_path):
-        assert run(["unfold", "--preset", "d4:simple"]) == 2
+    def test_unknown_preset(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        err = usage_error(["unfold", "--preset", "d4:simple", "--output", str(out)], capsys, out)
+        assert "argument --preset: invalid choice: 'd4:simple'" in err
 
-    def test_preset_and_config_exclusive(self, tmp_path):
-        assert run(["unfold"]) == 2
+    def test_preset_and_config_exclusive(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lambda_seeds": "d3:simple"}))
+        err = usage_error(["unfold", "--output", str(out)], capsys, out)
+        assert "one of the arguments --preset --config is required" in err
+        err = usage_error(["unfold", "--preset", "d3:simple", "--config", str(cfg_path),
+                           "--output", str(out)], capsys, out)
+        assert "argument --config: not allowed with argument --preset" in err
+
+    def test_config_unknown_preset_is_schema_error(self, tmp_path, capsys):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "o.json"
+        cfg_path.write_text(json.dumps({"lambda_seeds": "d3:bogus"}))
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: lambda_seeds must be") and "'d3:bogus'" in err
+        assert not out.exists()
 
     def test_config_pipeline(self, tmp_path, simple_case):
         point = simple_case.point
@@ -262,7 +288,8 @@ class TestUnfold:
             assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 0
             assert run(["verify", str(out)]) == 0
             rows = json.loads(out.read_text())["unfolding"]["coefficients"]
-            outside = [decode_cmatrix(A)[~mask] for row in rows for A, mask in zip(row, masks)]
+            outside = [decode_complex(A, "A", 2)[~mask]
+                       for row in rows for A, mask in zip(row, masks)]
             assert len(rows) == 4
             assert all(np.all(x == 0) for x in outside) == bool(sparsity)
 
@@ -548,9 +575,9 @@ def _ring_config(n, gain=2.0):
     seeded at +-2i."""
     shift = np.roll(np.eye(n), 1, axis=0)
     return {
-        "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_cmatrix(-np.eye(n))},
-                                    {"delay": 1.0, "matrix": encode_cmatrix(gain * shift)}]},
-        "group": {"generators": [encode_cmatrix(shift)]},
+        "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_complex(-np.eye(n))},
+                                    {"delay": 1.0, "matrix": encode_complex(gain * shift)}]},
+        "group": {"generators": [encode_complex(shift)]},
         "lambda_seeds": [[0.0, 2.0], [0.0, -2.0]],
     }
 
@@ -587,7 +614,7 @@ def _rescaled(cfg, s):
     out = copy.deepcopy(cfg)
     for term in out["model"]["terms"]:
         term["delay"] /= s
-        term["matrix"] = encode_cmatrix(s * decode_cmatrix(term["matrix"]))
+        term["matrix"] = encode_complex(s * decode_complex(term["matrix"], "matrix", 2))
     out["lambda_seeds"] = [[s * re, s * im] for re, im in cfg["lambda_seeds"]]
     if "delays" in cfg:
         out["delays"] = [r / s for r in cfg["delays"]]
@@ -628,8 +655,9 @@ def _conjugated(cfg, Q):
     unchanged; lags and sparsity masks are kept as given."""
     out = copy.deepcopy(cfg)
     for term in out["model"]["terms"]:
-        term["matrix"] = encode_cmatrix(Q @ decode_cmatrix(term["matrix"]) @ Q.conj().T)
-    out["group"]["generators"] = [encode_cmatrix(Q @ decode_cmatrix(g) @ Q.conj().T)
+        M = decode_complex(term["matrix"], "matrix", 2)
+        term["matrix"] = encode_complex(Q @ M @ Q.conj().T)
+    out["group"]["generators"] = [encode_complex(Q @ decode_complex(g, "g", 2) @ Q.conj().T)
                                   for g in cfg["group"]["generators"]]
     return out
 

@@ -7,9 +7,9 @@ import pytest
 from equnfold import d3
 from equnfold._linalg import EPS, rank
 from equnfold.delays import check_equivariance
-from equnfold.errors import EqunfoldError
+from equnfold.errors import EqunfoldError, UnfoldingError
 from equnfold.groups import equivariant_average
-from equnfold.unfolding import realify, slot_reparametrization
+from equnfold.unfolding import realify, scaled_det, slot_reparametrization
 
 I3 = np.eye(3)
 J3 = np.ones((3, 3))
@@ -159,7 +159,16 @@ class TestDoubleHopfLocation:
         M = d3.exponential_delay_matrix(
             [1j * point.omega1, -1j * point.omega1,
              1j * point.omega2, -1j * point.omega2], delays)
-        assert d3.scaled_det(M) > 1e-6
+        assert scaled_det(M) > 1e-6
+
+    def test_default_delays_without_a_generic_fourth_lag_raise(self):
+        # lags 0, 1 and 2 cannot tell omega1 from omega1 + 14 pi, and no
+        # tau_3 on the halved tau/7 grid can either: the exponential-delay
+        # matrix has rank 2 or 3 at every halving
+        point = d3.DoubleHopfPoint(factor="delta1", beta=-0.5, tau_n=2.0, alpha=0.0, tau_s=1.0,
+                                   omega1=1.0, omega2=1.0 + 14 * np.pi, residual=0.0)
+        with pytest.raises(UnfoldingError, match="generic fourth lag"):
+            d3.default_delays(point)
 
 
 def _loop_intersections(P, Q):

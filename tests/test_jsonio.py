@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from equnfold.delays import DelayOperator
 from equnfold.errors import SchemaError
 from equnfold.groups import FiniteGroup, Representation
-from equnfold.jsonio import (canonical_json, complex_pair, decode_cmatrix, decode_cvector,
-                             encode_cmatrix, encode_cvector, frame_from_doc, frame_to_doc, items,
-                             model_from_doc, model_to_doc, pair_complex, rep_from_doc,
-                             rep_to_doc)
+from equnfold.jsonio import (canonical_json, decode_complex, encode_complex, frame_from_doc,
+                             frame_to_doc, items, model_from_doc, model_to_doc, pair_complex,
+                             rep_from_doc, rep_to_doc)
 
 from conftest import random_complex
 
@@ -20,11 +19,11 @@ from conftest import random_complex
 class TestValueCodecs:
     def test_matrix_roundtrip(self, rng):
         M = random_complex(rng, 3, 4)
-        assert np.array_equal(decode_cmatrix(encode_cmatrix(M)), M)
+        assert np.array_equal(decode_complex(encode_complex(M), "matrix", 2), M)
 
     def test_malformed_pair_rejected(self):
         with pytest.raises(SchemaError):
-            decode_cmatrix([[[1.0, 2.0, 3.0]]])
+            decode_complex([[[1.0, 2.0, 3.0]]], "matrix", 2)
 
 
 class TestModelCodec:
@@ -161,7 +160,7 @@ def _complex_arrays(shape):
         lambda xs: np.array(xs).view(complex).reshape(shape))
 
 
-matrix_shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
+array_shapes = st.lists(st.integers(1, 4), max_size=3).map(tuple)     # 0-d to 3-d
 
 
 class TestCanonicalJsonOracle:
@@ -178,12 +177,13 @@ class TestCanonicalJsonOracle:
         assert _outcome(canonical_json, doc) == _outcome(_canonical_json_per_float, doc)
 
     @settings(max_examples=100, deadline=None)
-    @given(matrix_shapes.flatmap(_complex_arrays))
+    @given(array_shapes.flatmap(_complex_arrays))
     def test_encoded_matrices(self, A):
-        doc = {"m": encode_cmatrix(A), "v": encode_cvector(A),
-               "z": [complex_pair(z) for z in A.reshape(-1)]}
-        assert doc["v"] == doc["z"]
+        doc = {"a": encode_complex(A), "v": encode_complex(A.reshape(-1)),
+               "z": [encode_complex(z) for z in A.reshape(-1)]}
+        assert doc["v"] == doc["z"] == [[z.real, z.imag] for z in A.reshape(-1).tolist()]
         assert canonical_json(doc) == _canonical_json_per_float(doc)
+        assert np.array_equal(_bits(decode_complex(doc["a"], "a", A.ndim)), _bits(A))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(pairs, min_size=1, max_size=6), st.data(),
@@ -202,14 +202,13 @@ class TestDecodeOracle:
     what it rejects with the same message."""
 
     @settings(max_examples=100, deadline=None)
-    @given(matrix_shapes.flatmap(_complex_arrays))
+    @given(array_shapes.flatmap(_complex_arrays))
     def test_roundtrip_is_bitwise(self, A):
-        assert np.array_equal(_bits(decode_cmatrix(encode_cmatrix(A))), _bits(A))
-        v = A.reshape(-1)
-        assert np.array_equal(_bits(decode_cvector(encode_cvector(v))), _bits(v))
+        assert np.array_equal(_bits(decode_complex(encode_complex(A), "a", A.ndim)), _bits(A))
         # through the text, -0.0 is written "-0" and parses as the int 0
-        parsed = json.loads(canonical_json(encode_cmatrix(A)))
-        assert np.array_equal(_bits(decode_cmatrix(parsed)),
+        M = A.reshape(-1, A.shape[-1] if A.ndim else 1)
+        parsed = json.loads(canonical_json(encode_complex(M)))
+        assert np.array_equal(_bits(decode_complex(parsed, "matrix", 2)),
                               _bits(_decode_cmatrix_per_entry(parsed)))
 
     @settings(max_examples=100, deadline=None)
@@ -217,7 +216,7 @@ class TestDecodeOracle:
                                       min_size=2, max_size=2), min_size=2, max_size=2),
                     min_size=1, max_size=3))
     def test_int_entries_convert_as_float_does(self, doc):
-        assert np.array_equal(_bits(decode_cmatrix(doc)),
+        assert np.array_equal(_bits(decode_complex(doc, "matrix", 2)),
                               _bits(_decode_cmatrix_per_entry(doc)))
 
     @pytest.mark.parametrize("doc", [
@@ -240,4 +239,4 @@ class TestDecodeOracle:
     def test_defects_rejected_as_before(self, doc):
         expected = _outcome(_decode_cmatrix_per_entry, doc)
         assert expected[0] is SchemaError
-        assert _outcome(decode_cmatrix, doc) == expected
+        assert _outcome(decode_complex, doc, "matrix", 2) == expected

@@ -15,7 +15,7 @@ from equnfold.frames import SpectralFrame
 from equnfold.groups import (Representation, close_generators, commutant_basis,
                              equivariant_average)
 from equnfold.invariants import BY_NAME
-from equnfold.jsonio import build_artifact, canonical_json, encode_cmatrix
+from equnfold.jsonio import build_artifact, canonical_json, encode_complex
 from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
                                 _diag_blocks, assemble_gamma_unfolding,
                                 build_R_matrices, exponential_delay_matrix,
@@ -470,9 +470,9 @@ def _ring_case(n):
     """``unfold --config`` on the n-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1)."""
     shift = np.roll(np.eye(n), 1, axis=0)
     _, _, frame, assembly, _, _ = _run_config({
-        "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_cmatrix(-np.eye(n))},
-                                    {"delay": 1.0, "matrix": encode_cmatrix(2.0 * shift)}]},
-        "group": {"generators": [encode_cmatrix(shift)]},
+        "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_complex(-np.eye(n))},
+                                    {"delay": 1.0, "matrix": encode_complex(2.0 * shift)}]},
+        "group": {"generators": [encode_complex(shift)]},
         "lambda_seeds": [[0.0, 2.0], [0.0, -2.0]],
     })
     return frame, assembly
