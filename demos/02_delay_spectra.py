@@ -9,8 +9,7 @@ Gauss-Legendre quadrature oracle.
 
 import numpy as np
 
-from equnfold.delays import (DelayOperator, ExpVector, bilinear_form,
-                             bilinear_form_quadrature)
+from equnfold.delays import DelayOperator, bilinear_form, bilinear_form_quadrature
 from equnfold.frames import eigenbasis, find_root
 
 op = DelayOperator(n=1, terms=((np.pi / 2, [[-1.0]]),))
@@ -23,15 +22,13 @@ frame = eigenbasis(op, [res.root, res.root.conjugate()])
 print("reduced matrix B:", np.round(np.diag(frame.B), 10))
 print("Gram residual:", np.max(np.abs(frame.gram() - np.eye(frame.c))))
 
-# pairing of raw exponentials: closed form vs quadrature
-psi = ExpVector([0.7 - 0.2j], 1.3 + 0.4j, side="row")
-phi = ExpVector([1.1 + 0.3j], -0.8 + 2.1j, side="column")
-closed = bilinear_form(psi, phi, op)
+# pairing of psi(s) = w exp(-lam s) with phi(theta) = u exp(mu theta):
+# closed form vs quadrature
+pair = ([0.7 - 0.2j], 1.3 + 0.4j, [1.1 + 0.3j], -0.8 + 2.1j, op)
+closed = bilinear_form(*pair)
 for n in (8, 16, 32, 64):
-    quad = bilinear_form_quadrature(psi, phi, op, npoints=n)
+    quad = bilinear_form_quadrature(*pair, npoints=n)
     print(f"quadrature with {n:3d} nodes per panel: error {abs(quad - closed):.2e}")
 
 # distinct eigenvalues pair to zero
-psi_i = ExpVector([1.0], 1j, side="row")
-phi_mi = ExpVector([1.0], -1j, side="column")
-print("pairing across distinct roots:", abs(bilinear_form(psi_i, phi_mi, op)))
+print("pairing across distinct roots:", abs(bilinear_form([1.0], 1j, [1.0], -1j, op)))

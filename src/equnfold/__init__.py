@@ -9,8 +9,8 @@ unfolding realized through finitely many lags (`unfolding`).  `jsonio` and
 `cli` exposes everything as subcommands.
 """
 
-from .delays import (DelayOperator, ExpVector, bilinear_form,
-                     bilinear_form_quadrature, check_equivariance)
+from .delays import (DelayOperator, bilinear_form, bilinear_form_quadrature,
+                     check_equivariance)
 from .errors import (EqunfoldError, FrameError, RootFindingError, SchemaError,
                      StructuralError, UnfoldingError)
 from .frames import SpectralFrame, eigenbasis, find_root, induce_representation

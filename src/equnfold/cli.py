@@ -343,7 +343,7 @@ def main(argv=None):
     except EqunfoldError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
-    except FileNotFoundError as exc:
+    except OSError as exc:      # a path that is missing, a directory, or unwritable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

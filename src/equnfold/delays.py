@@ -79,31 +79,6 @@ class DelayOperator(NamedTuple("DelayOperator", [("n", int), ("terms", tuple)]))
         return D
 
 
-class ExpVector(NamedTuple("ExpVector", [("direction", np.ndarray), ("exponent", complex),
-                                         ("side", str)])):
-    """Pure-exponential history segment.
-
-    ``side="column"`` represents phi(theta) = u exp(lam theta) on [-tau, 0];
-    ``side="row"`` represents psi(s) = w exp(-lam s) on [0, tau].
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, direction, exponent, side="column"):
-        v = np.asarray(direction, dtype=complex).reshape(-1)
-        if side not in ("column", "row"):
-            raise StructuralError(f"unknown side {side!r}")
-        return super().__new__(cls, v, complex(exponent), side)
-
-    def __call__(self, t):
-        if self.side == "column":
-            return self.direction * np.exp(self.exponent * t)
-        return self.direction * np.exp(-self.exponent * t)
-
-    def conj(self):
-        return ExpVector(self.direction.conj(), self.exponent.conjugate(), self.side)
-
-
 def check_equivariance(op, rep):
     """Max residual of ``rho(g) A_k - A_k rho(g)`` over all elements and terms.
 
@@ -165,16 +140,14 @@ def pairing_matrix(W, lam, V, mu, op):
     return val
 
 
-def bilinear_form(psi, phi, op):
-    """Adjoint bilinear form ``(psi, phi)_n`` of one row and one column
-    exponential vector: the 1 x 1 case of :func:`pairing_matrix`."""
-    if psi.side != "row" or phi.side != "column":
-        raise StructuralError("bilinear form takes (row, column) exponential vectors")
-    return complex(pairing_matrix(psi.direction[None], [psi.exponent],
-                                  phi.direction[None], [phi.exponent], op)[0, 0])
+def bilinear_form(w, lam, u, mu, op):
+    """Adjoint bilinear form ``(psi, phi)_n`` of psi(s) = w exp(-lam s) and
+    phi(theta) = u exp(mu theta): the 1 x 1 case of :func:`pairing_matrix`."""
+    return complex(pairing_matrix(np.reshape(w, (1, -1)), [lam],
+                                  np.reshape(u, (1, -1)), [mu], op)[0, 0])
 
 
-def bilinear_form_quadrature(psi, phi, op, npoints=64):
+def bilinear_form_quadrature(w, lam, u, mu, op, npoints=64):
     """Same pairing as :func:`bilinear_form` by composite Gauss-Legendre panels.
 
     Each delay term contributes ``int_{-r_k}^0 psi(xi + r_k) A_k phi(xi) dxi``
@@ -183,10 +156,9 @@ def bilinear_form_quadrature(psi, phi, op, npoints=64):
     """
     if npoints < 8:
         raise StructuralError("npoints must be at least 8")
-    if psi.side != "row" or phi.side != "column":
-        raise StructuralError("bilinear form takes (row, column) exponential vectors")
+    w, u = np.asarray(w, dtype=complex), np.asarray(u, dtype=complex)
     nodes, weights = np.polynomial.legendre.leggauss(npoints)
-    val = complex(psi(0.0) @ phi(0.0))
+    val = complex(w @ u)
     for r, A in op.terms:
         if r == 0.0:
             continue
@@ -196,5 +168,6 @@ def bilinear_form_quadrature(psi, phi, op, npoints=64):
             xi = 0.5 * (b - a) * nodes + 0.5 * (a + b)
             half = 0.5 * (b - a)
             for x, wq in zip(xi, weights):
-                val += half * wq * complex(psi(x + r) @ A @ phi(x))
+                val += half * wq * complex(w * np.exp(-lam * (x + r)) @ A
+                                           @ (u * np.exp(mu * x)))
     return val

@@ -1,12 +1,14 @@
 """Critical spectra, normalized eigenbases, and the reduced matrix.
 
 Given a point-delay operator and a finite set Lambda of characteristic
-roots, this module builds bases Phi (column exponentials spanning the
-center eigenspace) and Psi (row exponentials spanning its dual) normalized
-so the Gram matrix of the adjoint bilinear form is the identity.  The
-reduced dynamics on the center coordinates is then ``x' = B x`` with B
-diagonal (only semisimple spectra are supported at the function level; the
-matrix-level unfolding machinery accepts arbitrary B).
+roots, this module builds bases Phi (columns spanning the center
+eigenspace) and Psi (rows spanning its dual) normalized so the Gram matrix
+of the adjoint bilinear form is the identity.  With Phi' = Phi B they are
+Phi(theta) = Phi(0) exp(B theta) and Psi(s) = exp(-B s) Psi(0), so a frame
+is its two direction arrays and its spectrum.  The reduced dynamics on the
+center coordinates is then ``x' = B x`` with B diagonal (only semisimple
+spectra are supported at the function level; the matrix-level unfolding
+machinery accepts arbitrary B).
 
 When the operator commutes with a group representation, the group acts on
 the center coordinates through an induced representation G computed from
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import invariants
 from ._linalg import GRAM_RCOND, NULLSPACE_RCOND, null_basis, rank
-from .delays import ExpVector, pairing_matrix
+from .delays import pairing_matrix
 from .errors import FrameError, RootFindingError
 from .groups import Representation
 
@@ -141,15 +143,16 @@ class SpectralFrame(NamedTuple):
     """Normalized eigenframe for a finite critical spectrum.
 
     ``lambdas`` lists the eigenvalues with multiplicity (one entry per basis
-    column), ``phi``/``psi`` the exponential basis vectors, ``B`` the reduced
-    matrix, and ``G`` the induced representation on the center coordinates
-    once :func:`induce_representation` has run.
+    column), ``phi``/``psi`` the directions Phi(0)^T and Psi(0) (row j of
+    each goes with ``lambdas[j]``), ``B`` the reduced matrix, and ``G`` the
+    induced representation on the center coordinates once
+    :func:`induce_representation` has run.
     """
 
     op: object
     lambdas: tuple      # c complex exponents, one per column of Phi
-    phi: tuple          # c column ExpVectors
-    psi: tuple          # c row ExpVectors
+    phi: np.ndarray     # (c, n): row j is phi_j(0)
+    psi: np.ndarray     # (c, n): row j is psi_j(0)
     B: np.ndarray       # (c, c)
     G: Representation = None
 
@@ -158,25 +161,22 @@ class SpectralFrame(NamedTuple):
         return len(self.lambdas)
 
     def Phi_at(self, theta):
-        """The (n, c) matrix Phi(theta)."""
-        return np.column_stack([v(theta) for v in self.phi])
+        """The (n, c) matrix Phi(theta) = Phi(0) exp(Lambda theta), C-ordered so
+        that every product with it takes one BLAS layout."""
+        return np.ascontiguousarray(self.phi.T * np.exp(np.array(self.lambdas) * theta))
 
     def Psi_at(self, s):
-        """The (c, n) matrix Psi(s)."""
-        return np.array([v(s) for v in self.psi])
+        """The (c, n) matrix Psi(s) = exp(-Lambda s) Psi(0)."""
+        return self.psi * np.exp(-np.array(self.lambdas) * s)[:, None]
 
     @property
     def Psi0(self):
-        return self.Psi_at(0.0)
+        return self.psi
 
     def gram(self):
         """The pairing matrix ``(Psi, Phi)``; the identity for a normalized frame."""
-        return pairing_matrix(*_stack(self.psi), *_stack(self.phi), self.op)
-
-
-def _stack(vectors):
-    """Directions (rows) and exponents of a sequence of ExpVectors."""
-    return np.array([v.direction for v in vectors]), np.array([v.exponent for v in vectors])
+        lams = np.array(self.lambdas)
+        return pairing_matrix(self.psi, lams, self.phi, lams, self.op)
 
 
 def _first_significant(v):
@@ -274,16 +274,15 @@ def eigenbasis(op, lambdas, seeds=None):
     pos = 0
     for i, lam in enumerate(lambdas):
         m = len(right[i])
-        for u in right[i]:
-            phi.append(ExpVector(u, lam, side="column"))
-        for w in left_raw[i]:
-            psi_raw.append(ExpVector(w, lam, side="row"))
+        phi.extend(right[i])
+        psi_raw.extend(left_raw[i])
         lams.extend([lam] * m)
         block_slices.append(range(pos, pos + m))
         pos += m
     c = pos
+    phi = np.array(phi)
 
-    K = SpectralFrame(op=op, lambdas=tuple(lams), phi=tuple(phi), psi=tuple(psi_raw), B=None).gram()
+    K = pairing_matrix(np.array(psi_raw), lams, phi, lams, op)
 
     # Blockwise inverse keeps each psi a single exponential.
     psi = [None] * c
@@ -292,8 +291,8 @@ def eigenbasis(op, lambdas, seeds=None):
         Kb = K[np.ix_(idx, idx)]
         # the pairing of a null pair is w Delta'(lam) u: rank it against the
         # size of that product, since a block of one is its own reference
-        size = deriv_size * max(np.linalg.norm(psi_raw[i].direction)
-                                * np.linalg.norm(phi[i].direction) for i in idx)
+        size = deriv_size * max(np.linalg.norm(psi_raw[i]) * np.linalg.norm(phi[i])
+                                for i in idx)
         if rank(Kb, scale=size, rcond=GRAM_RCOND) < len(idx):
             raise FrameError(
                 "defective or mis-ordered spectrum: Gram block is singular "
@@ -302,15 +301,14 @@ def eigenbasis(op, lambdas, seeds=None):
             )
         Kbi = np.linalg.inv(Kb)
         for r, i in enumerate(idx):
-            w = sum(Kbi[r, s] * psi_raw[j].direction for s, j in enumerate(idx))
-            psi[i] = ExpVector(w, lams[i], side="row")
+            psi[i] = sum(Kbi[r, s] * psi_raw[j] for s, j in enumerate(idx))
 
     B = np.diag(np.array(lams, dtype=complex))
-    frame = SpectralFrame(op=op, lambdas=tuple(lams), phi=tuple(phi), psi=tuple(psi), B=B)
+    frame = SpectralFrame(op=op, lambdas=tuple(lams), phi=phi, psi=np.array(psi), B=B)
 
     invariants.check("frame.gram_identity", frame)
     invariants.check("frame.null_vectors", frame,
-                     where=lambda k: f"eigenvalue {(frame.phi + frame.psi)[k].exponent}")
+                     where=lambda k: f"eigenvalue {lams[k % c]}")
     return frame
 
 
@@ -327,8 +325,8 @@ def induce_representation(frame, rep):
 
     c, n = frame.c, op.n
     order = rep.group.order
-    W, lam = _stack(frame.psi)
-    V, mu = _stack(frame.phi)
+    W, V = frame.psi, frame.phi
+    lam = mu = np.array(frame.lambdas)
     # columns rho(g) phi_j over all g, one matrix-vector product each
     moved_phi = (rep.matrices[:, None] @ V[None, :, :, None])[..., 0].reshape(order * c, n)
     Gmats = pairing_matrix(W, lam, moved_phi, np.tile(mu, order), op)

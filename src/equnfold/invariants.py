@@ -90,14 +90,15 @@ def char_scale(norm_sum, lam):
 def _null_vectors(frame):
     """``||Delta(lam) v|| / ||v||`` for each phi column, then each psi row."""
     D = frame.op.char_matrix
-    return ([np.linalg.norm(D(v.exponent) @ v.direction) / np.linalg.norm(v.direction)
-             for v in frame.phi] + [np.linalg.norm(w.direction @ D(w.exponent))
-                                    / np.linalg.norm(w.direction) for w in frame.psi])
+    return ([np.linalg.norm(D(lam) @ u) / np.linalg.norm(u)
+             for u, lam in zip(frame.phi, frame.lambdas)]
+            + [np.linalg.norm(w @ D(lam)) / np.linalg.norm(w)
+               for w, lam in zip(frame.psi, frame.lambdas)])
 
 
 def _null_vector_scales(frame):
     norm_sum = float(np.sum(np.linalg.norm([A for _, A in frame.op.terms], 2, axis=(1, 2))))
-    return [char_scale(norm_sum, v.exponent) for v in frame.phi + frame.psi]
+    return [char_scale(norm_sum, lam) for lam in 2 * frame.lambdas]
 
 
 def _intertwining(frame, rep):
@@ -137,7 +138,7 @@ INVARIANTS = (
     Invariant("frame.B_commutes_with_G", lambda G, B: groups.commutator_residual(G, [B]),
               lambda G, B: _size(B), COMMUTE_TOL, UnfoldingError),
     Invariant("frame.phi_intertwines", _intertwining,
-              lambda frame, rep: _size([v.direction for v in frame.phi]), REP_TOL, FrameError),
+              lambda frame, rep: _size(frame.phi), REP_TOL, FrameError),
     Invariant("family.coefficient_equivariance",
               lambda rep, A: groups.commutator_residual(rep, A.reshape(-1, *A.shape[-2:])),
               lambda rep, A: _size(A), COMMUTE_TOL, StructuralError),

@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .delays import DelayOperator, ExpVector
+from .delays import DelayOperator
 from .errors import SchemaError, StructuralError
 from .frames import SpectralFrame
 from .groups import FiniteGroup, Representation, close_generators
@@ -166,6 +166,13 @@ def integer(x, path):
     return x
 
 
+def string(x, path):
+    """A JSON string."""
+    if not isinstance(x, str):
+        raise invalid(path, "a string", x)
+    return x
+
+
 def boolean(x, path):
     """A JSON true or false; 0 and 1 are not one."""
     if not isinstance(x, bool):
@@ -293,8 +300,8 @@ def rep_from_doc(doc, path="group"):
 def frame_to_doc(frame):
     return {
         "eigenvalues": encode_complex(frame.lambdas),
-        "phi_directions": encode_complex([v.direction for v in frame.phi]),
-        "psi_directions": encode_complex([v.direction for v in frame.psi]),
+        "phi_directions": encode_complex(frame.phi),
+        "psi_directions": encode_complex(frame.psi),
         "reduced_matrix": encode_complex(frame.B),
         "induced_rep": encode_complex(frame.G.matrices),
     }
@@ -316,10 +323,8 @@ def frame_from_doc(doc, op, group, path="frame"):
                           f"of length n = {op.n} and a {c} x {c} reduced matrix")
     G = Representation(group=group, matrices=decode_cmatrix_stack(
         *field(doc, path, "induced_rep"), shape=(c, c)))
-    return SpectralFrame(op=op, lambdas=tuple(lams),
-                         phi=tuple(ExpVector(v, l, side="column") for v, l in zip(phis, lams)),
-                         psi=tuple(ExpVector(v, l, side="row") for v, l in zip(psis, lams)),
-                         B=B, G=G)
+    return SpectralFrame(op=op, lambdas=tuple(lams), phi=np.array(phis).reshape(c, op.n),
+                         psi=np.array(psis).reshape(c, op.n), B=B, G=G)
 
 
 def build_artifact(op, rep, frame, assembly, meta=None):

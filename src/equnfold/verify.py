@@ -8,7 +8,7 @@ from .errors import EqunfoldError, SchemaError
 from .invariants import DEFAULT_TOL, INVARIANTS, CheckResult
 from .jsonio import (SCHEMA, boolean, decode_cmatrix_stack, decode_complex, document_errors,
                      field, frame_from_doc, integer, items, model_from_doc, number,
-                     rep_from_doc)
+                     rep_from_doc, string)
 # orbit_geometry is unused here, but bound: the benchmark's tracer self-test
 # checks that it wraps and restores verify.orbit_geometry
 from .unfolding import (UnfoldingFamily, orbit_geometry, slot_stacks,  # noqa: F401
@@ -48,7 +48,7 @@ def parse_artifact(doc):
 
     unf = field(doc, "", "unfolding")
     delays = items(*field(*unf, "delays"), number)
-    names = items(*field(*unf, "parameters"), lambda name, _: name)
+    names = items(*field(*unf, "parameters"), string)
     directions = items(*field(*unf, "coefficients"),
                        lambda row, p: decode_cmatrix_stack(row, p, shape=(op.n, op.n)))
     selected = items(*field(*unf, "selected_rows"), integer)

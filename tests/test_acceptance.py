@@ -10,8 +10,7 @@ import time
 import numpy as np
 
 from equnfold import d3
-from equnfold.delays import DelayOperator, ExpVector, bilinear_form, \
-    bilinear_form_quadrature
+from equnfold.delays import DelayOperator, bilinear_form, bilinear_form_quadrature
 from equnfold.groups import commutant_basis, equivariant_average
 from equnfold.unfolding import (exponential_delay_matrix, jordan_codimension,
                                 orbit_geometry, realify, scaled_det,
@@ -177,10 +176,10 @@ def test_criterion_6_oracle_equivalence(double_case):
                 for r in delays))
             lam = complex(*rng.uniform(-1, 1, 2)) * 7
             mu = complex(*rng.uniform(-1, 1, 2)) * 7
-            psi = ExpVector(rng.standard_normal(n) + 1j * rng.standard_normal(n), lam, "row")
-            phi = ExpVector(rng.standard_normal(n) + 1j * rng.standard_normal(n), mu, "column")
-            closed = bilinear_form(psi, phi, op)
-            quad = bilinear_form_quadrature(psi, phi, op, npoints=64)
+            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            closed = bilinear_form(w, lam, u, mu, op)
+            quad = bilinear_form_quadrature(w, lam, u, mu, op, npoints=64)
             worst = max(worst, abs(closed - quad) / max(1.0, abs(closed)))
         assert worst < 1e-6
         frame = double_case.frame

@@ -55,6 +55,29 @@ def usage_error(args, capsys, out=None):
     return capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["unfold", "--preset", "d3:simple", "--output", "{dir}"],
+    ["verify", "{artifact}", "--report", "{dir}"],
+    ["verify", "{dir}"],
+    ["unfold", "--config", "{config}", "--output", "{out}"],
+], ids=["unfold-output", "verify-report", "verify-artifact", "config-model"])
+def test_directory_as_a_path_is_a_usage_error(tmp_path, capsys, simple_artifact, command):
+    # an OS error on a path given by the user exits 2, as a missing file
+    # does, and the atomic writer leaves no temp file behind
+    paths = {"dir": tmp_path / "dir", "artifact": tmp_path / "a.json",
+             "config": tmp_path / "cfg.json", "out": tmp_path / "o.json"}
+    paths["dir"].mkdir()
+    write_json_atomic(str(paths["artifact"]), simple_artifact)
+    paths["config"].write_text(json.dumps({
+        "model": str(paths["dir"]), "group": simple_artifact["group"],
+        "lambda_seeds": [[0.0, 1.0]]}))
+    assert run([arg.format(**paths) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] Is a directory: ") and str(paths["dir"]) in err
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert not paths["out"].exists()
+
+
 DELETE = object()
 # replacements for one node of a document: wrong types, a number beyond the
 # float range, a non-integer index, a number as a string, and deletion
@@ -838,6 +861,17 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         assert run(["verify", str(bad)]) == 2
         assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, name", enumerate([1, [2], {"a": 3}, None]))
+    def test_parameter_name_that_is_not_a_string_is_schema_error(self, tmp_path, capsys,
+                                                                 simple_artifact, k, name):
+        doc = copy.deepcopy(simple_artifact)
+        doc["unfolding"]["parameters"][k] = name
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["verify", str(bad)]) == 2
+        assert f"schema error: unfolding.parameters[{k}] must be a string, got " \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("path", [
         ("frame", "eigenvalues", 0, 1),

@@ -537,7 +537,7 @@ class TestDoubleCase:
             for k in range(8):
                 colnorm = np.linalg.norm(Nbar[:, k])
                 if k in block:
-                    direction = frame.phi[k].direction
+                    direction = frame.phi[k]
                     cross = np.linalg.norm(
                         Nbar[:, k] - (direction.conj() @ Nbar[:, k])
                         / (direction.conj() @ direction) * direction)

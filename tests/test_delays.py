@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from equnfold.d3 import D3ModelParams, d3_operator, factor_value, triangle_rep
-from equnfold.delays import (EXPONENT_GAP, DelayOperator, ExpVector, bilinear_form,
+from equnfold.delays import (EXPONENT_GAP, DelayOperator, bilinear_form,
                              bilinear_form_quadrature, check_equivariance, pairing_matrix)
 from equnfold.errors import StructuralError
 from equnfold.frames import eigenbasis, find_root, induce_representation
 from equnfold.groups import close_generators
 
-from conftest import random_complex
+from conftest import random_complex, same_bits
 
 I3 = np.eye(3)
 J3 = np.ones((3, 3))
@@ -111,49 +111,33 @@ class TestBilinearForm:
         op = scalar_delay_op()
         lam = 1j
         assert abs(np.linalg.det(op.char_matrix(lam))) < 1e-14
-        psi = ExpVector([1.0], lam, side="row")
-        phi = ExpVector([1.0], lam, side="column")
-        val = bilinear_form(psi, phi, op)
+        val = bilinear_form([1.0], lam, [1.0], lam, op)
         expected = complex(op.char_matrix_deriv(lam)[0, 0])
         assert abs(val - expected) < 1e-14
         assert abs(val) > 0.1   # simple root: pairing does not degenerate
 
     def test_distinct_roots_are_orthogonal(self):
         op = scalar_delay_op()
-        psi = ExpVector([1.0], 1j, side="row")
-        phi = ExpVector([1.0], -1j, side="column")
-        assert abs(bilinear_form(psi, phi, op)) < 1e-14
+        assert abs(bilinear_form([1.0], 1j, [1.0], -1j, op)) < 1e-14
 
     def test_pure_ode_reduces_to_boundary_product(self, rng):
         A = rng.standard_normal((2, 2))
         op = DelayOperator(n=2, terms=((0.0, A),))
         w = random_complex(rng, 2)
         u = random_complex(rng, 2)
-        psi = ExpVector(w, 0.7 + 0.2j, side="row")
-        phi = ExpVector(u, -0.1 + 1.1j, side="column")
-        assert abs(bilinear_form(psi, phi, op) - w @ u) < 1e-14
+        assert abs(bilinear_form(w, 0.7 + 0.2j, u, -0.1 + 1.1j, op) - w @ u) < 1e-14
 
     def test_linearity(self, rng):
         op = d3_operator(D3ModelParams(alpha=0.5, beta=0.3, tau_s=1.0, tau_n=2.0))
         lam, mu = 0.2 + 1j, -0.4 + 0.5j
         w1, w2, u1, u2 = (random_complex(rng, 3) for _ in range(4))
         a, b = random_complex(rng, 2)
-        lhs = bilinear_form(ExpVector(a * w1 + b * w2, lam, "row"),
-                            ExpVector(u1, mu, "column"), op)
-        rhs = (a * bilinear_form(ExpVector(w1, lam, "row"), ExpVector(u1, mu, "column"), op)
-               + b * bilinear_form(ExpVector(w2, lam, "row"), ExpVector(u1, mu, "column"), op))
+        lhs = bilinear_form(a * w1 + b * w2, lam, u1, mu, op)
+        rhs = (a * bilinear_form(w1, lam, u1, mu, op) + b * bilinear_form(w2, lam, u1, mu, op))
         assert abs(lhs - rhs) < 1e-12
-        lhs = bilinear_form(ExpVector(w1, lam, "row"),
-                            ExpVector(a * u1 + b * u2, mu, "column"), op)
-        rhs = (a * bilinear_form(ExpVector(w1, lam, "row"), ExpVector(u1, mu, "column"), op)
-               + b * bilinear_form(ExpVector(w1, lam, "row"), ExpVector(u2, mu, "column"), op))
+        lhs = bilinear_form(w1, lam, a * u1 + b * u2, mu, op)
+        rhs = (a * bilinear_form(w1, lam, u1, mu, op) + b * bilinear_form(w1, lam, u2, mu, op))
         assert abs(lhs - rhs) < 1e-12
-
-    def test_sides_enforced(self):
-        op = scalar_delay_op()
-        a = ExpVector([1.0], 1j, side="column")
-        with pytest.raises(StructuralError):
-            bilinear_form(a, a, op)
 
 
 class TestQuadratureOracle:
@@ -166,19 +150,17 @@ class TestQuadratureOracle:
                 (float(r), random_complex(rng, 2, 2)) for r in delays))
             lam = complex(*rng.uniform(-2, 2, 2)) * 3
             mu = complex(*rng.uniform(-2, 2, 2)) * 3
-            psi = ExpVector(random_complex(rng, 2), lam, side="row")
-            phi = ExpVector(random_complex(rng, 2), mu, side="column")
-            closed = bilinear_form(psi, phi, op)
-            quad = bilinear_form_quadrature(psi, phi, op, npoints=64)
+            pair = (random_complex(rng, 2), lam, random_complex(rng, 2), mu, op)
+            closed = bilinear_form(*pair)
+            quad = bilinear_form_quadrature(*pair, npoints=64)
             assert abs(closed - quad) < 1e-6 * max(1.0, abs(closed))
 
     def test_convergence_with_node_doubling(self, rng):
         op = DelayOperator(n=2, terms=((1.3, random_complex(rng, 2, 2)),
                                        (3.7, random_complex(rng, 2, 2))))
-        psi = ExpVector(random_complex(rng, 2), 1.0 + 2.0j, side="row")
-        phi = ExpVector(random_complex(rng, 2), -0.5 + 1.5j, side="column")
-        closed = bilinear_form(psi, phi, op)
-        errs = [abs(bilinear_form_quadrature(psi, phi, op, npoints=n) - closed)
+        pair = (random_complex(rng, 2), 1.0 + 2.0j, random_complex(rng, 2), -0.5 + 1.5j, op)
+        closed = bilinear_form(*pair)
+        errs = [abs(bilinear_form_quadrature(*pair, npoints=n) - closed)
                 for n in (8, 16, 32, 64)]
         assert errs[-1] < 1e-10
         assert errs[-1] <= errs[0] + 1e-14
@@ -187,25 +169,21 @@ class TestQuadratureOracle:
         A = rng.standard_normal((2, 2))
         op = DelayOperator(n=2, terms=((0.0, A),))
         w, u = random_complex(rng, 2), random_complex(rng, 2)
-        psi = ExpVector(w, 0.3j, side="row")
-        phi = ExpVector(u, 1.2, side="column")
-        assert abs(bilinear_form_quadrature(psi, phi, op) - w @ u) < 1e-14
+        assert abs(bilinear_form_quadrature(w, 0.3j, u, 1.2, op) - w @ u) < 1e-14
 
     def test_minimum_nodes_enforced(self):
         op = scalar_delay_op()
-        v = ExpVector([1.0], 1j, side="row")
-        u = ExpVector([1.0], 1j, side="column")
         with pytest.raises(StructuralError):
-            bilinear_form_quadrature(v, u, op, npoints=4)
+            bilinear_form_quadrature([1.0], 1j, [1.0], 1j, op, npoints=4)
 
     def test_located_eigenfunctions_match(self, simple_case):
         # the pairing of the actual critical eigenfunctions at the located
         # bifurcation point agrees across the two evaluations
         frame = simple_case.frame
         op = frame.op
-        for psi, phi in zip(frame.psi, frame.phi):
-            closed = bilinear_form(psi, phi, op)
-            quad = bilinear_form_quadrature(psi, phi, op, npoints=64)
+        for w, u, lam in zip(frame.psi, frame.phi, frame.lambdas):
+            closed = bilinear_form(w, lam, u, lam, op)
+            quad = bilinear_form_quadrature(w, lam, u, lam, op, npoints=64)
             assert abs(closed - quad) < 1e-8
             assert abs(closed - 1.0) < 1e-9   # normalized frame
 
@@ -222,11 +200,6 @@ def _pairing_scalar(w, lam, u, mu, op):
     return complex(val)
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 @pytest.fixture(scope="module")
 def ring12():
     """Frame and group of the 12-cell one-way ring of the pinned ring artifact."""
@@ -240,11 +213,9 @@ def ring12():
 
 def _moved_pairing(frame, rep):
     """Rows psi_i and columns rho(g) phi_j, stacked over the group elements."""
-    W = np.array([v.direction for v in frame.psi])
-    lam = np.array([v.exponent for v in frame.psi])
-    V = np.array([R @ v.direction for R in rep.matrices for v in frame.phi])
-    mu = np.array([v.exponent for _ in rep.matrices for v in frame.phi])
-    return W, lam, V, mu
+    lam = np.array(frame.lambdas)
+    V = np.array([R @ u for R in rep.matrices for u in frame.phi])
+    return frame.psi, lam, V, np.tile(lam, rep.group.order)
 
 
 class TestPairingMatrix:
@@ -264,38 +235,40 @@ class TestPairingMatrix:
         P = pairing_matrix(W, lam, V, mu, frame.op)
         ref = [[_pairing_scalar(w, l, u, m, frame.op) for u, m in zip(V, mu)]
                for w, l in zip(W, lam)]
-        assert _same_bits(P, ref)
+        assert same_bits(P, ref)
 
     def test_bilinear_form_equals_pairing_matrix_bitwise(self, case):
         frame, rep = case
         W, lam, V, mu = _moved_pairing(frame, rep)
         P = pairing_matrix(W, lam, V, mu, frame.op)
-        pairs = [[bilinear_form(ExpVector(w, l, "row"), ExpVector(u, m, "column"), frame.op)
-                  for u, m in zip(V, mu)] for w, l in zip(W, lam)]
-        assert np.array_equal(P, pairs) and _same_bits(P, pairs)
+        pairs = [[bilinear_form(w, l, u, m, frame.op) for u, m in zip(V, mu)]
+                 for w, l in zip(W, lam)]
+        assert np.array_equal(P, pairs) and same_bits(P, pairs)
 
     def test_gram_and_induced_action_are_the_entrywise_pairings(self, case):
         frame, rep = case
         op = frame.op
-        gram = [[bilinear_form(p, q, op) for q in frame.phi] for p in frame.psi]
-        assert _same_bits(frame.gram(), gram)
+        lams = frame.lambdas
+        gram = [[bilinear_form(w, l, u, m, op) for u, m in zip(frame.phi, lams)]
+                for w, l in zip(frame.psi, lams)]
+        assert same_bits(frame.gram(), gram)
         c, order = frame.c, rep.group.order
         W, lam, V, mu = _moved_pairing(frame, rep)
-        entries = [[bilinear_form(ExpVector(w, l, "row"), ExpVector(u, m, "column"), op)
-                    for u, m in zip(V, mu)] for w, l in zip(W, lam)]
+        entries = [[bilinear_form(w, l, u, m, op) for u, m in zip(V, mu)]
+                   for w, l in zip(W, lam)]
         G = np.array(entries).reshape(c, order, c).transpose(1, 0, 2)
-        assert _same_bits(frame.G.matrices, G)
+        assert same_bits(frame.G.matrices, G)
 
     def test_agrees_with_quadrature(self, simple_case, double_case):
         frame = double_case.frame
-        quad = [[bilinear_form_quadrature(p, q, frame.op) for q in frame.phi]
-                for p in frame.psi]
+        lams = frame.lambdas
+        quad = [[bilinear_form_quadrature(w, l, u, m, frame.op) for u, m in zip(frame.phi, lams)]
+                for w, l in zip(frame.psi, lams)]
         assert np.max(np.abs(frame.gram() - quad)) < 1e-10
         frame = simple_case.frame
         W, lam, V, mu = _moved_pairing(frame, simple_case.rep)
-        quad = [[bilinear_form_quadrature(ExpVector(w, l, "row"), ExpVector(u, m, "column"),
-                                          frame.op)
-                 for u, m in zip(V[:8], mu[:8])] for w, l in zip(W, lam)]
+        quad = [[bilinear_form_quadrature(w, l, u, m, frame.op) for u, m in zip(V[:8], mu[:8])]
+                for w, l in zip(W, lam)]
         assert np.max(np.abs(pairing_matrix(W, lam, V[:8], mu[:8], frame.op) - quad)) < 1e-10
 
     def test_random_operators_bitwise(self, rng):
@@ -307,7 +280,7 @@ class TestPairingMatrix:
             W, V = random_complex(rng, 3, n), random_complex(rng, 4, n)
             ref = [[_pairing_scalar(w, l, u, m, op) for u, m in zip(V, mu)]
                    for w, l in zip(W, lam)]
-            assert _same_bits(pairing_matrix(W, lam, V, mu, op), ref)
+            assert same_bits(pairing_matrix(W, lam, V, mu, op), ref)
 
     def test_direction_length_checked(self):
         op = scalar_delay_op()

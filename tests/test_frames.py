@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from equnfold import d3, frames
-from equnfold.delays import DelayOperator, ExpVector, bilinear_form
+from equnfold.delays import DelayOperator, bilinear_form
 from equnfold.errors import FrameError, RootFindingError
 from equnfold.frames import _det_derivative, eigenbasis, find_root, induce_representation
 from equnfold.groups import close_generators
+from equnfold.unfolding import select_delays
 
-from conftest import random_complex
+from conftest import random_complex, same_bits
 
 I3 = np.eye(3)
 
@@ -254,18 +255,18 @@ class TestEigenbasis:
         frame = eigenbasis(op, [1.0])
         assert frame.c == 1
         assert np.allclose(frame.B, [[1.0]])
-        assert np.allclose(np.abs(frame.phi[0].direction), [1.0, 0.0])
-        assert abs(bilinear_form(frame.psi[0], frame.phi[0], op) - 1.0) < 1e-12
+        assert np.allclose(np.abs(frame.phi[0]), [1.0, 0.0])
+        assert abs(bilinear_form(frame.psi[0], 1.0, frame.phi[0], 1.0, op) - 1.0) < 1e-12
 
     def test_simple_case_structure(self, simple_case):
         frame = simple_case.frame
         assert frame.c == 4
         assert np.allclose(frame.B, np.diag(frame.lambdas))
         for v in frame.phi:
-            assert np.allclose(v.direction, [1.0, 1.0, 1.0])
+            assert np.allclose(v, [1.0, 1.0, 1.0])
         # normalized dual rows are symmetric too
         for w in frame.psi:
-            assert np.max(np.abs(w.direction - np.mean(w.direction))) < 1e-10
+            assert np.max(np.abs(w - np.mean(w))) < 1e-10
         assert np.max(np.abs(frame.gram() - np.eye(4))) < 1e-10
 
     def test_double_case_structure(self, double_case):
@@ -274,19 +275,19 @@ class TestEigenbasis:
         om = d3.OMEGA
         v = d3.V_ROT
         # seeded ordering: (v, vbar) at +i w, conjugates (vbar, v) at -i w
-        assert np.allclose(frame.phi[0].direction, v)
-        assert np.allclose(frame.phi[1].direction, v.conj())
-        assert np.allclose(frame.phi[2].direction, v.conj())
-        assert np.allclose(frame.phi[3].direction, v)
+        assert np.allclose(frame.phi[0], v)
+        assert np.allclose(frame.phi[1], v.conj())
+        assert np.allclose(frame.phi[2], v.conj())
+        assert np.allclose(frame.phi[3], v)
         # dual rows carry the rotation characters: mu (1, wbar, w) ...
-        r0 = frame.psi[0].direction
+        r0 = frame.psi[0]
         assert np.max(np.abs(r0 / r0[0] - np.array([1.0, om.conjugate(), om]))) < 1e-9
-        r1 = frame.psi[1].direction
+        r1 = frame.psi[1]
         assert np.max(np.abs(r1 / r1[0] - np.array([1.0, om, om.conjugate()]))) < 1e-9
         assert abs(r1[0] - r0[0]) < 1e-9      # same scalar mu on both rows
         # conjugate-pair convention for the -i w rows
-        assert np.max(np.abs(frame.psi[2].direction - frame.psi[0].direction.conj())) < 1e-9
-        assert np.max(np.abs(frame.psi[3].direction - frame.psi[1].direction.conj())) < 1e-9
+        assert np.max(np.abs(frame.psi[2] - frame.psi[0].conj())) < 1e-9
+        assert np.max(np.abs(frame.psi[3] - frame.psi[1].conj())) < 1e-9
         assert np.max(np.abs(frame.gram() - np.eye(8))) < 1e-9
 
     def test_phi_satisfies_reduced_ode(self, simple_case):
@@ -338,6 +339,34 @@ class TestEigenbasis:
             eigenbasis(op, [lam], seeds={0: [d3.V_ROT, 2 * d3.V_ROT]})
 
 
+class TestFrameEvaluation:
+    """Phi(theta) = Phi(0) exp(Lambda theta) and Psi(s) = exp(-Lambda s) Psi(0)
+    take the bits of one exponential vector per column or row,
+    ``u * np.exp(lam * t)``, the arithmetic every pinned artifact was made with."""
+
+    @pytest.fixture(scope="class", params=["simple", "double", "ring3", "ring24"])
+    def case(self, request):
+        """A frame and its stored lags."""
+        if request.param.startswith("ring"):
+            op = _ring(int(request.param[4:]))
+            frame = eigenbasis(op, [find_root(op, seed).root for seed in (2j, -2j)])
+            return frame, select_delays(frame)
+        r = request.getfixturevalue(f"{request.param}_case")
+        return r.frame, r.delays
+
+    def test_phi_and_psi_match_the_per_vector_exponentials(self, case):
+        frame, lags = case
+        lams = [complex(lam) for lam in frame.lambdas]
+        samples = [*(-r for r in lags), *np.linspace(-frame.op.tau, 0.0, 9)]
+        for t in samples:
+            Phi = np.column_stack([u * np.exp(lam * t) for u, lam in zip(frame.phi, lams)])
+            Psi = np.array([w * np.exp(-lam * -t) for w, lam in zip(frame.psi, lams)])
+            assert same_bits(frame.Phi_at(t), Phi) and frame.Phi_at(t).flags.c_contiguous, t
+            assert same_bits(frame.Psi_at(-t), Psi), t
+        Psi0 = np.array([w * np.exp(-lam * 0.0) for w, lam in zip(frame.psi, lams)])
+        assert same_bits(frame.Psi0, Psi0)
+
+
 class TestInduceRepresentation:
     def test_trivial_group(self, simple_case):
         frame = eigenbasis(simple_case.op,
@@ -371,10 +400,9 @@ class TestInduceRepresentation:
         for g in rep.group.elements():
             R = rep.matrices[g]
             H = np.empty((frame.c, frame.c), dtype=complex)
-            for i, ps in enumerate(frame.psi):
-                moved = ExpVector(ps.direction @ R, ps.exponent, side="row")
-                for j, ph in enumerate(frame.phi):
-                    H[i, j] = bilinear_form(moved, ph, op)
+            for i, (w, lam) in enumerate(zip(frame.psi, frame.lambdas)):
+                for j, (u, mu) in enumerate(zip(frame.phi, frame.lambdas)):
+                    H[i, j] = bilinear_form(w @ R, lam, u, mu, op)
             assert np.max(np.abs(H - frame.G.matrices[g])) < 1e-9
             assert np.max(np.abs(frame.B @ frame.G.matrices[g]
                                  - frame.G.matrices[g] @ frame.B)) < 1e-10

@@ -29,8 +29,8 @@ def _record_types():
 
 
 RECORDS = ("CheckResult", "D3CaseResult", "D3ModelParams", "DelayOperator", "DoubleHopfPoint",
-           "ExpVector", "FiniteGroup", "GammaUnfolding", "OrbitGeometry",
-           "Representation", "RootResult", "SpectralFrame", "ThetaReport", "UnfoldingFamily",
+           "FiniteGroup", "GammaUnfolding", "OrbitGeometry", "Representation", "RootResult",
+           "SpectralFrame", "ThetaReport", "UnfoldingFamily",
            "VerificationReport", "VersalityReport")
 
 
@@ -42,7 +42,7 @@ def records(simple_case, simple_artifact):
     report = verify_artifact(simple_artifact)
     samples = {
         "D3CaseResult": r, "DoubleHopfPoint": r.point, "D3ModelParams": r.point.params(),
-        "DelayOperator": r.op, "ExpVector": frame.phi[0],
+        "DelayOperator": r.op,
         "FiniteGroup": r.rep.group, "Representation": r.rep,
         "RootResult": find_root(r.op, frame.lambdas[0]), "SpectralFrame": frame,
         "OrbitGeometry": orbit_geometry(frame.B, semisimple_jordan_spec(np.diag(frame.B))),

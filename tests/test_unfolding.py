@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from equnfold import d3
 from equnfold._linalg import RANK_RCOND, rank, svd_rank
 from equnfold.cli import _run_config
-from equnfold.delays import DelayOperator, ExpVector
+from equnfold.delays import DelayOperator
 from equnfold.errors import StructuralError, UnfoldingError
 from equnfold.frames import SpectralFrame
 from equnfold.groups import (Representation, close_generators, commutant_basis,
@@ -339,10 +339,8 @@ def scalar_frame(psi0=2.0, lam=0.5):
     """Hand-built one-dimensional frame with a prescribed Psi(0)."""
     op = DelayOperator(n=1, terms=((0.0, [[lam]]),))
     u = 1.0 / psi0
-    phi = (ExpVector([u], lam, side="column"),)
-    psi = (ExpVector([psi0], lam, side="row"),)
-    return SpectralFrame(op=op, lambdas=(complex(lam),), phi=phi, psi=psi,
-                         B=np.array([[lam]], dtype=complex))
+    return SpectralFrame(op=op, lambdas=(complex(lam),), phi=np.array([[u]], dtype=complex),
+                         psi=np.array([[psi0]], dtype=complex), B=np.array([[lam]], dtype=complex))
 
 
 class TestBuildRMatrices:
@@ -632,8 +630,7 @@ class TestStackedSolvesMatchPerSystemSolves:
         rng.shuffle(lams)
         return SpectralFrame(
             op=DelayOperator(n=n, terms=((0.0, dense(n, n)),)), lambdas=tuple(lams),
-            phi=tuple(ExpVector(dense(n), l, side="column") for l in lams),
-            psi=tuple(ExpVector(dense(n), l, side="row") for l in lams),
+            phi=np.array([dense(n) for _ in lams]), psi=np.array([dense(n) for _ in lams]),
             B=np.diag(lams))
 
     def test_random_dense(self, rng):
