@@ -27,7 +27,7 @@ geo = orbit_geometry(B, spec)
 print("matrix B:\n", np.round(B, 3))
 print(f"\norbit codimension: rank-based {geo.delta}, "
       f"formula {jordan_codimension(spec)}")
-print(f"tangent dim {len(geo.T_basis)} + complement dim {len(geo.W_basis)} "
+print(f"tangent dim {geo.tangent_dim} + complement dim {geo.delta} "
       f"= {B.shape[0] ** 2}")
 
 # random directions decompose; a spanning set gets selected

@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 pipeline failure, 2 usage or schema error,
 """
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 import numpy as np
@@ -82,7 +84,18 @@ def _parse_window(text):
     return (a, b)
 
 
+def _output_path(path):
+    """``path``, checked before any work: a directory, or a file in a directory
+    that does not exist, is an OSError that names ``path``."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not path or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return path
+
+
 def cmd_curves(args):
+    _output_path(args.output)
     curves = d3.sweep_curves(args.factor, args.beta, args.tau_n, args.omega_range,
                              branches=args.branches)
     lines = ["omega,alpha,tau_s,sign,branch,factor"]
@@ -98,6 +111,7 @@ def cmd_curves(args):
 
 
 def cmd_double_hopf(args):
+    _output_path(args.output)
     points = d3.locate_double_hopf(
         args.factor, args.beta, args.tau_n, omegas=args.omega_range, branches=args.branches,
         alpha_window=args.alpha_window, tau_s_window=args.tau_s_window,
@@ -150,15 +164,17 @@ def _mask(doc, path):
     return np.array(rows, dtype=bool)
 
 
-def _run_config(cfg):
+def _run_config(cfg, output=None):
     """Run the generic pipeline described by a config document; the results
-    come with the config's output path ("" when it names none)."""
+    come with the output path, checked before the pipeline runs: ``output``,
+    else the config's, else ``unfold.json``."""
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
     _check_keys(cfg, "config", CONFIG_KEYS)
-    output = field(cfg, "", "output", "")[0]
-    if not isinstance(output, str):
-        raise SchemaError(f"output must be a path, got {output!r}")
+    path = field(cfg, "", "output", "")[0]
+    if not isinstance(path, str):
+        raise SchemaError(f"output must be a path, got {path!r}")
+    output = _output_path(output or path or "unfold.json")
     seeds, seeds_path = field(cfg, "", "lambda_seeds")
     if isinstance(seeds, str):
         if seeds not in PRESETS:
@@ -233,9 +249,8 @@ def _run_preset(preset):
 
 def cmd_unfold(args):
     cfg = {"lambda_seeds": args.preset} if args.preset else read_json(args.config)
-    op, rep, frame, assembly, meta, output = _run_config(cfg)
+    op, rep, frame, assembly, meta, out = _run_config(cfg, args.output)
     doc = build_artifact(op, rep, frame, assembly, meta=meta)
-    out = args.output or output or "unfold.json"
     write_json_atomic(out, doc)
     ver = assembly.versality
     kind = "mini-versal" if ver.mini_versal else "versal (not minimal)"
@@ -245,11 +260,13 @@ def cmd_unfold(args):
 
 
 def cmd_verify(args):
+    if args.report is not None:
+        _output_path(args.report)
     doc = read_json(args.artifact)
     report = verify_artifact(doc, tol=args.tol)
     for line in report.lines():
         print(line)
-    if args.report:
+    if args.report is not None:
         out = {
             "schema": SCHEMA,
             "kind": "verification-report",
@@ -336,7 +353,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow or a NaN on the way fails its check; numpy need not warn
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_USAGE

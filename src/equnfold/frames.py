@@ -169,10 +169,6 @@ class SpectralFrame(NamedTuple):
         """The (c, n) matrix Psi(s) = exp(-Lambda s) Psi(0)."""
         return self.psi * np.exp(-np.array(self.lambdas) * s)[:, None]
 
-    @property
-    def Psi0(self):
-        return self.psi
-
     def gram(self):
         """The pairing matrix ``(Psi, Phi)``; the identity for a normalized frame."""
         lams = np.array(self.lambdas)

@@ -35,10 +35,6 @@ HORIZON_PAD = 1e-12            # a lag this far beyond the history horizon is st
 PATTERN_FLOOR = 1e-14          # a lag whose coefficients all lie below this has no pattern
 
 
-def _vec(M):
-    return np.asarray(M, dtype=complex).reshape(-1)
-
-
 def jordan_codimension(jordan_spec):
     """Orbit codimension ``sum_j sum_l (2l - 1) n_{j,l}``.
 
@@ -119,15 +115,14 @@ class OrbitGeometry(NamedTuple):
 
     B: np.ndarray
     jordan_spec: tuple
-    T_basis: tuple      # basis of im(ad_B), as matrices
-    W_basis: tuple      # complement basis; elementary matrices for diagonal B
-    delta: int          # orbit codimension == len(W_basis)
+    basis: np.ndarray       # nonsingular C-ordered c^2 x c^2 [vec(T) | vec(W)], row-major vecs
+    tangent_dim: int        # the leading columns of basis that span im(ad_B)
     slots: tuple = None     # (row, col) of each elementary W; None for non-diagonal B
 
-    def basis_matrix(self):
-        """Columns [vec(T) | vec(W)], a nonsingular c^2 x c^2 matrix."""
-        cols = [_vec(T) for T in self.T_basis] + [_vec(W) for W in self.W_basis]
-        return np.column_stack(cols)
+    @property
+    def delta(self):
+        """Orbit codimension, the number of W columns."""
+        return len(self.basis) - self.tangent_dim
 
 
 def _is_diagonal(B):
@@ -161,30 +156,22 @@ def orbit_geometry(B, jordan_spec):
             f"rank-based codimension {delta} disagrees with the Jordan formula {formula}; "
             "jordan_spec is wrong for this matrix"
         )
-    T_basis = tuple(U[:, k].reshape(c, c) for k in range(r))
 
+    # W spans the centralizer of B^H, the null space of ad_{B^H} = ad_B^H: the
+    # trailing left singular vectors of ad_B, so the basis is U itself.  For
+    # diagonal B, W is instead the elementary matrices at the slots.
+    basis = np.ascontiguousarray(U)
     slots = None
     if _is_diagonal(B):
         slots = tuple(_diagonal_complement_slots(np.diag(B)))
-        W_basis = []
-        for (i, j) in slots:
-            E = np.zeros((c, c), dtype=complex)
-            E[i, j] = 1.0
-            W_basis.append(E)
-    else:
-        # The centralizer of B^H is the null space of ad_{B^H} = ad_B^H, i.e.
-        # the left null space of ad_B: its trailing left singular vectors.
-        W_basis = [U[:, k].reshape(c, c) for k in range(r, c * c)]
-
-    if len(W_basis) != delta:
-        raise UnfoldingError(
-            f"complement dimension {len(W_basis)} != codimension {delta}"
-        )
-    geo = OrbitGeometry(B=B, jordan_spec=tuple(jordan_spec), T_basis=T_basis,
-                        W_basis=tuple(W_basis), delta=delta, slots=slots)
-    if rank(geo.basis_matrix()) != c * c:
+        if len(slots) != delta:
+            raise UnfoldingError(f"complement dimension {len(slots)} != codimension {delta}")
+        basis[:, r:] = 0.0
+        basis[[i * c + j for i, j in slots], range(r, c * c)] = 1.0
+    if rank(basis) != c * c:
         raise UnfoldingError("tangent + complement do not span the matrix space")
-    return geo
+    return OrbitGeometry(B=B, jordan_spec=tuple(jordan_spec), basis=basis, tangent_dim=r,
+                         slots=slots)
 
 
 class ThetaReport(NamedTuple):
@@ -212,8 +199,7 @@ def theta_extract(geometry, directions):
     max|Theta|) of the rows already kept.  A direction with a non-finite
     entry is an :class:`UnfoldingError`.
     """
-    S = geometry.basis_matrix()
-    t = len(geometry.T_basis)
+    S = geometry.basis
     p = len(directions)
     V = np.zeros((p, S.shape[0]), dtype=complex)        # row i is vec(direction i)
     for i, D in enumerate(directions):
@@ -222,7 +208,7 @@ def theta_extract(geometry, directions):
             raise StructuralError(f"direction {i} has shape {D.shape}")
         if not np.all(np.isfinite(D)):
             raise UnfoldingError(f"direction {i} has a non-finite entry")
-        V[i] = _vec(D)
+        V[i] = D.reshape(-1)
     theta = np.zeros((p, geometry.delta), dtype=complex)
     residuals = []
     if p:
@@ -231,7 +217,7 @@ def theta_extract(geometry, directions):
         X = np.linalg.lstsq(S, V.T, rcond=None)[0].T.copy()
         residuals = [float(np.linalg.norm(S @ x - v)) for x, v in zip(X, V)]
         invariants.check("theta.decomposition", residuals, V, where=lambda i: f"direction {i}")
-        theta[:] = X[:, t:]
+        theta[:] = X[:, geometry.tangent_dim:]
 
     scale = float(np.max(np.abs(theta))) if p else 0.0
     selected = []
@@ -279,7 +265,6 @@ def build_R_matrices(frame, geometry):
             "complement basis is not elementary; the delay realization needs the "
             "diagonal-frame complement (semisimple spectrum)"
         )
-    Psi0 = frame.Psi0
     lams = np.array(frame.lambdas)
     blocks = _diag_blocks(lams)
     block_of = {r: k for k, block in enumerate(blocks) for r in block}
@@ -289,7 +274,7 @@ def build_R_matrices(frame, geometry):
         k = block_of[r]
         block = blocks[k]
         if k not in solutions:
-            Pi = Psi0[block, :]
+            Pi = frame.psi[block, :]
             if rank(Pi) < len(block):
                 raise UnfoldingError(
                     f"adjoint rows dependent at eigenvalue {lams[r]}; "
@@ -412,7 +397,7 @@ def slot_stacks(frame, rep):
     geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
     Rs = build_R_matrices(frame, geometry)
     Rbars = equivariant_average(rep, frame.G, Rs)
-    Bhats = frame.Psi0 @ Rbars
+    Bhats = frame.psi @ Rbars
     return Rs, Rbars, Bhats, theta_extract(geometry, Bhats)
 
 
@@ -468,8 +453,7 @@ class UnfoldingFamily(NamedTuple("UnfoldingFamily", [
     def center_directions(self, frame, Phis):
         """Reduced-matrix directions ``sum_j Psi(0) A_j^m Phi(-r_j)`` of every
         parameter m, a ``(p, c, c)`` stack, given ``Phis[j] = Phi(-r_j)``."""
-        Psi0 = frame.Psi0
-        return np.array([sum(Psi0 @ A @ P for A, P in zip(row, Phis))
+        return np.array([sum(frame.psi @ A @ P for A, P in zip(row, Phis))
                          for row in self.directions]).reshape(self.n_parameters, frame.c, frame.c)
 
 
@@ -521,7 +505,7 @@ def verify_gamma_versality(B, G, directions, tol=None):
     invariants.check("versality.commutant_formula", formula, k, tol=tol,
                      where=lambda _: (f"commutant dimension {k} by rank disagrees "
                                       f"with {formula:.6g} by the character formula"))
-    images = np.column_stack([_vec(B @ K - K @ B) for K in comm])
+    images = (B @ comm - comm @ B).reshape(k, -1).T
     # scale |B|: commutator columns at rounding level count as zero even when all are tiny
     U, _, r = svd_rank(images, scale=float(np.linalg.norm(B, 2)))
     Z_dim, Z_formula = k - r, np.nan
@@ -535,7 +519,7 @@ def verify_gamma_versality(B, G, directions, tol=None):
     cols = [Kmat.conj().T @ U[:, :r]]       # the tangent space [B, Mat^Gamma]
     equiv_res = 0.0
     for D in directions:
-        v = _vec(D)
+        v = np.asarray(D, dtype=complex).reshape(-1)
         coords = Kmat.conj().T @ v
         equiv_res = max(equiv_res, float(np.linalg.norm(v - Kmat @ coords)))
         cols.append(coords[:, None])
@@ -588,7 +572,6 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
         raise UnfoldingError("frame carries no induced representation; run induce_representation")
 
     G = frame.G
-    Psi0 = frame.Psi0
     delays = [float(r) for r in delays]
     Rs, Rbars, Bhats, theta = slot_stacks(frame, rep)
     Phis = _lag_basis(frame, delays, context=f"slots 0-{len(Rs) - 1}: ")
@@ -596,8 +579,8 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
 
     # Projection identity: averaging the coefficients, the R matrix, or
     # the center direction all land on the same matrix.
-    Bhat_from_A = (Psi0 @ equivariant_average(rep, rep, A_raw) @ np.array(Phis)).sum(axis=1)
-    Bhat_from_C = equivariant_average(G, G, Psi0 @ Rs)
+    Bhat_from_A = (frame.psi @ equivariant_average(rep, rep, A_raw) @ np.array(Phis)).sum(axis=1)
+    Bhat_from_C = equivariant_average(G, G, frame.psi @ Rs)
     invariants.check("directions.projection_identity", Bhats, Bhat_from_A, Bhat_from_C,
                      where=lambda m: f"slot {m}")
 

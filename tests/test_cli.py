@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -55,27 +56,89 @@ def usage_error(args, capsys, out=None):
     return capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["unfold", "--preset", "d3:simple", "--output", "{dir}"],
-    ["verify", "{artifact}", "--report", "{dir}"],
-    ["verify", "{dir}"],
-    ["unfold", "--config", "{config}", "--output", "{out}"],
-], ids=["unfold-output", "verify-report", "verify-artifact", "config-model"])
-def test_directory_as_a_path_is_a_usage_error(tmp_path, capsys, simple_artifact, command):
+IS_A_DIRECTORY = "error: [Errno 21] Is a directory: "
+NO_SUCH_FILE = "error: [Errno 2] No such file or directory: "
+CURVES = ["curves", "--factor", "delta1", "--beta", "0.5", "--tau-n", "3",
+          "--omega-range", "0.05:1:0.5"]
+DOUBLE_HOPF = ["double-hopf", "--factor", "delta1", "--beta", "-0.5", "--tau-n", "4"]
+
+
+@pytest.mark.parametrize("command, message, named", [
+    (["unfold", "--preset", "d3:simple", "--output", "{dir}"], IS_A_DIRECTORY, "{dir}"),
+    (["verify", "{artifact}", "--report", "{dir}"], IS_A_DIRECTORY, "{dir}"),
+    (["verify", "{dir}"], IS_A_DIRECTORY, "{dir}"),
+    (["unfold", "--config", "{config}", "--output", "{out}"], IS_A_DIRECTORY, "{dir}"),
+    (["unfold", "--preset", "d3:simple", "--output", "."], IS_A_DIRECTORY, "'.'"),
+    (["unfold", "--config", "{preset_config}"], IS_A_DIRECTORY, "{dir}"),
+    (CURVES + ["--output", "{dir}"], IS_A_DIRECTORY, "{dir}"),
+    (DOUBLE_HOPF + ["--output", "{dir}"], IS_A_DIRECTORY, "{dir}"),
+    (["unfold", "--preset", "d3:simple", "--output", "{missing}"], NO_SUCH_FILE, "{missing}"),
+    (["verify", "{artifact}", "--report", "{missing}"], NO_SUCH_FILE, "{missing}"),
+    (CURVES + ["--output", "{missing}"], NO_SUCH_FILE, "{missing}"),
+    (DOUBLE_HOPF + ["--output", "{missing}"], NO_SUCH_FILE, "{missing}"),
+    (CURVES + ["--output", ""], NO_SUCH_FILE, "''"),
+    (["verify", "{artifact}", "--report", ""], NO_SUCH_FILE, "''"),
+], ids=["unfold-output", "verify-report", "verify-artifact", "config-model", "unfold-output-dot",
+        "config-output", "curves-output", "double-hopf-output", "unfold-missing-parent",
+        "verify-report-missing-parent", "curves-missing-parent", "double-hopf-missing-parent",
+        "curves-empty", "verify-report-empty"])
+def test_directory_as_a_path_is_a_usage_error(tmp_path, capsys, monkeypatch, simple_artifact,
+                                              command, message, named):
     # an OS error on a path given by the user exits 2, as a missing file
-    # does, and the atomic writer leaves no temp file behind
+    # does; an output path is checked before the pipeline runs, the message
+    # names the path as given, and no temp file is made
     paths = {"dir": tmp_path / "dir", "artifact": tmp_path / "a.json",
-             "config": tmp_path / "cfg.json", "out": tmp_path / "o.json"}
+             "config": tmp_path / "cfg.json", "out": tmp_path / "o.json",
+             "preset_config": tmp_path / "preset.json", "missing": tmp_path / "no" / "o.json"}
     paths["dir"].mkdir()
     write_json_atomic(str(paths["artifact"]), simple_artifact)
     paths["config"].write_text(json.dumps({
         "model": str(paths["dir"]), "group": simple_artifact["group"],
         "lambda_seeds": [[0.0, 1.0]]}))
+    paths["preset_config"].write_text(json.dumps({
+        "lambda_seeds": "d3:simple", "output": str(paths["dir"])}))
+
+    def pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    for name in ("run_case", "sweep_curves", "locate_double_hopf"):
+        monkeypatch.setattr(d3, name, pipeline)
+    monkeypatch.setattr(cli, "verify_artifact", pipeline)
+    monkeypatch.chdir(paths["dir"])
     assert run([arg.format(**paths) for arg in command]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: [Errno 21] Is a directory: ") and str(paths["dir"]) in err
+    assert err.startswith(message) and named.format(**paths) in err
+    assert ".tmp" not in err
     assert not list(tmp_path.rglob("*.tmp"))
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("path, value, failed", [
+    (("unfolding", "coefficients", 0, 0, 0, 0), [1e300, 0],
+     ["family.coefficient_equivariance", "unfolding.reconstruction", "versality.span",
+      "versality.mini"]),
+    (("frame", "induced_rep", 1, 0, 0), [1e200, 0],
+     ["frame.induced_rep", "frame.phi_intertwines", "directions.projection_fixed_point",
+      "theta.recompute", "versality.span"]),
+], ids=["coefficient", "induced-rep"])
+def test_overflow_fails_its_checks_without_a_warning(tmp_path, capsys, simple_artifact,
+                                                     path, value, failed):
+    # a non-finite residual fails its check line; numpy's RuntimeWarning on
+    # the way is not printed
+    doc = copy.deepcopy(simple_artifact)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    artifact = tmp_path / "a.json"
+    write_json_atomic(str(artifact), doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["verify", str(artifact)]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("[FAIL]")] == \
+        [f"[FAIL] {name}" for name in failed]
+    assert err == "" and not caught
 
 
 DELETE = object()

@@ -363,8 +363,6 @@ class TestFrameEvaluation:
             Psi = np.array([w * np.exp(-lam * -t) for w, lam in zip(frame.psi, lams)])
             assert same_bits(frame.Phi_at(t), Phi) and frame.Phi_at(t).flags.c_contiguous, t
             assert same_bits(frame.Psi_at(-t), Psi), t
-        Psi0 = np.array([w * np.exp(-lam * 0.0) for w, lam in zip(frame.psi, lams)])
-        assert same_bits(frame.Psi0, Psi0)
 
 
 class TestInduceRepresentation:

@@ -80,6 +80,12 @@ class TestJordanCodimension:
         assert spec == [(1j, (1, 1)), (-1j, (1,)), (3.0 + 0j, (1,))]
 
 
+def complement(geo):
+    """The complement columns of ``geo.basis``, as c x c matrices."""
+    c = len(geo.B)
+    return geo.basis[:, geo.tangent_dim:].T.reshape(-1, c, c)
+
+
 class TestOrbitGeometry:
     def test_distinct_diagonal(self):
         B = np.diag([1j, -1j, 2j, -2j])
@@ -88,15 +94,16 @@ class TestOrbitGeometry:
         expected = [np.zeros((4, 4)) for _ in range(4)]
         for i in range(4):
             expected[i][i, i] = 1.0
-        for W, E in zip(geo.W_basis, expected):
+        for W, E in zip(complement(geo), expected):
             assert np.allclose(W, E)
+        assert geo.basis.flags.c_contiguous
 
     def test_double_diagonal_slot_order(self):
         B = np.diag([1j, 1j, -1j, -1j, 2j, 2j, -2j, -2j])
         geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
         assert geo.delta == 16
         positions = [tuple(int(x) for x in np.argwhere(np.abs(W) > 0.5)[0])
-                     for W in geo.W_basis]
+                     for W in complement(geo)]
         assert positions[:4] == [(0, 0), (2, 2), (4, 4), (6, 6)]
         assert positions[4:8] == [(1, 0), (3, 2), (5, 4), (7, 6)]
         assert positions[8:12] == [(0, 1), (2, 3), (4, 5), (6, 7)]
@@ -107,7 +114,7 @@ class TestOrbitGeometry:
         B = np.zeros((c, c))
         geo = orbit_geometry(B, [(0.0, (1,) * c)])
         assert geo.delta == c * c
-        assert len(geo.T_basis) == 0
+        assert geo.tangent_dim == 0
 
     def test_rank_matches_formula_on_random_specs(self, rng):
         for _ in range(20):
@@ -127,7 +134,7 @@ class TestOrbitGeometry:
         B, spec = random_jordan(rng, 5)
         assert np.max(np.abs(B - np.diag(np.diag(B)))) > 0.5   # truly non-diagonal
         geo = orbit_geometry(B, spec)
-        report = theta_extract(geo, list(geo.W_basis))
+        report = theta_extract(geo, list(complement(geo)))
         assert np.max(np.abs(report.theta - np.eye(geo.delta))) < 1e-9
         assert report.selected_rows == tuple(range(geo.delta))
 
@@ -139,8 +146,8 @@ class TestOrbitGeometry:
         B = S @ J @ np.linalg.inv(S)
         geo = orbit_geometry(B, spec)
         assert geo.delta == jordan_codimension(spec)
-        full = geo.basis_matrix()
-        assert np.linalg.matrix_rank(full) == 36
+        assert np.linalg.matrix_rank(geo.basis) == 36
+        assert geo.basis.flags.c_contiguous
 
 
 class TestGammaOrbitGeometry:
@@ -238,7 +245,7 @@ class TestProjectDirections:
         # projecting the sixteen raw center directions annihilates the
         # eight off-diagonal block slots and reproduces the assembly output
         frame = double_case.frame
-        raw = [frame.Psi0 @ R for R in double_case.assembly.r_matrices]
+        raw = [frame.psi @ R for R in double_case.assembly.r_matrices]
         projected = equivariant_average(frame.G, frame.G, np.array(raw))
         for m, P in enumerate(projected):
             assert np.max(np.abs(P - double_case.assembly.directions[m])) < 1e-12
@@ -294,14 +301,15 @@ class TestThetaExtract:
     def test_omega_basis_gives_identity(self):
         B = np.diag([1j, -1j, 2j, -2j])
         geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
-        report = theta_extract(geo, list(geo.W_basis))
+        report = theta_extract(geo, list(complement(geo)))
         assert np.max(np.abs(report.theta - np.eye(4))) < 1e-12
         assert report.selected_rows == (0, 1, 2, 3)
 
     def test_earliest_rows_win(self):
         B = np.diag([1j, -1j, 2j, -2j])
         geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
-        dirs = [geo.W_basis[0], geo.W_basis[0], geo.W_basis[1]]
+        W = complement(geo)
+        dirs = [W[0], W[0], W[1]]
         report = theta_extract(geo, dirs)
         assert report.selected_rows == (0, 2)
 
@@ -317,22 +325,22 @@ class TestThetaExtract:
         B = np.diag([1j, -1j, 2j, -2j])
         geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
         # hand-build a geometry whose "complement" sits inside the tangent space
+        t = geo.tangent_dim
         bad = OrbitGeometry(B=geo.B, jordan_spec=geo.jordan_spec,
-                            T_basis=geo.T_basis,
-                            W_basis=(geo.T_basis[0], geo.T_basis[1],
-                                     geo.T_basis[2], geo.T_basis[3]),
-                            delta=4)
+                            basis=geo.basis[:, [*range(t), 0, 1, 2, 3]], tangent_dim=t)
+        assert bad.delta == 4
         with pytest.raises(UnfoldingError, match=r"^theta.decomposition \(direction 0\): residual"):
-            theta_extract(bad, [geo.W_basis[0]])
+            theta_extract(bad, [complement(geo)[0]])
 
     def test_non_finite_direction_named(self):
         B = np.diag([1j, -1j, 2j, -2j])
         geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
-        D = np.array(geo.W_basis[1])
+        W = complement(geo)
+        D = W[1].copy()
         D[0, 0] = np.nan
         for bad in (D, np.where(D == D, D, np.inf)):
             with pytest.raises(UnfoldingError, match="direction 1 has a non-finite entry"):
-                theta_extract(geo, [geo.W_basis[0], bad])
+                theta_extract(geo, [W[0], bad])
 
 
 def scalar_frame(psi0=2.0, lam=0.5):
@@ -353,10 +361,9 @@ class TestBuildRMatrices:
     def test_simple_case_normalization_and_conjugates(self, simple_case):
         frame = simple_case.frame
         Rs = simple_case.assembly.r_matrices
-        Psi0 = frame.Psi0
         for j, R in enumerate(Rs):
             col = R[:, j]
-            assert abs(Psi0[j] @ col - 1.0) < 1e-10     # Pi_j(v_j) = 1
+            assert abs(frame.psi[j] @ col - 1.0) < 1e-10     # Pi_j(v_j) = 1
             others = [k for k in range(4) if k != j]
             assert np.max(np.abs(R[:, others])) == 0.0
         assert np.max(np.abs(Rs[1][:, 1] - Rs[0][:, 0].conj())) < 1e-12
@@ -365,19 +372,18 @@ class TestBuildRMatrices:
     def test_double_case_block_projections(self, double_case):
         frame = double_case.frame
         Rs = double_case.assembly.r_matrices
-        Psi0 = frame.Psi0
         # slot m = 0 targets row 1 of block (rows 0, 1): Pi_1(v) = (1, 0)
         v = Rs[0][:, 0]
-        assert np.max(np.abs(Psi0[:2] @ v - np.array([1.0, 0.0]))) < 1e-10
+        assert np.max(np.abs(frame.psi[:2] @ v - np.array([1.0, 0.0]))) < 1e-10
         # slot m = 12 targets row 2 of block (rows 0, 1) in column 1
         v = Rs[12][:, 1]
-        assert np.max(np.abs(Psi0[:2] @ v - np.array([0.0, 1.0]))) < 1e-10
+        assert np.max(np.abs(frame.psi[:2] @ v - np.array([0.0, 1.0]))) < 1e-10
 
     def test_realizes_complement_mod_tangent(self, simple_case):
         frame = simple_case.frame
         geo = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
         Rs = build_R_matrices(frame, geo)
-        report = theta_extract(geo, [frame.Psi0 @ R for R in Rs])
+        report = theta_extract(geo, [frame.psi @ R for R in Rs])
         assert np.max(np.abs(report.theta - np.eye(4))) < 1e-9
 
 
@@ -401,8 +407,8 @@ def _theta_extract_per_direction(geometry, directions):
     """Reference: one least-squares solve per direction (the implementation
     before the stacked solve), then the Gram-Schmidt row choice.  Returns
     Theta, the residuals and the selected rows."""
-    S = geometry.basis_matrix()
-    t = len(geometry.T_basis)
+    S = geometry.basis
+    t = geometry.tangent_dim
     theta = np.zeros((len(directions), geometry.delta), dtype=complex)
     residuals = []
     for i, D in enumerate(directions):
@@ -416,13 +422,12 @@ def _theta_extract_per_direction(geometry, directions):
 def _build_R_per_slot(frame, geometry):
     """Reference: one rank test and one least-squares solve per slot, each
     against a unit vector (the implementation before the per-block solve)."""
-    Psi0 = frame.Psi0
     blocks = _diag_blocks(np.array(frame.lambdas))
     Rs = []
-    for W in geometry.W_basis:
+    for W in complement(geometry):
         ((r, ccol),) = np.argwhere(np.abs(W) > 1e-12)
         block = next(b for b in blocks if r in b)
-        Pi = Psi0[block, :]
+        Pi = frame.psi[block, :]
         assert rank(Pi) == len(block)
         e = np.zeros(len(block), dtype=complex)
         e[block.index(r)] = 1.0
@@ -774,7 +779,7 @@ class TestAssembledPipeline:
         frame = double_case.frame
         B = frame.B
         geo = orbit_geometry(B, semisimple_jordan_spec(frame.lambdas))
-        T = np.column_stack([T.reshape(-1) for T in geo.T_basis])
+        T = geo.basis[:, :geo.tangent_dim]
         TG = np.column_stack([(B @ K - K @ B).reshape(-1) for K in commutant_basis(frame.G)])
         assert rank(TG, scale=np.linalg.norm(B, 2)) == \
             verify_gamma_versality(B, frame.G, []).tangent_dim == 12
@@ -797,8 +802,8 @@ class TestAssembledPipeline:
         tau_star = double_case.delays[2]
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         lhs = equivariant_average(frame.G, frame.G,
-                                  frame.Psi0 @ A @ frame.Phi_at(-tau_star))
-        rhs = frame.Psi0 @ equivariant_average(rep, rep, A) @ frame.Phi_at(-tau_star)
+                                  frame.psi @ A @ frame.Phi_at(-tau_star))
+        rhs = frame.psi @ equivariant_average(rep, rep, A) @ frame.Phi_at(-tau_star)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_reconstruction_and_equivariance(self, simple_case):
@@ -814,8 +819,7 @@ class TestAssembledPipeline:
     def test_direct_sums(self, double_case):
         frame = double_case.frame
         geo = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
-        full = geo.basis_matrix()
-        assert np.linalg.matrix_rank(full) == frame.c ** 2
+        assert np.linalg.matrix_rank(geo.basis) == frame.c ** 2
         ver = double_case.assembly.versality
         assert ver.achieved_rank == ver.commutant_dim
 
