@@ -22,6 +22,7 @@ import numpy as np
 
 from . import d3
 from ._linalg import scaled
+from .delays import check_dims
 from .errors import EqunfoldError, SchemaError
 from .frames import ROOT_TOL, eigenbasis, find_root, induce_representation
 from .jsonio import (SCHEMA, build_artifact, document_errors, field, invalid, items,
@@ -189,6 +190,8 @@ def _run_config(cfg, output=None):
     model, group = (field(cfg, "", key)[0] for key in ("model", "group"))
     op = model_from_doc(read_json(model) if isinstance(model, str) else model)
     rep = rep_from_doc(read_json(group) if isinstance(group, str) else group)
+    with document_errors():
+        check_dims(op, rep)
     seeds = items(seeds, seeds_path, pair_complex)
     tolerances, path = field(cfg, "", "tolerances", {})
     root_tol = number(*field(tolerances, path, "root_tol", ROOT_TOL))
@@ -199,12 +202,11 @@ def _run_config(cfg, output=None):
     delays = items(*field(cfg, "", "delays", []), number) or None
     sparsity = items(*field(cfg, "", "sparsity", []), _mask) or None
 
-    # On an exactly real model (imaginary parts exactly 0.0: within a
-    # tolerance, Delta(conj(lam)) is not conj(Delta(lam))) Newton's method
-    # from a conjugate seed takes the conjugate steps bit for bit, so a seed
-    # whose conjugate Newton already solved takes the conjugate root.  A
-    # secant fallback starts asymmetrically, so its root is not mirrored.
-    real = not any(A.imag.any() for _, A in op.terms)
+    # On a real model Newton's method from a conjugate seed takes the
+    # conjugate steps bit for bit, so a seed whose conjugate Newton already
+    # solved takes the conjugate root.  A secant fallback starts
+    # asymmetrically, so its root is not mirrored.
+    real = op.is_real
     roots, solved = [], {}
     for seed in seeds:
         if seed.conjugate() in solved:

@@ -24,7 +24,6 @@ from .groups import commutator_residual
 # Below this exponent gap the analytic limit of the exponential integral
 # is used (avoids catastrophic cancellation near coincident exponents).
 EXPONENT_GAP = 1e-9
-REAL_TOL = 1e-12    # max |imag| of the coefficients of a real operator
 
 
 class DelayOperator(NamedTuple("DelayOperator", [("n", int), ("terms", tuple)])):
@@ -62,7 +61,9 @@ class DelayOperator(NamedTuple("DelayOperator", [("n", int), ("terms", tuple)]))
 
     @property
     def is_real(self):
-        return all(np.max(np.abs(A.imag)) < REAL_TOL for _, A in self.terms)
+        """Every coefficient is exactly real, so Delta(conj(lam)) is
+        conj(Delta(lam)) bit for bit; within a tolerance it is not."""
+        return not any(A.imag.any() for _, A in self.terms)
 
     def char_matrix(self, lam):
         """Characteristic matrix ``Delta(lam) = lam I - sum_k A_k exp(-lam r_k)``."""
@@ -79,14 +80,19 @@ class DelayOperator(NamedTuple("DelayOperator", [("n", int), ("terms", tuple)]))
         return D
 
 
+def check_dims(op, rep):
+    """The group must act on the model's state space."""
+    if rep.dim != op.n:
+        raise StructuralError(f"representation dim {rep.dim} != state dim {op.n}")
+
+
 def check_equivariance(op, rep):
     """Max residual of ``rho(g) A_k - A_k rho(g)`` over all elements and terms.
 
     Zero (within tolerance) exactly when the delay equation commutes with the
     group action, i.e. is equivariant.
     """
-    if rep.dim != op.n:
-        raise StructuralError(f"representation dim {rep.dim} != state dim {op.n}")
+    check_dims(op, rep)
     return commutator_residual(rep, [A for _, A in op.terms])
 
 
@@ -95,8 +101,9 @@ def _cmul(a, b):
     entrywise in real arithmetic so it rounds as a scalar complex product
     does (numpy's vectorized complex multiply may fuse a product and a sum)."""
     a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
+    real = a.real * b.real - a.imag * b.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
     out.imag = a.real * b.imag + a.imag * b.real
     return out
 

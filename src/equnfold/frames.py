@@ -185,6 +185,35 @@ def _phase_fix(v):
     return v / (v[k] / abs(v[k]))
 
 
+def _null_pair(op, lam, seeds, scale):
+    """A root's right directions U and raw left rows W as (m, n) arrays: U
+    the seeds, checked, or the ordered null basis of Delta(lam)."""
+    D = op.char_matrix(lam)
+    N = null_basis(D, scale, NULLSPACE_RCOND)
+    if N.shape[1] == 0:
+        raise FrameError(f"{lam} is not a characteristic root (empty null space)")
+    if seeds is not None:
+        U = np.array([np.asarray(s, dtype=complex).reshape(-1) for s in seeds])
+        if len(U) != N.shape[1]:
+            raise FrameError(
+                f"inconsistent multiplicities at {lam}: {len(U)} seeds for a "
+                f"{N.shape[1]}-dimensional null space"
+            )
+        if rank(U.T) < len(U):
+            raise FrameError(f"seed vectors at {lam} are linearly dependent")
+        for u in U:
+            if np.linalg.norm(D @ u) > NULLSPACE_RCOND * scale * np.linalg.norm(u):
+                raise FrameError(f"seed vector at {lam} is not in the null space")
+    else:
+        # deterministic order: descending |first significant component|
+        U = np.array(sorted((_phase_fix(u) for u in N.T), key=lambda u: (
+            -abs(u[_first_significant(u)]), _first_significant(u))))
+    L = null_basis(D.T, scale, NULLSPACE_RCOND)
+    if L.shape[1] != len(U):
+        raise FrameError(f"left/right null dimensions disagree at {lam}")
+    return U, np.array([_phase_fix(w) for w in L.T])
+
+
 def eigenbasis(op, lambdas, seeds=None):
     """Build a normalized :class:`SpectralFrame` over the given eigenvalues.
 
@@ -202,11 +231,12 @@ def eigenbasis(op, lambdas, seeds=None):
 
     Notes
     -----
-    Right null directions are gathered per eigenvalue; raw left null rows
-    are renormalized by the inverse Gram matrix (blockwise per eigenvalue)
-    so that (Psi, Phi) = I holds.  For a real operator the rows attached to
-    ``conj(lam)`` are the conjugates of those attached to ``lam`` whenever
-    both appear, and likewise for unseeded column directions.
+    The frame is built one root at a time.  Each root takes its right
+    directions U and raw left rows W; for an exactly real operator an
+    unseeded root takes the conjugates of an earlier conjugate root's.  The
+    adjoint pairing of two distinct roots' eigenspaces vanishes, so each
+    root's rows are renormalized by the inverse of its own Gram block
+    (W, U), and (Psi, Phi) = I holds.
 
     Raises
     ------
@@ -218,93 +248,43 @@ def eigenbasis(op, lambdas, seeds=None):
     """
     lambdas = [complex(l) for l in lambdas]
     seeds = dict(seeds or {})
-    real_op = op.is_real
     norm_sum = sum(float(np.linalg.norm(A, 2)) for _, A in op.terms)
     deriv_size = 1.0 + sum(r * float(np.linalg.norm(A, 2)) for r, A in op.terms)
 
-    # conjugate partner appearing *earlier* in the list
-    partner = [None] * len(lambdas)
-    if real_op:
-        for i, lam in enumerate(lambdas):
-            for j in range(i):
-                if abs(lambdas[j].conjugate() - lam) < CONJ_MATCH_TOL:
-                    partner[i] = j
-                    break
-
-    right = {}   # position -> list of directions
-    left_raw = {}
+    real = op.is_real
+    blocks = []     # per root: (U, W), its directions and raw dual rows
     for i, lam in enumerate(lambdas):
-        if partner[i] is not None and i not in seeds:
-            right[i] = [u.conj() for u in right[partner[i]]]
-            left_raw[i] = [w.conj() for w in left_raw[partner[i]]]
-            continue
-        D = op.char_matrix(lam)
-        scale = invariants.char_scale(norm_sum, lam)
-        N = null_basis(D, scale, NULLSPACE_RCOND)
-        if N.shape[1] == 0:
-            raise FrameError(f"{lam} is not a characteristic root (empty null space)")
-        if i in seeds:
-            cand = [np.asarray(s, dtype=complex).reshape(-1) for s in seeds[i]]
-            if len(cand) != N.shape[1]:
-                raise FrameError(
-                    f"inconsistent multiplicities at {lam}: {len(cand)} seeds for a "
-                    f"{N.shape[1]}-dimensional null space"
-                )
-            if rank(np.column_stack(cand)) < len(cand):
-                raise FrameError(f"seed vectors at {lam} are linearly dependent")
-            for s in cand:
-                if np.linalg.norm(D @ s) > NULLSPACE_RCOND * scale * np.linalg.norm(s):
-                    raise FrameError(f"seed vector at {lam} is not in the null space")
-            right[i] = cand
-        else:
-            # deterministic order: descending |first significant component|
-            right[i] = sorted((_phase_fix(u) for u in N.T), key=lambda u: (
-                -abs(u[_first_significant(u)]), _first_significant(u)))
-        L = null_basis(D.T, scale, NULLSPACE_RCOND)
-        if L.shape[1] != len(right[i]):
-            raise FrameError(f"left/right null dimensions disagree at {lam}")
-        left_raw[i] = [_phase_fix(w) for w in L.T]
+        mirror = None   # the block of an earlier conjugate root
+        if real and i not in seeds:
+            mirror = next((blocks[j] for j in range(i)
+                           if abs(lambdas[j].conjugate() - lam) < CONJ_MATCH_TOL), None)
+        blocks.append(tuple(a.conj() for a in mirror) if mirror else
+                      _null_pair(op, lam, seeds.get(i), invariants.char_scale(norm_sum, lam)))
 
-    phi, psi_raw, lams = [], [], []
-    block_slices = []
-    pos = 0
-    for i, lam in enumerate(lambdas):
-        m = len(right[i])
-        phi.extend(right[i])
-        psi_raw.extend(left_raw[i])
-        lams.extend([lam] * m)
-        block_slices.append(range(pos, pos + m))
-        pos += m
-    c = pos
-    phi = np.array(phi)
-
-    K = pairing_matrix(np.array(psi_raw), lams, phi, lams, op)
-
-    # Blockwise inverse keeps each psi a single exponential.
-    psi = [None] * c
-    for blk in block_slices:
-        idx = list(blk)
-        Kb = K[np.ix_(idx, idx)]
+    psi = []
+    for lam, (U, W) in zip(lambdas, blocks):
+        m = len(U)
+        Kb = pairing_matrix(W, [lam] * m, U, [lam] * m, op)
         # the pairing of a null pair is w Delta'(lam) u: rank it against the
         # size of that product, since a block of one is its own reference
-        size = deriv_size * max(np.linalg.norm(psi_raw[i]) * np.linalg.norm(phi[i])
-                                for i in idx)
-        if rank(Kb, scale=size, rcond=GRAM_RCOND) < len(idx):
+        size = deriv_size * max(np.linalg.norm(w) * np.linalg.norm(u) for w, u in zip(W, U))
+        if rank(Kb, scale=size, rcond=GRAM_RCOND) < m:
             raise FrameError(
                 "defective or mis-ordered spectrum: Gram block is singular "
-                f"(eigenvalue {lams[idx[0]]}), as on a Jordan chain of that root; "
+                f"(eigenvalue {lam}), as on a Jordan chain of that root; "
                 "Jordan chains in the function space are unsupported"
             )
         Kbi = np.linalg.inv(Kb)
-        for r, i in enumerate(idx):
-            psi[i] = sum(Kbi[r, s] * psi_raw[j] for s, j in enumerate(idx))
+        psi.extend(sum(Kbi[r, s] * W[s] for s in range(m)) for r in range(m))
 
+    lams = [lam for lam, (U, _) in zip(lambdas, blocks) for _ in U]
     B = np.diag(np.array(lams, dtype=complex))
+    phi = np.array([u for U, _ in blocks for u in U])
     frame = SpectralFrame(op=op, lambdas=tuple(lams), phi=phi, psi=np.array(psi), B=B)
 
     invariants.check("frame.gram_identity", frame)
     invariants.check("frame.null_vectors", frame,
-                     where=lambda k: f"eigenvalue {lams[k % c]}")
+                     where=lambda k: f"eigenvalue {lams[k % len(lams)]}")
     return frame
 
 

@@ -135,10 +135,11 @@ def _character_sum(G, blocks):
     Schur's lemma the dimension of the matrices that commute with G and keep
     each block, an integer up to rounding (within 1e-14 at the presets, the
     fixture points and the rings); non-finite or non-integral if G is no
-    representation."""
+    representation; an overflow on the way is such a non-finite sum."""
     diagonals = np.diagonal(G.matrices, axis1=1, axis2=2)
-    return sum(float(np.sum(np.abs(diagonals[:, b].sum(axis=1)) ** 2))
-               for b in blocks) / G.group.order
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sum(float(np.sum(np.abs(diagonals[:, b].sum(axis=1)) ** 2))
+                   for b in blocks) / G.group.order
 
 
 def orbit_geometry(B, jordan_spec):

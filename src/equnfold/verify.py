@@ -4,6 +4,7 @@ so a perturbed coefficient or a dropped direction fails a named check."""
 
 from typing import NamedTuple
 
+from .delays import check_dims
 from .errors import EqunfoldError, SchemaError
 from .invariants import DEFAULT_TOL, INVARIANTS, CheckResult
 from .jsonio import (SCHEMA, boolean, decode_cmatrix_stack, decode_complex, document_errors,
@@ -44,6 +45,7 @@ def parse_artifact(doc):
         raise SchemaError(f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA!r}")
     op = model_from_doc(*field(doc, "", "model"))
     rep = rep_from_doc(*field(doc, "", "group"))
+    check_dims(op, rep)
     frame = frame_from_doc(field(doc, "", "frame")[0], op, rep.group)
 
     unf = field(doc, "", "unfolding")

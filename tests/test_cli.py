@@ -421,6 +421,20 @@ class TestUnfold:
         assert "defective or mis-ordered spectrum" in err and "Jordan chain" in err
         assert not out.exists()
 
+    def test_group_of_another_dimension_is_a_schema_error(self, tmp_path, capsys, monkeypatch):
+        # checked as the documents are decoded, before any Newton step
+        def no_newton(op, seed, **kw):
+            raise AssertionError(f"find_root ran from {seed}")
+
+        monkeypatch.setattr(cli, "find_root", no_newton)
+        cfg = _ring_config(3)
+        cfg["group"] = {"generators": [encode_complex(np.roll(np.eye(4), 1, axis=0))]}
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 2
+        assert "schema error: representation dim 4 != state dim 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_preset_conflicts_with_model(self, tmp_path, simple_case):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -856,6 +870,19 @@ class TestVerify:
         assert run(["verify", str(path)]) == 2
         err = capsys.readouterr().err
         assert "schema error" in err and message in err
+
+    def test_group_of_another_dimension_is_a_schema_error(self, tmp_path, capsys,
+                                                          simple_artifact):
+        # kappa and gamma with a fixed fourth coordinate: the same order-6 group
+        doc = copy.deepcopy(simple_artifact)
+        fixed = np.zeros((2, 4, 4), dtype=complex)
+        fixed[:, :3, :3] = decode_complex(doc["group"]["generators"], "group.generators", 3)
+        fixed[:, 3, 3] = 1.0
+        doc["group"]["generators"] = encode_complex(fixed)
+        path = tmp_path / "four.json"
+        write_json_atomic(str(path), doc)
+        assert run(["verify", str(path)]) == 2
+        assert "schema error: representation dim 4 != state dim 3" in capsys.readouterr().err
 
     def test_missing_direction_detected(self, tmp_path, simple_artifact):
         doc = copy.deepcopy(simple_artifact)

@@ -42,6 +42,11 @@ class TestDelayOperator:
         with pytest.raises(StructuralError):
             DelayOperator(n=1, terms=())
 
+    def test_real_means_exactly_real(self):
+        # an imaginary part of 1e-13 breaks Delta(conj(lam)) = conj(Delta(lam))
+        assert DelayOperator(n=1, terms=((1.0, [[2.0]]),)).is_real
+        assert not DelayOperator(n=1, terms=((0.0, [[-1.0]]), (1.0, [[2.0 + 1e-13j]]))).is_real
+
 
 class TestCharMatrix:
     def test_zero_operator(self):

@@ -1,10 +1,13 @@
+import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from equnfold import d3, frames
-from equnfold.delays import DelayOperator, bilinear_form
+from equnfold import d3, frames, invariants
+from equnfold._linalg import NULLSPACE_RCOND, null_basis
+from equnfold.delays import DelayOperator, bilinear_form, pairing_matrix
 from equnfold.errors import FrameError, RootFindingError
 from equnfold.frames import _det_derivative, eigenbasis, find_root, induce_representation
 from equnfold.groups import close_generators
@@ -86,9 +89,9 @@ def _adjugate_loop(A):
     return adj
 
 
-def _ring(n):
+def _ring(n, gain=2.0):
     shift = np.roll(np.eye(n), 1, axis=0)
-    return DelayOperator(n=n, terms=((0.0, -np.eye(n)), (1.0, 2.0 * shift)))
+    return DelayOperator(n=n, terms=((0.0, -np.eye(n)), (1.0, gain * shift)))
 
 
 def _reference_derivative(D, Dp):
@@ -337,6 +340,103 @@ class TestEigenbasis:
         lam = 1j * double_case.point.omega1
         with pytest.raises(FrameError, match="linearly dependent"):
             eigenbasis(op, [lam], seeds={0: [d3.V_ROT, 2 * d3.V_ROT]})
+
+
+def _full_gram_eigenbasis(op, lambdas, seeds=None):
+    """``(phi, psi, lambdas)`` of a frame normalized through the full c x c
+    Gram matrix of every root's raw rows against every root's directions,
+    of which the diagonal blocks are inverted: how eigenbasis once worked."""
+    lambdas = [complex(l) for l in lambdas]
+    seeds = dict(seeds or {})
+    norm_sum = sum(float(np.linalg.norm(A, 2)) for _, A in op.terms)
+    partner = [None] * len(lambdas)
+    if op.is_real:
+        for i, lam in enumerate(lambdas):
+            for j in range(i):
+                if abs(lambdas[j].conjugate() - lam) < frames.CONJ_MATCH_TOL:
+                    partner[i] = j
+                    break
+    right, left_raw = {}, {}
+    for i, lam in enumerate(lambdas):
+        if partner[i] is not None and i not in seeds:
+            right[i] = [u.conj() for u in right[partner[i]]]
+            left_raw[i] = [w.conj() for w in left_raw[partner[i]]]
+            continue
+        D = op.char_matrix(lam)
+        scale = invariants.char_scale(norm_sum, lam)
+        if i in seeds:
+            right[i] = [np.asarray(s, dtype=complex).reshape(-1) for s in seeds[i]]
+        else:
+            N = null_basis(D, scale, NULLSPACE_RCOND)
+            right[i] = sorted((frames._phase_fix(u) for u in N.T), key=lambda u: (
+                -abs(u[frames._first_significant(u)]), frames._first_significant(u)))
+        L = null_basis(D.T, scale, NULLSPACE_RCOND)
+        left_raw[i] = [frames._phase_fix(w) for w in L.T]
+    phi, psi_raw, lams, block_slices = [], [], [], []
+    for i, lam in enumerate(lambdas):
+        m = len(right[i])
+        block_slices.append(range(len(phi), len(phi) + m))
+        phi.extend(right[i])
+        psi_raw.extend(left_raw[i])
+        lams.extend([lam] * m)
+    phi = np.array(phi)
+    K = pairing_matrix(np.array(psi_raw), lams, phi, lams, op)
+    psi = [None] * len(lams)
+    for blk in block_slices:
+        idx = list(blk)
+        Kbi = np.linalg.inv(K[np.ix_(idx, idx)])
+        for r, i in enumerate(idx):
+            psi[i] = sum(Kbi[r, s] * psi_raw[j] for s, j in enumerate(idx))
+    return phi, np.array(psi), lams
+
+
+class _Recorded(Exception):
+    """Raised by the stand-in eigenbasis once it has its arguments."""
+
+
+with open(os.path.join(os.path.dirname(__file__), "fixtures", "double_hopf_points.json")) as _fh:
+    FIXTURE_POINTS = json.load(_fh)
+
+
+class TestFullGramOracle:
+    """A frame built one root at a time, each root's rows normalized by its
+    own Gram block, has the bits of the full Gram matrix's diagonal blocks:
+    the pairing of two roots' eigenspaces is never read."""
+
+    def _assert_same_frame(self, op, lambdas, seeds=None):
+        frame = eigenbasis(op, lambdas, seeds)
+        phi, psi, lams = _full_gram_eigenbasis(op, lambdas, seeds)
+        assert same_bits(frame.phi, phi) and same_bits(frame.psi, psi)
+        assert list(map(_bits, frame.lambdas)) == list(map(_bits, lams))
+
+    @pytest.mark.parametrize("case, index", [
+        *((case, None) for case in ("simple", "double")),
+        *((case, k) for case in ("simple", "double")
+          for k in range(len(FIXTURE_POINTS[case]["points"])))])
+    def test_d3_points(self, case, index, monkeypatch):
+        """The presets (index None) and every fixture point, with run_case's
+        roots and seeds."""
+        calls = []
+
+        def recording(op, lambdas, seeds):
+            calls.append((op, lambdas, seeds))
+            raise _Recorded
+
+        monkeypatch.setattr(d3, "eigenbasis", recording)
+        entry = FIXTURE_POINTS[case]
+        point = None if index is None else d3.DoubleHopfPoint(
+            factor=entry["factor"], beta=entry["beta"], tau_n=entry["tau_n"],
+            **entry["points"][index])
+        with pytest.raises(_Recorded):
+            d3.run_case(case, point)
+        self._assert_same_frame(*calls[0])
+
+    @pytest.mark.parametrize("n", [3, 12, 24])
+    @pytest.mark.parametrize("gain", [2.0, 2.0 + 1e-13j, 2.0 * np.exp(0.1j)],
+                             ids=["real", "nearly-real", "complex"])
+    def test_rings(self, n, gain):
+        op = _ring(n, gain)
+        self._assert_same_frame(op, [find_root(op, seed).root for seed in (2j, -2j)])
 
 
 class TestFrameEvaluation:
