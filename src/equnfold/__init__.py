@@ -13,7 +13,7 @@ from .delays import (DelayOperator, bilinear_form, bilinear_form_quadrature,
                      check_equivariance)
 from .errors import (EqunfoldError, FrameError, RootFindingError, SchemaError,
                      StructuralError, UnfoldingError)
-from .frames import SpectralFrame, eigenbasis, find_root, induce_representation
+from .frames import SpectralFrame, critical_roots, eigenbasis, find_root, induce_representation
 from .groups import (FiniteGroup, Representation, check_representation,
                      close_generators, commutant_basis, equivariant_average)
 from .unfolding import (OrbitGeometry, ThetaReport, UnfoldingFamily,

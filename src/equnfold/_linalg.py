@@ -10,8 +10,10 @@ the cutoff would find no kernel where s_1 itself is the residual, as for
 Delta(lam) at a root of a scalar equation (``invariants.char_scale``); relative
 to scale alone it would count a large matrix's rounding noise as rank.
 
-Each bound is one named constant, here when modules share it; a bound on a
-quantity with a magnitude is ``tol * max(1, size)`` (:func:`scaled`).
+Two eigenvalues are one by one rule too, :func:`eigen_groups`, relative to
+their spectrum's magnitude, so covariant under t -> t / s.  Each bound is one
+named constant, here when modules share it; a bound on a quantity with a
+magnitude is ``tol * max(1, size)`` (:func:`scaled`).
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ REP_TOL = 1e-8            # residuals of an induced representation, and the comm
 GRAM_RCOND = 1e-10        # a singular Gram block of an eigenframe
 SINGULAR_RCOND = 1e-12    # a singular element of a representation, at scale 1
 REALIZATION_TOL = 1e-9    # relative residual of a delay realization, row by row and whole
+EIG_MATCH_TOL = 1e-9      # two eigenvalues this close, relative to their spectrum, are one
 LAG_MATCH_TOL = 1e-14     # two lags this close are one lag (scaled)
 LAG_GAP = 1e-9            # a chosen lag this close to another collides with it
 EPS = np.finfo(float).eps  # rcond max(m, n) * EPS (numpy's default): rank lost to rounding only
@@ -47,6 +50,19 @@ def svd_rank(A, scale=0.0, rcond=RANK_RCOND, full_matrices=True):
     """``U, Vh`` of the SVD of A and its numerical rank r."""
     U, s, Vh = np.linalg.svd(A, full_matrices=full_matrices)
     return U, Vh, int(_count(s, scale, rcond))
+
+
+def eigen_groups(values, scale=0.0):
+    """Index lists of the values that are one eigenvalue, in first-seen order: a
+    value joins the first group whose first value is within ``EIG_MATCH_TOL *
+    (scale + max |values|)`` (``<=``: exact repeats group at scale 0); ``scale``
+    is ``sum_k ||A_k||_2`` for roots of Delta, so that roots at 0 still group."""
+    bound = EIG_MATCH_TOL * (scale + max(map(abs, values), default=0.0))
+    groups = {}     # a group's first index -> its indices
+    for i, lam in enumerate(values):
+        first = next((f for f in groups if abs(lam - values[f]) <= bound), i)
+        groups.setdefault(first, []).append(i)
+    return list(groups.values())
 
 
 def ad_matrix(B):

@@ -21,10 +21,9 @@ import sys
 import numpy as np
 
 from . import d3
-from ._linalg import scaled
 from .delays import check_dims
 from .errors import EqunfoldError, SchemaError
-from .frames import ROOT_TOL, eigenbasis, find_root, induce_representation
+from .frames import ROOT_TOL, critical_roots, eigenbasis, induce_representation
 from .jsonio import (SCHEMA, build_artifact, document_errors, field, invalid, items,
                      model_from_doc, number, pair_complex, read_json, rep_from_doc,
                      write_json_atomic, write_text_atomic)
@@ -35,7 +34,6 @@ EXIT_OK = 0
 EXIT_PIPELINE = 1
 EXIT_USAGE = 2
 EXIT_NOT_MINIMAL = 3
-ROOT_MATCH_TOL = 1e-8   # roots from two seeds this close (scaled) are one root
 
 
 PRESETS = ("d3:simple", "d3:double")
@@ -190,7 +188,7 @@ def _run_config(cfg, output=None):
     model, group = (field(cfg, "", key)[0] for key in ("model", "group"))
     op = model_from_doc(read_json(model) if isinstance(model, str) else model)
     rep = rep_from_doc(read_json(group) if isinstance(group, str) else group)
-    with document_errors():
+    with document_errors("group"):
         check_dims(op, rep)
     seeds = items(seeds, seeds_path, pair_complex)
     tolerances, path = field(cfg, "", "tolerances", {})
@@ -202,30 +200,10 @@ def _run_config(cfg, output=None):
     delays = items(*field(cfg, "", "delays", []), number) or None
     sparsity = items(*field(cfg, "", "sparsity", []), _mask) or None
 
-    # On a real model Newton's method from a conjugate seed takes the
-    # conjugate steps bit for bit, so a seed whose conjugate Newton already
-    # solved takes the conjugate root.  A secant fallback starts
-    # asymmetrically, so its root is not mirrored.
-    real = op.is_real
-    roots, solved = [], {}
-    for seed in seeds:
-        if seed.conjugate() in solved:
-            root = solved[seed.conjugate()].conjugate()
-        else:
-            res = find_root(op, seed, tol=root_tol)
-            root = res.root
-            if real and not res.used_secant:
-                solved[seed] = root
-        if all(abs(root - r) > scaled(ROOT_MATCH_TOL, abs(r)) for r in roots):
-            roots.append(root)
-    if not roots:
-        raise EqunfoldError("no characteristic roots found from the given seeds")
-
-    frame = eigenbasis(op, roots)
-    frame = induce_representation(frame, rep)
+    frame = induce_representation(eigenbasis(op, critical_roots(op, seeds, root_tol)), rep)
     if delays is None:
         delays = select_delays(frame)
-    with document_errors():
+    with document_errors("sparsity"):
         check_sparsity(sparsity, len(delays), op.n)
     assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=sparsity)
     return op, rep, frame, assembly, {"source": "config"}, output

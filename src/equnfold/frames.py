@@ -21,12 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import invariants
-from ._linalg import GRAM_RCOND, NULLSPACE_RCOND, null_basis, rank
+from ._linalg import GRAM_RCOND, NULLSPACE_RCOND, eigen_groups, null_basis, rank
 from .delays import pairing_matrix
 from .errors import FrameError, RootFindingError
 from .groups import Representation
 
-CONJ_MATCH_TOL = 1e-9      # tolerance for pairing lam with conj(lam)
 DERIV_FLOOR = 1e-14        # |d det| below this: suspected multiple root, use the secant
 ROOT_TOL = 1e-12           # |det| or relative Newton step of a converged root
 SECANT_STEP = 1e-6         # relative offset of the secant fallback's second point
@@ -110,6 +109,26 @@ def find_root(op, lam0, tol=ROOT_TOL, max_iter=100):
         f"no convergence after {max_iter} iterations; last iterate {lam} with |det| = {abs(f):.3e}",
         last_iterate=lam, residual=abs(f),
     )
+
+
+def critical_roots(op, seeds, tol=ROOT_TOL):
+    """The distinct roots :func:`find_root` reaches from ``seeds``, in seed
+    order; two are one by ``_linalg.eigen_groups`` at scale ``sum_k ||A_k||_2``.
+    On a real model a seed whose conjugate Newton solved takes the conjugate
+    root: Newton takes the conjugate steps bit for bit, a secant fallback not."""
+    roots, solved = [], {}
+    for seed in seeds:
+        if seed.conjugate() in solved:
+            roots.append(solved[seed.conjugate()].conjugate())
+            continue
+        res = find_root(op, seed, tol=tol)
+        roots.append(res.root)
+        if op.is_real and not res.used_secant:
+            solved[seed] = res.root
+    if not roots:
+        raise RootFindingError("no characteristic roots found from the given seeds")
+    norm_sum = sum(float(np.linalg.norm(A, 2)) for _, A in op.terms)
+    return [roots[block[0]] for block in eigen_groups(roots, norm_sum)]
 
 
 def _require_finite_iterate(lam, f, iterations):
@@ -251,13 +270,15 @@ def eigenbasis(op, lambdas, seeds=None):
     norm_sum = sum(float(np.linalg.norm(A, 2)) for _, A in op.terms)
     deriv_size = 1.0 + sum(r * float(np.linalg.norm(A, 2)) for r, A in op.terms)
 
-    real = op.is_real
+    # entry c + j is conj(lambdas[j]): one with root i when root i is its conjugate
+    c = len(lambdas)
+    ones = (eigen_groups(lambdas + [lam.conjugate() for lam in lambdas], norm_sum)
+            if op.is_real else [])
     blocks = []     # per root: (U, W), its directions and raw dual rows
     for i, lam in enumerate(lambdas):
-        mirror = None   # the block of an earlier conjugate root
-        if real and i not in seeds:
-            mirror = next((blocks[j] for j in range(i)
-                           if abs(lambdas[j].conjugate() - lam) < CONJ_MATCH_TOL), None)
+        # an unseeded root takes the block of the first earlier conjugate root
+        mirror = None if i in seeds else next(
+            (blocks[k - c] for b in ones if i in b for k in b if c <= k < c + i), None)
         blocks.append(tuple(a.conj() for a in mirror) if mirror else
                       _null_pair(op, lam, seeds.get(i), invariants.char_scale(norm_sum, lam)))
 

@@ -236,13 +236,13 @@ def decode_complex(doc, path, ndim):
 # ------------------------------------------------------------ domain codecs
 
 @contextlib.contextmanager
-def document_errors():
-    """Report a structural defect of a document being decoded (an empty model,
-    a non-square generator) as the schema error it is; also a decorator."""
+def document_errors(path):
+    """Report a structural defect of the document at ``path`` (an empty model,
+    a non-square generator) as a schema error that names ``path``; a decorator too."""
     try:
         yield
     except StructuralError as exc:
-        raise SchemaError(str(exc)) from exc
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def decode_cmatrix_stack(doc, path, shape=None):
@@ -266,7 +266,7 @@ def model_to_doc(op):
     }
 
 
-@document_errors()
+@document_errors("model")
 def model_from_doc(doc, path="model"):
     def term(t, p):
         return number(*field(t, p, "delay")), decode_complex(*field(t, p, "matrix"), 2)
@@ -284,7 +284,7 @@ def rep_to_doc(rep):
     }
 
 
-@document_errors()
+@document_errors("group")
 def rep_from_doc(doc, path="group"):
     generators, generators_path = field(doc, path, "generators", [])
     if generators != []:
@@ -307,7 +307,7 @@ def frame_to_doc(frame):
     }
 
 
-@document_errors()
+@document_errors("frame")
 def frame_from_doc(doc, op, group, path="frame"):
     """The frame at ``path`` of a document, with its induced representation
     of ``group``."""

@@ -22,14 +22,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import invariants
-from ._linalg import (LAG_GAP, LAG_MATCH_TOL, RANK_RCOND, REALIZATION_TOL, ad_matrix, rank,
-                      scaled, svd_rank)
+from ._linalg import (LAG_GAP, LAG_MATCH_TOL, RANK_RCOND, REALIZATION_TOL, ad_matrix,
+                      eigen_groups, rank, scaled, svd_rank)
 from .delays import DelayOperator
 from .errors import StructuralError, UnfoldingError
 from .groups import commutant_basis, equivariant_average
 
 DIAG_TOL = 1e-12       # max off-diagonal magnitude for "B is diagonal"
-EIG_MATCH_TOL = 1e-9   # tolerance for grouping equal diagonal eigenvalues
 CONJ_PAIR_TOL = 1e-9           # relative gap of a conjugate direction pair
 HORIZON_PAD = 1e-12            # a lag this far beyond the history horizon is still inside
 PATTERN_FLOOR = 1e-14          # a lag whose coefficients all lie below this has no pattern
@@ -51,11 +50,11 @@ def jordan_codimension(jordan_spec):
 def semisimple_jordan_spec(lambdas):
     """Jordan data for a semisimple matrix with the given eigenvalues.
 
-    ``lambdas`` may repeat; equal values (within tolerance) are merged into
-    one eigenvalue with that many size-1 blocks.
+    ``lambdas`` may repeat; values that are one by ``_linalg.eigen_groups``
+    are merged into one eigenvalue with that many size-1 blocks.
     """
     lambdas = [complex(l) for l in lambdas]
-    return [(lambdas[block[0]], (1,) * len(block)) for block in _diag_blocks(lambdas)]
+    return [(lambdas[block[0]], (1,) * len(block)) for block in eigen_groups(lambdas)]
 
 
 def _validate_jordan_spec(B, jordan_spec):
@@ -80,20 +79,6 @@ def _validate_jordan_spec(B, jordan_spec):
                 )
 
 
-def _diag_blocks(diag):
-    """Group equal eigenvalues (within ``EIG_MATCH_TOL`` of a group's first
-    value) into index lists, in first-seen order; the one such grouping."""
-    blocks = []
-    for i, lam in enumerate(diag):
-        for block in blocks:
-            if abs(lam - diag[block[0]]) < EIG_MATCH_TOL:
-                block.append(i)
-                break
-        else:
-            blocks.append([i])
-    return blocks
-
-
 def _diagonal_complement_slots(diag):
     """Elementary-matrix positions spanning the centralizer of diag(conj).
 
@@ -102,7 +87,7 @@ def _diagonal_complement_slots(diag):
     For simple spectra this is the diagonal slots in index order.
     """
     slots = []
-    for block_idx, block in enumerate(_diag_blocks(diag)):
+    for block_idx, block in enumerate(eigen_groups(diag)):
         for th, ccol in enumerate(block):
             for xi, r in enumerate(block):
                 slots.append(((th, xi, block_idx), (r, ccol)))
@@ -267,7 +252,7 @@ def build_R_matrices(frame, geometry):
             "diagonal-frame complement (semisimple spectrum)"
         )
     lams = np.array(frame.lambdas)
-    blocks = _diag_blocks(lams)
+    blocks = eigen_groups(lams)
     block_of = {r: k for k, block in enumerate(blocks) for r in block}
     solutions = {}      # block index -> column j solves Pi v = e_j
     Rs = np.zeros((len(geometry.slots), frame.op.n, frame.c), dtype=complex)
@@ -309,11 +294,10 @@ def check_sparsity(sparsity, n_delays, n):
     if sparsity is None:
         return
     if len(sparsity) != n_delays:
-        raise StructuralError(f"sparsity must hold one mask per delay: {len(sparsity)} masks "
-                              f"for {n_delays} delays")
+        raise StructuralError(f"{len(sparsity)} masks for {n_delays} delays; need one per delay")
     for k, m in enumerate(sparsity):
         if m is not None and np.shape(m) != (n, n):
-            raise StructuralError(f"sparsity[{k}] has shape {np.shape(m)}, expected ({n}, {n})")
+            raise StructuralError(f"mask {k} has shape {np.shape(m)}, expected ({n}, {n})")
 
 
 def solve_delay_realization(frame, delays, R, sparsity=None, Phis=None):
@@ -511,7 +495,7 @@ def verify_gamma_versality(B, G, directions, tol=None):
     U, _, r = svd_rank(images, scale=float(np.linalg.norm(B, 2)))
     Z_dim, Z_formula = k - r, np.nan
     if _is_diagonal(B):
-        Z_formula = _character_sum(G, _diag_blocks(np.diag(B)))
+        Z_formula = _character_sum(G, eigen_groups(np.diag(B)))
         invariants.check("versality.codimension_formula", Z_formula, Z_dim, tol=tol,
                          where=lambda _: (f"Z = {Z_dim} by rank disagrees with "
                                           f"{Z_formula:.6g} by the character formula"))

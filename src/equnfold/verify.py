@@ -36,7 +36,6 @@ class VerificationReport(NamedTuple):
         return [f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in self.checks]
 
 
-@document_errors()
 def parse_artifact(doc):
     """Decode the artifact document; schema violations raise SchemaError."""
     if not isinstance(doc, dict):
@@ -45,7 +44,8 @@ def parse_artifact(doc):
         raise SchemaError(f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA!r}")
     op = model_from_doc(*field(doc, "", "model"))
     rep = rep_from_doc(*field(doc, "", "group"))
-    check_dims(op, rep)
+    with document_errors("group"):
+        check_dims(op, rep)
     frame = frame_from_doc(field(doc, "", "frame")[0], op, rep.group)
 
     unf = field(doc, "", "unfolding")
@@ -67,7 +67,8 @@ def parse_artifact(doc):
         value, path = field(*versality, key)
         stored[path] = read(value, path)
 
-    family = UnfoldingFamily(base=op, delays=delays, directions=directions, names=names)
+    with document_errors("unfolding"):
+        family = UnfoldingFamily(base=op, delays=delays, directions=directions, names=names)
     return op, rep, frame, family, selected, theta, stored
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from equnfold import cli, d3
+from equnfold import cli, d3, frames
 from equnfold.cli import main
 from equnfold.frames import find_root
 from equnfold.groups import close_generators
@@ -426,13 +426,13 @@ class TestUnfold:
         def no_newton(op, seed, **kw):
             raise AssertionError(f"find_root ran from {seed}")
 
-        monkeypatch.setattr(cli, "find_root", no_newton)
+        monkeypatch.setattr(frames, "find_root", no_newton)
         cfg = _ring_config(3)
         cfg["group"] = {"generators": [encode_complex(np.roll(np.eye(4), 1, axis=0))]}
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 2
-        assert "schema error: representation dim 4 != state dim 3" in capsys.readouterr().err
+        assert "schema error: group: representation dim 4 != state dim 3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_preset_conflicts_with_model(self, tmp_path, simple_case):
@@ -549,9 +549,9 @@ class TestUnfold:
         ("delays", [0.0, float("nan")], "delays[1]"),
         ("sparsity", 3, "sparsity"),
         ("sparsity", [[[1, 0], [1]]], "sparsity[0]"),
-        ("sparsity", [[[1]], None], "sparsity must hold one mask per delay"),
-        ("sparsity", [None], "sparsity must hold one mask per delay"),
-        ("sparsity", [[[1]], None, None], "sparsity[0] has shape (1, 1)"),
+        ("sparsity", [[[1]], None], "sparsity: 2 masks for 3 delays; need one per delay"),
+        ("sparsity", [None], "sparsity: 1 masks for 3 delays; need one per delay"),
+        ("sparsity", [[[1]], None, None], "sparsity: mask 0 has shape (1, 1), expected (3, 3)"),
         ("output", 5, "output"),
         ("lambda_seeds", [["0", "1.8"]], "lambda_seeds[0][0]"),
         ("sparsity", [[["0"]]], "sparsity[0][0][0]"),
@@ -631,7 +631,7 @@ class TestUnfold:
             seeds.append(seed)
             return find_root(op, seed, **kw)
 
-        monkeypatch.setattr(cli, "find_root", counting_find_root)
+        monkeypatch.setattr(frames, "find_root", counting_find_root)
         cfg_path = tmp_path / "ring.json"
         cfg_path.write_text(json.dumps(_ring_config(6, gain)))
         assert run(["unfold", "--config", str(cfg_path),
@@ -648,7 +648,7 @@ class TestUnfold:
             found.append(res.root)
             return res._replace(root=res.root * (1 + 1e-11)) if len(found) == 2 else res
 
-        monkeypatch.setattr(cli, "find_root", nudged_find_root)
+        monkeypatch.setattr(frames, "find_root", nudged_find_root)
         cfg = _rescaled(_ring_config(3), 1e3)
         cfg["lambda_seeds"].append(cfg["lambda_seeds"][0])
         assert _unfold_outcome(tmp_path, cfg)[0] == 0
@@ -747,6 +747,26 @@ class TestTimeRescaling:
     def test_outcome_is_unchanged(self, tmp_path, case, s):
         cfg = _time_config(case)
         assert _unfold_outcome(tmp_path, _rescaled(cfg, s)) == _unfold_outcome(tmp_path, cfg)
+
+
+class TestSlowTime:
+    # the absolute floors left (ROOT_TOL's |det| test, the 1 + of char_scale,
+    # the null-space cut) stop unfold from about s = 2e-3 (ring3) or s = 1e-9
+    # (the presets) down: that must be a named error, never another family
+    @pytest.mark.parametrize("s", [1e-3, 1e-8, 1e-9, 1e-10, 1e-12])
+    @pytest.mark.parametrize("case", ["simple", "double", "ring3"])
+    def test_outcome_is_unchanged_or_a_pipeline_error(self, tmp_path, capsys, case, s):
+        expected = _unfold_outcome(tmp_path, _time_config(case))
+        slow = tmp_path / "slow"
+        slow.mkdir()
+        cfg_path, out = slow / "cfg.json", slow / "out.json"
+        cfg_path.write_text(json.dumps(_rescaled(_time_config(case), s)))
+        capsys.readouterr()
+        if run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 1:
+            assert "pipeline error" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert _unfold_outcome(slow, _rescaled(_time_config(case), s)) == expected
 
 
 def _conjugated(cfg, Q):
@@ -882,7 +902,7 @@ class TestVerify:
         path = tmp_path / "four.json"
         write_json_atomic(str(path), doc)
         assert run(["verify", str(path)]) == 2
-        assert "schema error: representation dim 4 != state dim 3" in capsys.readouterr().err
+        assert "schema error: group: representation dim 4 != state dim 3" in capsys.readouterr().err
 
     def test_missing_direction_detected(self, tmp_path, simple_artifact):
         doc = copy.deepcopy(simple_artifact)
@@ -1085,6 +1105,32 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         assert run(["verify", str(bad)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, mutate, message", [
+        ("unfold", lambda doc: doc["model"]["terms"][1].__setitem__(
+            "matrix", encode_complex(np.eye(2))), "model: coefficient shape (2, 2) != (3, 3)"),
+        ("unfold", lambda doc: doc.__setitem__("group", {
+            "mul_table": [[0, 1], [0, 1]], "matrices": encode_complex(np.array([np.eye(3)] * 2))}),
+         "group: multiplication table is not a Latin square"),
+        ("unfold", lambda doc: doc.update(delays=[0.5, 1.5], sparsity=[None]),
+         "sparsity: 1 masks for 2 delays; need one per delay"),
+        ("verify", lambda doc: doc["frame"]["induced_rep"].pop(),
+         "frame: expected 6 square matrices of equal size, got shape (5, 4, 4)"),
+        ("verify", lambda doc: doc["unfolding"]["coefficients"][0].pop(),
+         "unfolding: coefficients must form a (parameters, lags, n, n) = (4, 4, 3, 3) stack"),
+    ], ids=["model", "group", "sparsity", "frame", "unfolding"])
+    def test_structural_defect_names_its_document(self, tmp_path, capsys, simple_artifact,
+                                                  command, mutate, message):
+        # the ring3 config for unfold, the d3:simple artifact for verify
+        doc = copy.deepcopy(_ring_config(3) if command == "unfold" else simple_artifact)
+        mutate(doc)
+        path, out = tmp_path / "doc.json", tmp_path / "out.json"
+        path.write_text(json.dumps(doc))
+        args = {"unfold": ["unfold", "--config", str(path), "--output", str(out)],
+                "verify": ["verify", str(path)]}[command]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"schema error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", TAMPER_CASES)
     def test_tamper_fails_its_invariant(self, tmp_path, simple_artifact, double_case,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from equnfold import d3, frames, invariants
-from equnfold._linalg import NULLSPACE_RCOND, null_basis
+from equnfold._linalg import EIG_MATCH_TOL, NULLSPACE_RCOND, null_basis
 from equnfold.delays import DelayOperator, bilinear_form, pairing_matrix
 from equnfold.errors import FrameError, RootFindingError
 from equnfold.frames import _det_derivative, eigenbasis, find_root, induce_representation
@@ -350,10 +350,12 @@ def _full_gram_eigenbasis(op, lambdas, seeds=None):
     seeds = dict(seeds or {})
     norm_sum = sum(float(np.linalg.norm(A, 2)) for _, A in op.terms)
     partner = [None] * len(lambdas)
+    # the eigenvalue match of _linalg.eigen_groups, pair by pair
+    match = EIG_MATCH_TOL * (norm_sum + max(map(abs, lambdas)))
     if op.is_real:
         for i, lam in enumerate(lambdas):
             for j in range(i):
-                if abs(lambdas[j].conjugate() - lam) < frames.CONJ_MATCH_TOL:
+                if abs(lambdas[j].conjugate() - lam) <= match:
                     partner[i] = j
                     break
     right, left_raw = {}, {}

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equnfold
-from equnfold._linalg import RANK_RCOND, null_basis, rank, scaled, svd_rank
+from equnfold._linalg import (EIG_MATCH_TOL, RANK_RCOND, eigen_groups, null_basis, rank, scaled,
+                              svd_rank)
 
 
 def _inline_tolerances(source):
@@ -37,6 +40,87 @@ def test_inline_tolerance_finder():
     source = ('"""Docstring with 1e-9."""\nTOL = 1e-9\n_PAD = -2e-4\nlower = 1e-6\n'
               'def f(x, tol=1e-12):\n    return x < 1e-3 * 1e-2 or x > 0.5\n')
     assert _inline_tolerances(source) == [(4, 1e-6), (5, 1e-12), (6, 1e-3)]
+
+
+PACKAGE = pathlib.Path(equnfold.__file__).parent
+README = PACKAGE.parents[1] / "README.md"
+# the names of the module-level floats the README table must list
+TOLERANCE_SUFFIXES = ("_TOL", "_RCOND", "_GAP", "_FLOOR", "_PAD", "_STEP", "_RADIUS")
+
+
+def _readme_constants():
+    """``(module, NAME)`` of every row of the README "Tolerances" constants
+    table; a row ``module.A``, ``B`` names B in that module too."""
+    section = README.read_text().split("\n## Tolerances\n")[1].split("\n## ")[0]
+    table = section.split("\n| constant |")[1].split("\n\n")[0]
+    rows = set()
+    for line in table.splitlines()[2:]:        # the rest of the header, then its rule
+        module = None
+        for name in re.findall(r"`([\w.]+)`", line.split("|")[1]):
+            if "." in name:
+                module, name = name.split(".")
+            rows.add((module, name))
+    return rows
+
+
+def _module_floats(tree):
+    """The names of the module-level assignments of a float literal."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            try:
+                value = ast.literal_eval(node.value)
+            except ValueError:
+                continue
+            names += [t.id for t in node.targets if type(value) is float]
+    return names
+
+
+def test_readme_tolerance_table_names_float_constants():
+    rows = _readme_constants()
+    assert len(rows) > 20
+    missing = [f"{module}.{name}" for module, name in sorted(rows)
+               if type(getattr(importlib.import_module(f"equnfold.{module}"), name, None))
+               is not float]
+    assert missing == []
+
+
+def test_every_tolerance_constant_has_a_readme_row():
+    rows = _readme_constants()
+    defined = {(path.stem, name) for path in PACKAGE.glob("*.py")
+               for name in _module_floats(ast.parse(path.read_text()))}
+    assert sorted(d for d in defined if d[1].endswith(TOLERANCE_SUFFIXES)
+                  and d not in rows) == []
+
+
+@pytest.mark.parametrize("values, scale, expected", [
+    ([], 0.0, []),
+    ([0j, 0j, 1j], 0.0, [[0, 1], [2]]),                 # exact repeats, at scale 0 too: <=
+    ([1.0, 2.0, 1.0 + 1e-10], 0.0, [[0, 2], [1]]),      # first-seen order
+    ([1.0, 1.0 + 0.9e-9], 0.0, [[0, 1]]),               # within tol * max |values|
+    ([1.0, 1.0 + 1.1e-9], 0.0, [[0], [1]]),             # beyond it
+    ([1.0, 1.0 + 1.5e-9], 1.0, [[0, 1]]),               # within tol * (scale + max |values|)
+    ([1e-9j, -1e-9j], 0.0, [[0], [1]]),                 # two roots relative to themselves ...
+    ([1e-9j, -1e-9j], 3.0, [[0, 1]]),                   # ... one at the scale of Delta
+    ([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9], 0.0, [[0, 1], [2]]),  # against a group's first value
+])
+def test_eigen_group_rule(values, scale, expected):
+    assert EIG_MATCH_TOL == 1e-9
+    assert eigen_groups(values, scale) == expected
+
+
+# parts on either side of the bound: 0, 1 or -2.5 moved by multiples of 1e-10
+_NEAR = st.builds(lambda a, k: a + k * 1e-10, st.sampled_from([0.0, 1.0, -2.5]),
+                  st.integers(-30, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.builds(complex, _NEAR, _NEAR), max_size=6), st.floats(0.0, 10.0),
+       st.integers(-40, 40))
+def test_eigen_groups_are_covariant_under_time_rescaling(values, scale, k):
+    # t -> t / s scales every root and sum ||A_k||_2 by s; s = 2^k does it exactly
+    s = 2.0 ** k
+    assert eigen_groups([s * v for v in values], s * scale) == eigen_groups(values, scale)
 
 
 def test_scaled_bound():

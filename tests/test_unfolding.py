@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equnfold import d3
-from equnfold._linalg import RANK_RCOND, rank, svd_rank
+from equnfold._linalg import RANK_RCOND, eigen_groups, rank, svd_rank
 from equnfold.cli import _run_config
 from equnfold.delays import DelayOperator
 from equnfold.errors import StructuralError, UnfoldingError
@@ -17,7 +17,7 @@ from equnfold.groups import (Representation, close_generators, commutant_basis,
 from equnfold.invariants import BY_NAME
 from equnfold.jsonio import build_artifact, canonical_json, encode_complex
 from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
-                                _diag_blocks, assemble_gamma_unfolding,
+                                assemble_gamma_unfolding,
                                 build_R_matrices, exponential_delay_matrix,
                                 jordan_codimension,
                                 orbit_geometry, realify, scaled_det, select_delays,
@@ -422,7 +422,7 @@ def _theta_extract_per_direction(geometry, directions):
 def _build_R_per_slot(frame, geometry):
     """Reference: one rank test and one least-squares solve per slot, each
     against a unit vector (the implementation before the per-block solve)."""
-    blocks = _diag_blocks(np.array(frame.lambdas))
+    blocks = eigen_groups(np.array(frame.lambdas))
     Rs = []
     for W in complement(geometry):
         ((r, ccol),) = np.argwhere(np.abs(W) > 1e-12)
