@@ -1,4 +1,5 @@
-"""Numerical rank: the one rule behind every rank and null-space decision,
+"""Numerical rank: the one rule behind every rank, null-space and
+least-squares cut,
 
     rank(A) = #{ i : s_i > rcond * max(scale, s_1) }
 
@@ -50,6 +51,14 @@ def svd_rank(A, scale=0.0, rcond=RANK_RCOND, full_matrices=True):
     """``U, Vh`` of the SVD of A and its numerical rank r."""
     U, s, Vh = np.linalg.svd(A, full_matrices=full_matrices)
     return U, Vh, int(_count(s, scale, rcond))
+
+
+def lstsq(A, B):
+    """The minimal-norm least-squares solution x of ``A x = B`` (LAPACK gelsd,
+    cut at ``RANK_RCOND``) and A's numerical rank at scale 0, counted over the
+    singular values gelsd returns."""
+    x, _, _, s = np.linalg.lstsq(A, B, rcond=RANK_RCOND)
+    return x, int(_count(s, 0.0, RANK_RCOND))
 
 
 def eigen_groups(values, scale=0.0):

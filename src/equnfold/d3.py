@@ -21,12 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import LAG_GAP, rank
+from ._linalg import LAG_GAP
 from .delays import DelayOperator
 from .errors import EqunfoldError, UnfoldingError
 from .frames import eigenbasis, induce_representation
 from .groups import close_generators
-from .unfolding import assemble_gamma_unfolding, exponential_delay_matrix
+from .unfolding import assemble_gamma_unfolding, lag_basis
 
 OMEGA = np.exp(2j * np.pi / 3)
 U_SYM = np.array([1.0, 1.0, 1.0])                       # symmetric direction
@@ -465,30 +465,28 @@ def locate_double_hopf(factor, beta, tau_n, omegas=None, branches=(0, 1, 2, 3),
     return uniq
 
 
-def default_delays(point):
-    """Lags {0, tau_s, tau_n, tau_3} with tau_3 chosen generically.
+def default_delays(frame):
+    """The model's lags {0, tau_s, tau_n} and a fourth, tau_3, chosen generically.
 
     tau_3 starts from the largest multiple of tau/7 in (0, tau] distinct
     from the other lags (tau = history horizon) and is halved, at most ten
-    times, until the exponential-delay matrix over the four critical
-    eigenvalues has full numerical rank (``_linalg.rank``).
+    times, until the frame's stacked lag basis has full rank c
+    (:func:`~equnfold.unfolding.lag_basis`).
     """
-    tau = max(point.tau_s, point.tau_n)
-    others = [0.0, point.tau_s, point.tau_n]
+    tau = frame.op.tau
+    others = [r for r, _ in frame.op.terms]
     for k in range(7, 0, -1):
         tau3 = tau * k / 7.0
         if all(abs(tau3 - r) > LAG_GAP for r in others):
             break
     else:
         raise UnfoldingError("no admissible fourth lag on the tau/7 grid")
-    lams = np.array([1j * point.omega1, -1j * point.omega1,
-                     1j * point.omega2, -1j * point.omega2])
     for _ in range(10):
-        M = exponential_delay_matrix(lams, others + [tau3])
-        if rank(M) == len(lams) and all(abs(tau3 - r) > LAG_GAP for r in others):
+        if all(abs(tau3 - r) > LAG_GAP for r in others) and \
+                lag_basis(frame, others + [tau3])[1] == frame.c:
             return others + [tau3]
         tau3 = tau3 / 2.0
-    raise UnfoldingError("could not find a generic fourth lag (the rank stays below 4)")
+    raise UnfoldingError(f"could not find a generic fourth lag (the rank stays below {frame.c})")
 
 
 def structure_masks():
@@ -569,7 +567,7 @@ def run_case(case, point=None):
                             "the located point is not of the expected factor type")
     frame = induce_representation(frame, rep)
 
-    delays = default_delays(point)
+    delays = default_delays(frame)
     assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=structure_masks())
     return D3CaseResult(case=case, point=point, op=op, rep=rep, frame=frame,
                         delays=tuple(float(r) for r in delays), assembly=assembly)

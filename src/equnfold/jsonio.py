@@ -312,6 +312,8 @@ def frame_from_doc(doc, op, group, path="frame"):
     """The frame at ``path`` of a document, with its induced representation
     of ``group``."""
     lams = items(*field(doc, path, "eigenvalues"), pair_complex)
+    if not lams:
+        raise SchemaError(f"{path}.eigenvalues must not be empty")
     # one vector at a time, so that an error names its direction
     vector = functools.partial(decode_complex, ndim=1)
     phis = items(*field(doc, path, "phi_directions"), vector)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import invariants
 from ._linalg import (LAG_GAP, LAG_MATCH_TOL, RANK_RCOND, REALIZATION_TOL, ad_matrix,
-                      eigen_groups, rank, scaled, svd_rank)
+                      eigen_groups, lstsq, rank, scaled, svd_rank)
 from .delays import DelayOperator
 from .errors import StructuralError, UnfoldingError
 from .groups import commutant_basis, equivariant_average
@@ -200,7 +200,7 @@ def theta_extract(geometry, directions):
     if p:
         # one solve against S takes every direction; each column's residual
         # is still its own matrix-vector product (they are artifact bytes)
-        X = np.linalg.lstsq(S, V.T, rcond=None)[0].T.copy()
+        X = lstsq(S, V.T)[0].T.copy()
         residuals = [float(np.linalg.norm(S @ x - v)) for x, v in zip(X, V)]
         invariants.check("theta.decomposition", residuals, V, where=lambda i: f"direction {i}")
         theta[:] = X[:, geometry.tangent_dim:]
@@ -243,8 +243,8 @@ def build_R_matrices(frame, geometry):
     vector selecting row r, Pi being the rows of Psi(0) belonging to the
     eigenvalue block of r.  The minimal-norm solution is taken.  Then
     ``Psi(0) R = Omega`` modulo the orbit tangent space, exactly.  Pi
-    depends only on the block, so each block is rank-tested and solved
-    once, for all its unit vectors at once.
+    depends only on the block, so each block is solved once, for all its
+    unit vectors at once, and its rank in that solve must be full.
     """
     if geometry.slots is None:
         raise UnfoldingError(
@@ -260,32 +260,36 @@ def build_R_matrices(frame, geometry):
         k = block_of[r]
         block = blocks[k]
         if k not in solutions:
-            Pi = frame.psi[block, :]
-            if rank(Pi) < len(block):
+            solutions[k], rk = lstsq(frame.psi[block, :], np.eye(len(block), dtype=complex))
+            if rk < len(block):
                 raise UnfoldingError(
                     f"adjoint rows dependent at eigenvalue {lams[r]}; "
                     "unfolding-space realization fails"
                 )
-            solutions[k] = np.linalg.lstsq(Pi, np.eye(len(block), dtype=complex), rcond=None)[0]
         Rs[m, :, ccol] = solutions[k][:, block.index(r)]
     return Rs
 
 
-def _lag_basis(frame, delays, context=""):
-    """``[Phi(-r_j)]`` over the lags, after checking that each lag lies in
-    the history horizon and that the stacked basis has full rank c."""
-    tau = frame.op.tau
-    for r in delays:
-        if r < 0 or r > tau + HORIZON_PAD:
-            raise UnfoldingError(f"{context}lag {r} outside the history horizon [0, {tau}]")
-    Phis = [frame.Phi_at(-r) for r in delays]
-    rk = rank(np.vstack(Phis))
-    if rk < frame.c:
-        raise UnfoldingError(
-            f"{context}stacked basis col(Phi(-r_j)) has rank {rk} < {frame.c}; "
-            "lags are too few or coincide"
-        )
-    return Phis
+def check_lags(delays, tau, path="lags", error=UnfoldingError):
+    """Raise ``error`` naming ``path[k]`` unless every lag r_k lies in the
+    history horizon ``[0, tau + HORIZON_PAD]`` and repeats no earlier lag (two
+    lags are one within ``LAG_MATCH_TOL``, as in a :class:`DelayOperator`):
+    the rules of a lag set that need no frame."""
+    for k, r in enumerate(delays):
+        if not 0 <= r <= tau + HORIZON_PAD:
+            raise error(f"{path}[{k}] = {r} lies outside the history horizon [0, {tau}]")
+        if any(abs(r - s) < scaled(LAG_MATCH_TOL, r) for s in delays[:k]):
+            raise error(f"{path}[{k}] = {r} repeats an earlier lag")
+
+
+def lag_basis(frame, delays, context=""):
+    """The ``(J, n, c)`` lag basis ``Phis[j] = Phi(-r_j)`` of lags that keep
+    :func:`check_lags`, and the rank of its stack col(Phi(-r_j)): the lags
+    realize every (n, c) target when it is c.  Lag choosers rank candidate
+    lag sets here, and the realization takes its basis from here."""
+    check_lags(delays, frame.op.tau, path=f"{context}lags")
+    Phis = np.array([frame.Phi_at(-r) for r in delays])
+    return Phis, rank(Phis.reshape(-1, frame.c))
 
 
 def check_sparsity(sparsity, n_delays, n):
@@ -300,76 +304,64 @@ def check_sparsity(sparsity, n_delays, n):
             raise StructuralError(f"mask {k} has shape {np.shape(m)}, expected ({n}, {n})")
 
 
-def solve_delay_realization(frame, delays, R, sparsity=None, Phis=None):
-    """Solve ``sum_j A_j Phi(-r_j) = R`` for coefficient matrices A_j.
-
-    ``R`` is one ``(n, c)`` target or a ``(p, n, c)`` stack of them; the
-    result is the ``(J, n, n)`` coefficients ``A[j]``, or ``(p, J, n, n)``
-    with ``A[k, j]`` for target k.  Row i of the A_j solves
+def solve_delay_realization(Phis, R, sparsity=None):
+    """Solve ``sum_j A_j Phi(-r_j) = R`` for coefficient matrices A_j, for
+    each target of the ``(p, n, c)`` stack R, given the lag basis ``Phis`` of
+    :func:`lag_basis`; the result is the ``(p, J, n, n)`` coefficients with
+    ``A[k, j]`` for target k.  Row i of the A_j solves
     ``x @ col(Phi(-r_j)) = R[i, :]`` at minimal norm over the entries that
     a per-delay boolean mask allows (entries outside a mask are pinned to
     zero).  Rows whose mask pattern is the same at every lag share that
     system, so one least-squares call takes all of them, in every target:
-    without masks, one call takes the whole stack.  ``Phis`` is the lag
-    basis ``[Phi(-r_j)]`` when the caller has already built and rank-tested
-    it for these lags; otherwise it is built here.
+    without masks, one call takes the whole stack.
 
     Raises
     ------
     UnfoldingError
-        If the stacked matrix col(Phi(-r_0), ..., Phi(-r_J)) has rank < c
-        (e.g. two equal lags make the exponential-delay matrix singular),
-        or if, for some target, a row's residual or the reconstruction
+        If, for some target k, a row's residual or the reconstruction
         residual exceeds ``REALIZATION_TOL`` relative to that target (an
-        infeasible sparsity mask).  For a stack the message names the
-        target by its position k.
+        infeasible sparsity mask, or lags whose stacked basis has rank < c);
+        the message names the target by its position k.
     """
-    n, c = frame.op.n, frame.c
-    delays = [float(r) for r in delays]
+    J, n, c = Phis.shape
     R = np.asarray(R, dtype=complex)
-    if R.ndim not in (2, 3) or R.shape[-2:] != (n, c):
-        raise StructuralError(f"target shape {R.shape} != ({n}, {c})")
-    J = len(delays)
+    if R.ndim != 3 or R.shape[1:] != (n, c):
+        raise StructuralError(f"target shape {R.shape} != (p, {n}, {c})")
     check_sparsity(sparsity, J, n)
     masks = [np.ones((n, n), dtype=bool) if m is None else np.asarray(m, dtype=bool)
              for m in ([None] * J if sparsity is None else sparsity)]
 
-    if Phis is None:
-        Phis = _lag_basis(frame, delays)
-    Rs = R.reshape(-1, n, c)
-    p = len(Rs)
-    Msys = np.vstack(Phis).T                   # (c, J n); column j n + l is Phi(-r_j)[l]
+    p = len(R)
+    Msys = Phis.reshape(J * n, c).T            # (c, J n); column j n + l is Phi(-r_j)[l]
     allowed = np.hstack(masks)                 # allowed[i, j n + l] = mask_j[i, l]
     X = np.zeros((p, n, J * n), dtype=complex)
     row_res = np.zeros((p, n))                 # an empty row's "residual" is its target
     patterns, which = np.unique(allowed, axis=0, return_inverse=True)
     for g, pattern in enumerate(patterns):
         rows = np.flatnonzero(which == g)
-        targets = Rs[:, rows, :]
+        targets = R[:, rows, :]
         if not pattern.any():
             row_res[:, rows] = np.max(np.abs(targets), axis=2)
             continue
         cols = np.nonzero(pattern)[0]
         rhs = targets.reshape(-1, c).T         # column k len(rows) + t is row rows[t] of R[k]
-        x, *_ = np.linalg.lstsq(Msys[:, cols], rhs, rcond=None)
+        x, _ = lstsq(Msys[:, cols], rhs)
         row_res[:, rows] = np.linalg.norm(Msys[:, cols] @ x - rhs, axis=0).reshape(p, -1)
         X[:, rows[:, None], cols] = x.T.reshape(p, len(rows), len(cols))
 
     A = X.reshape(p, n, J, n).transpose(0, 2, 1, 3)     # A[k, j, i, l] = X[k, i, j n + l]
-    bounds = scaled(REALIZATION_TOL, np.max(np.abs(Rs), axis=(-2, -1)))
+    bounds = scaled(REALIZATION_TOL, np.max(np.abs(R), axis=(-2, -1)))
     empty = ~allowed.any(axis=1)
     for k in range(p):
-        where = f"target {k}: " if R.ndim == 3 else ""
         bad = np.nonzero(row_res[k] > bounds[k])[0]
         if len(bad) and empty[bad[0]]:
             raise UnfoldingError(
-                f"{where}sparsity mask leaves row {bad[0]} empty but target is nonzero")
+                f"target {k}: sparsity mask leaves row {bad[0]} empty but target is nonzero")
         if len(bad):
-            raise UnfoldingError(f"{where}sparsity mask infeasible: row {bad[0]} "
+            raise UnfoldingError(f"target {k}: sparsity mask infeasible: row {bad[0]} "
                                  f"least-squares residual {row_res[k, bad[0]]:.3e}")
-    invariants.check("unfolding.reconstruction", A, Phis, Rs,
-                     where=(lambda k: f"target {k}") if R.ndim == 3 else None)
-    return A.reshape(R.shape[:-2] + (J, n, n))
+    invariants.check("unfolding.reconstruction", A, Phis, R, where=lambda k: f"target {k}")
+    return A
 
 
 def slot_stacks(frame, rep):
@@ -435,11 +427,13 @@ class UnfoldingFamily(NamedTuple("UnfoldingFamily", [
                             if r in base_lags or np.max(np.abs(A)) > 0))
         return DelayOperator(n=self.base.n, terms=kept)
 
-    def center_directions(self, frame, Phis):
-        """Reduced-matrix directions ``sum_j Psi(0) A_j^m Phi(-r_j)`` of every
-        parameter m, a ``(p, c, c)`` stack, given ``Phis[j] = Phi(-r_j)``."""
-        return np.array([sum(frame.psi @ A @ P for A, P in zip(row, Phis))
-                         for row in self.directions]).reshape(self.n_parameters, frame.c, frame.c)
+
+def center_directions(psi, A, Phis):
+    """Reduced-matrix directions ``sum_j (Psi(0) A_j^m) Phi(-r_j)`` of the
+    ``(p, J, n, n)`` coefficients A of p parameters, a ``(p, c, c)`` stack,
+    given ``psi = Psi(0)`` and ``Phis[j] = Phi(-r_j)``."""
+    return np.array([sum(psi @ Aj @ P for Aj, P in zip(row, Phis))
+                     for row in A]).reshape(len(A), len(psi), len(psi))
 
 
 class VersalityReport(NamedTuple):
@@ -559,12 +553,16 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     G = frame.G
     delays = [float(r) for r in delays]
     Rs, Rbars, Bhats, theta = slot_stacks(frame, rep)
-    Phis = _lag_basis(frame, delays, context=f"slots 0-{len(Rs) - 1}: ")
-    A_raw = solve_delay_realization(frame, delays, Rs, Phis=Phis)
+    context = f"slots 0-{len(Rs) - 1}: "
+    Phis, rk = lag_basis(frame, delays, context)
+    if rk < frame.c:
+        raise UnfoldingError(f"{context}stacked basis col(Phi(-r_j)) has rank {rk} < {frame.c}; "
+                             "the lags are too few, or not generic for this spectrum")
+    A_raw = solve_delay_realization(Phis, Rs)
 
     # Projection identity: averaging the coefficients, the R matrix, or
     # the center direction all land on the same matrix.
-    Bhat_from_A = (frame.psi @ equivariant_average(rep, rep, A_raw) @ np.array(Phis)).sum(axis=1)
+    Bhat_from_A = center_directions(frame.psi, equivariant_average(rep, rep, A_raw), Phis)
     Bhat_from_C = equivariant_average(G, G, frame.psi @ Rs)
     invariants.check("directions.projection_identity", Bhats, Bhat_from_A, Bhat_from_C,
                      where=lambda m: f"slot {m}")
@@ -574,7 +572,7 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
 
     selected = list(theta.selected_rows)
     A_fam = equivariant_average(rep, rep, solve_delay_realization(
-        frame, delays, Rbars[selected], sparsity=sparsity, Phis=Phis))
+        Phis, Rbars[selected], sparsity=sparsity))
     invariants.check("unfolding.reconstruction", A_fam, Phis, Rbars[selected],
                      where=lambda k: f"slot {selected[k]}")
 
@@ -664,26 +662,17 @@ def realify(family):
 
 def select_delays(frame):
     """Default lag selection: the operator's own lags plus 0, extended by an
-    equally spaced grid in (0, tau] until the stacked basis reaches full rank.
+    equally spaced grid in (0, tau] until the stacked basis of
+    :func:`lag_basis` reaches full rank.
     """
     c = frame.c
-    tau = frame.op.tau
     lags = sorted({0.0} | {float(r) for r, _ in frame.op.terms})
-
-    def rank_of(ls):
-        return rank(np.vstack([frame.Phi_at(-r) for r in ls]))
-
-    if rank_of(lags) >= c:
-        return lags
+    grid = (frame.op.tau * k / (c + 1) for k in range(1, c + 1))
     extras = 0
-    for k in range(1, c + 1):
-        cand = tau * k / (c + 1)
-        if any(abs(cand - r) < LAG_GAP for r in lags):
-            continue
+    while lag_basis(frame, lags)[1] < c:
+        cand = next((g for g in grid if all(abs(g - r) >= LAG_GAP for r in lags)), None)
+        if cand is None:
+            raise UnfoldingError(f"could not reach stacked rank {c} with {extras} extra lags")
         lags = sorted(lags + [cand])
         extras += 1
-        if rank_of(lags) >= c:
-            return lags
-        if extras >= c:
-            break
-    raise UnfoldingError(f"could not reach stacked rank {c} with {extras} extra lags")
+    return lags

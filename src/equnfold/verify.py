@@ -12,8 +12,8 @@ from .jsonio import (SCHEMA, boolean, decode_cmatrix_stack, decode_complex, docu
                      rep_from_doc, string)
 # orbit_geometry is unused here, but bound: the benchmark's tracer self-test
 # checks that it wraps and restores verify.orbit_geometry
-from .unfolding import (UnfoldingFamily, orbit_geometry, slot_stacks,  # noqa: F401
-                        verify_gamma_versality)
+from .unfolding import (UnfoldingFamily, center_directions, check_lags,  # noqa: F401
+                        orbit_geometry, slot_stacks, verify_gamma_versality)
 
 # the stored decisions (report.versality.<key>, with their readers) that the
 # lines versality.span and versality.mini compare with the recomputed ones
@@ -50,6 +50,7 @@ def parse_artifact(doc):
 
     unf = field(doc, "", "unfolding")
     delays = items(*field(*unf, "delays"), number)
+    check_lags(delays, op.tau, "unfolding.delays", SchemaError)
     names = items(*field(*unf, "parameters"), string)
     directions = items(*field(*unf, "coefficients"),
                        lambda row, p: decode_cmatrix_stack(row, p, shape=(op.n, op.n)))
@@ -97,7 +98,7 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
     G = frame.G
     # center directions from the stored coefficients
     Phis = [frame.Phi_at(-r) for r in family.delays]
-    bhats = family.center_directions(frame, Phis)
+    bhats = center_directions(frame.psi, family.directions, Phis)
     args = {"group.representation": (rep,), "model.equivariance": (op, rep),
             "frame.null_vectors": (frame,), "frame.gram_identity": (frame,),
             "frame.reduced_matrix": (frame,), "frame.induced_rep": (G,),

@@ -13,12 +13,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from equnfold import cli, d3, frames
+from equnfold import verify as verify_module
 from equnfold.cli import main
 from equnfold.frames import find_root
-from equnfold.groups import close_generators
+from equnfold.groups import close_generators, equivariant_average
 from equnfold.invariants import BY_NAME
 from equnfold.jsonio import (build_artifact, canonical_json, decode_complex,
                              encode_complex, model_to_doc, rep_to_doc, write_json_atomic)
+from equnfold.unfolding import slot_stacks, solve_delay_realization
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -582,6 +584,20 @@ class TestUnfold:
         err = capsys.readouterr().err
         assert err.startswith("schema error") and message in err, err
 
+    @pytest.mark.parametrize("delays, message", [
+        ([0, 1, 1], "lags[2] = 1.0 repeats an earlier lag"),
+        ([0, 1, 1 + 1e-15], "lags[2] = 1.000000000000001 repeats an earlier lag"),
+        ([0, 0.5, 1.5], "lags[2] = 1.5 lies outside the history horizon [0, 1.0]"),
+    ], ids=["repeat", "repeat-within-tolerance", "beyond-horizon"])
+    def test_config_lag_breaking_a_rule_exits_1(self, tmp_path, capsys, delays, message):
+        # the ring3 fixture (tau = 1) with its own lags: a pipeline error that
+        # names the lag, and no artifact
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg.write_text(json.dumps(dict(_ring_config(3), delays=delays)))
+        assert run(["unfold", "--config", str(cfg), "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mutate", [
         lambda t: t[1].__setitem__(2, "x"),
         lambda t: t[1].__setitem__(2, None),
@@ -987,8 +1003,7 @@ class TestVerify:
         ("frame", "eigenvalues", 0, 1),
         ("frame", "psi_directions", 0, 0, 0),
         ("frame", "psi_directions", 3, 2, 1),
-        ("unfolding", "delays", 3),
-    ], ids=["eigenvalue-imag", "psi-first", "psi-last", "delay"])
+    ], ids=["eigenvalue-imag", "psi-first", "psi-last"])
     def test_overflowing_entry_fails_versality_span(self, tmp_path, simple_artifact, path):
         # 1e308 parses as a finite number, but the center directions
         # recomputed from it overflow, and their span has no rank
@@ -1004,6 +1019,27 @@ class TestVerify:
         checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
         assert not checks["versality.span"]["passed"]
         assert "non-finite" in checks["versality.span"]["detail"]
+
+    @pytest.mark.parametrize("lag", [-3.43, 50.0], ids=["advanced", "beyond-horizon"])
+    def test_lag_outside_the_horizon_is_a_schema_error(self, tmp_path, capsys, monkeypatch,
+                                                       simple_case, simple_artifact, lag):
+        # a family realized on the lags 0, tau_s, tau_n and one outside
+        # [0, tau]: every check holds on it, and only the lag rule refuses it
+        frame, rep = simple_case.frame, simple_case.rep
+        lags = list(simple_case.delays[:3]) + [lag]
+        _, Rbars, _, theta = slot_stacks(frame, rep)
+        Phis = np.array([frame.Phi_at(-r) for r in lags])
+        coefficients = equivariant_average(rep, rep, solve_delay_realization(
+            Phis, Rbars[list(theta.selected_rows)], sparsity=d3.structure_masks()))
+        doc = copy.deepcopy(simple_artifact)
+        doc["unfolding"].update(delays=lags, coefficients=encode_complex(coefficients))
+        path = tmp_path / "lag.json"
+        write_json_atomic(str(path), doc)
+        assert run(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == (f"schema error: unfolding.delays[3] = {lag} lies "
+                                           "outside the history horizon [0, 4.0]\n")
+        monkeypatch.setattr(verify_module, "check_lags", lambda *args: None)
+        assert run(["verify", str(path)]) == 0
 
     def test_single_field_mutations_exit_cleanly(self, tmp_path, simple_artifact, simple_case):
         """Every node of a ``d3:simple`` artifact, and of its group in table
@@ -1090,12 +1126,21 @@ class TestVerify:
         (lambda doc: doc["theta"].__setitem__("rank", 4.0), "theta.rank"),
         (lambda doc: doc["theta"]["selected_rows"].__setitem__(0, "0"),
          "theta.selected_rows[0]"),
+        # a lag that overflows the center directions never reaches them
+        (lambda doc: doc["unfolding"]["delays"].__setitem__(3, 1e308),
+         "schema error: unfolding.delays[3] = 1e+308 lies outside the history horizon [0, 4.0]"),
+        (lambda doc: doc["unfolding"]["delays"].__setitem__(3, 0.0),
+         "schema error: unfolding.delays[3] = 0.0 repeats an earlier lag\n"),
+        (lambda doc: doc["frame"].update(eigenvalues=[], phi_directions=[], psi_directions=[],
+                                         reduced_matrix=[], induced_rep=[]),
+         "schema error: frame.eigenvalues must not be empty\n"),
     ], ids=["coefficient-nan", "delay-inf", "ragged-induced-rep", "ragged-group-matrices",
             "ragged-group-matrix", "delay-huge-int", "table-string", "table-null",
             "table-float", "table-ragged", "selected-row-float", "selected-row-string",
             "n-float", "n-string", "model-delay-string", "model-delay-bool",
             "eigenvalue-strings", "no-report", "no-codimension", "mini-versal-int",
-            "achieved-rank-bool", "theta-rank-float", "theta-row-string"])
+            "achieved-rank-bool", "theta-rank-float", "theta-row-string", "delay-overflow",
+            "delay-repeat", "no-eigenvalues"])
     def test_defect_names_its_place(self, tmp_path, capsys, simple_artifact, simple_case,
                                     mutate, message):
         doc = copy.deepcopy(simple_artifact)

@@ -8,8 +8,10 @@ from equnfold import d3
 from equnfold._linalg import EPS, rank
 from equnfold.delays import check_equivariance
 from equnfold.errors import EqunfoldError, UnfoldingError
+from equnfold.frames import SpectralFrame
 from equnfold.groups import equivariant_average
-from equnfold.unfolding import realify, scaled_det, slot_reparametrization
+from equnfold.unfolding import (exponential_delay_matrix, lag_basis, realify, scaled_det,
+                                slot_reparametrization)
 
 I3 = np.eye(3)
 J3 = np.ones((3, 3))
@@ -151,24 +153,28 @@ class TestDoubleHopfLocation:
         with pytest.raises(EqunfoldError, match="collide"):
             d3.find_double_hopf("delta2", 0.5, 3.0, (p.alpha, p.tau_s, p.omega1, -p.omega1))
 
-    def test_default_delays_are_generic(self, simple_case):
-        point = simple_case.point
-        delays = d3.default_delays(point)
-        assert delays[:3] == [0.0, point.tau_s, point.tau_n]
-        assert len(set(np.round(delays, 12))) == 4
-        M = d3.exponential_delay_matrix(
-            [1j * point.omega1, -1j * point.omega1,
-             1j * point.omega2, -1j * point.omega2], delays)
-        assert scaled_det(M) > 1e-6
+    def test_default_delays_are_generic(self, simple_case, double_case):
+        for case in (simple_case, double_case):
+            point, frame = case.point, case.frame
+            delays = d3.default_delays(frame)
+            assert delays[:3] == [0.0, point.tau_s, point.tau_n]
+            assert len(set(np.round(delays, 12))) == 4
+            assert lag_basis(frame, delays)[1] == frame.c
+            M = exponential_delay_matrix(
+                [1j * point.omega1, -1j * point.omega1,
+                 1j * point.omega2, -1j * point.omega2], delays)
+            assert scaled_det(M) > 1e-6
 
     def test_default_delays_without_a_generic_fourth_lag_raise(self):
         # lags 0, 1 and 2 cannot tell omega1 from omega1 + 14 pi, and no
-        # tau_3 on the halved tau/7 grid can either: the exponential-delay
-        # matrix has rank 2 or 3 at every halving
-        point = d3.DoubleHopfPoint(factor="delta1", beta=-0.5, tau_n=2.0, alpha=0.0, tau_s=1.0,
-                                   omega1=1.0, omega2=1.0 + 14 * np.pi, residual=0.0)
-        with pytest.raises(UnfoldingError, match="generic fourth lag"):
-            d3.default_delays(point)
+        # tau_3 on the halved tau/7 grid can either: with every direction
+        # the symmetric one, the stacked basis has rank 2 or 3 at every halving
+        op = d3.d3_operator(d3.D3ModelParams(alpha=0.0, beta=-0.5, tau_s=1.0, tau_n=2.0))
+        lams = (1j, -1j, 1j * (1 + 14 * np.pi), -1j * (1 + 14 * np.pi))
+        frame = SpectralFrame(op=op, lambdas=lams, phi=np.tile(d3.U_SYM, (4, 1)),
+                              psi=np.tile(d3.U_SYM, (4, 1)) / 3, B=np.diag(lams))
+        with pytest.raises(UnfoldingError, match="generic fourth lag .* below 4"):
+            d3.default_delays(frame)
 
 
 def _loop_intersections(P, Q):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equnfold
-from equnfold._linalg import (EIG_MATCH_TOL, RANK_RCOND, eigen_groups, null_basis, rank, scaled,
-                              svd_rank)
+from equnfold._linalg import (EIG_MATCH_TOL, RANK_RCOND, eigen_groups, lstsq, null_basis, rank,
+                              scaled, svd_rank)
 
 
 def _inline_tolerances(source):
@@ -40,6 +40,42 @@ def test_inline_tolerance_finder():
     source = ('"""Docstring with 1e-9."""\nTOL = 1e-9\n_PAD = -2e-4\nlower = 1e-6\n'
               'def f(x, tol=1e-12):\n    return x < 1e-3 * 1e-2 or x > 0.5\n')
     assert _inline_tolerances(source) == [(4, 1e-6), (5, 1e-12), (6, 1e-3)]
+
+
+# the numpy.linalg routines that cut a rank, or read one off singular values
+RANK_ROUTINES = ("lstsq", "svd", "matrix_rank", "pinv")
+
+
+def _rank_routines(source):
+    """Sorted (line, name) of every use of a routine of ``RANK_ROUTINES``: an
+    attribute of that name (``np.linalg.svd``) or a name imported from a
+    ``linalg`` package (``from numpy.linalg import pinv``)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in RANK_ROUTINES:
+            hits.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg") \
+                and not node.level:
+            hits += [(node.lineno, a.name) for a in node.names if a.name in RANK_ROUTINES]
+    return sorted(hits)
+
+
+def test_every_rank_cut_is_in_linalg():
+    # one rank rule: outside _linalg, a rank, a null space or a least-squares
+    # solve goes through its helpers, which cut by _linalg._count
+    package = pathlib.Path(equnfold.__file__).parent
+    found = {path.name: _rank_routines(path.read_text())
+             for path in sorted(package.glob("*.py")) if path.name != "_linalg.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    assert {name for _, name in _rank_routines((package / "_linalg.py").read_text())} == \
+        {"lstsq", "svd"}
+
+
+def test_rank_routine_finder():
+    source = ("import numpy as np\nfrom numpy.linalg import pinv, norm\n"
+              "x = np.linalg.lstsq(a, b)\ny = la.matrix_rank(a)\nz = svd_rank(a)\n"
+              "s = np.linalg.svd\nfrom ._linalg import lstsq\n")
+    assert _rank_routines(source) == [(2, "pinv"), (3, "lstsq"), (4, "matrix_rank"), (6, "svd")]
 
 
 PACKAGE = pathlib.Path(equnfold.__file__).parent
@@ -143,6 +179,22 @@ def test_scaled_bound():
 ])
 def test_rank_rule(A, scale, expected):
     assert rank(A, scale=scale) == expected
+
+
+@pytest.mark.parametrize("A", [
+    np.diag([1.0, 1e-9]), np.diag([1.0, 2e-9]), np.zeros((3, 3)),
+    np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + 1e-12]]),
+    np.array([[1.0, 1j], [2.0, 3.0], [0.0, 1.0]]),
+])
+def test_lstsq_cuts_by_the_rank_rule(A):
+    # gelsd's own cut at RANK_RCOND keeps exactly the singular values that
+    # the rule counts, so its solution is the one on the rule's rank
+    B = np.arange(2.0 * len(A)).reshape(len(A), 2)
+    x, r = lstsq(A, B)
+    assert r == rank(A)
+    U, Vh, _ = svd_rank(A)
+    s = np.linalg.svd(A, compute_uv=False)[:r]
+    assert np.allclose(x, Vh[:r].conj().T @ ((U[:, :r].conj().T @ B) / s[:, None]), atol=1e-12)
 
 
 def test_stack_is_ranked_per_matrix():

@@ -19,7 +19,7 @@ from equnfold.jsonio import build_artifact, canonical_json, encode_complex
 from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
                                 assemble_gamma_unfolding,
                                 build_R_matrices, exponential_delay_matrix,
-                                jordan_codimension,
+                                jordan_codimension, lag_basis,
                                 orbit_geometry, realify, scaled_det, select_delays,
                                 semisimple_jordan_spec,
                                 solve_delay_realization, theta_extract,
@@ -536,30 +536,30 @@ def _residual_free(message):
 
 def _assert_realization_matches_references(frame, delays, Rs, sparsity=None):
     """``solve_delay_realization`` on the ``(p, n, c)`` stack ``Rs``, and on
-    each target alone, gives the per-row reference's coefficients bit for
-    bit, or the reference's first error (its residual value aside) prefixed
-    with the failing target; without masks the stack also gives the
-    one-call reference's coefficients."""
-    Phis = [frame.Phi_at(-r) for r in delays]
+    each target alone (a stack of one), gives the per-row reference's
+    coefficients bit for bit, or the reference's first error (its residual
+    value aside) prefixed with the failing target; without masks the stack
+    also gives the one-call reference's coefficients."""
+    Phis = lag_basis(frame, delays)[0]
     Rs = np.asarray(Rs, dtype=complex)
     errors = [_error(lambda: _solve_per_row(Phis, R, sparsity)) for R in Rs]
     for k, R in enumerate(Rs):
         if errors[k] is None:
-            got = solve_delay_realization(frame, delays, R, sparsity=sparsity)
+            got = solve_delay_realization(Phis, R[None], sparsity=sparsity)[0]
             assert np.array_equal(got, _solve_per_row(Phis, R, sparsity)), f"target {k}"
         else:
-            got = _error(lambda: solve_delay_realization(frame, delays, R, sparsity=sparsity))
-            assert _residual_free(got) == _residual_free(errors[k])
+            got = _error(lambda: solve_delay_realization(Phis, R[None], sparsity=sparsity))
+            assert _residual_free(got) == _residual_free(f"target 0: {errors[k]}")
     first = next((k for k, e in enumerate(errors) if e is not None), None)
     if first is None:
-        got = solve_delay_realization(frame, delays, Rs, sparsity=sparsity)
+        got = solve_delay_realization(Phis, Rs, sparsity=sparsity)
         ref = np.array([_solve_per_row(Phis, R, sparsity) for R in Rs])
         assert got.shape == (len(Rs), len(delays), frame.op.n, frame.op.n)
         assert np.array_equal(got, ref)
         if sparsity is None:
             assert np.array_equal(got, _realize_slots_reference(Phis, Rs))
     else:
-        got = _error(lambda: solve_delay_realization(frame, delays, Rs, sparsity=sparsity))
+        got = _error(lambda: solve_delay_realization(Phis, Rs, sparsity=sparsity))
         assert _residual_free(got) == _residual_free(f"target {first}: {errors[first]}")
     return errors
 
@@ -707,59 +707,74 @@ class TestSolveDelayRealization:
         frame = simple_case.frame
         delays = simple_case.delays
         R = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        As = solve_delay_realization(frame, delays, R)
+        (As,) = solve_delay_realization(lag_basis(frame, delays)[0], R[None])
         recon = sum(A @ frame.Phi_at(-r) for A, r in zip(As, delays))
         assert np.max(np.abs(recon - R)) < 1e-9
 
     def test_coincident_delays_rejected(self, simple_case):
+        # a lag that repeats another within LAG_MATCH_TOL is refused by name,
+        # whatever the rank of the stacked basis
         frame = simple_case.frame
         tau_s = simple_case.point.tau_s
-        with pytest.raises(UnfoldingError, match="rank"):
-            solve_delay_realization(frame, [0.0, tau_s, tau_s, 3.0],
-                                    np.zeros((3, 4)))
+        for lags in ([0.0, tau_s, tau_s, 3.0], [0.0, tau_s, tau_s * (1 + 1e-15), 3.0]):
+            with pytest.raises(UnfoldingError, match=r"^lags\[2\] = \S+ repeats an earlier lag$"):
+                lag_basis(frame, lags)
+        assert lag_basis(frame, [0.0, tau_s, tau_s * (1 + 1e-12), 3.0])[1] < 4
 
     def test_infeasible_mask_rejected(self, double_case):
         # a raw single-column slot cannot be realized under the structural
         # masks in the double case: eight equations, six unknowns per row
         frame = double_case.frame
-        delays = double_case.delays
-        R = double_case.assembly.r_matrices[0]
-        with pytest.raises(UnfoldingError, match="mask"):
-            solve_delay_realization(frame, delays, R, sparsity=d3.structure_masks())
+        Phis = lag_basis(frame, double_case.delays)[0]
+        R = double_case.assembly.r_matrices[:1]
+        with pytest.raises(UnfoldingError, match="^target 0: sparsity mask infeasible"):
+            solve_delay_realization(Phis, R, sparsity=d3.structure_masks())
 
     def test_empty_row(self, simple_case, rng):
         # row 1 is masked out at every lag: a zero target row gives a zero
-        # coefficient row, a nonzero one is refused; a stack names the target
+        # coefficient row, a nonzero one is refused, naming its target
         frame, delays = simple_case.frame, simple_case.delays
+        Phis = lag_basis(frame, delays)[0]
         masks = [np.ones((3, 3), dtype=bool) for _ in delays]
         for m in masks:
             m[1] = False
         A = random_complex(rng, len(delays), 3, 3) * np.array(masks)
         R = sum(Aj @ frame.Phi_at(-r) for Aj, r in zip(A, delays))
         assert not np.any(R[1])
-        As = solve_delay_realization(frame, delays, R, sparsity=masks)
+        (As,) = solve_delay_realization(Phis, R[None], sparsity=masks)
         assert not np.any(As[:, 1]) and np.all(As[:, [0, 2]] != 0)
         bad = R.copy()
         bad[1, 2] = 1e-3
         with pytest.raises(UnfoldingError,
-                           match=r"^sparsity mask leaves row 1 empty but target is nonzero$"):
-            solve_delay_realization(frame, delays, bad, sparsity=masks)
-        with pytest.raises(UnfoldingError, match=r"^target 1: sparsity mask leaves row 1 empty"):
-            solve_delay_realization(frame, delays, np.array([R, bad]), sparsity=masks)
+                           match=r"^target 1: sparsity mask leaves row 1 empty but target is "
+                                 r"nonzero$"):
+            solve_delay_realization(Phis, np.array([R, bad]), sparsity=masks)
+
+    def test_target_must_be_a_stack(self, simple_case):
+        Phis = lag_basis(simple_case.frame, simple_case.delays)[0]
+        for R in (np.zeros((3, 4)), np.zeros((1, 3, 3))):
+            with pytest.raises(StructuralError, match=r"^target shape .* != \(p, 3, 4\)$"):
+                solve_delay_realization(Phis, R)
 
     def test_lag_outside_horizon_rejected(self, simple_case):
         frame = simple_case.frame
-        with pytest.raises(UnfoldingError, match="horizon"):
-            solve_delay_realization(frame, [0.0, 1.0, 2.0, frame.op.tau + 1.0],
-                                    np.zeros((3, 4)))
+        tau = frame.op.tau
+        for k, lags in ((3, [0.0, 1.0, 2.0, tau + 1.0]), (1, [0.0, -1e-300, 2.0, 3.0])):
+            with pytest.raises(UnfoldingError,
+                               match=rf"^lags\[{k}\] = \S+ lies outside the history horizon"):
+                lag_basis(frame, lags)
+        assert lag_basis(frame, [0.0, 1.0, 2.0, tau + 1e-12])[1] == 4
 
 
 class TestAssembledPipeline:
     def test_coinciding_lags_name_the_slots(self, simple_case):
         p = simple_case.point
-        with pytest.raises(UnfoldingError, match=r"^slots 0-3: stacked basis .* rank \d < 4"):
+        with pytest.raises(UnfoldingError, match=r"^slots 0-3: lags\[2\] = \S+ repeats an earlier"):
             assemble_gamma_unfolding(simple_case.frame, simple_case.rep,
                                      [0.0, p.tau_s, p.tau_s, p.tau_n])
+        with pytest.raises(UnfoldingError, match=r"^slots 0-3: stacked basis .* rank \d < 4; "
+                                                 r"the lags are too few"):
+            assemble_gamma_unfolding(simple_case.frame, simple_case.rep, [0.0])
 
     def test_projection_identity_failure_names_the_slot(self, double_case):
         # a frame whose induced action is trivial although rho is not: the
