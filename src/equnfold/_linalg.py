@@ -12,9 +12,10 @@ Delta(lam) at a root of a scalar equation (``invariants.char_scale``); relative
 to scale alone it would count a large matrix's rounding noise as rank.
 
 Two eigenvalues are one by one rule too, :func:`eigen_groups`, relative to
-their spectrum's magnitude, so covariant under t -> t / s.  Each bound is one
-named constant, here when modules share it; a bound on a quantity with a
-magnitude is ``tol * max(1, size)`` (:func:`scaled`).
+their spectrum's magnitude, so covariant under t -> t / s; two lags are one
+by :func:`same_lag`.  Each bound is one named constant, here when modules
+share it; a bound on a quantity with a magnitude is ``tol * max(1, size)``
+(:func:`scaled`).
 """
 
 import numpy as np
@@ -27,13 +28,18 @@ SINGULAR_RCOND = 1e-12    # a singular element of a representation, at scale 1
 REALIZATION_TOL = 1e-9    # relative residual of a delay realization, row by row and whole
 EIG_MATCH_TOL = 1e-9      # two eigenvalues this close, relative to their spectrum, are one
 LAG_MATCH_TOL = 1e-14     # two lags this close are one lag (scaled)
-LAG_GAP = 1e-9            # a chosen lag this close to another collides with it
 EPS = np.finfo(float).eps  # rcond max(m, n) * EPS (numpy's default): rank lost to rounding only
 
 
 def scaled(tol, size):
     """The bound ``tol * max(1, size)``; a NaN size counts as 1, as in ``max``."""
     return tol * np.fmax(1.0, size)
+
+
+def same_lag(r, s):
+    """Whether r and s are one lag, ``|r - s| < scaled(LAG_MATCH_TOL, r)``: the
+    one rule of every lag decision (a repeated lag, a merge, a collision)."""
+    return abs(r - s) < scaled(LAG_MATCH_TOL, r)
 
 
 def _count(s, scale, rcond):

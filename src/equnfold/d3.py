@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import LAG_GAP
+from ._linalg import same_lag
 from .delays import DelayOperator
 from .errors import EqunfoldError, UnfoldingError
 from .frames import eigenbasis, induce_representation
@@ -144,7 +144,7 @@ _WINDOW_PAD = 1e-6              # crossing sweep: window pad, relative to 1 + ma
 _PAIR_PAD = 1e-9                # crossing sweep: box pad, relative to 1 + max |P_a|, |P_b|
 
 
-def _crossings(polylines, window=None):
+def _crossings(polylines, window):
     """Crossings of every pair of polylines, a polyline with itself included.
 
     ``polylines`` are (m, 2) arrays of finite points.  Returns arrays
@@ -155,8 +155,9 @@ def _crossings(polylines, window=None):
     neighbouring segments (|i - j| <= 1), whose only common point is the
     sample they share.
 
-    With ``window = ((x0, x1), (y0, y1))`` only the segments whose bounding
-    box meets that rectangle, padded by 1e-6 (1 + max |P_a|), are kept.
+    Only the segments whose bounding box meets the rectangle ``window =
+    ((x0, x1), (y0, y1))``, padded by 1e-6 (1 + max |P_a|), are kept (an
+    infinite window keeps every segment).
 
     A pair is tested only when the segments' bounding boxes, padded by
     1e-9 (1 + max(max |P_a|, max |P_b|)), overlap, so disjoint parallel
@@ -230,24 +231,21 @@ def _crossings(polylines, window=None):
 def _stacked_segments(polylines, window):
     """The segments of all polylines, stacked: their starts ``A`` and ends
     ``B``, the polyline (``label``) and segment (``index``) of each row, and
-    each polyline's largest |coordinate|.  With a window, each polyline is
-    cut to the segments of :func:`_crossings` before stacking."""
+    each polyline's largest |coordinate|.  Each polyline is cut to the
+    segments of :func:`_crossings`' window before stacking."""
     parts = [(np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.intp),
               np.empty(0, dtype=np.intp))]
     absmax = []
     for a, P in enumerate(polylines):
         A, B = P[:-1], P[1:]
         absmax.append(float(np.max(np.abs(P), initial=0.0)))
-        if window is None:
-            index = np.arange(len(A))
-        else:
-            m = _WINDOW_PAD * (1.0 + absmax[-1])
-            keep = np.ones(len(A), dtype=bool)
-            for c, (w0, w1) in enumerate(window):
-                keep &= ((np.minimum(A[:, c], B[:, c]) <= w1 + m)
-                         & (np.maximum(A[:, c], B[:, c]) >= w0 - m))
-            index = np.flatnonzero(keep)
-            A, B = A[index], B[index]
+        m = _WINDOW_PAD * (1.0 + absmax[-1])
+        keep = np.ones(len(A), dtype=bool)
+        for c, (w0, w1) in enumerate(window):
+            keep &= ((np.minimum(A[:, c], B[:, c]) <= w1 + m)
+                     & (np.maximum(A[:, c], B[:, c]) >= w0 - m))
+        index = np.flatnonzero(keep)
+        A, B = A[index], B[index]
         parts.append((A, B, np.full(len(A), a), index))
     A, B, label, index = (np.concatenate(c) for c in zip(*parts))
     return A, B, label, index, np.array(absmax)
@@ -477,12 +475,12 @@ def default_delays(frame):
     others = [r for r, _ in frame.op.terms]
     for k in range(7, 0, -1):
         tau3 = tau * k / 7.0
-        if all(abs(tau3 - r) > LAG_GAP for r in others):
+        if not any(same_lag(tau3, r) for r in others):
             break
     else:
         raise UnfoldingError("no admissible fourth lag on the tau/7 grid")
     for _ in range(10):
-        if all(abs(tau3 - r) > LAG_GAP for r in others) and \
+        if not any(same_lag(tau3, r) for r in others) and \
                 lag_basis(frame, others + [tau3])[1] == frame.c:
             return others + [tau3]
         tau3 = tau3 / 2.0
@@ -546,7 +544,7 @@ def run_case(case, point=None):
         raise EqunfoldError(f"case {case!r} needs a {expected_factor} point, got {point.factor}")
 
     params = point.params()
-    if abs(params.tau_s - params.tau_n) < LAG_GAP:
+    if same_lag(params.tau_s, params.tau_n):
         raise EqunfoldError("tau_s and tau_n coincide; unfolding lags would collide")
     op = d3_operator(params)
     rep = triangle_rep()

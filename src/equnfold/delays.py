@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import LAG_MATCH_TOL, scaled
+from ._linalg import same_lag
 from .errors import StructuralError
 from .groups import commutator_residual
 
@@ -45,7 +45,7 @@ class DelayOperator(NamedTuple("DelayOperator", [("n", int), ("terms", tuple)]))
             r = float(r)
             if r < 0:
                 raise StructuralError(f"negative delay {r}")
-            if any(abs(r - s) < scaled(LAG_MATCH_TOL, r) for s in seen):
+            if any(same_lag(r, s) for s in seen):
                 raise StructuralError(f"duplicate delay {r}")
             seen.append(r)
             A = np.asarray(A, dtype=complex)
@@ -58,6 +58,11 @@ class DelayOperator(NamedTuple("DelayOperator", [("n", int), ("terms", tuple)]))
     def tau(self):
         """History horizon: the largest delay."""
         return max(r for r, _ in self.terms)
+
+    @property
+    def norm_sum(self):
+        """The size ``sum_k ||A_k||_2`` of the operator's coefficients."""
+        return sum(float(np.linalg.norm(A, 2)) for _, A in self.terms)
 
     @property
     def is_real(self):

@@ -127,8 +127,7 @@ def critical_roots(op, seeds, tol=ROOT_TOL):
             solved[seed] = res.root
     if not roots:
         raise RootFindingError("no characteristic roots found from the given seeds")
-    norm_sum = sum(float(np.linalg.norm(A, 2)) for _, A in op.terms)
-    return [roots[block[0]] for block in eigen_groups(roots, norm_sum)]
+    return [roots[block[0]] for block in eigen_groups(roots, op.norm_sum)]
 
 
 def _require_finite_iterate(lam, f, iterations):
@@ -183,10 +182,6 @@ class SpectralFrame(NamedTuple):
         """The (n, c) matrix Phi(theta) = Phi(0) exp(Lambda theta), C-ordered so
         that every product with it takes one BLAS layout."""
         return np.ascontiguousarray(self.phi.T * np.exp(np.array(self.lambdas) * theta))
-
-    def Psi_at(self, s):
-        """The (c, n) matrix Psi(s) = exp(-Lambda s) Psi(0)."""
-        return self.psi * np.exp(-np.array(self.lambdas) * s)[:, None]
 
     def gram(self):
         """The pairing matrix ``(Psi, Phi)``; the identity for a normalized frame."""
@@ -267,7 +262,7 @@ def eigenbasis(op, lambdas, seeds=None):
     """
     lambdas = [complex(l) for l in lambdas]
     seeds = dict(seeds or {})
-    norm_sum = sum(float(np.linalg.norm(A, 2)) for _, A in op.terms)
+    norm_sum = op.norm_sum
     deriv_size = 1.0 + sum(r * float(np.linalg.norm(A, 2)) for r, A in op.terms)
 
     # entry c + j is conj(lambdas[j]): one with root i when root i is its conjugate

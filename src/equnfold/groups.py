@@ -59,9 +59,6 @@ class FiniteGroup(NamedTuple):
         intertwining residuals are taken over these."""
         return self.generator_indices or tuple(self.elements())
 
-    def mul(self, a, b):
-        return int(self.mul_table[a, b])
-
     def elements(self):
         return range(self.order)
 

@@ -83,7 +83,7 @@ def _size(M, axis=None):
 def char_scale(norm_sum, lam):
     """Natural magnitude of Delta(lam), the scale of its null vectors' residual
     and of its null-space cutoff: at a root of a scalar equation Delta's own
-    singular value is the residual.  ``norm_sum`` is ``sum_k ||A_k||_2``."""
+    singular value is the residual.  ``norm_sum`` is ``DelayOperator.norm_sum``."""
     return 1.0 + abs(lam) + norm_sum
 
 
@@ -97,7 +97,7 @@ def _null_vectors(frame):
 
 
 def _null_vector_scales(frame):
-    norm_sum = float(np.sum(np.linalg.norm([A for _, A in frame.op.terms], 2, axis=(1, 2))))
+    norm_sum = frame.op.norm_sum
     return [char_scale(norm_sum, lam) for lam in 2 * frame.lambdas]
 
 

@@ -22,15 +22,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import invariants
-from ._linalg import (LAG_GAP, LAG_MATCH_TOL, RANK_RCOND, REALIZATION_TOL, ad_matrix,
-                      eigen_groups, lstsq, rank, scaled, svd_rank)
+from ._linalg import (RANK_RCOND, REALIZATION_TOL, ad_matrix, eigen_groups, lstsq, rank,
+                      same_lag, scaled, svd_rank)
 from .delays import DelayOperator
 from .errors import StructuralError, UnfoldingError
 from .groups import commutant_basis, equivariant_average
 
 DIAG_TOL = 1e-12       # max off-diagonal magnitude for "B is diagonal"
 CONJ_PAIR_TOL = 1e-9           # relative gap of a conjugate direction pair
-HORIZON_PAD = 1e-12            # a lag this far beyond the history horizon is still inside
 PATTERN_FLOOR = 1e-14          # a lag whose coefficients all lie below this has no pattern
 
 
@@ -272,13 +271,13 @@ def build_R_matrices(frame, geometry):
 
 def check_lags(delays, tau, path="lags", error=UnfoldingError):
     """Raise ``error`` naming ``path[k]`` unless every lag r_k lies in the
-    history horizon ``[0, tau + HORIZON_PAD]`` and repeats no earlier lag (two
-    lags are one within ``LAG_MATCH_TOL``, as in a :class:`DelayOperator`):
-    the rules of a lag set that need no frame."""
+    history horizon [0, tau] or is one lag with tau, and repeats no earlier
+    lag (two lags are one by :func:`~equnfold._linalg.same_lag`, as in a
+    :class:`DelayOperator`): the rules of a lag set that need no frame."""
     for k, r in enumerate(delays):
-        if not 0 <= r <= tau + HORIZON_PAD:
+        if not (0 <= r <= tau or same_lag(r, tau)):
             raise error(f"{path}[{k}] = {r} lies outside the history horizon [0, {tau}]")
-        if any(abs(r - s) < scaled(LAG_MATCH_TOL, r) for s in delays[:k]):
+        if any(same_lag(r, s) for s in delays[:k]):
             raise error(f"{path}[{k}] = {r} repeats an earlier lag")
 
 
@@ -420,7 +419,7 @@ class UnfoldingFamily(NamedTuple("UnfoldingFamily", [
         terms = {r: A.copy() for r, A in self.base.terms}
         for am, row in zip(alpha, self.directions):
             for r, A in zip(self.delays, row):
-                key = next((s for s in terms if abs(s - r) < scaled(LAG_MATCH_TOL, r)), r)
+                key = next((s for s in terms if same_lag(r, s)), r)
                 terms[key] = terms.get(key, 0) + am * A
         # lags outside the base that received no contribution are dropped
         kept = tuple(sorted((r, A) for r, A in terms.items()
@@ -670,7 +669,7 @@ def select_delays(frame):
     grid = (frame.op.tau * k / (c + 1) for k in range(1, c + 1))
     extras = 0
     while lag_basis(frame, lags)[1] < c:
-        cand = next((g for g in grid if all(abs(g - r) >= LAG_GAP for r in lags)), None)
+        cand = next((g for g in grid if not any(same_lag(g, r) for r in lags)), None)
         if cand is None:
             raise UnfoldingError(f"could not reach stacked rank {c} with {extras} extra lags")
         lags = sorted(lags + [cand])

@@ -718,6 +718,13 @@ def _preset_config(r):
 
 @functools.lru_cache(maxsize=None)
 def _time_config(case):
+    if case == "scalar":
+        # u' = -u + 2 u(t - 1) at its roots -0.86 +- 4.74i and -1.70 +- 10.93i,
+        # on the lags select_delays chooses
+        return {"model": {"n": 1, "terms": [{"delay": 0.0, "matrix": [[[-1.0, 0.0]]]},
+                                            {"delay": 1.0, "matrix": [[[2.0, 0.0]]]}]},
+                "group": {"generators": [[[[1.0, 0.0]]]]},
+                "lambda_seeds": [[-0.86, 4.74], [-0.86, -4.74], [-1.7, 10.93], [-1.7, -10.93]]}
     if case == "ring3":
         with open(os.path.join(FIXTURES, "ring3_config.json")) as fh:
             return json.load(fh)
@@ -752,13 +759,14 @@ def _unfold_outcome(tmp_path, cfg):
 
 
 class TestTimeRescaling:
-    @pytest.mark.parametrize("case", ["simple", "double", "ring3"])
+    @pytest.mark.parametrize("case", ["simple", "double", "ring3", "scalar"])
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @example(s=0.25)
     @example(s=3.0)
     @example(s=1e7)      # bounds on a quantity with a magnitude are relative to it
-    @example(s=1e9)
+    @example(s=1e9)      # and two lags are one relative to them: tau = 1e-9, 1e-12
+    @example(s=1e12)
     @given(s=st.floats(0.25, 3.0))
     def test_outcome_is_unchanged(self, tmp_path, case, s):
         cfg = _time_config(case)

@@ -17,6 +17,7 @@ I3 = np.eye(3)
 J3 = np.ones((3, 3))
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+EVERYWHERE = ((-np.inf, np.inf),) * 2    # a crossing window that keeps every segment
 with open(os.path.join(FIXTURES, "double_hopf_points.json")) as _fh:
     FIXTURE_POINTS = json.load(_fh)
 
@@ -199,9 +200,9 @@ def _loop_intersections(P, Q):
 
 def _segment_intersections(P, Q):
     """Crossings of two polylines in the plane: ``d3._crossings`` of
-    ``[P, Q]``, keeping only the pairs of a P segment and a Q segment.
-    Returns arrays ``(i, j, t, u, point)`` ordered by (i, j)."""
-    a, b, i, j, t, u, pt = d3._crossings([P, Q])
+    ``[P, Q]`` in the whole plane, keeping only the pairs of a P segment and
+    a Q segment.  Returns arrays ``(i, j, t, u, point)`` ordered by (i, j)."""
+    a, b, i, j, t, u, pt = d3._crossings([P, Q], EVERYWHERE)
     cross = a < b
     return i[cross], j[cross], t[cross], u[cross], pt[cross]
 
@@ -289,7 +290,7 @@ class TestCrossingOracle:
         for P in (np.array(zigzag), np.array(comb), walk, curve):
             ref = [(i, j, t, u) for i, j, t, u, _ in _loop_intersections(P, P)
                    if abs(i - j) > 1]
-            a, b, i, j, t, u, _ = d3._crossings([P])
+            a, b, i, j, t, u, _ = d3._crossings([P], EVERYWHERE)
             assert list(zip(i.tolist(), j.tolist(), t.tolist(), u.tolist())) == ref
 
     def test_rounding_hit_of_disjoint_parallel_segments_is_dropped(self):
@@ -625,3 +626,9 @@ class TestRunCaseGuards:
             d3.run_case("simple", point=double_case.point)
         with pytest.raises(EqunfoldError, match="needs"):
             d3.run_case("double", point=simple_case.point)
+
+    def test_coinciding_tau_s_and_tau_n(self, simple_case):
+        point = simple_case.point._replace(tau_s=simple_case.point.tau_n)
+        with pytest.raises(EqunfoldError, match="^tau_s and tau_n coincide; unfolding lags "
+                                                "would collide$"):
+            d3.run_case("simple", point=point)

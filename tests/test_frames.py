@@ -456,15 +456,13 @@ class TestFrameEvaluation:
         r = request.getfixturevalue(f"{request.param}_case")
         return r.frame, r.delays
 
-    def test_phi_and_psi_match_the_per_vector_exponentials(self, case):
+    def test_phi_matches_the_per_vector_exponentials(self, case):
         frame, lags = case
         lams = [complex(lam) for lam in frame.lambdas]
         samples = [*(-r for r in lags), *np.linspace(-frame.op.tau, 0.0, 9)]
         for t in samples:
             Phi = np.column_stack([u * np.exp(lam * t) for u, lam in zip(frame.phi, lams)])
-            Psi = np.array([w * np.exp(-lam * -t) for w, lam in zip(frame.psi, lams)])
             assert same_bits(frame.Phi_at(t), Phi) and frame.Phi_at(t).flags.c_contiguous, t
-            assert same_bits(frame.Psi_at(-t), Psi), t
 
 
 class TestInduceRepresentation:

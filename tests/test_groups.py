@@ -48,8 +48,8 @@ class TestFiniteGroup:
         assert g.identity == 0
         assert g.generator_indices == (1, 2)
         for a in g.elements():
-            assert g.mul(a, g.inverse[a]) == g.identity
-            assert g.mul(g.identity, a) == a
+            assert g.mul_table[a, g.inverse[a]] == g.identity
+            assert g.mul_table[g.identity, a] == a
 
     def test_rejects_non_latin_table(self):
         bad = [[0, 0], [1, 1]]
@@ -341,7 +341,7 @@ def _check_representation_loop(rep, tol=1e-9):
     violated, singular = [], []
     for g in group.elements():
         for h in group.elements():
-            res = float(np.max(np.abs(mats[g] @ mats[h] - mats[group.mul(g, h)])))
+            res = float(np.max(np.abs(mats[g] @ mats[h] - mats[group.mul_table[g, h]])))
             max_res = max(max_res, res)
             if res > tol:
                 violated.append((g, h))

@@ -18,7 +18,7 @@ from equnfold.invariants import BY_NAME
 from equnfold.jsonio import build_artifact, canonical_json, encode_complex
 from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
                                 assemble_gamma_unfolding,
-                                build_R_matrices, exponential_delay_matrix,
+                                build_R_matrices, check_lags, exponential_delay_matrix,
                                 jordan_codimension, lag_basis,
                                 orbit_geometry, realify, scaled_det, select_delays,
                                 semisimple_jordan_spec,
@@ -763,7 +763,10 @@ class TestSolveDelayRealization:
             with pytest.raises(UnfoldingError,
                                match=rf"^lags\[{k}\] = \S+ lies outside the history horizon"):
                 lag_basis(frame, lags)
-        assert lag_basis(frame, [0.0, 1.0, 2.0, tau + 1e-12])[1] == 4
+        # a lag that is one lag with tau is inside, relative to tau
+        assert lag_basis(frame, [0.0, 1.0, 2.0, np.nextafter(tau, np.inf)])[1] == 4
+        with pytest.raises(UnfoldingError, match=r"^lags\[1\] = 1.5e-12 lies outside"):
+            check_lags([0.0, 1.5e-12], 1e-12)
 
 
 class TestAssembledPipeline:
