@@ -137,7 +137,7 @@ def cmd_double_hopf(args):
     return EXIT_OK if points else EXIT_PIPELINE
 
 
-CONFIG_KEYS = ("model", "group", "lambda_seeds", "delays", "sparsity", "tolerances", "output")
+CONFIG_KEYS = ("model", "group", "lambda_seeds", "delays", "sparsity", "tolerances")
 
 
 def _check_keys(doc, path, keys):
@@ -163,17 +163,13 @@ def _mask(doc, path):
     return np.array(rows, dtype=bool)
 
 
-def _run_config(cfg, output=None):
+def _run_config(cfg, output="unfold.json"):
     """Run the generic pipeline described by a config document; the results
-    come with the output path, checked before the pipeline runs: ``output``,
-    else the config's, else ``unfold.json``."""
+    come with the output path ``output``, checked before the pipeline runs."""
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
     _check_keys(cfg, "config", CONFIG_KEYS)
-    path = field(cfg, "", "output", "")[0]
-    if not isinstance(path, str):
-        raise SchemaError(f"output must be a path, got {path!r}")
-    output = _output_path(output or path or "unfold.json")
+    output = _output_path(output)
     seeds, seeds_path = field(cfg, "", "lambda_seeds")
     if isinstance(seeds, str):
         if seeds not in PRESETS:
@@ -184,10 +180,8 @@ def _run_config(cfg, output=None):
             if key in cfg:
                 raise SchemaError(f"preset lambda_seeds cannot be combined with {key!r}")
         return _run_preset(seeds) + (output,)
-    # model and group may be inline documents or paths to JSON files
-    model, group = (field(cfg, "", key)[0] for key in ("model", "group"))
-    op = model_from_doc(read_json(model) if isinstance(model, str) else model)
-    rep = rep_from_doc(read_json(group) if isinstance(group, str) else group)
+    op = model_from_doc(*field(cfg, "", "model"))
+    rep = rep_from_doc(*field(cfg, "", "group"))
     with document_errors("group"):
         check_dims(op, rep)
     seeds = items(seeds, seeds_path, pair_complex)
@@ -317,7 +311,7 @@ def build_parser():
     source.add_argument("--preset", choices=PRESETS,
                         help='a worked case; the config {"lambda_seeds": PRESET}')
     source.add_argument("--config", help="JSON config file")
-    u.add_argument("--output", default=None)
+    u.add_argument("--output", default="unfold.json")
     u.set_defaults(func=cmd_unfold)
 
     v = sub.add_parser("verify", help="re-run invariants against an artifact")

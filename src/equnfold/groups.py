@@ -7,13 +7,11 @@ the normalized sum ``(1/|G|) sum_g``, which is how every projection here
 is realized: onto the commutant of a representation, or more generally
 onto the space of maps intertwining two representations.
 
-Groups can be entered directly as a multiplication table, or generated by
-closing a set of matrices under products (the usual way to specify a small
-symmetry group such as the dihedral group of the triangle).
-
-A fact that products preserve (rho is a homomorphism; a matrix commutes
-with rho) holds on every element when it holds on a generating set, so it is
-checked on :attr:`FiniteGroup.generators` only.
+A group is given by generators: matrices closed under products (the usual
+way to specify a small symmetry group such as the dihedral group of the
+triangle).  A fact that products preserve (rho is a homomorphism; a matrix
+commutes with rho) holds on every element when it holds on a generating set,
+so it is checked on :attr:`FiniteGroup.generator_indices` only.
 """
 
 from typing import NamedTuple
@@ -39,32 +37,26 @@ class FiniteGroup(NamedTuple):
     inverse : ``(order,)`` int ndarray
         ``inverse[g]`` is the index of ``g**-1``.
     generator_indices : tuple of int
-        Indices of a generating set, when the group was built by closure;
-        empty when unknown.
+        Indices of a generating set; the homomorphism, commutation and
+        intertwining residuals are taken over these.
     """
 
     mul_table: np.ndarray
     identity: int
     inverse: np.ndarray
-    generator_indices: tuple = ()
+    generator_indices: tuple
 
     @property
     def order(self):
         return self.mul_table.shape[0]
 
-    @property
-    def generators(self):
-        """``generator_indices``, or every element when none are recorded (a
-        group read from a table); the homomorphism, commutation and
-        intertwining residuals are taken over these."""
-        return self.generator_indices or tuple(self.elements())
-
     def elements(self):
         return range(self.order)
 
     @classmethod
-    def from_mul_table(cls, table, generator_indices=()):
-        """Build and validate a group from a multiplication table."""
+    def from_mul_table(cls, table, generator_indices):
+        """Build and validate a group from a multiplication table and the
+        indices of a generating set."""
         table = np.asarray(table, dtype=int)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise StructuralError("multiplication table must be square")
@@ -273,7 +265,7 @@ def _discovery_order(table, start):
 
 def check_representation(rep):
     """The worst entrywise residual of rho(e) = I and of rho(x) rho(g) = rho(xg)
-    over every element x and generator g (:attr:`FiniteGroup.generators`),
+    over every element x and generator g (:attr:`FiniteGroup.generator_indices`),
     skipping NaN as ``max`` does; inf when some rho(x) is numerically
     singular.
 
@@ -284,7 +276,7 @@ def check_representation(rep):
     if np.any(rank(mats, scale=1.0, rcond=SINGULAR_RCOND) < rep.dim):
         return np.inf
     worst = np.fmax.reduce(np.abs(mats[group.identity] - np.eye(rep.dim)), axis=None)
-    for g in group.generators:
+    for g in group.generator_indices:
         worst = np.fmax(worst, np.fmax.reduce(
             np.abs(mats @ mats[g] - mats[group.mul_table[:, g]]), axis=None))
     return float(worst)
@@ -326,7 +318,7 @@ def commutator_residual(rep, matrices):
     Zero (within tolerance) exactly when each matrix commutes with the group
     action, for a rho that is a homomorphism (:func:`check_representation`).
     """
-    gens = rep.matrices[list(rep.group.generators)]
+    gens = rep.matrices[list(rep.group.generator_indices)]
     res = 0.0
     for A in matrices:
         A = np.asarray(A, dtype=complex)
@@ -339,14 +331,14 @@ def commutant_basis(rep):
     ``(k, dim, dim)`` stack.
 
     Solves the linear constraints ``rho(g) X - X rho(g) = 0`` stacked over the
-    generators (:attr:`FiniteGroup.generators`) and returns
+    generators (:attr:`FiniteGroup.generator_indices`) and returns
     the common null space reshaped to matrices.  The basis is orthonormal in
     the Frobenius inner product.  The cut is ``REP_TOL``, the residual an
     induced representation is held to, so its constraint noise counts as
     null; its scale is the representation norm: a numerically trivial
     representation constrains nothing.
     """
-    gens = rep.matrices[list(rep.group.generators)]
+    gens = rep.matrices[list(rep.group.generator_indices)]
     scale = max(1.0, *(float(np.linalg.norm(R, 2)) for R in gens))
     ns = null_basis(np.vstack([ad_matrix(R) for R in gens]), scale, REP_TOL)
     return ns.T.reshape(-1, rep.dim, rep.dim)

@@ -105,7 +105,7 @@ def _intertwining(frame, rep):
     """Max entrywise ``|rho(g) Phi(theta) - Phi(theta) G(g)|`` over every
     generator g and nine theta samples spanning [-tau, 0]."""
     thetas = np.linspace(-frame.op.tau, 0.0, 9) if frame.op.tau > 0 else [0.0]
-    gens = list(rep.group.generators)
+    gens = list(rep.group.generator_indices)
     rho, G = rep.matrices[gens], frame.G.matrices[gens]
     return max(_size(rho @ P - P @ G) for P in map(frame.Phi_at, thetas))
 

@@ -20,7 +20,7 @@ import numpy as np
 from .delays import DelayOperator
 from .errors import SchemaError, StructuralError
 from .frames import SpectralFrame
-from .groups import FiniteGroup, Representation, close_generators
+from .groups import Representation, close_generators
 
 SCHEMA = "equivar-unfold/1"
 
@@ -275,26 +275,13 @@ def model_from_doc(doc, path="model"):
 
 
 def rep_to_doc(rep):
-    gens = rep.group.generator_indices
-    if gens:
-        return {"generators": encode_complex(rep.matrices[list(gens)])}
-    return {
-        "mul_table": rep.group.mul_table.tolist(),
-        "matrices": encode_complex(rep.matrices),
-    }
+    return {"generators": encode_complex(rep.matrices[list(rep.group.generator_indices)])}
 
 
 @document_errors("group")
 def rep_from_doc(doc, path="group"):
-    generators, generators_path = field(doc, path, "generators", [])
-    if generators != []:
-        return close_generators(decode_cmatrix_stack(generators, generators_path))
-    table, table_path = field(doc, path, "mul_table")
-    table = items(table, table_path, lambda row, p: items(row, p, integer))
-    if any(len(row) != len(table) or max(row) >= len(table) for row in table):
-        raise SchemaError(f"{table_path} must be a square table of element indices")
-    return Representation(group=FiniteGroup.from_mul_table(table),
-                          matrices=decode_cmatrix_stack(*field(doc, path, "matrices")))
+    """The representation that the matrices ``generators`` generate."""
+    return close_generators(decode_cmatrix_stack(*field(doc, path, "generators")))
 
 
 def frame_to_doc(frame):

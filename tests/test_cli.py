@@ -69,9 +69,9 @@ DOUBLE_HOPF = ["double-hopf", "--factor", "delta1", "--beta", "-0.5", "--tau-n",
     (["unfold", "--preset", "d3:simple", "--output", "{dir}"], IS_A_DIRECTORY, "{dir}"),
     (["verify", "{artifact}", "--report", "{dir}"], IS_A_DIRECTORY, "{dir}"),
     (["verify", "{dir}"], IS_A_DIRECTORY, "{dir}"),
-    (["unfold", "--config", "{config}", "--output", "{out}"], IS_A_DIRECTORY, "{dir}"),
+    (["unfold", "--config", "{dir}"], IS_A_DIRECTORY, "{dir}"),
     (["unfold", "--preset", "d3:simple", "--output", "."], IS_A_DIRECTORY, "'.'"),
-    (["unfold", "--config", "{preset_config}"], IS_A_DIRECTORY, "{dir}"),
+    (["unfold", "--config", "{preset_config}", "--output", "{dir}"], IS_A_DIRECTORY, "{dir}"),
     (CURVES + ["--output", "{dir}"], IS_A_DIRECTORY, "{dir}"),
     (DOUBLE_HOPF + ["--output", "{dir}"], IS_A_DIRECTORY, "{dir}"),
     (["unfold", "--preset", "d3:simple", "--output", "{missing}"], NO_SUCH_FILE, "{missing}"),
@@ -80,7 +80,7 @@ DOUBLE_HOPF = ["double-hopf", "--factor", "delta1", "--beta", "-0.5", "--tau-n",
     (DOUBLE_HOPF + ["--output", "{missing}"], NO_SUCH_FILE, "{missing}"),
     (CURVES + ["--output", ""], NO_SUCH_FILE, "''"),
     (["verify", "{artifact}", "--report", ""], NO_SUCH_FILE, "''"),
-], ids=["unfold-output", "verify-report", "verify-artifact", "config-model", "unfold-output-dot",
+], ids=["unfold-output", "verify-report", "verify-artifact", "unfold-config", "unfold-output-dot",
         "config-output", "curves-output", "double-hopf-output", "unfold-missing-parent",
         "verify-report-missing-parent", "curves-missing-parent", "double-hopf-missing-parent",
         "curves-empty", "verify-report-empty"])
@@ -90,15 +90,10 @@ def test_directory_as_a_path_is_a_usage_error(tmp_path, capsys, monkeypatch, sim
     # does; an output path is checked before the pipeline runs, the message
     # names the path as given, and no temp file is made
     paths = {"dir": tmp_path / "dir", "artifact": tmp_path / "a.json",
-             "config": tmp_path / "cfg.json", "out": tmp_path / "o.json",
              "preset_config": tmp_path / "preset.json", "missing": tmp_path / "no" / "o.json"}
     paths["dir"].mkdir()
     write_json_atomic(str(paths["artifact"]), simple_artifact)
-    paths["config"].write_text(json.dumps({
-        "model": str(paths["dir"]), "group": simple_artifact["group"],
-        "lambda_seeds": [[0.0, 1.0]]}))
-    paths["preset_config"].write_text(json.dumps({
-        "lambda_seeds": "d3:simple", "output": str(paths["dir"])}))
+    paths["preset_config"].write_text(json.dumps({"lambda_seeds": "d3:simple"}))
 
     def pipeline(*args, **kwargs):
         raise AssertionError("the pipeline ran")
@@ -112,7 +107,6 @@ def test_directory_as_a_path_is_a_usage_error(tmp_path, capsys, monkeypatch, sim
     assert err.startswith(message) and named.format(**paths) in err
     assert ".tmp" not in err
     assert not list(tmp_path.rglob("*.tmp"))
-    assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize("path, value, failed", [
@@ -186,11 +180,6 @@ def _mutation_faults(tmp_path, doc, command, exits, under=()):
                 if code not in exits:
                     faults.append((path, value, f"exit {code}"))
     return faults
-
-
-def _table_group(rep):
-    return {"mul_table": rep.group.mul_table.tolist(),
-            "matrices": [encode_complex(M) for M in rep.matrices]}
 
 
 class TestCurves:
@@ -354,11 +343,11 @@ class TestUnfold:
             "group": rep_to_doc(simple_case.rep),
             "lambda_seeds": [[0.0, point.omega1], [0.0, -point.omega1],
                              [0.0, point.omega2], [0.0, -point.omega2]],
-            "output": str(tmp_path / "from_config.json"),
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        code = run(["unfold", "--config", str(cfg_path)])
+        code = run(["unfold", "--config", str(cfg_path), "--output",
+                    str(tmp_path / "from_config.json")])
         assert code == 0
         doc = json.loads((tmp_path / "from_config.json").read_text())
         assert doc["report"]["versality"]["mini_versal"] is True
@@ -554,7 +543,13 @@ class TestUnfold:
         ("sparsity", [[[1]], None], "sparsity: 2 masks for 3 delays; need one per delay"),
         ("sparsity", [None], "sparsity: 1 masks for 3 delays; need one per delay"),
         ("sparsity", [[[1]], None, None], "sparsity: mask 0 has shape (1, 1), expected (3, 3)"),
-        ("output", 5, "output"),
+        ("output", 5, "unknown key 'output' in config"),
+        ("output", "o.json", "unknown key 'output' in config"),
+        ("model", "model.json", "model must be an object, got 'model.json'"),
+        ("group", "group.json", "group must be an object, got 'group.json'"),
+        ("group", {"generators": []}, "group.generators must be a non-empty list of matrices"),
+        ("group", {"mul_table": [[0]], "matrices": [[[[1.0, 0.0]]]]},
+         "group.generators is required"),
         ("lambda_seeds", [["0", "1.8"]], "lambda_seeds[0][0]"),
         ("sparsity", [[["0"]]], "sparsity[0][0][0]"),
         ("sparsity", [[[0.5]]], "sparsity[0][0][0]"),
@@ -565,7 +560,8 @@ class TestUnfold:
             "root-tol-bool", "root-tol-nan", "root-tol-inf", "seeds-number", "seed-nan",
             "seed-inf", "seed-triple", "delays-number", "delays-string", "delays-nan",
             "sparsity-number", "sparsity-ragged", "sparsity-short", "sparsity-one",
-            "sparsity-shape", "output-number", "seed-strings", "mask-string", "mask-half",
+            "sparsity-shape", "output-number", "output-string", "model-path", "group-path",
+            "generators-empty", "group-table", "seed-strings", "mask-string", "mask-half",
             "mask-two", "misspelled-key", "misspelled-tolerance"])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, simple_case, field, value,
                                       message):
@@ -598,15 +594,16 @@ class TestUnfold:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("mutate", [
-        lambda t: t[1].__setitem__(2, "x"),
-        lambda t: t[1].__setitem__(2, None),
-        lambda t: t[1].__setitem__(2, 1.5),
-        lambda t: t[1].pop(),
-    ], ids=["string", "null", "float", "ragged"])
-    def test_malformed_group_table_exits_2(self, tmp_path, capsys, simple_case, mutate):
-        group = _table_group(simple_case.rep)
-        mutate(group["mul_table"])
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda g: g[1][2][0].__setitem__(0, "x"), "group.generators[1][2][0][0]"),
+        (lambda g: g[1][2][0].__setitem__(0, None), "group.generators[1][2][0][0]"),
+        (lambda g: g[1][2][0].__setitem__(0, True), "group.generators[1][2][0][0]"),
+        (lambda g: g[1][2].pop(), "malformed complex matrix group.generators[1]"),
+    ], ids=["string", "null", "bool", "ragged"])
+    def test_malformed_group_generator_exits_2(self, tmp_path, capsys, simple_case, mutate,
+                                               message):
+        group = rep_to_doc(simple_case.rep)
+        mutate(group["generators"])
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "model": model_to_doc(simple_case.op),
@@ -614,22 +611,21 @@ class TestUnfold:
             "lambda_seeds": [[0.0, simple_case.point.omega1]],
         }))
         assert run(["unfold", "--config", str(cfg_path)]) == 2
-        assert "group.mul_table" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_single_field_config_mutations_exit_cleanly(self, tmp_path, simple_case):
-        """Every node of a ``d3:simple`` config with every key set and its
-        group in table form, replaced by a wrong value or deleted:
-        ``unfold --config`` exits 0, 1, 2 or 3 and never raises."""
+        """Every node of a ``d3:simple`` config with every key set, replaced
+        by a wrong value or deleted: ``unfold --config`` exits 0, 1, 2 or 3
+        and never raises."""
         point, family = simple_case.point, simple_case.assembly.family
         cfg = {
             "model": model_to_doc(simple_case.op),
-            "group": _table_group(simple_case.rep),
+            "group": rep_to_doc(simple_case.rep),
             "lambda_seeds": [[0.0, point.omega1], [0.0, -point.omega1],
                              [0.0, point.omega2], [0.0, -point.omega2]],
             "delays": list(family.delays),
             "sparsity": [None] * len(family.delays),
             "tolerances": {"root_tol": 1e-12},
-            "output": "unused.json",
         }
         command = ["unfold", "--output", str(tmp_path / "o.json"), "--config"]
         assert not _mutation_faults(tmp_path, cfg, command, (0, 1, 2, 3))
@@ -792,6 +788,22 @@ class TestSlowTime:
         else:
             assert _unfold_outcome(slow, _rescaled(_time_config(case), s)) == expected
 
+    @pytest.mark.parametrize("s", [1e-6, 1e-8])
+    def test_root_tol_below_the_rescaled_det_keeps_the_outcome(self, tmp_path, capsys, s):
+        # ring3's det is s^3 det Delta in the time t / s, so at its seed it is
+        # below the default root_tol and Newton stops there: a seed with no
+        # null space.  A root_tol below it gives the s = 1 family
+        expected = _unfold_outcome(tmp_path, _time_config("ring3"))
+        cfg = _rescaled(_time_config("ring3"), s)
+        cfg_path, out = tmp_path / "slow.json", tmp_path / "slow_out.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 1
+        assert "is not a characteristic root (empty null space)" in capsys.readouterr().err
+        assert not out.exists()
+        cfg["tolerances"] = {"root_tol": 1e-30}
+        assert _unfold_outcome(tmp_path, cfg) == expected
+
 
 def _conjugated(cfg, Q):
     """``cfg`` in the basis of the unitary Q: every model term and group
@@ -819,6 +831,69 @@ class TestUnitaryConjugation:
         assert _unfold_outcome(tmp_path, _conjugated(cfg, Q)) == _unfold_outcome(tmp_path, cfg)
 
 
+PLANTED_OMEGA = 1.3
+
+
+def _permutation(images):
+    """The matrix that sends basis vector j to basis vector ``images[j]``."""
+    P = np.zeros((len(images), len(images)))
+    P[images, range(len(images))] = 1.0
+    return P
+
+
+def _projector(*vectors):
+    """The orthogonal projector onto the span of orthogonal ``vectors``."""
+    return sum(np.outer(v, v) / np.dot(v, v) for v in np.array(vectors, dtype=float))
+
+
+_ONES3, _ONES4, _ALT4 = np.ones(3), np.ones(4), [1, -1, 1, -1]
+# a group on n cells by its generators, and the projectors onto the isotypic
+# components of its permutation representation
+PLANTED_GROUPS = {
+    "S3": ([_permutation([1, 0, 2]), _permutation([1, 2, 0])],
+           [_projector(_ONES3), np.eye(3) - _projector(_ONES3)]),
+    "D4": ([_permutation([1, 2, 3, 0]), _permutation([0, 3, 2, 1])],
+           [_projector(_ONES4), _projector(_ALT4), np.eye(4) - _projector(_ONES4, _ALT4)]),
+    "Z2xZ2": ([_permutation([1, 0, 3, 2]), _permutation([2, 3, 0, 1])],
+              [_projector(v) for v in (_ONES4, _ALT4, [1, 1, -1, -1], [1, -1, -1, 1])]),
+}
+
+
+def _planted_config(group, k):
+    """u' = A0 u + A1 u(t - 1) with A0 = sum a_j P_j and A1 = sum mu_j P_j over
+    the isotypic projectors of ``group``: on component k, lam = a + mu e^-lam
+    has the roots +-i omega (mu = -omega / sin omega, a = -mu cos omega); the
+    others take a = -2, mu = 0.5, which keeps their roots in the left
+    half-plane.  Seeded at +-i omega."""
+    gens, projectors = PLANTED_GROUPS[group]
+    mu_k = -PLANTED_OMEGA / np.sin(PLANTED_OMEGA)
+    a = [-mu_k * np.cos(PLANTED_OMEGA) if j == k else -2.0 for j in range(len(projectors))]
+    mu = [mu_k if j == k else 0.5 for j in range(len(projectors))]
+    A0, A1 = (sum(x * P for x, P in zip(coef, projectors)) for coef in (a, mu))
+    return {"model": {"n": len(A0), "terms": [{"delay": 0.0, "matrix": encode_complex(A0)},
+                                              {"delay": 1.0, "matrix": encode_complex(A1)}]},
+            "group": {"generators": [encode_complex(g) for g in gens]},
+            "lambda_seeds": [[0.0, PLANTED_OMEGA], [0.0, -PLANTED_OMEGA]]}
+
+
+class TestPlantedComponent:
+    @pytest.mark.parametrize("group, k", [("S3", 0), ("S3", 1), ("D4", 2), ("Z2xZ2", 1)],
+                             ids=["S3-trivial", "S3-standard", "D4-standard", "Z2xZ2-character"])
+    def test_unfolds_the_planted_roots_with_codimension_2(self, tmp_path, group, k):
+        # the oracle is the planting: the critical roots are +-i omega, and
+        # each eigenvalue's eigenspace is one absolutely irreducible component
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_path.write_text(json.dumps(_planted_config(group, k)))
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 0
+        assert run(["verify", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        lams = decode_complex(doc["frame"]["eigenvalues"], "frame.eigenvalues", 1)
+        planted = np.where(lams.imag > 0, 1j, -1j) * PLANTED_OMEGA
+        assert np.all(np.abs(lams - planted) <= 1e-10 * PLANTED_OMEGA)
+        assert set(np.sign(lams.imag)) == {-1.0, 1.0}
+        assert doc["report"]["versality"]["codimension"] == 2
+
+
 def _reflection_off_generators(rep):
     """A group element that is not a generator and whose permutation matrix
     has trace 1, a swap: on each double eigenvalue of d3:double its induced
@@ -829,12 +904,20 @@ def _reflection_off_generators(rep):
 
 
 _SWAP = _reflection_off_generators(d3.triangle_rep())
-# invariant -> (artifact: "simple", "double" or "table" (simple, its group
-# as a table), the changes (path of a number, how many of its last keys index
-# the array that holds it, sign), other checks that fail with it); each
-# number changes by 1e-3 times max(1, the largest magnitude in its array)
+# I + 2^11 E_01, whose inverse is I - 2^11 E_01: the d3 generators conjugated
+# by it close, in exact binary arithmetic, to a group of order 6, but one of
+# its elements has singular values 2^44 apart.  The closure's rank test reads
+# the generators only (2^23 and 2^33 apart); group.representation's singular
+# test reads every element and refuses it
+_SHEAR = np.eye(3)
+_SHEAR[0, 1] = 2.0 ** 11
+# invariant -> (artifact: "simple", "double" or "sheared" (simple, its
+# generators conjugated by _SHEAR), the changes (path of a number, how many of
+# its last keys index the array that holds it, sign), other checks that fail
+# with it); each number changes by 1e-3 times max(1, the largest magnitude in
+# its array)
 TAMPERS = {
-    "group.representation": ("table", [(("group", "matrices", 1, 0, 0, 0), 4, 1)], ()),
+    "group.representation": ("sheared", [], ()),
     "model.equivariance": ("simple", [(("model", "terms", 1, "matrix", 0, 1, 0), 3, 1)], ()),
     "frame.null_vectors": ("simple", [(("frame", "eigenvalues", 0, 1), 2, 1)], ()),
     "frame.gram_identity": ("simple", [(("frame", "psi_directions", 0, 0, 0), 3, 1)], ()),
@@ -1049,13 +1132,10 @@ class TestVerify:
         monkeypatch.setattr(verify_module, "check_lags", lambda *args: None)
         assert run(["verify", str(path)]) == 0
 
-    def test_single_field_mutations_exit_cleanly(self, tmp_path, simple_artifact, simple_case):
-        """Every node of a ``d3:simple`` artifact, and of its group in table
-        form, replaced by a wrong value or deleted: verify exits 0, 1 or 2
-        and never raises."""
+    def test_single_field_mutations_exit_cleanly(self, tmp_path, simple_artifact):
+        """Every node of a ``d3:simple`` artifact replaced by a wrong value or
+        deleted: verify exits 0, 1 or 2 and never raises."""
         assert not _mutation_faults(tmp_path, simple_artifact, ["verify"], (0, 1, 2))
-        doc = dict(simple_artifact, group=_table_group(simple_case.rep))
-        assert not _mutation_faults(tmp_path, doc, ["verify"], (0, 1, 2), under=("group",))
 
     @pytest.mark.parametrize("path, mutate", [
         # non-finite entries
@@ -1104,16 +1184,23 @@ class TestVerify:
          "non-finite entry in unfolding.delays"),
         (lambda doc: doc["frame"]["induced_rep"][1].pop(),
          "frame.induced_rep[1] has shape (3, 4), expected (4, 4)"),
-        (lambda doc: doc["group"]["matrices"][2].pop(),
-         "group.matrices[2] has shape (2, 3), expected (3, 3)"),
-        (lambda doc: doc["group"]["matrices"][1][0].pop(),
-         "malformed complex matrix"),
+        (lambda doc: doc["group"]["generators"][1].pop(),
+         "group.generators[1] has shape (2, 3), expected (3, 3)"),
+        (lambda doc: doc["group"]["generators"][1][0].pop(),
+         "malformed complex matrix group.generators[1]"),
         (lambda doc: doc["unfolding"]["delays"].__setitem__(0, 10 ** 400),
          "non-finite entry in unfolding.delays[0]"),
-        (lambda doc: doc["group"]["mul_table"][1].__setitem__(2, "0"), "group.mul_table[1][2]"),
-        (lambda doc: doc["group"]["mul_table"][1].__setitem__(2, None), "group.mul_table[1][2]"),
-        (lambda doc: doc["group"]["mul_table"][1].__setitem__(2, 1.5), "group.mul_table[1][2]"),
-        (lambda doc: doc["group"]["mul_table"][1].pop(), "group.mul_table"),
+        (lambda doc: doc["group"]["generators"][1][2][0].__setitem__(0, "0"),
+         "schema error: group.generators[1][2][0][0] must be a number, got '0'"),
+        (lambda doc: doc["group"]["generators"][1][2][0].__setitem__(0, None),
+         "schema error: group.generators[1][2][0][0] must be a number, got None"),
+        (lambda doc: doc["group"]["generators"][1][2][0].__setitem__(0, True),
+         "schema error: group.generators[1][2][0][0] must be a number, got True"),
+        (lambda doc: doc["group"].__setitem__("generators", []),
+         "schema error: group.generators must be a non-empty list of matrices"),
+        (lambda doc: doc.__setitem__("group", {
+            "mul_table": [[0]], "matrices": [[[[1.0, 0.0]] * 3] * 3]}),
+         "schema error: group.generators is required"),
         (lambda doc: doc["unfolding"]["selected_rows"].__setitem__(0, 0.9),
          "unfolding.selected_rows[0]"),
         (lambda doc: doc["unfolding"]["selected_rows"].__setitem__(0, "0"),
@@ -1143,16 +1230,15 @@ class TestVerify:
                                          reduced_matrix=[], induced_rep=[]),
          "schema error: frame.eigenvalues must not be empty\n"),
     ], ids=["coefficient-nan", "delay-inf", "ragged-induced-rep", "ragged-group-matrices",
-            "ragged-group-matrix", "delay-huge-int", "table-string", "table-null",
-            "table-float", "table-ragged", "selected-row-float", "selected-row-string",
+            "ragged-group-matrix", "delay-huge-int", "generator-string", "generator-null",
+            "generator-bool", "generators-empty", "group-table", "selected-row-float",
+            "selected-row-string",
             "n-float", "n-string", "model-delay-string", "model-delay-bool",
             "eigenvalue-strings", "no-report", "no-codimension", "mini-versal-int",
             "achieved-rank-bool", "theta-rank-float", "theta-row-string", "delay-overflow",
             "delay-repeat", "no-eigenvalues"])
-    def test_defect_names_its_place(self, tmp_path, capsys, simple_artifact, simple_case,
-                                    mutate, message):
+    def test_defect_names_its_place(self, tmp_path, capsys, simple_artifact, mutate, message):
         doc = copy.deepcopy(simple_artifact)
-        doc["group"] = _table_group(simple_case.rep)
         mutate(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -1163,8 +1249,7 @@ class TestVerify:
         ("unfold", lambda doc: doc["model"]["terms"][1].__setitem__(
             "matrix", encode_complex(np.eye(2))), "model: coefficient shape (2, 2) != (3, 3)"),
         ("unfold", lambda doc: doc.__setitem__("group", {
-            "mul_table": [[0, 1], [0, 1]], "matrices": encode_complex(np.array([np.eye(3)] * 2))}),
-         "group: multiplication table is not a Latin square"),
+            "generators": [encode_complex(np.zeros((3, 3)))]}), "group: singular generator matrix"),
         ("unfold", lambda doc: doc.update(delays=[0.5, 1.5], sparsity=[None]),
          "sparsity: 1 masks for 2 delays; need one per delay"),
         ("verify", lambda doc: doc["frame"]["induced_rep"].pop(),
@@ -1186,15 +1271,14 @@ class TestVerify:
         assert not out.exists()
 
     @pytest.mark.parametrize("key", TAMPER_CASES)
-    def test_tamper_fails_its_invariant(self, tmp_path, simple_artifact, double_case,
-                                        simple_case, key):
+    def test_tamper_fails_its_invariant(self, tmp_path, simple_artifact, double_case, key):
         """One targeted change per invariant that verify reports fails that
         invariant by name, so none is dead and no relative bound lets a
         change of 1e-3 of the quantity's size through; and no line fails an
         entry that passes on its own line."""
         name, (case, changes, also), tol = TAMPER_CASES[key]
         r = double_case
-        doc = copy.deepcopy(simple_artifact if case == "simple" else build_artifact(
+        doc = copy.deepcopy(simple_artifact if case != "double" else build_artifact(
             r.op, r.rep, r.frame, r.assembly, meta={"preset": "d3:double"}))
         path, report = tmp_path / "tampered.json", tmp_path / "report.json"
         write_json_atomic(str(path), doc)
@@ -1202,8 +1286,9 @@ class TestVerify:
         checks = json.loads(report.read_text())["checks"]
         # every invariant that verify reports has its case here
         assert {c["name"] for c in checks} & set(BY_NAME) == set(TAMPERS)
-        if case == "table":
-            doc["group"] = _table_group(simple_case.rep)
+        if case == "sheared":
+            gens = decode_complex(doc["group"]["generators"], "group.generators", 3)
+            doc["group"]["generators"] = encode_complex(_SHEAR @ gens @ (2 * np.eye(3) - _SHEAR))
         for keys, depth, sign in changes:
             *outer, last = keys
             node = functools.reduce(lambda node, key: node[key], outer, doc)

@@ -54,7 +54,7 @@ class TestFiniteGroup:
     def test_rejects_non_latin_table(self):
         bad = [[0, 0], [1, 1]]
         with pytest.raises(StructuralError):
-            FiniteGroup.from_mul_table(bad)
+            FiniteGroup.from_mul_table(bad, generator_indices=(1,))
 
     def test_rejects_singular_generator(self):
         with pytest.raises(StructuralError):
@@ -316,12 +316,6 @@ class TestCheckRepresentation:
         mats = rep.matrices.copy()
         mats[3] = 0.0
         assert check_representation(Representation(rep.group, mats)) == np.inf
-
-    def test_generators_default_to_every_element(self):
-        rep = triangle_rep()
-        assert rep.group.generators == rep.group.generator_indices == (1, 2)
-        table = FiniteGroup.from_mul_table(rep.group.mul_table)
-        assert table.generators == tuple(range(6))
 
     def test_non_generator_element_detected(self):
         # the last element the closure finds is a word of length 3 or more in

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from equnfold.delays import DelayOperator
 from equnfold.errors import SchemaError
-from equnfold.groups import FiniteGroup, Representation
 from equnfold.jsonio import (canonical_json, decode_complex, encode_complex, frame_from_doc,
                              frame_to_doc, items, model_from_doc, model_to_doc, pair_complex,
                              rep_from_doc, rep_to_doc)
@@ -51,19 +50,16 @@ class TestGroupCodec:
         assert rep2.group.order == rep.group.order
         assert np.allclose(rep2.matrices, rep.matrices)
 
-    def test_table_form_roundtrip(self, simple_case):
+    def test_table_form_is_a_schema_error(self, simple_case):
+        # a group is read from its generators only; a multiplication table
+        # with every element's matrix is no longer a second form
         rep = simple_case.rep
-        # strip the generator record to force the explicit-table form
-        bare_group = FiniteGroup.from_mul_table(rep.group.mul_table)
-        bare = Representation(bare_group, rep.matrices)
-        doc = rep_to_doc(bare)
-        assert "mul_table" in doc and "matrices" in doc
-        rep2 = rep_from_doc(doc)
-        assert np.array_equal(rep2.group.mul_table, rep.group.mul_table)
-        assert np.allclose(rep2.matrices, rep.matrices)
+        doc = {"mul_table": rep.group.mul_table.tolist(), "matrices": encode_complex(rep.matrices)}
+        with pytest.raises(SchemaError, match=r"^group\.generators is required$"):
+            rep_from_doc(doc)
 
     def test_neither_form_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"^group\.generators is required$"):
             rep_from_doc({"order": 6})
 
 
