@@ -99,8 +99,13 @@ def factor_value(factor, lam, alpha, beta, tau_s, tau_n):
 
 def _hopf_angles(factor, omega, beta, tau_n):
     """alpha and the angle theta = omega tau_s (mod 2 pi) at ``omega`` of
-    the curves alpha = +-sqrt(C^2 + S^2) (see :func:`hopf_curve`), keyed by
-    sign, 1 first."""
+    the curves of imaginary roots of a factor, keyed by sign, 1 first.
+
+    Solving ``factor(i omega) = 0`` for alpha and tau_s at fixed beta,
+    tau_n gives  alpha cos(omega tau_s) = C  and  alpha sin(omega tau_s) = S
+    with C = 1 - c beta cos(omega tau_n), S = -omega - c beta sin(omega tau_n)
+    (c the factor's coupling, ``_COUPLING``); the sign picks the curve
+    alpha = +-sqrt(C^2 + S^2)."""
     c = _factor_coupling(factor)
     C = 1.0 - c * beta * np.cos(omega * tau_n)
     S = -omega - c * beta * np.sin(omega * tau_n)
@@ -108,29 +113,13 @@ def _hopf_angles(factor, omega, beta, tau_n):
     return {1: (alpha, np.arctan2(S, C)), -1: (-alpha, np.arctan2(-S, -C))}
 
 
-def hopf_curve(factor, omega, beta, tau_n, sign=1, branch=0):
-    """Point (alpha, tau_s) on a curve of imaginary roots of a factor.
-
-    Solving ``factor(i omega) = 0`` for alpha and tau_s at fixed beta,
-    tau_n gives  alpha cos(omega tau_s) = C  and  alpha sin(omega tau_s) = S
-    with C = 1 - c beta cos(omega tau_n), S = -omega - c beta sin(omega tau_n)
-    (c the factor's coupling, ``_COUPLING``).  ``sign`` picks the
-    branch alpha = +-sqrt(C^2 + S^2); ``branch`` adds full turns to the
-    angle so tau_s covers every positive solution.
-
-    Accepts scalar or array ``omega``.
-    """
-    omega = np.asarray(omega, dtype=float)
-    alpha, theta = _hopf_angles(factor, omega, beta, tau_n)[-1 if sign < 0 else 1]
-    return alpha, (theta + 2.0 * np.pi * branch) / omega
-
-
 def sweep_curves(factor, beta, tau_n, omegas, branches=(0, 1, 2, 3)):
     """Sample the requested curve branches of both signs.
 
     Returns a dict keyed by (sign, branch), sign 1 first, whose values are
-    (m, 3) arrays of rows (omega, alpha, tau_s), each equal to
-    :func:`hopf_curve`'s; the angles are taken once per sign.
+    (m, 3) arrays of rows (omega, alpha, tau_s) with tau_s = (theta + 2 pi
+    branch) / omega, so every positive solution is covered; the angles are
+    taken once per sign.
     """
     omegas = np.asarray(omegas, dtype=float)
     return {(sg, br): np.column_stack([omegas, alpha, (theta + 2.0 * np.pi * br) / omegas])

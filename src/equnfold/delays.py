@@ -157,29 +157,3 @@ def bilinear_form(w, lam, u, mu, op):
     phi(theta) = u exp(mu theta): the 1 x 1 case of :func:`pairing_matrix`."""
     return complex(pairing_matrix(np.reshape(w, (1, -1)), [lam],
                                   np.reshape(u, (1, -1)), [mu], op)[0, 0])
-
-
-def bilinear_form_quadrature(w, lam, u, mu, op, npoints=64):
-    """Same pairing as :func:`bilinear_form` by composite Gauss-Legendre panels.
-
-    Each delay term contributes ``int_{-r_k}^0 psi(xi + r_k) A_k phi(xi) dxi``
-    integrated on one panel per unit of delay, ``npoints`` nodes per panel.
-    Serves as the independent oracle for the closed form.
-    """
-    if npoints < 8:
-        raise StructuralError("npoints must be at least 8")
-    w, u = np.asarray(w, dtype=complex), np.asarray(u, dtype=complex)
-    nodes, weights = np.polynomial.legendre.leggauss(npoints)
-    val = complex(w @ u)
-    for r, A in op.terms:
-        if r == 0.0:
-            continue
-        npanels = max(1, int(np.ceil(r)))
-        edges = np.linspace(-r, 0.0, npanels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            xi = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            for x, wq in zip(xi, weights):
-                val += half * wq * complex(w * np.exp(-lam * (x + r)) @ A
-                                           @ (u * np.exp(mu * x)))
-    return val

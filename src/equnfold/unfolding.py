@@ -213,25 +213,6 @@ def theta_extract(geometry, directions):
                        selected_rows=tuple(selected), rank=len(selected))
 
 
-def exponential_delay_matrix(eigenvalues, delays):
-    """The matrix ``M[k, j] = exp(-lam_k r_j)`` over distinct eigenvalues.
-
-    Singular exactly when two lags coincide or two eigenvalues coincide;
-    its determinant is the genericity certificate for a lag selection.
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=complex)
-    delays = np.asarray(delays, dtype=float)
-    return np.exp(-np.outer(eigenvalues, delays))
-
-
-def scaled_det(M):
-    """|det| of M after normalizing each row to unit Euclidean norm."""
-    norms = np.linalg.norm(M, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        return 0.0
-    return float(abs(np.linalg.det(M / norms)))
-
-
 def build_R_matrices(frame, geometry):
     """The ``(p, n, c)`` stack of one matrix per unfolding slot, each realizing
     its slot through Psi(0).

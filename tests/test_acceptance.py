@@ -10,13 +10,13 @@ import time
 import numpy as np
 
 from equnfold import d3
-from equnfold.delays import DelayOperator, bilinear_form, bilinear_form_quadrature
+from equnfold.delays import DelayOperator, bilinear_form
 from equnfold.groups import commutant_basis, equivariant_average
-from equnfold.unfolding import (exponential_delay_matrix, jordan_codimension,
-                                orbit_geometry, realify, scaled_det,
+from equnfold.unfolding import (jordan_codimension, orbit_geometry, realify,
                                 semisimple_jordan_spec)
 from equnfold.verify import verify_artifact
 
+from oracles import bilinear_form_quadrature, exponential_delay_matrix, scaled_det
 from test_groups import act8_rep
 from test_unfolding import random_jordan
 

@@ -743,10 +743,14 @@ def _rescaled(cfg, s):
 def _unfold_outcome(tmp_path, cfg):
     """What ``unfold --config`` decides: exit code, selected rows,
     commutant dimension, codimension, achieved rank and lag count; then the
-    exit code of ``verify`` on the artifact it wrote."""
+    exit code of ``verify`` on the artifact it wrote.  A failed ``unfold``
+    gives its exit code alone, never the fields of an earlier run's file."""
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
     cfg_path.write_text(json.dumps(cfg))
+    out.unlink(missing_ok=True)
     code = run(["unfold", "--config", str(cfg_path), "--output", str(out)])
+    if code != 0:
+        return (code,)
     doc = json.loads(out.read_text())
     ver = doc["report"]["versality"]
     return (code, doc["unfolding"]["selected_rows"], ver["commutant_dim"],

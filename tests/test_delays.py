@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from equnfold.d3 import D3ModelParams, d3_operator, factor_value, triangle_rep
-from equnfold.delays import (EXPONENT_GAP, DelayOperator, bilinear_form,
-                             bilinear_form_quadrature, check_equivariance, pairing_matrix)
+from equnfold.delays import (EXPONENT_GAP, DelayOperator, bilinear_form, check_equivariance,
+                             pairing_matrix)
 from equnfold.errors import StructuralError
 from equnfold.frames import eigenbasis, find_root, induce_representation
 from equnfold.groups import close_generators
 
 from conftest import random_complex, same_bits
+from oracles import bilinear_form_quadrature
 
 I3 = np.eye(3)
 J3 = np.ones((3, 3))

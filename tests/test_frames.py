@@ -14,6 +14,7 @@ from equnfold.groups import close_generators
 from equnfold.unfolding import select_delays
 
 from conftest import random_complex, same_bits
+from oracles import hopf_curve
 
 I3 = np.eye(3)
 
@@ -33,7 +34,7 @@ class TestFindRoot:
 
     def test_hopf_curve_point_by_construction(self):
         beta, tau_n, omega = -0.5, 4.0, 1.3
-        alpha, tau_s = d3.hopf_curve("delta1", omega, beta, tau_n, sign=1, branch=1)
+        alpha, tau_s = hopf_curve("delta1", omega, beta, tau_n, sign=1, branch=1)
         op = d3.d3_operator(d3.D3ModelParams(alpha=float(alpha), beta=beta,
                                              tau_s=float(tau_s), tau_n=tau_n))
         res = find_root(op, 1j * omega * 1.01)
@@ -138,7 +139,7 @@ class TestRootOracle:
 
     def test_d3_operator(self, monkeypatch):
         beta, tau_n, omega = -0.5, 4.0, 1.3
-        alpha, tau_s = d3.hopf_curve("delta1", omega, beta, tau_n, sign=1, branch=1)
+        alpha, tau_s = hopf_curve("delta1", omega, beta, tau_n, sign=1, branch=1)
         op = d3.d3_operator(d3.D3ModelParams(alpha=float(alpha), beta=beta,
                                              tau_s=float(tau_s), tau_n=tau_n))
         seeds = (1j * omega * 1.01, -1j * omega * 0.99, 0.1 + 2.0j, 0.0)

@@ -18,15 +18,16 @@ from equnfold.invariants import BY_NAME
 from equnfold.jsonio import build_artifact, canonical_json, encode_complex
 from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
                                 assemble_gamma_unfolding,
-                                build_R_matrices, check_lags, exponential_delay_matrix,
+                                build_R_matrices, check_lags,
                                 jordan_codimension, lag_basis,
-                                orbit_geometry, realify, scaled_det, select_delays,
+                                orbit_geometry, realify, select_delays,
                                 semisimple_jordan_spec,
                                 solve_delay_realization, theta_extract,
                                 verify_gamma_versality)
 from equnfold.verify import verify_artifact
 
 from conftest import random_complex
+from oracles import exponential_delay_matrix, scaled_det
 from test_d3 import FIXTURE_POINTS
 
 I3 = np.eye(3)
