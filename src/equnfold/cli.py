@@ -83,6 +83,14 @@ def _parse_window(text):
     return (a, b)
 
 
+def _parse_lag_window(text):
+    """A window of lags: a negative lag is an advanced, not a retarded, equation."""
+    a, b = _parse_window(text)
+    if a < 0:
+        raise argparse.ArgumentTypeError(f"window {text!r} starts below 0; a lag is never negative")
+    return (a, b)
+
+
 def _output_path(path):
     """``path``, checked before any work: a directory, or a file in a directory
     that does not exist, is an OSError that names ``path``."""
@@ -267,6 +275,13 @@ def _finite(text):
     return x
 
 
+def _lag(text):
+    x = _finite(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative lag, got {text!r}")
+    return x
+
+
 def _tolerance(text):
     x = _finite(text)
     if x <= 0:
@@ -284,7 +299,7 @@ def build_parser():
     c = sub.add_parser("curves", help="sample imaginary-root curves (CSV)")
     c.add_argument("--factor", choices=("delta1", "delta2"), required=True)
     c.add_argument("--beta", type=_finite, required=True)
-    c.add_argument("--tau-n", dest="tau_n", type=_finite, required=True)
+    c.add_argument("--tau-n", dest="tau_n", type=_lag, required=True)
     c.add_argument("--omega-range", dest="omega_range", type=_parse_range, required=True,
                    metavar="A:B:STEP")
     c.add_argument("--branches", type=_parse_branches, default="0..3", metavar="K..L")
@@ -294,15 +309,15 @@ def build_parser():
     h = sub.add_parser("double-hopf", help="locate double-Hopf points (JSON)")
     h.add_argument("--factor", choices=("delta1", "delta2"), required=True)
     h.add_argument("--beta", type=_finite, required=True)
-    h.add_argument("--tau-n", dest="tau_n", type=_finite, required=True)
+    h.add_argument("--tau-n", dest="tau_n", type=_lag, required=True)
     h.add_argument("--omega-range", dest="omega_range", type=_parse_range,
                    default="0.05:5:0.005", metavar="A:B:STEP")
     h.add_argument("--branches", type=_parse_branches, default="0..3", metavar="K..L")
     # argparse reads a value that starts with "-" and is not a number as a flag
     h.add_argument("--alpha-window", dest="alpha_window", type=_parse_window, default="-4:4",
                    metavar="A:B", help="a negative A needs the = form: --alpha-window=-3:3")
-    h.add_argument("--tau-s-window", dest="tau_s_window", type=_parse_window, default="0:10",
-                   metavar="A:B", help="a negative A needs the = form: --tau-s-window=-1:9")
+    h.add_argument("--tau-s-window", dest="tau_s_window", type=_parse_lag_window,
+                   default="0:10", metavar="A:B", help="tau_s in (A, B], with A >= 0")
     h.add_argument("--output", default="double_hopf.json")
     h.set_defaults(func=cmd_double_hopf)
 

@@ -413,8 +413,14 @@ def locate_double_hopf(factor, beta, tau_n, omegas=None, branches=(0, 1, 2, 3),
     interpolated with that step).  Returns the surviving
     :class:`DoubleHopfPoint` list sorted by (tau_s, alpha, omega1),
     deduplicated.  Points where the *other* factor also vanishes (higher
-    codimension than double Hopf) are dropped.
+    codimension than double Hopf) are dropped.  ``tau_n`` and the start of
+    ``tau_s_window`` must not be negative: a negative lag makes the equation
+    advanced, which :class:`DelayOperator` refuses.
     """
+    if tau_n < 0:
+        raise EqunfoldError(f"tau_n = {tau_n} is negative; a lag is never negative")
+    if tau_s_window[0] < 0:
+        raise EqunfoldError(f"tau_s_window starts at {tau_s_window[0]}; a lag is never negative")
     if omegas is None:
         omegas = np.arange(0.05, 5.0, 0.005)
     omegas = np.asarray(omegas, dtype=float)

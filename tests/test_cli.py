@@ -20,7 +20,7 @@ from equnfold.groups import close_generators, equivariant_average
 from equnfold.invariants import BY_NAME
 from equnfold.jsonio import (build_artifact, canonical_json, decode_complex,
                              encode_complex, model_to_doc, rep_to_doc, write_json_atomic)
-from equnfold.unfolding import slot_stacks, solve_delay_realization
+from equnfold.unfolding import assemble_gamma_unfolding, slot_stacks, solve_delay_realization
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -180,6 +180,23 @@ def _mutation_faults(tmp_path, doc, command, exits, under=()):
                 if code not in exits:
                     faults.append((path, value, f"exit {code}"))
     return faults
+
+
+@pytest.mark.parametrize("command, message", [
+    (["curves", "--factor", "delta1", "--beta", "0.5", "--tau-n", "-2",
+      "--omega-range", "0.05:1:0.5"], "argument --tau-n: must be a non-negative lag, got '-2'"),
+    (["double-hopf", "--factor", "delta2", "--beta", "0.5", "--tau-n", "-2"],
+     "argument --tau-n: must be a non-negative lag, got '-2'"),
+    (["double-hopf", "--factor", "delta2", "--beta", "0.5", "--tau-n", "3",
+      "--tau-s-window=-5:10"],
+     "argument --tau-s-window: window '-5:10' starts below 0; a lag is never negative"),
+], ids=["curves-tau-n", "double-hopf-tau-n", "double-hopf-tau-s-window"])
+def test_negative_lag_is_a_usage_error(tmp_path, capsys, command, message):
+    # a negative lag makes the equation advanced, whose operator DelayOperator
+    # refuses: unchecked, curves exited 0 and double-hopf reported a point at
+    # tau_s = -0.4577
+    out = tmp_path / "out"
+    assert message in usage_error(command + ["--output", str(out)], capsys, out)
 
 
 class TestCurves:
@@ -452,7 +469,6 @@ class TestUnfold:
             "3cd7ced964952931380b888098b21b758d43d00f3cb4d4ece15a2eef19e6a5db"
 
     def test_ring3_fixture_is_the_three_cell_ring(self):
-        # the installed console script reads this fixture in CI
         with open(os.path.join(FIXTURES, "ring3_config.json")) as fh:
             assert json.load(fh) == _ring_config(3)
 
@@ -461,6 +477,35 @@ class TestUnfold:
         # the digest was taken while find_root still took all of them
         assert _ring_artifact_digest(tmp_path, 24) == \
             "f17a91e1c3e9dce103b6dd855ce82a934b588f4d532f39012e951c07117d0703"
+
+    def test_64_cell_ring_config_unfolds_and_verifies(self, tmp_path):
+        # the same ring at N = 64, past the benchmark's ladder: a group of 64
+        # elements whose facts verify checks on the one generator
+        cfg_path, out = tmp_path / "ring.json", tmp_path / "ring_out.json"
+        cfg_path.write_text(json.dumps(_ring_config(64)))
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 0
+        assert run(["verify", str(out)]) == 0
+
+    def test_versal_but_not_minimal_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a family with more parameters than the codimension still gets its
+        # artifact, but unfold says so and exits 3
+        def not_minimal(*args, **kwargs):
+            assembly = assemble_gamma_unfolding(*args, **kwargs)
+            return assembly._replace(versality=assembly.versality._replace(mini_versal=False))
+
+        monkeypatch.setattr(cli, "assemble_gamma_unfolding", not_minimal)
+        cfg_path, out = tmp_path / "ring.json", tmp_path / "ring_out.json"
+        cfg_path.write_text(json.dumps(_ring_config(3)))
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 3
+        assert capsys.readouterr().out.startswith("versal (not minimal): ")
+        assert json.loads(out.read_text())["report"]["versality"]["mini_versal"] is False
+
+    def test_preset_digests_are_the_benchmark_pins(self):
+        # perfbench/expected.json holds the same pins for the benchmark's
+        # gate; the two copies must not drift apart
+        root = os.path.dirname(os.path.dirname(FIXTURES))
+        with open(os.path.join(root, "perfbench", "expected.json")) as fh:
+            assert json.load(fh) == PRESET_DIGESTS
 
     @pytest.mark.parametrize("preset, digest", PRESET_DIGESTS.items())
     def test_preset_artifact_is_pinned(self, tmp_path, preset, digest):
@@ -776,7 +821,8 @@ class TestTimeRescaling:
 class TestSlowTime:
     # the absolute floors left (ROOT_TOL's |det| test, the 1 + of char_scale,
     # the null-space cut) stop unfold from about s = 2e-3 (ring3) or s = 1e-9
-    # (the presets) down: that must be a named error, never another family
+    # (the presets) down: that must be a named error, never another family.
+    # Above those floors the presets keep their s = 1 outcome
     @pytest.mark.parametrize("s", [1e-3, 1e-8, 1e-9, 1e-10, 1e-12])
     @pytest.mark.parametrize("case", ["simple", "double", "ring3"])
     def test_outcome_is_unchanged_or_a_pipeline_error(self, tmp_path, capsys, case, s):
@@ -786,7 +832,8 @@ class TestSlowTime:
         cfg_path, out = slow / "cfg.json", slow / "out.json"
         cfg_path.write_text(json.dumps(_rescaled(_time_config(case), s)))
         capsys.readouterr()
-        if run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 1:
+        keeps = case != "ring3" and s >= 1e-8
+        if run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 1 and not keeps:
             assert "pipeline error" in capsys.readouterr().err
             assert not out.exists()
         else:
@@ -1047,8 +1094,8 @@ class TestVerify:
         (("theta", "rank"), 9, "theta.selected_rows"),
     ], ids=["versal", "commutant-dim", "tangent-dim", "achieved-rank", "n-directions",
             "mini-versal", "codimension", "theta-selected-rows", "theta-rank"])
-    def test_tampered_stored_decision_fails_its_line(self, tmp_path, simple_artifact, path,
-                                                     value, line):
+    def test_tampered_stored_decision_fails_its_line(self, tmp_path, capsys, simple_artifact,
+                                                     path, value, line):
         # only the line that owns the field fails, and its detail names the
         # field with the stored and the recomputed value
         doc = copy.deepcopy(simple_artifact)
@@ -1060,6 +1107,7 @@ class TestVerify:
         failed = {c["name"]: c["detail"] for c in json.loads(report.read_text())["checks"]
                   if not c["passed"]}
         assert list(failed) == [line]
+        assert f"[FAIL] {line}: " in capsys.readouterr().out
         stored = tuple(value) if isinstance(value, list) else value
         expected = tuple(expected) if isinstance(expected, list) else expected
         assert f"stored {'.'.join(path)} {stored}, expected {expected}" in failed[line]
@@ -1215,6 +1263,8 @@ class TestVerify:
         (lambda doc: doc["model"]["terms"][0].__setitem__("delay", False), "model.terms[0].delay"),
         (lambda doc: doc["frame"]["eigenvalues"].__setitem__(0, ["0", "1.8"]),
          "frame.eigenvalues[0][0]"),
+        (lambda doc: doc["frame"].pop("induced_rep"),
+         "schema error: frame.induced_rep is required\n"),
         (lambda doc: doc.pop("report"), "report is required"),
         (lambda doc: doc["report"]["versality"].pop("codimension"),
          "report.versality.codimension is required"),
@@ -1238,9 +1288,9 @@ class TestVerify:
             "generator-bool", "generators-empty", "group-table", "selected-row-float",
             "selected-row-string",
             "n-float", "n-string", "model-delay-string", "model-delay-bool",
-            "eigenvalue-strings", "no-report", "no-codimension", "mini-versal-int",
-            "achieved-rank-bool", "theta-rank-float", "theta-row-string", "delay-overflow",
-            "delay-repeat", "no-eigenvalues"])
+            "eigenvalue-strings", "no-induced-rep", "no-report", "no-codimension",
+            "mini-versal-int", "achieved-rank-bool", "theta-rank-float", "theta-row-string",
+            "delay-overflow", "delay-repeat", "no-eigenvalues"])
     def test_defect_names_its_place(self, tmp_path, capsys, simple_artifact, mutate, message):
         doc = copy.deepcopy(simple_artifact)
         mutate(doc)

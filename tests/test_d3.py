@@ -114,6 +114,13 @@ class TestDoubleHopfLocation:
             assert abs(p.omega1 - q["omega1"]) < 1e-6
             assert abs(p.omega2 - q["omega2"]) < 1e-6
 
+    @pytest.mark.parametrize("tau_n, tau_s_window", [(-2.0, (0.0, 10.0)), (3.0, (-5.0, 10.0))],
+                             ids=["tau-n", "tau-s-window"])
+    def test_negative_lag_rejected(self, tau_n, tau_s_window):
+        # once a point at tau_s = -0.4577, which no DelayOperator can hold
+        with pytest.raises(EqunfoldError, match="a lag is never negative"):
+            d3.locate_double_hopf("delta2", 0.5, tau_n, tau_s_window=tau_s_window)
+
     def test_one_sample_grid_rejected(self):
         with pytest.raises(EqunfoldError, match="two samples"):
             d3.locate_double_hopf("delta2", 0.5, 3.0, omegas=np.array([0.05]))
