@@ -15,18 +15,18 @@ from equnfold.unfolding import realify
 
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
-result = d3.run_case("simple")
-p = result.point
+p = d3.default_point("simple")
+result = d3.run_case("simple", p)
 print(f"double-Hopf point: alpha*={p.alpha:.6f}  tau_s*={p.tau_s:.6f}  "
       f"beta={p.beta}  tau_n={p.tau_n}")
 print(f"frequencies: {p.omega1:.6f}, {p.omega2:.6f}")
-print(f"center dimension c = {result.frame.c}; lags = {np.round(result.delays, 4)}")
+fam = result.assembly.family
+print(f"center dimension c = {result.frame.c}; lags = {np.round(fam.delays, 4)}")
 
 theta = result.assembly.theta
 print("\nTheta (diagonal; every row needed):")
 print(np.round(theta.theta.real, 6))
 
-fam = result.assembly.family
 print("\ncoefficient patterns per parameter (diagonal part, coupling part):")
 I = np.eye(3)
 offp = np.ones((3, 3)) - I

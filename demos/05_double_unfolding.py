@@ -24,8 +24,8 @@ def eta_pair(v):
             v[0] + w * v[1] + w.conjugate() * v[2])
 
 
-result = d3.run_case("double")
-p = result.point
+p = d3.default_point("double")
+result = d3.run_case("double", p)
 print(f"double-Hopf point: alpha*={p.alpha:.6f}  tau_s*={p.tau_s:.6f}  "
       f"beta={p.beta}  tau_n={p.tau_n}")
 print(f"center dimension c = {result.frame.c}")

@@ -23,11 +23,13 @@ import numpy as np
 from . import d3
 from .delays import check_dims
 from .errors import EqunfoldError, SchemaError
-from .frames import ROOT_TOL, critical_roots, eigenbasis, induce_representation
-from .jsonio import (SCHEMA, build_artifact, document_errors, field, invalid, items,
-                     model_from_doc, number, pair_complex, read_json, rep_from_doc,
+# eigenbasis is unused here, but bound: the benchmark's tracer self-test
+# checks that it wraps and restores cli.eigenbasis
+from .frames import ROOT_TOL, eigenbasis
+from .jsonio import (SCHEMA, build_artifact, decode_complex, document_errors, field, invalid,
+                     items, model_from_doc, number, pair_complex, read_json, rep_from_doc,
                      write_json_atomic, write_text_atomic)
-from .unfolding import assemble_gamma_unfolding, check_sparsity, select_delays
+from .unfolding import unfold
 from .verify import DEFAULT_TOL, verify_artifact
 
 EXIT_OK = 0
@@ -145,7 +147,8 @@ def cmd_double_hopf(args):
     return EXIT_OK if points else EXIT_PIPELINE
 
 
-CONFIG_KEYS = ("model", "group", "lambda_seeds", "delays", "sparsity", "tolerances")
+CONFIG_KEYS = ("model", "group", "lambda_seeds", "vector_seeds", "delays", "sparsity",
+               "tolerances")
 
 
 def _check_keys(doc, path, keys):
@@ -171,9 +174,20 @@ def _mask(doc, path):
     return np.array(rows, dtype=bool)
 
 
+def _vectors(doc, path, n):
+    """A root seed's null vectors, the rows of an (m, n) array, or None."""
+    if doc is None:
+        return None
+    U = decode_complex(doc, path, 2)
+    if U.shape[1:] != (n,):
+        raise SchemaError(f"{path} must hold vectors of length n = {n}, got shape {U.shape}")
+    return U
+
+
 def _run_config(cfg, output="unfold.json"):
-    """Run the generic pipeline described by a config document; the results
-    come with the output path ``output``, checked before the pipeline runs."""
+    """Decode a config document and run :func:`~equnfold.unfolding.unfold`
+    on it; the result comes with the artifact's ``meta`` and the output path
+    ``output``, checked before the pipeline runs."""
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
     _check_keys(cfg, "config", CONFIG_KEYS)
@@ -182,10 +196,9 @@ def _run_config(cfg, output="unfold.json"):
     if isinstance(seeds, str):
         if seeds not in PRESETS:
             raise invalid(seeds_path, f"{' or '.join(PRESETS)}, or a list of seeds", seeds)
-        # a preset string stands in for the whole model, group, seeds, lags,
-        # masks and tolerances
-        for key in ("model", "group", "delays", "sparsity", "tolerances"):
-            if key in cfg:
+        # a preset string stands in for the whole document
+        for key in CONFIG_KEYS:
+            if key in cfg and key != "lambda_seeds":
                 raise SchemaError(f"preset lambda_seeds cannot be combined with {key!r}")
         return _run_preset(seeds) + (output,)
     op = model_from_doc(*field(cfg, "", "model"))
@@ -193,6 +206,10 @@ def _run_config(cfg, output="unfold.json"):
     with document_errors("group"):
         check_dims(op, rep)
     seeds = items(seeds, seeds_path, pair_complex)
+    vectors, path = field(cfg, "", "vector_seeds", [None] * len(seeds))
+    vectors = items(vectors, path, lambda doc, p: _vectors(doc, p, op.n))
+    if len(vectors) != len(seeds):
+        raise SchemaError(f"{path} has {len(vectors)} entries; lambda_seeds has {len(seeds)}")
     tolerances, path = field(cfg, "", "tolerances", {})
     root_tol = number(*field(tolerances, path, "root_tol", ROOT_TOL))
     _check_keys(tolerances, path, ("root_tol",))
@@ -201,40 +218,26 @@ def _run_config(cfg, output="unfold.json"):
     # no lags: the pipeline selects them; no masks: every entry is free
     delays = items(*field(cfg, "", "delays", []), number) or None
     sparsity = items(*field(cfg, "", "sparsity", []), _mask) or None
-
-    frame = induce_representation(eigenbasis(op, critical_roots(op, seeds, root_tol)), rep)
-    if delays is None:
-        delays = select_delays(frame)
-    with document_errors("sparsity"):
-        check_sparsity(sparsity, len(delays), op.n)
-    assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=sparsity)
-    return op, rep, frame, assembly, {"source": "config"}, output
+    result = unfold(op, rep, seeds, vector_seeds=vectors, delays=delays, sparsity=sparsity,
+                    root_tol=root_tol)
+    return result, {"source": "config"}, output
 
 
 def _run_preset(preset):
+    """A preset's result, at the first point of its case's default slice,
+    and the ``meta`` that names the preset and the point."""
     case = preset.split(":")[1]
-    result = d3.run_case(case)
-    meta = {
-        "preset": preset,
-        "point": {
-            "factor": result.point.factor,
-            "alpha": result.point.alpha,
-            "beta": result.point.beta,
-            "tau_s": result.point.tau_s,
-            "tau_n": result.point.tau_n,
-            "omega1": result.point.omega1,
-            "omega2": result.point.omega2,
-        },
-    }
-    return result.op, result.rep, result.frame, result.assembly, meta
+    point = d3.default_point(case)
+    meta = {"preset": preset,
+            "point": {k: v for k, v in point._asdict().items() if k != "residual"}}
+    return d3.run_case(case, point), meta
 
 
 def cmd_unfold(args):
     cfg = {"lambda_seeds": args.preset} if args.preset else read_json(args.config)
-    op, rep, frame, assembly, meta, out = _run_config(cfg, args.output)
-    doc = build_artifact(op, rep, frame, assembly, meta=meta)
-    write_json_atomic(out, doc)
-    ver = assembly.versality
+    result, meta, out = _run_config(cfg, args.output)
+    write_json_atomic(out, build_artifact(*result, meta=meta))
+    ver = result.assembly.versality
     kind = "mini-versal" if ver.mini_versal else "versal (not minimal)"
     print(f"{kind}: {ver.n_directions} parameters, codimension {ver.codimension}; "
           f"wrote {out}")

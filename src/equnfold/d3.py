@@ -23,10 +23,9 @@ import numpy as np
 
 from ._linalg import same_lag
 from .delays import DelayOperator
-from .errors import EqunfoldError, UnfoldingError
-from .frames import eigenbasis, induce_representation
+from .errors import EqunfoldError
 from .groups import close_generators
-from .unfolding import assemble_gamma_unfolding, lag_basis
+from .unfolding import unfold
 
 OMEGA = np.exp(2j * np.pi / 3)
 U_SYM = np.array([1.0, 1.0, 1.0])                       # symmetric direction
@@ -458,28 +457,13 @@ def locate_double_hopf(factor, beta, tau_n, omegas=None, branches=(0, 1, 2, 3),
     return uniq
 
 
-def default_delays(frame):
-    """The model's lags {0, tau_s, tau_n} and a fourth, tau_3, chosen generically.
-
-    tau_3 starts from the largest multiple of tau/7 in (0, tau] distinct
-    from the other lags (tau = history horizon) and is halved, at most ten
-    times, until the frame's stacked lag basis has full rank c
-    (:func:`~equnfold.unfolding.lag_basis`).
-    """
-    tau = frame.op.tau
-    others = [r for r, _ in frame.op.terms]
-    for k in range(7, 0, -1):
-        tau3 = tau * k / 7.0
-        if not any(same_lag(tau3, r) for r in others):
-            break
-    else:
-        raise UnfoldingError("no admissible fourth lag on the tau/7 grid")
-    for _ in range(10):
-        if not any(same_lag(tau3, r) for r in others) and \
-                lag_basis(frame, others + [tau3])[1] == frame.c:
-            return others + [tau3]
-        tau3 = tau3 / 2.0
-    raise UnfoldingError(f"could not find a generic fourth lag (the rank stays below {frame.c})")
+def default_delays(op):
+    """The model's three lags in term order and a fourth: the largest multiple
+    of tau/7 in (0, tau] that is none of them (tau = history horizon).  The
+    pipeline's rank test decides whether the four are generic for a spectrum."""
+    lags = [r for r, _ in op.terms]
+    k = next(k for k in range(7, 0, -1) if not any(same_lag(op.tau * k / 7.0, r) for r in lags))
+    return lags + [op.tau * k / 7.0]
 
 
 def structure_masks():
@@ -489,21 +473,12 @@ def structure_masks():
     return [diag, diag, ~diag, ~diag]
 
 
-class D3CaseResult(NamedTuple):
-    """Artifacts of one end-to-end run at a double-Hopf point."""
-
-    case: str                     # "simple" or "double"
-    point: DoubleHopfPoint
-    op: DelayOperator
-    rep: object
-    frame: object
-    delays: tuple
-    assembly: object              # GammaUnfolding
-
-
+# each case's slice, and the null vectors that pin its basis at the roots
+# i w1, -i w1, i w2, -i w2: the symmetric direction, or the rotation eigenvectors
 _CASE_DEFAULTS = {
-    "simple": dict(factor="delta1", beta=-0.5, tau_n=4.0),
-    "double": dict(factor="delta2", beta=0.5, tau_n=3.0),
+    "simple": dict(factor="delta1", beta=-0.5, tau_n=4.0, vectors=[[U_SYM]] * 4),
+    "double": dict(factor="delta2", beta=0.5, tau_n=3.0,
+                   vectors=[[V_ROT, V_ROT.conj()], [V_ROT.conj(), V_ROT]] * 2),
 }
 
 
@@ -517,44 +492,24 @@ def default_point(case):
 
 
 def run_case(case, point=None):
-    """Run the whole pipeline at a double-Hopf point of either factor.
-
-    ``case="simple"`` expects a point of the first factor (four simple
-    imaginary eigenvalues, c = 4); ``case="double"`` a point of the second
-    (four double eigenvalues, c = 8).  The eigenbasis is seeded with the
-    symmetric/rotation directions so the basis and its ordering are
-    deterministic.  The lags are :func:`default_delays` and the
-    coefficients keep the model's coupling structure
-    (:func:`structure_masks`).  The family is returned whether or not it is
-    minimal; ``assembly.versality`` says which.  The complex family is
-    returned as built; a reader of the real family calls
-    :func:`~equnfold.unfolding.realify` on ``assembly.family``.
-    """
+    """The unfolding at a double-Hopf point of the case's factor (the first
+    for "simple", c = 4; the second for "double", c = 8), by default its
+    :func:`default_point`.  The case is a config for
+    :func:`~equnfold.unfolding.unfold`: the model, the triangle group, the
+    roots +-i omega_1, +-i omega_2 with the null vectors that fix the basis
+    and its order, :func:`default_delays` and :func:`structure_masks`."""
     if case not in _CASE_DEFAULTS:
         raise EqunfoldError(f"unknown case {case!r}")
     if point is None:
         point = default_point(case)
-    expected_factor = _CASE_DEFAULTS[case]["factor"]
-    if point.factor != expected_factor:
-        raise EqunfoldError(f"case {case!r} needs a {expected_factor} point, got {point.factor}")
+    cfg = _CASE_DEFAULTS[case]
+    if point.factor != cfg["factor"]:
+        raise EqunfoldError(f"case {case!r} needs a {cfg['factor']} point, got {point.factor}")
 
     params = point.params()
     if same_lag(params.tau_s, params.tau_n):
         raise EqunfoldError("tau_s and tau_n coincide; unfolding lags would collide")
     op = d3_operator(params)
-    rep = triangle_rep()
-
-    lambdas = [1j * point.omega1, -1j * point.omega1,
-               1j * point.omega2, -1j * point.omega2]
-    if case == "simple":
-        seeds = {i: [U_SYM] for i in range(4)}
-    else:
-        seeds = {0: [V_ROT, V_ROT.conj()], 1: [V_ROT.conj(), V_ROT],
-                 2: [V_ROT, V_ROT.conj()], 3: [V_ROT.conj(), V_ROT]}
-
-    frame = induce_representation(eigenbasis(op, lambdas, seeds=seeds), rep)
-
-    delays = default_delays(frame)
-    assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=structure_masks())
-    return D3CaseResult(case=case, point=point, op=op, rep=rep, frame=frame,
-                        delays=tuple(float(r) for r in delays), assembly=assembly)
+    lambdas = [1j * point.omega1, -1j * point.omega1, 1j * point.omega2, -1j * point.omega2]
+    return unfold(op, triangle_rep(), lambdas, vector_seeds=cfg["vectors"],
+                  delays=default_delays(op), sparsity=structure_masks())

@@ -113,7 +113,8 @@ def find_root(op, lam0, tol=ROOT_TOL, max_iter=100):
 
 def critical_roots(op, seeds, tol=ROOT_TOL):
     """The distinct roots :func:`find_root` reaches from ``seeds``, in seed
-    order; two are one by ``_linalg.eigen_groups`` at scale ``sum_k ||A_k||_2``.
+    order, and for each the index of the first seed that reached it; two are
+    one by ``_linalg.eigen_groups`` at scale ``sum_k ||A_k||_2``.
     On a real model a seed whose conjugate Newton solved takes the conjugate
     root: Newton takes the conjugate steps bit for bit, a secant fallback not."""
     roots, solved = [], {}
@@ -127,7 +128,8 @@ def critical_roots(op, seeds, tol=ROOT_TOL):
             solved[seed] = res.root
     if not roots:
         raise RootFindingError("no characteristic roots found from the given seeds")
-    return [roots[block[0]] for block in eigen_groups(roots, op.norm_sum)]
+    firsts = [block[0] for block in eigen_groups(roots, op.norm_sum)]
+    return [roots[i] for i in firsts], firsts
 
 
 def _require_finite_iterate(lam, f, iterations):
@@ -213,9 +215,12 @@ def _null_pair(op, lam, seeds, scale):
                 f"inconsistent multiplicities at {lam}: {len(U)} seeds for a "
                 f"{N.shape[1]}-dimensional null space"
             )
-        if rank(U.T) < len(U):
+        # a seed is a direction, checked at largest entry 1: no overflow, no underflow
+        size = np.max(np.abs(U), axis=1, keepdims=True)
+        units = U / np.where(size > 0, size, 1.0)
+        if rank(units.T) < len(U):
             raise FrameError(f"seed vectors at {lam} are linearly dependent")
-        for u in U:
+        for u in units:
             if np.linalg.norm(D @ u) > NULLSPACE_RCOND * scale * np.linalg.norm(u):
                 raise FrameError(f"seed vector at {lam} is not in the null space")
     else:

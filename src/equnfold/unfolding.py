@@ -26,7 +26,9 @@ from ._linalg import (RANK_RCOND, REALIZATION_TOL, ad_matrix, eigen_groups, lsts
                       same_lag, scaled, svd_rank)
 from .delays import DelayOperator
 from .errors import StructuralError, UnfoldingError
-from .groups import commutant_basis, equivariant_average
+from .frames import ROOT_TOL, SpectralFrame, critical_roots, eigenbasis, induce_representation
+from .groups import Representation, commutant_basis, equivariant_average
+from .jsonio import document_errors
 
 DIAG_TOL = 1e-12       # max off-diagonal magnitude for "B is diagonal"
 CONJ_PAIR_TOL = 1e-9           # relative gap of a conjugate direction pair
@@ -656,3 +658,35 @@ def select_delays(frame):
         lags = sorted(lags + [cand])
         extras += 1
     return lags
+
+
+class UnfoldResult(NamedTuple):
+    """What :func:`unfold` builds from a model: the parts of an artifact."""
+
+    op: DelayOperator
+    rep: Representation
+    frame: SpectralFrame
+    assembly: GammaUnfolding
+
+
+def unfold(op, rep, lambda_seeds, vector_seeds=None, delays=None, sparsity=None,
+           root_tol=ROOT_TOL):
+    """The pipeline from a model and its group to an equivariant unfolding.
+
+    The roots are the distinct ones Newton reaches from ``lambda_seeds``
+    (:func:`~equnfold.frames.critical_roots`).  ``vector_seeds``, aligned
+    with them, gives a seed's null vectors or None; a root takes those of
+    its first seed.  The lags are ``delays`` or :func:`select_delays`'s, with
+    one mask per lag in ``sparsity``, or none.  The family is returned
+    whether or not it is minimal; ``assembly.versality`` says which.
+    """
+    roots, firsts = critical_roots(op, lambda_seeds, root_tol)
+    vectors = {k: vector_seeds[i] for k, i in enumerate(firsts)
+               if vector_seeds is not None and vector_seeds[i] is not None}
+    frame = induce_representation(eigenbasis(op, roots, seeds=vectors), rep)
+    if delays is None:
+        delays = select_delays(frame)
+    with document_errors("sparsity"):
+        check_sparsity(sparsity, len(delays), op.n)
+    assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=sparsity)
+    return UnfoldResult(op=op, rep=rep, frame=frame, assembly=assembly)

@@ -6,19 +6,28 @@ from equnfold.jsonio import build_artifact
 
 
 @pytest.fixture(scope="session")
-def simple_case():
-    return d3.run_case("simple")
+def simple_point():
+    return d3.default_point("simple")
 
 
 @pytest.fixture(scope="session")
-def double_case():
-    return d3.run_case("double")
+def double_point():
+    return d3.default_point("double")
+
+
+@pytest.fixture(scope="session")
+def simple_case(simple_point):
+    return d3.run_case("simple", simple_point)
+
+
+@pytest.fixture(scope="session")
+def double_case(double_point):
+    return d3.run_case("double", double_point)
 
 
 @pytest.fixture(scope="session")
 def simple_artifact(simple_case):
-    r = simple_case
-    return build_artifact(r.op, r.rep, r.frame, r.assembly, meta={"preset": "d3:simple"})
+    return build_artifact(*simple_case, meta={"preset": "d3:simple"})
 
 
 @pytest.fixture()

@@ -107,7 +107,8 @@ def test_criterion_3_codimension_formula():
 
 def test_criterion_4_simple_case_end_to_end():
     with Timer() as t:
-        r = d3.run_case("simple")
+        point = d3.default_point("simple")
+        r = d3.run_case("simple", point)
         assert r.frame.c == 4
         for g in r.frame.G.group.elements():
             assert np.max(np.abs(r.frame.G.matrices[g] - np.eye(4))) < 1e-8
@@ -125,14 +126,15 @@ def test_criterion_4_simple_case_end_to_end():
         assert (ver.tangent_dim, ver.n_directions, ver.commutant_dim) == (12, 4, 16)
     assert t.seconds < 10.0
     report(4, "simple case",
-           f"alpha*={r.point.alpha:.4f} tau_s*={r.point.tau_s:.4f}, "
+           f"alpha*={point.alpha:.4f} tau_s*={point.tau_s:.4f}, "
            f"c=4, trivial action, diagonal Theta, 12+4=16",
            t.seconds, 10)
 
 
 def test_criterion_5_double_case_end_to_end():
     with Timer() as t:
-        r = d3.run_case("double")
+        point = d3.default_point("double")
+        r = d3.run_case("double", point)
         frame = r.frame
         assert frame.c == 8
         kap, gam = r.rep.group.generator_indices
@@ -158,7 +160,7 @@ def test_criterion_5_double_case_end_to_end():
         assert s[-1] > 1e-8 * s[0]
     assert t.seconds < 30.0
     report(5, "double case",
-           f"alpha*={r.point.alpha:.4f} tau_s*={r.point.tau_s:.4f}, c=8, "
+           f"alpha*={point.alpha:.4f} tau_s*={point.tau_s:.4f}, c=8, "
            f"block action matched, slots 5..12 vanish, Theta rank 4",
            t.seconds, 30)
 
@@ -183,7 +185,7 @@ def test_criterion_6_oracle_equivalence(double_case):
             worst = max(worst, abs(closed - quad) / max(1.0, abs(closed)))
         assert worst < 1e-6
         frame = double_case.frame
-        stacked = np.vstack([frame.Phi_at(-r) for r in double_case.delays])
+        stacked = np.vstack([frame.Phi_at(-r) for r in double_case.assembly.family.delays])
         sv = np.linalg.svd(stacked, compute_uv=False)
         rank = int(np.sum(sv > 1e-9 * sv[0]))
         assert rank == 8
@@ -193,15 +195,15 @@ def test_criterion_6_oracle_equivalence(double_case):
            t.seconds, 10)
 
 
-def test_criterion_7_singularity_guard(double_case):
+def test_criterion_7_singularity_guard(double_case, double_point):
     with Timer() as t:
-        point = double_case.point
+        point = double_point
         lams = [1j * point.omega1, -1j * point.omega1,
                 1j * point.omega2, -1j * point.omega2]
         coincident = [0.0, point.tau_s, point.tau_s, point.tau_n]
         M_bad = exponential_delay_matrix(lams, coincident)
         assert abs(np.linalg.det(M_bad)) < 1e-12
-        M_good = exponential_delay_matrix(lams, list(double_case.delays))
+        M_good = exponential_delay_matrix(lams, list(double_case.assembly.family.delays))
         good = scaled_det(M_good)
         assert good > 1e-6
     assert t.seconds < 1.0

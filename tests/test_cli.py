@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from equnfold import cli, d3, frames
+from equnfold import cli, d3, frames, unfolding
 from equnfold import verify as verify_module
 from equnfold.cli import main
 from equnfold.frames import find_root
@@ -24,12 +24,17 @@ from equnfold.unfolding import assemble_gamma_unfolding, slot_stacks, solve_dela
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+with open(os.path.join(FIXTURES, "double_hopf_points.json")) as _fh:
+    FIXTURE_POINTS = json.load(_fh)
 # the preset artifacts' digests, which perfbench/expected.json holds for the
 # benchmark's gate
 PRESET_DIGESTS = {
     "d3:simple": "dbec54e4367045876531edfcb1f1b732b1a53de50b4ad1b812faa47a5f8aedb9",
     "d3:double": "2acc2381794c8cef9772c2244c5a7f22feb9ed9f827848fba1fa0aa868368f56",
 }
+# the 12-cell ring's artifact (_ring_config(12)), pinned since before root
+# finding and group closure were vectorized
+RING12_DIGEST = "3cd7ced964952931380b888098b21b758d43d00f3cb4d4ece15a2eef19e6a5db"
 
 
 def run(args):
@@ -353,8 +358,8 @@ class TestUnfold:
         assert err.startswith("schema error: lambda_seeds must be") and "'d3:bogus'" in err
         assert not out.exists()
 
-    def test_config_pipeline(self, tmp_path, simple_case):
-        point = simple_case.point
+    def test_config_pipeline(self, tmp_path, simple_case, simple_point):
+        point = simple_point
         cfg = {
             "model": model_to_doc(simple_case.op),
             "group": rep_to_doc(simple_case.rep),
@@ -369,11 +374,11 @@ class TestUnfold:
         doc = json.loads((tmp_path / "from_config.json").read_text())
         assert doc["report"]["versality"]["mini_versal"] is True
 
-    def test_masked_config_keeps_coefficients_in_their_masks(self, tmp_path, simple_case):
+    def test_masked_config_keeps_coefficients_in_their_masks(self, tmp_path, simple_point):
         # the d3:simple model, roots and lags as a config whose sparsity lists
         # the structure masks as 0/1 rows; without them, entries outside the
         # masks are nonzero, so the masks are what zeroes them
-        cfg, masks = _preset_config(simple_case), d3.structure_masks()
+        cfg, masks = _preset_config("simple", simple_point), d3.structure_masks()
         for sparsity in (cfg["sparsity"], None):
             if not sparsity:
                 del cfg["sparsity"]
@@ -403,6 +408,7 @@ class TestUnfold:
          "tolerances": {"root_tol": 1e-3}},
         {"sparsity": [None] * 4},
         {"tolerances": {"root_tol": 1e-3}},
+        {"vector_seeds": [None] * 4},
     ])
     def test_config_preset_rejects_pipeline_keys(self, tmp_path, capsys, extra):
         cfg_path = tmp_path / "cfg.json"
@@ -451,12 +457,12 @@ class TestUnfold:
         }))
         assert run(["unfold", "--config", str(cfg_path)]) == 2
 
-    def test_config_bad_tolerance(self, tmp_path, simple_case):
+    def test_config_bad_tolerance(self, tmp_path, simple_case, simple_point):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "model": model_to_doc(simple_case.op),
             "group": rep_to_doc(simple_case.rep),
-            "lambda_seeds": [[0.0, simple_case.point.omega1]],
+            "lambda_seeds": [[0.0, simple_point.omega1]],
             "tolerances": {"root_tol": -1.0},
         }))
         assert run(["unfold", "--config", str(cfg_path)]) == 2
@@ -465,8 +471,7 @@ class TestUnfold:
         # 12-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1); the digest was
         # taken before root finding and group closure were vectorized, which
         # must not move a byte
-        assert _ring_artifact_digest(tmp_path, 12) == \
-            "3cd7ced964952931380b888098b21b758d43d00f3cb4d4ece15a2eef19e6a5db"
+        assert _ring_artifact_digest(tmp_path, 12) == RING12_DIGEST
 
     def test_ring3_fixture_is_the_three_cell_ring(self):
         with open(os.path.join(FIXTURES, "ring3_config.json")) as fh:
@@ -493,7 +498,7 @@ class TestUnfold:
             assembly = assemble_gamma_unfolding(*args, **kwargs)
             return assembly._replace(versality=assembly.versality._replace(mini_versal=False))
 
-        monkeypatch.setattr(cli, "assemble_gamma_unfolding", not_minimal)
+        monkeypatch.setattr(unfolding, "assemble_gamma_unfolding", not_minimal)
         cfg_path, out = tmp_path / "ring.json", tmp_path / "ring_out.json"
         cfg_path.write_text(json.dumps(_ring_config(3)))
         assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 3
@@ -548,7 +553,8 @@ class TestUnfold:
         ("entry", float("nan")),
         ("entry", float("inf")),
     ])
-    def test_bad_model_field_exits_2(self, tmp_path, capsys, simple_case, field, value):
+    def test_bad_model_field_exits_2(self, tmp_path, capsys, simple_case, simple_point, field,
+                                     value):
         model = model_to_doc(simple_case.op)
         if field == "n":
             model["n"] = value
@@ -560,7 +566,7 @@ class TestUnfold:
         cfg_path.write_text(json.dumps({
             "model": model,
             "group": rep_to_doc(simple_case.rep),
-            "lambda_seeds": [[0.0, simple_case.point.omega1]],
+            "lambda_seeds": [[0.0, simple_point.omega1]],
         }))
         assert run(["unfold", "--config", str(cfg_path),
                     "--output", str(tmp_path / "o.json")]) == 2
@@ -608,12 +614,12 @@ class TestUnfold:
             "sparsity-shape", "output-number", "output-string", "model-path", "group-path",
             "generators-empty", "group-table", "seed-strings", "mask-string", "mask-half",
             "mask-two", "misspelled-key", "misspelled-tolerance"])
-    def test_bad_config_field_exits_2(self, tmp_path, capsys, simple_case, field, value,
-                                      message):
+    def test_bad_config_field_exits_2(self, tmp_path, capsys, simple_case, simple_point, field,
+                                      value, message):
         cfg = {
             "model": model_to_doc(simple_case.op),
             "group": rep_to_doc(simple_case.rep),
-            "lambda_seeds": [[0.0, simple_case.point.omega1]],
+            "lambda_seeds": [[0.0, simple_point.omega1]],
         }
         if field is None:
             cfg = value
@@ -645,29 +651,31 @@ class TestUnfold:
         (lambda g: g[1][2][0].__setitem__(0, True), "group.generators[1][2][0][0]"),
         (lambda g: g[1][2].pop(), "malformed complex matrix group.generators[1]"),
     ], ids=["string", "null", "bool", "ragged"])
-    def test_malformed_group_generator_exits_2(self, tmp_path, capsys, simple_case, mutate,
-                                               message):
+    def test_malformed_group_generator_exits_2(self, tmp_path, capsys, simple_case, simple_point,
+                                               mutate, message):
         group = rep_to_doc(simple_case.rep)
         mutate(group["generators"])
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "model": model_to_doc(simple_case.op),
             "group": group,
-            "lambda_seeds": [[0.0, simple_case.point.omega1]],
+            "lambda_seeds": [[0.0, simple_point.omega1]],
         }))
         assert run(["unfold", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
 
-    def test_single_field_config_mutations_exit_cleanly(self, tmp_path, simple_case):
+    def test_single_field_config_mutations_exit_cleanly(self, tmp_path, simple_case,
+                                                        simple_point):
         """Every node of a ``d3:simple`` config with every key set, replaced
         by a wrong value or deleted: ``unfold --config`` exits 0, 1, 2 or 3
         and never raises."""
-        point, family = simple_case.point, simple_case.assembly.family
+        point, family = simple_point, simple_case.assembly.family
         cfg = {
             "model": model_to_doc(simple_case.op),
             "group": rep_to_doc(simple_case.rep),
             "lambda_seeds": [[0.0, point.omega1], [0.0, -point.omega1],
                              [0.0, point.omega2], [0.0, -point.omega2]],
+            "vector_seeds": [[encode_complex(d3.U_SYM)], None, None, None],
             "delays": list(family.delays),
             "sparsity": [None] * len(family.delays),
             "tolerances": {"root_tol": 1e-12},
@@ -748,13 +756,132 @@ def _ring_artifact_digest(tmp_path, n):
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def _preset_config(r):
-    """The model, group, roots and lags of a ``d3.run_case`` result under the
-    structure masks, as a config."""
-    w = (r.point.omega1, -r.point.omega1, r.point.omega2, -r.point.omega2)
-    return {"model": model_to_doc(r.op), "group": rep_to_doc(r.rep),
-            "lambda_seeds": [[0.0, x] for x in w], "delays": list(r.delays),
+def _preset_config(case, point):
+    """The config document of ``d3.run_case(case, point)``: the model at the
+    point, the triangle group, the roots +-i omega_1, +-i omega_2 with the
+    case's null vectors (the symmetric direction, or the two rotation
+    eigenvectors), ``d3.default_delays`` and the structure masks."""
+    op = d3.d3_operator(point.params())
+    u, v = encode_complex(d3.U_SYM), encode_complex(d3.V_ROT)
+    vbar = encode_complex(d3.V_ROT.conj())
+    vectors = {"simple": [[u]] * 4, "double": [[v, vbar], [vbar, v]] * 2}[case]
+    w = (point.omega1, -point.omega1, point.omega2, -point.omega2)
+    return {"model": model_to_doc(op), "group": rep_to_doc(d3.triangle_rep()),
+            "lambda_seeds": [[0.0, x] for x in w], "vector_seeds": vectors,
+            "delays": d3.default_delays(op),
             "sparsity": [m.astype(int).tolist() for m in d3.structure_masks()]}
+
+
+def _without_meta(path):
+    """An artifact's text with its ``meta`` member cut out, byte for byte."""
+    text = path.read_text()
+    return text.replace('"meta":' + canonical_json(json.loads(text)["meta"]) + ",", "", 1)
+
+
+class TestPresetIsItsConfig:
+    """A preset is its expanded config document: ``--preset d3:X`` and
+    ``--config`` on the document write the same bytes but for ``meta``."""
+
+    @pytest.mark.parametrize("case", ["simple", "double"])
+    def test_preset_and_its_document_write_one_artifact(self, tmp_path, case):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_preset_config(case, d3.default_point(case))))
+        preset, config = tmp_path / "preset.json", tmp_path / "config.json"
+        assert run(["unfold", "--preset", f"d3:{case}", "--output", str(preset)]) == 0
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(config)]) == 0
+        assert json.loads(config.read_text())["meta"] == {"source": "config"}
+        assert _without_meta(preset) == _without_meta(config)
+        assert hashlib.sha256(preset.read_bytes()).hexdigest() == PRESET_DIGESTS[f"d3:{case}"]
+
+    @pytest.mark.parametrize("case, index", [
+        (case, i) for case in ("simple", "double")
+        for i in range(len(FIXTURE_POINTS[case]["points"]))])
+    def test_run_case_is_the_config_path(self, case, index):
+        entry = FIXTURE_POINTS[case]
+        point = d3.DoubleHopfPoint(factor=entry["factor"], beta=entry["beta"],
+                                   tau_n=entry["tau_n"], **entry["points"][index])
+        cfg = json.loads(json.dumps(_preset_config(case, point)))
+        result, _, _ = cli._run_config(cfg)
+        assert (canonical_json(build_artifact(*d3.run_case(case, point)))
+                == canonical_json(build_artifact(*result)))
+
+
+class TestVectorSeeds:
+    """``vector_seeds``: one entry per root seed, null or the seed's null vectors."""
+
+    @pytest.mark.parametrize("vectors, message", [
+        (5, "vector_seeds must be a list, got 5"),
+        ([5, None, None, None], "vector_seeds[0] must be a list, got 5"),
+        ([None, ["x"], None, None], "vector_seeds[1][0] must be a list, got 'x'"),
+        ([None, None, [[[1, 0], [1, 0], [1]]], None],
+         "vector_seeds[2][0][2] must be a [re, im] pair, got list"),
+        ([None, None, None, [[[1, 0], [1, 0], [True, 0]]]],
+         "vector_seeds[3][0][2][0] must be a number, got True"),
+        ([None, [[[1, 0]] * 3, [[1, 0]] * 2], None, None],
+         "malformed complex matrix vector_seeds[1]: "),
+        ([[[[1, 0], [1, 0]]], None, None, None],
+         "vector_seeds[0] must hold vectors of length n = 3, got shape (1, 2)"),
+        ([[[[1, 0], [1, 0], [1, 0], [1, 0]]], None, None, None],
+         "vector_seeds[0] must hold vectors of length n = 3, got shape (1, 4)"),
+        ([[], None, None, None],
+         "vector_seeds[0] must hold vectors of length n = 3, got shape (0,)"),
+        ([None] * 3, "vector_seeds has 3 entries; lambda_seeds has 4"),
+        ([None] * 5, "vector_seeds has 5 entries; lambda_seeds has 4"),
+    ], ids=["number", "entry-number", "vector-string", "pair-short", "bool", "ragged",
+            "short", "long", "empty", "fewer", "more"])
+    def test_malformed_vector_seeds_exit_2_naming_their_path(self, tmp_path, capsys,
+                                                              simple_point, vectors, message):
+        cfg = _preset_config("simple", simple_point)
+        cfg["vector_seeds"] = vectors
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"schema error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("vectors, head, tail", [
+        # the first factor's roots have one-dimensional null spaces
+        ([d3.U_SYM, d3.V_ROT], "inconsistent multiplicities at ",
+         ": 2 seeds for a 1-dimensional null space"),
+        ([np.zeros(3)], "seed vectors at ", " are linearly dependent"),
+        ([d3.V_ROT], "seed vector at ", " is not in the null space"),
+        # checked at largest entry 1, so no product overflows
+        ([np.array([1 + 1e308j, 1, 1])], "seed vector at ", " is not in the null space"),
+    ], ids=["two-vectors", "zero", "rotation", "huge"])
+    def test_vectors_that_do_not_fit_the_null_space_exit_1(self, tmp_path, capsys,
+                                                          simple_point, vectors, head, tail):
+        cfg = _preset_config("simple", simple_point)
+        cfg["vector_seeds"][0] = [encode_complex(v) for v in vectors]
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pipeline error: {head}") and err.endswith(f"{tail}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("vectors", [None, [None, None]], ids=["null", "nulls"])
+    def test_null_vector_seeds_keep_the_bytes(self, tmp_path, vectors):
+        # a config without the key, or with nothing in it, writes the
+        # pinned 12-cell ring artifact
+        cfg = _ring_config(12)
+        cfg["vector_seeds"] = vectors
+        cfg_path, out = tmp_path / "ring.json", tmp_path / "ring_out.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RING12_DIGEST
+
+    def test_a_root_takes_the_vectors_of_its_first_seed(self, tmp_path, simple_point):
+        # a second seed of one root adds nothing, whatever its vectors
+        cfg = _preset_config("simple", simple_point)
+        base = tmp_path / "base.json"
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run(["unfold", "--config", str(tmp_path / "cfg.json"), "--output", str(base)]) == 0
+        cfg["lambda_seeds"].append(cfg["lambda_seeds"][0])
+        cfg["vector_seeds"].append([encode_complex(-d3.U_SYM)])
+        again = tmp_path / "again.json"
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run(["unfold", "--config", str(tmp_path / "cfg.json"), "--output", str(again)]) == 0
+        assert base.read_bytes() == again.read_bytes()
 
 
 @functools.lru_cache(maxsize=None)
@@ -769,12 +896,13 @@ def _time_config(case):
     if case == "ring3":
         with open(os.path.join(FIXTURES, "ring3_config.json")) as fh:
             return json.load(fh)
-    return _preset_config(d3.run_case(case))
+    return _preset_config(case, d3.default_point(case))
 
 
 def _rescaled(cfg, s):
     """``cfg`` in the time t / s: lags r / s, coefficients s A_k, seeds s lam
-    (the characteristic matrix is s Delta(lam), so its roots scale by s)."""
+    (the characteristic matrix is s Delta(lam), so its roots scale by s, and
+    its null vectors stay)."""
     out = copy.deepcopy(cfg)
     for term in out["model"]["terms"]:
         term["delay"] /= s
@@ -858,14 +986,19 @@ class TestSlowTime:
 
 def _conjugated(cfg, Q):
     """``cfg`` in the basis of the unitary Q: every model term and group
-    generator M becomes Q M Q^H.  The spectrum, and with it the seeds, is
-    unchanged; lags and sparsity masks are kept as given."""
+    generator M becomes Q M Q^H, and every null vector v of ``vector_seeds``
+    becomes Q v.  The spectrum, and with it the root seeds, is unchanged; lags
+    and sparsity masks are kept as given."""
     out = copy.deepcopy(cfg)
     for term in out["model"]["terms"]:
         M = decode_complex(term["matrix"], "matrix", 2)
         term["matrix"] = encode_complex(Q @ M @ Q.conj().T)
     out["group"]["generators"] = [encode_complex(Q @ decode_complex(g, "g", 2) @ Q.conj().T)
                                   for g in cfg["group"]["generators"]]
+    if "vector_seeds" in cfg:
+        out["vector_seeds"] = [None if e is None else
+                               [encode_complex(Q @ decode_complex(v, "v", 1)) for v in e]
+                               for e in cfg["vector_seeds"]]
     return out
 
 
@@ -1169,7 +1302,7 @@ class TestVerify:
         # a family realized on the lags 0, tau_s, tau_n and one outside
         # [0, tau]: every check holds on it, and only the lag rule refuses it
         frame, rep = simple_case.frame, simple_case.rep
-        lags = list(simple_case.delays[:3]) + [lag]
+        lags = list(simple_case.assembly.family.delays[:3]) + [lag]
         _, Rbars, _, theta = slot_stacks(frame, rep)
         Phis = np.array([frame.Phi_at(-r) for r in lags])
         coefficients = equivariant_average(rep, rep, solve_delay_realization(

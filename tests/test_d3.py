@@ -4,13 +4,15 @@ import os
 import numpy as np
 import pytest
 
-from equnfold import d3
+from equnfold import cli, d3
 from equnfold._linalg import EPS, rank
 from equnfold.delays import check_equivariance
-from equnfold.errors import EqunfoldError, UnfoldingError
-from equnfold.frames import SpectralFrame
+from equnfold.errors import EqunfoldError
+from equnfold.frames import ROOT_TOL
 from equnfold.groups import equivariant_average
+from equnfold.jsonio import build_artifact, canonical_json, encode_complex, model_to_doc, rep_to_doc
 from equnfold.unfolding import lag_basis, realify, slot_reparametrization
+from equnfold.verify import verify_artifact
 
 from oracles import exponential_delay_matrix, hopf_curve, scaled_det
 
@@ -161,28 +163,37 @@ class TestDoubleHopfLocation:
         with pytest.raises(EqunfoldError, match="collide"):
             d3.find_double_hopf("delta2", 0.5, 3.0, (p.alpha, p.tau_s, p.omega1, -p.omega1))
 
-    def test_default_delays_are_generic(self, simple_case, double_case):
-        for case in (simple_case, double_case):
-            point, frame = case.point, case.frame
-            delays = d3.default_delays(frame)
+    def test_default_delays_are_generic(self, simple_case, simple_point, double_case,
+                                        double_point):
+        for case, point in ((simple_case, simple_point), (double_case, double_point)):
+            delays = d3.default_delays(case.op)
             assert delays[:3] == [0.0, point.tau_s, point.tau_n]
-            assert len(set(np.round(delays, 12))) == 4
-            assert lag_basis(frame, delays)[1] == frame.c
+            assert delays[3] == 6 * case.op.tau / 7.0
+            assert list(case.assembly.family.delays) == delays
+            assert lag_basis(case.frame, delays)[1] == case.frame.c
             M = exponential_delay_matrix(
                 [1j * point.omega1, -1j * point.omega1,
                  1j * point.omega2, -1j * point.omega2], delays)
             assert scaled_det(M) > 1e-6
 
-    def test_default_delays_without_a_generic_fourth_lag_raise(self):
-        # lags 0, 1 and 2 cannot tell omega1 from omega1 + 14 pi, and no
-        # tau_3 on the halved tau/7 grid can either: with every direction
-        # the symmetric one, the stacked basis has rank 2 or 3 at every halving
+    def test_default_delays_short_of_a_spectrum_end_in_the_rank_error(self, tmp_path, capsys):
+        # three pairs of symmetric roots of the model with alpha = 0 (Delta1's
+        # roots W_k(-2 e^2) / 2 - 1, k = 0, 1, 2): every direction is the
+        # symmetric one, so four lags give the stacked basis rank 4 at most,
+        # and the pipeline names the rank it reached
         op = d3.d3_operator(d3.D3ModelParams(alpha=0.0, beta=-0.5, tau_s=1.0, tau_n=2.0))
-        lams = (1j, -1j, 1j * (1 + 14 * np.pi), -1j * (1 + 14 * np.pi))
-        frame = SpectralFrame(op=op, lambdas=lams, phi=np.tile(d3.U_SYM, (4, 1)),
-                              psi=np.tile(d3.U_SYM, (4, 1)) / 3, B=np.diag(lams))
-        with pytest.raises(UnfoldingError, match="generic fourth lag .* below 4"):
-            d3.default_delays(frame)
+        roots = [[-0.164, 1.108], [-0.690, 3.966], [-0.978, 7.070]]
+        cfg = {"model": model_to_doc(op), "group": rep_to_doc(d3.triangle_rep()),
+               "lambda_seeds": [[re, s * im] for re, im in roots for s in (1, -1)],
+               "vector_seeds": [[encode_complex(d3.U_SYM)]] * 6,
+               "delays": d3.default_delays(op)}
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "pipeline error: slots 0-5: stacked basis col(Phi(-r_j)) has rank 4 < 6; "
+            "the lags are too few, or not generic for this spectrum\n")
+        assert not out.exists()
 
 
 def _loop_intersections(P, Q):
@@ -609,8 +620,8 @@ class TestCaseStructure:
     """What the worked cases show, at the presets and at every fixture point."""
 
     def test_presets(self, simple_case, double_case):
-        for r in (simple_case, double_case):
-            _assert_case_structure(r.case, r.frame, r.assembly)
+        for case, r in (("simple", simple_case), ("double", double_case)):
+            _assert_case_structure(case, r.frame, r.assembly)
 
     @pytest.mark.parametrize("case, index", [
         (case, i) for case in ("simple", "double")
@@ -623,19 +634,39 @@ class TestCaseStructure:
         _assert_case_structure(case, r.frame, r.assembly)
 
 
+class TestRunCaseRoots:
+    def test_located_point_off_the_root_tolerance_is_polished(self):
+        # a Delta1 point of perfbench's unfold-warm seed 171: |det Delta(i omega)|
+        # is 2.4e-10 there, above ROOT_TOL.  Unfolded at the located roots,
+        # the projection identity of slot 2 missed its bound (1.139e-10
+        # against 1e-10); Newton moves each root by ~4e-11 and the family is
+        # mini-versal and verifies
+        point = d3.DoubleHopfPoint(
+            factor="delta1", beta=0.5631165922348742, tau_n=3.247304212666019,
+            alpha=-3.679217190592752, tau_s=0.7630437007967816,
+            omega1=2.4165885608743864, omega2=2.8618561294488116, residual=0.0)
+        lams = [1j * point.omega1, -1j * point.omega1, 1j * point.omega2, -1j * point.omega2]
+        r = d3.run_case("simple", point)
+        assert max(abs(np.linalg.det(r.op.char_matrix(lam))) for lam in lams) > ROOT_TOL
+        assert r.frame.lambdas != tuple(lams)
+        assert r.assembly.versality.mini_versal
+        report = verify_artifact(json.loads(canonical_json(build_artifact(*r))))
+        assert report.ok, report.lines()
+
+
 class TestRunCaseGuards:
     def test_unknown_case(self):
         with pytest.raises(EqunfoldError):
             d3.run_case("triple")
 
-    def test_factor_mismatch(self, simple_case, double_case):
+    def test_factor_mismatch(self, simple_point, double_point):
         with pytest.raises(EqunfoldError, match="needs"):
-            d3.run_case("simple", point=double_case.point)
+            d3.run_case("simple", point=double_point)
         with pytest.raises(EqunfoldError, match="needs"):
-            d3.run_case("double", point=simple_case.point)
+            d3.run_case("double", point=simple_point)
 
-    def test_coinciding_tau_s_and_tau_n(self, simple_case):
-        point = simple_case.point._replace(tau_s=simple_case.point.tau_n)
+    def test_coinciding_tau_s_and_tau_n(self, simple_point):
+        point = simple_point._replace(tau_s=simple_point.tau_n)
         with pytest.raises(EqunfoldError, match="^tau_s and tau_n coincide; unfolding lags "
                                                 "would collide$"):
             d3.run_case("simple", point=point)

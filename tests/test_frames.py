@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from equnfold import d3, frames, invariants
+from equnfold import d3, frames, invariants, unfolding
 from equnfold._linalg import EIG_MATCH_TOL, NULLSPACE_RCOND, null_basis
 from equnfold.delays import DelayOperator, bilinear_form, pairing_matrix
 from equnfold.errors import FrameError, RootFindingError
@@ -322,23 +322,23 @@ class TestEigenbasis:
         with pytest.raises(FrameError):
             eigenbasis(op, [0.5])
 
-    def test_seed_count_mismatch(self, simple_case):
+    def test_seed_count_mismatch(self, simple_case, simple_point):
         # the first-factor point has one-dimensional null spaces
         op = simple_case.op
-        lam = 1j * simple_case.point.omega1
+        lam = 1j * simple_point.omega1
         with pytest.raises(FrameError, match="multiplicit"):
             eigenbasis(op, [lam], seeds={0: [d3.U_SYM, d3.V_ROT]})
 
-    def test_seed_outside_null_space(self, double_case):
-        point = double_case.point
+    def test_seed_outside_null_space(self, double_case, double_point):
+        point = double_point
         op = double_case.op
         lam = 1j * point.omega1
         with pytest.raises(FrameError, match="null space"):
             eigenbasis(op, [lam], seeds={0: [d3.V_ROT, d3.U_SYM]})
 
-    def test_dependent_seeds_rejected(self, double_case):
+    def test_dependent_seeds_rejected(self, double_case, double_point):
         op = double_case.op
-        lam = 1j * double_case.point.omega1
+        lam = 1j * double_point.omega1
         with pytest.raises(FrameError, match="linearly dependent"):
             eigenbasis(op, [lam], seeds={0: [d3.V_ROT, 2 * d3.V_ROT]})
 
@@ -425,7 +425,7 @@ class TestFullGramOracle:
             calls.append((op, lambdas, seeds))
             raise _Recorded
 
-        monkeypatch.setattr(d3, "eigenbasis", recording)
+        monkeypatch.setattr(unfolding, "eigenbasis", recording)
         entry = FIXTURE_POINTS[case]
         point = None if index is None else d3.DoubleHopfPoint(
             factor=entry["factor"], beta=entry["beta"], tau_n=entry["tau_n"],
@@ -455,7 +455,7 @@ class TestFrameEvaluation:
             frame = eigenbasis(op, [find_root(op, seed).root for seed in (2j, -2j)])
             return frame, select_delays(frame)
         r = request.getfixturevalue(f"{request.param}_case")
-        return r.frame, r.delays
+        return r.frame, r.assembly.family.delays
 
     def test_phi_matches_the_per_vector_exponentials(self, case):
         frame, lags = case
@@ -467,9 +467,9 @@ class TestFrameEvaluation:
 
 
 class TestInduceRepresentation:
-    def test_trivial_group(self, simple_case):
+    def test_trivial_group(self, simple_case, simple_point):
         frame = eigenbasis(simple_case.op,
-                           [1j * simple_case.point.omega1, -1j * simple_case.point.omega1],
+                           [1j * simple_point.omega1, -1j * simple_point.omega1],
                            seeds={0: [d3.U_SYM], 1: [d3.U_SYM]})
         rep1 = close_generators([np.eye(3)])
         framed = induce_representation(frame, rep1)

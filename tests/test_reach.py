@@ -95,11 +95,11 @@ def unentered(root, calls, cwd):
                                      if key not in entered)
 
 
-def _subcommands(tmp_path, simple_case):
+def _subcommands(tmp_path, simple_point):
     """``cli.main`` calls that run every subcommand: unfold on both presets,
     ring3 and the masked d3:simple config, verify on each result (once with
     --tol and --report), double-hopf on the double fixture slice, curves."""
-    (tmp_path / "masked.json").write_text(json.dumps(_preset_config(simple_case)))
+    (tmp_path / "masked.json").write_text(json.dumps(_preset_config("simple", simple_point)))
     with open(os.path.join(FIXTURES, "double_hopf_points.json")) as fh:
         slice_ = json.load(fh)["double"]
     grid = slice_["omega_grid"]
@@ -119,8 +119,8 @@ def _subcommands(tmp_path, simple_case):
     return [["equnfold.cli", "main", [argv]] for argv in argvs]
 
 
-def test_every_function_in_src_is_run(tmp_path, simple_case):
-    calls = _subcommands(tmp_path, simple_case)
+def test_every_function_in_src_is_run(tmp_path, simple_point):
+    calls = _subcommands(tmp_path, simple_point)
     results, missed = unentered(PACKAGE, calls, tmp_path)
     assert results == [0] * len(calls)
     assert json.loads((tmp_path / "report.json").read_text())["ok"] is True

@@ -28,20 +28,21 @@ def _record_types():
     return found
 
 
-RECORDS = ("CheckResult", "D3CaseResult", "D3ModelParams", "DelayOperator", "DoubleHopfPoint",
+RECORDS = ("CheckResult", "D3ModelParams", "DelayOperator", "DoubleHopfPoint",
            "FiniteGroup", "GammaUnfolding", "OrbitGeometry", "Representation", "RootResult",
-           "SpectralFrame", "ThetaReport", "UnfoldingFamily",
+           "SpectralFrame", "ThetaReport", "UnfoldResult", "UnfoldingFamily",
            "VerificationReport", "VersalityReport")
 
 
 @pytest.fixture(scope="module")
-def records(simple_case, simple_artifact):
+def records(simple_case, simple_point, simple_artifact):
     """One instance of every record type, from the d3:simple pipeline."""
     r = simple_case
     frame, assembly = r.frame, r.assembly
     report = verify_artifact(simple_artifact)
     samples = {
-        "D3CaseResult": r, "DoubleHopfPoint": r.point, "D3ModelParams": r.point.params(),
+        "UnfoldResult": r, "DoubleHopfPoint": simple_point,
+        "D3ModelParams": simple_point.params(),
         "DelayOperator": r.op,
         "FiniteGroup": r.rep.group, "Representation": r.rep,
         "RootResult": find_root(r.op, frame.lambdas[0]), "SpectralFrame": frame,

@@ -473,7 +473,7 @@ def _assert_same_as_per_system_solves(frame, directions, assembly=None):
 def _ring_case(n):
     """``unfold --config`` on the n-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1)."""
     shift = np.roll(np.eye(n), 1, axis=0)
-    _, _, frame, assembly, _, _ = _run_config({
+    (_, _, frame, assembly), _, _ = _run_config({
         "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_complex(-np.eye(n))},
                                     {"delay": 1.0, "matrix": encode_complex(2.0 * shift)}]},
         "group": {"generators": [encode_complex(shift)]},
@@ -591,7 +591,7 @@ class TestStackedSolvesMatchPerSystemSolves:
         # the masks realize (that row zero) and generic ones, alone and mixed
         outcomes = set()
         for r in (simple_case, double_case):
-            frame, delays = r.frame, r.delays
+            frame, delays = r.frame, r.assembly.family.delays
             n, c, J = frame.op.n, frame.c, len(delays)
             Phis = [frame.Phi_at(-x) for x in delays]
             for _ in range(8):
@@ -706,17 +706,17 @@ class TestExponentialDelayMatrix:
 class TestSolveDelayRealization:
     def test_random_target(self, simple_case, rng):
         frame = simple_case.frame
-        delays = simple_case.delays
+        delays = simple_case.assembly.family.delays
         R = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         (As,) = solve_delay_realization(lag_basis(frame, delays)[0], R[None])
         recon = sum(A @ frame.Phi_at(-r) for A, r in zip(As, delays))
         assert np.max(np.abs(recon - R)) < 1e-9
 
-    def test_coincident_delays_rejected(self, simple_case):
+    def test_coincident_delays_rejected(self, simple_case, simple_point):
         # a lag that repeats another within LAG_MATCH_TOL is refused by name,
         # whatever the rank of the stacked basis
         frame = simple_case.frame
-        tau_s = simple_case.point.tau_s
+        tau_s = simple_point.tau_s
         for lags in ([0.0, tau_s, tau_s, 3.0], [0.0, tau_s, tau_s * (1 + 1e-15), 3.0]):
             with pytest.raises(UnfoldingError, match=r"^lags\[2\] = \S+ repeats an earlier lag$"):
                 lag_basis(frame, lags)
@@ -726,7 +726,7 @@ class TestSolveDelayRealization:
         # a raw single-column slot cannot be realized under the structural
         # masks in the double case: eight equations, six unknowns per row
         frame = double_case.frame
-        Phis = lag_basis(frame, double_case.delays)[0]
+        Phis = lag_basis(frame, double_case.assembly.family.delays)[0]
         R = double_case.assembly.r_matrices[:1]
         with pytest.raises(UnfoldingError, match="^target 0: sparsity mask infeasible"):
             solve_delay_realization(Phis, R, sparsity=d3.structure_masks())
@@ -734,7 +734,7 @@ class TestSolveDelayRealization:
     def test_empty_row(self, simple_case, rng):
         # row 1 is masked out at every lag: a zero target row gives a zero
         # coefficient row, a nonzero one is refused, naming its target
-        frame, delays = simple_case.frame, simple_case.delays
+        frame, delays = simple_case.frame, simple_case.assembly.family.delays
         Phis = lag_basis(frame, delays)[0]
         masks = [np.ones((3, 3), dtype=bool) for _ in delays]
         for m in masks:
@@ -752,7 +752,7 @@ class TestSolveDelayRealization:
             solve_delay_realization(Phis, np.array([R, bad]), sparsity=masks)
 
     def test_target_must_be_a_stack(self, simple_case):
-        Phis = lag_basis(simple_case.frame, simple_case.delays)[0]
+        Phis = lag_basis(simple_case.frame, simple_case.assembly.family.delays)[0]
         for R in (np.zeros((3, 4)), np.zeros((1, 3, 3))):
             with pytest.raises(StructuralError, match=r"^target shape .* != \(p, 3, 4\)$"):
                 solve_delay_realization(Phis, R)
@@ -771,8 +771,8 @@ class TestSolveDelayRealization:
 
 
 class TestAssembledPipeline:
-    def test_coinciding_lags_name_the_slots(self, simple_case):
-        p = simple_case.point
+    def test_coinciding_lags_name_the_slots(self, simple_case, simple_point):
+        p = simple_point
         with pytest.raises(UnfoldingError, match=r"^slots 0-3: lags\[2\] = \S+ repeats an earlier"):
             assemble_gamma_unfolding(simple_case.frame, simple_case.rep,
                                      [0.0, p.tau_s, p.tau_s, p.tau_n])
@@ -789,7 +789,8 @@ class TestAssembledPipeline:
         with pytest.raises(UnfoldingError,
                            match=r"^directions.projection_identity \(slot \d+\): residual"):
             assemble_gamma_unfolding(frame._replace(G=trivial), double_case.rep,
-                                     double_case.delays, sparsity=d3.structure_masks())
+                                     double_case.assembly.family.delays,
+                                     sparsity=d3.structure_masks())
 
     def test_tangent_space_projection_identity(self, double_case, rng):
         # the commutant projection maps the full tangent space onto the
@@ -818,7 +819,7 @@ class TestAssembledPipeline:
         # commutant projection of the center direction of A
         frame = double_case.frame
         rep = double_case.rep
-        tau_star = double_case.delays[2]
+        tau_star = double_case.assembly.family.delays[2]
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         lhs = equivariant_average(frame.G, frame.G,
                                   frame.psi @ A @ frame.Phi_at(-tau_star))
