@@ -21,13 +21,11 @@ import sys
 import numpy as np
 
 from . import d3
-from .delays import check_dims
 from .errors import EqunfoldError, SchemaError
 # eigenbasis is unused here, but bound: the benchmark's tracer self-test
 # checks that it wraps and restores cli.eigenbasis
-from .frames import ROOT_TOL, eigenbasis
-from .jsonio import (SCHEMA, build_artifact, decode_complex, document_errors, field, invalid,
-                     items, model_from_doc, number, pair_complex, read_json, rep_from_doc,
+from .frames import eigenbasis
+from .jsonio import (build_artifact, config_from_doc, points_to_doc, read_json, report_to_doc,
                      write_json_atomic, write_text_atomic)
 from .unfolding import unfold
 from .verify import DEFAULT_TOL, verify_artifact
@@ -125,21 +123,8 @@ def cmd_double_hopf(args):
         args.factor, args.beta, args.tau_n, omegas=args.omega_range, branches=args.branches,
         alpha_window=args.alpha_window, tau_s_window=args.tau_s_window,
     )
-    doc = {
-        "schema": SCHEMA,
-        "kind": "double-hopf-points",
-        "factor": args.factor,
-        "beta": args.beta,
-        "tau_n": args.tau_n,
-        "alpha_window": list(args.alpha_window),
-        "tau_s_window": list(args.tau_s_window),
-        "points": [
-            {"alpha": p.alpha, "tau_s": p.tau_s, "omega1": p.omega1,
-             "omega2": p.omega2, "residual": p.residual}
-            for p in points
-        ],
-    }
-    write_json_atomic(args.output, doc)
+    write_json_atomic(args.output, points_to_doc(points, args.factor, args.beta, args.tau_n,
+                                                 args.alpha_window, args.tau_s_window))
     print(f"found {len(points)} double-Hopf points; wrote {args.output}")
     for p in points:
         print(f"  alpha={p.alpha:.6f} tau_s={p.tau_s:.6f} "
@@ -147,80 +132,15 @@ def cmd_double_hopf(args):
     return EXIT_OK if points else EXIT_PIPELINE
 
 
-CONFIG_KEYS = ("model", "group", "lambda_seeds", "vector_seeds", "delays", "sparsity",
-               "tolerances")
-
-
-def _check_keys(doc, path, keys):
-    """A misspelled key would otherwise be ignored, and its default used."""
-    for key in doc:
-        if key not in keys:
-            raise SchemaError(f"unknown key {key!r} in {path}; expected one of {', '.join(keys)}")
-
-
-def _mask_entry(x, path):
-    if not (isinstance(x, int) and x in (0, 1)):      # a bool is an int
-        raise invalid(path, "0, 1, true or false", x)
-    return bool(x)
-
-
-def _mask(doc, path):
-    """A lag's 0/1 mask, or None for an unrestricted lag."""
-    if doc is None:
-        return None
-    rows = items(doc, path, lambda row, p: items(row, p, _mask_entry))
-    if len(set(map(len, rows))) > 1:
-        raise SchemaError(f"{path} has rows of different lengths")
-    return np.array(rows, dtype=bool)
-
-
-def _vectors(doc, path, n):
-    """A root seed's null vectors, the rows of an (m, n) array, or None."""
-    if doc is None:
-        return None
-    U = decode_complex(doc, path, 2)
-    if U.shape[1:] != (n,):
-        raise SchemaError(f"{path} must hold vectors of length n = {n}, got shape {U.shape}")
-    return U
-
-
 def _run_config(cfg, output="unfold.json"):
-    """Decode a config document and run :func:`~equnfold.unfolding.unfold`
-    on it; the result comes with the artifact's ``meta`` and the output path
-    ``output``, checked before the pipeline runs."""
-    if not isinstance(cfg, dict):
-        raise SchemaError("config must be a JSON object")
-    _check_keys(cfg, "config", CONFIG_KEYS)
+    """Run :func:`~equnfold.unfolding.unfold` on a config document, or on the
+    preset its ``lambda_seeds`` names; the result comes with the artifact's
+    ``meta`` and the output path ``output``, checked first."""
     output = _output_path(output)
-    seeds, seeds_path = field(cfg, "", "lambda_seeds")
-    if isinstance(seeds, str):
-        if seeds not in PRESETS:
-            raise invalid(seeds_path, f"{' or '.join(PRESETS)}, or a list of seeds", seeds)
-        # a preset string stands in for the whole document
-        for key in CONFIG_KEYS:
-            if key in cfg and key != "lambda_seeds":
-                raise SchemaError(f"preset lambda_seeds cannot be combined with {key!r}")
-        return _run_preset(seeds) + (output,)
-    op = model_from_doc(*field(cfg, "", "model"))
-    rep = rep_from_doc(*field(cfg, "", "group"))
-    with document_errors("group"):
-        check_dims(op, rep)
-    seeds = items(seeds, seeds_path, pair_complex)
-    vectors, path = field(cfg, "", "vector_seeds", [None] * len(seeds))
-    vectors = items(vectors, path, lambda doc, p: _vectors(doc, p, op.n))
-    if len(vectors) != len(seeds):
-        raise SchemaError(f"{path} has {len(vectors)} entries; lambda_seeds has {len(seeds)}")
-    tolerances, path = field(cfg, "", "tolerances", {})
-    root_tol = number(*field(tolerances, path, "root_tol", ROOT_TOL))
-    _check_keys(tolerances, path, ("root_tol",))
-    if not root_tol > 0:
-        raise SchemaError("tolerances must be positive")
-    # no lags: the pipeline selects them; no masks: every entry is free
-    delays = items(*field(cfg, "", "delays", []), number) or None
-    sparsity = items(*field(cfg, "", "sparsity", []), _mask) or None
-    result = unfold(op, rep, seeds, vector_seeds=vectors, delays=delays, sparsity=sparsity,
-                    root_tol=root_tol)
-    return result, {"source": "config"}, output
+    config = config_from_doc(cfg, PRESETS)
+    if isinstance(config, str):
+        return _run_preset(config) + (output,)
+    return unfold(**config), {"source": "config"}, output
 
 
 def _run_preset(preset):
@@ -247,21 +167,11 @@ def cmd_unfold(args):
 def cmd_verify(args):
     if args.report is not None:
         _output_path(args.report)
-    doc = read_json(args.artifact)
-    report = verify_artifact(doc, tol=args.tol)
+    report = verify_artifact(read_json(args.artifact), tol=args.tol)
     for line in report.lines():
         print(line)
     if args.report is not None:
-        out = {
-            "schema": SCHEMA,
-            "kind": "verification-report",
-            "ok": report.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-        }
-        write_json_atomic(args.report, out)
+        write_json_atomic(args.report, report_to_doc(report))
     print("all checks passed" if report.ok else
           f"{len(report.failed())} checks FAILED")
     return EXIT_OK if report.ok else EXIT_PIPELINE

@@ -8,9 +8,8 @@ acting on histories in C([-tau, 0], C^n) with tau = max r_k.  This is the
 point-mass specialization of the bounded-variation Stieltjes form; smooth
 distributed kernels are out of scope.
 
-Two evaluations of the adjoint bilinear form are provided: a closed form
-(exponentials integrate analytically) and a composite Gauss-Legendre
-quadrature used as an independent oracle in the test-suite.
+The adjoint bilinear form is taken in closed form: the exponentials
+integrate analytically.
 """
 
 from typing import NamedTuple

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class EqunfoldError(Exception):
     """Base class for all errors raised by this package."""
@@ -31,3 +33,13 @@ class UnfoldingError(EqunfoldError):
 
 class SchemaError(EqunfoldError):
     """A JSON document does not conform to the expected schema."""
+
+
+@contextlib.contextmanager
+def document_errors(path):
+    """A structural defect of the document at ``path`` (an empty model, a
+    non-square generator) as a schema error that names ``path``; a decorator too."""
+    try:
+        yield
+    except StructuralError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc

@@ -255,7 +255,8 @@ def eigenbasis(op, lambdas, seeds=None):
     unseeded root takes the conjugates of an earlier conjugate root's.  The
     adjoint pairing of two distinct roots' eigenspaces vanishes, so each
     root's rows are renormalized by the inverse of its own Gram block
-    (W, U), and (Psi, Phi) = I holds.
+    (W, U), a diagonal block of one pairing over all roots, and
+    (Psi, Phi) = I holds.
 
     Raises
     ------
@@ -282,10 +283,13 @@ def eigenbasis(op, lambdas, seeds=None):
         blocks.append(tuple(a.conj() for a in mirror) if mirror else
                       _null_pair(op, lam, seeds.get(i), invariants.char_scale(norm_sum, lam)))
 
+    lams = [lam for lam, (U, _) in zip(lambdas, blocks) for _ in U]
+    phi = np.concatenate([U for U, _ in blocks])
+    K = pairing_matrix(np.concatenate([W for _, W in blocks]), lams, phi, lams, op)
     psi = []
     for lam, (U, W) in zip(lambdas, blocks):
-        m = len(U)
-        Kb = pairing_matrix(W, [lam] * m, U, [lam] * m, op)
+        m, k = len(U), len(psi)       # the root's rows start after the earlier roots'
+        Kb = K[k:k + m, k:k + m]
         # the pairing of a null pair is w Delta'(lam) u: rank it against the
         # size of that product, since a block of one is its own reference
         size = deriv_size * max(np.linalg.norm(w) * np.linalg.norm(u) for w, u in zip(W, U))
@@ -298,9 +302,7 @@ def eigenbasis(op, lambdas, seeds=None):
         Kbi = np.linalg.inv(Kb)
         psi.extend(sum(Kbi[r, s] * W[s] for s in range(m)) for r in range(m))
 
-    lams = [lam for lam, (U, _) in zip(lambdas, blocks) for _ in U]
     B = np.diag(np.array(lams, dtype=complex))
-    phi = np.array([u for U, _ in blocks for u in U])
     frame = SpectralFrame(op=op, lambdas=tuple(lams), phi=phi, psi=np.array(psi), B=B)
 
     invariants.check("frame.gram_identity", frame)

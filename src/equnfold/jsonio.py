@@ -1,13 +1,12 @@
-"""JSON interchange: canonical serialization and the artifact schema.
-
-Complex numbers travel as two-element ``[re, im]`` arrays; matrices as
-nested arrays of such pairs.  Serialization is canonical: keys sorted,
-floats printed with 17 significant digits (full round-trip precision), no
-incidental whitespace, so identical inputs produce byte-identical files.
-Writes go through a temp-file rename and are atomic.
+"""JSON interchange: the one module that knows a document's format, for the
+``unfold`` config, the artifact, and the ``double-hopf`` and ``verify
+--report`` documents.  Complex numbers travel as two-element ``[re, im]``
+arrays; matrices as nested arrays of such pairs.  Serialization is
+canonical: keys sorted, floats printed with 17 significant digits (full
+round-trip precision), no incidental whitespace, so identical inputs produce
+byte-identical files.  Writes go through a temp-file rename and are atomic.
 """
 
-import contextlib
 import functools
 import itertools
 import json
@@ -17,10 +16,11 @@ import tempfile
 
 import numpy as np
 
-from .delays import DelayOperator
-from .errors import SchemaError, StructuralError
-from .frames import SpectralFrame
+from .delays import DelayOperator, check_dims
+from .errors import SchemaError, document_errors
+from .frames import ROOT_TOL, SpectralFrame
 from .groups import Representation, close_generators
+from .unfolding import UnfoldingFamily, check_lags
 
 SCHEMA = "equivar-unfold/1"
 
@@ -235,16 +235,6 @@ def decode_complex(doc, path, ndim):
 
 # ------------------------------------------------------------ domain codecs
 
-@contextlib.contextmanager
-def document_errors(path):
-    """Report a structural defect of the document at ``path`` (an empty model,
-    a non-square generator) as a schema error that names ``path``; a decorator too."""
-    try:
-        yield
-    except StructuralError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-
-
 def decode_cmatrix_stack(doc, path, shape=None):
     """A non-empty list of finite complex matrices of one shape (``shape``,
     else the first matrix's) as a stack.  Shapes are compared before
@@ -316,11 +306,93 @@ def frame_from_doc(doc, op, group, path="frame"):
                          psi=np.array(psis).reshape(c, op.n), B=B, G=G)
 
 
+# ------------------------------------------------------------------- config
+
+CONFIG_KEYS = ("model", "group", "lambda_seeds", "vector_seeds", "delays", "sparsity",
+               "tolerances")
+
+
+def _check_keys(doc, path, keys):
+    """A misspelled key would otherwise be ignored, and its default used."""
+    for key in doc:
+        if key not in keys:
+            raise SchemaError(f"unknown key {key!r} in {path}; expected one of {', '.join(keys)}")
+
+
+def _mask_entry(x, path):
+    if not (isinstance(x, int) and x in (0, 1)):      # a bool is an int
+        raise invalid(path, "0, 1, true or false", x)
+    return bool(x)
+
+
+def _mask(doc, path):
+    """A lag's 0/1 mask, or None for an unrestricted lag."""
+    if doc is None:
+        return None
+    rows = items(doc, path, lambda row, p: items(row, p, _mask_entry))
+    if len(set(map(len, rows))) > 1:
+        raise SchemaError(f"{path} has rows of different lengths")
+    return np.array(rows, dtype=bool)
+
+
+def _vectors(doc, path, n):
+    """A root seed's null vectors, the rows of an (m, n) array, or None."""
+    if doc is None:
+        return None
+    U = decode_complex(doc, path, 2)
+    if U.shape[1:] != (n,):
+        raise SchemaError(f"{path} must hold vectors of length n = {n}, got shape {U.shape}")
+    return U
+
+
+def config_from_doc(cfg, presets):
+    """The keyword arguments of :func:`~equnfold.unfolding.unfold` that a
+    config document holds; or its ``lambda_seeds`` string, one of
+    ``presets``, which stands in for the whole document."""
+    if not isinstance(cfg, dict):
+        raise SchemaError("config must be a JSON object")
+    _check_keys(cfg, "config", CONFIG_KEYS)
+    seeds, seeds_path = field(cfg, "", "lambda_seeds")
+    if isinstance(seeds, str):
+        if seeds not in presets:
+            raise invalid(seeds_path, f"{' or '.join(presets)}, or a list of seeds", seeds)
+        for key in CONFIG_KEYS:
+            if key in cfg and key != "lambda_seeds":
+                raise SchemaError(f"preset lambda_seeds cannot be combined with {key!r}")
+        return seeds
+    op = model_from_doc(*field(cfg, "", "model"))
+    rep = rep_from_doc(*field(cfg, "", "group"))
+    with document_errors("group"):
+        check_dims(op, rep)
+    seeds = items(seeds, seeds_path, pair_complex)
+    vectors, path = field(cfg, "", "vector_seeds", [None] * len(seeds))
+    vectors = items(vectors, path, lambda doc, p: _vectors(doc, p, op.n))
+    if len(vectors) != len(seeds):
+        raise SchemaError(f"{path} has {len(vectors)} entries; lambda_seeds has {len(seeds)}")
+    tolerances, path = field(cfg, "", "tolerances", {})
+    root_tol = number(*field(tolerances, path, "root_tol", ROOT_TOL))
+    _check_keys(tolerances, path, ("root_tol",))
+    if not root_tol > 0:
+        raise SchemaError("tolerances must be positive")
+    # no lags: the pipeline selects them; no masks: every entry is free
+    delays = items(*field(cfg, "", "delays", []), number) or None
+    sparsity = items(*field(cfg, "", "sparsity", []), _mask) or None
+    return {"op": op, "rep": rep, "lambda_seeds": seeds, "vector_seeds": vectors,
+            "delays": delays, "sparsity": sparsity, "root_tol": root_tol}
+
+
+# ----------------------------------------------------------------- artifact
+
+# the stored decisions (report.versality.<key>, with their readers) that the
+# lines versality.span and versality.mini compare with the recomputed ones
+SPAN_FIELDS = {"versal": boolean, "commutant_dim": integer, "tangent_dim": integer,
+               "achieved_rank": integer, "n_directions": integer}
+MINI_FIELDS = {"mini_versal": boolean, "codimension": integer}
+
+
 def build_artifact(op, rep, frame, assembly, meta=None):
     """Assemble the cmd-unfold output document."""
-    fam = assembly.family
-    theta = assembly.theta
-    ver = assembly.versality
+    fam, theta, ver = assembly.family, assembly.theta, assembly.versality
     doc = {
         "schema": SCHEMA,
         "model": model_to_doc(op),
@@ -338,19 +410,71 @@ def build_artifact(op, rep, frame, assembly, meta=None):
             "selected_rows": [int(i) for i in theta.selected_rows],
             "rank": int(theta.rank),
         },
-        "report": {
-            "versality": {
-                "versal": bool(ver.versal),
-                "mini_versal": bool(ver.mini_versal),
-                "commutant_dim": int(ver.commutant_dim),
-                "tangent_dim": int(ver.tangent_dim),
-                "codimension": int(ver.codimension),
-                "achieved_rank": int(ver.achieved_rank),
-                "n_directions": int(ver.n_directions),
-                "max_equivariance_residual": float(ver.max_equivariance_residual),
-            },
-        },
+        # each stored decision is written as the type that its reader takes
+        "report": {"versality": {
+            **{key: (bool if read is boolean else int)(getattr(ver, key))
+               for key, read in (SPAN_FIELDS | MINI_FIELDS).items()},
+            "max_equivariance_residual": float(ver.max_equivariance_residual)}},
     }
     if meta:
         doc["meta"] = meta
     return doc
+
+
+def parse_artifact(doc):
+    """The artifact's ``(op, rep, frame, family, selected, theta, stored)``,
+    ``stored`` its decisions by JSON path; a violation raises SchemaError."""
+    if not isinstance(doc, dict):
+        raise SchemaError("artifact must be a JSON object")
+    if doc.get("schema") != SCHEMA:
+        raise SchemaError(f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA!r}")
+    op = model_from_doc(*field(doc, "", "model"))
+    rep = rep_from_doc(*field(doc, "", "group"))
+    with document_errors("group"):
+        check_dims(op, rep)
+    frame = frame_from_doc(field(doc, "", "frame")[0], op, rep.group)
+
+    unf = field(doc, "", "unfolding")
+    delays = items(*field(*unf, "delays"), number)
+    check_lags(delays, op.tau, "unfolding.delays", SchemaError)
+    names = items(*field(*unf, "parameters"), string)
+    directions = items(*field(*unf, "coefficients"),
+                       lambda row, p: decode_cmatrix_stack(row, p, shape=(op.n, op.n)))
+    selected = items(*field(*unf, "selected_rows"), integer)
+    if len(selected) != len(names):
+        raise SchemaError("unfolding.selected_rows must list one slot per parameter")
+    if len(set(selected)) != len(selected):
+        raise SchemaError(f"unfolding.selected_rows {selected} must be distinct")
+    theta_doc = field(doc, "", "theta")
+    theta = decode_complex(*field(*theta_doc, "matrix"), 2)
+    stored = {"theta.selected_rows": tuple(items(*field(*theta_doc, "selected_rows"), integer)),
+              "theta.rank": integer(*field(*theta_doc, "rank"))}
+    versality = field(*field(doc, "", "report"), "versality")
+    for key, read in (SPAN_FIELDS | MINI_FIELDS).items():
+        value, path = field(*versality, key)
+        stored[path] = read(value, path)
+
+    with document_errors("unfolding"):
+        family = UnfoldingFamily(base=op, delays=delays, directions=directions, names=names)
+    return op, rep, frame, family, selected, theta, stored
+
+
+# ------------------------------------------------------------------ outputs
+
+POINT_FIELDS = ("alpha", "tau_s", "omega1", "omega2", "residual")
+
+
+def points_to_doc(points, factor, beta, tau_n, alpha_window, tau_s_window):
+    """The ``double-hopf`` output document: the slice searched and the
+    points found there."""
+    return {"schema": SCHEMA, "kind": "double-hopf-points", "factor": factor, "beta": beta,
+            "tau_n": tau_n, "alpha_window": list(alpha_window),
+            "tau_s_window": list(tau_s_window),
+            "points": [{key: getattr(p, key) for key in POINT_FIELDS} for p in points]}
+
+
+def report_to_doc(report):
+    """The ``verify --report`` output document: every check line of a
+    :class:`~equnfold.verify.VerificationReport`."""
+    return {"schema": SCHEMA, "kind": "verification-report", "ok": report.ok,
+            "checks": [c._asdict() for c in report.checks]}

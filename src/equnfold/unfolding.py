@@ -25,10 +25,9 @@ from . import invariants
 from ._linalg import (RANK_RCOND, REALIZATION_TOL, ad_matrix, eigen_groups, lstsq, rank,
                       same_lag, scaled, svd_rank)
 from .delays import DelayOperator
-from .errors import StructuralError, UnfoldingError
+from .errors import StructuralError, UnfoldingError, document_errors
 from .frames import ROOT_TOL, SpectralFrame, critical_roots, eigenbasis, induce_representation
 from .groups import Representation, commutant_basis, equivariant_average
-from .jsonio import document_errors
 
 DIAG_TOL = 1e-12       # max off-diagonal magnitude for "B is diagonal"
 CONJ_PAIR_TOL = 1e-9           # relative gap of a conjugate direction pair

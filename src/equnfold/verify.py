@@ -4,22 +4,13 @@ so a perturbed coefficient or a dropped direction fails a named check."""
 
 from typing import NamedTuple
 
-from .delays import check_dims
-from .errors import EqunfoldError, SchemaError
+from .errors import EqunfoldError
 from .invariants import DEFAULT_TOL, INVARIANTS, CheckResult
-from .jsonio import (SCHEMA, boolean, decode_cmatrix_stack, decode_complex, document_errors,
-                     field, frame_from_doc, integer, items, model_from_doc, number,
-                     rep_from_doc, string)
+from .jsonio import MINI_FIELDS, SPAN_FIELDS, parse_artifact
 # orbit_geometry is unused here, but bound: the benchmark's tracer self-test
 # checks that it wraps and restores verify.orbit_geometry
-from .unfolding import (UnfoldingFamily, center_directions, check_lags,  # noqa: F401
-                        orbit_geometry, slot_stacks, verify_gamma_versality)
-
-# the stored decisions (report.versality.<key>, with their readers) that the
-# lines versality.span and versality.mini compare with the recomputed ones
-SPAN_FIELDS = {"versal": boolean, "commutant_dim": integer, "tangent_dim": integer,
-               "achieved_rank": integer, "n_directions": integer}
-MINI_FIELDS = {"mini_versal": boolean, "codimension": integer}
+from .unfolding import (center_directions, orbit_geometry, slot_stacks,  # noqa: F401
+                        verify_gamma_versality)
 
 
 class VerificationReport(NamedTuple):
@@ -34,43 +25,6 @@ class VerificationReport(NamedTuple):
 
     def lines(self):
         return [f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in self.checks]
-
-
-def parse_artifact(doc):
-    """Decode the artifact document; schema violations raise SchemaError."""
-    if not isinstance(doc, dict):
-        raise SchemaError("artifact must be a JSON object")
-    if doc.get("schema") != SCHEMA:
-        raise SchemaError(f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA!r}")
-    op = model_from_doc(*field(doc, "", "model"))
-    rep = rep_from_doc(*field(doc, "", "group"))
-    with document_errors("group"):
-        check_dims(op, rep)
-    frame = frame_from_doc(field(doc, "", "frame")[0], op, rep.group)
-
-    unf = field(doc, "", "unfolding")
-    delays = items(*field(*unf, "delays"), number)
-    check_lags(delays, op.tau, "unfolding.delays", SchemaError)
-    names = items(*field(*unf, "parameters"), string)
-    directions = items(*field(*unf, "coefficients"),
-                       lambda row, p: decode_cmatrix_stack(row, p, shape=(op.n, op.n)))
-    selected = items(*field(*unf, "selected_rows"), integer)
-    if len(selected) != len(names):
-        raise SchemaError("unfolding.selected_rows must list one slot per parameter")
-    if len(set(selected)) != len(selected):
-        raise SchemaError(f"unfolding.selected_rows {selected} must be distinct")
-    theta_doc = field(doc, "", "theta")
-    theta = decode_complex(*field(*theta_doc, "matrix"), 2)
-    stored = {"theta.selected_rows": tuple(items(*field(*theta_doc, "selected_rows"), integer)),
-              "theta.rank": integer(*field(*theta_doc, "rank"))}
-    versality = field(*field(doc, "", "report"), "versality")
-    for key, read in (SPAN_FIELDS | MINI_FIELDS).items():
-        value, path = field(*versality, key)
-        stored[path] = read(value, path)
-
-    with document_errors("unfolding"):
-        family = UnfoldingFamily(base=op, delays=delays, directions=directions, names=names)
-    return op, rep, frame, family, selected, theta, stored
 
 
 def _decision(name, passed, detail, stored, expected):

@@ -1,7 +1,9 @@
+import cmath
 import copy
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from equnfold import cli, d3, frames, unfolding
-from equnfold import verify as verify_module
+from equnfold import cli, d3, frames, jsonio, unfolding
 from equnfold.cli import main
 from equnfold.frames import find_root
 from equnfold.groups import close_generators, equivariant_average
@@ -47,6 +48,19 @@ def test_cli_import_loads_no_scipy():
     # what importing the CLI loads
     code = ("import sys, equnfold.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'dataclasses')))")
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": package_root})
+    assert out.stdout.strip() == "[]"
+
+
+def test_pipeline_loads_no_document_module():
+    # the pipeline knows no document format: jsonio reads and writes every
+    # document, and verify and cli sit above it; only a fresh interpreter
+    # shows what importing the pipeline loads
+    code = ("import sys, equnfold.unfolding, equnfold.d3; "
+            "print(sorted(m for m in sys.modules "
+            "if m in ('equnfold.jsonio', 'equnfold.verify', 'equnfold.cli')))")
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": package_root})
@@ -305,6 +319,41 @@ class TestDoubleHopf:
                     "--output", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["points"] == entry["points"]
+
+    @pytest.mark.parametrize("case, extra", [("simple", 7), ("double", 2)])
+    def test_branches_beyond_3_add_points_in_the_window(self, tmp_path, case, extra):
+        # branch k holds tau_s = (theta + 2 pi k) / omega, theta in (-pi, pi], so
+        # above omega ~ 2.2 branches 4 and up reach tau_s <= 10 too: the default
+        # 0..3, which the fixture pins, misses their points; 0..8 keeps every
+        # default point bit for bit and adds these
+        entry = FIXTURE_POINTS[case]
+        grid = entry["omega_grid"]
+        out = tmp_path / "dh.json"
+        assert run(["double-hopf", "--factor", entry["factor"],
+                    "--beta", repr(entry["beta"]), "--tau-n", repr(entry["tau_n"]),
+                    "--omega-range", f"{grid['start']}:{grid['stop']}:{grid['step']}",
+                    "--branches", "0..8", "--output", str(out)]) == 0
+        points = json.loads(out.read_text())["points"]
+        assert all(p in points for p in entry["points"])
+        more = [p for p in points if p not in entry["points"]]
+        assert len(more) == len(points) - len(entry["points"]) == extra
+        beta, tau_n = entry["beta"], entry["tau_n"]
+        c = {"delta1": 2.0, "delta2": -1.0}[entry["factor"]]
+        for p in more:
+            assert entry["alpha_window"][0] <= p["alpha"] <= entry["alpha_window"][1]
+            assert entry["tau_s_window"][0] < p["tau_s"] <= entry["tau_s_window"][1]
+            branches = []
+            for omega in (p["omega1"], p["omega2"]):
+                # the factor lam + 1 - alpha e^{-lam tau_s} - c beta e^{-lam tau_n}
+                # at lam = i omega, in scalar complex arithmetic
+                lam = 1j * omega
+                assert abs(lam + 1.0 - p["alpha"] * cmath.exp(-lam * p["tau_s"])
+                           - c * beta * cmath.exp(-lam * tau_n)) < 1e-9
+                # alpha e^{i theta} = conj(1 + i omega - c beta e^{-i omega tau_n})
+                theta = cmath.phase((1.0 - 1j * omega - c * beta * cmath.exp(1j * omega * tau_n))
+                                    / p["alpha"])
+                branches.append(round((omega * p["tau_s"] - theta) / (2 * math.pi)))
+            assert max(branches) >= 4, (p, branches)
 
     def test_writes_points(self, tmp_path):
         out = tmp_path / "dh.json"
@@ -1314,7 +1363,7 @@ class TestVerify:
         assert run(["verify", str(path)]) == 2
         assert capsys.readouterr().err == (f"schema error: unfolding.delays[3] = {lag} lies "
                                            "outside the history horizon [0, 4.0]\n")
-        monkeypatch.setattr(verify_module, "check_lags", lambda *args: None)
+        monkeypatch.setattr(jsonio, "check_lags", lambda *args: None)
         assert run(["verify", str(path)]) == 0
 
     def test_single_field_mutations_exit_cleanly(self, tmp_path, simple_artifact):

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from equnfold.delays import DelayOperator
 from equnfold.errors import SchemaError
-from equnfold.jsonio import (canonical_json, decode_complex, encode_complex, frame_from_doc,
+from equnfold.jsonio import (MINI_FIELDS, SPAN_FIELDS, build_artifact, canonical_json,
+                             config_from_doc, decode_complex, encode_complex, frame_from_doc,
                              frame_to_doc, items, model_from_doc, model_to_doc, pair_complex,
-                             rep_from_doc, rep_to_doc)
+                             parse_artifact, rep_from_doc, rep_to_doc)
+from equnfold.unfolding import unfold
 
-from conftest import random_complex
+from conftest import random_complex, same_bits
+from test_cli import FIXTURES
 
 
 class TestValueCodecs:
@@ -73,6 +76,42 @@ class TestFrameCodec:
         assert np.max(np.abs(frame2.gram() - np.eye(frame.c))) < 1e-9
         for g in double_case.rep.group.elements():
             assert np.array_equal(frame2.G.matrices[g], frame.G.matrices[g])
+
+
+def same_stored_bits(a, b):
+    """Whether two complex arrays have the same bits but for the sign of a
+    zero: canonical JSON writes -0.0 as ``-0``, which reads back as 0."""
+    return same_bits(np.asarray(a, dtype=complex) + 0.0, np.asarray(b, dtype=complex) + 0.0)
+
+
+class TestArtifactCodec:
+    @pytest.fixture(scope="class")
+    def ring3_result(self):
+        with open(f"{FIXTURES}/ring3_config.json") as fh:
+            return unfold(**config_from_doc(json.load(fh), ()))
+
+    @pytest.mark.parametrize("case", ["simple_case", "double_case", "ring3_result"])
+    def test_roundtrip_returns_every_stored_array_bit_for_bit(self, request, case):
+        op, rep, frame, assembly = request.getfixturevalue(case)
+        text = canonical_json(build_artifact(op, rep, frame, assembly))
+        op2, rep2, frame2, family, selected, theta, stored = parse_artifact(json.loads(text))
+        assert op2.n == op.n and len(op2.terms) == len(op.terms)
+        for (r, A), (r2, A2) in zip(op.terms, op2.terms):
+            assert r2 == r and same_stored_bits(A2, A)
+        assert same_stored_bits(rep2.matrices, rep.matrices)
+        assert rep2.group.generator_indices == rep.group.generator_indices
+        for name in ("lambdas", "phi", "psi", "B"):
+            assert same_stored_bits(getattr(frame2, name), getattr(frame, name)), name
+        assert same_stored_bits(frame2.G.matrices, frame.G.matrices)
+        fam = assembly.family
+        assert (family.delays, family.names) == (fam.delays, fam.names)
+        assert same_stored_bits(family.directions, fam.directions)
+        assert same_stored_bits(theta, assembly.theta.theta)
+        ver, rows = assembly.versality, tuple(assembly.theta.selected_rows)
+        assert tuple(selected) == rows
+        assert stored == {"theta.selected_rows": rows, "theta.rank": assembly.theta.rank,
+                          **{f"report.versality.{key}": getattr(ver, key)
+                             for key in SPAN_FIELDS | MINI_FIELDS}}
 
 
 class TestCanonicalText:
