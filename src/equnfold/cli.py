@@ -36,9 +36,6 @@ EXIT_USAGE = 2
 EXIT_NOT_MINIMAL = 3
 
 
-PRESETS = ("d3:simple", "d3:double")
-
-
 # Flag values are read by argparse ``type=`` functions: a bad value exits 2
 # with a message that argparse prefixes with the flag's name.
 
@@ -132,12 +129,12 @@ def cmd_double_hopf(args):
     return EXIT_OK if points else EXIT_PIPELINE
 
 
-def _run_config(cfg, output="unfold.json"):
+def _run_config(cfg, output):
     """Run :func:`~equnfold.unfolding.unfold` on a config document, or on the
     preset its ``lambda_seeds`` names; the result comes with the artifact's
     ``meta`` and the output path ``output``, checked first."""
     output = _output_path(output)
-    config = config_from_doc(cfg, PRESETS)
+    config = config_from_doc(cfg)
     if isinstance(config, str):
         return _run_preset(config) + (output,)
     return unfold(**config), {"source": "config"}, output
@@ -146,7 +143,7 @@ def _run_config(cfg, output="unfold.json"):
 def _run_preset(preset):
     """A preset's result, at the first point of its case's default slice,
     and the ``meta`` that names the preset and the point."""
-    case = preset.split(":")[1]
+    case = d3.PRESETS[preset]
     point = d3.default_point(case)
     meta = {"preset": preset,
             "point": {k: v for k, v in point._asdict().items() if k != "residual"}}
@@ -215,7 +212,7 @@ def build_parser():
     c.add_argument("--tau-n", dest="tau_n", type=_lag, required=True)
     c.add_argument("--omega-range", dest="omega_range", type=_parse_range, required=True,
                    metavar="A:B:STEP")
-    c.add_argument("--branches", type=_parse_branches, default="0..3", metavar="K..L")
+    c.add_argument("--branches", type=_parse_branches, default=d3.BRANCHES, metavar="K..L")
     c.add_argument("--output", default="curves.csv")
     c.set_defaults(func=cmd_curves)
 
@@ -223,20 +220,22 @@ def build_parser():
     h.add_argument("--factor", choices=("delta1", "delta2"), required=True)
     h.add_argument("--beta", type=_finite, required=True)
     h.add_argument("--tau-n", dest="tau_n", type=_lag, required=True)
+    # a default that is not a string reaches the command as it is: d3's own
     h.add_argument("--omega-range", dest="omega_range", type=_parse_range,
-                   default="0.05:5:0.005", metavar="A:B:STEP")
-    h.add_argument("--branches", type=_parse_branches, default="0..3", metavar="K..L")
+                   default=d3.OMEGA_GRID, metavar="A:B:STEP")
+    h.add_argument("--branches", type=_parse_branches, default=d3.BRANCHES, metavar="K..L")
     # argparse reads a value that starts with "-" and is not a number as a flag
-    h.add_argument("--alpha-window", dest="alpha_window", type=_parse_window, default="-4:4",
-                   metavar="A:B", help="a negative A needs the = form: --alpha-window=-3:3")
+    h.add_argument("--alpha-window", dest="alpha_window", type=_parse_window,
+                   default=d3.ALPHA_WINDOW, metavar="A:B",
+                   help="a negative A needs the = form: --alpha-window=-3:3")
     h.add_argument("--tau-s-window", dest="tau_s_window", type=_parse_lag_window,
-                   default="0:10", metavar="A:B", help="tau_s in (A, B], with A >= 0")
+                   default=d3.TAU_S_WINDOW, metavar="A:B", help="tau_s in (A, B], with A >= 0")
     h.add_argument("--output", default="double_hopf.json")
     h.set_defaults(func=cmd_double_hopf)
 
     u = sub.add_parser("unfold", help="run the unfolding pipeline (JSON artifact)")
     source = u.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", choices=PRESETS,
+    source.add_argument("--preset", choices=d3.PRESETS,
                         help='a worked case; the config {"lambda_seeds": PRESET}')
     source.add_argument("--config", help="JSON config file")
     u.add_argument("--output", default="unfold.json")

@@ -112,7 +112,16 @@ def _hopf_angles(factor, omega, beta, tau_n):
     return {1: (alpha, np.arctan2(S, C)), -1: (-alpha, np.arctan2(-S, -C))}
 
 
-def sweep_curves(factor, beta, tau_n, omegas, branches=(0, 1, 2, 3)):
+# the default search of locate_double_hopf and of ``equnfold double-hopf``
+# (``--branches`` also of ``equnfold curves``); read-only, since it is shared
+OMEGA_GRID = np.arange(0.05, 5.0, 0.005)
+OMEGA_GRID.flags.writeable = False
+BRANCHES = (0, 1, 2, 3)
+ALPHA_WINDOW = (-4.0, 4.0)
+TAU_S_WINDOW = (0.0, 10.0)
+
+
+def sweep_curves(factor, beta, tau_n, omegas, branches=BRANCHES):
     """Sample the requested curve branches of both signs.
 
     Returns a dict keyed by (sign, branch), sign 1 first, whose values are
@@ -403,8 +412,8 @@ def find_double_hopf(factor, beta, tau_n, seed):
                            tau_s=x[1], omega1=o1, omega2=o2, residual=res)
 
 
-def locate_double_hopf(factor, beta, tau_n, omegas=None, branches=(0, 1, 2, 3),
-                       alpha_window=(-4.0, 4.0), tau_s_window=(0.0, 10.0)):
+def locate_double_hopf(factor, beta, tau_n, omegas=OMEGA_GRID, branches=BRANCHES,
+                       alpha_window=ALPHA_WINDOW, tau_s_window=TAU_S_WINDOW):
     """Sweep curve branches, intersect them, refine every crossing.
 
     ``omegas`` is a uniform grid: finite, positive, strictly increasing, each
@@ -420,8 +429,6 @@ def locate_double_hopf(factor, beta, tau_n, omegas=None, branches=(0, 1, 2, 3),
         raise EqunfoldError(f"tau_n = {tau_n} is negative; a lag is never negative")
     if tau_s_window[0] < 0:
         raise EqunfoldError(f"tau_s_window starts at {tau_s_window[0]}; a lag is never negative")
-    if omegas is None:
-        omegas = np.arange(0.05, 5.0, 0.005)
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or len(omegas) < 2:
         raise EqunfoldError("the omega grid needs at least two samples")
@@ -480,6 +487,8 @@ _CASE_DEFAULTS = {
     "double": dict(factor="delta2", beta=0.5, tau_n=3.0,
                    vectors=[[V_ROT, V_ROT.conj()], [V_ROT.conj(), V_ROT]] * 2),
 }
+# the ``unfold --preset`` names, each with its case
+PRESETS = {f"d3:{case}": case for case in _CASE_DEFAULTS}
 
 
 def default_point(case):
@@ -491,17 +500,15 @@ def default_point(case):
     return pts[0]
 
 
-def run_case(case, point=None):
+def run_case(case, point):
     """The unfolding at a double-Hopf point of the case's factor (the first
-    for "simple", c = 4; the second for "double", c = 8), by default its
+    for "simple", c = 4; the second for "double", c = 8), such as its
     :func:`default_point`.  The case is a config for
     :func:`~equnfold.unfolding.unfold`: the model, the triangle group, the
     roots +-i omega_1, +-i omega_2 with the null vectors that fix the basis
     and its order, :func:`default_delays` and :func:`structure_masks`."""
     if case not in _CASE_DEFAULTS:
         raise EqunfoldError(f"unknown case {case!r}")
-    if point is None:
-        point = default_point(case)
     cfg = _CASE_DEFAULTS[case]
     if point.factor != cfg["factor"]:
         raise EqunfoldError(f"case {case!r} needs a {cfg['factor']} point, got {point.factor}")

@@ -12,15 +12,8 @@ class StructuralError(EqunfoldError):
 
 
 class RootFindingError(EqunfoldError):
-    """Characteristic-root iteration failed to converge.
-
-    Carries the last iterate and its residual so callers can reseed.
-    """
-
-    def __init__(self, message, last_iterate=None, residual=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
+    """Characteristic-root iteration failed to converge; the message names
+    the last iterate and its |det|."""
 
 
 class FrameError(EqunfoldError):

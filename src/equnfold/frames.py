@@ -27,7 +27,7 @@ from .errors import FrameError, RootFindingError
 from .groups import Representation
 
 DERIV_FLOOR = 1e-14        # |d det| below this: suspected multiple root, use the secant
-ROOT_TOL = 1e-12           # |det| or relative Newton step of a converged root
+ROOT_TOL = 1e-12           # relative Newton step of a converged root; the default |det| floor
 SECANT_STEP = 1e-6         # relative offset of the secant fallback's second point
 SIGNIFICANT_RCOND = 1e-12  # a component below this times max |v| is not significant
 
@@ -69,16 +69,18 @@ def find_root(op, lam0, tol=ROOT_TOL, max_iter=100):
     to a secant method started from a perturbed point.
 
     The iteration stops when ``|det| < tol`` or when a Newton step is at
-    most ``tol * max(1, |lam|)``.  The second test is what converges on
+    most ``ROOT_TOL * max(1, |lam|)``.  The second test is what converges on
     large systems: det Delta grows roughly geometrically with the dimension,
     so at a root its rounding floor can sit far above any absolute ``tol``.
+    ``tol`` is the first test's floor only: a model in a slow time unit,
+    whose det is small everywhere, lowers it and keeps the step test.
 
     Raises
     ------
     RootFindingError
         After ``max_iter`` steps without either test passing, or at the first
         iterate where lam or det Delta(lam) is not finite (an overflowed
-        exponential); the exception carries the last iterate.
+        exponential); the message names the last iterate.
     """
     with np.errstate(all="ignore"):     # overflow is caught as a non-finite iterate
         lam = complex(lam0)
@@ -101,14 +103,12 @@ def find_root(op, lam0, tol=ROOT_TOL, max_iter=100):
             lam = lam - step
             D = op.char_matrix(lam)
             f = np.linalg.det(D)
-            if abs(step) <= tol * max(1.0, abs(lam)):
+            if abs(step) <= ROOT_TOL * max(1.0, abs(lam)):
                 _require_finite_iterate(lam, f, it + 1)
                 return RootResult(root=lam, residual=abs(f), iterations=it + 1,
                                   used_secant=False)
     raise RootFindingError(
-        f"no convergence after {max_iter} iterations; last iterate {lam} with |det| = {abs(f):.3e}",
-        last_iterate=lam, residual=abs(f),
-    )
+        f"no convergence after {max_iter} iterations; last iterate {lam} with |det| = {abs(f):.3e}")
 
 
 def critical_roots(op, seeds, tol=ROOT_TOL):
@@ -135,9 +135,7 @@ def critical_roots(op, seeds, tol=ROOT_TOL):
 def _require_finite_iterate(lam, f, iterations):
     if not (np.isfinite(lam) and np.isfinite(f)):
         raise RootFindingError(
-            f"non-finite iterate {lam} with det {f} after {iterations} iterations",
-            last_iterate=lam, residual=abs(f),
-        )
+            f"non-finite iterate {lam} with det {f} after {iterations} iterations")
 
 
 def _secant(op, lam, tol, max_iter):
@@ -252,11 +250,12 @@ def eigenbasis(op, lambdas, seeds=None):
     -----
     The frame is built one root at a time.  Each root takes its right
     directions U and raw left rows W; for an exactly real operator an
-    unseeded root takes the conjugates of an earlier conjugate root's.  The
-    adjoint pairing of two distinct roots' eigenspaces vanishes, so each
-    root's rows are renormalized by the inverse of its own Gram block
-    (W, U), a diagonal block of one pairing over all roots, and
-    (Psi, Phi) = I holds.
+    unseeded root that equals the conjugate of an earlier root, bit for bit
+    (as :func:`critical_roots` returns it), takes the conjugates of the
+    first such root's.  The adjoint pairing of two distinct roots'
+    eigenspaces vanishes, so each root's rows are renormalized by the
+    inverse of its own Gram block (W, U), a diagonal block of one pairing
+    over all roots, and (Psi, Phi) = I holds.
 
     Raises
     ------
@@ -271,17 +270,12 @@ def eigenbasis(op, lambdas, seeds=None):
     norm_sum = op.norm_sum
     deriv_size = 1.0 + sum(r * float(np.linalg.norm(A, 2)) for r, A in op.terms)
 
-    # entry c + j is conj(lambdas[j]): one with root i when root i is its conjugate
-    c = len(lambdas)
-    ones = (eigen_groups(lambdas + [lam.conjugate() for lam in lambdas], norm_sum)
-            if op.is_real else [])
     blocks = []     # per root: (U, W), its directions and raw dual rows
     for i, lam in enumerate(lambdas):
-        # an unseeded root takes the block of the first earlier conjugate root
-        mirror = None if i in seeds else next(
-            (blocks[k - c] for b in ones if i in b for k in b if c <= k < c + i), None)
-        blocks.append(tuple(a.conj() for a in mirror) if mirror else
-                      _null_pair(op, lam, seeds.get(i), invariants.char_scale(norm_sum, lam)))
+        if op.is_real and i not in seeds and lam.conjugate() in lambdas[:i]:
+            blocks.append(tuple(a.conj() for a in blocks[lambdas.index(lam.conjugate())]))
+        else:
+            blocks.append(_null_pair(op, lam, seeds.get(i), invariants.char_scale(norm_sum, lam)))
 
     lams = [lam for lam, (U, _) in zip(lambdas, blocks) for _ in U]
     phi = np.concatenate([U for U, _ in blocks])

@@ -22,7 +22,7 @@ from ._linalg import EPS, REP_TOL, SINGULAR_RCOND, ad_matrix, null_basis, rank
 from .errors import StructuralError
 
 CLOSURE_TOL = 1e-10         # entrywise: closure products this close are one element
-DEFAULT_MAX_ORDER = 512
+MAX_ORDER = 512             # a closure with more elements is not a finite group
 
 
 class FiniteGroup(NamedTuple):
@@ -124,7 +124,7 @@ class Representation(NamedTuple("Representation", [("group", FiniteGroup),
         return self.matrices[self.group.inverse[g]]
 
 
-def close_generators(generators, max_order=DEFAULT_MAX_ORDER):
+def close_generators(generators):
     """Close a list of matrices under products and return a Representation.
 
     The identity gets index 0; the given generators come next (deduplicated),
@@ -145,7 +145,7 @@ def close_generators(generators, max_order=DEFAULT_MAX_ORDER):
     ------
     StructuralError
         If a generator is singular, shapes disagree, or the closure exceeds
-        ``max_order`` elements.
+        ``MAX_ORDER`` elements.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
@@ -165,7 +165,7 @@ def close_generators(generators, max_order=DEFAULT_MAX_ORDER):
             k, stack = len(stack), np.concatenate([stack, g[None]])
         gen_idx.append(k)
     start = len(stack)
-    stack, right, parents = _cayley_graph(stack, gen_idx, max_order)
+    stack, right, parents = _cayley_graph(stack, gen_idx)
     table = _compose_table(right, parents, gen_idx)
     order, pos, pairs = _discovery_order(table, start)
 
@@ -184,7 +184,7 @@ def _lookup(stack, P):
     a NaN entry matches nothing)."""
     out = np.full(len(P), -1)
     # blocks of products bound the (products x stored x entries) comparison
-    # to about 4k scalars, so a closure nearing max_order holds no |G|^2
+    # to about 4k scalars, so a closure nearing MAX_ORDER holds no |G|^2
     # temporaries
     step = max(1, 4096 // stack[0].size // len(stack))
     for lo in range(0, len(P), step):
@@ -194,7 +194,7 @@ def _lookup(stack, P):
     return out
 
 
-def _cayley_graph(stack, gen_idx, max_order):
+def _cayley_graph(stack, gen_idx):
     """Grow ``stack`` (the identity and the generators ``gen_idx``) to the
     group they generate, a level of products ``element @ generator`` at a
     time.  Returns the grown stack, ``right[x, j]``, the index of
@@ -217,9 +217,9 @@ def _cayley_graph(stack, gen_idx, max_order):
                 continue
             found[p] = known + len(added)
             added.append(p)
-            if known + len(added) > max_order:
+            if known + len(added) > MAX_ORDER:
                 raise StructuralError(
-                    f"closure exceeded {max_order} elements; not a finite group at this cap"
+                    f"closure exceeded {MAX_ORDER} elements; not a finite group at this cap"
                 )
             x, j = divmod(int(p), len(gen_idx))
             parents.append((len(right) + x, j))

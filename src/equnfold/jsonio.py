@@ -16,6 +16,7 @@ import tempfile
 
 import numpy as np
 
+from .d3 import PRESETS
 from .delays import DelayOperator, check_dims
 from .errors import SchemaError, document_errors
 from .frames import ROOT_TOL, SpectralFrame
@@ -345,17 +346,17 @@ def _vectors(doc, path, n):
     return U
 
 
-def config_from_doc(cfg, presets):
+def config_from_doc(cfg):
     """The keyword arguments of :func:`~equnfold.unfolding.unfold` that a
     config document holds; or its ``lambda_seeds`` string, one of
-    ``presets``, which stands in for the whole document."""
+    ``d3.PRESETS``, which stands in for the whole document."""
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
     _check_keys(cfg, "config", CONFIG_KEYS)
     seeds, seeds_path = field(cfg, "", "lambda_seeds")
     if isinstance(seeds, str):
-        if seeds not in presets:
-            raise invalid(seeds_path, f"{' or '.join(presets)}, or a list of seeds", seeds)
+        if seeds not in PRESETS:
+            raise invalid(seeds_path, f"{' or '.join(PRESETS)}, or a list of seeds", seeds)
         for key in CONFIG_KEYS:
             if key in cfg and key != "lambda_seeds":
                 raise SchemaError(f"preset lambda_seeds cannot be combined with {key!r}")

@@ -19,7 +19,7 @@ from equnfold.cli import main
 from equnfold.frames import find_root
 from equnfold.groups import close_generators, equivariant_average
 from equnfold.invariants import BY_NAME
-from equnfold.jsonio import (build_artifact, canonical_json, decode_complex,
+from equnfold.jsonio import (POINT_FIELDS, build_artifact, canonical_json, decode_complex,
                              encode_complex, model_to_doc, rep_to_doc, write_json_atomic)
 from equnfold.unfolding import assemble_gamma_unfolding, slot_stacks, solve_delay_realization
 
@@ -319,6 +319,22 @@ class TestDoubleHopf:
                     "--output", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["points"] == entry["points"]
+
+    @pytest.mark.parametrize("case", ["simple", "double"])
+    def test_no_search_flags_take_d3s_defaults(self, tmp_path, case):
+        # the flags' defaults are d3's own: the points locate_double_hopf
+        # finds with no search arguments, bit for bit, in d3's windows
+        entry = FIXTURE_POINTS[case]
+        out = tmp_path / "dh.json"
+        assert run(["double-hopf", "--factor", entry["factor"], "--beta", repr(entry["beta"]),
+                    "--tau-n", repr(entry["tau_n"]), "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        points = d3.locate_double_hopf(entry["factor"], entry["beta"], entry["tau_n"])
+        assert points
+        assert ([{k: float(v).hex() for k, v in p.items()} for p in doc["points"]]
+                == [{k: getattr(p, k).hex() for k in POINT_FIELDS} for p in points])
+        assert doc["alpha_window"] == list(d3.ALPHA_WINDOW)
+        assert doc["tau_s_window"] == list(d3.TAU_S_WINDOW)
 
     @pytest.mark.parametrize("case, extra", [("simple", 7), ("double", 2)])
     def test_branches_beyond_3_add_points_in_the_window(self, tmp_path, case, extra):
@@ -850,7 +866,7 @@ class TestPresetIsItsConfig:
         point = d3.DoubleHopfPoint(factor=entry["factor"], beta=entry["beta"],
                                    tau_n=entry["tau_n"], **entry["points"][index])
         cfg = json.loads(json.dumps(_preset_config(case, point)))
-        result, _, _ = cli._run_config(cfg)
+        result, _, _ = cli._run_config(cfg, "unfold.json")
         assert (canonical_json(build_artifact(*d3.run_case(case, point)))
                 == canonical_json(build_artifact(*result)))
 
@@ -1016,18 +1032,21 @@ class TestSlowTime:
         else:
             assert _unfold_outcome(slow, _rescaled(_time_config(case), s)) == expected
 
-    @pytest.mark.parametrize("s", [1e-6, 1e-8])
+    @pytest.mark.parametrize("s", [2e-3, 1e-3, 1e-6, 1e-8])
     def test_root_tol_below_the_rescaled_det_keeps_the_outcome(self, tmp_path, capsys, s):
-        # ring3's det is s^3 det Delta in the time t / s, so at its seed it is
-        # below the default root_tol and Newton stops there: a seed with no
-        # null space.  A root_tol below it gives the s = 1 family
+        # ring3's det is s^3 det Delta in the time t / s, so Newton stops
+        # where it falls below the default root_tol: short of the root (its
+        # null vector fails) or, from s = 1e-6 down, at the seed (no null
+        # space).  A root_tol below it leaves the step test, which is
+        # relative, to converge: the s = 1 family
         expected = _unfold_outcome(tmp_path, _time_config("ring3"))
         cfg = _rescaled(_time_config("ring3"), s)
         cfg_path, out = tmp_path / "slow.json", tmp_path / "slow_out.json"
         cfg_path.write_text(json.dumps(cfg))
         capsys.readouterr()
         assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 1
-        assert "is not a characteristic root (empty null space)" in capsys.readouterr().err
+        assert (("pipeline error: frame.null_vectors (eigenvalue" if s > 1e-6 else
+                 "is not a characteristic root (empty null space)") in capsys.readouterr().err)
         assert not out.exists()
         cfg["tolerances"] = {"root_tol": 1e-30}
         assert _unfold_outcome(tmp_path, cfg) == expected

@@ -655,9 +655,9 @@ class TestRunCaseRoots:
 
 
 class TestRunCaseGuards:
-    def test_unknown_case(self):
+    def test_unknown_case(self, simple_point):
         with pytest.raises(EqunfoldError):
-            d3.run_case("triple")
+            d3.run_case("triple", simple_point)
 
     def test_factor_mismatch(self, simple_point, double_point):
         with pytest.raises(EqunfoldError, match="needs"):

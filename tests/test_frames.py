@@ -1,12 +1,13 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from equnfold import d3, frames, invariants, unfolding
-from equnfold._linalg import EIG_MATCH_TOL, NULLSPACE_RCOND, null_basis
+from equnfold._linalg import NULLSPACE_RCOND, null_basis
 from equnfold.delays import DelayOperator, bilinear_form, pairing_matrix
 from equnfold.errors import FrameError, RootFindingError
 from equnfold.frames import _det_derivative, eigenbasis, find_root, induce_representation
@@ -45,7 +46,12 @@ class TestFindRoot:
         op = DelayOperator(n=1, terms=((np.pi / 2, [[-1.0]]),))
         with pytest.raises(RootFindingError) as err:
             find_root(op, 50.0 + 40.0j, max_iter=2)
-        assert err.value.last_iterate is not None
+        # the message names the last iterate and its |det|
+        m = re.fullmatch(r"no convergence after 2 iterations; last iterate (\S+) "
+                         r"with \|det\| = (\S+)", str(err.value))
+        assert m
+        lam = complex(m.group(1))
+        assert float(m.group(2)) == float(f"{abs(np.linalg.det(op.char_matrix(lam))):.3e}")
 
     def test_secant_fallback_at_critical_point(self):
         # det Delta = lam^2 + 1 has zero derivative at the real axis seed
@@ -63,8 +69,9 @@ class TestFindRoot:
             warnings.simplefilter("error")
             with pytest.raises(RootFindingError, match="non-finite") as err:
                 find_root(simple_case.op, 1.1399)
-        assert "after 1 iterations" in str(err.value)
-        assert err.value.last_iterate is not None
+        m = re.fullmatch(r"non-finite iterate (\S+) with det \(nan\+nanj\) after 1 iterations",
+                         str(err.value))
+        assert m and complex(m.group(1)).real < -100
 
     def test_large_ring_stops_on_the_newton_step(self):
         # |det Delta| grows roughly like 3^N on this one-way ring, so at
@@ -101,11 +108,11 @@ def _reference_derivative(D, Dp):
 
 
 def _root_outcome(op, seed):
-    """find_root's result, or the message and last iterate it raised with."""
+    """find_root's result, or the message (with the last iterate) it raised."""
     try:
         res = find_root(op, seed)
     except RootFindingError as exc:
-        return str(exc), exc.last_iterate
+        return str(exc)
     return res.root, res.residual, res.iterations, res.used_secant
 
 
@@ -351,12 +358,11 @@ def _full_gram_eigenbasis(op, lambdas, seeds=None):
     seeds = dict(seeds or {})
     norm_sum = sum(float(np.linalg.norm(A, 2)) for _, A in op.terms)
     partner = [None] * len(lambdas)
-    # the eigenvalue match of _linalg.eigen_groups, pair by pair
-    match = EIG_MATCH_TOL * (norm_sum + max(map(abs, lambdas)))
+    # on a real model, the first earlier root that is the exact conjugate
     if op.is_real:
         for i, lam in enumerate(lambdas):
             for j in range(i):
-                if abs(lambdas[j].conjugate() - lam) <= match:
+                if lambdas[j] == lam.conjugate():
                     partner[i] = j
                     break
     right, left_raw = {}, {}
@@ -401,6 +407,50 @@ with open(os.path.join(os.path.dirname(__file__), "fixtures", "double_hopf_point
     FIXTURE_POINTS = json.load(_fh)
 
 
+class TestConjugateRows:
+    """On an exactly real model, an unseeded root that is the exact conjugate
+    of an earlier root takes that root's rows, conjugated bit for bit; any
+    other root, and every root of a complex model, solves its own null pair."""
+
+    def _frame(self, op, lambdas, monkeypatch):
+        """The frame, and the roots whose null pair was solved."""
+        solved = []
+        null_pair = frames._null_pair
+
+        def recording(op, lam, *args):
+            solved.append(lam)
+            return null_pair(op, lam, *args)
+
+        monkeypatch.setattr(frames, "_null_pair", recording)
+        return eigenbasis(op, lambdas), solved
+
+    @pytest.mark.parametrize("n", [3, 12, 24])
+    def test_real_model_copies_the_conjugate_rows(self, n, monkeypatch):
+        op = _ring(n)
+        roots = [find_root(op, seed).root for seed in (2j, -2j)]
+        assert _bits(roots[1]) == _bits(roots[0].conjugate())
+        frame, solved = self._frame(op, roots, monkeypatch)
+        assert solved == roots[:1]
+        assert same_bits(frame.phi[1], frame.phi[0].conj())
+        assert same_bits(frame.psi[1], frame.psi[0].conj())
+
+    def test_a_root_one_ulp_off_the_conjugate_solves_its_own(self, monkeypatch):
+        op = _ring(3)
+        root = find_root(op, 2j).root
+        off = complex(root.real, np.nextafter(-root.imag, 0.0))
+        _, solved = self._frame(op, [root, off], monkeypatch)
+        assert solved == [root, off]
+
+    def test_complex_model_copies_no_rows(self, monkeypatch):
+        # the ring in the basis of a complex unitary Q: the same spectrum
+        Q, _ = np.linalg.qr(random_complex(np.random.default_rng(7), 3, 3))
+        op = DelayOperator(n=3, terms=tuple((r, Q @ A @ Q.conj().T) for r, A in _ring(3).terms))
+        assert not op.is_real
+        roots = [find_root(op, seed).root for seed in (2j, -2j)]
+        _, solved = self._frame(op, roots, monkeypatch)
+        assert solved == roots
+
+
 class TestFullGramOracle:
     """A frame built one root at a time, each root's rows normalized by its
     own Gram block, has the bits of the full Gram matrix's diagonal blocks:
@@ -427,7 +477,7 @@ class TestFullGramOracle:
 
         monkeypatch.setattr(unfolding, "eigenbasis", recording)
         entry = FIXTURE_POINTS[case]
-        point = None if index is None else d3.DoubleHopfPoint(
+        point = d3.default_point(case) if index is None else d3.DoubleHopfPoint(
             factor=entry["factor"], beta=entry["beta"], tau_n=entry["tau_n"],
             **entry["points"][index])
         with pytest.raises(_Recorded):

@@ -65,13 +65,6 @@ class TestFiniteGroup:
         with pytest.raises(StructuralError, match="singular"):
             close_generators([np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])])
 
-    def test_closure_cap(self):
-        # an irrational rotation never closes
-        th = 1.0
-        R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        with pytest.raises(StructuralError, match="closure exceeded 32 elements"):
-            close_generators([R], max_order=32)
-
 
 def _close_generators_loop(generators, max_order=512, tol=1e-10):
     """Reference closure: one linear scan per product lookup and a second

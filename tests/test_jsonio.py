@@ -88,7 +88,7 @@ class TestArtifactCodec:
     @pytest.fixture(scope="class")
     def ring3_result(self):
         with open(f"{FIXTURES}/ring3_config.json") as fh:
-            return unfold(**config_from_doc(json.load(fh), ()))
+            return unfold(**config_from_doc(json.load(fh)))
 
     @pytest.mark.parametrize("case", ["simple_case", "double_case", "ring3_result"])
     def test_roundtrip_returns_every_stored_array_bit_for_bit(self, request, case):

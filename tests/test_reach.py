@@ -26,7 +26,6 @@ ALLOWED = {
     # fallback and error paths
     "frames._secant": "Newton's fallback where the determinant's derivative vanishes",
     "jsonio.invalid": "raises the schema error of a malformed document",
-    "errors.RootFindingError.__init__": "builds the error of a root search that fails",
     "verify.VerificationReport.failed": "lists the failed checks, read only when one fails",
     "unfolding.VersalityReport.deficiency": "what a family lacks, read only when it is not versal",
     # perfbench/tracer.py looks these up by name: they go with a change to the benchmark
@@ -98,7 +97,8 @@ def unentered(root, calls, cwd):
 def _subcommands(tmp_path, simple_point):
     """``cli.main`` calls that run every subcommand: unfold on both presets,
     ring3 and the masked d3:simple config, verify on each result (once with
-    --tol and --report), double-hopf on the double fixture slice, curves."""
+    --tol and --report), double-hopf on the double fixture slice, curves;
+    every flag given once."""
     (tmp_path / "masked.json").write_text(json.dumps(_preset_config("simple", simple_point)))
     with open(os.path.join(FIXTURES, "double_hopf_points.json")) as fh:
         slice_ = json.load(fh)["double"]
@@ -111,11 +111,13 @@ def _subcommands(tmp_path, simple_point):
              for name, source in inputs.items()]
     argvs += [["verify", "simple_out.json", "--tol", "1e-8", "--report", "report.json"]]
     argvs += [["verify", f"{name}_out.json"] for name in inputs]
+    # the search flags are spelled out: a default reaches the command unparsed
     argvs += [["double-hopf", "--factor", slice_["factor"], "--beta", repr(slice_["beta"]),
                "--tau-n", repr(slice_["tau_n"]), "--omega-range", omega_range,
+               "--branches", "0..3", "--alpha-window=-4:4", "--tau-s-window", "0:10",
                "--output", "dh.json"],
               ["curves", "--factor", "delta1", "--beta", "-0.5", "--tau-n", "4",
-               "--omega-range", omega_range, "--output", "curves.csv"]]
+               "--omega-range", omega_range, "--branches", "0..3", "--output", "curves.csv"]]
     return [["equnfold.cli", "main", [argv]] for argv in argvs]
 
 

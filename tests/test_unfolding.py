@@ -478,7 +478,7 @@ def _ring_case(n):
                                     {"delay": 1.0, "matrix": encode_complex(2.0 * shift)}]},
         "group": {"generators": [encode_complex(shift)]},
         "lambda_seeds": [[0.0, 2.0], [0.0, -2.0]],
-    })
+    }, "unfold.json")
     return frame, assembly
 
 
