@@ -12,6 +12,7 @@ coefficient patterns as the simple case.
 import numpy as np
 
 from equnfold import d3
+from equnfold.unfolding import slot_stacks
 
 np.set_printoptions(precision=4, suppress=True, linewidth=140)
 
@@ -37,18 +38,20 @@ print(np.round(np.diag(G.matrices[gam]), 4))
 print("induced action of the swap (2x2 exchange blocks):")
 print(np.round(G.matrices[kap].real, 4))
 
-norms = [float(np.max(np.abs(D))) for D in result.assembly.directions]
+# the slots' raw R^m and projected center directions, as the build derives them
+Rs, _, Bhats, _ = slot_stacks(result.frame, result.rep)
+norms = [float(np.max(np.abs(D))) for D in Bhats]
 print("\nprojected direction norms per slot:")
 print(np.round(norms, 6))
 
 theta = result.assembly.theta
-print(f"Theta rank {theta.rank}; rows 13-16 minus rows 1-4: "
+print(f"Theta rank {len(theta.selected_rows)}; rows 13-16 minus rows 1-4: "
       f"{np.max(np.abs(theta.theta[12:16] - theta.theta[0:4])):.2e}")
 print(f"selected slots: {tuple(i + 1 for i in theta.selected_rows)}")
 
 # which rotation functional survives on each solved slot vector
 print("\nrotation-functional signature per slot (eta1, eta2):")
-for m, R in enumerate(result.assembly.r_matrices):
+for m, R in enumerate(Rs):
     col = int(np.argmax(np.abs(R).sum(axis=0)))
     e1, e2 = eta_pair(R[:, col])
     print(f"  slot {m + 1:2d}: ({abs(e1):.4f}, {abs(e2):.4f})")

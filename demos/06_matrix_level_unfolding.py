@@ -34,6 +34,6 @@ print(f"tangent dim {geo.tangent_dim} + complement dim {geo.delta} "
 dirs = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         for _ in range(geo.delta + 3)]
 report = theta_extract(geo, dirs)
-print(f"\n{len(dirs)} random directions -> Theta rank {report.rank}, "
+print(f"\n{len(dirs)} random directions -> Theta rank {len(report.selected_rows)}, "
       f"selected rows {report.selected_rows}")
 print("max decomposition residual:", max(report.residuals))

@@ -1,7 +1,6 @@
-"""Command-line entry point.
-
-Subcommands wire JSON/flag configuration into the library pipeline and
-emit machine-readable artifacts:
+"""Command-line entry point: flags, dispatch, output paths, messages and
+exit codes.  Each subcommand runs the library pipeline and hands its result
+to ``jsonio``, which formats every output:
 
     curves       sample imaginary-root curves of the three-cell model (CSV)
     double-hopf  locate curve crossings and refine them (JSON)
@@ -25,8 +24,9 @@ from .errors import EqunfoldError, SchemaError
 # eigenbasis is unused here, but bound: the benchmark's tracer self-test
 # checks that it wraps and restores cli.eigenbasis
 from .frames import eigenbasis
-from .jsonio import (build_artifact, config_from_doc, points_to_doc, read_json, report_to_doc,
-                     write_json_atomic, write_text_atomic)
+from .jsonio import (artifact_meta, build_artifact, config_from_doc, curves_to_csv,
+                     points_to_doc, read_json, report_to_doc, write_json_atomic,
+                     write_text_atomic)
 from .unfolding import unfold
 from .verify import DEFAULT_TOL, verify_artifact
 
@@ -102,15 +102,8 @@ def cmd_curves(args):
     _output_path(args.output)
     curves = d3.sweep_curves(args.factor, args.beta, args.tau_n, args.omega_range,
                              branches=args.branches)
-    lines = ["omega,alpha,tau_s,sign,branch,factor"]
-    for (sg, br), rows in curves.items():
-        for om, al, ts in rows:
-            lines.append(
-                f"{format(om, '.17g')},{format(al, '.17g')},{format(ts, '.17g')},"
-                f"{sg},{br},{args.factor}"
-            )
-    write_text_atomic(args.output, "\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - 1} curve samples to {args.output}")
+    write_text_atomic(args.output, curves_to_csv(curves, args.factor))
+    print(f"wrote {sum(map(len, curves.values()))} curve samples to {args.output}")
     return EXIT_OK
 
 
@@ -129,35 +122,28 @@ def cmd_double_hopf(args):
     return EXIT_OK if points else EXIT_PIPELINE
 
 
-def _run_config(cfg, output):
-    """Run :func:`~equnfold.unfolding.unfold` on a config document, or on the
-    preset its ``lambda_seeds`` names; the result comes with the artifact's
-    ``meta`` and the output path ``output``, checked first."""
-    output = _output_path(output)
-    config = config_from_doc(cfg)
-    if isinstance(config, str):
-        return _run_preset(config) + (output,)
-    return unfold(**config), {"source": "config"}, output
-
-
-def _run_preset(preset):
-    """A preset's result, at the first point of its case's default slice,
-    and the ``meta`` that names the preset and the point."""
-    case = d3.PRESETS[preset]
-    point = d3.default_point(case)
-    meta = {"preset": preset,
-            "point": {k: v for k, v in point._asdict().items() if k != "residual"}}
-    return d3.run_case(case, point), meta
+def _unfold(source):
+    """The unfolding of ``source`` and the artifact's ``meta``: ``source`` is
+    a preset's name, run at the first point of its case's default slice, or
+    the keyword arguments of :func:`~equnfold.unfolding.unfold` that
+    :func:`~equnfold.jsonio.config_from_doc` decodes."""
+    if isinstance(source, str):
+        case = d3.PRESETS[source]
+        point = d3.default_point(case)
+        return d3.run_case(case, point), artifact_meta(source, point)
+    return unfold(**source), artifact_meta()
 
 
 def cmd_unfold(args):
-    cfg = {"lambda_seeds": args.preset} if args.preset else read_json(args.config)
-    result, meta, out = _run_config(cfg, args.output)
-    write_json_atomic(out, build_artifact(*result, meta=meta))
+    # malformed JSON is reported first, then the output path, then a schema error
+    doc = None if args.preset else read_json(args.config)
+    _output_path(args.output)
+    result, meta = _unfold(args.preset or config_from_doc(doc))
+    write_json_atomic(args.output, build_artifact(*result, meta=meta))
     ver = result.assembly.versality
     kind = "mini-versal" if ver.mini_versal else "versal (not minimal)"
     print(f"{kind}: {ver.n_directions} parameters, codimension {ver.codimension}; "
-          f"wrote {out}")
+          f"wrote {args.output}")
     return EXIT_OK if ver.mini_versal else EXIT_NOT_MINIMAL
 
 
@@ -199,6 +185,18 @@ def _tolerance(text):
     return x
 
 
+def _slice_flags(p, **omega_range):
+    """The flags of a slice of the model, shared by ``curves`` and
+    ``double-hopf``; ``omega_range`` makes --omega-range required or gives
+    its default."""
+    p.add_argument("--factor", choices=d3.FACTORS, required=True)
+    p.add_argument("--beta", type=_finite, required=True)
+    p.add_argument("--tau-n", dest="tau_n", type=_lag, required=True)
+    p.add_argument("--omega-range", dest="omega_range", type=_parse_range, metavar="A:B:STEP",
+                   **omega_range)
+    p.add_argument("--branches", type=_parse_branches, default=d3.BRANCHES, metavar="K..L")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="equnfold",
@@ -207,23 +205,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("curves", help="sample imaginary-root curves (CSV)")
-    c.add_argument("--factor", choices=("delta1", "delta2"), required=True)
-    c.add_argument("--beta", type=_finite, required=True)
-    c.add_argument("--tau-n", dest="tau_n", type=_lag, required=True)
-    c.add_argument("--omega-range", dest="omega_range", type=_parse_range, required=True,
-                   metavar="A:B:STEP")
-    c.add_argument("--branches", type=_parse_branches, default=d3.BRANCHES, metavar="K..L")
+    _slice_flags(c, required=True)
     c.add_argument("--output", default="curves.csv")
     c.set_defaults(func=cmd_curves)
 
     h = sub.add_parser("double-hopf", help="locate double-Hopf points (JSON)")
-    h.add_argument("--factor", choices=("delta1", "delta2"), required=True)
-    h.add_argument("--beta", type=_finite, required=True)
-    h.add_argument("--tau-n", dest="tau_n", type=_lag, required=True)
     # a default that is not a string reaches the command as it is: d3's own
-    h.add_argument("--omega-range", dest="omega_range", type=_parse_range,
-                   default=d3.OMEGA_GRID, metavar="A:B:STEP")
-    h.add_argument("--branches", type=_parse_branches, default=d3.BRANCHES, metavar="K..L")
+    _slice_flags(h, default=d3.OMEGA_GRID)
     # argparse reads a value that starts with "-" and is not a number as a flag
     h.add_argument("--alpha-window", dest="alpha_window", type=_parse_window,
                    default=d3.ALPHA_WINDOW, metavar="A:B",

@@ -50,24 +50,15 @@ def triangle_rep():
     return rep
 
 
-class D3ModelParams(NamedTuple):
-    """Gains and lags of the three-cell model."""
-
-    alpha: float
-    beta: float
-    tau_s: float
-    tau_n: float
-
-
-def d3_operator(p):
+def d3_operator(alpha, beta, tau_s, tau_n):
     """The model's linear operator: -I at lag 0, alpha I at tau_s,
     beta (J - I) at tau_n."""
     I = np.eye(3)
     J = np.ones((3, 3))
     return DelayOperator(n=3, terms=(
         (0.0, -I),
-        (p.tau_s, p.alpha * I),
-        (p.tau_n, p.beta * (J - I)),
+        (tau_s, alpha * I),
+        (tau_n, beta * (J - I)),
     ))
 
 
@@ -75,6 +66,7 @@ def d3_operator(p):
 # eigenvalue of the neighbour coupling J - I on the symmetric mode (delta1)
 # and on the rotation modes (delta2)
 _COUPLING = {"delta1": 2.0, "delta2": -1.0}
+FACTORS = tuple(_COUPLING)      # the factor names, as ``--factor`` takes them
 _REFINE_TOL = 1e-10             # max |F| of a refined double-Hopf point
 _REFINE_MAX_ITER = 100
 _POINT_TOL = 1e-6               # frequency, zero and coincidence tests of a point and grid
@@ -86,7 +78,8 @@ def _factor_coupling(factor):
     try:
         return _COUPLING[factor]
     except KeyError:
-        raise EqunfoldError(f"unknown factor {factor!r}; use 'delta1' or 'delta2'") from None
+        raise EqunfoldError(f"unknown factor {factor!r}; use "
+                            f"{' or '.join(map(repr, FACTORS))}") from None
 
 
 def factor_value(factor, lam, alpha, beta, tau_s, tau_n):
@@ -340,10 +333,6 @@ class DoubleHopfPoint(NamedTuple):
     omega2: float
     residual: float
 
-    def params(self):
-        return D3ModelParams(alpha=self.alpha, beta=self.beta,
-                             tau_s=self.tau_s, tau_n=self.tau_n)
-
 
 def _exp(z):
     """``cmath.exp``, but inf or nan where numpy gives them (a diverging
@@ -513,10 +502,9 @@ def run_case(case, point):
     if point.factor != cfg["factor"]:
         raise EqunfoldError(f"case {case!r} needs a {cfg['factor']} point, got {point.factor}")
 
-    params = point.params()
-    if same_lag(params.tau_s, params.tau_n):
+    if same_lag(point.tau_s, point.tau_n):
         raise EqunfoldError("tau_s and tau_n coincide; unfolding lags would collide")
-    op = d3_operator(params)
+    op = d3_operator(point.alpha, point.beta, point.tau_s, point.tau_n)
     lambdas = [1j * point.omega1, -1j * point.omega1, 1j * point.omega2, -1j * point.omega2]
     return unfold(op, triangle_rep(), lambdas, vector_seeds=cfg["vectors"],
                   delays=default_delays(op), sparsity=structure_masks())

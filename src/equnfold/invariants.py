@@ -33,14 +33,14 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-class Invariant:
+class Invariant(NamedTuple):
     """One entry; ``residual`` and ``scale`` take the same arguments."""
 
-    __slots__ = ("name", "residual", "scale", "tol", "error")
-
-    def __init__(self, name, residual, scale, tol, error):
-        self.name, self.residual, self.scale, self.tol, self.error = (
-            name, residual, scale, tol, error)
+    name: str
+    residual: object
+    scale: object
+    tol: float
+    error: type
 
     def _evaluate(self, args, tol):
         """The residuals, their bounds at base tolerance ``tol``, and whether

@@ -1,7 +1,8 @@
-"""JSON interchange: the one module that knows a document's format, for the
-``unfold`` config, the artifact, and the ``double-hopf`` and ``verify
---report`` documents.  Complex numbers travel as two-element ``[re, im]``
-arrays; matrices as nested arrays of such pairs.  Serialization is
+"""JSON interchange: the one module that knows an output's format, for the
+``unfold`` config, the artifact and its ``meta``, the ``double-hopf`` and
+``verify --report`` documents, and the ``curves`` CSV.  Complex numbers
+travel as two-element ``[re, im]`` arrays; matrices as nested arrays of such
+pairs.  Serialization is
 canonical: keys sorted, floats printed with 17 significant digits (full
 round-trip precision), no incidental whitespace, so identical inputs produce
 byte-identical files.  Writes go through a temp-file rename and are atomic.
@@ -94,7 +95,7 @@ def write_text_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -109,8 +110,9 @@ def write_json_atomic(path, doc):
 
 
 def read_json(path):
-    """Parse a JSON file; malformed text is a :class:`SchemaError`."""
-    with open(path) as fh:
+    """Parse a JSON file, UTF-8 text (RFC 8259) whatever the locale; malformed
+    text is a :class:`SchemaError`."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -346,6 +348,15 @@ def _vectors(doc, path, n):
     return U
 
 
+def _model_and_group(doc):
+    """A config's or an artifact's operator and representation, of one dimension."""
+    op = model_from_doc(*field(doc, "", "model"))
+    rep = rep_from_doc(*field(doc, "", "group"))
+    with document_errors("group"):
+        check_dims(op, rep)
+    return op, rep
+
+
 def config_from_doc(cfg):
     """The keyword arguments of :func:`~equnfold.unfolding.unfold` that a
     config document holds; or its ``lambda_seeds`` string, one of
@@ -361,10 +372,7 @@ def config_from_doc(cfg):
             if key in cfg and key != "lambda_seeds":
                 raise SchemaError(f"preset lambda_seeds cannot be combined with {key!r}")
         return seeds
-    op = model_from_doc(*field(cfg, "", "model"))
-    rep = rep_from_doc(*field(cfg, "", "group"))
-    with document_errors("group"):
-        check_dims(op, rep)
+    op, rep = _model_and_group(cfg)
     seeds = items(seeds, seeds_path, pair_complex)
     vectors, path = field(cfg, "", "vector_seeds", [None] * len(seeds))
     vectors = items(vectors, path, lambda doc, p: _vectors(doc, p, op.n))
@@ -409,7 +417,7 @@ def build_artifact(op, rep, frame, assembly, meta=None):
             "matrix": encode_complex(theta.theta),
             "row_residuals": [float(r) for r in theta.residuals],
             "selected_rows": [int(i) for i in theta.selected_rows],
-            "rank": int(theta.rank),
+            "rank": len(theta.selected_rows),
         },
         # each stored decision is written as the type that its reader takes
         "report": {"versality": {
@@ -422,6 +430,16 @@ def build_artifact(op, rep, frame, assembly, meta=None):
     return doc
 
 
+def artifact_meta(preset=None, point=None):
+    """The artifact's ``meta``: the preset and the double-Hopf point it ran
+    at (a :class:`~equnfold.d3.DoubleHopfPoint`, its residual left out), or,
+    with no preset, a config document as the source."""
+    if preset is None:
+        return {"source": "config"}
+    keys = ("factor", "beta", "tau_n", *POINT_FIELDS[:-1])     # all but the residual
+    return {"preset": preset, "point": {key: getattr(point, key) for key in keys}}
+
+
 def parse_artifact(doc):
     """The artifact's ``(op, rep, frame, family, selected, theta, stored)``,
     ``stored`` its decisions by JSON path; a violation raises SchemaError."""
@@ -429,10 +447,7 @@ def parse_artifact(doc):
         raise SchemaError("artifact must be a JSON object")
     if doc.get("schema") != SCHEMA:
         raise SchemaError(f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA!r}")
-    op = model_from_doc(*field(doc, "", "model"))
-    rep = rep_from_doc(*field(doc, "", "group"))
-    with document_errors("group"):
-        check_dims(op, rep)
+    op, rep = _model_and_group(doc)
     frame = frame_from_doc(field(doc, "", "frame")[0], op, rep.group)
 
     unf = field(doc, "", "unfolding")
@@ -472,6 +487,15 @@ def points_to_doc(points, factor, beta, tau_n, alpha_window, tau_s_window):
             "tau_n": tau_n, "alpha_window": list(alpha_window),
             "tau_s_window": list(tau_s_window),
             "points": [{key: getattr(p, key) for key in POINT_FIELDS} for p in points]}
+
+
+def curves_to_csv(curves, factor):
+    """The ``curves`` output text: a header, then one row per sample of
+    :func:`~equnfold.d3.sweep_curves`' ``curves`` of ``factor``, its floats
+    printed with 17 significant digits (full round-trip precision)."""
+    rows = [f"{om:.17g},{al:.17g},{ts:.17g},{sg},{br},{factor}"
+            for (sg, br), samples in curves.items() for om, al, ts in samples]
+    return "\n".join(["omega,alpha,tau_s,sign,branch,factor", *rows]) + "\n"
 
 
 def report_to_doc(report):

@@ -99,7 +99,6 @@ class OrbitGeometry(NamedTuple):
     """Tangent space and unfolding complement of the similarity orbit at B."""
 
     B: np.ndarray
-    jordan_spec: tuple
     basis: np.ndarray       # nonsingular C-ordered c^2 x c^2 [vec(T) | vec(W)], row-major vecs
     tangent_dim: int        # the leading columns of basis that span im(ad_B)
     slots: tuple = None     # (row, col) of each elementary W; None for non-diagonal B
@@ -156,8 +155,7 @@ def orbit_geometry(B, jordan_spec):
         basis[[i * c + j for i, j in slots], range(r, c * c)] = 1.0
     if rank(basis) != c * c:
         raise UnfoldingError("tangent + complement do not span the matrix space")
-    return OrbitGeometry(B=B, jordan_spec=tuple(jordan_spec), basis=basis, tangent_dim=r,
-                         slots=slots)
+    return OrbitGeometry(B=B, basis=basis, tangent_dim=r, slots=slots)
 
 
 class ThetaReport(NamedTuple):
@@ -170,8 +168,7 @@ class ThetaReport(NamedTuple):
 
     theta: np.ndarray        # (p, delta)
     residuals: tuple         # decomposition residual per direction
-    selected_rows: tuple     # indices of the selected rows
-    rank: int                # == len(selected_rows)
+    selected_rows: tuple     # indices of the selected rows; their number is Theta's rank
 
 
 def theta_extract(geometry, directions):
@@ -210,8 +207,7 @@ def theta_extract(geometry, directions):
     for i in range(p):
         if rank(theta[selected + [i]], scale=scale) > len(selected):
             selected.append(i)
-    return ThetaReport(theta=theta, residuals=tuple(residuals),
-                       selected_rows=tuple(selected), rank=len(selected))
+    return ThetaReport(theta=theta, residuals=tuple(residuals), selected_rows=tuple(selected))
 
 
 def build_R_matrices(frame, geometry):
@@ -499,14 +495,12 @@ def verify_gamma_versality(B, G, directions, tol=None):
 
 
 class GammaUnfolding(NamedTuple):
-    """Everything produced by :func:`assemble_gamma_unfolding`."""
+    """What :func:`assemble_gamma_unfolding` builds; the slots it builds from
+    are :func:`slot_stacks`'."""
 
     family: UnfoldingFamily
     theta: ThetaReport
     versality: VersalityReport
-    directions: np.ndarray   # (p, c, c) projected center directions Bhat_m
-    r_matrices: np.ndarray   # (p, n, c) raw R^m per slot
-    projected_r: np.ndarray  # (p, n, c) group-averaged Rbar^m per slot
 
 
 def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
@@ -573,8 +567,7 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
         names=tuple(f"alpha_{m + 1}" for m in selected),
         rep=rep,
     )
-    return GammaUnfolding(family=family, theta=theta, versality=versality,
-                          directions=Bhats, r_matrices=Rs, projected_r=Rbars)
+    return GammaUnfolding(family=family, theta=theta, versality=versality)
 
 
 def slot_reparametrization(family):

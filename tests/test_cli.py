@@ -1,3 +1,5 @@
+import argparse
+import ast
 import cmath
 import copy
 import functools
@@ -65,6 +67,43 @@ def test_pipeline_loads_no_document_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": package_root})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_only_parses_and_dispatches():
+    # jsonio writes every output and d3 names the factors: the front end
+    # builds no document (no dict display), formats no float (no 17g) and
+    # spells no factor; both slice subcommands take d3.FACTORS itself
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        assert not isinstance(node, (ast.Dict, ast.DictComp)), f"a dict at line {node.lineno}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            assert "17g" not in node.value, f"a float format at line {node.lineno}"
+            assert node.value not in d3.FACTORS, f"a factor name at line {node.lineno}"
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("curves", "double-hopf"):
+        (factor,) = [a for a in sub.choices[command]._actions if a.dest == "factor"]
+        assert factor.choices is d3.FACTORS
+
+
+def test_unknown_factor_is_a_usage_error_naming_both(capsys):
+    err = usage_error(CURVES[:2] + ["delta3"] + CURVES[3:], capsys)
+    assert "argument --factor: invalid choice: 'delta3' (choose from " in err
+    assert all(repr(f) in err for f in d3.FACTORS)
+
+
+def test_config_is_utf8_under_any_locale(tmp_path):
+    # JSON text is UTF-8 (RFC 8259): under the C locale a config key that
+    # is not ASCII is read, and refused as unknown, not as undecodable text
+    (tmp_path / "cfg.json").write_bytes('{"lambda_seeds": "d3:simple", "café": 1}'.encode())
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-m", "equnfold.cli", "unfold", "--config", "cfg.json"],
+                         cwd=tmp_path, capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert out.stderr.startswith("schema error: unknown key 'caf") and "in config;" in out.stderr
+    assert not (tmp_path / "unfold.json").exists()
 
 
 def usage_error(args, capsys, out=None):
@@ -490,7 +529,7 @@ class TestUnfold:
         # space: once a 1-parameter "mini-versal" family with psi ~ 1e15 that
         # verify passed (trivial group), or a misleading representation
         # error (D3)
-        op = d3.d3_operator(d3.D3ModelParams(alpha=2.0, beta=-0.5, tau_s=1.0, tau_n=3.0))
+        op = d3.d3_operator(alpha=2.0, beta=-0.5, tau_s=1.0, tau_n=3.0)
         rep = close_generators([np.eye(3)]) if group == "trivial" else d3.triangle_rep()
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_path.write_text(json.dumps({"model": model_to_doc(op), "group": rep_to_doc(rep),
@@ -826,7 +865,7 @@ def _preset_config(case, point):
     point, the triangle group, the roots +-i omega_1, +-i omega_2 with the
     case's null vectors (the symmetric direction, or the two rotation
     eigenvectors), ``d3.default_delays`` and the structure masks."""
-    op = d3.d3_operator(point.params())
+    op = d3.d3_operator(point.alpha, point.beta, point.tau_s, point.tau_n)
     u, v = encode_complex(d3.U_SYM), encode_complex(d3.V_ROT)
     vbar = encode_complex(d3.V_ROT.conj())
     vectors = {"simple": [[u]] * 4, "double": [[v, vbar], [vbar, v]] * 2}[case]
@@ -866,7 +905,7 @@ class TestPresetIsItsConfig:
         point = d3.DoubleHopfPoint(factor=entry["factor"], beta=entry["beta"],
                                    tau_n=entry["tau_n"], **entry["points"][index])
         cfg = json.loads(json.dumps(_preset_config(case, point)))
-        result, _, _ = cli._run_config(cfg, "unfold.json")
+        result, _ = cli._unfold(jsonio.config_from_doc(cfg))
         assert (canonical_json(build_artifact(*d3.run_case(case, point)))
                 == canonical_json(build_artifact(*result)))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from equnfold.d3 import D3ModelParams, d3_operator, factor_value, triangle_rep
+from equnfold.d3 import d3_operator, factor_value, triangle_rep
 from equnfold.delays import (EXPONENT_GAP, DelayOperator, bilinear_form, check_equivariance,
                              pairing_matrix)
 from equnfold.errors import StructuralError
@@ -58,11 +58,11 @@ class TestCharMatrix:
     def test_d3_factorization(self, rng):
         for _ in range(50):
             a, b, ts, tn = rng.uniform(-2, 2, 4)
-            p = D3ModelParams(alpha=a, beta=b, tau_s=abs(ts) + 0.1, tau_n=abs(tn) + 0.2)
-            op = d3_operator(p)
+            params = (a, b, abs(ts) + 0.1, abs(tn) + 0.2)
+            op = d3_operator(*params)
             lam = complex(*rng.standard_normal(2))
             det = np.linalg.det(op.char_matrix(lam))
-            args = (lam, p.alpha, p.beta, p.tau_s, p.tau_n)
+            args = (lam, *params)
             ref = factor_value("delta1", *args) * factor_value("delta2", *args) ** 2
             assert abs(det - ref) / (1 + abs(det)) < 1e-10
 
@@ -71,8 +71,7 @@ class TestCharMatrix:
         assert np.allclose(op.char_matrix(0.0), [[1.0]])
 
     def test_derivative_matches_finite_difference(self, rng):
-        p = D3ModelParams(alpha=1.2, beta=-0.7, tau_s=1.5, tau_n=2.5)
-        op = d3_operator(p)
+        op = d3_operator(alpha=1.2, beta=-0.7, tau_s=1.5, tau_n=2.5)
         h = 1e-5
         for _ in range(10):
             lam = complex(*rng.standard_normal(2))
@@ -82,7 +81,7 @@ class TestCharMatrix:
 
 class TestCheckEquivariance:
     def test_d3_model_is_equivariant(self):
-        op = d3_operator(D3ModelParams(alpha=0.9, beta=-0.4, tau_s=1.0, tau_n=2.0))
+        op = d3_operator(alpha=0.9, beta=-0.4, tau_s=1.0, tau_n=2.0)
         assert check_equivariance(op, triangle_rep()) == 0.0
 
     def test_scalar_coefficients_commute(self):
@@ -102,7 +101,7 @@ class TestCheckEquivariance:
             check_equivariance(op, triangle_rep())
 
     def test_char_matrix_commutes_when_equivariant(self, rng):
-        op = d3_operator(D3ModelParams(alpha=0.9, beta=-0.4, tau_s=1.0, tau_n=2.0))
+        op = d3_operator(alpha=0.9, beta=-0.4, tau_s=1.0, tau_n=2.0)
         rep = triangle_rep()
         for _ in range(5):
             lam = complex(*rng.standard_normal(2))
@@ -134,7 +133,7 @@ class TestBilinearForm:
         assert abs(bilinear_form(w, 0.7 + 0.2j, u, -0.1 + 1.1j, op) - w @ u) < 1e-14
 
     def test_linearity(self, rng):
-        op = d3_operator(D3ModelParams(alpha=0.5, beta=0.3, tau_s=1.0, tau_n=2.0))
+        op = d3_operator(alpha=0.5, beta=0.3, tau_s=1.0, tau_n=2.0)
         lam, mu = 0.2 + 1j, -0.4 + 0.5j
         w1, w2, u1, u2 = (random_complex(rng, 3) for _ in range(4))
         a, b = random_complex(rng, 2)

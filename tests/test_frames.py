@@ -36,8 +36,7 @@ class TestFindRoot:
     def test_hopf_curve_point_by_construction(self):
         beta, tau_n, omega = -0.5, 4.0, 1.3
         alpha, tau_s = hopf_curve("delta1", omega, beta, tau_n, sign=1, branch=1)
-        op = d3.d3_operator(d3.D3ModelParams(alpha=float(alpha), beta=beta,
-                                             tau_s=float(tau_s), tau_n=tau_n))
+        op = d3.d3_operator(alpha=float(alpha), beta=beta, tau_s=float(tau_s), tau_n=tau_n)
         res = find_root(op, 1j * omega * 1.01)
         assert abs(res.root - 1j * omega) < 1e-8
         assert res.residual < 1e-12
@@ -147,8 +146,7 @@ class TestRootOracle:
     def test_d3_operator(self, monkeypatch):
         beta, tau_n, omega = -0.5, 4.0, 1.3
         alpha, tau_s = hopf_curve("delta1", omega, beta, tau_n, sign=1, branch=1)
-        op = d3.d3_operator(d3.D3ModelParams(alpha=float(alpha), beta=beta,
-                                             tau_s=float(tau_s), tau_n=tau_n))
+        op = d3.d3_operator(alpha=float(alpha), beta=beta, tau_s=float(tau_s), tau_n=tau_n)
         seeds = (1j * omega * 1.01, -1j * omega * 0.99, 0.1 + 2.0j, 0.0)
         self._assert_same_as_reference(op, seeds, monkeypatch)
 
@@ -320,7 +318,7 @@ class TestEigenbasis:
         # Delta1(0) = Delta1'(0) = 0: a double root with a one-dimensional null
         # space, whose 1 x 1 Gram block (~1e-16) is singular against the size
         # of Delta' although it is its own largest singular value
-        op = d3.d3_operator(d3.D3ModelParams(alpha=2.0, beta=-0.5, tau_s=1.0, tau_n=3.0))
+        op = d3.d3_operator(alpha=2.0, beta=-0.5, tau_s=1.0, tau_n=3.0)
         with pytest.raises(FrameError, match="defective .* Jordan chain"):
             eigenbasis(op, [0.0])
 

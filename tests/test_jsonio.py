@@ -109,7 +109,7 @@ class TestArtifactCodec:
         assert same_stored_bits(theta, assembly.theta.theta)
         ver, rows = assembly.versality, tuple(assembly.theta.selected_rows)
         assert tuple(selected) == rows
-        assert stored == {"theta.selected_rows": rows, "theta.rank": assembly.theta.rank,
+        assert stored == {"theta.selected_rows": rows, "theta.rank": len(rows),
                           **{f"report.versality.{key}": getattr(ver, key)
                              for key in SPAN_FIELDS | MINI_FIELDS}}
 

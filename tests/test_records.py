@@ -11,6 +11,7 @@ import pytest
 import equnfold
 from equnfold.errors import SchemaError
 from equnfold.frames import find_root
+from equnfold.invariants import INVARIANTS
 from equnfold.jsonio import canonical_json
 from equnfold.unfolding import orbit_geometry, semisimple_jordan_spec
 from equnfold.verify import verify_artifact
@@ -28,8 +29,8 @@ def _record_types():
     return found
 
 
-RECORDS = ("CheckResult", "D3ModelParams", "DelayOperator", "DoubleHopfPoint",
-           "FiniteGroup", "GammaUnfolding", "OrbitGeometry", "Representation", "RootResult",
+RECORDS = ("CheckResult", "DelayOperator", "DoubleHopfPoint", "FiniteGroup",
+           "GammaUnfolding", "Invariant", "OrbitGeometry", "Representation", "RootResult",
            "SpectralFrame", "ThetaReport", "UnfoldResult", "UnfoldingFamily",
            "VerificationReport", "VersalityReport")
 
@@ -42,8 +43,7 @@ def records(simple_case, simple_point, simple_artifact):
     report = verify_artifact(simple_artifact)
     samples = {
         "UnfoldResult": r, "DoubleHopfPoint": simple_point,
-        "D3ModelParams": simple_point.params(),
-        "DelayOperator": r.op,
+        "DelayOperator": r.op, "Invariant": INVARIANTS[0],
         "FiniteGroup": r.rep.group, "Representation": r.rep,
         "RootResult": find_root(r.op, frame.lambdas[0]), "SpectralFrame": frame,
         "OrbitGeometry": orbit_geometry(frame.B, semisimple_jordan_spec(np.diag(frame.B))),
@@ -54,6 +54,15 @@ def records(simple_case, simple_point, simple_artifact):
     types = _record_types()
     assert sorted(types) == sorted(samples) == sorted(RECORDS)
     return {name: (types[name], rec) for name, rec in samples.items()}
+
+
+def test_every_class_is_a_record_or_an_error():
+    # a hand-written class would escape the record checks below
+    for info in pkgutil.iter_modules(equnfold.__path__):
+        mod = importlib.import_module(f"equnfold.{info.name}")
+        for name, obj in vars(mod).items():
+            if isinstance(obj, type) and obj.__module__ == mod.__name__:
+                assert name in RECORDS or issubclass(obj, Exception), name
 
 
 @pytest.mark.parametrize("name", RECORDS)

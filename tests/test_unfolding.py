@@ -8,21 +8,20 @@ from hypothesis import strategies as st
 
 from equnfold import d3
 from equnfold._linalg import RANK_RCOND, eigen_groups, rank, svd_rank
-from equnfold.cli import _run_config
 from equnfold.delays import DelayOperator
 from equnfold.errors import StructuralError, UnfoldingError
 from equnfold.frames import SpectralFrame
 from equnfold.groups import (Representation, close_generators, commutant_basis,
                              equivariant_average)
 from equnfold.invariants import BY_NAME
-from equnfold.jsonio import build_artifact, canonical_json, encode_complex
+from equnfold.jsonio import build_artifact, canonical_json, config_from_doc, encode_complex
 from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
                                 assemble_gamma_unfolding,
                                 build_R_matrices, check_lags,
                                 jordan_codimension, lag_basis,
                                 orbit_geometry, realify, select_delays,
-                                semisimple_jordan_spec,
-                                solve_delay_realization, theta_extract,
+                                semisimple_jordan_spec, slot_stacks,
+                                solve_delay_realization, theta_extract, unfold,
                                 verify_gamma_versality)
 from equnfold.verify import verify_artifact
 
@@ -242,14 +241,15 @@ class TestProjectDirections:
         out = equivariant_average(rep1, rep1, D)
         assert np.max(np.abs(out - D)) < 1e-14
 
-    def test_double_case_kills_mixed_slots(self, double_case):
+    def test_double_case_kills_mixed_slots(self, double_case, double_slots):
         # projecting the sixteen raw center directions annihilates the
-        # eight off-diagonal block slots and reproduces the assembly output
+        # eight off-diagonal block slots and reproduces the slots' Bhat
         frame = double_case.frame
-        raw = [frame.psi @ R for R in double_case.assembly.r_matrices]
+        Rs, _, Bhats, _ = double_slots
+        raw = [frame.psi @ R for R in Rs]
         projected = equivariant_average(frame.G, frame.G, np.array(raw))
         for m, P in enumerate(projected):
-            assert np.max(np.abs(P - double_case.assembly.directions[m])) < 1e-12
+            assert np.max(np.abs(P - Bhats[m])) < 1e-12
             if 4 <= m < 12:
                 assert np.max(np.abs(P)) < 1e-12
 
@@ -297,7 +297,6 @@ class TestThetaExtract:
         assert np.max(np.abs(report.theta - theta), initial=0.0) <= \
             1e-13 * np.max(np.abs(theta), initial=1.0)
         assert report.selected_rows == _gram_schmidt_rows(report.theta) == independent
-        assert report.rank == len(independent)
 
     def test_omega_basis_gives_identity(self):
         B = np.diag([1j, -1j, 2j, -2j])
@@ -327,8 +326,7 @@ class TestThetaExtract:
         geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
         # hand-build a geometry whose "complement" sits inside the tangent space
         t = geo.tangent_dim
-        bad = OrbitGeometry(B=geo.B, jordan_spec=geo.jordan_spec,
-                            basis=geo.basis[:, [*range(t), 0, 1, 2, 3]], tangent_dim=t)
+        bad = OrbitGeometry(B=geo.B, basis=geo.basis[:, [*range(t), 0, 1, 2, 3]], tangent_dim=t)
         assert bad.delta == 4
         with pytest.raises(UnfoldingError, match=r"^theta.decomposition \(direction 0\): residual"):
             theta_extract(bad, [complement(geo)[0]])
@@ -359,9 +357,9 @@ class TestBuildRMatrices:
         (R,) = build_R_matrices(frame, geo)
         assert np.allclose(R, [[0.5]])
 
-    def test_simple_case_normalization_and_conjugates(self, simple_case):
+    def test_simple_case_normalization_and_conjugates(self, simple_case, simple_slots):
         frame = simple_case.frame
-        Rs = simple_case.assembly.r_matrices
+        Rs = simple_slots[0]
         for j, R in enumerate(Rs):
             col = R[:, j]
             assert abs(frame.psi[j] @ col - 1.0) < 1e-10     # Pi_j(v_j) = 1
@@ -370,9 +368,9 @@ class TestBuildRMatrices:
         assert np.max(np.abs(Rs[1][:, 1] - Rs[0][:, 0].conj())) < 1e-12
         assert np.max(np.abs(Rs[3][:, 3] - Rs[2][:, 2].conj())) < 1e-12
 
-    def test_double_case_block_projections(self, double_case):
+    def test_double_case_block_projections(self, double_case, double_slots):
         frame = double_case.frame
-        Rs = double_case.assembly.r_matrices
+        Rs = double_slots[0]
         # slot m = 0 targets row 1 of block (rows 0, 1): Pi_1(v) = (1, 0)
         v = Rs[0][:, 0]
         assert np.max(np.abs(frame.psi[:2] @ v - np.array([1.0, 0.0]))) < 1e-10
@@ -444,20 +442,23 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _assert_same_as_per_system_solves(frame, directions, assembly=None):
+def _assert_same_as_per_system_solves(frame, directions=None, assembly=None):
     """``build_R_matrices`` and ``theta_extract`` give, bit for bit, what one
-    solve per slot and one per direction give; so does the assembly built
-    from them, when given.  Multi-right-hand-side least squares matching
-    single solves is a property of the LAPACK build; a failure names the
-    site that lost it."""
+    solve per slot and one per direction give.  Given ``assembly`` instead
+    of directions, the directions are its frame's slot stacks' (Bhat, of
+    :func:`slot_stacks`), and the stacks' R and Theta report and the
+    assembly's report must give it too.  Multi-right-hand-side least squares
+    matching single solves is a property of the LAPACK build; a failure
+    names the site that lost it."""
     geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
+    stacks, reports = [build_R_matrices(frame, geometry)], []
+    if assembly is not None:
+        Rs, _, directions, theta = slot_stacks(frame, assembly.family.rep)
+        stacks.append(Rs)
+        reports += [theta, assembly.theta]
     ref_Rs = _build_R_per_slot(frame, geometry)
     ref_theta, ref_residuals, ref_selected = _theta_extract_per_direction(geometry, directions)
-    reports = [theta_extract(geometry, directions)]
-    stacks = [build_R_matrices(frame, geometry)]
-    if assembly is not None:
-        reports.append(assembly.theta)
-        stacks.append(assembly.r_matrices)
+    reports.append(theta_extract(geometry, directions))
     for Rs in stacks:
         assert len(Rs) == len(ref_Rs)
         for m, (R, R_ref) in enumerate(zip(Rs, ref_Rs)):
@@ -467,18 +468,17 @@ def _assert_same_as_per_system_solves(frame, directions, assembly=None):
         assert _same_bits(report.residuals, ref_residuals), "theta_extract: residuals differ"
         assert report.selected_rows == ref_selected, \
             "theta_extract: the rank rule and Gram-Schmidt choose different rows"
-        assert report.rank == len(ref_selected)
 
 
 def _ring_case(n):
     """``unfold --config`` on the n-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1)."""
     shift = np.roll(np.eye(n), 1, axis=0)
-    (_, _, frame, assembly), _, _ = _run_config({
+    _, _, frame, assembly = unfold(**config_from_doc({
         "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_complex(-np.eye(n))},
                                     {"delay": 1.0, "matrix": encode_complex(2.0 * shift)}]},
         "group": {"generators": [encode_complex(shift)]},
         "lambda_seeds": [[0.0, 2.0], [0.0, -2.0]],
-    }, "unfold.json")
+    }))
     return frame, assembly
 
 
@@ -571,8 +571,8 @@ def _assert_assembly_matches_references(frame, rep, assembly, sparsity=None):
     per-row realizations of the selected projected slots."""
     delays = assembly.family.delays
     Phis = [frame.Phi_at(-r) for r in delays]
-    Rbars = np.array(assembly.projected_r)
-    for Rs in (np.array(assembly.r_matrices), Rbars):
+    R, Rbars, _, _ = slot_stacks(frame, rep)
+    for Rs in (R, Rbars):
         for masks in (None,) if sparsity is None else (None, sparsity):
             _assert_realization_matches_references(frame, delays, Rs, masks)
     for row, m in zip(assembly.family.directions, assembly.theta.selected_rows):
@@ -583,7 +583,7 @@ def _assert_assembly_matches_references(frame, rep, assembly, sparsity=None):
 class TestStackedSolvesMatchPerSystemSolves:
     def test_presets(self, simple_case, double_case):
         for r in (simple_case, double_case):
-            _assert_same_as_per_system_solves(r.frame, r.assembly.directions, r.assembly)
+            _assert_same_as_per_system_solves(r.frame, assembly=r.assembly)
             _assert_assembly_matches_references(r.frame, r.rep, r.assembly, d3.structure_masks())
 
     def test_random_masks(self, simple_case, double_case, rng):
@@ -614,7 +614,7 @@ class TestStackedSolvesMatchPerSystemSolves:
         point = d3.DoubleHopfPoint(factor=entry["factor"], beta=entry["beta"],
                                    tau_n=entry["tau_n"], **entry["points"][index])
         r = d3.run_case(case, point)
-        _assert_same_as_per_system_solves(r.frame, r.assembly.directions, r.assembly)
+        _assert_same_as_per_system_solves(r.frame, assembly=r.assembly)
         _assert_assembly_matches_references(r.frame, r.rep, r.assembly, d3.structure_masks())
 
     @pytest.mark.parametrize("n", range(3, 25))
@@ -622,7 +622,7 @@ class TestStackedSolvesMatchPerSystemSolves:
         frame, assembly = _ring_case(n)
         ver = assembly.versality
         assert abs(ver.codimension_formula - ver.codimension) < 1e-12
-        _assert_same_as_per_system_solves(frame, assembly.directions, assembly)
+        _assert_same_as_per_system_solves(frame, assembly=assembly)
         _assert_assembly_matches_references(frame, assembly.family.rep, assembly)
 
     @staticmethod
@@ -679,7 +679,7 @@ class TestStackedSolvesMatchPerSystemSolves:
                                   semisimple_jordan_spec(simple_case.frame.lambdas))
         report = theta_extract(geometry, [])
         assert report.theta.shape == (0, geometry.delta)
-        assert report.residuals == () and report.selected_rows == () and report.rank == 0
+        assert report.residuals == () and report.selected_rows == ()
 
 
 class TestExponentialDelayMatrix:
@@ -722,12 +722,12 @@ class TestSolveDelayRealization:
                 lag_basis(frame, lags)
         assert lag_basis(frame, [0.0, tau_s, tau_s * (1 + 1e-12), 3.0])[1] < 4
 
-    def test_infeasible_mask_rejected(self, double_case):
+    def test_infeasible_mask_rejected(self, double_case, double_slots):
         # a raw single-column slot cannot be realized under the structural
         # masks in the double case: eight equations, six unknowns per row
         frame = double_case.frame
         Phis = lag_basis(frame, double_case.assembly.family.delays)[0]
-        R = double_case.assembly.r_matrices[:1]
+        R = double_slots[0][:1]
         with pytest.raises(UnfoldingError, match="^target 0: sparsity mask infeasible"):
             solve_delay_realization(Phis, R, sparsity=d3.structure_masks())
 
@@ -826,7 +826,7 @@ class TestAssembledPipeline:
         rhs = frame.psi @ equivariant_average(rep, rep, A) @ frame.Phi_at(-tau_star)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
-    def test_reconstruction_and_equivariance(self, simple_case):
+    def test_reconstruction_and_equivariance(self, simple_case, simple_slots):
         asm = simple_case.assembly
         frame = simple_case.frame
         fam = asm.family
@@ -834,7 +834,7 @@ class TestAssembledPipeline:
         for m, slot in enumerate(asm.theta.selected_rows):
             recon = sum(A @ frame.Phi_at(-r)
                         for A, r in zip(fam.directions[m], fam.delays))
-            assert np.max(np.abs(recon - asm.projected_r[slot])) < 1e-9
+            assert np.max(np.abs(recon - simple_slots[1][slot])) < 1e-9
 
     def test_direct_sums(self, double_case):
         frame = double_case.frame
@@ -862,7 +862,7 @@ class TestAssembledPipeline:
 
     def test_coefficient_equivariance_is_relative_to_its_size(self):
         rep = d3.triangle_rep()
-        base = d3.d3_operator(d3.D3ModelParams(alpha=1.0, beta=0.5, tau_s=1.0, tau_n=2.0))
+        base = d3.d3_operator(alpha=1.0, beta=0.5, tau_s=1.0, tau_n=2.0)
         A = 1e6 * (np.eye(3) + np.ones((3, 3)))     # commutes with every permutation
         A[0, 0] += 1e-6                             # 1e-12 of |A| off
         UnfoldingFamily(base=base, delays=(0.0,), directions=[[A]], names=("a",), rep=rep)
@@ -905,18 +905,18 @@ class TestRealify:
 
 
 class TestVerifyGammaVersality:
-    def test_simple_case_passes(self, simple_case):
+    def test_simple_case_passes(self, simple_case, simple_slots):
         asm = simple_case.assembly
         frame = simple_case.frame
-        sel = [asm.directions[m] for m in asm.theta.selected_rows]
+        sel = [simple_slots[2][m] for m in asm.theta.selected_rows]
         rep = verify_gamma_versality(frame.B, frame.G, sel)
         assert rep.versal and rep.mini_versal
         assert (rep.tangent_dim, rep.n_directions, rep.commutant_dim) == (12, 4, 16)
 
-    def test_double_case_passes(self, double_case):
+    def test_double_case_passes(self, double_case, double_slots):
         asm = double_case.assembly
         frame = double_case.frame
-        sel = [asm.directions[m] for m in asm.theta.selected_rows]
+        sel = [double_slots[2][m] for m in asm.theta.selected_rows]
         rep = verify_gamma_versality(frame.B, frame.G, sel)
         assert rep.versal and rep.mini_versal
         assert (rep.tangent_dim, rep.n_directions, rep.commutant_dim) == (12, 4, 16)
