@@ -224,7 +224,7 @@ def build_parser():
     u = sub.add_parser("unfold", help="run the unfolding pipeline (JSON artifact)")
     source = u.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=d3.PRESETS,
-                        help='a worked case; the config {"lambda_seeds": PRESET}')
+                        help="a worked case, run at its slice's first double-Hopf point")
     source.add_argument("--config", help="JSON config file")
     u.add_argument("--output", default="unfold.json")
     u.set_defaults(func=cmd_unfold)

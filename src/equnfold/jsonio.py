@@ -17,12 +17,11 @@ import tempfile
 
 import numpy as np
 
-from .d3 import PRESETS
 from .delays import DelayOperator, check_dims
 from .errors import SchemaError, document_errors
 from .frames import ROOT_TOL, SpectralFrame
 from .groups import Representation, close_generators
-from .unfolding import UnfoldingFamily, check_lags
+from .unfolding import UnfoldingFamily, check_lags, check_sparsity
 
 SCHEMA = "equivar-unfold/1"
 
@@ -359,21 +358,15 @@ def _model_and_group(doc):
 
 def config_from_doc(cfg):
     """The keyword arguments of :func:`~equnfold.unfolding.unfold` that a
-    config document holds; or its ``lambda_seeds`` string, one of
-    ``d3.PRESETS``, which stands in for the whole document."""
+    config document holds.  ``lambda_seeds`` is a list of ``[re, im]``
+    pairs.  An absent or null key is unspecified, and a list, ``[]``
+    included, is that list; ``sparsity`` needs ``delays``, the lags that its
+    masks mask, and is checked against them here."""
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
     _check_keys(cfg, "config", CONFIG_KEYS)
-    seeds, seeds_path = field(cfg, "", "lambda_seeds")
-    if isinstance(seeds, str):
-        if seeds not in PRESETS:
-            raise invalid(seeds_path, f"{' or '.join(PRESETS)}, or a list of seeds", seeds)
-        for key in CONFIG_KEYS:
-            if key in cfg and key != "lambda_seeds":
-                raise SchemaError(f"preset lambda_seeds cannot be combined with {key!r}")
-        return seeds
+    seeds = items(*field(cfg, "", "lambda_seeds"), pair_complex)
     op, rep = _model_and_group(cfg)
-    seeds = items(seeds, seeds_path, pair_complex)
     vectors, path = field(cfg, "", "vector_seeds", [None] * len(seeds))
     vectors = items(vectors, path, lambda doc, p: _vectors(doc, p, op.n))
     if len(vectors) != len(seeds):
@@ -384,8 +377,14 @@ def config_from_doc(cfg):
     if not root_tol > 0:
         raise SchemaError("tolerances must be positive")
     # no lags: the pipeline selects them; no masks: every entry is free
-    delays = items(*field(cfg, "", "delays", []), number) or None
-    sparsity = items(*field(cfg, "", "sparsity", []), _mask) or None
+    delays = None if cfg.get("delays") is None else items(cfg["delays"], "delays", number)
+    sparsity = None if cfg.get("sparsity") is None else items(cfg["sparsity"], "sparsity", _mask)
+    if sparsity is not None:
+        if delays is None:
+            raise SchemaError("sparsity needs delays: a mask is for the lag at its place "
+                              "in delays")
+        with document_errors("sparsity"):
+            check_sparsity(sparsity, len(delays), op.n)
     return {"op": op, "rep": rep, "lambda_seeds": seeds, "vector_seeds": vectors,
             "delays": delays, "sparsity": sparsity, "root_tol": root_tol}
 
@@ -492,8 +491,9 @@ def points_to_doc(points, factor, beta, tau_n, alpha_window, tau_s_window):
 def curves_to_csv(curves, factor):
     """The ``curves`` output text: a header, then one row per sample of
     :func:`~equnfold.d3.sweep_curves`' ``curves`` of ``factor``, its floats
-    printed with 17 significant digits (full round-trip precision)."""
-    rows = [f"{om:.17g},{al:.17g},{ts:.17g},{sg},{br},{factor}"
+    printed as every JSON output prints them: finite, with 17 significant
+    digits (full round-trip precision)."""
+    rows = [f"{_fmt_float(om)},{_fmt_float(al)},{_fmt_float(ts)},{sg},{br},{factor}"
             for (sg, br), samples in curves.items() for om, al, ts in samples]
     return "\n".join(["omega,alpha,tau_s,sign,branch,factor", *rows]) + "\n"
 

@@ -25,7 +25,7 @@ from . import invariants
 from ._linalg import (RANK_RCOND, REALIZATION_TOL, ad_matrix, eigen_groups, lstsq, rank,
                       same_lag, scaled, svd_rank)
 from .delays import DelayOperator
-from .errors import StructuralError, UnfoldingError, document_errors
+from .errors import StructuralError, UnfoldingError
 from .frames import ROOT_TOL, SpectralFrame, critical_roots, eigenbasis, induce_representation
 from .groups import Representation, commutant_basis, equivariant_average
 
@@ -668,8 +668,9 @@ def unfold(op, rep, lambda_seeds, vector_seeds=None, delays=None, sparsity=None,
     The roots are the distinct ones Newton reaches from ``lambda_seeds``
     (:func:`~equnfold.frames.critical_roots`).  ``vector_seeds``, aligned
     with them, gives a seed's null vectors or None; a root takes those of
-    its first seed.  The lags are ``delays`` or :func:`select_delays`'s, with
-    one mask per lag in ``sparsity``, or none.  The family is returned
+    its first seed.  The lags are ``delays`` or :func:`select_delays`'s;
+    ``sparsity``, one mask per lag of ``delays`` or None, is checked against
+    them by :func:`solve_delay_realization`.  The family is returned
     whether or not it is minimal; ``assembly.versality`` says which.
     """
     roots, firsts = critical_roots(op, lambda_seeds, root_tol)
@@ -678,7 +679,5 @@ def unfold(op, rep, lambda_seeds, vector_seeds=None, delays=None, sparsity=None,
     frame = induce_representation(eigenbasis(op, roots, seeds=vectors), rep)
     if delays is None:
         delays = select_delays(frame)
-    with document_errors("sparsity"):
-        check_sparsity(sparsity, len(delays), op.n)
     assembly = assemble_gamma_unfolding(frame, rep, delays, sparsity=sparsity)
     return UnfoldResult(op=op, rep=rep, frame=frame, assembly=assembly)

@@ -58,15 +58,34 @@ def test_cli_import_loads_no_scipy():
 
 def test_pipeline_loads_no_document_module():
     # the pipeline knows no document format: jsonio reads and writes every
-    # document, and verify and cli sit above it; only a fresh interpreter
-    # shows what importing the pipeline loads
-    code = ("import sys, equnfold.unfolding, equnfold.d3; "
-            "print(sorted(m for m in sys.modules "
-            "if m in ('equnfold.jsonio', 'equnfold.verify', 'equnfold.cli')))")
+    # document, and verify and cli sit above it; a config names no preset,
+    # so the documents need no worked case; only a fresh interpreter shows
+    # what an import loads
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": package_root})
-    assert out.stdout.strip() == "[]"
+    for imported, unloaded in [
+            ("equnfold.unfolding, equnfold.d3", ("equnfold.jsonio", "equnfold.verify",
+                                                  "equnfold.cli")),
+            ("equnfold.jsonio, equnfold.verify", ("equnfold.d3", "equnfold.cli"))]:
+        code = (f"import sys, {imported}; "
+                f"print(sorted(m for m in sys.modules if m in {unloaded!r}))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": package_root})
+        assert out.stdout.strip() == "[]", imported
+
+
+def test_only_jsonio_names_a_document_path():
+    # a schema error names a place in a document, which only jsonio reads:
+    # no other module uses document_errors
+    package = os.path.dirname(cli.__file__)
+    for fname in sorted(os.listdir(package)):
+        if not fname.endswith(".py") or fname in ("errors.py", "jsonio.py"):
+            continue
+        with open(os.path.join(package, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", getattr(node, "attr", None))])
+            assert "document_errors" not in names, f"{fname}:{node.lineno}"
 
 
 def test_cli_only_parses_and_dispatches():
@@ -95,7 +114,7 @@ def test_unknown_factor_is_a_usage_error_naming_both(capsys):
 def test_config_is_utf8_under_any_locale(tmp_path):
     # JSON text is UTF-8 (RFC 8259): under the C locale a config key that
     # is not ASCII is read, and refused as unknown, not as undecodable text
-    (tmp_path / "cfg.json").write_bytes('{"lambda_seeds": "d3:simple", "café": 1}'.encode())
+    (tmp_path / "cfg.json").write_bytes('{"lambda_seeds": [[0.0, 1.0]], "café": 1}'.encode())
     env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
     env.update(PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0",
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
@@ -129,7 +148,7 @@ DOUBLE_HOPF = ["double-hopf", "--factor", "delta1", "--beta", "-0.5", "--tau-n",
     (["verify", "{dir}"], IS_A_DIRECTORY, "{dir}"),
     (["unfold", "--config", "{dir}"], IS_A_DIRECTORY, "{dir}"),
     (["unfold", "--preset", "d3:simple", "--output", "."], IS_A_DIRECTORY, "'.'"),
-    (["unfold", "--config", "{preset_config}", "--output", "{dir}"], IS_A_DIRECTORY, "{dir}"),
+    (["unfold", "--config", "{config}", "--output", "{dir}"], IS_A_DIRECTORY, "{dir}"),
     (CURVES + ["--output", "{dir}"], IS_A_DIRECTORY, "{dir}"),
     (DOUBLE_HOPF + ["--output", "{dir}"], IS_A_DIRECTORY, "{dir}"),
     (["unfold", "--preset", "d3:simple", "--output", "{missing}"], NO_SUCH_FILE, "{missing}"),
@@ -148,10 +167,10 @@ def test_directory_as_a_path_is_a_usage_error(tmp_path, capsys, monkeypatch, sim
     # does; an output path is checked before the pipeline runs, the message
     # names the path as given, and no temp file is made
     paths = {"dir": tmp_path / "dir", "artifact": tmp_path / "a.json",
-             "preset_config": tmp_path / "preset.json", "missing": tmp_path / "no" / "o.json"}
+             "config": tmp_path / "ring3.json", "missing": tmp_path / "no" / "o.json"}
     paths["dir"].mkdir()
     write_json_atomic(str(paths["artifact"]), simple_artifact)
-    paths["preset_config"].write_text(json.dumps({"lambda_seeds": "d3:simple"}))
+    paths["config"].write_text(json.dumps(_ring_config(3)))
 
     def pipeline(*args, **kwargs):
         raise AssertionError("the pipeline ran")
@@ -159,6 +178,7 @@ def test_directory_as_a_path_is_a_usage_error(tmp_path, capsys, monkeypatch, sim
     for name in ("run_case", "sweep_curves", "locate_double_hopf"):
         monkeypatch.setattr(d3, name, pipeline)
     monkeypatch.setattr(cli, "verify_artifact", pipeline)
+    monkeypatch.setattr(cli, "unfold", pipeline)
     monkeypatch.chdir(paths["dir"])
     assert run([arg.format(**paths) for arg in command]) == 2
     err = capsys.readouterr().err
@@ -257,6 +277,20 @@ def test_negative_lag_is_a_usage_error(tmp_path, capsys, command, message):
     assert message in usage_error(command + ["--output", str(out)], capsys, out)
 
 
+@pytest.mark.parametrize("command, message", [
+    (CURVES[:-1] + ["1:x:0.1"], "argument --omega-range: malformed range '1:x:0.1'"),
+    (CURVES + ["--branches", "1-3"], "argument --branches: malformed branch range '1-3'"),
+    (CURVES + ["--branches", "3..1"], "argument --branches: branch range '3..1' is empty"),
+    (DOUBLE_HOPF + ["--alpha-window=a:b"], "argument --alpha-window: malformed window 'a:b'"),
+    (DOUBLE_HOPF + ["--alpha-window=1:1"], "argument --alpha-window: window '1:1' is empty"),
+    (CURVES[:4] + ["abc"] + CURVES[5:], "argument --beta: must be a finite number, got 'abc'"),
+], ids=["omega-range", "branches-dash", "branches-empty", "alpha-window", "alpha-window-empty",
+        "beta"])
+def test_malformed_flag_is_a_usage_error(tmp_path, capsys, command, message):
+    out = tmp_path / "out"
+    assert message in usage_error(command + ["--output", str(out)], capsys, out)
+
+
 class TestCurves:
     def test_writes_csv(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -281,6 +315,16 @@ class TestCurves:
         assert run(["curves", "--factor", factor, "--beta", beta, "--tau-n", tau_n,
                     "--omega-range", "0.05:5:0.005", "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_overflowing_sample_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # 2 * beta overflows: the CSV refuses a non-finite number, as every
+        # JSON output does, and writes no file
+        out = tmp_path / "c.csv"
+        assert run(["curves", "--factor", "delta1", "--beta", "1e308", "--tau-n", "1",
+                    "--omega-range", "0.05:1:0.5", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "schema error: non-finite number cannot be serialized\n"
+        assert not out.exists()
 
     def test_malformed_range_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -447,20 +491,23 @@ class TestUnfold:
     def test_preset_and_config_exclusive(self, tmp_path, capsys):
         out = tmp_path / "o.json"
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"lambda_seeds": "d3:simple"}))
+        cfg_path.write_text(json.dumps(_ring_config(3)))
         err = usage_error(["unfold", "--output", str(out)], capsys, out)
         assert "one of the arguments --preset --config is required" in err
         err = usage_error(["unfold", "--preset", "d3:simple", "--config", str(cfg_path),
                            "--output", str(out)], capsys, out)
         assert "argument --config: not allowed with argument --preset" in err
 
-    def test_config_unknown_preset_is_schema_error(self, tmp_path, capsys):
+    def test_config_string_seeds_is_schema_error(self, tmp_path, capsys):
+        # a preset comes from --preset only; the seeds are read ahead of the
+        # model, so they are named first, with no model or with a bad one
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "o.json"
-        cfg_path.write_text(json.dumps({"lambda_seeds": "d3:bogus"}))
-        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("schema error: lambda_seeds must be") and "'d3:bogus'" in err
-        assert not out.exists()
+        for cfg in ({"lambda_seeds": "d3:simple"}, {"lambda_seeds": "d3:simple", "model": 5}):
+            cfg_path.write_text(json.dumps(cfg))
+            assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 2
+            assert capsys.readouterr().err == \
+                "schema error: lambda_seeds must be a list, got 'd3:simple'\n"
+            assert not out.exists()
 
     def test_config_pipeline(self, tmp_path, simple_case, simple_point):
         point = simple_point
@@ -496,32 +543,6 @@ class TestUnfold:
             assert len(rows) == 4
             assert all(np.all(x == 0) for x in outside) == bool(sparsity)
 
-    def test_config_with_preset_seeds(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"lambda_seeds": "d3:simple"}))
-        out = tmp_path / "o.json"
-        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["meta"]["preset"] == "d3:simple"
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_DIGESTS["d3:simple"]
-
-    @pytest.mark.parametrize("extra", [
-        # the preset's own lags, masks and tolerances come with it; these
-        # keys were once ignored, and the preset's artifact written
-        {"delays": [0, 1, 2, 3], "sparsity": [[[0] * 3] * 3] * 4,
-         "tolerances": {"root_tol": 1e-3}},
-        {"sparsity": [None] * 4},
-        {"tolerances": {"root_tol": 1e-3}},
-        {"vector_seeds": [None] * 4},
-    ])
-    def test_config_preset_rejects_pipeline_keys(self, tmp_path, capsys, extra):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"lambda_seeds": "d3:simple", **extra}))
-        out = tmp_path / "o.json"
-        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 2
-        assert f"cannot be combined with {next(iter(extra))!r}" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("group", ["trivial", "D3"])
     def test_bogdanov_takens_config_exits_1_naming_the_jordan_chain(self, tmp_path, capsys,
                                                                      group):
@@ -552,14 +573,6 @@ class TestUnfold:
         assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 2
         assert "schema error: group: representation dim 4 != state dim 3" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_config_preset_conflicts_with_model(self, tmp_path, simple_case):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "lambda_seeds": "d3:simple",
-            "model": model_to_doc(simple_case.op),
-        }))
-        assert run(["unfold", "--config", str(cfg_path)]) == 2
 
     def test_config_bad_tolerance(self, tmp_path, simple_case, simple_point):
         cfg_path = tmp_path / "cfg.json"
@@ -656,6 +669,7 @@ class TestUnfold:
         ("delay", False),
         ("entry", float("nan")),
         ("entry", float("inf")),
+        ("n", 0),
     ])
     def test_bad_model_field_exits_2(self, tmp_path, capsys, simple_case, simple_point, field,
                                      value):
@@ -676,6 +690,8 @@ class TestUnfold:
                     "--output", str(tmp_path / "o.json")]) == 2
         path = {"n": "model.n", "delay": "model.terms[1].delay",
                 "entry": "model.terms[1].matrix[0][1][0]"}[field]
+        if (field, value) == ("n", 0):      # well-formed, but no operator has it
+            path = "schema error: model: state dimension must be positive"
         assert path in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, message", [
@@ -695,9 +711,11 @@ class TestUnfold:
         ("delays", [0.0, float("nan")], "delays[1]"),
         ("sparsity", 3, "sparsity"),
         ("sparsity", [[[1, 0], [1]]], "sparsity[0]"),
-        ("sparsity", [[[1]], None], "sparsity: 2 masks for 3 delays; need one per delay"),
-        ("sparsity", [None], "sparsity: 1 masks for 3 delays; need one per delay"),
-        ("sparsity", [[[1]], None, None], "sparsity: mask 0 has shape (1, 1), expected (3, 3)"),
+        ("masks", [[[1]], None], "sparsity: 2 masks for 3 delays; need one per delay"),
+        ("masks", [None], "sparsity: 1 masks for 3 delays; need one per delay"),
+        ("masks", [[[1]], None, None], "sparsity: mask 0 has shape (1, 1), expected (3, 3)"),
+        ("masks", [], "sparsity: 0 masks for 3 delays; need one per delay"),
+        ("sparsity", [None] * 3, "sparsity needs delays"),
         ("output", 5, "unknown key 'output' in config"),
         ("output", "o.json", "unknown key 'output' in config"),
         ("model", "model.json", "model must be an object, got 'model.json'"),
@@ -715,7 +733,7 @@ class TestUnfold:
             "root-tol-bool", "root-tol-nan", "root-tol-inf", "seeds-number", "seed-nan",
             "seed-inf", "seed-triple", "delays-number", "delays-string", "delays-nan",
             "sparsity-number", "sparsity-ragged", "sparsity-short", "sparsity-one",
-            "sparsity-shape", "output-number", "output-string", "model-path", "group-path",
+            "sparsity-shape", "sparsity-empty", "sparsity-without-delays", "output-number", "output-string", "model-path", "group-path",
             "generators-empty", "group-table", "seed-strings", "mask-string", "mask-half",
             "mask-two", "misspelled-key", "misspelled-tolerance"])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, simple_case, simple_point, field,
@@ -727,6 +745,8 @@ class TestUnfold:
         }
         if field is None:
             cfg = value
+        elif field == "masks":      # sparsity, given with the model's own lags
+            cfg.update(delays=[t["delay"] for t in cfg["model"]["terms"]], sparsity=value)
         else:
             cfg[field] = value
         cfg_path = tmp_path / "cfg.json"
@@ -739,14 +759,23 @@ class TestUnfold:
         ([0, 1, 1], "lags[2] = 1.0 repeats an earlier lag"),
         ([0, 1, 1 + 1e-15], "lags[2] = 1.000000000000001 repeats an earlier lag"),
         ([0, 0.5, 1.5], "lags[2] = 1.5 lies outside the history horizon [0, 1.0]"),
-    ], ids=["repeat", "repeat-within-tolerance", "beyond-horizon"])
+        ([], "slots 0-1: stacked basis col(Phi(-r_j)) has rank 0 < 2"),
+    ], ids=["repeat", "repeat-within-tolerance", "beyond-horizon", "empty"])
     def test_config_lag_breaking_a_rule_exits_1(self, tmp_path, capsys, delays, message):
         # the ring3 fixture (tau = 1) with its own lags: a pipeline error that
-        # names the lag, and no artifact
+        # names the lag (or, with none, the rank they reach), and no artifact
         cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg.write_text(json.dumps(dict(_ring_config(3), delays=delays)))
         assert run(["unfold", "--config", str(cfg), "--output", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_with_no_seeds_exits_1(self, tmp_path, capsys):
+        # [] is an empty list of seeds, from which Newton reaches no root
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg.write_text(json.dumps(dict(_ring_config(3), lambda_seeds=[])))
+        assert run(["unfold", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "no characteristic roots found from the given seeds" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mutate, message", [
@@ -1281,6 +1310,7 @@ class TestVerify:
         (b"{not json", "line 1 column 2"),
         (b"\xff\xfe{}", "not UTF-8 text"),
         pytest.param(b'{"schema": ' + b"1" * 5000 + b"}", "schema error", id="long-integer"),
+        pytest.param(b"[]", "artifact must be a JSON object", id="list"),
     ])
     def test_malformed_json_artifact_exits_2(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.json"

@@ -121,6 +121,10 @@ class TestDoubleHopfLocation:
         with pytest.raises(EqunfoldError, match="a lag is never negative"):
             d3.locate_double_hopf("delta2", 0.5, tau_n, tau_s_window=tau_s_window)
 
+    def test_unknown_factor_rejected_naming_both(self):
+        with pytest.raises(EqunfoldError, match="unknown factor 'delta3'; use 'delta1' or 'delta2'"):
+            d3.locate_double_hopf("delta3", 0.5, 3.0)
+
     def test_one_sample_grid_rejected(self):
         with pytest.raises(EqunfoldError, match="two samples"):
             d3.locate_double_hopf("delta2", 0.5, 3.0, omegas=np.array([0.05]))
