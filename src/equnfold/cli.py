@@ -122,23 +122,16 @@ def cmd_double_hopf(args):
     return EXIT_OK if points else EXIT_PIPELINE
 
 
-def _unfold(source):
-    """The unfolding of ``source`` and the artifact's ``meta``: ``source`` is
-    a preset's name, run at the first point of its case's default slice, or
-    the keyword arguments of :func:`~equnfold.unfolding.unfold` that
-    :func:`~equnfold.jsonio.config_from_doc` decodes."""
-    if isinstance(source, str):
-        case = d3.PRESETS[source]
-        point = d3.default_point(case)
-        return d3.run_case(case, point), artifact_meta(source, point)
-    return unfold(**source), artifact_meta()
-
-
 def cmd_unfold(args):
     # malformed JSON is reported first, then the output path, then a schema error
     doc = None if args.preset else read_json(args.config)
     _output_path(args.output)
-    result, meta = _unfold(args.preset or config_from_doc(doc))
+    if args.preset:
+        case = d3.PRESETS[args.preset]
+        point = d3.default_point(case)
+        result, meta = d3.run_case(case, point), artifact_meta(args.preset, point)
+    else:
+        result, meta = unfold(**config_from_doc(doc)), artifact_meta()
     write_json_atomic(args.output, build_artifact(*result, meta=meta))
     ver = result.assembly.versality
     kind = "mini-versal" if ver.mini_versal else "versal (not minimal)"

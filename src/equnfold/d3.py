@@ -45,7 +45,7 @@ def triangle_rep():
     so its arrays are read-only.
     """
     rep = close_generators([KAPPA_MAT, GAMMA_MAT])
-    for a in (rep.matrices, rep.group.mul_table, rep.group.inverse):
+    for a in (rep.matrices, rep.group.mul_table):
         a.flags.writeable = False
     return rep
 

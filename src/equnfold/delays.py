@@ -91,7 +91,8 @@ def check_dims(op, rep):
 
 
 def check_equivariance(op, rep):
-    """Max residual of ``rho(g) A_k - A_k rho(g)`` over all elements and terms.
+    """Max residual of ``rho(g) A_k - A_k rho(g)`` over every generator g and
+    term A_k (:func:`~equnfold.groups.commutator_residual`).
 
     Zero (within tolerance) exactly when the delay equation commutes with the
     group action, i.e. is equivariant.

@@ -26,37 +26,36 @@ MAX_ORDER = 512             # a closure with more elements is not a finite group
 
 
 class FiniteGroup(NamedTuple):
-    """A finite group given by its multiplication table.
+    """A finite group given by its multiplication table, with the identity
+    at index 0.
 
     Attributes
     ----------
     mul_table : ``(order, order)`` int ndarray
         ``mul_table[a, b]`` is the index of the product ``a * b``.
-    identity : int
-        Index of the identity element.
-    inverse : ``(order,)`` int ndarray
-        ``inverse[g]`` is the index of ``g**-1``.
     generator_indices : tuple of int
         Indices of a generating set; the homomorphism, commutation and
         intertwining residuals are taken over these.
     """
 
     mul_table: np.ndarray
-    identity: int
-    inverse: np.ndarray
     generator_indices: tuple
+
+    identity = 0
 
     @property
     def order(self):
         return self.mul_table.shape[0]
 
-    def elements(self):
-        return range(self.order)
+    @property
+    def inverse(self):
+        """``inverse[g]`` is the index of ``g**-1``."""
+        return np.nonzero(self.mul_table == 0)[1]
 
     @classmethod
     def from_mul_table(cls, table, generator_indices):
-        """Build and validate a group from a multiplication table and the
-        indices of a generating set."""
+        """Build and validate a group from a multiplication table, whose
+        element 0 is the identity, and the indices of a generating set."""
         table = np.asarray(table, dtype=int)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise StructuralError("multiplication table must be square")
@@ -69,30 +68,17 @@ class FiniteGroup(NamedTuple):
         for axis in (0, 1):
             if not np.all(np.sort(table, axis=axis) == (full[:, None] if axis == 0 else full[None, :])):
                 raise StructuralError("multiplication table is not a Latin square")
-
-        identity = None
-        for e in range(n):
-            if np.all(table[e, :] == full) and np.all(table[:, e] == full):
-                identity = e
-                break
-        if identity is None:
-            raise StructuralError("no identity element in table")
-
-        inverse = np.empty(n, dtype=int)
-        for g in range(n):
-            inv = np.nonzero(table[g, :] == identity)[0]
-            if len(inv) != 1 or table[inv[0], g] != identity:
-                raise StructuralError(f"element {g} has no two-sided inverse")
-            inverse[g] = inv[0]
+        if not (np.all(table[0, :] == full) and np.all(table[:, 0] == full)):
+            raise StructuralError("element 0 of the multiplication table is not the identity")
 
         # Associativity, exhaustively; groups here are small.  Chunk over the
-        # first index to keep the temporary arrays modest.
+        # first index to keep the temporary arrays modest.  An associative
+        # Latin square with an identity gives every element a two-sided inverse.
         for a in range(n):
             if not np.array_equal(table[table[a]], table[a][table]):
                 raise StructuralError(f"associativity fails for triples starting at {a}")
 
-        return cls(mul_table=table, identity=identity, inverse=inverse,
-                   generator_indices=tuple(generator_indices))
+        return cls(mul_table=table, generator_indices=tuple(generator_indices))
 
     def same_group(self, other):
         return self is other or (
@@ -118,10 +104,6 @@ class Representation(NamedTuple("Representation", [("group", FiniteGroup),
     @property
     def dim(self):
         return self.matrices.shape[1]
-
-    def inverse_matrix(self, g):
-        """rho(g)^-1, taken as the matrix of the inverse group element."""
-        return self.matrices[self.group.inverse[g]]
 
 
 def close_generators(generators):
@@ -305,11 +287,11 @@ def equivariant_average(rep_left, rep_right, M):
         raise StructuralError(
             f"matrix shape {M.shape} does not end in ({rep_left.dim}, {rep_right.dim})"
         )
-    group = rep_left.group
+    inverse = rep_right.group.inverse
     acc = np.zeros_like(M)
-    for g in group.elements():
-        acc += rep_left.matrices[g] @ M @ rep_right.inverse_matrix(g)
-    return acc / group.order
+    for g, inv in enumerate(inverse):
+        acc += rep_left.matrices[g] @ M @ rep_right.matrices[inv]
+    return acc / len(inverse)
 
 
 def commutator_residual(rep, matrices):

@@ -357,18 +357,18 @@ def slot_stacks(frame, rep):
 
 class UnfoldingFamily(NamedTuple("UnfoldingFamily", [
         ("base", DelayOperator), ("delays", tuple), ("directions", np.ndarray),
-        ("names", tuple), ("rep", object)])):
+        ("names", tuple)])):
     """Parametrized family ``L(alpha) z = L0 z + sum_m alpha_m sum_j A_j^m z(-r_j)``.
 
     ``directions[m, j]``, one (n, n) matrix in a ``(p, J, n, n)`` stack, is
-    the coefficient of parameter m at lag ``delays[j]``.  When ``rep`` is set
-    the family claims equivariance and every coefficient is checked to
-    commute with the group action.
+    the coefficient of parameter m at lag ``delays[j]``.  The constructor
+    checks this shape only; :func:`assemble_gamma_unfolding` checks that an
+    equivariant family's coefficients commute with the group action.
     """
 
     __slots__ = ()
 
-    def __new__(cls, base, delays, directions, names, rep=None):
+    def __new__(cls, base, delays, directions, names):
         delays = tuple(float(r) for r in delays)
         names = tuple(names)
         # checked, never reshaped: a reshape would take swapped p and J
@@ -380,9 +380,7 @@ class UnfoldingFamily(NamedTuple("UnfoldingFamily", [
         if directions is None or directions.shape != shape:
             raise StructuralError(f"coefficients must form a (parameters, lags, n, n) = "
                                   f"{shape} stack")
-        if rep is not None:
-            invariants.check("family.coefficient_equivariance", rep, directions)
-        return super().__new__(cls, base, delays, directions, names, rep)
+        return super().__new__(cls, base, delays, directions, names)
 
     @property
     def n_parameters(self):
@@ -416,8 +414,6 @@ def center_directions(psi, A, Phis):
 class VersalityReport(NamedTuple):
     """Outcome of the equivariant span test for a direction family."""
 
-    versal: bool
-    mini_versal: bool
     commutant_dim: int
     tangent_dim: int
     codimension: int         # dim of the equivariant centralizer
@@ -425,6 +421,14 @@ class VersalityReport(NamedTuple):
     achieved_rank: int
     n_directions: int
     max_equivariance_residual: float
+
+    @property
+    def versal(self):
+        return self.achieved_rank == self.commutant_dim
+
+    @property
+    def mini_versal(self):
+        return self.versal and self.n_directions == self.codimension
 
     @property
     def deficiency(self):
@@ -479,16 +483,12 @@ def verify_gamma_versality(B, G, directions, tol=None):
         coords = Kmat.conj().T @ v
         equiv_res = max(equiv_res, float(np.linalg.norm(v - Kmat @ coords)))
         cols.append(coords[:, None])
-    achieved = rank(np.hstack(cols))
-    versal = achieved == k
     return VersalityReport(
-        versal=versal,
-        mini_versal=versal and len(directions) == Z_dim,
         commutant_dim=k,
         tangent_dim=r,
         codimension=Z_dim,
         codimension_formula=Z_formula,
-        achieved_rank=achieved,
+        achieved_rank=rank(np.hstack(cols)),
         n_directions=len(directions),
         max_equivariance_residual=equiv_res,
     )
@@ -515,8 +515,9 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     keep Theta's earliest maximal independent rows; re-solve the selected
     slots against the projected targets Rbar^m under the sparsity masks
     (the structure-preserving representative), average those coefficients
-    and check that they reconstruct Rbar^m; finally verify equivariant
-    versality of the selection.  Each step takes the slots as one stack:
+    and check that they reconstruct Rbar^m; verify equivariant versality of
+    the selection; finally check that the family's coefficients commute
+    with the group action.  Each step takes the slots as one stack:
     the two realizations are one :func:`solve_delay_realization` call each,
     and the masked call's target k is the k-th selected slot.
 
@@ -565,8 +566,8 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
         delays=tuple(delays),
         directions=A_fam,
         names=tuple(f"alpha_{m + 1}" for m in selected),
-        rep=rep,
     )
+    invariants.check("family.coefficient_equivariance", rep, family.directions)
     return GammaUnfolding(family=family, theta=theta, versality=versality)
 
 
@@ -623,8 +624,7 @@ def realify(family):
         new_names += [f"{name}_re", f"{name}_im"]
 
     real_family = UnfoldingFamily(base=family.base, delays=family.delays,
-                                  directions=new_dirs, names=new_names,
-                                  rep=family.rep)
+                                  directions=new_dirs, names=new_names)
     E = slot_reparametrization(real_family)
     if rank(E) < real_family.n_parameters:
         raise UnfoldingError(

@@ -613,7 +613,8 @@ class TestUnfold:
         # artifact, but unfold says so and exits 3
         def not_minimal(*args, **kwargs):
             assembly = assemble_gamma_unfolding(*args, **kwargs)
-            return assembly._replace(versality=assembly.versality._replace(mini_versal=False))
+            ver = assembly.versality
+            return assembly._replace(versality=ver._replace(codimension=ver.codimension + 1))
 
         monkeypatch.setattr(unfolding, "assemble_gamma_unfolding", not_minimal)
         cfg_path, out = tmp_path / "ring.json", tmp_path / "ring_out.json"
@@ -934,7 +935,7 @@ class TestPresetIsItsConfig:
         point = d3.DoubleHopfPoint(factor=entry["factor"], beta=entry["beta"],
                                    tau_n=entry["tau_n"], **entry["points"][index])
         cfg = json.loads(json.dumps(_preset_config(case, point)))
-        result, _ = cli._unfold(jsonio.config_from_doc(cfg))
+        result = unfolding.unfold(**jsonio.config_from_doc(cfg))
         assert (canonical_json(build_artifact(*d3.run_case(case, point)))
                 == canonical_json(build_artifact(*result)))
 
@@ -1219,7 +1220,7 @@ def _reflection_off_generators(rep):
     has trace 1, a swap: on each double eigenvalue of d3:double its induced
     character is 0."""
     gens = rep.group.generator_indices
-    return next(g for g in rep.group.elements() if g > max(gens)
+    return next(g for g in range(rep.group.order) if g > max(gens)
                 and np.trace(rep.matrices[g]).real == 1)
 
 

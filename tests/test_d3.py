@@ -580,7 +580,7 @@ class TestDoubleCase:
         assert s[-1] > 1e-8 * s[0]
 
 
-def _assert_case_structure(case, frame, assembly):
+def _assert_case_structure(case, rep, frame, assembly):
     """The structural facts of a worked case: a trivial induced action and a
     diagonal Theta (simple), or Theta's zero/duplicate row profile and
     vanishing mixed-slot directions (double); all four rows selected, a
@@ -591,7 +591,7 @@ def _assert_case_structure(case, frame, assembly):
     theta = assembly.theta
     assert c == (4 if case == "simple" else 8)
     if case == "simple":
-        for g in frame.G.group.elements():
+        for g in range(frame.G.group.order):
             assert np.max(np.abs(frame.G.matrices[g] - np.eye(c))) < 1e-8
         offdiag = np.max(np.abs(theta.theta - np.diag(np.diag(theta.theta))))
         assert offdiag < 1e-10 and np.min(np.abs(np.diag(theta.theta))) > 1e-8
@@ -601,7 +601,7 @@ def _assert_case_structure(case, frame, assembly):
         assert np.max(np.abs(theta.theta[4:12])) < 1e-10
         assert np.max(np.abs(theta.theta[12:16] - theta.theta[0:4])) < 1e-10
         assert theta.selected_rows == (0, 1, 2, 3)
-        Bhats = slot_stacks(frame, assembly.family.rep)[2]
+        Bhats = slot_stacks(frame, rep)[2]
         for m in range(4, 12):
             assert np.max(np.abs(Bhats[m])) < 1e-10
     assert assembly.versality.mini_versal
@@ -624,7 +624,7 @@ class TestCaseStructure:
 
     def test_presets(self, simple_case, double_case):
         for case, r in (("simple", simple_case), ("double", double_case)):
-            _assert_case_structure(case, r.frame, r.assembly)
+            _assert_case_structure(case, r.rep, r.frame, r.assembly)
 
     @pytest.mark.parametrize("case, index", [
         (case, i) for case in ("simple", "double")
@@ -634,7 +634,7 @@ class TestCaseStructure:
         point = d3.DoubleHopfPoint(factor=entry["factor"], beta=entry["beta"],
                                    tau_n=entry["tau_n"], **entry["points"][index])
         r = d3.run_case(case, point)
-        _assert_case_structure(case, r.frame, r.assembly)
+        _assert_case_structure(case, r.rep, r.frame, r.assembly)
 
 
 class TestRunCaseRoots:

@@ -106,7 +106,7 @@ class TestCheckEquivariance:
         for _ in range(5):
             lam = complex(*rng.standard_normal(2))
             D = op.char_matrix(lam)
-            for g in rep.group.elements():
+            for g in range(rep.group.order):
                 R = rep.matrices[g]
                 assert np.max(np.abs(D @ R - R @ D)) < 1e-12
 

@@ -526,7 +526,7 @@ class TestInduceRepresentation:
 
     def test_simple_case_trivial_action(self, simple_case):
         G = simple_case.frame.G
-        for g in G.group.elements():
+        for g in range(G.group.order):
             assert np.max(np.abs(G.matrices[g] - np.eye(4))) < 1e-8
 
     def test_double_case_induced_action(self, double_case):
@@ -544,7 +544,7 @@ class TestInduceRepresentation:
         frame = double_case.frame
         rep = double_case.rep
         op = frame.op
-        for g in rep.group.elements():
+        for g in range(rep.group.order):
             R = rep.matrices[g]
             H = np.empty((frame.c, frame.c), dtype=complex)
             for i, (w, lam) in enumerate(zip(frame.psi, frame.lambdas)):

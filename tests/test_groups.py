@@ -27,7 +27,7 @@ def act8_rep():
 def brute_average(rep, M):
     """Independent oracle: the explicit normalized sum over all elements."""
     total = sum(rep.matrices[g] @ M @ np.linalg.inv(rep.matrices[g])
-                for g in rep.group.elements())
+                for g in range(rep.group.order))
     return total / rep.group.order
 
 
@@ -35,8 +35,8 @@ def _average_loop(left, right, M):
     """Reference: one matrix, one element at a time (the implementation
     before stacks were accepted)."""
     acc = np.zeros_like(M)
-    for g in left.group.elements():
-        acc += left.matrices[g] @ M @ right.inverse_matrix(g)
+    for g in range(left.group.order):
+        acc += left.matrices[g] @ M @ right.matrices[right.group.inverse[g]]
     return acc / left.group.order
 
 
@@ -47,7 +47,7 @@ class TestFiniteGroup:
         assert g.order == 6
         assert g.identity == 0
         assert g.generator_indices == (1, 2)
-        for a in g.elements():
+        for a in range(g.order):
             assert g.mul_table[a, g.inverse[a]] == g.identity
             assert g.mul_table[g.identity, a] == a
 
@@ -55,6 +55,11 @@ class TestFiniteGroup:
         bad = [[0, 0], [1, 1]]
         with pytest.raises(StructuralError):
             FiniteGroup.from_mul_table(bad, generator_indices=(1,))
+
+    def test_rejects_identity_not_first(self):
+        # Z2 with its identity at index 1: a group, but not in the closure's order
+        with pytest.raises(StructuralError, match="element 0 .* is not the identity"):
+            FiniteGroup.from_mul_table([[1, 0], [0, 1]], generator_indices=(0,))
 
     def test_rejects_singular_generator(self):
         with pytest.raises(StructuralError):
@@ -64,96 +69,6 @@ class TestFiniteGroup:
         # smallest singular value ~6e-16: singular at rounding level only
         with pytest.raises(StructuralError, match="singular"):
             close_generators([np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])])
-
-
-def _close_generators_loop(generators, max_order=512, tol=1e-10):
-    """Reference closure: one linear scan per product lookup and a second
-    pass over all |G|^2 products for the table (the implementation before
-    the fingerprinted closure)."""
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    d = gens[0].shape[0]
-    stack = np.eye(d, dtype=complex)[None]
-
-    def find(M):
-        hits = np.nonzero(np.max(np.abs(stack - M[None, :, :]), axis=(1, 2)) < tol)[0]
-        return int(hits[0]) if len(hits) else -1
-
-    gen_idx = []
-    for g in gens:
-        k = find(g)
-        if k < 0:
-            stack = np.concatenate([stack, g[None]])
-            k = len(stack) - 1
-        gen_idx.append(k)
-    grew = True
-    while grew:
-        grew = False
-        for a in range(len(stack)):
-            for b in range(len(stack)):
-                p = stack[a] @ stack[b]
-                if find(p) < 0:
-                    stack = np.concatenate([stack, p[None]])
-                    grew = True
-                    if len(stack) > max_order:
-                        raise StructuralError("closure exceeded max_order")
-    n = len(stack)
-    products = np.einsum("aij,bjk->abik", stack, stack)
-    table = np.array([[find(products[a, b]) for b in range(n)] for a in range(n)])
-    return stack, table, tuple(gen_idx)
-
-
-def _rotation(theta):
-    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-
-
-def _shift(n):
-    return np.roll(np.eye(n), 1, axis=0)
-
-
-def _reflection(n):
-    return np.eye(n)[(-np.arange(n)) % n]
-
-
-class TestClosureOracle:
-    """The closure finds the same elements, in the same order,
-    with the same multiplication table as the linear-scan closure."""
-
-    @staticmethod
-    def _assert_same(generators):
-        stack, table, gen_idx = _close_generators_loop(generators)
-        rep = close_generators(generators)
-        assert np.array_equal(rep.matrices, stack)
-        assert np.array_equal(rep.group.mul_table, table)
-        assert rep.group.generator_indices == gen_idx
-
-    def test_d3_preset_generators(self):
-        self._assert_same([KAPPA_MAT, GAMMA_MAT])
-        self._assert_same([GAMMA_MAT, KAPPA_MAT, GAMMA_MAT])
-
-    @pytest.mark.parametrize("n", range(3, 25))
-    def test_cyclic_shift(self, n):
-        self._assert_same([_shift(n)])
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
-    def test_dihedral(self, n):
-        self._assert_same([_shift(n), _reflection(n)])
-
-    def test_rounded_rotation(self):
-        R = _rotation(2 * np.pi / 5)
-        self._assert_same([R])
-        self._assert_same([R, np.diag([1.0, -1.0])])
-
-    @pytest.mark.parametrize("m", [1, 2, 5, 7, 12])
-    def test_roots_of_unity(self, m):
-        self._assert_same([[[np.exp(2j * np.pi / m)]]])
-        self._assert_same([[[np.exp(2j * np.pi / m)]], [[-1.0]]])
-
-    def test_cap_still_fires(self):
-        # an irrational rotation of C^3 about one axis never closes
-        R = np.eye(3)
-        R[:2, :2] = _rotation(1.0)
-        with pytest.raises(StructuralError, match="closure exceeded 512 elements"):
-            close_generators([R])
 
 
 def _close_generators_rows(generators, max_order=512, tol=1e-10):
@@ -200,25 +115,93 @@ def _close_generators_rows(generators, max_order=512, tol=1e-10):
     return Representation(group=group, matrices=stack)
 
 
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+def _shift(n):
+    return np.roll(np.eye(n), 1, axis=0)
+
+
+def _reflection(n):
+    return np.eye(n)[(-np.arange(n)) % n]
+
+
+def _assert_same_closure(generators):
+    """The closure returns the row-pass closure's elements in its order, bit
+    for bit, with its table and generator indices."""
+    old = _close_generators_rows(generators)
+    new = close_generators(generators)
+    assert np.array_equal(new.group.mul_table, old.group.mul_table)
+    assert new.group.generator_indices == old.group.generator_indices
+    assert new.matrices.shape == old.matrices.shape
+    assert np.array_equal(new.matrices.view(np.uint64), old.matrices.view(np.uint64))
+
+
+def _assert_permutation_group(rep, order):
+    """A closure of permutation matrices obeys its own products: element 0 is
+    the identity, ``mul_table`` is the matrix product, exactly, and the
+    derived inverse of each element is its transpose."""
+    mats = rep.matrices
+    assert rep.group.order == order
+    assert np.array_equal(mats[0], np.eye(rep.dim))
+    assert np.array_equal(mats[:, None] @ mats[None], mats[rep.group.mul_table])
+    assert np.array_equal(mats[rep.group.inverse], mats.transpose(0, 2, 1))
+
+
+class TestClosureOracle:
+    """The closure of a cyclic shift or a dihedral pair obeys the group law;
+    the closures of other generator sets match the row-pass closure."""
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    def test_cyclic_shift(self, n):
+        # element k is shift^k, so the table is addition mod n
+        rep = close_generators([_shift(n)])
+        _assert_permutation_group(rep, n)
+        k = np.arange(n)
+        assert np.array_equal(rep.group.mul_table, (k[:, None] + k) % n)
+        assert np.array_equal(rep.group.inverse, -k % n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+    def test_dihedral(self, n):
+        rep = close_generators([_shift(n), _reflection(n)])
+        _assert_permutation_group(rep, 2 * n)
+        table, (r, s) = rep.group.mul_table, rep.group.generator_indices
+        assert table[s, s] == 0 and table[table[s, r], s] == rep.group.inverse[r]
+
+    def test_d3_preset_generators(self):
+        _assert_same_closure([KAPPA_MAT, GAMMA_MAT])
+        _assert_same_closure([GAMMA_MAT, KAPPA_MAT])
+        _assert_same_closure([GAMMA_MAT, KAPPA_MAT, GAMMA_MAT])
+
+    def test_rounded_rotation(self):
+        # the rotations by multiples of 2 pi / 5, reached through rounded
+        # products of the rotation by 4 pi / 5
+        R = _rotation(4 * np.pi / 5)
+        _assert_same_closure([R, R.T])
+        _assert_same_closure([R, np.diag([1.0, -1.0])])
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 7, 12])
+    def test_roots_of_unity(self, m):
+        _assert_same_closure([[[np.exp(2j * np.pi / m)]]])
+        _assert_same_closure([[[np.exp(2j * np.pi / m)]], [[-1.0]]])
+
+    def test_cap_still_fires(self):
+        # an irrational rotation of C^3 about one axis never closes
+        R = np.eye(3)
+        R[:2, :2] = _rotation(1.0)
+        with pytest.raises(StructuralError, match="closure exceeded 512 elements"):
+            close_generators([R])
+
+
 def _random_unitary(rng, d):
     Q, R = np.linalg.qr(random_complex(rng, d, d))
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 class TestCayleyClosureOracle:
-    """The Cayley-graph closure returns the row-pass closure's elements in its
-    order, bit for bit, with its table, inverses and generator indices."""
-
-    @staticmethod
-    def _assert_same(generators):
-        old = _close_generators_rows(generators)
-        new = close_generators(generators)
-        assert np.array_equal(new.group.mul_table, old.group.mul_table)
-        assert np.array_equal(new.group.inverse, old.group.inverse)
-        assert new.group.identity == old.group.identity
-        assert new.group.generator_indices == old.group.generator_indices
-        assert new.matrices.shape == old.matrices.shape
-        assert np.array_equal(new.matrices.view(np.uint64), old.matrices.view(np.uint64))
+    """The Cayley-graph closure matches the row-pass closure on cyclic and
+    dihedral ladders, other preset groups and unitary conjugates."""
 
     @pytest.mark.parametrize("n", range(3, 25))
     @pytest.mark.parametrize("form", ["permutation", "rotation"])
@@ -227,26 +210,24 @@ class TestCayleyClosureOracle:
             step, flip = _shift(n), _reflection(n)
         else:
             step, flip = _rotation(2 * np.pi / n), np.diag([1.0, -1.0])
-        self._assert_same([step])
-        self._assert_same([step, flip])
-        self._assert_same([flip, step])
+        _assert_same_closure([step])
+        _assert_same_closure([step, flip])
+        _assert_same_closure([flip, step])
 
     def test_preset_group(self):
-        self._assert_same([KAPPA_MAT, GAMMA_MAT])
-        self._assert_same([GAMMA_MAT, KAPPA_MAT, GAMMA_MAT])
-        self._assert_same([np.eye(3), KAPPA_MAT])
+        _assert_same_closure([np.eye(3), KAPPA_MAT])
         rep = act8_rep()
         gens = [rep.matrices[g] for g in rep.group.generator_indices]
-        self._assert_same(gens)
+        _assert_same_closure(gens)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12])
     def test_random_unitary_conjugates(self, n, rng):
         for gens in ([_shift(n)], [_shift(n), _reflection(n)], [KAPPA_MAT, GAMMA_MAT]):
             U = _random_unitary(rng, gens[0].shape[0])
-            self._assert_same([U @ g @ U.conj().T for g in gens])
+            _assert_same_closure([U @ g @ U.conj().T for g in gens])
         U = _random_unitary(rng, 2)
-        self._assert_same([U @ _rotation(2 * np.pi / n) @ U.conj().T,
-                           U @ np.diag([1.0, -1.0]) @ U.conj().T])
+        _assert_same_closure([U @ _rotation(2 * np.pi / n) @ U.conj().T,
+                              U @ np.diag([1.0, -1.0]) @ U.conj().T])
 
 
 class TestLookup:
@@ -326,8 +307,8 @@ def _check_representation_loop(rep, tol=1e-9):
     group, mats = rep.group, rep.matrices
     max_res = float(np.max(np.abs(mats[group.identity] - np.eye(rep.dim))))
     violated, singular = [], []
-    for g in group.elements():
-        for h in group.elements():
+    for g in range(group.order):
+        for h in range(group.order):
             res = float(np.max(np.abs(mats[g] @ mats[h] - mats[group.mul_table[g, h]])))
             max_res = max(max_res, res)
             if res > tol:
@@ -426,7 +407,7 @@ class TestProjectionAlgebra:
             # idempotency
             assert np.max(np.abs(equivariant_average(rep, rep, PM) - PM)) < 1e-12
             # intertwining
-            for g in rep.group.elements():
+            for g in range(rep.group.order):
                 R = rep.matrices[g]
                 assert np.max(np.abs(R @ PM - PM @ R)) < 1e-12
             # linearity

@@ -74,7 +74,7 @@ class TestFrameCodec:
         assert frame2.c == frame.c
         assert np.array_equal(frame2.B, frame.B)
         assert np.max(np.abs(frame2.gram() - np.eye(frame.c))) < 1e-9
-        for g in double_case.rep.group.elements():
+        for g in range(double_case.rep.group.order):
             assert np.array_equal(frame2.G.matrices[g], frame.G.matrices[g])
 
 

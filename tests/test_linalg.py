@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import equnfold
 from equnfold._linalg import (EIG_MATCH_TOL, RANK_RCOND, eigen_groups, lstsq, null_basis, rank,
                               scaled, svd_rank)
+from equnfold.invariants import INVARIANTS
 
 
 def _inline_tolerances(source):
@@ -127,6 +128,23 @@ def test_every_tolerance_constant_has_a_readme_row():
                for name in _module_floats(ast.parse(path.read_text()))}
     assert sorted(d for d in defined if d[1].endswith(TOLERANCE_SUFFIXES)
                   and d not in rows) == []
+
+
+def test_readme_invariant_table_is_the_invariant_table():
+    # one row per entry of invariants.INVARIANTS, in its order, each with the
+    # entry's base tolerance as a number and, where the row names one, as
+    # that constant
+    section = README.read_text().split("\n## Tolerances\n")[1].split("\n## ")[0]
+    table = section.split("\n| invariant |")[1].split("\n\n")[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    assert [re.fullmatch(r" `([\w.]+)` ", name)[1] for name, _ in rows] == \
+        [inv.name for inv in INVARIANTS]
+    for (name, tol), inv in zip(rows, INVARIANTS):
+        assert float(tol.split()[-1]) == inv.tol, name
+        for constant in re.findall(r"`([\w.]+)`", tol):
+            module, _, attr = constant.rpartition(".")
+            value = getattr(importlib.import_module(f"equnfold.{module or 'invariants'}"), attr)
+            assert value == inv.tol, name
 
 
 @pytest.mark.parametrize("values, scale, expected", [

@@ -59,7 +59,7 @@ class TestSwapPair:
         op, rep, frame = swap_pair
         assert frame.c == 2
         assert check_equivariance(op, rep) == 0.0
-        for g in rep.group.elements():
+        for g in range(rep.group.order):
             assert np.max(np.abs(frame.G.matrices[g] - np.eye(2))) < 1e-10
 
     def test_mini_versal_pair(self, swap_pair):

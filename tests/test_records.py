@@ -2,7 +2,9 @@
 (README, "Layout"), and never written out as JSON lists although they are
 tuples."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import numpy as np
@@ -81,3 +83,42 @@ def test_record_is_immutable_and_not_a_list(records, name):
     for obj in (rec, [rec], {"record": rec}):
         with pytest.raises(SchemaError, match=f"^cannot serialize {name}$"):
             canonical_json(obj)
+
+
+def _invariant_refs_in_records(source):
+    """(record, line) of each name bound by an import from ``invariants`` that
+    a record class of the module ``source`` refers to."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            bound.update(a.asname or a.name for a in node.names
+                         if node.module == "invariants" or a.name == "invariants")
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any("NamedTuple" in ast.unparse(base)
+                                                   for base in node.bases):
+            found += [(node.name, ref.lineno) for ref in ast.walk(node)
+                      if isinstance(ref, ast.Name) and ref.id in bound]
+    return sorted(found)
+
+
+def test_no_record_checks_an_invariant():
+    # a record checks the shape of its fields only; the build asserts the
+    # facts of the invariant table where it relies on them (README, "Layout")
+    package = pathlib.Path(equnfold.__file__).parent
+    found = {path.name: refs for path in sorted(package.glob("*.py"))
+             if path.name != "invariants.py"
+             and (refs := _invariant_refs_in_records(path.read_text()))}
+    assert found == {}
+
+
+def test_invariant_scan_sees_a_record_check():
+    source = ("from typing import NamedTuple\nfrom . import invariants\n"
+              "from .invariants import check as chk\n"
+              "class Family(NamedTuple('Family', [('rep', object)])):\n"
+              "    def __new__(cls, rep):\n"
+              "        invariants.check('x', rep)\n        chk('y', rep)\n"
+              "        return super().__new__(cls, rep)\n"
+              "def build(rep):\n    invariants.check('x', rep)\n")
+    assert _invariant_refs_in_records(source) == [("Family", 6), ("Family", 7)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equnfold import d3
+from equnfold import d3, invariants
 from equnfold._linalg import RANK_RCOND, eigen_groups, rank, svd_rank
 from equnfold.delays import DelayOperator
 from equnfold.errors import StructuralError, UnfoldingError
@@ -442,18 +442,18 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _assert_same_as_per_system_solves(frame, directions=None, assembly=None):
+def _assert_same_as_per_system_solves(frame, directions=None, assembly=None, rep=None):
     """``build_R_matrices`` and ``theta_extract`` give, bit for bit, what one
-    solve per slot and one per direction give.  Given ``assembly`` instead
-    of directions, the directions are its frame's slot stacks' (Bhat, of
-    :func:`slot_stacks`), and the stacks' R and Theta report and the
-    assembly's report must give it too.  Multi-right-hand-side least squares
-    matching single solves is a property of the LAPACK build; a failure
-    names the site that lost it."""
+    solve per slot and one per direction give.  Given ``assembly`` and its
+    group action ``rep`` instead of directions, the directions are its
+    frame's slot stacks' (Bhat, of :func:`slot_stacks`), and the stacks' R
+    and Theta report and the assembly's report must give it too.
+    Multi-right-hand-side least squares matching single solves is a property
+    of the LAPACK build; a failure names the site that lost it."""
     geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
     stacks, reports = [build_R_matrices(frame, geometry)], []
     if assembly is not None:
-        Rs, _, directions, theta = slot_stacks(frame, assembly.family.rep)
+        Rs, _, directions, theta = slot_stacks(frame, rep)
         stacks.append(Rs)
         reports += [theta, assembly.theta]
     ref_Rs = _build_R_per_slot(frame, geometry)
@@ -471,15 +471,16 @@ def _assert_same_as_per_system_solves(frame, directions=None, assembly=None):
 
 
 def _ring_case(n):
-    """``unfold --config`` on the n-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1)."""
+    """``unfold --config`` on the n-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1):
+    its group action, frame and assembly."""
     shift = np.roll(np.eye(n), 1, axis=0)
-    _, _, frame, assembly = unfold(**config_from_doc({
+    _, rep, frame, assembly = unfold(**config_from_doc({
         "model": {"n": n, "terms": [{"delay": 0.0, "matrix": encode_complex(-np.eye(n))},
                                     {"delay": 1.0, "matrix": encode_complex(2.0 * shift)}]},
         "group": {"generators": [encode_complex(shift)]},
         "lambda_seeds": [[0.0, 2.0], [0.0, -2.0]],
     }))
-    return frame, assembly
+    return rep, frame, assembly
 
 
 def _solve_per_row(Phis, R, sparsity=None):
@@ -583,7 +584,7 @@ def _assert_assembly_matches_references(frame, rep, assembly, sparsity=None):
 class TestStackedSolvesMatchPerSystemSolves:
     def test_presets(self, simple_case, double_case):
         for r in (simple_case, double_case):
-            _assert_same_as_per_system_solves(r.frame, assembly=r.assembly)
+            _assert_same_as_per_system_solves(r.frame, assembly=r.assembly, rep=r.rep)
             _assert_assembly_matches_references(r.frame, r.rep, r.assembly, d3.structure_masks())
 
     def test_random_masks(self, simple_case, double_case, rng):
@@ -614,16 +615,16 @@ class TestStackedSolvesMatchPerSystemSolves:
         point = d3.DoubleHopfPoint(factor=entry["factor"], beta=entry["beta"],
                                    tau_n=entry["tau_n"], **entry["points"][index])
         r = d3.run_case(case, point)
-        _assert_same_as_per_system_solves(r.frame, assembly=r.assembly)
+        _assert_same_as_per_system_solves(r.frame, assembly=r.assembly, rep=r.rep)
         _assert_assembly_matches_references(r.frame, r.rep, r.assembly, d3.structure_masks())
 
     @pytest.mark.parametrize("n", range(3, 25))
     def test_ring_ladder(self, n):
-        frame, assembly = _ring_case(n)
+        rep, frame, assembly = _ring_case(n)
         ver = assembly.versality
         assert abs(ver.codimension_formula - ver.codimension) < 1e-12
-        _assert_same_as_per_system_solves(frame, assembly=assembly)
-        _assert_assembly_matches_references(frame, assembly.family.rep, assembly)
+        _assert_same_as_per_system_solves(frame, assembly=assembly, rep=rep)
+        _assert_assembly_matches_references(frame, rep, assembly)
 
     @staticmethod
     def _random_frame(rng, n, sizes):
@@ -830,7 +831,8 @@ class TestAssembledPipeline:
         asm = simple_case.assembly
         frame = simple_case.frame
         fam = asm.family
-        assert BY_NAME["family.coefficient_equivariance"].residual(fam.rep, fam.directions) < 1e-10
+        residual = BY_NAME["family.coefficient_equivariance"].residual
+        assert residual(simple_case.rep, fam.directions) < 1e-10
         for m, slot in enumerate(asm.theta.selected_rows):
             recon = sum(A @ frame.Phi_at(-r)
                         for A, r in zip(fam.directions[m], fam.delays))
@@ -862,13 +864,12 @@ class TestAssembledPipeline:
 
     def test_coefficient_equivariance_is_relative_to_its_size(self):
         rep = d3.triangle_rep()
-        base = d3.d3_operator(alpha=1.0, beta=0.5, tau_s=1.0, tau_n=2.0)
         A = 1e6 * (np.eye(3) + np.ones((3, 3)))     # commutes with every permutation
         A[0, 0] += 1e-6                             # 1e-12 of |A| off
-        UnfoldingFamily(base=base, delays=(0.0,), directions=[[A]], names=("a",), rep=rep)
+        invariants.check("family.coefficient_equivariance", rep, np.array([[A]]))
         A[0, 0] += 1e-3                             # 1e-9 of |A| off
         with pytest.raises(StructuralError, match="residual"):
-            UnfoldingFamily(base=base, delays=(0.0,), directions=[[A]], names=("a",), rep=rep)
+            invariants.check("family.coefficient_equivariance", rep, np.array([[A]]))
 
 
 class TestRealify:
