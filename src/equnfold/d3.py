@@ -72,6 +72,7 @@ _REFINE_MAX_ITER = 100
 _POINT_TOL = 1e-6               # frequency, zero and coincidence tests of a point and grid
 _SEED_GAP = 1e-3                # seed frequencies closer than this are one root or a resonance
 _DEDUP_RADIUS = 1e-5            # located points this close in (alpha, tau_s) are one
+MAX_PHASE_STEP = 1.0            # rad per omega sample of exp(-i omega tau_n): step * tau_n
 
 
 def _factor_coupling(factor):
@@ -407,7 +408,11 @@ def locate_double_hopf(factor, beta, tau_n, omegas=OMEGA_GRID, branches=BRANCHES
 
     ``omegas`` is a uniform grid: finite, positive, strictly increasing, each
     step within 1e-6 relative of the first (seed frequencies are
-    interpolated with that step).  Returns the surviving
+    interpolated with that step), and fine enough to follow the neighbour
+    coupling's phase: ``step * tau_n`` at most ``MAX_PHASE_STEP``, within
+    the same 1e-6 relative; a coarser grid turns the curves into noise whose
+    crossings grow without bound.
+    Returns the surviving
     :class:`DoubleHopfPoint` list sorted by (tau_s, alpha, omega1),
     deduplicated.  Points where the *other* factor also vanishes (higher
     codimension than double Hopf) are dropped.  ``tau_n`` and the start of
@@ -427,6 +432,11 @@ def locate_double_hopf(factor, beta, tau_n, omegas=OMEGA_GRID, branches=BRANCHES
     if not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= _POINT_TOL * steps[0])):
         raise EqunfoldError("the omega grid must increase in equal steps "
                             "(each within 1e-6 relative of the first)")
+    if steps[0] * tau_n > MAX_PHASE_STEP * (1.0 + _POINT_TOL):
+        raise EqunfoldError(
+            f"the omega grid undersamples exp(-i omega tau_n): step {steps[0]:.6g} x tau_n "
+            f"{tau_n:.6g} exceeds {MAX_PHASE_STEP} rad per sample; use a step of at most "
+            f"{MAX_PHASE_STEP / tau_n:.6g}")
     curves = sweep_curves(factor, beta, tau_n, omegas, branches=branches)
     (other,) = set(_COUPLING) - {factor}
     points = []

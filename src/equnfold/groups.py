@@ -299,13 +299,14 @@ def commutator_residual(rep, matrices):
 
     Zero (within tolerance) exactly when each matrix commutes with the group
     action, for a rho that is a homomorphism (:func:`check_representation`).
+    One stacked product over generators x matrices; ``max`` takes each
+    matrix's worst residual in order from 0, so a NaN one is skipped.
     """
-    gens = rep.matrices[list(rep.group.generator_indices)]
-    res = 0.0
-    for A in matrices:
-        A = np.asarray(A, dtype=complex)
-        res = max(res, float(np.max(np.abs(gens @ A - A @ gens))))
-    return res
+    gens = rep.matrices[list(rep.group.generator_indices), None]
+    M = np.asarray(matrices, dtype=complex)
+    if not len(M):
+        return 0.0
+    return max([0.0, *np.abs(gens @ M - M @ gens).max(axis=(0, 2, 3)).tolist()])
 
 
 def commutant_basis(rep):

@@ -88,11 +88,12 @@ def char_scale(norm_sum, lam):
 
 
 def _null_vectors(frame):
-    """``||Delta(lam) v|| / ||v||`` for each phi column, then each psi row."""
-    D = frame.op.char_matrix
-    return ([np.linalg.norm(D(lam) @ u) / np.linalg.norm(u)
+    """``||Delta(lam) v|| / ||v||`` for each phi column, then each psi row;
+    Delta is built once per distinct lam."""
+    D = {lam: frame.op.char_matrix(lam) for lam in dict.fromkeys(frame.lambdas)}
+    return ([np.linalg.norm(D[lam] @ u) / np.linalg.norm(u)
              for u, lam in zip(frame.phi, frame.lambdas)]
-            + [np.linalg.norm(w @ D(lam)) / np.linalg.norm(w)
+            + [np.linalg.norm(w @ D[lam]) / np.linalg.norm(w)
                for w, lam in zip(frame.psi, frame.lambdas)])
 
 
@@ -103,11 +104,13 @@ def _null_vector_scales(frame):
 
 def _intertwining(frame, rep):
     """Max entrywise ``|rho(g) Phi(theta) - Phi(theta) G(g)|`` over every
-    generator g and nine theta samples spanning [-tau, 0]."""
+    generator g and nine theta samples spanning [-tau, 0], as one stacked
+    product; ``max`` takes each theta's worst residual in order."""
     thetas = np.linspace(-frame.op.tau, 0.0, 9) if frame.op.tau > 0 else [0.0]
     gens = list(rep.group.generator_indices)
-    rho, G = rep.matrices[gens], frame.G.matrices[gens]
-    return max(_size(rho @ P - P @ G) for P in map(frame.Phi_at, thetas))
+    rho, G = rep.matrices[gens, None], frame.G.matrices[gens, None]
+    P = np.stack([frame.Phi_at(theta) for theta in thetas])
+    return max(_size(rho @ P - P @ G, axis=(0, 2, 3)))
 
 
 def reconstruction_residual(coefficients, Phis, R):

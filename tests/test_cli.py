@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -382,6 +383,17 @@ class TestDoubleHopf:
         assert doc["points"] == [{"alpha": p.alpha, "tau_s": p.tau_s, "omega1": p.omega1,
                                   "omega2": p.omega2, "residual": p.residual} for p in points]
         assert points and all(-3.0 <= p.alpha <= 3.0 for p in points)
+
+    def test_undersampled_grid_exits_1_at_once(self, tmp_path, capsys):
+        # on the default grid, --tau-n 300 took over 100 s and 1e300 paired
+        # 1.5 million candidate crossings
+        out = tmp_path / "dh.json"
+        start = time.perf_counter()
+        code = run(["double-hopf", "--factor", "delta1", "--beta", "0.5", "--tau-n", "1000",
+                    "--output", str(out)])
+        assert code == 1 and time.perf_counter() - start < 1.0 and not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "pipeline error: the omega grid undersamples exp(-i omega tau_n)")
 
     def test_non_finite_beta_exits_2(self, tmp_path, capsys):
         out = tmp_path / "dh.json"

@@ -143,6 +143,18 @@ class TestDoubleHopfLocation:
         with pytest.raises(EqunfoldError, match=message):
             d3.locate_double_hopf("delta2", 0.5, 3.0, omegas=omegas)
 
+    def test_grid_coarser_than_the_coupling_phase_rejected(self):
+        # at step * tau_n = 1.5 (the default grid at tau_n = 300) the sweep
+        # ran for minutes over a cloud of spurious crossings
+        with pytest.raises(EqunfoldError, match=r"undersamples exp\(-i omega tau_n\): step "
+                           r"0\.01 x tau_n 150 exceeds 1\.0 rad per sample; use a step of "
+                           r"at most 0\.00666667$"):
+            d3.locate_double_hopf("delta1", 0.5, 150.0, omegas=np.arange(0.05, 5.0, 0.01))
+        # the step it names passes, as does the bound itself in arange's steps
+        for step, tau_n in ((0.00666667, 150.0), (0.01, 100.0)):
+            d3.locate_double_hopf("delta1", 0.5, tau_n, omegas=np.arange(0.05, 5.0, step),
+                                  branches=(0,), alpha_window=(0.0, 0.0))
+
     def test_fine_arange_grids_accepted(self):
         for step in (0.02, 0.005, 1e-4):
             d3.locate_double_hopf("delta1", -0.5, 4.0, omegas=np.arange(0.05, 5.0, step),

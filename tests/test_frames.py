@@ -514,6 +514,50 @@ class TestFrameEvaluation:
             assert same_bits(frame.Phi_at(t), Phi) and frame.Phi_at(t).flags.c_contiguous, t
 
 
+def _intertwining_loop(frame, rep):
+    """Reference: one pair of products per theta sample (the implementation
+    before the stacked product)."""
+    thetas = np.linspace(-frame.op.tau, 0.0, 9) if frame.op.tau > 0 else [0.0]
+    gens = list(rep.group.generator_indices)
+    rho, G = rep.matrices[gens], frame.G.matrices[gens]
+    return max(np.abs(rho @ P - P @ G).max(initial=0.0) for P in map(frame.Phi_at, thetas))
+
+
+def _null_vectors_loop(frame):
+    """Reference: Delta(lam) built once per vector."""
+    D = frame.op.char_matrix
+    return ([np.linalg.norm(D(lam) @ u) / np.linalg.norm(u)
+             for u, lam in zip(frame.phi, frame.lambdas)]
+            + [np.linalg.norm(w @ D(lam)) / np.linalg.norm(w)
+               for w, lam in zip(frame.psi, frame.lambdas)])
+
+
+class TestStackedInvariantOracles:
+    """``frame.phi_intertwines`` and ``frame.null_vectors`` take the bits of
+    the per-theta and per-vector loops they replace."""
+
+    def test_presets(self, simple_case, double_case):
+        for case in (simple_case, double_case):
+            assert same_bits([invariants._intertwining(case.frame, case.rep)],
+                             [_intertwining_loop(case.frame, case.rep)])
+            assert same_bits(invariants._null_vectors(case.frame), _null_vectors_loop(case.frame))
+
+    def test_random_frames(self, double_case, rng):
+        rep, frame = double_case.rep, double_case.frame
+        n, c = frame.phi.shape[1], frame.c
+        undelayed = DelayOperator(n=n, terms=((0.0, np.eye(n)),))
+        for op in (frame.op, undelayed):
+            for _ in range(4):
+                rho = random_complex(rng, rep.group.order, n, n)
+                G = random_complex(rng, rep.group.order, c, c)
+                lams = tuple(random_complex(rng, c))
+                fake = frame._replace(op=op, lambdas=lams, phi=random_complex(rng, c, n),
+                                      G=frame.G._replace(matrices=G))
+                fake_rep = rep._replace(matrices=rho)
+                assert same_bits([invariants._intertwining(fake, fake_rep)],
+                                 [_intertwining_loop(fake, fake_rep)])
+
+
 class TestInduceRepresentation:
     def test_trivial_group(self, simple_case, simple_point):
         frame = eigenbasis(simple_case.op,

@@ -6,10 +6,10 @@ from equnfold._linalg import scaled
 from equnfold.errors import StructuralError
 from equnfold.groups import (CLOSURE_TOL, FiniteGroup, Representation, _lookup,
                              check_representation, close_generators, commutant_basis,
-                             equivariant_average)
+                             commutator_residual, equivariant_average)
 from equnfold.invariants import BY_NAME, DEFAULT_TOL
 
-from conftest import random_complex
+from conftest import random_complex, same_bits
 
 I3 = np.eye(3)
 J3 = np.ones((3, 3))
@@ -422,6 +422,44 @@ class TestProjectionAlgebra:
             right = equivariant_average(rep, rep, M @ A)
             assert np.max(np.abs(left - A @ PM)) < 1e-12
             assert np.max(np.abs(right - PM @ A)) < 1e-12
+
+
+def _commutator_residual_loop(rep, matrices):
+    """Reference: one pair of products per matrix, the running ``max`` from
+    0 (the implementation before the stacked product)."""
+    gens = rep.matrices[list(rep.group.generator_indices)]
+    res = 0.0
+    for A in matrices:
+        A = np.asarray(A, dtype=complex)
+        res = max(res, float(np.max(np.abs(gens @ A - A @ gens))))
+    return res
+
+
+class TestCommutatorResidualOracle:
+    """The stacked residual equals the per-matrix loop bit for bit."""
+
+    @pytest.mark.parametrize("repname", ["c3", "c8", "d6"])
+    def test_random_stacks(self, repname, rng):
+        rep = {"c3": triangle_rep, "c8": act8_rep,
+               "d6": lambda: close_generators([_shift(6), _reflection(6), -np.eye(6)])}[repname]()
+        d = rep.dim
+        for k in (1, 2, 7):
+            stack = random_complex(rng, k, d, d)
+            near = equivariant_average(rep, rep, stack)    # residuals at rounding level
+            nan = stack.copy()
+            nan[k // 2, 0, 0] = np.nan                      # the loop's max skips a NaN residual
+            for matrices in (stack, near, nan, list(stack.real)):
+                assert same_bits([commutator_residual(rep, matrices)],
+                                 [_commutator_residual_loop(rep, matrices)])
+        assert commutator_residual(rep, []) == 0.0
+
+    def test_presets(self, simple_case, double_case):
+        for case in (simple_case, double_case):
+            G, A = case.frame.G, case.assembly.family.directions
+            for rep, matrices in ((case.rep, [M for _, M in case.op.terms]),
+                                  (G, [case.frame.B]), (case.rep, A.reshape(-1, *A.shape[-2:]))):
+                assert same_bits([commutator_residual(rep, matrices)],
+                                 [_commutator_residual_loop(rep, matrices)])
 
 
 class TestCommutantBasis:

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equnfold
-from equnfold._linalg import (EIG_MATCH_TOL, RANK_RCOND, eigen_groups, lstsq, null_basis, rank,
-                              scaled, svd_rank)
+from equnfold import d3
+from equnfold._linalg import (EIG_MATCH_TOL, RANK_RCOND, REP_TOL, ad_matrix, eigen_groups, lstsq,
+                              null_basis, rank, scaled, svd_rank)
 from equnfold.invariants import INVARIANTS
+
+from conftest import random_complex, same_bits
 
 
 def _inline_tolerances(source):
@@ -280,3 +283,35 @@ def test_null_basis_is_orthonormal_and_annihilated(case):
     if n > r:
         s1 = np.linalg.norm(A, 2)
         assert np.linalg.norm(A @ N, 2) <= RANK_RCOND * max(scale, s1) + 1e-13 * s1
+
+
+@pytest.mark.parametrize("which", ["simple", "double", "three_generators"])
+def test_tall_null_basis_keeps_the_direct_svd_bits(which, request):
+    # a tall A is ranked by its QR factor R; gesdd takes that route itself,
+    # so the null rows and the rank are the direct SVD's, bit for bit (a
+    # LAPACK build without this property fails here by name)
+    if which == "three_generators":
+        mats = d3.triangle_rep().matrices[1:4]
+    else:
+        G = request.getfixturevalue(f"{which}_case").frame.G
+        mats = G.matrices[list(G.group.generator_indices)]
+    # the stacked commutator operators of ``commutant_basis``, at its scale
+    A = np.vstack([ad_matrix(R) for R in mats])
+    scale = max(1.0, *(float(np.linalg.norm(R, 2)) for R in mats))
+    m, n = A.shape
+    assert m >= 2 * n
+    _, s, Vh = np.linalg.svd(A, full_matrices=False)
+    r = int(np.sum(s > REP_TOL * max(scale, s[0])))
+    N = null_basis(A, scale, REP_TOL)
+    # d3:simple's G is the identity up to rounding: every row of Vh is null
+    assert r < n and (r == 0) == (which == "simple") and N.shape == (n, n - r)
+    assert same_bits(N.T, Vh[r:].conj())
+
+
+def test_only_a_matrix_twice_as_tall_as_wide_is_ranked_by_its_qr_factor(monkeypatch, rng):
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda A, mode: calls.append(A.shape) or qr(A, mode))
+    for shape in ((6, 6), (3, 6), (11, 6), (12, 6), (13, 6), (5, 0)):
+        null_basis(random_complex(rng, *shape))
+    assert calls == [(12, 6), (13, 6)]
