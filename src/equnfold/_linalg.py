@@ -16,9 +16,18 @@ their spectrum's magnitude, so covariant under t -> t / s; two lags are one
 by :func:`same_lag`.  Each bound is one named constant, here when modules
 share it; a bound on a quantity with a magnitude is ``tol * max(1, size)``
 (:func:`scaled`).
+
+A matrix with a non-finite entry has no numerical rank: each helper here
+refuses one (a QR factor R too: a column norm past the float range overflows
+it) with an ``EqunfoldError`` before LAPACK, which may raise, print an
+illegal-value line, return non-finite singular values or hang; a non-finite
+residual fails its invariant.  So an overflow in the pipeline fails the first
+check or rank decision it reaches, with no traceback, LAPACK line or hang.
 """
 
 import numpy as np
+
+from .errors import EqunfoldError
 
 RANK_RCOND = 1e-9         # rank tests of the unfolding machinery
 NULLSPACE_RCOND = 1e-8    # null spaces of the characteristic matrix
@@ -42,6 +51,13 @@ def same_lag(r, s):
     return abs(r - s) < scaled(LAG_MATCH_TOL, r)
 
 
+def _finite(A):
+    """A, refused if it has a non-finite entry."""
+    if not np.isfinite(A).all():
+        raise EqunfoldError("a matrix with a non-finite entry has no numerical rank")
+    return A
+
+
 def _count(s, scale, rcond):
     """The rule applied to descending singular values along the last axis."""
     return np.sum(s > rcond * np.maximum(scale, s[..., :1]), axis=-1)
@@ -49,21 +65,21 @@ def _count(s, scale, rcond):
 
 def rank(A, scale=0.0, rcond=RANK_RCOND):
     """Numerical rank of A, or an int array of ranks for a stack of matrices."""
-    r = _count(np.linalg.svd(A, compute_uv=False), scale, rcond)
+    r = _count(np.linalg.svd(_finite(A), compute_uv=False), scale, rcond)
     return r if np.ndim(A) > 2 else int(r)
 
 
 def svd_rank(A, scale=0.0, rcond=RANK_RCOND, full_matrices=True):
     """``U, Vh`` of the SVD of A and its numerical rank r."""
-    U, s, Vh = np.linalg.svd(A, full_matrices=full_matrices)
+    U, s, Vh = np.linalg.svd(_finite(A), full_matrices=full_matrices)
     return U, Vh, int(_count(s, scale, rcond))
 
 
 def lstsq(A, B):
     """The minimal-norm least-squares solution x of ``A x = B`` (LAPACK gelsd,
     cut at ``RANK_RCOND``) and A's numerical rank at scale 0, counted over the
-    singular values gelsd returns."""
-    x, _, _, s = np.linalg.lstsq(A, B, rcond=RANK_RCOND)
+    singular values gelsd returns; a non-finite B is refused with A."""
+    x, _, _, s = np.linalg.lstsq(_finite(A), _finite(B), rcond=RANK_RCOND)
     return x, int(_count(s, 0.0, RANK_RCOND))
 
 
@@ -99,6 +115,6 @@ def null_basis(A, scale=0.0, rcond=RANK_RCOND):
     A = np.asarray(A)
     m, n = A.shape[-2:]
     if m >= 2 * n > 0:
-        A = np.linalg.qr(A, mode="r")
+        A = np.linalg.qr(_finite(A), mode="r")
     _, Vh, r = svd_rank(A, scale, rcond, full_matrices=m < n)
     return Vh[r:].conj().T

@@ -28,7 +28,7 @@ EXPONENT_GAP = 1e-9
 class DelayOperator(NamedTuple("DelayOperator", [("n", int), ("terms", tuple)])):
     """Point-delay linear operator ``L0 z = sum_k A_k z(-r_k)`` on C^n.
 
-    ``terms`` is ``((r_k, A_k), ...)`` with r_k >= 0 and A_k an (n, n) matrix.
+    ``terms`` is ``((r_k, A_k), ...)``, finite, with r_k >= 0 and A_k (n, n).
     """
 
     __slots__ = ()
@@ -40,7 +40,7 @@ class DelayOperator(NamedTuple("DelayOperator", [("n", int), ("terms", tuple)]))
             raise StructuralError("need at least one delay term")
         clean = []
         seen = []
-        for r, A in terms:
+        for k, (r, A) in enumerate(terms):
             r = float(r)
             if r < 0:
                 raise StructuralError(f"negative delay {r}")
@@ -50,6 +50,8 @@ class DelayOperator(NamedTuple("DelayOperator", [("n", int), ("terms", tuple)]))
             A = np.asarray(A, dtype=complex)
             if A.shape != (n, n):
                 raise StructuralError(f"coefficient shape {A.shape} != ({n}, {n})")
+            if not (np.isfinite(r) and np.isfinite(A).all()):
+                raise StructuralError(f"term {k} (delay {r}) has a non-finite lag or coefficient")
             clean.append((r, A))
         return super().__new__(cls, n, tuple(clean))
 

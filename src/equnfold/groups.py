@@ -247,9 +247,8 @@ def _discovery_order(table, start):
 
 def check_representation(rep):
     """The worst entrywise residual of rho(e) = I and of rho(x) rho(g) = rho(xg)
-    over every element x and generator g (:attr:`FiniteGroup.generator_indices`),
-    skipping NaN as ``max`` does; inf when some rho(x) is numerically
-    singular.
+    over every element x and generator g (:attr:`FiniteGroup.generator_indices`);
+    NaN when one is, and inf when some rho(x) is numerically singular.
 
     By induction on word length, rho is a homomorphism exactly when these
     residuals vanish: |G| products per generator instead of |G|^2.
@@ -257,10 +256,9 @@ def check_representation(rep):
     group, mats = rep.group, rep.matrices
     if np.any(rank(mats, scale=1.0, rcond=SINGULAR_RCOND) < rep.dim):
         return np.inf
-    worst = np.fmax.reduce(np.abs(mats[group.identity] - np.eye(rep.dim)), axis=None)
+    worst = np.abs(mats[group.identity] - np.eye(rep.dim)).max()
     for g in group.generator_indices:
-        worst = np.fmax(worst, np.fmax.reduce(
-            np.abs(mats @ mats[g] - mats[group.mul_table[:, g]]), axis=None))
+        worst = np.maximum(worst, np.abs(mats @ mats[g] - mats[group.mul_table[:, g]]).max())
     return float(worst)
 
 
@@ -299,14 +297,11 @@ def commutator_residual(rep, matrices):
 
     Zero (within tolerance) exactly when each matrix commutes with the group
     action, for a rho that is a homomorphism (:func:`check_representation`).
-    One stacked product over generators x matrices; ``max`` takes each
-    matrix's worst residual in order from 0, so a NaN one is skipped.
+    One stacked product over generators x matrices; NaN when a residual is.
     """
     gens = rep.matrices[list(rep.group.generator_indices), None]
-    M = np.asarray(matrices, dtype=complex)
-    if not len(M):
-        return 0.0
-    return max([0.0, *np.abs(gens @ M - M @ gens).max(axis=(0, 2, 3)).tolist()])
+    M = np.asarray(matrices, dtype=complex).reshape(-1, rep.dim, rep.dim)
+    return float(np.abs(gens @ M - M @ gens).max(initial=0.0))
 
 
 def commutant_basis(rep):

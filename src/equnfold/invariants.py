@@ -105,12 +105,12 @@ def _null_vector_scales(frame):
 def _intertwining(frame, rep):
     """Max entrywise ``|rho(g) Phi(theta) - Phi(theta) G(g)|`` over every
     generator g and nine theta samples spanning [-tau, 0], as one stacked
-    product; ``max`` takes each theta's worst residual in order."""
+    product."""
     thetas = np.linspace(-frame.op.tau, 0.0, 9) if frame.op.tau > 0 else [0.0]
     gens = list(rep.group.generator_indices)
     rho, G = rep.matrices[gens, None], frame.G.matrices[gens, None]
     P = np.stack([frame.Phi_at(theta) for theta in thetas])
-    return max(_size(rho @ P - P @ G, axis=(0, 2, 3)))
+    return _size(rho @ P - P @ G)
 
 
 def reconstruction_residual(coefficients, Phis, R):

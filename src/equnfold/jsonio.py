@@ -41,31 +41,30 @@ def _pair_row_template(n):
 
 
 def _pair_row_text(obj):
-    """The text of a list of ``[re, im]`` float pairs, formatted in one ``%``
-    operation (``%.17g`` prints what ``format(x, ".17g")`` prints); None when
-    ``obj`` is not such a list."""
+    """The text of a list of finite ``[re, im]`` float pairs, formatted in one
+    ``%`` operation (``%.17g`` prints what ``format(x, ".17g")`` prints); None
+    when ``obj`` is not such a list."""
     try:
         if set(map(len, obj)) != {2}:
             return None
     except TypeError:
         return None
     flat = tuple(itertools.chain.from_iterable(obj))
-    if set(map(type, flat)) != {float}:
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
         return None
-    if not all(map(math.isfinite, flat)):
-        raise SchemaError("non-finite number cannot be serialized")
     return _pair_row_template(len(obj)) % flat
 
 
 def canonical_json(obj):
-    """Deterministic JSON text (sorted keys, 17-significant-digit floats)."""
+    """Deterministic JSON text (sorted keys, 17-significant-digit floats) of the
+    Python values a document holds; of numpy's, only ``np.float64``, a float."""
     if obj is None:
         return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -75,8 +74,6 @@ def canonical_json(obj):
         if text is None:
             text = "[" + ",".join(canonical_json(v) for v in obj) + "]"
         return text
-    if isinstance(obj, np.ndarray):
-        return canonical_json(obj.tolist())
     if isinstance(obj, dict):
         items = []
         for k in sorted(obj):
@@ -84,8 +81,6 @@ def canonical_json(obj):
                 raise SchemaError(f"non-string key {k!r}")
             items.append(json.dumps(k) + ":" + canonical_json(obj[k]))
         return "{" + ",".join(items) + "}"
-    if isinstance(obj, complex):
-        raise SchemaError("encode complex values as [re, im] pairs first")
     raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
 

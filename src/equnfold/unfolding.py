@@ -179,8 +179,7 @@ def theta_extract(geometry, directions):
     reported and held to the invariant ``theta.decomposition``, relative to
     the direction.  Row selection walks the rows in order and keeps a row
     when it raises the numerical rank (:func:`_linalg.rank` at scale
-    max|Theta|) of the rows already kept.  A direction with a non-finite
-    entry is an :class:`UnfoldingError`.
+    max|Theta|) of the rows already kept.
     """
     S = geometry.basis
     p = len(directions)
@@ -189,20 +188,17 @@ def theta_extract(geometry, directions):
         D = np.asarray(D, dtype=complex)
         if D.shape != geometry.B.shape:
             raise StructuralError(f"direction {i} has shape {D.shape}")
-        if not np.all(np.isfinite(D)):
-            raise UnfoldingError(f"direction {i} has a non-finite entry")
         V[i] = D.reshape(-1)
+    # one solve takes every direction, a non-finite one as zero (gelsd spreads an
+    # inf to every column); each residual is its own product (artifact bytes)
+    W = np.where(np.isfinite(V).all(axis=1, keepdims=True), V, 0.0)
+    X = lstsq(S, W.T)[0].T.copy()
+    residuals = [float(np.linalg.norm(S @ x - v)) for x, v in zip(X, V)]
+    invariants.check("theta.decomposition", residuals, W, where=lambda i: f"direction {i}")
     theta = np.zeros((p, geometry.delta), dtype=complex)
-    residuals = []
-    if p:
-        # one solve against S takes every direction; each column's residual
-        # is still its own matrix-vector product (they are artifact bytes)
-        X = lstsq(S, V.T)[0].T.copy()
-        residuals = [float(np.linalg.norm(S @ x - v)) for x, v in zip(X, V)]
-        invariants.check("theta.decomposition", residuals, V, where=lambda i: f"direction {i}")
-        theta[:] = X[:, geometry.tangent_dim:]
+    theta[:] = X[:, geometry.tangent_dim:]
 
-    scale = float(np.max(np.abs(theta))) if p else 0.0
+    scale = float(np.abs(theta).max(initial=0.0))
     selected = []
     for i in range(p):
         if rank(theta[selected + [i]], scale=scale) > len(selected):
@@ -447,13 +443,9 @@ def verify_gamma_versality(B, G, directions, tol=None):
     and, for a diagonal B, Z = sum_lam (1/|Gamma|) sum_g |chi_lam(g)|^2 over
     the eigenvalue blocks (chi_lam the character of G on lam's eigenspace).
     A span that falls short is reported, not raised; a B that does not
-    commute with G, a failed character check, or a direction with a
-    non-finite entry (whose span has no rank) raises UnfoldingError.  Each
+    commute with G or a failed character check raises UnfoldingError.  Each
     invariant holds at its own tolerance, or at ``tol`` where that is looser.
     """
-    for i, D in enumerate(directions):
-        if not np.all(np.isfinite(D)):
-            raise UnfoldingError(f"direction {i} has a non-finite entry")
     B = np.asarray(B, dtype=complex)
     c = B.shape[0]
     invariants.check("frame.B_commutes_with_G", G, B, tol=tol)

@@ -1472,6 +1472,40 @@ class TestVerify:
         deleted: verify exits 0, 1 or 2 and never raises."""
         assert not _mutation_faults(tmp_path, simple_artifact, ["verify"], (0, 1, 2))
 
+    @pytest.mark.parametrize("value", [[1e308, 1e308], [-1e308, 1e308], [1e200, 1e200]])
+    def test_huge_generator_entries_fail_cleanly(self, tmp_path, capfd, simple_case,
+                                                 simple_artifact, value):
+        """Each entry of the generators' induced matrices (which the mutations
+        above never reach) set to a huge pair: the products overflow, and
+        verify exits 0, 1 or 2 with no traceback and no LAPACK line (LAPACK
+        prints its illegal-value lines on stdout; an inf-entry commutator
+        operator once raised LinAlgError)."""
+        path = tmp_path / "huge.json"
+        faults = []
+        for g in simple_case.frame.G.group.generator_indices:
+            for i, j in np.ndindex(simple_case.frame.c, simple_case.frame.c):
+                doc = copy.deepcopy(simple_artifact)
+                doc["frame"]["induced_rep"][g][i][j] = value
+                path.write_text(json.dumps(doc))
+                try:
+                    code = run(["verify", str(path)])
+                except Exception as exc:
+                    faults.append((g, i, j, repr(exc)))
+                    continue
+                out, err = capfd.readouterr()
+                if code not in (0, 1, 2) or "Traceback" in err or "illegal value" in out + err:
+                    faults.append((g, i, j, code, err))
+        assert not faults
+
+    def test_overflowed_commutator_residual_fails(self, tmp_path, capsys, simple_artifact):
+        # G(g) B - B G(g) overflows to a NaN residual, which once passed as 0.0
+        doc = copy.deepcopy(simple_artifact)
+        doc["frame"]["induced_rep"][1][0][1] = [1e308, 1e308]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 1
+        assert "[FAIL] frame.B_commutes_with_G: residual nan (bound" in capsys.readouterr().out
+
     @pytest.mark.parametrize("path, mutate", [
         # non-finite entries
         (("group", "generators", 0, 0, 0), lambda z: [float("nan"), 0.0]),

@@ -43,6 +43,17 @@ class TestDelayOperator:
         with pytest.raises(StructuralError):
             DelayOperator(n=1, terms=())
 
+    @pytest.mark.parametrize("r, A, message", [
+        (np.nan, I3, r"term 1 \(delay nan\)"),              # max skipped it: tau was 0.0
+        (np.inf, I3, r"term 1 \(delay inf\)"),
+        (1.0, [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], r"term 1 \(delay 1.0\)"),
+        (1.0, np.full((3, 3), np.inf * 1j), r"term 1 \(delay 1.0\)"),
+    ], ids=["nan-lag", "inf-lag", "nan-coefficient", "inf-coefficient"])
+    def test_non_finite_term_rejected(self, r, A, message):
+        # a NaN coupling entry once passed check_equivariance with residual 0.0
+        with pytest.raises(StructuralError, match=f"^{message} has a non-finite lag or coefficient$"):
+            DelayOperator(n=3, terms=((0.0, -I3), (r, A)))
+
     def test_real_means_exactly_real(self):
         # an imaginary part of 1e-13 breaks Delta(conj(lam)) = conj(Delta(lam))
         assert DelayOperator(n=1, terms=((1.0, [[2.0]]),)).is_real

@@ -436,7 +436,8 @@ def _commutator_residual_loop(rep, matrices):
 
 
 class TestCommutatorResidualOracle:
-    """The stacked residual equals the per-matrix loop bit for bit."""
+    """The stacked residual equals the per-matrix loop bit for bit, and is NaN
+    where a matrix's residual is (the loop's running ``max`` skips it)."""
 
     @pytest.mark.parametrize("repname", ["c3", "c8", "d6"])
     def test_random_stacks(self, repname, rng):
@@ -447,10 +448,12 @@ class TestCommutatorResidualOracle:
             stack = random_complex(rng, k, d, d)
             near = equivariant_average(rep, rep, stack)    # residuals at rounding level
             nan = stack.copy()
-            nan[k // 2, 0, 0] = np.nan                      # the loop's max skips a NaN residual
-            for matrices in (stack, near, nan, list(stack.real)):
+            nan[k // 2, 0, 0] = np.nan
+            for matrices in (stack, near, list(stack.real)):
                 assert same_bits([commutator_residual(rep, matrices)],
                                  [_commutator_residual_loop(rep, matrices)])
+            assert np.isnan(commutator_residual(rep, nan))
+            assert np.isnan(commutator_residual(rep, list(nan)))
         assert commutator_residual(rep, []) == 0.0
 
     def test_presets(self, simple_case, double_case):

@@ -12,6 +12,7 @@ import equnfold
 from equnfold import d3
 from equnfold._linalg import (EIG_MATCH_TOL, RANK_RCOND, REP_TOL, ad_matrix, eigen_groups, lstsq,
                               null_basis, rank, scaled, svd_rank)
+from equnfold.errors import EqunfoldError
 from equnfold.invariants import INVARIANTS
 
 from conftest import random_complex, same_bits
@@ -47,7 +48,7 @@ def test_inline_tolerance_finder():
 
 
 # the numpy.linalg routines that cut a rank, or read one off singular values
-RANK_ROUTINES = ("lstsq", "svd", "matrix_rank", "pinv")
+RANK_ROUTINES = ("lstsq", "svd", "qr", "matrix_rank", "pinv")
 
 
 def _rank_routines(source):
@@ -72,7 +73,7 @@ def test_every_rank_cut_is_in_linalg():
              for path in sorted(package.glob("*.py")) if path.name != "_linalg.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
     assert {name for _, name in _rank_routines((package / "_linalg.py").read_text())} == \
-        {"lstsq", "svd"}
+        {"lstsq", "svd", "qr"}
 
 
 def test_rank_routine_finder():
@@ -315,3 +316,35 @@ def test_only_a_matrix_twice_as_tall_as_wide_is_ranked_by_its_qr_factor(monkeypa
     for shape in ((6, 6), (3, 6), (11, 6), (12, 6), (13, 6), (5, 0)):
         null_basis(random_complex(rng, *shape))
     assert calls == [(12, 6), (13, 6)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("shape", [(3, 8), (4, 4), (16, 4), (2, 3, 3)],
+                         ids=["wide", "square", "tall", "stack"])
+def test_non_finite_matrix_is_refused_before_lapack(monkeypatch, rng, shape, bad):
+    # LAPACK on such a matrix may raise, print an illegal-value line, return
+    # non-finite singular values or, for a wide complex one, not return; as a
+    # right-hand side of gelsd, one inf turns every column of x to NaN.  The
+    # refusal comes first, so no LAPACK routine is reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError("LAPACK reached")
+
+    for name in ("svd", "lstsq", "qr"):
+        monkeypatch.setattr(np.linalg, name, unreachable)
+    A = random_complex(rng, *shape)
+    A[..., -1, 1] = bad
+    helpers = [lambda: rank(A)]
+    if len(shape) == 2:
+        helpers += [lambda: svd_rank(A), lambda: lstsq(A, np.ones(shape[0])),
+                    lambda: lstsq(np.eye(shape[0]), A), lambda: null_basis(A)]
+    for helper in helpers:
+        with pytest.raises(EqunfoldError, match="non-finite entry has no numerical rank"):
+            helper()
+
+
+def test_overflowed_qr_factor_is_refused_before_its_svd(monkeypatch):
+    # a finite tall A whose column norm exceeds the largest float has an
+    # infinite R: the SVD of R is refused as the SVD of A would be
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("LAPACK reached"))
+    with pytest.raises(EqunfoldError, match="non-finite entry"):
+        null_basis(np.full((8, 2), 1e308 + 0j))

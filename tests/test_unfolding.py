@@ -332,13 +332,16 @@ class TestThetaExtract:
             theta_extract(bad, [complement(geo)[0]])
 
     def test_non_finite_direction_named(self):
+        # a non-finite direction is kept out of the joint least-squares solve,
+        # so its own residual is non-finite and theta.decomposition names it
         B = np.diag([1j, -1j, 2j, -2j])
         geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
         W = complement(geo)
         D = W[1].copy()
         D[0, 0] = np.nan
-        for bad in (D, np.where(D == D, D, np.inf)):
-            with pytest.raises(UnfoldingError, match="direction 1 has a non-finite entry"):
+        for bad, shown in ((D, "nan"), (np.where(D == D, D, np.inf), "inf")):
+            with pytest.raises(UnfoldingError,
+                               match=rf"^theta.decomposition \(direction 1\): residual {shown}"):
                 theta_extract(geo, [W[0], bad])
 
 
