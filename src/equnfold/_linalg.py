@@ -37,7 +37,6 @@ SINGULAR_RCOND = 1e-12    # a singular element of a representation, at scale 1
 REALIZATION_TOL = 1e-9    # relative residual of a delay realization, row by row and whole
 EIG_MATCH_TOL = 1e-9      # two eigenvalues this close, relative to their spectrum, are one
 LAG_MATCH_TOL = 1e-14     # two lags this close are one lag (scaled)
-EPS = np.finfo(float).eps  # rcond max(m, n) * EPS (numpy's default): rank lost to rounding only
 
 
 def scaled(tol, size):

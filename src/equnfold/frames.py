@@ -162,21 +162,24 @@ class SpectralFrame(NamedTuple):
 
     ``lambdas`` lists the eigenvalues with multiplicity (one entry per basis
     column), ``phi``/``psi`` the directions Phi(0)^T and Psi(0) (row j of
-    each goes with ``lambdas[j]``), ``B`` the reduced matrix, and ``G`` the
-    induced representation on the center coordinates once
-    :func:`induce_representation` has run.
+    each goes with ``lambdas[j]``), and ``G`` the induced representation on
+    the center coordinates once :func:`induce_representation` has run.
     """
 
     op: object
     lambdas: tuple      # c complex exponents, one per column of Phi
     phi: np.ndarray     # (c, n): row j is phi_j(0)
     psi: np.ndarray     # (c, n): row j is psi_j(0)
-    B: np.ndarray       # (c, c)
     G: Representation = None
 
     @property
     def c(self):
         return len(self.lambdas)
+
+    @property
+    def B(self):
+        """The (c, c) reduced matrix diag(lambdas): x' = B x on the center coordinates."""
+        return np.diag(np.array(self.lambdas, dtype=complex))
 
     def Phi_at(self, theta):
         """The (n, c) matrix Phi(theta) = Phi(0) exp(Lambda theta), C-ordered so
@@ -296,8 +299,7 @@ def eigenbasis(op, lambdas, seeds=None):
         Kbi = np.linalg.inv(Kb)
         psi.extend(sum(Kbi[r, s] * W[s] for s in range(m)) for r in range(m))
 
-    B = np.diag(np.array(lams, dtype=complex))
-    frame = SpectralFrame(op=op, lambdas=tuple(lams), phi=phi, psi=np.array(psi), B=B)
+    frame = SpectralFrame(op=op, lambdas=tuple(lams), phi=phi, psi=np.array(psi))
 
     invariants.check("frame.gram_identity", frame)
     invariants.check("frame.null_vectors", frame,

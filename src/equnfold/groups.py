@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import EPS, REP_TOL, SINGULAR_RCOND, ad_matrix, null_basis, rank
+from ._linalg import REP_TOL, SINGULAR_RCOND, ad_matrix, null_basis, rank
 from .errors import StructuralError
 
 CLOSURE_TOL = 1e-10         # entrywise: closure products this close are one element
@@ -136,7 +136,7 @@ def close_generators(generators):
     for g in gens:
         if g.shape != (d, d):
             raise StructuralError("generator matrices must share one square shape")
-        if rank(g, rcond=d * EPS) < d:
+        if rank(g, scale=1.0, rcond=SINGULAR_RCOND) < d:
             raise StructuralError("singular generator matrix")
 
     stack = np.eye(d, dtype=complex)[None]
@@ -251,15 +251,14 @@ def check_representation(rep):
     NaN when one is, and inf when some rho(x) is numerically singular.
 
     By induction on word length, rho is a homomorphism exactly when these
-    residuals vanish: |G| products per generator instead of |G|^2.
+    residuals vanish: one stacked product of |G| per generator, not |G|^2.
     """
     group, mats = rep.group, rep.matrices
     if np.any(rank(mats, scale=1.0, rcond=SINGULAR_RCOND) < rep.dim):
         return np.inf
-    worst = np.abs(mats[group.identity] - np.eye(rep.dim)).max()
-    for g in group.generator_indices:
-        worst = np.maximum(worst, np.abs(mats @ mats[g] - mats[group.mul_table[:, g]]).max())
-    return float(worst)
+    gens = list(group.generator_indices)      # below, [j, x] is rho(x) rho(g_j) and rho(x g_j)
+    worst = np.abs(mats @ mats[gens, None] - mats[group.mul_table[:, gens].T]).max()
+    return float(np.maximum(np.abs(mats[group.identity] - np.eye(rep.dim)).max(), worst))
 
 
 def equivariant_average(rep_left, rep_right, M):

@@ -131,9 +131,8 @@ INVARIANTS = (
               FrameError),
     Invariant("frame.gram_identity", lambda frame: _size(frame.gram() - np.eye(frame.c)),
               lambda frame: 1.0, FRAME_RESIDUAL_TOL, FrameError),
-    Invariant("frame.reduced_matrix",
-              lambda frame: _size(frame.B - np.diag(np.array(frame.lambdas))),
-              lambda frame: _size(np.array(frame.lambdas)), DEFAULT_TOL, FrameError),
+    Invariant("frame.reduced_matrix", lambda frame, stored: _size(stored - frame.B),
+              lambda frame, stored: _size(np.array(frame.lambdas)), DEFAULT_TOL, FrameError),
     Invariant("frame.induced_rep", lambda G: groups.check_representation(G),
               lambda G: _size(G.matrices) ** 2, REP_TOL, FrameError),
     Invariant("frame.two_sided_pairing", lambda H, G: _size(H - G.matrices, axis=(1, 2)),

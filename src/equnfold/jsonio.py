@@ -284,7 +284,7 @@ def frame_to_doc(frame):
 @document_errors("frame")
 def frame_from_doc(doc, op, group, path="frame"):
     """The frame at ``path`` of a document, with its induced representation
-    of ``group``."""
+    of ``group``, and its stored reduced matrix, which ``verify`` checks."""
     lams = items(*field(doc, path, "eigenvalues"), pair_complex)
     if not lams:
         raise SchemaError(f"{path}.eigenvalues must not be empty")
@@ -300,7 +300,7 @@ def frame_from_doc(doc, op, group, path="frame"):
     G = Representation(group=group, matrices=decode_cmatrix_stack(
         *field(doc, path, "induced_rep"), shape=(c, c)))
     return SpectralFrame(op=op, lambdas=tuple(lams), phi=np.array(phis).reshape(c, op.n),
-                         psi=np.array(psis).reshape(c, op.n), B=B, G=G)
+                         psi=np.array(psis).reshape(c, op.n), G=G), B
 
 
 # ------------------------------------------------------------------- config
@@ -436,13 +436,13 @@ def artifact_meta(preset=None, point=None):
 
 def parse_artifact(doc):
     """The artifact's ``(op, rep, frame, family, selected, theta, stored)``,
-    ``stored`` its decisions by JSON path; a violation raises SchemaError."""
+    ``stored`` its reduced matrix and decisions by JSON path; a violation raises SchemaError."""
     if not isinstance(doc, dict):
         raise SchemaError("artifact must be a JSON object")
     if doc.get("schema") != SCHEMA:
         raise SchemaError(f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA!r}")
     op, rep = _model_and_group(doc)
-    frame = frame_from_doc(field(doc, "", "frame")[0], op, rep.group)
+    frame, B = frame_from_doc(field(doc, "", "frame")[0], op, rep.group)
 
     unf = field(doc, "", "unfolding")
     delays = items(*field(*unf, "delays"), number)
@@ -457,7 +457,8 @@ def parse_artifact(doc):
         raise SchemaError(f"unfolding.selected_rows {selected} must be distinct")
     theta_doc = field(doc, "", "theta")
     theta = decode_complex(*field(*theta_doc, "matrix"), 2)
-    stored = {"theta.selected_rows": tuple(items(*field(*theta_doc, "selected_rows"), integer)),
+    stored = {"frame.reduced_matrix": B,
+              "theta.selected_rows": tuple(items(*field(*theta_doc, "selected_rows"), integer)),
               "theta.rank": integer(*field(*theta_doc, "rank"))}
     versality = field(*field(doc, "", "report"), "versality")
     for key, read in (SPAN_FIELDS | MINI_FIELDS).items():

@@ -29,7 +29,6 @@ from .errors import StructuralError, UnfoldingError
 from .frames import ROOT_TOL, SpectralFrame, critical_roots, eigenbasis, induce_representation
 from .groups import Representation, commutant_basis, equivariant_average
 
-DIAG_TOL = 1e-12       # max off-diagonal magnitude for "B is diagonal"
 CONJ_PAIR_TOL = 1e-9           # relative gap of a conjugate direction pair
 PATTERN_FLOOR = 1e-14          # a lag whose coefficients all lie below this has no pattern
 
@@ -110,8 +109,7 @@ class OrbitGeometry(NamedTuple):
 
 
 def _is_diagonal(B):
-    diag = np.diag(B)
-    return len(B) == 1 or np.max(np.abs(B - np.diag(diag))) < scaled(DIAG_TOL, np.max(np.abs(diag)))
+    return np.array_equal(B, np.diag(np.diag(B)))
 
 
 def _character_sum(G, blocks):
@@ -412,11 +410,15 @@ class VersalityReport(NamedTuple):
 
     commutant_dim: int
     tangent_dim: int
-    codimension: int         # dim of the equivariant centralizer
-    codimension_formula: float   # the same by characters; NaN for a B not diagonal
+    codimension_formula: float   # the codimension by characters; NaN for a B not diagonal
     achieved_rank: int
     n_directions: int
     max_equivariance_residual: float
+
+    @property
+    def codimension(self):
+        """Z, the dimension of the equivariant centralizer."""
+        return self.commutant_dim - self.tangent_dim
 
     @property
     def versal(self):
@@ -478,7 +480,6 @@ def verify_gamma_versality(B, G, directions, tol=None):
     return VersalityReport(
         commutant_dim=k,
         tangent_dim=r,
-        codimension=Z_dim,
         codimension_formula=Z_formula,
         achieved_rank=rank(np.hstack(cols)),
         n_directions=len(directions),

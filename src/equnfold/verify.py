@@ -55,10 +55,10 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
     bhats = center_directions(frame.psi, family.directions, Phis)
     args = {"group.representation": (rep,), "model.equivariance": (op, rep),
             "frame.null_vectors": (frame,), "frame.gram_identity": (frame,),
-            "frame.reduced_matrix": (frame,), "frame.induced_rep": (G,),
-            "frame.B_commutes_with_G": (G, frame.B), "frame.phi_intertwines": (frame, rep),
-            "family.coefficient_equivariance": (rep, family.directions),
-            "directions.projection_fixed_point": (G, bhats)}
+            "frame.reduced_matrix": (frame, stored["frame.reduced_matrix"]),
+            "frame.induced_rep": (G,), "frame.B_commutes_with_G": (G, frame.B),
+            "frame.phi_intertwines": (frame, rep), "directions.projection_fixed_point": (G, bhats),
+            "family.coefficient_equivariance": (rep, family.directions)}
     after = {}      # the decisions, by the invariant they follow
 
     try:

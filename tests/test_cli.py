@@ -626,7 +626,7 @@ class TestUnfold:
         def not_minimal(*args, **kwargs):
             assembly = assemble_gamma_unfolding(*args, **kwargs)
             ver = assembly.versality
-            return assembly._replace(versality=ver._replace(codimension=ver.codimension + 1))
+            return assembly._replace(versality=ver._replace(tangent_dim=ver.tangent_dim - 1))
 
         monkeypatch.setattr(unfolding, "assemble_gamma_unfolding", not_minimal)
         cfg_path, out = tmp_path / "ring.json", tmp_path / "ring_out.json"
@@ -1394,6 +1394,24 @@ class TestVerify:
         stored = tuple(value) if isinstance(value, list) else value
         expected = tuple(expected) if isinstance(expected, list) else expected
         assert f"stored {'.'.join(path)} {stored}, expected {expected}" in failed[line]
+
+    @pytest.mark.parametrize("change, tol, failed", [
+        (1e-11, None, []), (1e-9, None, []), (1e-3, None, ["frame.reduced_matrix"]),
+        (1e-3, "1e-2", [])], ids=["1e-11", "1e-9", "1e-3", "1e-3-tol-1e-2"])
+    def test_stored_reduced_matrix_fails_its_line_only(self, tmp_path, simple_artifact, change,
+                                                       tol, failed):
+        # verify takes B = diag(eigenvalues) and computes nothing from the
+        # stored matrix: an off-diagonal entry moved within --tol passes every
+        # line, and one moved beyond it fails its own line and no other
+        doc = copy.deepcopy(simple_artifact)
+        doc["frame"]["reduced_matrix"][0][1][0] += change
+        bad, report = tmp_path / "bad.json", tmp_path / "report.json"
+        write_json_atomic(str(bad), doc)
+        code = run(["verify", str(bad), "--report", str(report),
+                    *([] if tol is None else ["--tol", tol])])
+        checks = json.loads(report.read_text())["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == failed
+        assert code == (1 if failed else 0)
 
     @pytest.mark.parametrize("rows", [[-1, 1, 2, 3], [1, 1, 2, 3], ["x", 1, 2, 3]])
     def test_bad_selected_rows_are_schema_errors(self, tmp_path, simple_artifact, rows):

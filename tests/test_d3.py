@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from equnfold import cli, d3
-from equnfold._linalg import EPS, rank
+from equnfold._linalg import rank
 from equnfold.delays import check_equivariance
 from equnfold.errors import EqunfoldError
 from equnfold.frames import ROOT_TOL
@@ -627,7 +627,7 @@ def _assert_case_structure(case, rep, frame, assembly):
             coef = np.vdot(pat, A) / np.vdot(pat, pat)
             assert np.max(np.abs(A - coef * pat)) < 1e-10
     E = slot_reparametrization(fam)
-    assert rank(E, rcond=max(E.shape) * EPS) == fam.n_parameters
+    assert rank(E, rcond=max(E.shape) * np.finfo(float).eps) == fam.n_parameters
     realify(fam)            # raises on an unpaired direction or a rank-deficient real family
 
 

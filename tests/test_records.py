@@ -58,6 +58,41 @@ def records(simple_case, simple_point, simple_artifact):
     return {name: (types[name], rec) for name, rec in samples.items()}
 
 
+# record -> {derived value: its derivation from the record's fields}; each is
+# a property, not a field, so no field repeats another (README, "Layout")
+DERIVED = {
+    "SpectralFrame": {"B": lambda f: np.diag(np.array(f.lambdas, dtype=complex)),
+                      "c": lambda f: len(f.lambdas)},
+    "VersalityReport": {
+        "codimension": lambda v: v.commutant_dim - v.tangent_dim,
+        "versal": lambda v: v.achieved_rank == v.commutant_dim,
+        "mini_versal": lambda v: (v.achieved_rank == v.commutant_dim
+                                  and v.n_directions == v.commutant_dim - v.tangent_dim),
+        "deficiency": lambda v: v.commutant_dim - v.achieved_rank},
+    "OrbitGeometry": {"delta": lambda g: len(g.basis) - g.tangent_dim},
+    "FiniteGroup": {"inverse": lambda g: np.array([list(row).index(g.identity)
+                                                   for row in g.mul_table])},
+}
+
+
+@pytest.mark.parametrize("case", ["simple_case", "double_case"])
+@pytest.mark.parametrize("name, attr", [(name, attr) for name, values in DERIVED.items()
+                                        for attr in values])
+def test_derived_value_is_a_property_equal_to_its_derivation(request, case, name, attr):
+    r = request.getfixturevalue(case)
+    frame = r.frame
+    rec = {"SpectralFrame": frame, "VersalityReport": r.assembly.versality,
+           "OrbitGeometry": orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas)),
+           "FiniteGroup": r.rep.group}[name]
+    cls = type(rec)
+    assert cls.__name__ == name
+    assert attr not in cls._fields and isinstance(getattr(cls, attr), property)
+    value, expected = np.asarray(getattr(rec, attr)), np.asarray(DERIVED[name][attr](rec))
+    # bit for bit: same type, shape and bytes
+    assert (value.dtype, value.shape) == (expected.dtype, expected.shape)
+    assert value.tobytes() == expected.tobytes()
+
+
 def test_every_class_is_a_record_or_an_error():
     # a hand-written class would escape the record checks below
     for info in pkgutil.iter_modules(equnfold.__path__):

@@ -350,7 +350,7 @@ def scalar_frame(psi0=2.0, lam=0.5):
     op = DelayOperator(n=1, terms=((0.0, [[lam]]),))
     u = 1.0 / psi0
     return SpectralFrame(op=op, lambdas=(complex(lam),), phi=np.array([[u]], dtype=complex),
-                         psi=np.array([[psi0]], dtype=complex), B=np.array([[lam]], dtype=complex))
+                         psi=np.array([[psi0]], dtype=complex))
 
 
 class TestBuildRMatrices:
@@ -640,8 +640,7 @@ class TestStackedSolvesMatchPerSystemSolves:
         rng.shuffle(lams)
         return SpectralFrame(
             op=DelayOperator(n=n, terms=((0.0, dense(n, n)),)), lambdas=tuple(lams),
-            phi=np.array([dense(n) for _ in lams]), psi=np.array([dense(n) for _ in lams]),
-            B=np.diag(lams))
+            phi=np.array([dense(n) for _ in lams]), psi=np.array([dense(n) for _ in lams]))
 
     def test_random_dense(self, rng):
         # c <= 8, the range of every pinned artifact (test_large_basis_agrees_to_rounding)
