@@ -10,8 +10,7 @@ independent Theta rows selecting a mini-versal subfamily.
 
 import numpy as np
 
-from equnfold.unfolding import (jordan_codimension, orbit_geometry,
-                                theta_extract)
+from equnfold.unfolding import orbit_geometry, theta_extract
 
 np.set_printoptions(precision=4, suppress=True)
 rng = np.random.default_rng(7)
@@ -23,10 +22,12 @@ B[:2, :2] = 0.5 * np.eye(2) + np.eye(2, k=1)
 B[2, 2] = 0.5
 B[3:, 3:] = (-1.0 + 0.3j) * np.eye(2) + np.eye(2, k=1)
 
-geo = orbit_geometry(B, spec)
+geo = orbit_geometry(B)
+# Arnold's formula: sum over eigenvalues of (2l - 1) n_l, block sizes descending
+formula = sum((2 * l - 1) * size for _, sizes in spec
+              for l, size in enumerate(sorted(sizes, reverse=True), start=1))
 print("matrix B:\n", np.round(B, 3))
-print(f"\norbit codimension: rank-based {geo.delta}, "
-      f"formula {jordan_codimension(spec)}")
+print(f"\norbit codimension: rank-based {geo.delta}, formula {formula}")
 print(f"tangent dim {geo.tangent_dim} + complement dim {geo.delta} "
       f"= {B.shape[0] ** 2}")
 

@@ -453,8 +453,9 @@ def parse_artifact(doc):
     selected = items(*field(*unf, "selected_rows"), integer)
     if len(selected) != len(names):
         raise SchemaError("unfolding.selected_rows must list one slot per parameter")
-    if len(set(selected)) != len(selected):
-        raise SchemaError(f"unfolding.selected_rows {selected} must be distinct")
+    for key, values in (("parameters", names), ("selected_rows", selected)):
+        if len(set(values)) != len(values):
+            raise SchemaError(f"unfolding.{key} {values} must be distinct")
     theta_doc = field(doc, "", "theta")
     theta = decode_complex(*field(*theta_doc, "matrix"), 2)
     stored = {"frame.reduced_matrix": B,

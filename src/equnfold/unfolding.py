@@ -33,51 +33,6 @@ CONJ_PAIR_TOL = 1e-9           # relative gap of a conjugate direction pair
 PATTERN_FLOOR = 1e-14          # a lag whose coefficients all lie below this has no pattern
 
 
-def jordan_codimension(jordan_spec):
-    """Orbit codimension ``sum_j sum_l (2l - 1) n_{j,l}``.
-
-    Block sizes are sorted descending within each eigenvalue before the
-    weights 1, 3, 5, ... are applied.
-    """
-    delta = 0
-    for _, sizes in jordan_spec:
-        for l, njl in enumerate(sorted(sizes, reverse=True), start=1):
-            delta += (2 * l - 1) * njl
-    return delta
-
-
-def semisimple_jordan_spec(lambdas):
-    """Jordan data for a semisimple matrix with the given eigenvalues.
-
-    ``lambdas`` may repeat; values that are one by ``_linalg.eigen_groups``
-    are merged into one eigenvalue with that many size-1 blocks.
-    """
-    lambdas = [complex(l) for l in lambdas]
-    return [(lambdas[block[0]], (1,) * len(block)) for block in eigen_groups(lambdas)]
-
-
-def _validate_jordan_spec(B, jordan_spec):
-    """Check the block data against rank tests of (B - lam I)^k."""
-    c = B.shape[0]
-    total = sum(sum(sizes) for _, sizes in jordan_spec)
-    if total != c:
-        raise UnfoldingError(f"jordan_spec accounts for {total} of {c} dimensions")
-    for lam, sizes in jordan_spec:
-        N = B - lam * np.eye(c)
-        powers = [N]
-        for _ in range(1, max(sizes)):
-            powers.append(powers[-1] @ N)
-        ranks = [c, *rank(np.array(powers))]
-        for k in range(1, max(sizes) + 1):
-            expected = sum(1 for s in sizes if s >= k)
-            actual = ranks[k - 1] - ranks[k]
-            if actual != expected:
-                raise UnfoldingError(
-                    f"jordan_spec mismatch at eigenvalue {lam}: {expected} blocks of size "
-                    f">= {k} declared, rank tests give {actual}"
-                )
-
-
 def _diagonal_complement_slots(diag):
     """Elementary-matrix positions spanning the centralizer of diag(conj).
 
@@ -124,21 +79,14 @@ def _character_sum(G, blocks):
                    for b in blocks) / G.group.order
 
 
-def orbit_geometry(B, jordan_spec):
-    """Compute :class:`OrbitGeometry`, cross-checking rank against the
-    closed-form codimension for the declared Jordan structure."""
+def orbit_geometry(B):
+    """Compute :class:`OrbitGeometry` from B alone, whatever its Jordan
+    structure: the codimension is c^2 - rank(ad_B), and for a diagonal B
+    the number of complement slots must equal it."""
     B = np.asarray(B, dtype=complex)
     c = B.shape[0]
-    _validate_jordan_spec(B, jordan_spec)
-
     U, _, r = svd_rank(ad_matrix(B))
     delta = c * c - r
-    formula = jordan_codimension(jordan_spec)
-    if delta != formula:
-        raise UnfoldingError(
-            f"rank-based codimension {delta} disagrees with the Jordan formula {formula}; "
-            "jordan_spec is wrong for this matrix"
-        )
 
     # W spans the centralizer of B^H, the null space of ad_{B^H} = ad_B^H: the
     # trailing left singular vectors of ad_B, so the basis is U itself.  For
@@ -342,7 +290,7 @@ def slot_stacks(frame, rep):
     ``Rbar = (1/|G|) sum_g rho(g) R G(g)^-1``, the ``(p, c, c)`` center
     directions ``Bhat = Psi(0) Rbar``, and their Theta report.  The build
     and ``verify`` derive slots only here."""
-    geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
+    geometry = orbit_geometry(frame.B)
     Rs = build_R_matrices(frame, geometry)
     Rbars = equivariant_average(rep, frame.G, Rs)
     Bhats = frame.psi @ Rbars

@@ -2,6 +2,8 @@
 subcommand runs them, so they live here rather than in ``src/``
 (``test_reach.py`` keeps ``src/`` to what a subcommand runs)."""
 
+import cmath
+
 import numpy as np
 
 from equnfold.d3 import _hopf_angles
@@ -64,3 +66,37 @@ def scaled_det(M):
     if np.any(norms == 0):
         return 0.0
     return float(abs(np.linalg.det(M / norms)))
+
+
+def jordan_codimension(jordan_spec):
+    """Arnold's orbit codimension ``sum_j sum_l (2l - 1) n_{j,l}`` of a Jordan
+    matrix, from its ``[(eigenvalue, block sizes), ...]`` alone.
+
+    Block sizes are sorted descending within each eigenvalue before the
+    weights 1, 3, 5, ... are applied.
+    """
+    delta = 0
+    for _, sizes in jordan_spec:
+        for l, njl in enumerate(sorted(sizes, reverse=True), start=1):
+            delta += (2 * l - 1) * njl
+    return delta
+
+
+def lambert_w(z, branch):
+    """Branch ``branch`` of Lambert's W at ``z != 0``: the w with w e^w = z.
+
+    Halley's iteration from the asymptotic start L1 - log(L1), where
+    L1 = log z + 2 pi i branch, stopped when a step falls to rounding.
+    Away from the branch point -1/e (every use here) it converges in a few
+    steps.
+    """
+    l1 = cmath.log(z) + 2j * cmath.pi * branch
+    w = l1 - cmath.log(l1)
+    for _ in range(100):
+        ew = cmath.exp(w)
+        f = w * ew - z
+        step = f / (ew * (w + 1) - (w + 2) * f / (2 * w + 2))
+        w -= step
+        if abs(step) <= 4e-16 * abs(w):
+            return w
+    raise StructuralError(f"Lambert W, branch {branch}, did not converge at {z}")

@@ -12,11 +12,11 @@ import numpy as np
 from equnfold import d3
 from equnfold.delays import DelayOperator, bilinear_form
 from equnfold.groups import commutant_basis, equivariant_average
-from equnfold.unfolding import (jordan_codimension, orbit_geometry, realify,
-                                semisimple_jordan_spec, slot_stacks)
+from equnfold.unfolding import orbit_geometry, realify, slot_stacks
 from equnfold.verify import verify_artifact
 
-from oracles import bilinear_form_quadrature, exponential_delay_matrix, scaled_det
+from oracles import (bilinear_form_quadrature, exponential_delay_matrix, jordan_codimension,
+                     scaled_det)
 from test_groups import act8_rep
 from test_unfolding import random_jordan
 
@@ -87,15 +87,15 @@ def test_criterion_3_codimension_formula():
     with Timer() as t:
         w1, w2 = 1.3, 2.7
         B4 = np.diag([1j * w1, -1j * w1, 1j * w2, -1j * w2])
-        geo4 = orbit_geometry(B4, semisimple_jordan_spec(np.diag(B4)))
+        geo4 = orbit_geometry(B4)
         B8 = np.diag(np.repeat([1j * w1, -1j * w1, 1j * w2, -1j * w2], 2))
-        geo8 = orbit_geometry(B8, semisimple_jordan_spec(np.diag(B8)))
+        geo8 = orbit_geometry(B8)
         assert geo4.delta == 4 and geo8.delta == 16
         checked = 0
         while checked < 50:
             c = int(rng.integers(2, 9))
             B, spec = random_jordan(rng, c)
-            geo = orbit_geometry(B, spec)
+            geo = orbit_geometry(B)
             assert geo.delta == jordan_codimension(spec)
             checked += 1
     assert t.seconds < 5.0

@@ -26,6 +26,8 @@ from equnfold.jsonio import (POINT_FIELDS, build_artifact, canonical_json, decod
                              encode_complex, model_to_doc, rep_to_doc, write_json_atomic)
 from equnfold.unfolding import assemble_gamma_unfolding, slot_stacks, solve_delay_realization
 
+from oracles import lambert_w
+
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 with open(os.path.join(FIXTURES, "double_hopf_points.json")) as _fh:
@@ -1192,16 +1194,22 @@ PLANTED_GROUPS = {
 }
 
 
+def _planted_coefficients(group, k):
+    """The scalars (a_j, mu_j) of ``_planted_config(group, k)`` on each
+    isotypic component j: on component k, lam = a + mu e^-lam has the roots
+    +-i omega (mu = -omega / sin omega, a = -mu cos omega); the others take
+    a = -2, mu = 0.5, which keeps their roots in the left half-plane."""
+    mu_k = -PLANTED_OMEGA / np.sin(PLANTED_OMEGA)
+    return [(-mu_k * np.cos(PLANTED_OMEGA), mu_k) if j == k else (-2.0, 0.5)
+            for j in range(len(PLANTED_GROUPS[group][1]))]
+
+
 def _planted_config(group, k):
     """u' = A0 u + A1 u(t - 1) with A0 = sum a_j P_j and A1 = sum mu_j P_j over
-    the isotypic projectors of ``group``: on component k, lam = a + mu e^-lam
-    has the roots +-i omega (mu = -omega / sin omega, a = -mu cos omega); the
-    others take a = -2, mu = 0.5, which keeps their roots in the left
-    half-plane.  Seeded at +-i omega."""
+    the isotypic projectors P_j of ``group`` (``_planted_coefficients``).
+    Seeded at +-i omega."""
     gens, projectors = PLANTED_GROUPS[group]
-    mu_k = -PLANTED_OMEGA / np.sin(PLANTED_OMEGA)
-    a = [-mu_k * np.cos(PLANTED_OMEGA) if j == k else -2.0 for j in range(len(projectors))]
-    mu = [mu_k if j == k else 0.5 for j in range(len(projectors))]
+    a, mu = zip(*_planted_coefficients(group, k))
     A0, A1 = (sum(x * P for x, P in zip(coef, projectors)) for coef in (a, mu))
     return {"model": {"n": len(A0), "terms": [{"delay": 0.0, "matrix": encode_complex(A0)},
                                               {"delay": 1.0, "matrix": encode_complex(A1)}]},
@@ -1209,22 +1217,57 @@ def _planted_config(group, k):
             "lambda_seeds": [[0.0, PLANTED_OMEGA], [0.0, -PLANTED_OMEGA]]}
 
 
+def _planted_roots(group, k, branch):
+    """The root of lam = a_j + mu_j e^-lam on Lambert W's ``branch``, one per
+    component j: with w = lam - a_j, w e^w = mu_j e^-a_j."""
+    return [a + lambert_w(mu * np.exp(-a), branch) for a, mu in _planted_coefficients(group, k)]
+
+
+PLANTINGS = pytest.mark.parametrize(
+    "group, k", [("S3", 0), ("S3", 1), ("D4", 2), ("Z2xZ2", 1)],
+    ids=["S3-trivial", "S3-standard", "D4-standard", "Z2xZ2-character"])
+
+
 class TestPlantedComponent:
-    @pytest.mark.parametrize("group, k", [("S3", 0), ("S3", 1), ("D4", 2), ("Z2xZ2", 1)],
-                             ids=["S3-trivial", "S3-standard", "D4-standard", "Z2xZ2-character"])
+    @PLANTINGS
     def test_unfolds_the_planted_roots_with_codimension_2(self, tmp_path, group, k):
-        # the oracle is the planting: the critical roots are +-i omega, and
-        # each eigenvalue's eigenspace is one absolutely irreducible component
+        # the oracle is the planting: the critical roots are +-i omega, on
+        # Lambert W's branches 0 and -1, and each eigenvalue's eigenspace is
+        # one absolutely irreducible component
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_path.write_text(json.dumps(_planted_config(group, k)))
         assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 0
         assert run(["verify", str(out)]) == 0
         doc = json.loads(out.read_text())
         lams = decode_complex(doc["frame"]["eigenvalues"], "frame.eigenvalues", 1)
-        planted = np.where(lams.imag > 0, 1j, -1j) * PLANTED_OMEGA
-        assert np.all(np.abs(lams - planted) <= 1e-10 * PLANTED_OMEGA)
+        up, down = (_planted_roots(group, k, branch)[k] for branch in (0, -1))
+        assert abs(up - 1j * PLANTED_OMEGA) < 1e-14 * PLANTED_OMEGA
+        planted = np.where(lams.imag > 0, up, down)
+        assert np.all(np.abs(lams - planted) <= 1e-12 * np.abs(planted))
         assert set(np.sign(lams.imag)) == {-1.0, 1.0}
         assert doc["report"]["versality"]["codimension"] == 2
+
+    @PLANTINGS
+    def test_no_other_root_on_seven_branches_reaches_the_axis(self, group, k):
+        # the declared spectrum +-i omega is the whole axis spectrum on
+        # branches -3..3: every other root of every component lies to the left
+        op = jsonio.model_from_doc(_planted_config(group, k)["model"])
+        for branch in range(-3, 4):
+            for j, lam in enumerate(_planted_roots(group, k, branch)):
+                assert abs(np.linalg.det(op.char_matrix(lam))) < 1e-9, (branch, j)
+                if j != k:
+                    assert lam.real < 0, (branch, j)
+                elif branch not in (0, -1):
+                    assert lam.real < -1, (branch, j)
+
+    @PLANTINGS
+    def test_lambert_w_agrees_with_scipy(self, group, k):
+        special = pytest.importorskip("scipy.special")
+        for a, mu in _planted_coefficients(group, k):
+            z = mu * np.exp(-a)
+            for branch in range(-3, 4):
+                w = complex(special.lambertw(z, branch))
+                assert abs(lambert_w(z, branch) - w) <= 1e-15 * abs(w), (z, branch)
 
 
 def _reflection_off_generators(rep):
@@ -1441,6 +1484,17 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         assert run(["verify", str(bad)]) == 2
         assert f"schema error: unfolding.parameters[{k}] must be a string, got " \
+            in capsys.readouterr().err
+
+    def test_repeated_parameter_name_is_schema_error(self, tmp_path, capsys, simple_artifact):
+        # two parameters of one name are one name in a report: the build
+        # writes distinct alpha_1, alpha_2, ...
+        doc = copy.deepcopy(simple_artifact)
+        doc["unfolding"]["parameters"] = ["a"] * len(doc["unfolding"]["parameters"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["verify", str(bad)]) == 2
+        assert "schema error: unfolding.parameters ['a', 'a', 'a', 'a'] must be distinct" \
             in capsys.readouterr().err
 
     @pytest.mark.parametrize("path", [

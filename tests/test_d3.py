@@ -14,7 +14,7 @@ from equnfold.jsonio import build_artifact, canonical_json, encode_complex, mode
 from equnfold.unfolding import lag_basis, realify, slot_reparametrization, slot_stacks
 from equnfold.verify import verify_artifact
 
-from oracles import exponential_delay_matrix, hopf_curve, scaled_det
+from oracles import exponential_delay_matrix, hopf_curve, jordan_codimension, scaled_det
 
 I3 = np.eye(3)
 J3 = np.ones((3, 3))
@@ -597,11 +597,14 @@ def _assert_case_structure(case, rep, frame, assembly):
     diagonal Theta (simple), or Theta's zero/duplicate row profile and
     vanishing mixed-slot directions (double); all four rows selected, a
     mini-versal family whose codimension the character formula confirms,
-    coefficients on the model's coupling pattern, and independent per-lag
-    parameters, complex and realified."""
+    a Theta as wide as Arnold's formula over the frame's (exactly) repeated
+    eigenvalues, coefficients on the model's coupling pattern, and
+    independent per-lag parameters, complex and realified."""
     c = frame.c
     theta = assembly.theta
     assert c == (4 if case == "simple" else 8)
+    spec = [(lam, (1,) * frame.lambdas.count(lam)) for lam in dict.fromkeys(frame.lambdas)]
+    assert theta.theta.shape[1] == jordan_codimension(spec) == (4 if case == "simple" else 16)
     if case == "simple":
         for g in range(frame.G.group.order):
             assert np.max(np.abs(frame.G.matrices[g] - np.eye(c))) < 1e-8

@@ -15,7 +15,7 @@ from equnfold.errors import SchemaError
 from equnfold.frames import find_root
 from equnfold.invariants import INVARIANTS
 from equnfold.jsonio import canonical_json
-from equnfold.unfolding import orbit_geometry, semisimple_jordan_spec
+from equnfold.unfolding import orbit_geometry
 from equnfold.verify import verify_artifact
 
 
@@ -48,7 +48,7 @@ def records(simple_case, simple_point, simple_artifact):
         "DelayOperator": r.op, "Invariant": INVARIANTS[0],
         "FiniteGroup": r.rep.group, "Representation": r.rep,
         "RootResult": find_root(r.op, frame.lambdas[0]), "SpectralFrame": frame,
-        "OrbitGeometry": orbit_geometry(frame.B, semisimple_jordan_spec(np.diag(frame.B))),
+        "OrbitGeometry": orbit_geometry(frame.B),
         "GammaUnfolding": assembly, "UnfoldingFamily": assembly.family,
         "ThetaReport": assembly.theta, "VersalityReport": assembly.versality,
         "VerificationReport": report, "CheckResult": report.checks[0],
@@ -82,7 +82,7 @@ def test_derived_value_is_a_property_equal_to_its_derivation(request, case, name
     r = request.getfixturevalue(case)
     frame = r.frame
     rec = {"SpectralFrame": frame, "VersalityReport": r.assembly.versality,
-           "OrbitGeometry": orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas)),
+           "OrbitGeometry": orbit_geometry(frame.B),
            "FiniteGroup": r.rep.group}[name]
     cls = type(rec)
     assert cls.__name__ == name

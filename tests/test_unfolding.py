@@ -18,15 +18,13 @@ from equnfold.jsonio import build_artifact, canonical_json, config_from_doc, enc
 from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
                                 assemble_gamma_unfolding,
                                 build_R_matrices, check_lags,
-                                jordan_codimension, lag_basis,
-                                orbit_geometry, realify, select_delays,
-                                semisimple_jordan_spec, slot_stacks,
+                                lag_basis, orbit_geometry, realify, select_delays, slot_stacks,
                                 solve_delay_realization, theta_extract, unfold,
                                 verify_gamma_versality)
 from equnfold.verify import verify_artifact
 
 from conftest import random_complex
-from oracles import exponential_delay_matrix, scaled_det
+from oracles import exponential_delay_matrix, jordan_codimension, scaled_det
 from test_d3 import FIXTURE_POINTS
 
 I3 = np.eye(3)
@@ -75,10 +73,6 @@ class TestJordanCodimension:
         assert jordan_codimension([(0.0, (4,))]) == 4
         assert jordan_codimension([(0.0, (1, 1, 1, 1))]) == 16
 
-    def test_semisimple_spec_builder(self):
-        spec = semisimple_jordan_spec([1j, 1j, -1j, 3.0])
-        assert spec == [(1j, (1, 1)), (-1j, (1,)), (3.0 + 0j, (1,))]
-
 
 def complement(geo):
     """The complement columns of ``geo.basis``, as c x c matrices."""
@@ -89,7 +83,7 @@ def complement(geo):
 class TestOrbitGeometry:
     def test_distinct_diagonal(self):
         B = np.diag([1j, -1j, 2j, -2j])
-        geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
+        geo = orbit_geometry(B)
         assert geo.delta == 4
         expected = [np.zeros((4, 4)) for _ in range(4)]
         for i in range(4):
@@ -100,7 +94,7 @@ class TestOrbitGeometry:
 
     def test_double_diagonal_slot_order(self):
         B = np.diag([1j, 1j, -1j, -1j, 2j, 2j, -2j, -2j])
-        geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
+        geo = orbit_geometry(B)
         assert geo.delta == 16
         positions = [tuple(int(x) for x in np.argwhere(np.abs(W) > 0.5)[0])
                      for W in complement(geo)]
@@ -112,7 +106,7 @@ class TestOrbitGeometry:
     def test_zero_matrix(self):
         c = 3
         B = np.zeros((c, c))
-        geo = orbit_geometry(B, [(0.0, (1,) * c)])
+        geo = orbit_geometry(B)
         assert geo.delta == c * c
         assert geo.tangent_dim == 0
 
@@ -120,20 +114,25 @@ class TestOrbitGeometry:
         for _ in range(20):
             c = int(rng.integers(2, 9))
             B, spec = random_jordan(rng, c)
-            geo = orbit_geometry(B, spec)
+            geo = orbit_geometry(B)
             assert geo.delta == jordan_codimension(spec)
 
-    def test_wrong_spec_rejected(self):
-        B = np.diag([1.0, 1.0])
-        with pytest.raises(UnfoldingError):
-            orbit_geometry(B, [(1.0, (2,))])   # claims one 2-block, B has two 1-blocks
+    @pytest.mark.parametrize("lams, slots, rank_delta", [
+        ((10.0, 10.0 + 5e-9, 11.0), 5, 3), ((-1.0, 1.0, 1.0 + 1.5e-9), 3, 5)],
+        ids=["groups-merge-a-pair", "ad-rank-merges-a-pair"])
+    def test_slot_count_disagreeing_with_rank_is_rejected(self, lams, slots, rank_delta):
+        # eigen_groups and the rank of ad_B cut near eigenvalues at different
+        # scales: a pair one calls one block and the other two fails the check
+        with pytest.raises(UnfoldingError, match=f"complement dimension {slots} "
+                                                 f"!= codimension {rank_delta}"):
+            orbit_geometry(np.diag(lams))
 
     def test_nondiagonal_complement_coordinates(self, rng):
         # away from diagonal form the complement comes from an SVD basis;
         # its own elements must have identity Theta coordinates
-        B, spec = random_jordan(rng, 5)
+        B, _ = random_jordan(rng, 5)
         assert np.max(np.abs(B - np.diag(np.diag(B)))) > 0.5   # truly non-diagonal
-        geo = orbit_geometry(B, spec)
+        geo = orbit_geometry(B)
         report = theta_extract(geo, list(complement(geo)))
         assert np.max(np.abs(report.theta - np.eye(geo.delta))) < 1e-9
         assert report.selected_rows == tuple(range(geo.delta))
@@ -144,7 +143,7 @@ class TestOrbitGeometry:
         J, spec = random_jordan(rng, 6)
         S = np.eye(6) + 0.3 * rng.standard_normal((6, 6))
         B = S @ J @ np.linalg.inv(S)
-        geo = orbit_geometry(B, spec)
+        geo = orbit_geometry(B)
         assert geo.delta == jordan_codimension(spec)
         assert np.linalg.matrix_rank(geo.basis) == 36
         assert geo.basis.flags.c_contiguous
@@ -254,8 +253,7 @@ class TestProjectDirections:
                 assert np.max(np.abs(P)) < 1e-12
 
 
-_DIAGONAL_GEOMETRY = orbit_geometry(np.diag([1j, -1j, 2j, -2j]),
-                                    semisimple_jordan_spec([1j, -1j, 2j, -2j]))
+_DIAGONAL_GEOMETRY = orbit_geometry(np.diag([1j, -1j, 2j, -2j]))
 
 
 @st.composite
@@ -300,14 +298,14 @@ class TestThetaExtract:
 
     def test_omega_basis_gives_identity(self):
         B = np.diag([1j, -1j, 2j, -2j])
-        geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
+        geo = orbit_geometry(B)
         report = theta_extract(geo, list(complement(geo)))
         assert np.max(np.abs(report.theta - np.eye(4))) < 1e-12
         assert report.selected_rows == (0, 1, 2, 3)
 
     def test_earliest_rows_win(self):
         B = np.diag([1j, -1j, 2j, -2j])
-        geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
+        geo = orbit_geometry(B)
         W = complement(geo)
         dirs = [W[0], W[0], W[1]]
         report = theta_extract(geo, dirs)
@@ -315,7 +313,7 @@ class TestThetaExtract:
 
     def test_tangent_directions_select_nothing(self):
         B = np.diag([1j, -1j, 2j, -2j])
-        geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
+        geo = orbit_geometry(B)
         Y = np.arange(16.0).reshape(4, 4)
         report = theta_extract(geo, [B @ Y - Y @ B])
         assert report.selected_rows == ()
@@ -323,7 +321,7 @@ class TestThetaExtract:
 
     def test_broken_complement_detected(self):
         B = np.diag([1j, -1j, 2j, -2j])
-        geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
+        geo = orbit_geometry(B)
         # hand-build a geometry whose "complement" sits inside the tangent space
         t = geo.tangent_dim
         bad = OrbitGeometry(B=geo.B, basis=geo.basis[:, [*range(t), 0, 1, 2, 3]], tangent_dim=t)
@@ -335,7 +333,7 @@ class TestThetaExtract:
         # a non-finite direction is kept out of the joint least-squares solve,
         # so its own residual is non-finite and theta.decomposition names it
         B = np.diag([1j, -1j, 2j, -2j])
-        geo = orbit_geometry(B, semisimple_jordan_spec(np.diag(B)))
+        geo = orbit_geometry(B)
         W = complement(geo)
         D = W[1].copy()
         D[0, 0] = np.nan
@@ -356,7 +354,7 @@ def scalar_frame(psi0=2.0, lam=0.5):
 class TestBuildRMatrices:
     def test_scalar_minimal_norm(self):
         frame = scalar_frame(psi0=2.0)
-        geo = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
+        geo = orbit_geometry(frame.B)
         (R,) = build_R_matrices(frame, geo)
         assert np.allclose(R, [[0.5]])
 
@@ -383,7 +381,7 @@ class TestBuildRMatrices:
 
     def test_realizes_complement_mod_tangent(self, simple_case):
         frame = simple_case.frame
-        geo = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
+        geo = orbit_geometry(frame.B)
         Rs = build_R_matrices(frame, geo)
         report = theta_extract(geo, [frame.psi @ R for R in Rs])
         assert np.max(np.abs(report.theta - np.eye(4))) < 1e-9
@@ -453,7 +451,7 @@ def _assert_same_as_per_system_solves(frame, directions=None, assembly=None, rep
     and Theta report and the assembly's report must give it too.
     Multi-right-hand-side least squares matching single solves is a property
     of the LAPACK build; a failure names the site that lost it."""
-    geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
+    geometry = orbit_geometry(frame.B)
     stacks, reports = [build_R_matrices(frame, geometry)], []
     if assembly is not None:
         Rs, _, directions, theta = slot_stacks(frame, rep)
@@ -658,7 +656,7 @@ class TestStackedSolvesMatchPerSystemSolves:
     def test_random_dense_large_blocks(self, rng):
         for n, sizes in [(12, [12]), (24, [3, 8, 1])]:
             frame = self._random_frame(rng, n, sizes)
-            geometry = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
+            geometry = orbit_geometry(frame.B)
             for m, (R, R_ref) in enumerate(zip(build_R_matrices(frame, geometry),
                                                _build_R_per_slot(frame, geometry))):
                 assert _same_bits(R, R_ref), f"build_R_matrices: slot {m} differs"
@@ -669,7 +667,7 @@ class TestStackedSolvesMatchPerSystemSolves:
         # Theta then agrees with one solve per direction only to rounding
         for c in (9, 12):
             lams = rng.standard_normal(c) + 1j * rng.standard_normal(c)
-            geometry = orbit_geometry(np.diag(lams), semisimple_jordan_spec(lams))
+            geometry = orbit_geometry(np.diag(lams))
             directions = list(rng.standard_normal((9, c, c)) + 1j * rng.standard_normal((9, c, c)))
             report = theta_extract(geometry, directions)
             theta, residuals, selected = _theta_extract_per_direction(geometry, directions)
@@ -678,8 +676,7 @@ class TestStackedSolvesMatchPerSystemSolves:
 
     def test_no_directions(self, simple_case):
         _assert_same_as_per_system_solves(simple_case.frame, [])
-        geometry = orbit_geometry(simple_case.frame.B,
-                                  semisimple_jordan_spec(simple_case.frame.lambdas))
+        geometry = orbit_geometry(simple_case.frame.B)
         report = theta_extract(geometry, [])
         assert report.theta.shape == (0, geometry.delta)
         assert report.residuals == () and report.selected_rows == ()
@@ -801,7 +798,7 @@ class TestAssembledPipeline:
         # mutual containment via projection residuals
         frame = double_case.frame
         B = frame.B
-        geo = orbit_geometry(B, semisimple_jordan_spec(frame.lambdas))
+        geo = orbit_geometry(B)
         T = geo.basis[:, :geo.tangent_dim]
         TG = np.column_stack([(B @ K - K @ B).reshape(-1) for K in commutant_basis(frame.G)])
         assert rank(TG, scale=np.linalg.norm(B, 2)) == \
@@ -842,7 +839,7 @@ class TestAssembledPipeline:
 
     def test_direct_sums(self, double_case):
         frame = double_case.frame
-        geo = orbit_geometry(frame.B, semisimple_jordan_spec(frame.lambdas))
+        geo = orbit_geometry(frame.B)
         assert np.linalg.matrix_rank(geo.basis) == frame.c ** 2
         ver = double_case.assembly.versality
         assert ver.achieved_rank == ver.commutant_dim
