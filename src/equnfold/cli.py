@@ -65,7 +65,10 @@ def _parse_branches(text):
         raise argparse.ArgumentTypeError(f"malformed branch range {text!r}; expected K..L")
     if hi < lo:
         raise argparse.ArgumentTypeError(f"branch range {text!r} is empty")
-    return tuple(range(lo, hi + 1))
+    try:
+        return tuple(range(lo, hi + 1))
+    except (OverflowError, MemoryError):
+        raise argparse.ArgumentTypeError(f"branch range {text!r} gives too many branches") from None
 
 
 def _parse_window(text):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import same_lag
 from .errors import StructuralError
-from .groups import commutator_residual
+from .groups import intertwining_residual
 
 # Below this exponent gap the analytic limit of the exponential integral
 # is used (avoids catastrophic cancellation near coincident exponents).
@@ -94,13 +94,19 @@ def check_dims(op, rep):
 
 def check_equivariance(op, rep):
     """Max residual of ``rho(g) A_k - A_k rho(g)`` over every generator g and
-    term A_k (:func:`~equnfold.groups.commutator_residual`).
+    term A_k (:func:`~equnfold.groups.intertwining_residual`).
 
     Zero (within tolerance) exactly when the delay equation commutes with the
     group action, i.e. is equivariant.
     """
     check_dims(op, rep)
-    return commutator_residual(rep, [A for _, A in op.terms])
+    return intertwining_residual(rep, rep, [A for _, A in op.terms])
+
+
+def lag_sum(A, Phis):
+    """``sum_j A_j Phi(-r_j)`` of a ``(..., J, m, n)`` coefficient array A, given
+    ``Phis[j] = Phi(-r_j)``; of Psi(0) A, the coefficients' center directions."""
+    return sum(A[..., j, :, :] @ P for j, P in enumerate(Phis))
 
 
 def _cmul(a, b):

@@ -331,9 +331,10 @@ def induce_representation(frame, rep):
 
     invariants.check("frame.induced_rep", G)
     invariants.check("frame.phi_intertwines", framed, rep)
-    # (Psi, g.Phi) is G(g); compare with (Psi.g, Phi), rows psi_i rho(g) over all g
-    moved_psi = (W[None, :, None, :] @ rep.matrices[:, None])[:, :, 0, :].reshape(order * c, n)
-    H = pairing_matrix(moved_psi, np.tile(lam, order), V, mu, op).reshape(order, c, c)
-    invariants.check("frame.two_sided_pairing", H, G, where=lambda k: f"element {k}")
+    # (Psi, g.Phi) is G(g); compare with (Psi.g, Phi) on the generators g only
+    gens = list(rep.group.generator_indices)
+    moved_psi = (W[None, :, None, :] @ rep.matrices[gens, None])[:, :, 0, :].reshape(-1, n)
+    H = pairing_matrix(moved_psi, np.tile(lam, len(gens)), V, mu, op).reshape(-1, c, c)
+    invariants.check("frame.two_sided_pairing", H, G, where=lambda k: f"element {gens[k]}")
     invariants.check("frame.B_commutes_with_G", G, frame.B)
     return framed

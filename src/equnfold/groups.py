@@ -291,16 +291,17 @@ def equivariant_average(rep_left, rep_right, M):
     return acc / len(inverse)
 
 
-def commutator_residual(rep, matrices):
-    """Max entrywise ``|rho(g) A - A rho(g)|`` over every generator g and every A.
-
-    Zero (within tolerance) exactly when each matrix commutes with the group
-    action, for a rho that is a homomorphism (:func:`check_representation`).
-    One stacked product over generators x matrices; NaN when a residual is.
-    """
-    gens = rep.matrices[list(rep.group.generator_indices), None]
-    M = np.asarray(matrices, dtype=complex).reshape(-1, rep.dim, rep.dim)
-    return float(np.abs(gens @ M - M @ gens).max(initial=0.0))
+def intertwining_residual(rep_left, rep_right, matrices):
+    """Max entrywise ``|rhoL(g) X - X rhoR(g)|`` over every generator g and
+    every X of the ``(..., dL, dR)`` matrices, as one stacked product (NaN when
+    a residual is): zero exactly when each X intertwines two homomorphisms
+    (:func:`check_representation`), or commutes with one given twice."""
+    if not rep_left.group.same_group(rep_right.group):
+        raise StructuralError("representations live on different groups")
+    gens = list(rep_left.group.generator_indices)
+    L, R = rep_left.matrices[gens, None], rep_right.matrices[gens, None]
+    X = np.asarray(matrices, dtype=complex).reshape(-1, rep_left.dim, rep_right.dim)
+    return float(np.abs(L @ X - X @ R).max(initial=0.0))
 
 
 def commutant_basis(rep):

@@ -102,24 +102,11 @@ def _null_vector_scales(frame):
     return [char_scale(norm_sum, lam) for lam in 2 * frame.lambdas]
 
 
-def _intertwining(frame, rep):
-    """Max entrywise ``|rho(g) Phi(theta) - Phi(theta) G(g)|`` over every
-    generator g and nine theta samples spanning [-tau, 0], as one stacked
-    product."""
-    thetas = np.linspace(-frame.op.tau, 0.0, 9) if frame.op.tau > 0 else [0.0]
-    gens = list(rep.group.generator_indices)
-    rho, G = rep.matrices[gens, None], frame.G.matrices[gens, None]
-    P = np.stack([frame.Phi_at(theta) for theta in thetas])
-    return _size(rho @ P - P @ G)
-
-
 def reconstruction_residual(coefficients, Phis, R):
     """Max entrywise ``|sum_j A_j Phi(-r_j) - R|``, given ``Phis[j] = Phi(-r_j)``;
     one value per target for ``(p, J, n, n)`` coefficients of a ``(p, n, c)``
     stack of targets."""
-    A = np.asarray(coefficients)
-    return np.max(np.abs(sum(A[..., j, :, :] @ P for j, P in enumerate(Phis)) - R),
-                  axis=(-2, -1))
+    return np.max(np.abs(delays.lag_sum(coefficients, Phis) - R), axis=(-2, -1))
 
 
 INVARIANTS = (
@@ -135,14 +122,16 @@ INVARIANTS = (
               lambda frame, stored: _size(np.array(frame.lambdas)), DEFAULT_TOL, FrameError),
     Invariant("frame.induced_rep", lambda G: groups.check_representation(G),
               lambda G: _size(G.matrices) ** 2, REP_TOL, FrameError),
-    Invariant("frame.two_sided_pairing", lambda H, G: _size(H - G.matrices, axis=(1, 2)),
+    Invariant("frame.two_sided_pairing",       # H: (Psi.g, Phi) for each generator g
+              lambda H, G: _size(H - G.matrices[list(G.group.generator_indices)], axis=(1, 2)),
               lambda H, G: _size(G.matrices), FRAME_RESIDUAL_TOL, FrameError),
-    Invariant("frame.B_commutes_with_G", lambda G, B: groups.commutator_residual(G, [B]),
+    Invariant("frame.B_commutes_with_G", lambda G, B: groups.intertwining_residual(G, G, [B]),
               lambda G, B: _size(B), COMMUTE_TOL, UnfoldingError),
-    Invariant("frame.phi_intertwines", _intertwining,
+    Invariant("frame.phi_intertwines", lambda frame, rep: groups.intertwining_residual(
+              rep, frame.G, [frame.Phi_at(t) for t in np.linspace(-frame.op.tau, 0.0, 9)]),
               lambda frame, rep: _size(frame.phi), REP_TOL, FrameError),
     Invariant("family.coefficient_equivariance",
-              lambda rep, A: groups.commutator_residual(rep, A.reshape(-1, *A.shape[-2:])),
+              lambda rep, A: groups.intertwining_residual(rep, rep, A),
               lambda rep, A: _size(A), COMMUTE_TOL, StructuralError),
     Invariant("directions.projection_identity",     # Bhat against its other derivations
               lambda Bhats, *others: np.max([_size(Bhats - X, axis=(1, 2)) for X in others], 0),

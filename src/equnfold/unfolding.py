@@ -24,7 +24,7 @@ import numpy as np
 from . import invariants
 from ._linalg import (RANK_RCOND, REALIZATION_TOL, ad_matrix, eigen_groups, lstsq, rank,
                       same_lag, scaled, svd_rank)
-from .delays import DelayOperator
+from .delays import DelayOperator, lag_sum
 from .errors import StructuralError, UnfoldingError
 from .frames import ROOT_TOL, SpectralFrame, critical_roots, eigenbasis, induce_representation
 from .groups import Representation, commutant_basis, equivariant_average
@@ -99,8 +99,6 @@ def orbit_geometry(B):
             raise UnfoldingError(f"complement dimension {len(slots)} != codimension {delta}")
         basis[:, r:] = 0.0
         basis[[i * c + j for i, j in slots], range(r, c * c)] = 1.0
-    if rank(basis) != c * c:
-        raise UnfoldingError("tangent + complement do not span the matrix space")
     return OrbitGeometry(B=B, basis=basis, tangent_dim=r, slots=slots)
 
 
@@ -120,12 +118,13 @@ class ThetaReport(NamedTuple):
 def theta_extract(geometry, directions):
     """Decompose each direction over [tangent | complement] and pick rows.
 
-    Every direction must split as ``[B, y] + sum_j theta_j Omega_j`` (it
-    always does, the bases span the space); the least-squares residual is
-    reported and held to the invariant ``theta.decomposition``, relative to
-    the direction.  Row selection walks the rows in order and keeps a row
-    when it raises the numerical rank (:func:`_linalg.rank` at scale
-    max|Theta|) of the rows already kept.
+    Every direction must split as ``[B, y] + sum_j theta_j Omega_j``; the
+    least-squares residual is held to the invariant ``theta.decomposition``,
+    relative to the direction, and the rank the solve finds for the basis
+    must be full (tangent and complement span the matrix space).  Row
+    selection walks the rows in order and keeps a row when it raises the
+    numerical rank (:func:`_linalg.rank` at scale max|Theta|) of the rows
+    already kept.
     """
     S = geometry.basis
     p = len(directions)
@@ -138,9 +137,12 @@ def theta_extract(geometry, directions):
     # one solve takes every direction, a non-finite one as zero (gelsd spreads an
     # inf to every column); each residual is its own product (artifact bytes)
     W = np.where(np.isfinite(V).all(axis=1, keepdims=True), V, 0.0)
-    X = lstsq(S, W.T)[0].T.copy()
+    X, rk = lstsq(S, W.T)
+    X = X.T.copy()
     residuals = [float(np.linalg.norm(S @ x - v)) for x, v in zip(X, V)]
     invariants.check("theta.decomposition", residuals, W, where=lambda i: f"direction {i}")
+    if rk != len(S):
+        raise UnfoldingError("tangent + complement do not span the matrix space")
     theta = np.zeros((p, geometry.delta), dtype=complex)
     theta[:] = X[:, geometry.tangent_dim:]
 
@@ -345,14 +347,6 @@ class UnfoldingFamily(NamedTuple("UnfoldingFamily", [
         return DelayOperator(n=self.base.n, terms=kept)
 
 
-def center_directions(psi, A, Phis):
-    """Reduced-matrix directions ``sum_j (Psi(0) A_j^m) Phi(-r_j)`` of the
-    ``(p, J, n, n)`` coefficients A of p parameters, a ``(p, c, c)`` stack,
-    given ``psi = Psi(0)`` and ``Phis[j] = Phi(-r_j)``."""
-    return np.array([sum(psi @ Aj @ P for Aj, P in zip(row, Phis))
-                     for row in A]).reshape(len(A), len(psi), len(psi))
-
-
 class VersalityReport(NamedTuple):
     """Outcome of the equivariant span test for a direction family."""
 
@@ -479,7 +473,7 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
 
     # Projection identity: averaging the coefficients, the R matrix, or
     # the center direction all land on the same matrix.
-    Bhat_from_A = center_directions(frame.psi, equivariant_average(rep, rep, A_raw), Phis)
+    Bhat_from_A = lag_sum(frame.psi @ equivariant_average(rep, rep, A_raw), Phis)
     Bhat_from_C = equivariant_average(G, G, frame.psi @ Rs)
     invariants.check("directions.projection_identity", Bhats, Bhat_from_A, Bhat_from_C,
                      where=lambda m: f"slot {m}")

@@ -4,13 +4,13 @@ so a perturbed coefficient or a dropped direction fails a named check."""
 
 from typing import NamedTuple
 
+from .delays import lag_sum
 from .errors import EqunfoldError
 from .invariants import DEFAULT_TOL, INVARIANTS, CheckResult
 from .jsonio import MINI_FIELDS, SPAN_FIELDS, parse_artifact
 # orbit_geometry is unused here, but bound: the benchmark's tracer self-test
 # checks that it wraps and restores verify.orbit_geometry
-from .unfolding import (center_directions, orbit_geometry, slot_stacks,  # noqa: F401
-                        verify_gamma_versality)
+from .unfolding import orbit_geometry, slot_stacks, verify_gamma_versality  # noqa: F401
 
 
 class VerificationReport(NamedTuple):
@@ -52,7 +52,7 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
     G = frame.G
     # center directions from the stored coefficients
     Phis = [frame.Phi_at(-r) for r in family.delays]
-    bhats = center_directions(frame.psi, family.directions, Phis)
+    bhats = lag_sum(frame.psi @ family.directions, Phis)
     args = {"group.representation": (rep,), "model.equivariance": (op, rep),
             "frame.null_vectors": (frame,), "frame.gram_identity": (frame,),
             "frame.reduced_matrix": (frame, stored["frame.reduced_matrix"]),

@@ -25,6 +25,7 @@ from equnfold.invariants import BY_NAME
 from equnfold.jsonio import (POINT_FIELDS, build_artifact, canonical_json, decode_complex,
                              encode_complex, model_to_doc, rep_to_doc, write_json_atomic)
 from equnfold.unfolding import assemble_gamma_unfolding, slot_stacks, solve_delay_realization
+from equnfold.verify import verify_artifact
 
 from oracles import lambert_w
 
@@ -41,6 +42,8 @@ PRESET_DIGESTS = {
 # the 12-cell ring's artifact (_ring_config(12)), pinned since before root
 # finding and group closure were vectorized
 RING12_DIGEST = "3cd7ced964952931380b888098b21b758d43d00f3cb4d4ece15a2eef19e6a5db"
+# every fixture point's artifact text and verify report (_fixture_points_digest)
+FIXTURE_POINTS_DIGEST = "1e9b5dc486302653064debf51e5c938fcffcfd5cc7a9ac49f14c57cb48b71ec8"
 
 
 def run(args):
@@ -287,11 +290,30 @@ def test_negative_lag_is_a_usage_error(tmp_path, capsys, command, message):
     (DOUBLE_HOPF + ["--alpha-window=a:b"], "argument --alpha-window: malformed window 'a:b'"),
     (DOUBLE_HOPF + ["--alpha-window=1:1"], "argument --alpha-window: window '1:1' is empty"),
     (CURVES[:4] + ["abc"] + CURVES[5:], "argument --beta: must be a finite number, got 'abc'"),
+    # more branches than a tuple can index; tuple() refuses the length before
+    # allocating (unmapped, an OverflowError traceback)
+    (CURVES + ["--branches", f"0..{10 ** 30}"],
+     f"argument --branches: branch range '0..{10 ** 30}' gives too many branches"),
+    (DOUBLE_HOPF + ["--branches", f"0..{10 ** 30}"],
+     f"argument --branches: branch range '0..{10 ** 30}' gives too many branches"),
 ], ids=["omega-range", "branches-dash", "branches-empty", "alpha-window", "alpha-window-empty",
-        "beta"])
+        "beta", "curves-branches-huge", "double-hopf-branches-huge"])
 def test_malformed_flag_is_a_usage_error(tmp_path, capsys, command, message):
     out = tmp_path / "out"
     assert message in usage_error(command + ["--output", str(out)], capsys, out)
+
+
+def test_branch_range_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a range that fits an index but not in memory (0..10**12 ends in a
+    # MemoryError under a 2 GB address-space cap); the range is stubbed, so
+    # nothing large is allocated here
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "range", no_memory, raising=False)
+    out = tmp_path / "out"
+    err = usage_error(CURVES + ["--branches", "0..3", "--output", str(out)], capsys, out)
+    assert "argument --branches: branch range '0..3' gives too many branches" in err
 
 
 class TestCurves:
@@ -664,6 +686,12 @@ class TestUnfold:
         text = capsys.readouterr().out
         assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
+    def test_fixture_points_are_pinned(self):
+        # the 15 points of double_hopf_points.json, past the two presets: every
+        # artifact byte and every report line; like every pin here, it holds
+        # on the BLAS and numpy kernels it was taken with (ROADMAP item 28)
+        assert _fixture_points_digest() == FIXTURE_POINTS_DIGEST
+
     def test_malformed_json_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")
@@ -893,6 +921,25 @@ def _ring_config(n, gain=2.0):
         "group": {"generators": [encode_complex(shift)]},
         "lambda_seeds": [[0.0, 2.0], [0.0, -2.0]],
     }
+
+
+def _fixture_points_digest():
+    """sha256 over the fixture points in order, simple then double, of each
+    point's canonical artifact text (``meta`` the case name) followed by the
+    canonical ``verify --report`` document of that text."""
+    digest = hashlib.sha256()
+    for case in ("simple", "double"):
+        entry = FIXTURE_POINTS[case]
+        for p in entry["points"]:
+            point = d3.DoubleHopfPoint(factor=entry["factor"], beta=entry["beta"],
+                                       tau_n=entry["tau_n"], **p)
+            text = canonical_json(build_artifact(*d3.run_case(case, point),
+                                                 meta={"preset": case}))
+            report = verify_artifact(json.loads(text))
+            assert report.ok, (case, p)
+            digest.update(text.encode())
+            digest.update(canonical_json(jsonio.report_to_doc(report)).encode())
+    return digest.hexdigest()
 
 
 def _ring_artifact_digest(tmp_path, n):

@@ -532,13 +532,19 @@ def _null_vectors_loop(frame):
                for w, lam in zip(frame.psi, frame.lambdas)])
 
 
+def _phi_intertwines(frame, rep):
+    """The entry's residual: ``groups.intertwining_residual`` of rho and G on
+    Phi at nine theta over [-tau, 0] (all nine 0 at tau = 0)."""
+    return invariants.BY_NAME["frame.phi_intertwines"].residual(frame, rep)
+
+
 class TestStackedInvariantOracles:
     """``frame.phi_intertwines`` and ``frame.null_vectors`` take the bits of
     the per-theta and per-vector loops they replace."""
 
     def test_presets(self, simple_case, double_case):
         for case in (simple_case, double_case):
-            assert same_bits([invariants._intertwining(case.frame, case.rep)],
+            assert same_bits([_phi_intertwines(case.frame, case.rep)],
                              [_intertwining_loop(case.frame, case.rep)])
             assert same_bits(invariants._null_vectors(case.frame), _null_vectors_loop(case.frame))
 
@@ -554,7 +560,7 @@ class TestStackedInvariantOracles:
                 fake = frame._replace(op=op, lambdas=lams, phi=random_complex(rng, c, n),
                                       G=frame.G._replace(matrices=G))
                 fake_rep = rep._replace(matrices=rho)
-                assert same_bits([invariants._intertwining(fake, fake_rep)],
+                assert same_bits([_phi_intertwines(fake, fake_rep)],
                                  [_intertwining_loop(fake, fake_rep)])
 
 
@@ -597,6 +603,50 @@ class TestInduceRepresentation:
             assert np.max(np.abs(H - frame.G.matrices[g])) < 1e-9
             assert np.max(np.abs(frame.B @ frame.G.matrices[g]
                                  - frame.G.matrices[g] @ frame.B)) < 1e-10
+
+    @staticmethod
+    def _unframed(case, double_case):
+        """A frame without G and its group action: d3:double (|G| = 6, two
+        generators) or the 24-cell ring (|G| = 24, one generator)."""
+        if case == "double":
+            return double_case.frame._replace(G=None), double_case.rep
+        op = _ring(24)
+        frame = eigenbasis(op, [find_root(op, seed).root for seed in (2j, -2j)])
+        return frame, close_generators([np.roll(np.eye(24), 1, axis=0)])
+
+    @pytest.mark.parametrize("case", ["double", "ring24"])
+    def test_two_sided_pairing_takes_the_generators(self, case, double_case, monkeypatch):
+        # Psi rho(g) = G(g) Psi on the generators, with G a homomorphism
+        # (frame.induced_rep), gives it on every element: the rows psi_i rho(g)
+        # are paired for the generators only, |gens| c of them, not |G| c
+        frame, rep = self._unframed(case, double_case)
+        calls = []
+
+        def recording(W, lam, V, mu, op):
+            calls.append((len(W), len(V)))
+            return pairing_matrix(W, lam, V, mu, op)
+
+        monkeypatch.setattr(frames, "pairing_matrix", recording)
+        induce_representation(frame, rep)
+        c, order = frame.c, rep.group.order
+        gens = len(rep.group.generator_indices)
+        assert gens * c == {"double": 2 * c, "ring24": c}[case]
+        assert calls == [(c, order * c), (gens * c, c)]     # G, then the two-sided pairing
+
+    def test_two_sided_pairing_names_the_generator(self, double_case, monkeypatch):
+        frame, rep = self._unframed("double", double_case)
+        c, gens = frame.c, rep.group.generator_indices
+
+        def perturbed(W, lam, V, mu, op):
+            H = pairing_matrix(W, lam, V, mu, op)
+            if len(W) == 2 * c:         # (Psi.g, Phi) at the second generator moves
+                H[c:] += 1e-6
+            return H
+
+        monkeypatch.setattr(frames, "pairing_matrix", perturbed)
+        with pytest.raises(FrameError,
+                           match=rf"^frame.two_sided_pairing \(element {gens[1]}\): residual"):
+            induce_representation(frame, rep)
 
     def test_non_equivariant_operator_rejected(self):
         op = DelayOperator(n=3, terms=((0.0, np.diag([1.0, 2.0, 3.0])),))

@@ -6,7 +6,7 @@ from equnfold._linalg import scaled
 from equnfold.errors import StructuralError
 from equnfold.groups import (CLOSURE_TOL, FiniteGroup, Representation, _lookup,
                              check_representation, close_generators, commutant_basis,
-                             commutator_residual, equivariant_average)
+                             equivariant_average, intertwining_residual)
 from equnfold.invariants import BY_NAME, DEFAULT_TOL
 
 from conftest import random_complex, same_bits
@@ -436,8 +436,9 @@ def _commutator_residual_loop(rep, matrices):
 
 
 class TestCommutatorResidualOracle:
-    """The stacked residual equals the per-matrix loop bit for bit, and is NaN
-    where a matrix's residual is (the loop's running ``max`` skips it)."""
+    """The stacked intertwining residual of a representation with itself
+    equals the per-matrix commutator loop bit for bit, and is NaN where a
+    matrix's residual is (the loop's running ``max`` skips it)."""
 
     @pytest.mark.parametrize("repname", ["c3", "c8", "d6"])
     def test_random_stacks(self, repname, rng):
@@ -450,19 +451,35 @@ class TestCommutatorResidualOracle:
             nan = stack.copy()
             nan[k // 2, 0, 0] = np.nan
             for matrices in (stack, near, list(stack.real)):
-                assert same_bits([commutator_residual(rep, matrices)],
+                assert same_bits([intertwining_residual(rep, rep, matrices)],
                                  [_commutator_residual_loop(rep, matrices)])
-            assert np.isnan(commutator_residual(rep, nan))
-            assert np.isnan(commutator_residual(rep, list(nan)))
-        assert commutator_residual(rep, []) == 0.0
+            assert np.isnan(intertwining_residual(rep, rep, nan))
+            assert np.isnan(intertwining_residual(rep, rep, list(nan)))
+        assert intertwining_residual(rep, rep, []) == 0.0
 
     def test_presets(self, simple_case, double_case):
         for case in (simple_case, double_case):
             G, A = case.frame.G, case.assembly.family.directions
             for rep, matrices in ((case.rep, [M for _, M in case.op.terms]),
                                   (G, [case.frame.B]), (case.rep, A.reshape(-1, *A.shape[-2:]))):
-                assert same_bits([commutator_residual(rep, matrices)],
+                assert same_bits([intertwining_residual(rep, rep, matrices)],
                                  [_commutator_residual_loop(rep, matrices)])
+            # the family's (p, J, n, n) stack as it is, with no reshape at the call
+            assert same_bits([intertwining_residual(case.rep, case.rep, A)],
+                             [_commutator_residual_loop(case.rep, A.reshape(-1, *A.shape[-2:]))])
+
+
+def test_intertwining_residual_refuses_two_groups():
+    # as equivariant_average does: Z_2, and Z_6 of the same order as the
+    # triangle group but another table, are other groups
+    d3 = triangle_rep()
+    for other in (close_generators([np.diag([1.0, 1.0, -1.0])]), close_generators([_shift(6)])):
+        X = np.ones((3, other.dim))
+        for left, right, M in ((d3, other, X), (other, d3, X.T)):
+            with pytest.raises(StructuralError, match="different groups"):
+                intertwining_residual(left, right, [M])
+            with pytest.raises(StructuralError, match="different groups"):
+                equivariant_average(left, right, M)
 
 
 class TestCommutantBasis:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import pathlib
 import re
 
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equnfold
-from equnfold import d3
+from equnfold import d3, invariants
 from equnfold._linalg import (EIG_MATCH_TOL, RANK_RCOND, REP_TOL, ad_matrix, eigen_groups, lstsq,
                               null_basis, rank, scaled, svd_rank)
 from equnfold.errors import EqunfoldError
 from equnfold.invariants import INVARIANTS
+from equnfold.jsonio import build_artifact, canonical_json
+from equnfold.verify import verify_artifact
 
 from conftest import random_complex, same_bits
 
@@ -134,21 +137,45 @@ def test_every_tolerance_constant_has_a_readme_row():
                   and d not in rows) == []
 
 
-def test_readme_invariant_table_is_the_invariant_table():
+def _evaluated_by(monkeypatch):
+    """``{entry name: "build" | "verify" | "both"}`` as the code has it on both
+    presets: "build" when ``d3.run_case`` passes the entry to
+    ``invariants.check`` (every caller goes through the module), "verify" when
+    it is a line of ``verify_artifact``'s report."""
+    built, lines = set(), set()
+    check = invariants.check
+
+    def recording(name, *args, **kwargs):
+        built.add(name)
+        return check(name, *args, **kwargs)
+
+    for case in ("simple", "double"):
+        with monkeypatch.context() as m:
+            m.setattr(invariants, "check", recording)
+            result = d3.run_case(case, d3.default_point(case))
+        doc = json.loads(canonical_json(build_artifact(*result)))
+        lines.update(c.name for c in verify_artifact(doc).checks)
+    return {name: {(True, False): "build", (False, True): "verify", (True, True): "both"}
+            [name in built, name in lines] for name in built | (lines & invariants.BY_NAME.keys())}
+
+
+def test_readme_invariant_table_is_the_invariant_table(monkeypatch):
     # one row per entry of invariants.INVARIANTS, in its order, each with the
     # entry's base tolerance as a number and, where the row names one, as
-    # that constant
+    # that constant, and with who evaluates it as the code does
     section = README.read_text().split("\n## Tolerances\n")[1].split("\n## ")[0]
     table = section.split("\n| invariant |")[1].split("\n\n")[0]
-    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
-    assert [re.fullmatch(r" `([\w.]+)` ", name)[1] for name, _ in rows] == \
+    rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in table.splitlines()[2:]]
+    assert [re.fullmatch(r" `([\w.]+)` ", row[0])[1] for row in rows] == \
         [inv.name for inv in INVARIANTS]
-    for (name, tol), inv in zip(rows, INVARIANTS):
+    for (name, tol, *_), inv in zip(rows, INVARIANTS):
         assert float(tol.split()[-1]) == inv.tol, name
         for constant in re.findall(r"`([\w.]+)`", tol):
             module, _, attr = constant.rpartition(".")
             value = getattr(importlib.import_module(f"equnfold.{module or 'invariants'}"), attr)
             assert value == inv.tol, name
+    assert {inv.name: row[-1].strip() for row, inv in zip(rows, INVARIANTS)} == \
+        _evaluated_by(monkeypatch)
 
 
 @pytest.mark.parametrize("values, scale, expected", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from equnfold import d3, invariants
 from equnfold._linalg import RANK_RCOND, eigen_groups, rank, svd_rank
-from equnfold.delays import DelayOperator
+from equnfold.delays import DelayOperator, lag_sum
 from equnfold.errors import StructuralError, UnfoldingError
 from equnfold.frames import SpectralFrame
 from equnfold.groups import (Representation, close_generators, commutant_basis,
@@ -328,6 +328,19 @@ class TestThetaExtract:
         assert bad.delta == 4
         with pytest.raises(UnfoldingError, match=r"^theta.decomposition \(direction 0\): residual"):
             theta_extract(bad, [complement(geo)[0]])
+
+    def test_singular_basis_detected_by_the_solve(self):
+        # the same broken basis, given only tangent directions, which it does
+        # span: every residual vanishes, and the rank the solve finds for the
+        # basis refuses the ambiguous Theta (orbit_geometry no longer ranks it)
+        B = np.diag([1j, -1j, 2j, -2j])
+        geo = orbit_geometry(B)
+        t = geo.tangent_dim
+        bad = OrbitGeometry(B=geo.B, basis=geo.basis[:, [*range(t), 0, 1, 2, 3]], tangent_dim=t)
+        Y = np.arange(16.0).reshape(4, 4)
+        with pytest.raises(UnfoldingError,
+                           match=r"^tangent \+ complement do not span the matrix space$"):
+            theta_extract(bad, [B @ Y - Y @ B, 2j * (B @ Y.T - Y.T @ B)])
 
     def test_non_finite_direction_named(self):
         # a non-finite direction is kept out of the joint least-squares solve,
@@ -680,6 +693,53 @@ class TestStackedSolvesMatchPerSystemSolves:
         report = theta_extract(geometry, [])
         assert report.theta.shape == (0, geometry.delta)
         assert report.residuals == () and report.selected_rows == ()
+
+
+def _center_directions_loop(psi, A, Phis):
+    """Reference: one sum of ``Psi(0) A_j Phi(-r_j)`` per parameter row of the
+    ``(p, J, n, n)`` coefficients A (the implementation before
+    ``delays.lag_sum``)."""
+    return np.array([sum(psi @ Aj @ P for Aj, P in zip(row, Phis))
+                     for row in A]).reshape(len(A), len(psi), len(psi))
+
+
+class TestLagSumOracle:
+    """``lag_sum(psi @ A, Phis)``, the center directions of the projection
+    identity and of ``verify``, takes the bits of the per-row loop it
+    replaces, on the lag basis as one array (the build) or as a list (``verify``)."""
+
+    @staticmethod
+    def _assert_same(psi, A, Phis):
+        for lags in (np.asarray(Phis), list(Phis)):
+            assert _same_bits(lag_sum(psi @ A, lags), _center_directions_loop(psi, A, lags))
+
+    def _assert_case(self, r):
+        # the family's coefficients (verify) and the averaged raw realization
+        # of every slot (the projection identity)
+        frame, rep, family = r.frame, r.rep, r.assembly.family
+        Phis = lag_basis(frame, family.delays)[0]
+        A_raw = solve_delay_realization(Phis, slot_stacks(frame, rep)[0])
+        for A in (family.directions, equivariant_average(rep, rep, A_raw)):
+            self._assert_same(frame.psi, A, Phis)
+
+    def test_presets(self, simple_case, double_case):
+        for r in (simple_case, double_case):
+            self._assert_case(r)
+
+    @pytest.mark.parametrize("case, index", [
+        (case, i) for case in ("simple", "double")
+        for i in range(len(FIXTURE_POINTS[case]["points"]))])
+    def test_fixture_point(self, case, index):
+        entry = FIXTURE_POINTS[case]
+        self._assert_case(d3.run_case(case, d3.DoubleHopfPoint(
+            factor=entry["factor"], beta=entry["beta"], tau_n=entry["tau_n"],
+            **entry["points"][index])))
+
+    def test_random_stacks(self, rng):
+        for _ in range(40):
+            n, c, J, p = (int(rng.integers(1, k)) for k in (7, 9, 5, 7))
+            self._assert_same(random_complex(rng, c, n), random_complex(rng, p, J, n, n),
+                              random_complex(rng, J, n, c))
 
 
 class TestExponentialDelayMatrix:
