@@ -247,6 +247,9 @@ def main(argv=None):
     except EqunfoldError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
+    except MemoryError as exc:  # an array too large for this machine, in any stage
+        print(f"pipeline error: out of memory ({exc})", file=sys.stderr)
+        return EXIT_PIPELINE
     except OSError as exc:      # a path that is missing, a directory, or unwritable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

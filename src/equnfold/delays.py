@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import same_lag
-from .errors import StructuralError
+from .errors import EqunfoldError
 from .groups import intertwining_residual
 
 # Below this exponent gap the analytic limit of the exponential integral
@@ -35,23 +35,23 @@ class DelayOperator(NamedTuple("DelayOperator", [("n", int), ("terms", tuple)]))
 
     def __new__(cls, n, terms):
         if n <= 0:
-            raise StructuralError("state dimension must be positive")
+            raise EqunfoldError("state dimension must be positive")
         if not terms:
-            raise StructuralError("need at least one delay term")
+            raise EqunfoldError("need at least one delay term")
         clean = []
         seen = []
         for k, (r, A) in enumerate(terms):
             r = float(r)
             if r < 0:
-                raise StructuralError(f"negative delay {r}")
+                raise EqunfoldError(f"negative delay {r}")
             if any(same_lag(r, s) for s in seen):
-                raise StructuralError(f"duplicate delay {r}")
+                raise EqunfoldError(f"duplicate delay {r}")
             seen.append(r)
             A = np.asarray(A, dtype=complex)
             if A.shape != (n, n):
-                raise StructuralError(f"coefficient shape {A.shape} != ({n}, {n})")
+                raise EqunfoldError(f"coefficient shape {A.shape} != ({n}, {n})")
             if not (np.isfinite(r) and np.isfinite(A).all()):
-                raise StructuralError(f"term {k} (delay {r}) has a non-finite lag or coefficient")
+                raise EqunfoldError(f"term {k} (delay {r}) has a non-finite lag or coefficient")
             clean.append((r, A))
         return super().__new__(cls, n, tuple(clean))
 
@@ -89,7 +89,7 @@ class DelayOperator(NamedTuple("DelayOperator", [("n", int), ("terms", tuple)]))
 def check_dims(op, rep):
     """The group must act on the model's state space."""
     if rep.dim != op.n:
-        raise StructuralError(f"representation dim {rep.dim} != state dim {op.n}")
+        raise EqunfoldError(f"representation dim {rep.dim} != state dim {op.n}")
 
 
 def check_equivariance(op, rep):
@@ -145,7 +145,7 @@ def pairing_matrix(W, lam, V, mu, op):
     lam = np.asarray(lam, dtype=complex).reshape(-1)
     mu = np.asarray(mu, dtype=complex).reshape(-1)
     if W.shape != (len(lam), op.n) or V.shape != (len(mu), op.n):
-        raise StructuralError("direction length does not match operator dimension")
+        raise EqunfoldError("direction length does not match operator dimension")
     cols = V[None, :, :, None]
     val = (W[:, None, None, :] @ cols)[:, :, 0, 0]
     d = mu[None, :] - lam[:, None]

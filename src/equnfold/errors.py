@@ -1,27 +1,11 @@
-"""Exception types shared across the package."""
+"""The package's two exception types, one per exit outcome: a document that
+is wrong (exit 2), and every other failure of the pipeline (exit 1)."""
 
 import contextlib
 
 
 class EqunfoldError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class StructuralError(EqunfoldError):
-    """Inconsistent shapes, mismatched groups, or invalid table data."""
-
-
-class RootFindingError(EqunfoldError):
-    """Characteristic-root iteration failed to converge; the message names
-    the last iterate and its |det|."""
-
-
-class FrameError(EqunfoldError):
-    """Eigenbasis construction failed (defective spectrum, bad seeds, ...)."""
-
-
-class UnfoldingError(EqunfoldError):
-    """Unfolding machinery failed (rank deficiency, infeasible mask, ...)."""
+    """The pipeline failed: a bad argument, a root not found, an infeasible unfolding."""
 
 
 class SchemaError(EqunfoldError):
@@ -30,9 +14,12 @@ class SchemaError(EqunfoldError):
 
 @contextlib.contextmanager
 def document_errors(path):
-    """A structural defect of the document at ``path`` (an empty model, a
-    non-square generator) as a schema error that names ``path``; a decorator too."""
+    """Any failure while the document at ``path`` is decoded (an empty model, a
+    non-square generator) as a schema error that names ``path``; a schema
+    error keeps its own text.  A decorator too."""
     try:
         yield
-    except StructuralError as exc:
+    except SchemaError:
+        raise
+    except EqunfoldError as exc:
         raise SchemaError(f"{path}: {exc}") from exc

@@ -23,7 +23,7 @@ import numpy as np
 from . import invariants
 from ._linalg import GRAM_RCOND, NULLSPACE_RCOND, eigen_groups, null_basis, rank
 from .delays import pairing_matrix
-from .errors import FrameError, RootFindingError
+from .errors import EqunfoldError
 from .groups import Representation
 
 DERIV_FLOOR = 1e-14        # |d det| below this: suspected multiple root, use the secant
@@ -77,7 +77,7 @@ def find_root(op, lam0, tol=ROOT_TOL, max_iter=100):
 
     Raises
     ------
-    RootFindingError
+    EqunfoldError
         After ``max_iter`` steps without either test passing, or at the first
         iterate where lam or det Delta(lam) is not finite (an overflowed
         exponential); the message names the last iterate.
@@ -107,7 +107,7 @@ def find_root(op, lam0, tol=ROOT_TOL, max_iter=100):
                 _require_finite_iterate(lam, f, it + 1)
                 return RootResult(root=lam, residual=abs(f), iterations=it + 1,
                                   used_secant=False)
-    raise RootFindingError(
+    raise EqunfoldError(
         f"no convergence after {max_iter} iterations; last iterate {lam} with |det| = {abs(f):.3e}")
 
 
@@ -127,15 +127,14 @@ def critical_roots(op, seeds, tol=ROOT_TOL):
         if op.is_real and not res.used_secant:
             solved[seed] = res.root
     if not roots:
-        raise RootFindingError("no characteristic roots found from the given seeds")
+        raise EqunfoldError("no characteristic roots found from the given seeds")
     firsts = [block[0] for block in eigen_groups(roots, op.norm_sum)]
     return [roots[i] for i in firsts], firsts
 
 
 def _require_finite_iterate(lam, f, iterations):
     if not (np.isfinite(lam) and np.isfinite(f)):
-        raise RootFindingError(
-            f"non-finite iterate {lam} with det {f} after {iterations} iterations")
+        raise EqunfoldError(f"non-finite iterate {lam} with det {f} after {iterations} iterations")
 
 
 def _secant(op, lam, tol, max_iter):
@@ -208,11 +207,11 @@ def _null_pair(op, lam, seeds, scale):
     D = op.char_matrix(lam)
     N = null_basis(D, scale, NULLSPACE_RCOND)
     if N.shape[1] == 0:
-        raise FrameError(f"{lam} is not a characteristic root (empty null space)")
+        raise EqunfoldError(f"{lam} is not a characteristic root (empty null space)")
     if seeds is not None:
         U = np.array([np.asarray(s, dtype=complex).reshape(-1) for s in seeds])
         if len(U) != N.shape[1]:
-            raise FrameError(
+            raise EqunfoldError(
                 f"inconsistent multiplicities at {lam}: {len(U)} seeds for a "
                 f"{N.shape[1]}-dimensional null space"
             )
@@ -220,17 +219,17 @@ def _null_pair(op, lam, seeds, scale):
         size = np.max(np.abs(U), axis=1, keepdims=True)
         units = U / np.where(size > 0, size, 1.0)
         if rank(units.T) < len(U):
-            raise FrameError(f"seed vectors at {lam} are linearly dependent")
+            raise EqunfoldError(f"seed vectors at {lam} are linearly dependent")
         for u in units:
             if np.linalg.norm(D @ u) > NULLSPACE_RCOND * scale * np.linalg.norm(u):
-                raise FrameError(f"seed vector at {lam} is not in the null space")
+                raise EqunfoldError(f"seed vector at {lam} is not in the null space")
     else:
         # deterministic order: descending |first significant component|
         U = np.array(sorted((_phase_fix(u) for u in N.T), key=lambda u: (
             -abs(u[_first_significant(u)]), _first_significant(u))))
     L = null_basis(D.T, scale, NULLSPACE_RCOND)
     if L.shape[1] != len(U):
-        raise FrameError(f"left/right null dimensions disagree at {lam}")
+        raise EqunfoldError(f"left/right null dimensions disagree at {lam}")
     return U, np.array([_phase_fix(w) for w in L.T])
 
 
@@ -262,7 +261,7 @@ def eigenbasis(op, lambdas, seeds=None):
 
     Raises
     ------
-    FrameError
+    EqunfoldError
         On a Gram block singular against the size of Delta' ("defective or
         mis-ordered spectrum"; a Jordan chain in the function space is
         unsupported), on seed mismatches, or when some lam is not actually a
@@ -291,7 +290,7 @@ def eigenbasis(op, lambdas, seeds=None):
         # size of that product, since a block of one is its own reference
         size = deriv_size * max(np.linalg.norm(w) * np.linalg.norm(u) for w, u in zip(W, U))
         if rank(Kb, scale=size, rcond=GRAM_RCOND) < m:
-            raise FrameError(
+            raise EqunfoldError(
                 "defective or mis-ordered spectrum: Gram block is singular "
                 f"(eigenvalue {lam}), as on a Jordan chain of that root; "
                 "Jordan chains in the function space are unsupported"

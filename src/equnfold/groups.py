@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import REP_TOL, SINGULAR_RCOND, ad_matrix, null_basis, rank
-from .errors import StructuralError
+from .errors import EqunfoldError
 
 CLOSURE_TOL = 1e-10         # entrywise: closure products this close are one element
 MAX_ORDER = 512             # a closure with more elements is not a finite group
@@ -58,25 +58,25 @@ class FiniteGroup(NamedTuple):
         element 0 is the identity, and the indices of a generating set."""
         table = np.asarray(table, dtype=int)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise StructuralError("multiplication table must be square")
+            raise EqunfoldError("multiplication table must be square")
         n = table.shape[0]
         if table.min() < 0 or table.max() >= n:
-            raise StructuralError("table entries must be element indices")
+            raise EqunfoldError("table entries must be element indices")
 
         # Latin square: every row and column is a permutation.
         full = np.arange(n)
         for axis in (0, 1):
             if not np.all(np.sort(table, axis=axis) == (full[:, None] if axis == 0 else full[None, :])):
-                raise StructuralError("multiplication table is not a Latin square")
+                raise EqunfoldError("multiplication table is not a Latin square")
         if not (np.all(table[0, :] == full) and np.all(table[:, 0] == full)):
-            raise StructuralError("element 0 of the multiplication table is not the identity")
+            raise EqunfoldError("element 0 of the multiplication table is not the identity")
 
         # Associativity, exhaustively; groups here are small.  Chunk over the
         # first index to keep the temporary arrays modest.  An associative
         # Latin square with an identity gives every element a two-sided inverse.
         for a in range(n):
             if not np.array_equal(table[table[a]], table[a][table]):
-                raise StructuralError(f"associativity fails for triples starting at {a}")
+                raise EqunfoldError(f"associativity fails for triples starting at {a}")
 
         return cls(mul_table=table, generator_indices=tuple(generator_indices))
 
@@ -96,7 +96,7 @@ class Representation(NamedTuple("Representation", [("group", FiniteGroup),
     def __new__(cls, group, matrices):
         mats = np.asarray(matrices, dtype=complex)
         if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
-            raise StructuralError(
+            raise EqunfoldError(
                 f"expected {group.order} square matrices of equal size, got shape {mats.shape}"
             )
         return super().__new__(cls, group, mats)
@@ -125,19 +125,19 @@ def close_generators(generators):
 
     Raises
     ------
-    StructuralError
+    EqunfoldError
         If a generator is singular, shapes disagree, or the closure exceeds
         ``MAX_ORDER`` elements.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
-        raise StructuralError("need at least one generator")
+        raise EqunfoldError("need at least one generator")
     d = gens[0].shape[0]
     for g in gens:
         if g.shape != (d, d):
-            raise StructuralError("generator matrices must share one square shape")
+            raise EqunfoldError("generator matrices must share one square shape")
         if rank(g, scale=1.0, rcond=SINGULAR_RCOND) < d:
-            raise StructuralError("singular generator matrix")
+            raise EqunfoldError("singular generator matrix")
 
     stack = np.eye(d, dtype=complex)[None]
     gen_idx = []
@@ -200,7 +200,7 @@ def _cayley_graph(stack, gen_idx):
             found[p] = known + len(added)
             added.append(p)
             if known + len(added) > MAX_ORDER:
-                raise StructuralError(
+                raise EqunfoldError(
                     f"closure exceeded {MAX_ORDER} elements; not a finite group at this cap"
                 )
             x, j = divmod(int(p), len(gen_idx))
@@ -261,6 +261,16 @@ def check_representation(rep):
     return float(np.maximum(np.abs(mats[group.identity] - np.eye(rep.dim)).max(), worst))
 
 
+def _intertwiner_stack(rep_left, rep_right, M):
+    """``M`` as a complex ``(..., dL, dR)`` stack between representations of one group."""
+    if not rep_left.group.same_group(rep_right.group):
+        raise EqunfoldError("representations live on different groups")
+    M, dims = np.asarray(M, dtype=complex), (rep_left.dim, rep_right.dim)
+    if M.shape[-2:] != dims:
+        raise EqunfoldError(f"matrix shape {M.shape} does not end in {dims}")
+    return M
+
+
 def equivariant_average(rep_left, rep_right, M):
     """Group-average ``(1/|G|) sum_g  rhoL(g) M rhoR(g)^-1``.
 
@@ -277,13 +287,7 @@ def equivariant_average(rep_left, rep_right, M):
     The ``1/|G|`` normalization is always applied so the operator is a true
     projection (idempotent on square inputs).
     """
-    if not rep_left.group.same_group(rep_right.group):
-        raise StructuralError("representations live on different groups")
-    M = np.asarray(M, dtype=complex)
-    if M.ndim < 2 or M.shape[-2:] != (rep_left.dim, rep_right.dim):
-        raise StructuralError(
-            f"matrix shape {M.shape} does not end in ({rep_left.dim}, {rep_right.dim})"
-        )
+    M = _intertwiner_stack(rep_left, rep_right, M)
     inverse = rep_right.group.inverse
     acc = np.zeros_like(M)
     for g, inv in enumerate(inverse):
@@ -295,12 +299,13 @@ def intertwining_residual(rep_left, rep_right, matrices):
     """Max entrywise ``|rhoL(g) X - X rhoR(g)|`` over every generator g and
     every X of the ``(..., dL, dR)`` matrices, as one stacked product (NaN when
     a residual is): zero exactly when each X intertwines two homomorphisms
-    (:func:`check_representation`), or commutes with one given twice."""
-    if not rep_left.group.same_group(rep_right.group):
-        raise StructuralError("representations live on different groups")
+    (:func:`check_representation`), or commutes with one given twice; 0.0
+    for no matrix."""
+    shape = (-1, rep_left.dim, rep_right.dim)
+    X = np.asarray(matrices, dtype=complex)
+    X = _intertwiner_stack(rep_left, rep_right, X if X.size else X.reshape(shape)).reshape(shape)
     gens = list(rep_left.group.generator_indices)
     L, R = rep_left.matrices[gens, None], rep_right.matrices[gens, None]
-    X = np.asarray(matrices, dtype=complex).reshape(-1, rep_left.dim, rep_right.dim)
     return float(np.abs(L @ X - X @ R).max(initial=0.0))
 
 

@@ -4,7 +4,7 @@ An entry's residual is zero when its fact holds exactly (one value, or one
 per vector, element, slot or target); the fact holds when every residual is
 at most ``_linalg.scaled(tol, scale)``, the scale being the size of the
 quantity it is taken on.  The build asserts an entry (:func:`check`) where it
-relies on the fact, at the entry's tolerance, and raises the entry's error.
+relies on the fact, at the entry's tolerance, and raises ``EqunfoldError``.
 ``verify`` re-derives the arguments of each entry it can from an artifact
 and reports it at ``--tol`` (entries only it evaluates have ``DEFAULT_TOL``).
 The versality check it recomputes asserts entries at their tolerance or at
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import delays, groups
 from ._linalg import REALIZATION_TOL, REP_TOL, scaled
-from .errors import FrameError, StructuralError, UnfoldingError
+from .errors import EqunfoldError
 
 DEFAULT_TOL = 1e-8          # verify's --tol; the base tolerance of what only verify evaluates
 FRAME_RESIDUAL_TOL = 1e-9   # Gram, pairing and null-vector residuals of a built frame
@@ -40,7 +40,6 @@ class Invariant(NamedTuple):
     residual: object
     scale: object
     tol: float
-    error: type
 
     def _evaluate(self, args, tol):
         """The residuals, their bounds at base tolerance ``tol``, and whether
@@ -67,13 +66,13 @@ class Invariant(NamedTuple):
         return CheckResult(self.name, passed, self._worst(res, bound)[1])
 
     def check(self, *args, where=None, tol=None):
-        """Raise ``error`` unless every residual holds at the entry's tolerance,
+        """Raise ``EqunfoldError`` unless every residual holds at the entry's tolerance,
         or at base tolerance ``tol`` where that is looser; the message names
         the entry and ``where(k)`` of the item k."""
         res, bound, passed = self._evaluate(args, max(self.tol, tol or 0.0))
         if not passed:
             k, detail = self._worst(res, bound)
-            raise self.error(f"{self.name}{'' if where is None else f' ({where(k)})'}: {detail}")
+            raise EqunfoldError(f"{self.name}{'' if where is None else f' ({where(k)})'}: {detail}")
 
 
 def _size(M, axis=None):
@@ -111,45 +110,44 @@ def reconstruction_residual(coefficients, Phis, R):
 
 INVARIANTS = (
     Invariant("group.representation", lambda rep: groups.check_representation(rep),
-              lambda rep: _size(rep.matrices) ** 2, DEFAULT_TOL, StructuralError),
+              lambda rep: _size(rep.matrices) ** 2, DEFAULT_TOL),
     Invariant("model.equivariance", lambda op, rep: delays.check_equivariance(op, rep),
-              lambda op, rep: _size([A for _, A in op.terms]), 1e-9, FrameError),
-    Invariant("frame.null_vectors", _null_vectors, _null_vector_scales, FRAME_RESIDUAL_TOL,
-              FrameError),
+              lambda op, rep: _size([A for _, A in op.terms]), 1e-9),
+    Invariant("frame.null_vectors", _null_vectors, _null_vector_scales, FRAME_RESIDUAL_TOL),
     Invariant("frame.gram_identity", lambda frame: _size(frame.gram() - np.eye(frame.c)),
-              lambda frame: 1.0, FRAME_RESIDUAL_TOL, FrameError),
+              lambda frame: 1.0, FRAME_RESIDUAL_TOL),
     Invariant("frame.reduced_matrix", lambda frame, stored: _size(stored - frame.B),
-              lambda frame, stored: _size(np.array(frame.lambdas)), DEFAULT_TOL, FrameError),
+              lambda frame, stored: _size(np.array(frame.lambdas)), DEFAULT_TOL),
     Invariant("frame.induced_rep", lambda G: groups.check_representation(G),
-              lambda G: _size(G.matrices) ** 2, REP_TOL, FrameError),
+              lambda G: _size(G.matrices) ** 2, REP_TOL),
     Invariant("frame.two_sided_pairing",       # H: (Psi.g, Phi) for each generator g
               lambda H, G: _size(H - G.matrices[list(G.group.generator_indices)], axis=(1, 2)),
-              lambda H, G: _size(G.matrices), FRAME_RESIDUAL_TOL, FrameError),
+              lambda H, G: _size(G.matrices), FRAME_RESIDUAL_TOL),
     Invariant("frame.B_commutes_with_G", lambda G, B: groups.intertwining_residual(G, G, [B]),
-              lambda G, B: _size(B), COMMUTE_TOL, UnfoldingError),
+              lambda G, B: _size(B), COMMUTE_TOL),
     Invariant("frame.phi_intertwines", lambda frame, rep: groups.intertwining_residual(
               rep, frame.G, [frame.Phi_at(t) for t in np.linspace(-frame.op.tau, 0.0, 9)]),
-              lambda frame, rep: _size(frame.phi), REP_TOL, FrameError),
+              lambda frame, rep: _size(frame.phi), REP_TOL),
     Invariant("family.coefficient_equivariance",
               lambda rep, A: groups.intertwining_residual(rep, rep, A),
-              lambda rep, A: _size(A), COMMUTE_TOL, StructuralError),
+              lambda rep, A: _size(A), COMMUTE_TOL),
     Invariant("directions.projection_identity",     # Bhat against its other derivations
               lambda Bhats, *others: np.max([_size(Bhats - X, axis=(1, 2)) for X in others], 0),
-              lambda Bhats, *others: _size(Bhats, axis=(1, 2)), 1e-10, UnfoldingError),
+              lambda Bhats, *others: _size(Bhats, axis=(1, 2)), 1e-10),
     Invariant("directions.projection_fixed_point",
               lambda G, D: _size(groups.equivariant_average(G, G, D) - D),
-              lambda G, D: _size(D), DEFAULT_TOL, UnfoldingError),
+              lambda G, D: _size(D), DEFAULT_TOL),
     Invariant("theta.matrix_consistency", lambda theta, stored: _size(theta - stored)
               if theta.shape == stored.shape else np.inf,
-              lambda theta, stored: _size(theta), DEFAULT_TOL, UnfoldingError),
+              lambda theta, stored: _size(theta), DEFAULT_TOL),
     Invariant("theta.decomposition", lambda res, V: res,       # res: theta_extract's residuals
-              lambda res, V: np.linalg.norm(V, axis=1), 1e-8, UnfoldingError),
+              lambda res, V: np.linalg.norm(V, axis=1), 1e-8),
     Invariant("unfolding.reconstruction", reconstruction_residual,
-              lambda A, Phis, R: _size(R, axis=(-2, -1)), REALIZATION_TOL, UnfoldingError),
+              lambda A, Phis, R: _size(R, axis=(-2, -1)), REALIZATION_TOL),
     Invariant("versality.commutant_formula", lambda formula, dim: abs(formula - dim),
-              lambda formula, dim: dim, CHARACTER_TOL, UnfoldingError),
+              lambda formula, dim: dim, CHARACTER_TOL),
     Invariant("versality.codimension_formula", lambda formula, dim: abs(formula - dim),
-              lambda formula, dim: dim, CHARACTER_TOL, UnfoldingError),
+              lambda formula, dim: dim, CHARACTER_TOL),
 )
 BY_NAME = {inv.name: inv for inv in INVARIANTS}
 

@@ -25,7 +25,7 @@ from . import invariants
 from ._linalg import (RANK_RCOND, REALIZATION_TOL, ad_matrix, eigen_groups, lstsq, rank,
                       same_lag, scaled, svd_rank)
 from .delays import DelayOperator, lag_sum
-from .errors import StructuralError, UnfoldingError
+from .errors import EqunfoldError
 from .frames import ROOT_TOL, SpectralFrame, critical_roots, eigenbasis, induce_representation
 from .groups import Representation, commutant_basis, equivariant_average
 
@@ -96,7 +96,7 @@ def orbit_geometry(B):
     if _is_diagonal(B):
         slots = tuple(_diagonal_complement_slots(np.diag(B)))
         if len(slots) != delta:
-            raise UnfoldingError(f"complement dimension {len(slots)} != codimension {delta}")
+            raise EqunfoldError(f"complement dimension {len(slots)} != codimension {delta}")
         basis[:, r:] = 0.0
         basis[[i * c + j for i, j in slots], range(r, c * c)] = 1.0
     return OrbitGeometry(B=B, basis=basis, tangent_dim=r, slots=slots)
@@ -132,7 +132,7 @@ def theta_extract(geometry, directions):
     for i, D in enumerate(directions):
         D = np.asarray(D, dtype=complex)
         if D.shape != geometry.B.shape:
-            raise StructuralError(f"direction {i} has shape {D.shape}")
+            raise EqunfoldError(f"direction {i} has shape {D.shape}")
         V[i] = D.reshape(-1)
     # one solve takes every direction, a non-finite one as zero (gelsd spreads an
     # inf to every column); each residual is its own product (artifact bytes)
@@ -142,7 +142,7 @@ def theta_extract(geometry, directions):
     residuals = [float(np.linalg.norm(S @ x - v)) for x, v in zip(X, V)]
     invariants.check("theta.decomposition", residuals, W, where=lambda i: f"direction {i}")
     if rk != len(S):
-        raise UnfoldingError("tangent + complement do not span the matrix space")
+        raise EqunfoldError("tangent + complement do not span the matrix space")
     theta = np.zeros((p, geometry.delta), dtype=complex)
     theta[:] = X[:, geometry.tangent_dim:]
 
@@ -168,7 +168,7 @@ def build_R_matrices(frame, geometry):
     unit vectors at once, and its rank in that solve must be full.
     """
     if geometry.slots is None:
-        raise UnfoldingError(
+        raise EqunfoldError(
             "complement basis is not elementary; the delay realization needs the "
             "diagonal-frame complement (semisimple spectrum)"
         )
@@ -183,7 +183,7 @@ def build_R_matrices(frame, geometry):
         if k not in solutions:
             solutions[k], rk = lstsq(frame.psi[block, :], np.eye(len(block), dtype=complex))
             if rk < len(block):
-                raise UnfoldingError(
+                raise EqunfoldError(
                     f"adjoint rows dependent at eigenvalue {lams[r]}; "
                     "unfolding-space realization fails"
                 )
@@ -191,7 +191,7 @@ def build_R_matrices(frame, geometry):
     return Rs
 
 
-def check_lags(delays, tau, path="lags", error=UnfoldingError):
+def check_lags(delays, tau, path="lags", error=EqunfoldError):
     """Raise ``error`` naming ``path[k]`` unless every lag r_k lies in the
     history horizon [0, tau] or is one lag with tau, and repeats no earlier
     lag (two lags are one by :func:`~equnfold._linalg.same_lag`, as in a
@@ -214,15 +214,15 @@ def lag_basis(frame, delays, context=""):
 
 
 def check_sparsity(sparsity, n_delays, n):
-    """Raise StructuralError unless ``sparsity`` (None: no masks) holds one
+    """Raise EqunfoldError unless ``sparsity`` (None: no masks) holds one
     mask per lag, each n x n or None (every entry free)."""
     if sparsity is None:
         return
     if len(sparsity) != n_delays:
-        raise StructuralError(f"{len(sparsity)} masks for {n_delays} delays; need one per delay")
+        raise EqunfoldError(f"{len(sparsity)} masks for {n_delays} delays; need one per delay")
     for k, m in enumerate(sparsity):
         if m is not None and np.shape(m) != (n, n):
-            raise StructuralError(f"mask {k} has shape {np.shape(m)}, expected ({n}, {n})")
+            raise EqunfoldError(f"mask {k} has shape {np.shape(m)}, expected ({n}, {n})")
 
 
 def solve_delay_realization(Phis, R, sparsity=None):
@@ -238,7 +238,7 @@ def solve_delay_realization(Phis, R, sparsity=None):
 
     Raises
     ------
-    UnfoldingError
+    EqunfoldError
         If, for some target k, a row's residual or the reconstruction
         residual exceeds ``REALIZATION_TOL`` relative to that target (an
         infeasible sparsity mask, or lags whose stacked basis has rank < c);
@@ -247,7 +247,7 @@ def solve_delay_realization(Phis, R, sparsity=None):
     J, n, c = Phis.shape
     R = np.asarray(R, dtype=complex)
     if R.ndim != 3 or R.shape[1:] != (n, c):
-        raise StructuralError(f"target shape {R.shape} != (p, {n}, {c})")
+        raise EqunfoldError(f"target shape {R.shape} != (p, {n}, {c})")
     check_sparsity(sparsity, J, n)
     masks = [np.ones((n, n), dtype=bool) if m is None else np.asarray(m, dtype=bool)
              for m in ([None] * J if sparsity is None else sparsity)]
@@ -276,10 +276,10 @@ def solve_delay_realization(Phis, R, sparsity=None):
     for k in range(p):
         bad = np.nonzero(row_res[k] > bounds[k])[0]
         if len(bad) and empty[bad[0]]:
-            raise UnfoldingError(
+            raise EqunfoldError(
                 f"target {k}: sparsity mask leaves row {bad[0]} empty but target is nonzero")
         if len(bad):
-            raise UnfoldingError(f"target {k}: sparsity mask infeasible: row {bad[0]} "
+            raise EqunfoldError(f"target {k}: sparsity mask infeasible: row {bad[0]} "
                                  f"least-squares residual {row_res[k, bad[0]]:.3e}")
     invariants.check("unfolding.reconstruction", A, Phis, R, where=lambda k: f"target {k}")
     return A
@@ -322,7 +322,7 @@ class UnfoldingFamily(NamedTuple("UnfoldingFamily", [
         except ValueError:      # rows of different lengths
             directions = None
         if directions is None or directions.shape != shape:
-            raise StructuralError(f"coefficients must form a (parameters, lags, n, n) = "
+            raise EqunfoldError(f"coefficients must form a (parameters, lags, n, n) = "
                                   f"{shape} stack")
         return super().__new__(cls, base, delays, directions, names)
 
@@ -334,7 +334,7 @@ class UnfoldingFamily(NamedTuple("UnfoldingFamily", [
         """The operator at a parameter value, merging lags with the base."""
         alpha = np.asarray(alpha, dtype=complex).reshape(-1)
         if len(alpha) != self.n_parameters:
-            raise StructuralError(f"expected {self.n_parameters} parameters")
+            raise EqunfoldError(f"expected {self.n_parameters} parameters")
         base_lags = {r for r, _ in self.base.terms}
         terms = {r: A.copy() for r, A in self.base.terms}
         for am, row in zip(alpha, self.directions):
@@ -387,7 +387,7 @@ def verify_gamma_versality(B, G, directions, tol=None):
     and, for a diagonal B, Z = sum_lam (1/|Gamma|) sum_g |chi_lam(g)|^2 over
     the eigenvalue blocks (chi_lam the character of G on lam's eigenspace).
     A span that falls short is reported, not raised; a B that does not
-    commute with G or a failed character check raises UnfoldingError.  Each
+    commute with G or a failed character check raises EqunfoldError.  Each
     invariant holds at its own tolerance, or at ``tol`` where that is looser.
     """
     B = np.asarray(B, dtype=complex)
@@ -396,7 +396,7 @@ def verify_gamma_versality(B, G, directions, tol=None):
     comm = commutant_basis(G)
     k = len(comm)
     if not k:
-        raise UnfoldingError("empty commutant")
+        raise EqunfoldError("empty commutant")
     formula = _character_sum(G, [list(range(c))])
     invariants.check("versality.commutant_formula", formula, k, tol=tol,
                      where=lambda _: (f"commutant dimension {k} by rank disagrees "
@@ -459,7 +459,7 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     Raises on span deficiency; returns a :class:`GammaUnfolding`.
     """
     if frame.G is None:
-        raise UnfoldingError("frame carries no induced representation; run induce_representation")
+        raise EqunfoldError("frame carries no induced representation; run induce_representation")
 
     G = frame.G
     delays = [float(r) for r in delays]
@@ -467,7 +467,7 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     context = f"slots 0-{len(Rs) - 1}: "
     Phis, rk = lag_basis(frame, delays, context)
     if rk < frame.c:
-        raise UnfoldingError(f"{context}stacked basis col(Phi(-r_j)) has rank {rk} < {frame.c}; "
+        raise EqunfoldError(f"{context}stacked basis col(Phi(-r_j)) has rank {rk} < {frame.c}; "
                              "the lags are too few, or not generic for this spectrum")
     A_raw = solve_delay_realization(Phis, Rs)
 
@@ -479,7 +479,7 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
                      where=lambda m: f"slot {m}")
 
     if not theta.selected_rows:
-        raise UnfoldingError("no independent unfolding directions survive the projection")
+        raise EqunfoldError("no independent unfolding directions survive the projection")
 
     selected = list(theta.selected_rows)
     A_fam = equivariant_average(rep, rep, solve_delay_realization(
@@ -489,7 +489,7 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
 
     versality = verify_gamma_versality(frame.B, G, Bhats[selected])
     if not versality.versal:
-        raise UnfoldingError(
+        raise EqunfoldError(
             "selected directions do not span the equivariant complement: "
             f"rank {versality.achieved_rank} of {versality.commutant_dim} "
             f"(tangent {versality.tangent_dim} + {versality.n_directions} directions, "
@@ -552,7 +552,7 @@ def realify(family):
         gaps = np.max(np.abs(D[m + 1:] - D[m].conj()), axis=(1, 2, 3), initial=0.0)
         mates = np.nonzero(~used[m + 1:] & (gaps < tol))[0]
         if not len(mates):
-            raise UnfoldingError(
+            raise EqunfoldError(
                 f"direction {name} has no conjugate partner; cannot form a real family")
         used[m + 1 + mates[0]] = True
         new_dirs += [D[m].real.astype(complex), D[m].imag.astype(complex)]
@@ -562,7 +562,7 @@ def realify(family):
                                   directions=new_dirs, names=new_names)
     E = slot_reparametrization(real_family)
     if rank(E) < real_family.n_parameters:
-        raise UnfoldingError(
+        raise EqunfoldError(
             "epsilon reparametrization of the real family is rank deficient "
             f"({rank(E)} < {real_family.n_parameters})"
         )
@@ -581,7 +581,7 @@ def select_delays(frame):
     while lag_basis(frame, lags)[1] < c:
         cand = next((g for g in grid if not any(same_lag(g, r) for r in lags)), None)
         if cand is None:
-            raise UnfoldingError(f"could not reach stacked rank {c} with {extras} extra lags")
+            raise EqunfoldError(f"could not reach stacked rank {c} with {extras} extra lags")
         lags = sorted(lags + [cand])
         extras += 1
     return lags

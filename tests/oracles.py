@@ -7,7 +7,7 @@ import cmath
 import numpy as np
 
 from equnfold.d3 import _hopf_angles
-from equnfold.errors import StructuralError
+from equnfold.errors import EqunfoldError
 
 
 def bilinear_form_quadrature(w, lam, u, mu, op, npoints=64):
@@ -19,7 +19,7 @@ def bilinear_form_quadrature(w, lam, u, mu, op, npoints=64):
     Serves as the independent oracle for the closed form.
     """
     if npoints < 8:
-        raise StructuralError("npoints must be at least 8")
+        raise EqunfoldError("npoints must be at least 8")
     w, u = np.asarray(w, dtype=complex), np.asarray(u, dtype=complex)
     nodes, weights = np.polynomial.legendre.leggauss(npoints)
     val = complex(w @ u)
@@ -99,4 +99,4 @@ def lambert_w(z, branch):
         w -= step
         if abs(step) <= 4e-16 * abs(w):
             return w
-    raise StructuralError(f"Lambert W, branch {branch}, did not converge at {z}")
+    raise EqunfoldError(f"Lambert W, branch {branch}, did not converge at {z}")

@@ -316,6 +316,28 @@ def test_branch_range_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypat
     assert "argument --branches: branch range '0..3' gives too many branches" in err
 
 
+@pytest.mark.parametrize("command", ["double-hopf", "unfold"])
+def test_out_of_memory_is_a_pipeline_error(tmp_path, capsys, monkeypatch, command):
+    # the delta2 slice at beta = 1e308 over |alpha| <= 1e308 asks numpy for
+    # 29.1 GiB in the crossing sweep; the stage is stubbed, so nothing large
+    # is allocated here
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.1 GiB for an array with shape (3906241211,)")
+
+    monkeypatch.setattr(cli.d3, "locate_double_hopf", no_memory)
+    monkeypatch.setattr(cli, "unfold", no_memory)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg.write_text(json.dumps(_ring_config(3)))
+    args = {"double-hopf": ["double-hopf", "--factor", "delta2", "--beta", "1e308",
+                            "--tau-n", "0", "--omega-range", "0.05:1e6:1",
+                            "--alpha-window=-1e308:1e308"],
+            "unfold": ["unfold", "--config", str(cfg)]}[command]
+    assert run(args + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err == ("pipeline error: out of memory (Unable to allocate "
+                                       "29.1 GiB for an array with shape (3906241211,))\n")
+    assert not out.exists()
+
+
 class TestCurves:
     def test_writes_csv(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -1746,10 +1768,17 @@ class TestVerify:
          "frame: expected 6 square matrices of equal size, got shape (5, 4, 4)"),
         ("verify", lambda doc: doc["unfolding"]["coefficients"][0].pop(),
          "unfolding: coefficients must form a (parameters, lags, n, n) = (4, 4, 3, 3) stack"),
-    ], ids=["model", "group", "sparsity", "frame", "unfolding"])
+        ("unfold", lambda doc: doc.__setitem__("group", {
+            "generators": [encode_complex(np.roll(np.eye(4), 1, axis=0))]}),
+         "group: representation dim 4 != state dim 3"),
+        ("verify", lambda doc: doc["group"].pop("generators"), "group.generators is required"),
+    ], ids=["model", "group", "sparsity", "frame", "unfolding", "dimensions", "schema-in-block"])
     def test_structural_defect_names_its_document(self, tmp_path, capsys, simple_artifact,
                                                   command, mutate, message):
-        # the ring3 config for unfold, the d3:simple artifact for verify
+        # the ring3 config for unfold, the d3:simple artifact for verify; one
+        # case for each block that jsonio decodes under document_errors (the
+        # group's dimensions are checked in a block of their own), and a
+        # schema error raised inside a block keeps its own text
         doc = copy.deepcopy(_ring_config(3) if command == "unfold" else simple_artifact)
         mutate(doc)
         path, out = tmp_path / "doc.json", tmp_path / "out.json"

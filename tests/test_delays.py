@@ -4,7 +4,7 @@ import pytest
 from equnfold.d3 import d3_operator, factor_value, triangle_rep
 from equnfold.delays import (EXPONENT_GAP, DelayOperator, bilinear_form, check_equivariance,
                              pairing_matrix)
-from equnfold.errors import StructuralError
+from equnfold.errors import EqunfoldError
 from equnfold.frames import eigenbasis, find_root, induce_representation
 from equnfold.groups import close_generators
 
@@ -22,25 +22,25 @@ def scalar_delay_op(r=np.pi / 2):
 
 class TestDelayOperator:
     def test_duplicate_delay_rejected(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(EqunfoldError, match="^duplicate delay 1.0$"):
             DelayOperator(n=1, terms=((1.0, [[1.0]]), (1.0, [[2.0]])))
 
     def test_duplicate_delay_is_relative_to_the_lag(self):
         # one rounding step apart is one lag at any magnitude; 1e-9 apart is two
-        with pytest.raises(StructuralError, match="duplicate delay"):
+        with pytest.raises(EqunfoldError, match="duplicate delay"):
             DelayOperator(n=1, terms=((1e3, [[1.0]]), (np.nextafter(1e3, 2e3), [[2.0]])))
         assert len(DelayOperator(n=1, terms=((1e3, [[1.0]]), (1e3 + 1e-9, [[2.0]]))).terms) == 2
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(EqunfoldError, match="^negative delay -0.5$"):
             DelayOperator(n=1, terms=((-0.5, [[1.0]]),))
 
     def test_coefficient_shape_checked(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(EqunfoldError, match=r"^coefficient shape \(1, 1\) != \(2, 2\)$"):
             DelayOperator(n=2, terms=((0.0, [[1.0]]),))
 
     def test_needs_a_term(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(EqunfoldError, match="^need at least one delay term$"):
             DelayOperator(n=1, terms=())
 
     @pytest.mark.parametrize("r, A, message", [
@@ -51,7 +51,7 @@ class TestDelayOperator:
     ], ids=["nan-lag", "inf-lag", "nan-coefficient", "inf-coefficient"])
     def test_non_finite_term_rejected(self, r, A, message):
         # a NaN coupling entry once passed check_equivariance with residual 0.0
-        with pytest.raises(StructuralError, match=f"^{message} has a non-finite lag or coefficient$"):
+        with pytest.raises(EqunfoldError, match=f"^{message} has a non-finite lag or coefficient$"):
             DelayOperator(n=3, terms=((0.0, -I3), (r, A)))
 
     def test_real_means_exactly_real(self):
@@ -108,7 +108,7 @@ class TestCheckEquivariance:
 
     def test_dimension_mismatch(self):
         op = scalar_delay_op()
-        with pytest.raises(StructuralError):
+        with pytest.raises(EqunfoldError, match="^representation dim 3 != state dim 1$"):
             check_equivariance(op, triangle_rep())
 
     def test_char_matrix_commutes_when_equivariant(self, rng):
@@ -189,7 +189,7 @@ class TestQuadratureOracle:
 
     def test_minimum_nodes_enforced(self):
         op = scalar_delay_op()
-        with pytest.raises(StructuralError):
+        with pytest.raises(EqunfoldError, match="^npoints must be at least 8$"):
             bilinear_form_quadrature([1.0], 1j, [1.0], 1j, op, npoints=4)
 
     def test_located_eigenfunctions_match(self, simple_case):
@@ -300,5 +300,6 @@ class TestPairingMatrix:
 
     def test_direction_length_checked(self):
         op = scalar_delay_op()
-        with pytest.raises(StructuralError):
+        with pytest.raises(EqunfoldError,
+                           match="^direction length does not match operator dimension$"):
             pairing_matrix(np.ones((1, 2)), [1j], np.ones((1, 1)), [1j], op)

@@ -9,7 +9,7 @@ import pytest
 from equnfold import d3, frames, invariants, unfolding
 from equnfold._linalg import NULLSPACE_RCOND, null_basis
 from equnfold.delays import DelayOperator, bilinear_form, pairing_matrix
-from equnfold.errors import FrameError, RootFindingError
+from equnfold.errors import EqunfoldError
 from equnfold.frames import _det_derivative, eigenbasis, find_root, induce_representation
 from equnfold.groups import close_generators
 from equnfold.unfolding import select_delays
@@ -43,7 +43,7 @@ class TestFindRoot:
 
     def test_nonconvergence_reports_last_iterate(self):
         op = DelayOperator(n=1, terms=((np.pi / 2, [[-1.0]]),))
-        with pytest.raises(RootFindingError) as err:
+        with pytest.raises(EqunfoldError, match="^no convergence after 2 iterations") as err:
             find_root(op, 50.0 + 40.0j, max_iter=2)
         # the message names the last iterate and its |det|
         m = re.fullmatch(r"no convergence after 2 iterations; last iterate (\S+) "
@@ -66,7 +66,7 @@ class TestFindRoot:
         # where exp(-lam r) overflows and det Delta is NaN
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RootFindingError, match="non-finite") as err:
+            with pytest.raises(EqunfoldError, match="non-finite") as err:
                 find_root(simple_case.op, 1.1399)
         m = re.fullmatch(r"non-finite iterate (\S+) with det \(nan\+nanj\) after 1 iterations",
                          str(err.value))
@@ -106,11 +106,16 @@ def _reference_derivative(D, Dp):
     return np.trace(_adjugate_loop(D) @ Dp)
 
 
+# the two ways find_root fails; any other error is not a root-finding outcome
+_ROOT_FAILURE = re.compile(r"no convergence after \d+ iterations; |non-finite iterate ")
+
+
 def _root_outcome(op, seed):
     """find_root's result, or the message (with the last iterate) it raised."""
     try:
         res = find_root(op, seed)
-    except RootFindingError as exc:
+    except EqunfoldError as exc:
+        assert _ROOT_FAILURE.match(str(exc)), exc
         return str(exc)
     return res.root, res.residual, res.iterations, res.used_secant
 
@@ -194,7 +199,8 @@ class TestConjugateSeed:
             for seed in rng.uniform(-0.5, 0.5, 4) + 1j * rng.uniform(0.5, 3.0, 4):
                 try:
                     self._assert_mirrored(op, complex(seed))
-                except RootFindingError:
+                except EqunfoldError as exc:
+                    assert _ROOT_FAILURE.match(str(exc)), exc
                     continue
                 mirrored += 1
         assert mirrored >= 6
@@ -311,7 +317,7 @@ class TestEigenbasis:
         # nilpotent Jordan block: geometric < algebraic multiplicity
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         op = DelayOperator(n=2, terms=((0.0, A),))
-        with pytest.raises(FrameError, match="defective"):
+        with pytest.raises(EqunfoldError, match="defective"):
             eigenbasis(op, [0.0])
 
     def test_bogdanov_takens_root_rejected(self):
@@ -319,32 +325,33 @@ class TestEigenbasis:
         # space, whose 1 x 1 Gram block (~1e-16) is singular against the size
         # of Delta' although it is its own largest singular value
         op = d3.d3_operator(alpha=2.0, beta=-0.5, tau_s=1.0, tau_n=3.0)
-        with pytest.raises(FrameError, match="defective .* Jordan chain"):
+        with pytest.raises(EqunfoldError, match="defective .* Jordan chain"):
             eigenbasis(op, [0.0])
 
     def test_not_a_root_rejected(self):
         op = DelayOperator(n=1, terms=((0.0, [[1.0]]),))
-        with pytest.raises(FrameError):
+        with pytest.raises(EqunfoldError, match=r"^\(0.5\+0j\) is not a characteristic root "
+                                                r"\(empty null space\)$"):
             eigenbasis(op, [0.5])
 
     def test_seed_count_mismatch(self, simple_case, simple_point):
         # the first-factor point has one-dimensional null spaces
         op = simple_case.op
         lam = 1j * simple_point.omega1
-        with pytest.raises(FrameError, match="multiplicit"):
+        with pytest.raises(EqunfoldError, match="multiplicit"):
             eigenbasis(op, [lam], seeds={0: [d3.U_SYM, d3.V_ROT]})
 
     def test_seed_outside_null_space(self, double_case, double_point):
         point = double_point
         op = double_case.op
         lam = 1j * point.omega1
-        with pytest.raises(FrameError, match="null space"):
+        with pytest.raises(EqunfoldError, match="null space"):
             eigenbasis(op, [lam], seeds={0: [d3.V_ROT, d3.U_SYM]})
 
     def test_dependent_seeds_rejected(self, double_case, double_point):
         op = double_case.op
         lam = 1j * double_point.omega1
-        with pytest.raises(FrameError, match="linearly dependent"):
+        with pytest.raises(EqunfoldError, match="linearly dependent"):
             eigenbasis(op, [lam], seeds={0: [d3.V_ROT, 2 * d3.V_ROT]})
 
 
@@ -644,12 +651,12 @@ class TestInduceRepresentation:
             return H
 
         monkeypatch.setattr(frames, "pairing_matrix", perturbed)
-        with pytest.raises(FrameError,
+        with pytest.raises(EqunfoldError,
                            match=rf"^frame.two_sided_pairing \(element {gens[1]}\): residual"):
             induce_representation(frame, rep)
 
     def test_non_equivariant_operator_rejected(self):
         op = DelayOperator(n=3, terms=((0.0, np.diag([1.0, 2.0, 3.0])),))
         frame = eigenbasis(op, [1.0])
-        with pytest.raises(FrameError, match="^model.equivariance: residual"):
+        with pytest.raises(EqunfoldError, match="^model.equivariance: residual"):
             induce_representation(frame, d3.triangle_rep())

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from equnfold.d3 import GAMMA_MAT, KAPPA_MAT, OMEGA, triangle_rep
 from equnfold._linalg import scaled
-from equnfold.errors import StructuralError
+from equnfold.errors import EqunfoldError
 from equnfold.groups import (CLOSURE_TOL, FiniteGroup, Representation, _lookup,
                              check_representation, close_generators, commutant_basis,
                              equivariant_average, intertwining_residual)
@@ -53,21 +55,21 @@ class TestFiniteGroup:
 
     def test_rejects_non_latin_table(self):
         bad = [[0, 0], [1, 1]]
-        with pytest.raises(StructuralError):
+        with pytest.raises(EqunfoldError, match="^multiplication table is not a Latin square$"):
             FiniteGroup.from_mul_table(bad, generator_indices=(1,))
 
     def test_rejects_identity_not_first(self):
         # Z2 with its identity at index 1: a group, but not in the closure's order
-        with pytest.raises(StructuralError, match="element 0 .* is not the identity"):
+        with pytest.raises(EqunfoldError, match="element 0 .* is not the identity"):
             FiniteGroup.from_mul_table([[1, 0], [0, 1]], generator_indices=(0,))
 
     def test_rejects_singular_generator(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(EqunfoldError, match="^singular generator matrix$"):
             close_generators([np.zeros((2, 2))])
 
     def test_rejects_generator_singular_to_rounding(self):
         # smallest singular value ~6e-16: singular at rounding level only
-        with pytest.raises(StructuralError, match="singular"):
+        with pytest.raises(EqunfoldError, match="singular"):
             close_generators([np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])])
 
 
@@ -104,7 +106,7 @@ def _close_generators_rows(generators, max_order=512, tol=1e-10):
                 if k < 0:
                     k = add(products[b])
                     if len(stack) > max_order:
-                        raise StructuralError(
+                        raise EqunfoldError(
                             f"closure exceeded {max_order} elements; not a finite group at this cap"
                         )
                 row[b] = k
@@ -190,7 +192,7 @@ class TestClosureOracle:
         # an irrational rotation of C^3 about one axis never closes
         R = np.eye(3)
         R[:2, :2] = _rotation(1.0)
-        with pytest.raises(StructuralError, match="closure exceeded 512 elements"):
+        with pytest.raises(EqunfoldError, match="closure exceeded 512 elements"):
             close_generators([R])
 
 
@@ -282,7 +284,8 @@ class TestCheckRepresentation:
 
     def test_shape_mismatch_is_structural(self):
         group = triangle_rep().group
-        with pytest.raises(StructuralError):
+        with pytest.raises(EqunfoldError, match=r"^expected 6 square matrices of equal size, "
+                                                r"got shape \(6, 3, 4\)$"):
             Representation(group, np.zeros((6, 3, 4)))
 
     def test_singular_element_reported(self):
@@ -370,13 +373,14 @@ class TestEquivariantAverage:
     def test_group_mismatch_rejected(self):
         rep = triangle_rep()
         other = close_generators([np.array([[0, 1], [1, 0]], dtype=complex)])
-        with pytest.raises(StructuralError):
+        with pytest.raises(EqunfoldError, match="^representations live on different groups$"):
             equivariant_average(rep, other, np.zeros((3, 2)))
 
     def test_shape_mismatch_rejected(self):
         rep = triangle_rep()
         for shape in ((2, 3), (4, 3, 2), (3,)):
-            with pytest.raises(StructuralError):
+            with pytest.raises(EqunfoldError, match=rf"^matrix shape {re.escape(str(shape))} "
+                                                    r"does not end in \(3, 3\)$"):
                 equivariant_average(rep, rep, np.zeros(shape))
 
     def test_stack_equals_one_call_per_matrix_bitwise(self, rng, double_case):
@@ -476,10 +480,24 @@ def test_intertwining_residual_refuses_two_groups():
     for other in (close_generators([np.diag([1.0, 1.0, -1.0])]), close_generators([_shift(6)])):
         X = np.ones((3, other.dim))
         for left, right, M in ((d3, other, X), (other, d3, X.T)):
-            with pytest.raises(StructuralError, match="different groups"):
+            with pytest.raises(EqunfoldError, match="different groups"):
                 intertwining_residual(left, right, [M])
-            with pytest.raises(StructuralError, match="different groups"):
+            with pytest.raises(EqunfoldError, match="different groups"):
                 equivariant_average(left, right, M)
+
+
+def test_intertwining_residual_refuses_a_wrong_shape():
+    # as equivariant_average does: a 4 x 4 matrix for Z_2 on C^2 was read as
+    # four 2 x 2 blocks, each commuting with the swap, and passed with 0.0
+    rep2 = close_generators([[[0, 1], [1, 0]]])
+    for M in (np.ones((4, 4)), np.ones((3, 4)), np.diag([1.0, 2.0, 3.0, 4.0])):
+        shape = re.escape(str((1, *M.shape)))
+        with pytest.raises(EqunfoldError,
+                           match=rf"^matrix shape {shape} does not end in \(2, 2\)$"):
+            intertwining_residual(rep2, rep2, [M])
+        with pytest.raises(EqunfoldError, match=r"does not end in \(2, 2\)$"):
+            equivariant_average(rep2, rep2, M)
+    assert intertwining_residual(rep2, rep2, []) == 0.0
 
 
 class TestCommutantBasis:

@@ -13,7 +13,7 @@ import pytest
 import equnfold
 from equnfold.errors import SchemaError
 from equnfold.frames import find_root
-from equnfold.invariants import INVARIANTS
+from equnfold.invariants import INVARIANTS, Invariant
 from equnfold.jsonio import canonical_json
 from equnfold.unfolding import orbit_geometry
 from equnfold.verify import verify_artifact
@@ -94,12 +94,19 @@ def test_derived_value_is_a_property_equal_to_its_derivation(request, case, name
 
 
 def test_every_class_is_a_record_or_an_error():
-    # a hand-written class would escape the record checks below
+    # a hand-written class would escape the record checks below; the errors
+    # are two, one per exit outcome (a new one comes with the code that
+    # catches it), and an invariant names no error of its own
+    errors = set()
     for info in pkgutil.iter_modules(equnfold.__path__):
         mod = importlib.import_module(f"equnfold.{info.name}")
         for name, obj in vars(mod).items():
             if isinstance(obj, type) and obj.__module__ == mod.__name__:
                 assert name in RECORDS or issubclass(obj, Exception), name
+                if issubclass(obj, BaseException):
+                    errors.add(f"{info.name}.{name}")
+    assert errors == {"errors.EqunfoldError", "errors.SchemaError"}
+    assert Invariant._fields == ("name", "residual", "scale", "tol")
 
 
 @pytest.mark.parametrize("name", RECORDS)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from equnfold import d3, invariants
 from equnfold._linalg import RANK_RCOND, eigen_groups, rank, svd_rank
 from equnfold.delays import DelayOperator, lag_sum
-from equnfold.errors import StructuralError, UnfoldingError
+from equnfold.errors import EqunfoldError
 from equnfold.frames import SpectralFrame
 from equnfold.groups import (Representation, close_generators, commutant_basis,
                              equivariant_average)
@@ -123,7 +123,7 @@ class TestOrbitGeometry:
     def test_slot_count_disagreeing_with_rank_is_rejected(self, lams, slots, rank_delta):
         # eigen_groups and the rank of ad_B cut near eigenvalues at different
         # scales: a pair one calls one block and the other two fails the check
-        with pytest.raises(UnfoldingError, match=f"complement dimension {slots} "
+        with pytest.raises(EqunfoldError, match=f"complement dimension {slots} "
                                                  f"!= codimension {rank_delta}"):
             orbit_geometry(np.diag(lams))
 
@@ -182,7 +182,7 @@ class TestGammaOrbitGeometry:
         bad[0, 1] = 1.0
         # B itself commutes with a trivial action, so force a real group
         rep = d3.triangle_rep()
-        with pytest.raises(UnfoldingError):
+        with pytest.raises(EqunfoldError, match=r"^frame.B_commutes_with_G: residual 1.000e\+00 "):
             verify_gamma_versality(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 1.0]]), rep, [])
 
     def test_commutant_cut_checked_by_characters(self):
@@ -204,7 +204,7 @@ class TestGammaOrbitGeometry:
     def test_misplaced_commutant_cut_fails_by_name(self, double_case, monkeypatch):
         # a cutoff above every constraint singular value counts all 64 as null
         monkeypatch.setattr("equnfold.groups.REP_TOL", 2.0)
-        with pytest.raises(UnfoldingError,
+        with pytest.raises(EqunfoldError,
                            match="commutant dimension 64 by rank disagrees with 16 by the character"):
             verify_gamma_versality(double_case.frame.B, double_case.frame.G, [])
 
@@ -213,7 +213,7 @@ class TestGammaOrbitGeometry:
         # tangent space, so all 16 commuting matrices would count toward Z
         monkeypatch.setattr("equnfold.unfolding.svd_rank",
                             lambda A, scale=0.0: svd_rank(A, scale, rcond=2.0))
-        with pytest.raises(UnfoldingError, match=r"^versality.codimension_formula \(Z = 16 "
+        with pytest.raises(EqunfoldError, match=r"^versality.codimension_formula \(Z = 16 "
                                                  r"by rank disagrees with 4 by the character"):
             verify_gamma_versality(double_case.frame.B, double_case.frame.G, [])
 
@@ -222,7 +222,7 @@ class TestGammaOrbitGeometry:
         # a 1 x 1 "representation" of the trivial group: rank finds one
         # commuting matrix, but |tr|^2 is 0.25, or overflows
         G = Representation(group=close_generators([[[1.0]]]).group, matrices=[[[entry]]])
-        with pytest.raises(UnfoldingError, match=f"disagrees with {formula} by the character"):
+        with pytest.raises(EqunfoldError, match=f"disagrees with {formula} by the character"):
             verify_gamma_versality(np.zeros((1, 1)), G, [])
 
 
@@ -326,7 +326,7 @@ class TestThetaExtract:
         t = geo.tangent_dim
         bad = OrbitGeometry(B=geo.B, basis=geo.basis[:, [*range(t), 0, 1, 2, 3]], tangent_dim=t)
         assert bad.delta == 4
-        with pytest.raises(UnfoldingError, match=r"^theta.decomposition \(direction 0\): residual"):
+        with pytest.raises(EqunfoldError, match=r"^theta.decomposition \(direction 0\): residual"):
             theta_extract(bad, [complement(geo)[0]])
 
     def test_singular_basis_detected_by_the_solve(self):
@@ -338,7 +338,7 @@ class TestThetaExtract:
         t = geo.tangent_dim
         bad = OrbitGeometry(B=geo.B, basis=geo.basis[:, [*range(t), 0, 1, 2, 3]], tangent_dim=t)
         Y = np.arange(16.0).reshape(4, 4)
-        with pytest.raises(UnfoldingError,
+        with pytest.raises(EqunfoldError,
                            match=r"^tangent \+ complement do not span the matrix space$"):
             theta_extract(bad, [B @ Y - Y @ B, 2j * (B @ Y.T - Y.T @ B)])
 
@@ -351,7 +351,7 @@ class TestThetaExtract:
         D = W[1].copy()
         D[0, 0] = np.nan
         for bad, shown in ((D, "nan"), (np.where(D == D, D, np.inf), "inf")):
-            with pytest.raises(UnfoldingError,
+            with pytest.raises(EqunfoldError,
                                match=rf"^theta.decomposition \(direction 1\): residual {shown}"):
                 theta_extract(geo, [W[0], bad])
 
@@ -514,18 +514,18 @@ def _solve_per_row(Phis, R, sparsity=None):
                 meta.append((j, int(l)))
         if not cols:
             if np.max(np.abs(R[i, :])) > bound:
-                raise UnfoldingError(f"sparsity mask leaves row {i} empty but target is nonzero")
+                raise EqunfoldError(f"sparsity mask leaves row {i} empty but target is nonzero")
             continue
         Msys = np.array(cols).T
         x, *_ = np.linalg.lstsq(Msys, R[i, :], rcond=None)
         res = float(np.linalg.norm(Msys @ x - R[i, :]))
         if res > bound:
-            raise UnfoldingError(f"sparsity mask infeasible: row {i} least-squares residual {res:.3e}")
+            raise EqunfoldError(f"sparsity mask infeasible: row {i} least-squares residual {res:.3e}")
         for (j, l), val in zip(meta, x):
             As[j][i, l] = val
     res = float(np.max(np.abs(sum(A @ P for A, P in zip(As, Phis)) - R)))
     if res > bound:
-        raise UnfoldingError(f"reconstruction residual {res:.3e} exceeds tolerance")
+        raise EqunfoldError(f"reconstruction residual {res:.3e} exceeds tolerance")
     return np.array(As)
 
 
@@ -538,10 +538,10 @@ def _realize_slots_reference(Phis, Rs):
 
 
 def _error(call):
-    """The message ``call()`` raises as an UnfoldingError, or None."""
+    """The message ``call()`` raises as an EqunfoldError, or None."""
     try:
         call()
-    except UnfoldingError as exc:
+    except EqunfoldError as exc:
         return str(exc)
     return None
 
@@ -778,7 +778,7 @@ class TestSolveDelayRealization:
         frame = simple_case.frame
         tau_s = simple_point.tau_s
         for lags in ([0.0, tau_s, tau_s, 3.0], [0.0, tau_s, tau_s * (1 + 1e-15), 3.0]):
-            with pytest.raises(UnfoldingError, match=r"^lags\[2\] = \S+ repeats an earlier lag$"):
+            with pytest.raises(EqunfoldError, match=r"^lags\[2\] = \S+ repeats an earlier lag$"):
                 lag_basis(frame, lags)
         assert lag_basis(frame, [0.0, tau_s, tau_s * (1 + 1e-12), 3.0])[1] < 4
 
@@ -788,7 +788,7 @@ class TestSolveDelayRealization:
         frame = double_case.frame
         Phis = lag_basis(frame, double_case.assembly.family.delays)[0]
         R = double_slots[0][:1]
-        with pytest.raises(UnfoldingError, match="^target 0: sparsity mask infeasible"):
+        with pytest.raises(EqunfoldError, match="^target 0: sparsity mask infeasible"):
             solve_delay_realization(Phis, R, sparsity=d3.structure_masks())
 
     def test_empty_row(self, simple_case, rng):
@@ -806,7 +806,7 @@ class TestSolveDelayRealization:
         assert not np.any(As[:, 1]) and np.all(As[:, [0, 2]] != 0)
         bad = R.copy()
         bad[1, 2] = 1e-3
-        with pytest.raises(UnfoldingError,
+        with pytest.raises(EqunfoldError,
                            match=r"^target 1: sparsity mask leaves row 1 empty but target is "
                                  r"nonzero$"):
             solve_delay_realization(Phis, np.array([R, bad]), sparsity=masks)
@@ -814,29 +814,29 @@ class TestSolveDelayRealization:
     def test_target_must_be_a_stack(self, simple_case):
         Phis = lag_basis(simple_case.frame, simple_case.assembly.family.delays)[0]
         for R in (np.zeros((3, 4)), np.zeros((1, 3, 3))):
-            with pytest.raises(StructuralError, match=r"^target shape .* != \(p, 3, 4\)$"):
+            with pytest.raises(EqunfoldError, match=r"^target shape .* != \(p, 3, 4\)$"):
                 solve_delay_realization(Phis, R)
 
     def test_lag_outside_horizon_rejected(self, simple_case):
         frame = simple_case.frame
         tau = frame.op.tau
         for k, lags in ((3, [0.0, 1.0, 2.0, tau + 1.0]), (1, [0.0, -1e-300, 2.0, 3.0])):
-            with pytest.raises(UnfoldingError,
+            with pytest.raises(EqunfoldError,
                                match=rf"^lags\[{k}\] = \S+ lies outside the history horizon"):
                 lag_basis(frame, lags)
         # a lag that is one lag with tau is inside, relative to tau
         assert lag_basis(frame, [0.0, 1.0, 2.0, np.nextafter(tau, np.inf)])[1] == 4
-        with pytest.raises(UnfoldingError, match=r"^lags\[1\] = 1.5e-12 lies outside"):
+        with pytest.raises(EqunfoldError, match=r"^lags\[1\] = 1.5e-12 lies outside"):
             check_lags([0.0, 1.5e-12], 1e-12)
 
 
 class TestAssembledPipeline:
     def test_coinciding_lags_name_the_slots(self, simple_case, simple_point):
         p = simple_point
-        with pytest.raises(UnfoldingError, match=r"^slots 0-3: lags\[2\] = \S+ repeats an earlier"):
+        with pytest.raises(EqunfoldError, match=r"^slots 0-3: lags\[2\] = \S+ repeats an earlier"):
             assemble_gamma_unfolding(simple_case.frame, simple_case.rep,
                                      [0.0, p.tau_s, p.tau_s, p.tau_n])
-        with pytest.raises(UnfoldingError, match=r"^slots 0-3: stacked basis .* rank \d < 4; "
+        with pytest.raises(EqunfoldError, match=r"^slots 0-3: stacked basis .* rank \d < 4; "
                                                  r"the lags are too few"):
             assemble_gamma_unfolding(simple_case.frame, simple_case.rep, [0.0])
 
@@ -846,7 +846,7 @@ class TestAssembledPipeline:
         frame = double_case.frame
         trivial = Representation(frame.G.group, np.broadcast_to(
             np.eye(frame.c), frame.G.matrices.shape))
-        with pytest.raises(UnfoldingError,
+        with pytest.raises(EqunfoldError,
                            match=r"^directions.projection_identity \(slot \d+\): residual"):
             assemble_gamma_unfolding(frame._replace(G=trivial), double_case.rep,
                                      double_case.assembly.family.delays,
@@ -927,7 +927,7 @@ class TestAssembledPipeline:
         A[0, 0] += 1e-6                             # 1e-12 of |A| off
         invariants.check("family.coefficient_equivariance", rep, np.array([[A]]))
         A[0, 0] += 1e-3                             # 1e-9 of |A| off
-        with pytest.raises(StructuralError, match="residual"):
+        with pytest.raises(EqunfoldError, match="residual"):
             invariants.check("family.coefficient_equivariance", rep, np.array([[A]]))
 
 
@@ -950,7 +950,7 @@ class TestRealify:
         fam = simple_case.assembly.family
         f2 = UnfoldingFamily(base=fam.base, delays=fam.delays,
                              directions=(fam.directions[0],), names=("p1",))
-        with pytest.raises(UnfoldingError, match="conjugate"):
+        with pytest.raises(EqunfoldError, match="conjugate"):
             realify(f2)
 
     def test_simple_case_reparametrization(self, simple_case):
