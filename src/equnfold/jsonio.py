@@ -254,11 +254,11 @@ def model_to_doc(op):
 
 
 @document_errors("model")
-def model_from_doc(doc, path="model"):
+def model_from_doc(doc):
     def term(t, p):
         return number(*field(t, p, "delay")), decode_complex(*field(t, p, "matrix"), 2)
-    return DelayOperator(n=integer(*field(doc, path, "n")),
-                         terms=tuple(items(*field(doc, path, "terms"), term)))
+    return DelayOperator(n=integer(*field(doc, "model", "n")),
+                         terms=tuple(items(*field(doc, "model", "terms"), term)))
 
 
 def rep_to_doc(rep):
@@ -266,9 +266,9 @@ def rep_to_doc(rep):
 
 
 @document_errors("group")
-def rep_from_doc(doc, path="group"):
+def rep_from_doc(doc):
     """The representation that the matrices ``generators`` generate."""
-    return close_generators(decode_cmatrix_stack(*field(doc, path, "generators")))
+    return close_generators(decode_cmatrix_stack(*field(doc, "group", "generators")))
 
 
 def frame_to_doc(frame):
@@ -282,23 +282,23 @@ def frame_to_doc(frame):
 
 
 @document_errors("frame")
-def frame_from_doc(doc, op, group, path="frame"):
-    """The frame at ``path`` of a document, with its induced representation
-    of ``group``, and its stored reduced matrix, which ``verify`` checks."""
-    lams = items(*field(doc, path, "eigenvalues"), pair_complex)
+def frame_from_doc(doc, op, group):
+    """The frame of a document, with its induced representation of ``group``,
+    and its stored reduced matrix, which ``verify`` checks."""
+    lams = items(*field(doc, "frame", "eigenvalues"), pair_complex)
     if not lams:
-        raise SchemaError(f"{path}.eigenvalues must not be empty")
+        raise SchemaError("frame.eigenvalues must not be empty")
     # one vector at a time, so that an error names its direction
     vector = functools.partial(decode_complex, ndim=1)
-    phis = items(*field(doc, path, "phi_directions"), vector)
-    psis = items(*field(doc, path, "psi_directions"), vector)
-    B = decode_complex(*field(doc, path, "reduced_matrix"), 2)
+    phis = items(*field(doc, "frame", "phi_directions"), vector)
+    psis = items(*field(doc, "frame", "psi_directions"), vector)
+    B = decode_complex(*field(doc, "frame", "reduced_matrix"), 2)
     c = len(lams)
     if [v.shape for v in phis + psis] != [(op.n,)] * (2 * c) or B.shape != (c, c):
         raise SchemaError(f"a frame over {c} eigenvalues needs {c} phi and {c} psi directions "
                           f"of length n = {op.n} and a {c} x {c} reduced matrix")
     G = Representation(group=group, matrices=decode_cmatrix_stack(
-        *field(doc, path, "induced_rep"), shape=(c, c)))
+        *field(doc, "frame", "induced_rep"), shape=(c, c)))
     return SpectralFrame(op=op, lambdas=tuple(lams), phi=np.array(phis).reshape(c, op.n),
                          psi=np.array(psis).reshape(c, op.n), G=G), B
 
@@ -344,8 +344,8 @@ def _vectors(doc, path, n):
 
 def _model_and_group(doc):
     """A config's or an artifact's operator and representation, of one dimension."""
-    op = model_from_doc(*field(doc, "", "model"))
-    rep = rep_from_doc(*field(doc, "", "group"))
+    op = model_from_doc(field(doc, "", "model")[0])
+    rep = rep_from_doc(field(doc, "", "group")[0])
     with document_errors("group"):
         check_dims(op, rep)
     return op, rep

@@ -33,34 +33,30 @@ CONJ_PAIR_TOL = 1e-9           # relative gap of a conjugate direction pair
 PATTERN_FLOOR = 1e-14          # a lag whose coefficients all lie below this has no pattern
 
 
-def _diagonal_complement_slots(diag):
-    """Elementary-matrix positions spanning the centralizer of diag(conj).
-
-    Positions (r, c) with equal eigenvalues, ordered by (position of the
-    column within its block, position of the row within its block, block).
-    For simple spectra this is the diagonal slots in index order.
-    """
-    slots = []
-    for block_idx, block in enumerate(eigen_groups(diag)):
-        for th, ccol in enumerate(block):
-            for xi, r in enumerate(block):
-                slots.append(((th, xi, block_idx), (r, ccol)))
-    slots.sort(key=lambda t: t[0])
-    return [pos for _, pos in slots]
-
-
 class OrbitGeometry(NamedTuple):
     """Tangent space and unfolding complement of the similarity orbit at B."""
 
     B: np.ndarray
     basis: np.ndarray       # nonsingular C-ordered c^2 x c^2 [vec(T) | vec(W)], row-major vecs
     tangent_dim: int        # the leading columns of basis that span im(ad_B)
-    slots: tuple = None     # (row, col) of each elementary W; None for non-diagonal B
+    blocks: tuple = None    # eigen_groups of a diagonal B's eigenvalues; None for non-diagonal B
 
     @property
     def delta(self):
         """Orbit codimension, the number of W columns."""
         return len(self.basis) - self.tangent_dim
+
+    @property
+    def slots(self):
+        """(row, col) of each elementary W: the positions with equal
+        eigenvalues, ordered by (position of the column within its block,
+        position of the row within its block, block); for simple spectra the
+        diagonal in index order.  None for a non-diagonal B."""
+        if self.blocks is None:
+            return None
+        keyed = sorted(((th, xi, k), (r, col)) for k, block in enumerate(self.blocks)
+                       for th, col in enumerate(block) for xi, r in enumerate(block))
+        return tuple(pos for _, pos in keyed)
 
 
 def _is_diagonal(B):
@@ -90,16 +86,18 @@ def orbit_geometry(B):
 
     # W spans the centralizer of B^H, the null space of ad_{B^H} = ad_B^H: the
     # trailing left singular vectors of ad_B, so the basis is U itself.  For
-    # diagonal B, W is instead the elementary matrices at the slots.
+    # diagonal B, W is instead the elementary matrices at the slots of its
+    # eigenvalue blocks.
     basis = np.ascontiguousarray(U)
-    slots = None
-    if _is_diagonal(B):
-        slots = tuple(_diagonal_complement_slots(np.diag(B)))
-        if len(slots) != delta:
-            raise EqunfoldError(f"complement dimension {len(slots)} != codimension {delta}")
-        basis[:, r:] = 0.0
-        basis[[i * c + j for i, j in slots], range(r, c * c)] = 1.0
-    return OrbitGeometry(B=B, basis=basis, tangent_dim=r, slots=slots)
+    if not _is_diagonal(B):
+        return OrbitGeometry(B=B, basis=basis, tangent_dim=r)
+    blocks = tuple(map(tuple, eigen_groups(np.diag(B))))
+    slots = OrbitGeometry(B=B, basis=basis, tangent_dim=r, blocks=blocks).slots
+    if len(slots) != delta:
+        raise EqunfoldError(f"complement dimension {len(slots)} != codimension {delta}")
+    basis[:, r:] = 0.0
+    basis[[i * c + j for i, j in slots], range(r, c * c)] = 1.0
+    return OrbitGeometry(B=B, basis=basis, tangent_dim=r, blocks=blocks)
 
 
 class ThetaReport(NamedTuple):
@@ -164,30 +162,27 @@ def build_R_matrices(frame, geometry):
     vector selecting row r, Pi being the rows of Psi(0) belonging to the
     eigenvalue block of r.  The minimal-norm solution is taken.  Then
     ``Psi(0) R = Omega`` modulo the orbit tangent space, exactly.  Pi
-    depends only on the block, so each block is solved once, for all its
-    unit vectors at once, and its rank in that solve must be full.
+    depends only on the block, so each of ``geometry.blocks`` is solved
+    once, for all its unit vectors at once, and its rank in that solve must
+    be full.
     """
-    if geometry.slots is None:
+    if geometry.blocks is None:
         raise EqunfoldError(
             "complement basis is not elementary; the delay realization needs the "
             "diagonal-frame complement (semisimple spectrum)"
         )
-    lams = np.array(frame.lambdas)
-    blocks = eigen_groups(lams)
-    block_of = {r: k for k, block in enumerate(blocks) for r in block}
-    solutions = {}      # block index -> column j solves Pi v = e_j
-    Rs = np.zeros((len(geometry.slots), frame.op.n, frame.c), dtype=complex)
-    for m, (r, ccol) in enumerate(geometry.slots):
-        k = block_of[r]
-        block = blocks[k]
-        if k not in solutions:
-            solutions[k], rk = lstsq(frame.psi[block, :], np.eye(len(block), dtype=complex))
-            if rk < len(block):
-                raise EqunfoldError(
-                    f"adjoint rows dependent at eigenvalue {lams[r]}; "
-                    "unfolding-space realization fails"
-                )
-        Rs[m, :, ccol] = solutions[k][:, block.index(r)]
+    solutions = {}      # row r -> the column that solves Pi v = e_r, Pi of r's block
+    for block in geometry.blocks:
+        X, rk = lstsq(frame.psi[list(block), :], np.eye(len(block), dtype=complex))
+        if rk < len(block):
+            lam = geometry.B[block[0], block[0]]
+            raise EqunfoldError(f"adjoint rows dependent at eigenvalue {lam}; "
+                                "unfolding-space realization fails")
+        solutions.update(zip(block, X.T))
+    slots = geometry.slots
+    Rs = np.zeros((len(slots), frame.op.n, frame.c), dtype=complex)
+    for m, (r, ccol) in enumerate(slots):
+        Rs[m, :, ccol] = solutions[r]
     return Rs
 
 
@@ -370,10 +365,6 @@ class VersalityReport(NamedTuple):
     def mini_versal(self):
         return self.versal and self.n_directions == self.codimension
 
-    @property
-    def deficiency(self):
-        return self.commutant_dim - self.achieved_rank
-
 
 def verify_gamma_versality(B, G, directions, tol=None):
     """Check ``Mat^Gamma = [B, Mat^Gamma] + span(directions)`` by rank.
@@ -493,7 +484,7 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
             "selected directions do not span the equivariant complement: "
             f"rank {versality.achieved_rank} of {versality.commutant_dim} "
             f"(tangent {versality.tangent_dim} + {versality.n_directions} directions, "
-            f"deficiency {versality.deficiency})"
+            f"deficiency {versality.commutant_dim - versality.achieved_rank})"
         )
 
     family = UnfoldingFamily(

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 from .delays import lag_sum
 from .errors import EqunfoldError
-from .invariants import DEFAULT_TOL, INVARIANTS, CheckResult
+from .invariants import BY_NAME, DEFAULT_TOL, CheckResult
 from .jsonio import MINI_FIELDS, SPAN_FIELDS, parse_artifact
 # orbit_geometry is unused here, but bound: the benchmark's tracer self-test
 # checks that it wraps and restores verify.orbit_geometry
@@ -53,52 +53,50 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
     # center directions from the stored coefficients
     Phis = [frame.Phi_at(-r) for r in family.delays]
     bhats = lag_sum(frame.psi @ family.directions, Phis)
-    args = {"group.representation": (rep,), "model.equivariance": (op, rep),
-            "frame.null_vectors": (frame,), "frame.gram_identity": (frame,),
-            "frame.reduced_matrix": (frame, stored["frame.reduced_matrix"]),
-            "frame.induced_rep": (G,), "frame.B_commutes_with_G": (G, frame.B),
-            "frame.phi_intertwines": (frame, rep), "directions.projection_fixed_point": (G, bhats),
-            "family.coefficient_equivariance": (rep, family.directions)}
-    after = {}      # the decisions, by the invariant they follow
+
+    def line(name, *args):
+        return BY_NAME[name].report(*args, tol=tol)
+
+    checks = [line("group.representation", rep), line("model.equivariance", op, rep),
+              line("frame.null_vectors", frame), line("frame.gram_identity", frame),
+              line("frame.reduced_matrix", frame, stored["frame.reduced_matrix"]),
+              line("frame.induced_rep", G), line("frame.B_commutes_with_G", G, frame.B),
+              line("frame.phi_intertwines", frame, rep),
+              line("family.coefficient_equivariance", rep, family.directions),
+              line("directions.projection_fixed_point", G, bhats)]
 
     try:
         _, Rbars, _, theta_re = slot_stacks(frame, rep)
     except EqunfoldError as exc:
-        after["directions.projection_fixed_point"] = [
-            CheckResult("theta.recompute", False, str(exc))]
+        checks.append(CheckResult("theta.recompute", False, str(exc)))
     else:
-        args["theta.matrix_consistency"] = (theta_re.theta, theta_stored)
-        rows = after["theta.matrix_consistency"] = [_decision(
+        checks += [line("theta.matrix_consistency", theta_re.theta, theta_stored), _decision(
             "theta.selected_rows", tuple(theta_re.selected_rows) == tuple(selected),
             f"stored {tuple(selected)}, recomputed {tuple(theta_re.selected_rows)}",
             stored, {"theta.selected_rows": tuple(selected), "theta.rank": len(selected)})]
         missing = [slot for slot in selected if slot >= len(Rbars)]
         if missing:
-            rows.append(CheckResult(
+            checks.append(CheckResult(
                 "unfolding.reconstruction", False,
                 f"selected row {missing[0]} is out of range ({len(Rbars)} slots recomputed)"))
         else:
-            args["unfolding.reconstruction"] = (family.directions, Phis, Rbars[selected])
+            checks.append(line("unfolding.reconstruction", family.directions, Phis,
+                               Rbars[selected]))
 
     try:
         ver = verify_gamma_versality(frame.B, G, bhats, tol)
-        args["versality.codimension_formula"] = (ver.codimension_formula, ver.codimension)
-        span = [_decision("versality.span", ver.versal,
-                          f"rank {ver.achieved_rank} of {ver.commutant_dim} "
-                          f"(tangent {ver.tangent_dim} + {ver.n_directions} directions)",
-                          stored, {f"report.versality.{key}": getattr(ver, key)
-                                   for key in SPAN_FIELDS}),
-                _decision("versality.mini", ver.mini_versal,
-                          f"{ver.n_directions} parameters vs codimension {ver.codimension}",
-                          stored, {f"report.versality.{key}": getattr(ver, key)
-                                   for key in MINI_FIELDS})]
     except EqunfoldError as exc:
-        span = [CheckResult("versality.span", False, str(exc))]
-    after["unfolding.reconstruction"] = span
-
-    checks = []
-    for inv in INVARIANTS:
-        if inv.name in args:
-            checks.append(inv.report(*args[inv.name], tol=tol))
-        checks += after.get(inv.name, [])
+        checks.append(CheckResult("versality.span", False, str(exc)))
+    else:
+        checks += [_decision("versality.span", ver.versal,
+                             f"rank {ver.achieved_rank} of {ver.commutant_dim} "
+                             f"(tangent {ver.tangent_dim} + {ver.n_directions} directions)",
+                             stored, {f"report.versality.{key}": getattr(ver, key)
+                                      for key in SPAN_FIELDS}),
+                   _decision("versality.mini", ver.mini_versal,
+                             f"{ver.n_directions} parameters vs codimension {ver.codimension}",
+                             stored, {f"report.versality.{key}": getattr(ver, key)
+                                      for key in MINI_FIELDS}),
+                   line("versality.codimension_formula", ver.codimension_formula,
+                        ver.codimension)]
     return VerificationReport(checks=tuple(checks))

@@ -221,6 +221,44 @@ def test_overflow_fails_its_checks_without_a_warning(tmp_path, capsys, simple_ar
     assert err == "" and not caught
 
 
+FRAME_LINES = ["group.representation", "model.equivariance", "frame.null_vectors",
+               "frame.gram_identity", "frame.reduced_matrix", "frame.induced_rep",
+               "frame.B_commutes_with_G", "frame.phi_intertwines",
+               "family.coefficient_equivariance", "directions.projection_fixed_point"]
+VERSALITY_LINES = ["versality.span", "versality.mini", "versality.codimension_formula"]
+
+
+@pytest.mark.parametrize("path, value, names", [
+    (None, None, FRAME_LINES + ["theta.matrix_consistency", "theta.selected_rows",
+                                "unfolding.reconstruction"] + VERSALITY_LINES),
+    (("frame", "induced_rep", 1, 0, 0), [1e200, 0],
+     FRAME_LINES + ["theta.recompute", "versality.span"]),
+    (("unfolding", "selected_rows", 0), 99,
+     FRAME_LINES + ["theta.matrix_consistency", "theta.selected_rows",
+                    "unfolding.reconstruction"] + VERSALITY_LINES),
+    (("frame", "induced_rep", 1, 0, 1), [1e-6, 0],
+     FRAME_LINES + ["theta.matrix_consistency", "theta.selected_rows",
+                    "unfolding.reconstruction", "versality.span"]),
+], ids=["untampered", "slots-fail", "selected-row-past-slots", "versality-raises"])
+def test_verify_lines_follow_the_table_on_every_branch(simple_artifact, path, value, names):
+    # each branch of verify_artifact: the slot stacks and the versality check
+    # recomputed, the slot stacks failing (theta.recompute in place of the
+    # Theta lines), a selected row past the recomputed slots (its
+    # reconstruction line fails without a residual), the versality check raising
+    doc = copy.deepcopy(simple_artifact)
+    if path is not None:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    with np.errstate(all="ignore"):
+        report = verify_artifact(doc)
+    assert [c.name for c in report.checks] == names
+    assert report.ok is (path is None)
+    if path == ("unfolding", "selected_rows", 0):
+        assert report.checks[12].detail == "selected row 99 is out of range (4 slots recomputed)"
+
+
 DELETE = object()
 # replacements for one node of a document: wrong types, a number beyond the
 # float range, a non-integer index, a number as a string, and deletion

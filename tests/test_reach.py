@@ -7,6 +7,9 @@ decorated and nested defs included) and that no run entered fails the gate
 unless ``ALLOWED`` names it, with the reason beside it.  Test-only code
 belongs in ``tests/`` (``tests/oracles.py``).  A fresh process, so a call
 cached by another test cannot hide a miss.
+
+Likewise a name that a module of ``src/`` imports and never reads (by
+``ast``) fails the import gate unless ``UNREAD_IMPORTS`` names it.
 """
 
 import ast
@@ -27,7 +30,6 @@ ALLOWED = {
     "frames._secant": "Newton's fallback where the determinant's derivative vanishes",
     "jsonio.invalid": "raises the schema error of a malformed document",
     "verify.VerificationReport.failed": "lists the failed checks, read only when one fails",
-    "unfolding.VersalityReport.deficiency": "what a family lacks, read only when it is not versal",
     # perfbench/tracer.py looks these up by name: they go with a change to the benchmark
     "unfolding.realify": "a layer of perfbench's tracer",
     "unfolding.slot_reparametrization": "a layer of perfbench's tracer",
@@ -35,6 +37,15 @@ ALLOWED = {
     # ROADMAP item 1(c) puts them on verify's path
     "unfolding.UnfoldingFamily.as_operator": "the family at a parameter, for verify (item 1(c))",
     "unfolding.UnfoldingFamily.n_parameters": "the family's parameter count (item 1(c))",
+}
+
+# imported and never read by their module, by reason; the gate fails too when
+# one of them is read or no longer imported
+UNREAD_IMPORTS = {
+    # perfbench's test_tracer_wraps_every_binding_and_restores_it reads them
+    # (ROADMAP item 27): they go with a change to the benchmark
+    "cli.eigenbasis": "a binding that perfbench's tracer must wrap and restore",
+    "verify.orbit_geometry": "a binding that perfbench's tracer must wrap and restore",
 }
 
 # runs in the fresh interpreter: argv[1] is the directory whose modules are
@@ -182,3 +193,59 @@ def test_collector_reports_only_the_defs_no_call_entered(tmp_path):
     results, missed = unentered(str(root), [["plant.planted", "main", []]], tmp_path)
     assert results == [4]
     assert missed == ["planted.Thing.unused_method", "planted.unused", "planted.unused.never"]
+
+
+def imported_names(source):
+    """``{name: whether it is read}`` of each name that an import in the
+    module ``source`` binds; a name is read if the module loads it anywhere."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    return {name: name in read for name in bound}
+
+
+def unread_imports(root):
+    """The sorted ``module.name`` of each name that a module of ``root``
+    imports and never reads."""
+    found = []
+    for fname in sorted(os.listdir(root)):
+        if fname.endswith(".py"):
+            with open(os.path.join(root, fname)) as fh:
+                found += [f"{fname[:-3]}.{name}"
+                          for name, read in imported_names(fh.read()).items() if not read]
+    return sorted(found)
+
+
+def test_every_import_in_src_is_read():
+    assert unread_imports(PACKAGE) == sorted(UNREAD_IMPORTS)
+
+
+PLANTED_IMPORTS = '''
+import functools
+import json
+import os.path
+from typing import NamedTuple
+
+import numpy as np
+
+
+class Point(NamedTuple):
+    x: float
+
+
+@functools.cache
+def norm(p):
+    json = np.hypot(p.x, 0.0)
+    return os.path.join("a", "b")
+'''
+
+
+def test_import_gate_reports_only_the_unread_imports(tmp_path):
+    # read through a base class, a decorator, an attribute and an alias; json
+    # is only assigned to, which is no read
+    assert imported_names(PLANTED_IMPORTS) == {
+        "functools": True, "json": False, "os": True, "NamedTuple": True, "np": True}
+    (tmp_path / "planted.py").write_text(PLANTED_IMPORTS)
+    assert unread_imports(str(tmp_path)) == ["planted.json"]

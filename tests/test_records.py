@@ -15,7 +15,7 @@ from equnfold.errors import SchemaError
 from equnfold.frames import find_root
 from equnfold.invariants import INVARIANTS, Invariant
 from equnfold.jsonio import canonical_json
-from equnfold.unfolding import orbit_geometry
+from equnfold.unfolding import OrbitGeometry, orbit_geometry
 from equnfold.verify import verify_artifact
 
 
@@ -58,6 +58,14 @@ def records(simple_case, simple_point, simple_artifact):
     return {name: (types[name], rec) for name, rec in samples.items()}
 
 
+def _slots_of_blocks(blocks):
+    """The (row, col) positions inside the eigenvalue blocks: by the column's
+    place in its block, then the row's, then the block."""
+    longest = max(map(len, blocks))
+    return tuple((block[xi], block[th]) for th in range(longest) for xi in range(longest)
+                 for block in blocks if th < len(block) and xi < len(block))
+
+
 # record -> {derived value: its derivation from the record's fields}; each is
 # a property, not a field, so no field repeats another (README, "Layout")
 DERIVED = {
@@ -67,9 +75,9 @@ DERIVED = {
         "codimension": lambda v: v.commutant_dim - v.tangent_dim,
         "versal": lambda v: v.achieved_rank == v.commutant_dim,
         "mini_versal": lambda v: (v.achieved_rank == v.commutant_dim
-                                  and v.n_directions == v.commutant_dim - v.tangent_dim),
-        "deficiency": lambda v: v.commutant_dim - v.achieved_rank},
-    "OrbitGeometry": {"delta": lambda g: len(g.basis) - g.tangent_dim},
+                                  and v.n_directions == v.commutant_dim - v.tangent_dim)},
+    "OrbitGeometry": {"delta": lambda g: len(g.basis) - g.tangent_dim,
+                      "slots": lambda g: _slots_of_blocks(g.blocks)},
     "FiniteGroup": {"inverse": lambda g: np.array([list(row).index(g.identity)
                                                    for row in g.mul_table])},
 }
@@ -91,6 +99,12 @@ def test_derived_value_is_a_property_equal_to_its_derivation(request, case, name
     # bit for bit: same type, shape and bytes
     assert (value.dtype, value.shape) == (expected.dtype, expected.shape)
     assert value.tobytes() == expected.tobytes()
+
+
+def test_orbit_geometry_holds_its_blocks_and_derives_its_slots():
+    # the eigenvalue blocks are the field, and the slots follow from them
+    # (DERIVED), so that the blocks are grouped once per geometry
+    assert OrbitGeometry._fields == ("B", "basis", "tangent_dim", "blocks")
 
 
 def test_every_class_is_a_record_or_an_error():

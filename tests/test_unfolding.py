@@ -993,7 +993,7 @@ class TestVerifyGammaVersality:
                 break
         report = verify_gamma_versality(frame.B, frame.G, dirs)
         assert not report.versal
-        assert report.deficiency == 4
+        assert report.commutant_dim - report.achieved_rank == 4
 
 
 class TestSelectDelays:
