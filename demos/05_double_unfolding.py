@@ -12,7 +12,7 @@ coefficient patterns as the simple case.
 import numpy as np
 
 from equnfold import d3
-from equnfold.unfolding import slot_stacks
+from equnfold.unfolding import orbit_geometry, slot_stacks
 
 np.set_printoptions(precision=4, suppress=True, linewidth=140)
 
@@ -39,7 +39,7 @@ print("induced action of the swap (2x2 exchange blocks):")
 print(np.round(G.matrices[kap].real, 4))
 
 # the slots' raw R^m and projected center directions, as the build derives them
-Rs, _, Bhats, _ = slot_stacks(result.frame, result.rep)
+Rs, _, Bhats, _ = slot_stacks(result.frame, result.rep, orbit_geometry(result.frame.B))
 norms = [float(np.max(np.abs(D))) for D in Bhats]
 print("\nprojected direction norms per slot:")
 print(np.round(norms, 6))

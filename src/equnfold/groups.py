@@ -119,9 +119,10 @@ def close_generators(generators):
     rounding.
 
     Each product of matrices is taken once: the elements are found on the
-    Cayley graph (element times generator), the table follows from that by
-    integer composition, the discovery order is replayed on the table, and
-    an element's matrix is the product of the pair that discovered it.
+    Cayley graph (element times generator, one product at a time), the
+    table follows from that by integer composition, the discovery order is
+    replayed on the table, and an element's matrix is the product of the
+    pair that discovered it.
 
     Raises
     ------
@@ -142,7 +143,7 @@ def close_generators(generators):
     stack = np.eye(d, dtype=complex)[None]
     gen_idx = []
     for g in gens:
-        k = int(_lookup(stack, g[None])[0])
+        k = _lookup(stack, g)
         if k < 0:
             k, stack = len(stack), np.concatenate([stack, g[None]])
         gen_idx.append(k)
@@ -161,53 +162,39 @@ def close_generators(generators):
 
 
 def _lookup(stack, P):
-    """Index of the first matrix of ``stack`` within ``CLOSURE_TOL`` of each
-    matrix in the stack P, entrywise; -1 where there is none (a product with
-    a NaN entry matches nothing)."""
-    out = np.full(len(P), -1)
-    # blocks of products bound the (products x stored x entries) comparison
-    # to about 4k scalars, so a closure nearing MAX_ORDER holds no |G|^2
-    # temporaries
-    step = max(1, 4096 // stack[0].size // len(stack))
-    for lo in range(0, len(P), step):
-        near = np.all(np.abs(stack - P[lo:lo + step, None]) < CLOSURE_TOL, axis=(2, 3))
-        first = np.argmax(near, axis=1)
-        out[lo:lo + step] = np.where(near[np.arange(len(first)), first], first, -1)
-    return out
+    """Index of the first matrix of ``stack`` within ``CLOSURE_TOL`` of the
+    matrix P, entrywise; -1 when there is none (a P with a NaN entry matches
+    nothing)."""
+    near = np.all(np.abs(stack - P) < CLOSURE_TOL, axis=(1, 2))
+    k = int(np.argmax(near))
+    return k if near[k] else -1
 
 
 def _cayley_graph(stack, gen_idx):
     """Grow ``stack`` (the identity and the generators ``gen_idx``) to the
-    group they generate, a level of products ``element @ generator`` at a
-    time.  Returns the grown stack, ``right[x, j]``, the index of
+    group they generate, one product ``element @ generator`` at a time: each
+    element in index order times each generator, looked up against the stack
+    as it grows.  Returns the grown stack, ``right[x, j]``, the index of
     ``x * gen_idx[j]``, and the pair ``(x, j)`` that found each element
     added here."""
     gens = stack[gen_idx]
-    right = np.empty((0, len(gen_idx)), dtype=int)
-    parents = []
+    right, parents = [], []
     while len(right) < len(stack):
-        level = stack[len(right):]
-        products = (level[:, None] @ gens).reshape(-1, *gens.shape[1:])
-        found = _lookup(stack, products)
-        known = len(stack)
-        added = []      # positions in products of the elements this level adds
-        # products found nowhere may still equal one added earlier in the level
-        for p in np.nonzero(found < 0)[0]:
-            k = _lookup(products[added], products[p:p + 1])[0] if added else -1
-            if k >= 0:
-                found[p] = known + k
-                continue
-            found[p] = known + len(added)
-            added.append(p)
-            if known + len(added) > MAX_ORDER:
-                raise EqunfoldError(
-                    f"closure exceeded {MAX_ORDER} elements; not a finite group at this cap"
-                )
-            x, j = divmod(int(p), len(gen_idx))
-            parents.append((len(right) + x, j))
-        stack = np.concatenate([stack, products[added]])
-        right = np.concatenate([right, found.reshape(len(level), len(gen_idx))])
-    return stack, right, parents
+        x = len(right)
+        row = []
+        for j, g in enumerate(gens):
+            P = stack[x] @ g
+            k = _lookup(stack, P)
+            if k < 0:
+                if len(stack) == MAX_ORDER:
+                    raise EqunfoldError(
+                        f"closure exceeded {MAX_ORDER} elements; not a finite group at this cap"
+                    )
+                k, stack = len(stack), np.concatenate([stack, P[None]])
+                parents.append((x, j))
+            row.append(k)
+        right.append(row)
+    return stack, np.array(right), parents
 
 
 def _compose_table(right, parents, gen_idx):

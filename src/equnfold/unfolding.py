@@ -59,10 +59,6 @@ class OrbitGeometry(NamedTuple):
         return tuple(pos for _, pos in keyed)
 
 
-def _is_diagonal(B):
-    return np.array_equal(B, np.diag(np.diag(B)))
-
-
 def _character_sum(G, blocks):
     """``(1/|Gamma|) sum_b sum_g |tr G(g)_bb|^2`` over the diagonal blocks b: by
     Schur's lemma the dimension of the matrices that commute with G and keep
@@ -89,7 +85,7 @@ def orbit_geometry(B):
     # diagonal B, W is instead the elementary matrices at the slots of its
     # eigenvalue blocks.
     basis = np.ascontiguousarray(U)
-    if not _is_diagonal(B):
+    if not np.array_equal(B, np.diag(np.diag(B))):
         return OrbitGeometry(B=B, basis=basis, tangent_dim=r)
     blocks = tuple(map(tuple, eigen_groups(np.diag(B))))
     slots = OrbitGeometry(B=B, basis=basis, tangent_dim=r, blocks=blocks).slots
@@ -280,14 +276,13 @@ def solve_delay_realization(Phis, R, sparsity=None):
     return A
 
 
-def slot_stacks(frame, rep):
+def slot_stacks(frame, rep, geometry):
     """Derive the unfolding slots of an equivariant frame, in order: the
-    ``(p, n, c)`` stack R of :func:`build_R_matrices` over the orbit
-    geometry of the frame's semisimple B, its group average
+    ``(p, n, c)`` stack R of :func:`build_R_matrices` over ``geometry``, the
+    orbit geometry of the frame's semisimple B, its group average
     ``Rbar = (1/|G|) sum_g rho(g) R G(g)^-1``, the ``(p, c, c)`` center
     directions ``Bhat = Psi(0) Rbar``, and their Theta report.  The build
     and ``verify`` derive slots only here."""
-    geometry = orbit_geometry(frame.B)
     Rs = build_R_matrices(frame, geometry)
     Rbars = equivariant_average(rep, frame.G, Rs)
     Bhats = frame.psi @ Rbars
@@ -366,8 +361,9 @@ class VersalityReport(NamedTuple):
         return self.versal and self.n_directions == self.codimension
 
 
-def verify_gamma_versality(B, G, directions, tol=None):
-    """Check ``Mat^Gamma = [B, Mat^Gamma] + span(directions)`` by rank.
+def verify_gamma_versality(geometry, G, directions, tol=None):
+    """Check ``Mat^Gamma = [B, Mat^Gamma] + span(directions)`` by rank, B the
+    matrix of the orbit ``geometry``.
 
     Versal when the concatenated coordinates reach dim Mat^Gamma;
     mini-versal when additionally the direction count equals Z, the
@@ -376,12 +372,13 @@ def verify_gamma_versality(B, G, directions, tol=None):
     ||B||_2.  The character sums (:func:`_character_sum`) check both rank
     decisions: dim Mat^Gamma, over one block, the commutant's null-space cut;
     and, for a diagonal B, Z = sum_lam (1/|Gamma|) sum_g |chi_lam(g)|^2 over
-    the eigenvalue blocks (chi_lam the character of G on lam's eigenspace).
+    the eigenvalue blocks of ``geometry.blocks`` (chi_lam the character of G
+    on lam's eigenspace).
     A span that falls short is reported, not raised; a B that does not
     commute with G or a failed character check raises EqunfoldError.  Each
     invariant holds at its own tolerance, or at ``tol`` where that is looser.
     """
-    B = np.asarray(B, dtype=complex)
+    B = geometry.B
     c = B.shape[0]
     invariants.check("frame.B_commutes_with_G", G, B, tol=tol)
     comm = commutant_basis(G)
@@ -396,8 +393,8 @@ def verify_gamma_versality(B, G, directions, tol=None):
     # scale |B|: commutator columns at rounding level count as zero even when all are tiny
     U, _, r = svd_rank(images, scale=float(np.linalg.norm(B, 2)))
     Z_dim, Z_formula = k - r, np.nan
-    if _is_diagonal(B):
-        Z_formula = _character_sum(G, eigen_groups(np.diag(B)))
+    if geometry.blocks is not None:
+        Z_formula = _character_sum(G, geometry.blocks)
         invariants.check("versality.codimension_formula", Z_formula, Z_dim, tol=tol,
                          where=lambda _: (f"Z = {Z_dim} by rank disagrees with "
                                           f"{Z_formula:.6g} by the character formula"))
@@ -454,7 +451,8 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
 
     G = frame.G
     delays = [float(r) for r in delays]
-    Rs, Rbars, Bhats, theta = slot_stacks(frame, rep)
+    geometry = orbit_geometry(frame.B)
+    Rs, Rbars, Bhats, theta = slot_stacks(frame, rep, geometry)
     context = f"slots 0-{len(Rs) - 1}: "
     Phis, rk = lag_basis(frame, delays, context)
     if rk < frame.c:
@@ -478,7 +476,7 @@ def assemble_gamma_unfolding(frame, rep, delays, sparsity=None):
     invariants.check("unfolding.reconstruction", A_fam, Phis, Rbars[selected],
                      where=lambda k: f"slot {selected[k]}")
 
-    versality = verify_gamma_versality(frame.B, G, Bhats[selected])
+    versality = verify_gamma_versality(geometry, G, Bhats[selected])
     if not versality.versal:
         raise EqunfoldError(
             "selected directions do not span the equivariant complement: "

@@ -8,9 +8,7 @@ from .delays import lag_sum
 from .errors import EqunfoldError
 from .invariants import BY_NAME, DEFAULT_TOL, CheckResult
 from .jsonio import MINI_FIELDS, SPAN_FIELDS, parse_artifact
-# orbit_geometry is unused here, but bound: the benchmark's tracer self-test
-# checks that it wraps and restores verify.orbit_geometry
-from .unfolding import orbit_geometry, slot_stacks, verify_gamma_versality  # noqa: F401
+from .unfolding import orbit_geometry, slot_stacks, verify_gamma_versality
 
 
 class VerificationReport(NamedTuple):
@@ -44,7 +42,9 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
 
     A document that does not parse, or has mismatched shapes, raises
     SchemaError; a recomputation that raises (a reduced matrix that does not
-    commute with G stops the versality one) is a failed check.  The versality
+    commute with G stops the versality one) is a failed check.  Both the slot
+    stacks and the span test take one orbit geometry of the reduced matrix;
+    when it cannot be built, they fail with its message.  The versality
     recomputation asserts its invariants at ``tol`` where that is looser than
     their own tolerance, so no line fails an entry that passes on its own line.
     """
@@ -66,7 +66,12 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
               line("directions.projection_fixed_point", G, bhats)]
 
     try:
-        _, Rbars, _, theta_re = slot_stacks(frame, rep)
+        geometry = orbit_geometry(frame.B)
+    except EqunfoldError as exc:
+        return VerificationReport(checks=(*checks, CheckResult("theta.recompute", False, str(exc)),
+                                          CheckResult("versality.span", False, str(exc))))
+    try:
+        _, Rbars, _, theta_re = slot_stacks(frame, rep, geometry)
     except EqunfoldError as exc:
         checks.append(CheckResult("theta.recompute", False, str(exc)))
     else:
@@ -84,7 +89,7 @@ def verify_artifact(doc, tol=DEFAULT_TOL):
                                Rbars[selected]))
 
     try:
-        ver = verify_gamma_versality(frame.B, G, bhats, tol)
+        ver = verify_gamma_versality(geometry, G, bhats, tol)
     except EqunfoldError as exc:
         checks.append(CheckResult("versality.span", False, str(exc)))
     else:

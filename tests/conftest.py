@@ -3,7 +3,7 @@ import pytest
 
 from equnfold import d3
 from equnfold.jsonio import build_artifact
-from equnfold.unfolding import slot_stacks
+from equnfold.unfolding import orbit_geometry, slot_stacks
 
 
 @pytest.fixture(scope="session")
@@ -29,13 +29,13 @@ def double_case(double_point):
 @pytest.fixture(scope="session")
 def simple_slots(simple_case):
     """``(R, Rbar, Bhat, Theta report)`` of the d3:simple frame (:func:`slot_stacks`)."""
-    return slot_stacks(simple_case.frame, simple_case.rep)
+    return slot_stacks(simple_case.frame, simple_case.rep, orbit_geometry(simple_case.frame.B))
 
 
 @pytest.fixture(scope="session")
 def double_slots(double_case):
     """``(R, Rbar, Bhat, Theta report)`` of the d3:double frame (:func:`slot_stacks`)."""
-    return slot_stacks(double_case.frame, double_case.rep)
+    return slot_stacks(double_case.frame, double_case.rep, orbit_geometry(double_case.frame.B))
 
 
 @pytest.fixture(scope="session")

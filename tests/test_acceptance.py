@@ -143,7 +143,7 @@ def test_criterion_5_double_case_end_to_end():
         assert np.max(np.abs(frame.G.matrices[gam] - np.diag(diag))) < 1e-8
         swap = np.kron(np.eye(4), np.array([[0, 1], [1, 0]]))
         assert np.max(np.abs(frame.G.matrices[kap] - swap)) < 1e-8
-        Bhats = slot_stacks(frame, r.rep)[2]
+        Bhats = slot_stacks(frame, r.rep, orbit_geometry(frame.B))[2]
         for m in range(4, 12):
             assert np.max(np.abs(Bhats[m])) < 1e-8
         th = r.assembly.theta

@@ -24,7 +24,8 @@ from equnfold.groups import close_generators, equivariant_average
 from equnfold.invariants import BY_NAME
 from equnfold.jsonio import (POINT_FIELDS, build_artifact, canonical_json, decode_complex,
                              encode_complex, model_to_doc, rep_to_doc, write_json_atomic)
-from equnfold.unfolding import assemble_gamma_unfolding, slot_stacks, solve_delay_realization
+from equnfold.unfolding import (assemble_gamma_unfolding, orbit_geometry, slot_stacks,
+                                solve_delay_realization)
 from equnfold.verify import verify_artifact
 
 from oracles import lambert_w
@@ -228,6 +229,14 @@ FRAME_LINES = ["group.representation", "model.equivariance", "frame.null_vectors
 VERSALITY_LINES = ["versality.span", "versality.mini", "versality.codimension_formula"]
 
 
+def _beside_eigenvalue_0(doc):
+    """Eigenvalue 0 of ``doc`` moved by 1.5e-9 i max|lambda|: one eigenvalue
+    by the rank of ad_B, two by ``eigen_groups``."""
+    lams = [complex(*pair) for pair in doc["frame"]["eigenvalues"]]
+    moved = lams[0] + 1.5e-9j * max(map(abs, lams))
+    return [moved.real, moved.imag]
+
+
 @pytest.mark.parametrize("path, value, names", [
     (None, None, FRAME_LINES + ["theta.matrix_consistency", "theta.selected_rows",
                                 "unfolding.reconstruction"] + VERSALITY_LINES),
@@ -239,24 +248,31 @@ VERSALITY_LINES = ["versality.span", "versality.mini", "versality.codimension_fo
     (("frame", "induced_rep", 1, 0, 1), [1e-6, 0],
      FRAME_LINES + ["theta.matrix_consistency", "theta.selected_rows",
                     "unfolding.reconstruction", "versality.span"]),
-], ids=["untampered", "slots-fail", "selected-row-past-slots", "versality-raises"])
+    (("frame", "eigenvalues", 1), _beside_eigenvalue_0,
+     FRAME_LINES + ["theta.recompute", "versality.span"]),
+], ids=["untampered", "slots-fail", "selected-row-past-slots", "versality-raises",
+        "geometry-fails"])
 def test_verify_lines_follow_the_table_on_every_branch(simple_artifact, path, value, names):
     # each branch of verify_artifact: the slot stacks and the versality check
     # recomputed, the slot stacks failing (theta.recompute in place of the
     # Theta lines), a selected row past the recomputed slots (its
-    # reconstruction line fails without a residual), the versality check raising
+    # reconstruction line fails without a residual), the versality check
+    # raising, the orbit geometry failing (both recomputations fail with it)
     doc = copy.deepcopy(simple_artifact)
     if path is not None:
         node = doc
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = value
+        node[path[-1]] = value(doc) if callable(value) else value
     with np.errstate(all="ignore"):
         report = verify_artifact(doc)
     assert [c.name for c in report.checks] == names
     assert report.ok is (path is None)
     if path == ("unfolding", "selected_rows", 0):
         assert report.checks[12].detail == "selected row 99 is out of range (4 slots recomputed)"
+    if path == ("frame", "eigenvalues", 1):
+        assert [c.detail for c in report.checks[-2:]] == \
+            ["complement dimension 4 != codimension 6"] * 2
 
 
 DELETE = object()
@@ -1632,7 +1648,7 @@ class TestVerify:
         # [0, tau]: every check holds on it, and only the lag rule refuses it
         frame, rep = simple_case.frame, simple_case.rep
         lags = list(simple_case.assembly.family.delays[:3]) + [lag]
-        _, Rbars, _, theta = slot_stacks(frame, rep)
+        _, Rbars, _, theta = slot_stacks(frame, rep, orbit_geometry(frame.B))
         Phis = np.array([frame.Phi_at(-r) for r in lags])
         coefficients = equivariant_average(rep, rep, solve_delay_realization(
             Phis, Rbars[list(theta.selected_rows)], sparsity=d3.structure_masks()))

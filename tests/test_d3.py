@@ -11,7 +11,8 @@ from equnfold.errors import EqunfoldError
 from equnfold.frames import ROOT_TOL
 from equnfold.groups import equivariant_average
 from equnfold.jsonio import build_artifact, canonical_json, encode_complex, model_to_doc, rep_to_doc
-from equnfold.unfolding import lag_basis, realify, slot_reparametrization, slot_stacks
+from equnfold.unfolding import (lag_basis, orbit_geometry, realify, slot_reparametrization,
+                                slot_stacks)
 from equnfold.verify import verify_artifact
 
 from oracles import exponential_delay_matrix, hopf_curve, jordan_codimension, scaled_det
@@ -616,7 +617,7 @@ def _assert_case_structure(case, rep, frame, assembly):
         assert np.max(np.abs(theta.theta[4:12])) < 1e-10
         assert np.max(np.abs(theta.theta[12:16] - theta.theta[0:4])) < 1e-10
         assert theta.selected_rows == (0, 1, 2, 3)
-        Bhats = slot_stacks(frame, rep)[2]
+        Bhats = slot_stacks(frame, rep, orbit_geometry(frame.B))[2]
         for m in range(4, 12):
             assert np.max(np.abs(Bhats[m])) < 1e-10
     assert assembly.versality.mini_versal

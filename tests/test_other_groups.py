@@ -14,8 +14,8 @@ from equnfold.delays import DelayOperator, check_equivariance
 from equnfold.frames import eigenbasis, find_root, induce_representation
 from equnfold.groups import close_generators
 from equnfold.jsonio import build_artifact
-from equnfold.unfolding import (assemble_gamma_unfolding, realify, select_delays,
-                                verify_gamma_versality)
+from equnfold.unfolding import (assemble_gamma_unfolding, orbit_geometry, realify,
+                                select_delays, verify_gamma_versality)
 from equnfold.verify import verify_artifact
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -95,7 +95,7 @@ class TestRotationRing:
         # orbit is a point: the whole 2-dimensional commutant must be
         # unfolded by parameters
         op, rep, frame = rotation_ring
-        ver = verify_gamma_versality(frame.B, frame.G, [])
+        ver = verify_gamma_versality(orbit_geometry(frame.B), frame.G, [])
         assert ver.commutant_dim == 2
         assert ver.tangent_dim == 0
         assert ver.codimension == 2

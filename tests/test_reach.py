@@ -42,10 +42,9 @@ ALLOWED = {
 # imported and never read by their module, by reason; the gate fails too when
 # one of them is read or no longer imported
 UNREAD_IMPORTS = {
-    # perfbench's test_tracer_wraps_every_binding_and_restores_it reads them
-    # (ROADMAP item 27): they go with a change to the benchmark
+    # perfbench's test_tracer_wraps_every_binding_and_restores_it reads it
+    # (ROADMAP item 27): it goes with a change to the benchmark
     "cli.eigenbasis": "a binding that perfbench's tracer must wrap and restore",
-    "verify.orbit_geometry": "a binding that perfbench's tracer must wrap and restore",
 }
 
 # runs in the fresh interpreter: argv[1] is the directory whose modules are

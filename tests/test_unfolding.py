@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equnfold import d3, invariants
-from equnfold._linalg import RANK_RCOND, eigen_groups, rank, svd_rank
+from equnfold._linalg import LAG_MATCH_TOL, RANK_RCOND, eigen_groups, rank, svd_rank
 from equnfold.delays import DelayOperator, lag_sum
 from equnfold.errors import EqunfoldError
 from equnfold.frames import SpectralFrame
@@ -23,7 +23,7 @@ from equnfold.unfolding import (REALIZATION_TOL, OrbitGeometry, UnfoldingFamily,
                                 verify_gamma_versality)
 from equnfold.verify import verify_artifact
 
-from conftest import random_complex
+from conftest import random_complex, same_bits
 from oracles import exponential_delay_matrix, jordan_codimension, scaled_det
 from test_d3 import FIXTURE_POINTS
 
@@ -156,23 +156,23 @@ class TestGammaOrbitGeometry:
     def test_trivial_group_reduces_to_plain_geometry(self):
         B = np.diag([1j, -1j, 2j, -2j])
         rep1 = close_generators([np.eye(4)])
-        ver = verify_gamma_versality(B, rep1, [])
+        ver = verify_gamma_versality(orbit_geometry(B), rep1, [])
         assert ver.commutant_dim == 16
         assert ver.tangent_dim == 12
         assert ver.codimension == 4
 
     def test_simple_case_dimensions(self, simple_case):
         frame = simple_case.frame
-        ver = verify_gamma_versality(frame.B, frame.G, [])
+        ver = verify_gamma_versality(orbit_geometry(frame.B), frame.G, [])
         assert (ver.commutant_dim, ver.tangent_dim, ver.codimension) == (16, 12, 4)
 
     def test_double_case_dimensions(self, double_case):
         frame = double_case.frame
-        ver = verify_gamma_versality(frame.B, frame.G, [])
+        ver = verify_gamma_versality(orbit_geometry(frame.B), frame.G, [])
         assert (ver.commutant_dim, ver.tangent_dim, ver.codimension) == (16, 12, 4)
 
     def test_appendix_rank_nullity(self, double_case):
-        ver = verify_gamma_versality(double_case.frame.B, double_case.frame.G, [])
+        ver = verify_gamma_versality(orbit_geometry(double_case.frame.B), double_case.frame.G, [])
         assert ver.commutant_dim == ver.tangent_dim + ver.codimension
 
     def test_noncommuting_matrix_rejected(self, simple_case):
@@ -182,8 +182,9 @@ class TestGammaOrbitGeometry:
         bad[0, 1] = 1.0
         # B itself commutes with a trivial action, so force a real group
         rep = d3.triangle_rep()
+        geometry = orbit_geometry(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 1.0]]))
         with pytest.raises(EqunfoldError, match=r"^frame.B_commutes_with_G: residual 1.000e\+00 "):
-            verify_gamma_versality(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 1.0]]), rep, [])
+            verify_gamma_versality(geometry, rep, [])
 
     def test_commutant_cut_checked_by_characters(self):
         # a delta2 point whose induced G carries errors near 1e-10: twelve
@@ -206,16 +207,18 @@ class TestGammaOrbitGeometry:
         monkeypatch.setattr("equnfold.groups.REP_TOL", 2.0)
         with pytest.raises(EqunfoldError,
                            match="commutant dimension 64 by rank disagrees with 16 by the character"):
-            verify_gamma_versality(double_case.frame.B, double_case.frame.G, [])
+            verify_gamma_versality(orbit_geometry(double_case.frame.B), double_case.frame.G, [])
 
     def test_misplaced_codimension_cut_fails_by_name(self, double_case, monkeypatch):
         # a cutoff above every commutator image's singular value finds no
-        # tangent space, so all 16 commuting matrices would count toward Z
+        # tangent space, so all 16 commuting matrices would count toward Z;
+        # the geometry is built at the true cutoff
+        geometry = orbit_geometry(double_case.frame.B)
         monkeypatch.setattr("equnfold.unfolding.svd_rank",
                             lambda A, scale=0.0: svd_rank(A, scale, rcond=2.0))
         with pytest.raises(EqunfoldError, match=r"^versality.codimension_formula \(Z = 16 "
                                                  r"by rank disagrees with 4 by the character"):
-            verify_gamma_versality(double_case.frame.B, double_case.frame.G, [])
+            verify_gamma_versality(geometry, double_case.frame.G, [])
 
     @pytest.mark.parametrize("entry, formula", [(0.5, "0.25"), (1e200, "inf")])
     def test_character_sum_not_an_integer_is_a_disagreement(self, entry, formula):
@@ -223,7 +226,7 @@ class TestGammaOrbitGeometry:
         # commuting matrix, but |tr|^2 is 0.25, or overflows
         G = Representation(group=close_generators([[[1.0]]]).group, matrices=[[[entry]]])
         with pytest.raises(EqunfoldError, match=f"disagrees with {formula} by the character"):
-            verify_gamma_versality(np.zeros((1, 1)), G, [])
+            verify_gamma_versality(orbit_geometry(np.zeros((1, 1))), G, [])
 
 
 class TestProjectDirections:
@@ -467,7 +470,7 @@ def _assert_same_as_per_system_solves(frame, directions=None, assembly=None, rep
     geometry = orbit_geometry(frame.B)
     stacks, reports = [build_R_matrices(frame, geometry)], []
     if assembly is not None:
-        Rs, _, directions, theta = slot_stacks(frame, rep)
+        Rs, _, directions, theta = slot_stacks(frame, rep, geometry)
         stacks.append(Rs)
         reports += [theta, assembly.theta]
     ref_Rs = _build_R_per_slot(frame, geometry)
@@ -586,7 +589,7 @@ def _assert_assembly_matches_references(frame, rep, assembly, sparsity=None):
     per-row realizations of the selected projected slots."""
     delays = assembly.family.delays
     Phis = [frame.Phi_at(-r) for r in delays]
-    R, Rbars, _, _ = slot_stacks(frame, rep)
+    R, Rbars, _, _ = slot_stacks(frame, rep, orbit_geometry(frame.B))
     for Rs in (R, Rbars):
         for masks in (None,) if sparsity is None else (None, sparsity):
             _assert_realization_matches_references(frame, delays, Rs, masks)
@@ -718,7 +721,7 @@ class TestLagSumOracle:
         # of every slot (the projection identity)
         frame, rep, family = r.frame, r.rep, r.assembly.family
         Phis = lag_basis(frame, family.delays)[0]
-        A_raw = solve_delay_realization(Phis, slot_stacks(frame, rep)[0])
+        A_raw = solve_delay_realization(Phis, slot_stacks(frame, rep, orbit_geometry(frame.B))[0])
         for A in (family.directions, equivariant_average(rep, rep, A_raw)):
             self._assert_same(frame.psi, A, Phis)
 
@@ -862,7 +865,7 @@ class TestAssembledPipeline:
         T = geo.basis[:, :geo.tangent_dim]
         TG = np.column_stack([(B @ K - K @ B).reshape(-1) for K in commutant_basis(frame.G)])
         assert rank(TG, scale=np.linalg.norm(B, 2)) == \
-            verify_gamma_versality(B, frame.G, []).tangent_dim == 12
+            verify_gamma_versality(geo, frame.G, []).tangent_dim == 12
         # project full tangent basis, check containment in equivariant tangent
         for k in range(T.shape[1]):
             D = equivariant_average(frame.G, frame.G, T[:, k].reshape(8, 8))
@@ -905,13 +908,47 @@ class TestAssembledPipeline:
         assert ver.achieved_rank == ver.commutant_dim
 
     def test_family_as_operator(self, simple_case):
+        # alpha = 0 is the base operator, exactly (adding 0 A turns the base's
+        # -0.0 entries into +0.0): the lag 24/7 that only the family has is
+        # dropped there, and kept at a nonzero alpha
         fam = simple_case.assembly.family
+        base_lags = [r for r, _ in fam.base.terms]
+        assert 24 / 7 in fam.delays and 24 / 7 not in base_lags
         op0 = fam.as_operator(np.zeros(fam.n_parameters))
-        for (r0, A0), (r1, A1) in zip(sorted(op0.terms), sorted(fam.base.terms)):
-            assert r0 == pytest.approx(r1)
-            assert np.allclose(A0, A1)
+        assert [r for r, _ in op0.terms] == base_lags
+        assert all(np.array_equal(A0, A) for (_, A0), (_, A) in zip(op0.terms, fam.base.terms))
         op1 = fam.as_operator([1e-3, 0, 0, 0])
-        assert len(op1.terms) == len({*fam.delays, *[r for r, _ in fam.base.terms]})
+        assert [r for r, _ in op1.terms] == sorted({*fam.delays, *base_lags})
+        with pytest.raises(EqunfoldError, match=r"^expected 4 parameters$"):
+            fam.as_operator(np.zeros(3))
+
+    def test_family_operator_is_linear_in_alpha(self, simple_case, rng):
+        fam = simple_case.assembly.family
+        base = dict(fam.base.terms)
+        lags = sorted({*fam.delays, *base})
+
+        def shift(alpha):
+            """L(alpha) - L(0), one (n, n) block per lag."""
+            terms = dict(fam.as_operator(alpha).terms)
+            return np.array([terms[r] - base.get(r, 0.0) for r in lags])
+
+        for _ in range(3):
+            a, b = random_complex(rng, 2, fam.n_parameters)
+            lhs = shift(a + b)
+            assert np.abs(lhs - shift(a) - shift(b)).max() <= 1e-15 * np.abs(lhs).max()
+
+    def test_family_lag_within_match_tol_merges_into_the_base_lag(self, simple_case):
+        fam = simple_case.assembly.family
+        delays = list(fam.delays)
+        assert delays[1] in dict(fam.base.terms)
+        delays[1] += 0.5 * LAG_MATCH_TOL
+        near = UnfoldingFamily(base=fam.base, delays=delays, directions=fam.directions,
+                               names=fam.names)
+        assert near.delays[1] != fam.delays[1]
+        alpha = np.ones(fam.n_parameters)
+        merged, exact = near.as_operator(alpha), fam.as_operator(alpha)
+        assert [r for r, _ in merged.terms] == [r for r, _ in exact.terms]
+        assert all(same_bits(A, B) for (_, A), (_, B) in zip(merged.terms, exact.terms))
 
     def test_family_lag_merges_with_base_lag_at_any_magnitude(self):
         base = DelayOperator(n=1, terms=((0.0, [[-1.0]]), (1e3, [[0.5]])))
@@ -969,7 +1006,7 @@ class TestVerifyGammaVersality:
         asm = simple_case.assembly
         frame = simple_case.frame
         sel = [simple_slots[2][m] for m in asm.theta.selected_rows]
-        rep = verify_gamma_versality(frame.B, frame.G, sel)
+        rep = verify_gamma_versality(orbit_geometry(frame.B), frame.G, sel)
         assert rep.versal and rep.mini_versal
         assert (rep.tangent_dim, rep.n_directions, rep.commutant_dim) == (12, 4, 16)
 
@@ -977,7 +1014,7 @@ class TestVerifyGammaVersality:
         asm = double_case.assembly
         frame = double_case.frame
         sel = [double_slots[2][m] for m in asm.theta.selected_rows]
-        rep = verify_gamma_versality(frame.B, frame.G, sel)
+        rep = verify_gamma_versality(orbit_geometry(frame.B), frame.G, sel)
         assert rep.versal and rep.mini_versal
         assert (rep.tangent_dim, rep.n_directions, rep.commutant_dim) == (12, 4, 16)
 
@@ -991,7 +1028,7 @@ class TestVerifyGammaVersality:
                 dirs.append(C)
             if len(dirs) == 4:
                 break
-        report = verify_gamma_versality(frame.B, frame.G, dirs)
+        report = verify_gamma_versality(orbit_geometry(frame.B), frame.G, dirs)
         assert not report.versal
         assert report.commutant_dim - report.achieved_rank == 4
 
