@@ -131,14 +131,13 @@ def sweep_curves(factor, beta, tau_n, omegas, branches=BRANCHES):
 
 _BAND_SCALE = 4.0               # crossing sweep: band height over the mean segment height
 _SWEEP_BLOCK = 4096             # crossing sweep: candidate pairs per block
-_WINDOW_PAD = 1e-6              # crossing sweep: window pad, relative to 1 + max |P_a|
-_PAIR_PAD = 1e-9                # crossing sweep: box pad, relative to 1 + max |P_a|, |P_b|
+_PAIR_PAD = 1e-9                # crossing sweep: pad of an axis, relative to 1 + max |coordinate|
 
 
 def _crossings(polylines, window):
     """Crossings of every pair of polylines, a polyline with itself included.
 
-    ``polylines`` are (m, 2) arrays of finite points.  Returns arrays
+    ``polylines`` are (m, 2) arrays of points.  Returns arrays
     ``(a, b, i, j, t, u, point)``, one entry per pair of segments
     ``P_a[i:i+2]``, ``P_b[j:j+2]`` (a <= b) that intersect, with local
     parameters t, u in [0, 1] and ``point = P_a[i] + t (P_a[i+1] - P_a[i])``;
@@ -146,39 +145,36 @@ def _crossings(polylines, window):
     neighbouring segments (|i - j| <= 1), whose only common point is the
     sample they share.
 
-    Only the segments whose bounding box meets the rectangle ``window =
-    ((x0, x1), (y0, y1))``, padded by 1e-6 (1 + max |P_a|), are kept (an
-    infinite window keeps every segment).
-
-    A pair is tested only when the segments' bounding boxes, padded by
-    1e-9 (1 + max(max |P_a|, max |P_b|)), overlap, so disjoint parallel
-    segments cannot pass as a crossing through a rounding-level denominator.
-    Each pad is taken over a whole polyline, so a pair gives the same bits
-    whether or not segments were left out.
+    Each axis has one pad, 1e-9 (1 + the largest |coordinate| on that axis
+    of a finite sample of any polyline).  Only the segments with finite ends
+    whose padded box meets the rectangle ``window = ((x0, x1), (y0, y1))``
+    are kept.  A pair is tested only when the segments' padded boxes
+    overlap, so disjoint parallel segments cannot pass as a crossing
+    through a rounding-level denominator; that is all the pads gate, since
+    t, u and the point depend on the pair alone, and a crossing point lies
+    in both segments' boxes.
 
     The pairs come from one sweep over all polylines, in one direction.
     The second coordinate is cut into bands; each segment is copied into
-    every band its box, padded by the margin (twice the largest pad),
+    every band its box, padded by that axis's margin (twice its pad),
     touches; the copies are sorted by (band, rank of the lower first
     coordinate), two integers.  In each of its bands a segment takes the
     copies ranked after it whose lower first coordinate is at most its
-    upper one plus the margin, so each pair is found once, from its segment
-    of lower rank, with no backward window: padded boxes that overlap put
-    the later segment's lower bound within the pad of the earlier one's
-    upper bound, and the margin exceeds the pad far beyond rounding.  A pair
-    is kept only in the first band the two share, then put in polyline
-    order (a polyline's pairs with itself in both orders).  The band height
-    is ``_BAND_SCALE`` times the mean padded height, and at least the
-    segments' whole padded extent over their number, so there are at most
-    n + 1 bands and about two copies per segment.
+    upper one plus the first axis's margin, so each pair is found once,
+    from its segment of lower rank, with no backward window: padded boxes
+    that overlap put the later segment's lower bound within the pad of the
+    earlier one's upper bound, and the margin exceeds the pad far beyond
+    rounding.  A pair is kept only in the first band the two share, then
+    put in polyline order (a polyline's pairs with itself in both orders).
+    The band height is ``_BAND_SCALE`` times the mean padded height, and at
+    least the segments' whole padded extent over their number, so there are
+    at most n + 1 bands and about two copies per segment.
     """
-    A, B, label, index, absmax = _stacked_segments(polylines, window)
+    A, B, label, index, pad = _stacked_segments(polylines, window)
     empty = np.empty(0, dtype=np.intp)
     if not len(A):
         return empty, empty, empty, empty, np.empty(0), np.empty(0), np.empty((0, 2))
-    padb = _PAIR_PAD * (1.0 + absmax)
-    margin = 2.0 * float(padb.max())
-    seg, band, blo, counts, edges = _sweep_queries(A, B, margin)
+    seg, band, blo, counts, edges = _sweep_queries(A, B, 2.0 * pad)
     hits = [(empty, empty, np.empty(0), np.empty(0))]      # there may be no candidates
     for r0, r1 in zip(edges, np.append(edges[1:], len(seg))):
         c = counts[r0:r1]
@@ -197,15 +193,14 @@ def _crossings(polylines, window):
         same = a == b
         ii, jj = np.concatenate([ii, jj[same]]), np.concatenate([jj, ii[same]])
         Ai, Bi, Aj, Bj = A[ii], B[ii], A[jj], B[jj]
-        pad = np.maximum(padb[label[ii]], padb[label[jj]])[:, None]
         near = ((np.minimum(Aj, Bj) <= np.maximum(Ai, Bi) + pad)
                 & (np.maximum(Aj, Bj) >= np.minimum(Ai, Bi) - pad)).all(axis=1)
         ii, jj, Ai, Aj = ii[near], jj[near], Ai[near], Aj[near]
-        ri, rj = Bi[near] - Ai, Bj[near] - Aj
-        denom = ri[:, 0] * rj[:, 1] - ri[:, 1] * rj[:, 0]
-        dx = Aj[:, 0] - Ai[:, 0]
-        dy = Aj[:, 1] - Ai[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ri, rj = Bi[near] - Ai, Bj[near] - Aj
+            denom = ri[:, 0] * rj[:, 1] - ri[:, 1] * rj[:, 0]
+            dx = Aj[:, 0] - Ai[:, 0]
+            dy = Aj[:, 1] - Ai[:, 1]
             t = (dx * rj[:, 1] - dy * rj[:, 0]) / denom
             u = (dx * ri[:, 1] - dy * ri[:, 0]) / denom
         ok = np.isfinite(t) & np.isfinite(u) & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
@@ -220,26 +215,27 @@ def _crossings(polylines, window):
 
 
 def _stacked_segments(polylines, window):
-    """The segments of all polylines, stacked: their starts ``A`` and ends
-    ``B``, the polyline (``label``) and segment (``index``) of each row, and
-    each polyline's largest |coordinate|.  Each polyline is cut to the
-    segments of :func:`_crossings`' window before stacking."""
+    """The segments of all polylines with finite ends, stacked: their starts
+    ``A`` and ends ``B``, the polyline (``label``) and segment (``index``)
+    of each row, and :func:`_crossings`' pad of each axis, taken over every
+    finite sample.  Each polyline is then cut to its window."""
+    finite = [np.isfinite(P[:, 0]) & np.isfinite(P[:, 1]) for P in polylines]
+    top = [max([np.abs(P[:, c]).max(initial=0.0, where=ok) for P, ok in zip(polylines, finite)],
+               default=0.0) for c in (0, 1)]
+    pad = _PAIR_PAD * (1.0 + np.array(top))
     parts = [(np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.intp),
               np.empty(0, dtype=np.intp))]
-    absmax = []
-    for a, P in enumerate(polylines):
+    for a, (P, ok) in enumerate(zip(polylines, finite)):
         A, B = P[:-1], P[1:]
-        absmax.append(float(np.max(np.abs(P), initial=0.0)))
-        m = _WINDOW_PAD * (1.0 + absmax[-1])
-        keep = np.ones(len(A), dtype=bool)
+        keep = ok[:-1] & ok[1:]
         for c, (w0, w1) in enumerate(window):
-            keep &= ((np.minimum(A[:, c], B[:, c]) <= w1 + m)
-                     & (np.maximum(A[:, c], B[:, c]) >= w0 - m))
+            keep &= ((np.minimum(A[:, c], B[:, c]) <= w1 + pad[c])
+                     & (np.maximum(A[:, c], B[:, c]) >= w0 - pad[c]))
         index = np.flatnonzero(keep)
         A, B = A[index], B[index]
         parts.append((A, B, np.full(len(A), a), index))
     A, B, label, index = (np.concatenate(c) for c in zip(*parts))
-    return A, B, label, index, np.array(absmax)
+    return A, B, label, index, pad
 
 
 def _sweep_queries(A, B, margin):
@@ -247,10 +243,10 @@ def _sweep_queries(A, B, margin):
     segment in a band, sorted by (band, alpha rank): each row's segment and
     band and the number of rows right after it (``counts``) whose segments
     it takes; each segment's first band; and the row edges of blocks holding
-    about ``_SWEEP_BLOCK`` candidates each."""
+    about ``_SWEEP_BLOCK`` candidates each.  ``margin`` is per axis."""
     n = len(A)
-    blo, copies = _bands(A[:, 1], B[:, 1], margin)
-    rank, stop = _alpha_ranks(A[:, 0], B[:, 0], margin)
+    blo, copies = _bands(A[:, 1], B[:, 1], margin[1])
+    rank, stop = _alpha_ranks(A[:, 0], B[:, 0], margin[0])
     seg = np.repeat(np.arange(n), copies)
     band = blo[seg] + (np.arange(len(seg)) - np.repeat(np.cumsum(copies) - copies, copies))
     keys = band * n + rank[seg]
@@ -270,7 +266,8 @@ def _bands(y_a, y_b, margin):
     ylo = np.minimum(y_a, y_b) - margin
     yhi = np.maximum(y_a, y_b) + margin
     n, y0 = len(ylo), float(ylo.min())
-    height = max(_BAND_SCALE * float(np.mean(yhi - ylo)), (float(yhi.max()) - y0) / n)
+    with np.errstate(over="ignore"):        # an extent past the float limit is inf
+        height = max(_BAND_SCALE * float(np.mean(yhi - ylo)), (float(yhi.max()) - y0) / n)
     if not np.isfinite(height):             # the extent overflows: one band
         return np.zeros(n, dtype=np.intp), np.ones(n, dtype=np.intp)
     # the quotients are not negative, so truncation floors them
@@ -298,18 +295,13 @@ def _crossing_seeds(curves, omegas, alpha_window, tau_s_window):
 
     A seed is kept when its point lies in the window and its two
     frequencies differ by at least 1e-3 (closer ones are one root, or a
-    resonance).  Each branch is cut to the segments whose box meets the
-    window padded by 1e-6 (1 + max |curve|), far above the rounding of a
-    crossing point, and all branches go through one sweep
-    (:func:`_crossings`).  The four branches of one sign share alpha and
-    differ in tau_s, so the sweep cuts tau_s into bands and, within a band,
-    pairs segments by alpha.  Its candidates hold every pair the padded-box
-    test accepts: two boxes that overlap after padding both touch the band
-    of the higher of their lower tau_s ends, and the alpha range a segment
-    takes exceeds the padded test's by the margin, far more than the
-    rounding of its bounds.  A pair sharing several bands is tested once,
-    in the first.  A branch against itself skips neighbouring segments,
-    whose only common point is the sample they share.
+    resonance).  All branches go through one sweep (:func:`_crossings`),
+    with one pad per axis, since alpha and tau_s have unrelated units.  A
+    crossing point in the window lies in both its segments' boxes, so the
+    window cut loses none; a sample that is not finite (an overflowing
+    alpha) starts no segment.  The four branches of one sign share alpha
+    and differ in tau_s, so the sweep cuts tau_s into bands and, within a
+    band, pairs segments by alpha.
     """
     step = float(omegas[1] - omegas[0])
     keys = sorted(curves)

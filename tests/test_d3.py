@@ -21,7 +21,7 @@ I3 = np.eye(3)
 J3 = np.ones((3, 3))
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-EVERYWHERE = ((-np.inf, np.inf),) * 2    # a crossing window that keeps every segment
+EVERYWHERE = ((-np.inf, np.inf),) * 2    # a crossing window that keeps every finite segment
 with open(os.path.join(FIXTURES, "double_hopf_points.json")) as _fh:
     FIXTURE_POINTS = json.load(_fh)
 
@@ -215,19 +215,19 @@ def _loop_intersections(P, Q):
     """Reference: the segment-by-segment loop the sorted sweep replaced."""
     A, Bp = P[:-1], P[1:]
     C, D = Q[:-1], Q[1:]
-    r = Bp - A
-    s = D - C
     hits = []
-    for i in range(len(A)):
-        denom = r[i, 0] * s[:, 1] - r[i, 1] * s[:, 0]
-        dx = C[:, 0] - A[i, 0]
-        dy = C[:, 1] - A[i, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = Bp - A
+        s = D - C
+        for i in range(len(A)):
+            denom = r[i, 0] * s[:, 1] - r[i, 1] * s[:, 0]
+            dx = C[:, 0] - A[i, 0]
+            dy = C[:, 1] - A[i, 1]
             t = (dx * s[:, 1] - dy * s[:, 0]) / denom
             u = (dx * r[i, 1] - dy * r[i, 0]) / denom
-        ok = np.isfinite(t) & np.isfinite(u) & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
-        for j in np.nonzero(ok)[0]:
-            hits.append((i, int(j), float(t[j]), float(u[j]), A[i] + t[j] * r[i]))
+            ok = np.isfinite(t) & np.isfinite(u) & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
+            for j in np.nonzero(ok)[0]:
+                hits.append((i, int(j), float(t[j]), float(u[j]), A[i] + t[j] * r[i]))
     return hits
 
 
@@ -339,6 +339,21 @@ class TestCrossingOracle:
             [(a, b, c, e) for a, b, c, e, _ in ref[1:]]
         assert np.array_equal(pt, np.array([p for *_, p in ref[1:]]))
 
+    @pytest.mark.parametrize("P, Q", [
+        # a second coordinate spanning +-1e308: the band extent overflows
+        ([(0, -1e308), (1, 1e308), (2, 0), (3, 1)], [(0, 1e308), (1, -1e308), (2, 1), (3, 0)]),
+        # first coordinates spanning +-1.5e308 or +-0.8e308: the line solve's
+        # differences, or its products, overflow
+        ([(-1.5e308, 0), (1.5e308, 1), (0, 5), (1, 6)],
+         [(-1.5e308, 1), (1.5e308, 0), (0, 6), (1, 5)]),
+        ([(-0.8e308, 0), (0.8e308, 2), (0, 5), (1, 6)],
+         [(-0.8e308, 2), (0.8e308, 0), (0, 6), (1, 5)]),
+    ], ids=["band-extent", "solve-difference", "solve-product"])
+    def test_coordinates_near_the_float_limit(self, P, Q):
+        # the overflows are expected and silenced where they happen; the
+        # ordinary crossing at the end is still found
+        assert _assert_same_hits(P, Q) + _assert_same_hits(Q, P) >= 2
+
     @pytest.mark.parametrize("factor, beta, tau_n, step", [
         ("delta1", -0.5, 4.0, 0.005),
         ("delta2", 0.5, 3.0, 0.005),
@@ -407,6 +422,37 @@ class TestCrossingSeeds:
 
     def test_no_branches_gives_no_seeds(self):
         assert d3.locate_double_hopf("delta1", -0.5, 4.0, branches=()) == []
+
+    def test_non_finite_samples_start_no_segment(self, monkeypatch, tmp_path):
+        # 2 beta overflows, so every alpha sample is infinite: no segment
+        # reaches the sweep, and the slice has no point
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran on non-finite segments")
+
+        monkeypatch.setattr(d3, "_sweep_queries", no_sweep)
+        assert d3.locate_double_hopf("delta1", 1e308, 1e-5) == []
+        assert cli.main(["double-hopf", "--factor", "delta1", "--beta", "1e308", "--tau-n", "1",
+                         "--output", str(tmp_path / "points.json")]) == 1
+
+    def test_pads_are_per_axis(self, monkeypatch):
+        # at beta = 1e308 the curves' |alpha| is near 1e308 and tau_s is
+        # small: a pad over both coordinates made tau_s's margin 2e299 and
+        # every pair of segments a candidate (15 645 980 of them)
+        seen = []
+        sweep = d3._sweep_queries
+
+        def recording(A, B, margin):
+            out = sweep(A, B, margin)
+            seen.append((int(out[3].sum()), margin))
+            return out
+
+        monkeypatch.setattr(d3, "_sweep_queries", recording)
+        curves = d3.sweep_curves("delta2", 1e308, 1e-5, d3.OMEGA_GRID)
+        d3._crossings([curves[k][:, 1:3] for k in sorted(curves)],
+                      ((-1e308, 1e308), d3.TAU_S_WINDOW))
+        [(candidates, margin)] = seen
+        assert candidates < 1_000_000
+        assert margin[1] < 1e-5                 # tau_s's
 
     @pytest.mark.parametrize("factor, beta, tau_n, step, branches, window, some", [
         # a window far wider than the curves (the CLI accepts +-1e300), and
