@@ -152,7 +152,8 @@ def _crossings(polylines, window):
     overlap, so disjoint parallel segments cannot pass as a crossing
     through a rounding-level denominator; that is all the pads gate, since
     t, u and the point depend on the pair alone, and a crossing point lies
-    in both segments' boxes.
+    in both segments' boxes.  A pair whose extent overflows the float range
+    has t and u NaN and is dropped.
 
     The pairs come from one sweep over all polylines, in one direction.
     The second coordinate is cut into bands; each segment is copied into
@@ -193,8 +194,9 @@ def _crossings(polylines, window):
         same = a == b
         ii, jj = np.concatenate([ii, jj[same]]), np.concatenate([jj, ii[same]])
         Ai, Bi, Aj, Bj = A[ii], B[ii], A[jj], B[jj]
-        near = ((np.minimum(Aj, Bj) <= np.maximum(Ai, Bi) + pad)
-                & (np.maximum(Aj, Bj) >= np.minimum(Ai, Bi) - pad)).all(axis=1)
+        with np.errstate(over="ignore"):    # a box edge past the float limit is inf
+            near = ((np.minimum(Aj, Bj) <= np.maximum(Ai, Bi) + pad)
+                    & (np.maximum(Aj, Bj) >= np.minimum(Ai, Bi) - pad)).all(axis=1)
         ii, jj, Ai, Aj = ii[near], jj[near], Ai[near], Aj[near]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ri, rj = Bi[near] - Ai, Bj[near] - Aj
@@ -283,7 +285,8 @@ def _alpha_ranks(x_a, x_b, margin):
     order = np.argsort(xlo, kind="stable")
     rank = np.empty(len(xlo), dtype=np.intp)
     rank[order] = np.arange(len(xlo))
-    stop = np.searchsorted(xlo[order], xhi + margin, side="right")
+    with np.errstate(over="ignore"):        # an upper bound past the float limit is inf
+        stop = np.searchsorted(xlo[order], xhi + margin, side="right")
     return rank, stop
 
 

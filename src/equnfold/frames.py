@@ -26,8 +26,8 @@ from .delays import pairing_matrix
 from .errors import EqunfoldError
 from .groups import Representation
 
-DERIV_FLOOR = 1e-14        # |d det| below this: suspected multiple root, use the secant
-ROOT_TOL = 1e-12           # relative Newton step of a converged root; the default |det| floor
+DERIV_FLOOR = 1e-14        # |d det| <= this * size**(n-1): suspected multiple root, use the secant
+ROOT_TOL = 1e-12           # relative Newton step of a converged root; |det| < this * size**n
 SECANT_STEP = 1e-6         # relative offset of the secant fallback's second point
 SIGNIFICANT_RCOND = 1e-12  # a component below this times max |v| is not significant
 
@@ -59,21 +59,22 @@ class RootResult(NamedTuple):
     used_secant: bool        # derivative collapsed; secant fallback engaged
 
 
-def find_root(op, lam0, tol=ROOT_TOL, max_iter=100):
+def find_root(op, lam0, max_iter=100):
     """Newton iteration on ``det Delta(lam)`` from the initial guess lam0.
 
     The derivative is evaluated through Jacobi's formula
     ``d det = tr(adj(Delta) Delta')``, taking only the cofactors on the
-    support of ``Delta'^T`` (2n of the n^2 on a ring).  If it collapses
-    below ``DERIV_FLOOR`` (suspected multiple root) the iteration switches
-    to a secant method started from a perturbed point.
+    support of ``Delta'^T`` (2n of the n^2 on a ring).  If it collapses to
+    ``DERIV_FLOOR * size**(n-1)`` or below (suspected multiple root) the
+    iteration switches to a secant method started from a perturbed point.
 
-    The iteration stops when ``|det| < tol`` or when a Newton step is at
-    most ``ROOT_TOL * max(1, |lam|)``.  The second test is what converges on
-    large systems: det Delta grows roughly geometrically with the dimension,
-    so at a root its rounding floor can sit far above any absolute ``tol``.
-    ``tol`` is the first test's floor only: a model in a slow time unit,
-    whose det is small everywhere, lowers it and keeps the step test.
+    The iteration stops when ``|det| < ROOT_TOL * size**n`` or when a Newton
+    step is at most ``ROOT_TOL * max(1, |lam|)``.  The second test is what
+    converges on large systems, whose det Delta can round far above any
+    absolute floor at a root.  ``size = min(1, |lam0| + sum_k ||A_k||_2)``:
+    in the time t / s roots and coefficients scale by s and det Delta by
+    s**n, and so do both floors; a model of unit size (any with a ``-I``
+    term) keeps them at their constants.
 
     Raises
     ------
@@ -82,6 +83,8 @@ def find_root(op, lam0, tol=ROOT_TOL, max_iter=100):
         iterate where lam or det Delta(lam) is not finite (an overflowed
         exponential); the message names the last iterate.
     """
+    size = 1.0 if abs(lam0) >= 1.0 else min(1.0, abs(lam0) + op.norm_sum)  # norm_sum takes SVDs
+    tol, deriv_floor = ROOT_TOL * size ** op.n, DERIV_FLOOR * size ** (op.n - 1)
     with np.errstate(all="ignore"):     # overflow is caught as a non-finite iterate
         lam = complex(lam0)
         D = op.char_matrix(lam)
@@ -92,7 +95,7 @@ def find_root(op, lam0, tol=ROOT_TOL, max_iter=100):
                 return RootResult(root=lam, residual=abs(f), iterations=it,
                                   used_secant=False)
             df = _det_derivative(D, op.char_matrix_deriv(lam))
-            if abs(df) < DERIV_FLOOR:
+            if abs(df) <= deriv_floor:
                 lam, f, it2 = _secant(op, lam, tol, max_iter - it)
                 _require_finite_iterate(lam, f, it + it2)
                 if abs(f) < tol:
@@ -111,10 +114,11 @@ def find_root(op, lam0, tol=ROOT_TOL, max_iter=100):
         f"no convergence after {max_iter} iterations; last iterate {lam} with |det| = {abs(f):.3e}")
 
 
-def critical_roots(op, seeds, tol=ROOT_TOL):
-    """The distinct roots :func:`find_root` reaches from ``seeds``, in seed
-    order, and for each the index of the first seed that reached it; two are
-    one by ``_linalg.eigen_groups`` at scale ``sum_k ||A_k||_2``.
+def critical_roots(op, seeds):
+    """The distinct roots :func:`find_root` reaches from ``seeds`` (at its
+    model-sized floors), in seed order, and for each the index of the first
+    seed that reached it; two are one by ``_linalg.eigen_groups`` at scale
+    ``sum_k ||A_k||_2``.
     On a real model a seed whose conjugate Newton solved takes the conjugate
     root: Newton takes the conjugate steps bit for bit, a secant fallback not."""
     roots, solved = [], {}
@@ -122,7 +126,7 @@ def critical_roots(op, seeds, tol=ROOT_TOL):
         if seed.conjugate() in solved:
             roots.append(solved[seed.conjugate()].conjugate())
             continue
-        res = find_root(op, seed, tol=tol)
+        res = find_root(op, seed)
         roots.append(res.root)
         if op.is_real and not res.used_secant:
             solved[seed] = res.root

@@ -19,7 +19,7 @@ import numpy as np
 
 from .delays import DelayOperator, check_dims
 from .errors import SchemaError, document_errors
-from .frames import ROOT_TOL, SpectralFrame
+from .frames import SpectralFrame
 from .groups import Representation, close_generators
 from .unfolding import UnfoldingFamily, check_lags, check_sparsity
 
@@ -305,8 +305,7 @@ def frame_from_doc(doc, op, group):
 
 # ------------------------------------------------------------------- config
 
-CONFIG_KEYS = ("model", "group", "lambda_seeds", "vector_seeds", "delays", "sparsity",
-               "tolerances")
+CONFIG_KEYS = ("model", "group", "lambda_seeds", "vector_seeds", "delays", "sparsity")
 
 
 def _check_keys(doc, path, keys):
@@ -366,11 +365,6 @@ def config_from_doc(cfg):
     vectors = items(vectors, path, lambda doc, p: _vectors(doc, p, op.n))
     if len(vectors) != len(seeds):
         raise SchemaError(f"{path} has {len(vectors)} entries; lambda_seeds has {len(seeds)}")
-    tolerances, path = field(cfg, "", "tolerances", {})
-    root_tol = number(*field(tolerances, path, "root_tol", ROOT_TOL))
-    _check_keys(tolerances, path, ("root_tol",))
-    if not root_tol > 0:
-        raise SchemaError("tolerances must be positive")
     # no lags: the pipeline selects them; no masks: every entry is free
     delays = None if cfg.get("delays") is None else items(cfg["delays"], "delays", number)
     sparsity = None if cfg.get("sparsity") is None else items(cfg["sparsity"], "sparsity", _mask)
@@ -381,7 +375,7 @@ def config_from_doc(cfg):
         with document_errors("sparsity"):
             check_sparsity(sparsity, len(delays), op.n)
     return {"op": op, "rep": rep, "lambda_seeds": seeds, "vector_seeds": vectors,
-            "delays": delays, "sparsity": sparsity, "root_tol": root_tol}
+            "delays": delays, "sparsity": sparsity}
 
 
 # ----------------------------------------------------------------- artifact

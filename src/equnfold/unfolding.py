@@ -26,7 +26,7 @@ from ._linalg import (RANK_RCOND, REALIZATION_TOL, ad_matrix, eigen_groups, lsts
                       same_lag, scaled, svd_rank)
 from .delays import DelayOperator, lag_sum
 from .errors import EqunfoldError
-from .frames import ROOT_TOL, SpectralFrame, critical_roots, eigenbasis, induce_representation
+from .frames import SpectralFrame, critical_roots, eigenbasis, induce_representation
 from .groups import Representation, commutant_basis, equivariant_average
 
 CONJ_PAIR_TOL = 1e-9           # relative gap of a conjugate direction pair
@@ -585,8 +585,7 @@ class UnfoldResult(NamedTuple):
     assembly: GammaUnfolding
 
 
-def unfold(op, rep, lambda_seeds, vector_seeds=None, delays=None, sparsity=None,
-           root_tol=ROOT_TOL):
+def unfold(op, rep, lambda_seeds, vector_seeds=None, delays=None, sparsity=None):
     """The pipeline from a model and its group to an equivariant unfolding.
 
     The roots are the distinct ones Newton reaches from ``lambda_seeds``
@@ -597,7 +596,7 @@ def unfold(op, rep, lambda_seeds, vector_seeds=None, delays=None, sparsity=None,
     them by :func:`solve_delay_realization`.  The family is returned
     whether or not it is minimal; ``assembly.versality`` says which.
     """
-    roots, firsts = critical_roots(op, lambda_seeds, root_tol)
+    roots, firsts = critical_roots(op, lambda_seeds)
     vectors = {k: vector_seeds[i] for k, i in enumerate(firsts)
                if vector_seeds is not None and vector_seeds[i] is not None}
     frame = induce_representation(eigenbasis(op, roots, seeds=vectors), rep)

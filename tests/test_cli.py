@@ -686,16 +686,6 @@ class TestUnfold:
         assert "schema error: group: representation dim 4 != state dim 3" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_config_bad_tolerance(self, tmp_path, simple_case, simple_point):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "model": model_to_doc(simple_case.op),
-            "group": rep_to_doc(simple_case.rep),
-            "lambda_seeds": [[0.0, simple_point.omega1]],
-            "tolerances": {"root_tol": -1.0},
-        }))
-        assert run(["unfold", "--config", str(cfg_path)]) == 2
-
     def test_ring_config_artifact_is_pinned(self, tmp_path):
         # 12-cell one-way ring u_j' = -u_j + 2 u_{j-1}(t - 1); the digest was
         # taken before root finding and group closure were vectorized, which
@@ -815,12 +805,6 @@ class TestUnfold:
 
     @pytest.mark.parametrize("field, value, message", [
         (None, [], "config must be a JSON object"),
-        ("tolerances", [1], "tolerances must be an object"),
-        ("tolerances", {"root_tol": "x"}, "tolerances.root_tol"),
-        ("tolerances", {"root_tol": [1]}, "tolerances.root_tol"),
-        ("tolerances", {"root_tol": True}, "tolerances.root_tol"),
-        ("tolerances", {"root_tol": float("nan")}, "tolerances.root_tol"),
-        ("tolerances", {"root_tol": float("inf")}, "tolerances.root_tol"),
         ("lambda_seeds", 5, "lambda_seeds"),
         ("lambda_seeds", [[float("nan"), 1.0]], "lambda_seeds[0]"),
         ("lambda_seeds", [[0.0, 1.0], [0.0, float("-inf")]], "lambda_seeds[1]"),
@@ -847,14 +831,13 @@ class TestUnfold:
         ("sparsity", [[[0.5]]], "sparsity[0][0][0]"),
         ("sparsity", [[[2]]], "sparsity[0][0][0]"),
         ("sparsty", [None], "'sparsty'"),
-        ("tolerances", {"root_tl": 1e-9}, "'root_tl'"),
-    ], ids=["list-config", "tolerances-list", "root-tol-string", "root-tol-list",
-            "root-tol-bool", "root-tol-nan", "root-tol-inf", "seeds-number", "seed-nan",
+        ("tolerances", {"root_tol": 1e-12}, "unknown key 'tolerances' in config"),
+    ], ids=["list-config", "seeds-number", "seed-nan",
             "seed-inf", "seed-triple", "delays-number", "delays-string", "delays-nan",
             "sparsity-number", "sparsity-ragged", "sparsity-short", "sparsity-one",
             "sparsity-shape", "sparsity-empty", "sparsity-without-delays", "output-number", "output-string", "model-path", "group-path",
             "generators-empty", "group-table", "seed-strings", "mask-string", "mask-half",
-            "mask-two", "misspelled-key", "misspelled-tolerance"])
+            "mask-two", "misspelled-key", "removed-tolerances"])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, simple_case, simple_point, field,
                                       value, message):
         cfg = {
@@ -930,7 +913,6 @@ class TestUnfold:
             "vector_seeds": [[encode_complex(d3.U_SYM)], None, None, None],
             "delays": list(family.delays),
             "sparsity": [None] * len(family.delays),
-            "tolerances": {"root_tol": 1e-12},
         }
         command = ["unfold", "--output", str(tmp_path / "o.json"), "--config"]
         assert not _mutation_faults(tmp_path, cfg, command, (0, 1, 2, 3))
@@ -1218,10 +1200,9 @@ class TestTimeRescaling:
 
 
 class TestSlowTime:
-    # the absolute floors left (ROOT_TOL's |det| test, the 1 + of char_scale,
-    # the null-space cut) stop unfold from about s = 2e-3 (ring3) or s = 1e-9
-    # (the presets) down: that must be a named error, never another family.
-    # Above those floors the presets keep their s = 1 outcome
+    # the absolute floors left (the 1 + of char_scale, the null-space cut)
+    # stop unfold from about s = 1e-9 down: that must be a named error, never
+    # another family.  Above them every case keeps its s = 1 outcome
     @pytest.mark.parametrize("s", [1e-3, 1e-8, 1e-9, 1e-10, 1e-12])
     @pytest.mark.parametrize("case", ["simple", "double", "ring3"])
     def test_outcome_is_unchanged_or_a_pipeline_error(self, tmp_path, capsys, case, s):
@@ -1231,7 +1212,7 @@ class TestSlowTime:
         cfg_path, out = slow / "cfg.json", slow / "out.json"
         cfg_path.write_text(json.dumps(_rescaled(_time_config(case), s)))
         capsys.readouterr()
-        keeps = case != "ring3" and s >= 1e-8
+        keeps = s >= 1e-8
         if run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 1 and not keeps:
             assert "pipeline error" in capsys.readouterr().err
             assert not out.exists()
@@ -1239,23 +1220,13 @@ class TestSlowTime:
             assert _unfold_outcome(slow, _rescaled(_time_config(case), s)) == expected
 
     @pytest.mark.parametrize("s", [2e-3, 1e-3, 1e-6, 1e-8])
-    def test_root_tol_below_the_rescaled_det_keeps_the_outcome(self, tmp_path, capsys, s):
-        # ring3's det is s^3 det Delta in the time t / s, so Newton stops
-        # where it falls below the default root_tol: short of the root (its
-        # null vector fails) or, from s = 1e-6 down, at the seed (no null
-        # space).  A root_tol below it leaves the step test, which is
-        # relative, to converge: the s = 1 family
+    def test_ring3_keeps_its_outcome_with_the_default_config(self, tmp_path, s):
+        # ring3's det is s^3 det Delta in the time t / s; Newton's floors
+        # scale with it, so the default config converges to the s = 1 family
         expected = _unfold_outcome(tmp_path, _time_config("ring3"))
-        cfg = _rescaled(_time_config("ring3"), s)
-        cfg_path, out = tmp_path / "slow.json", tmp_path / "slow_out.json"
-        cfg_path.write_text(json.dumps(cfg))
-        capsys.readouterr()
-        assert run(["unfold", "--config", str(cfg_path), "--output", str(out)]) == 1
-        assert (("pipeline error: frame.null_vectors (eigenvalue" if s > 1e-6 else
-                 "is not a characteristic root (empty null space)") in capsys.readouterr().err)
-        assert not out.exists()
-        cfg["tolerances"] = {"root_tol": 1e-30}
-        assert _unfold_outcome(tmp_path, cfg) == expected
+        slow = tmp_path / "slow"
+        slow.mkdir()
+        assert _unfold_outcome(slow, _rescaled(_time_config("ring3"), s)) == expected
 
 
 def _conjugated(cfg, Q):

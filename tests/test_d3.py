@@ -277,6 +277,7 @@ class TestCrossingOracle:
         assert n > 100
 
     def test_adversarial_cases(self):
+        M = np.finfo(float).max
         cases = [
             # shared endpoints, and a polyline against itself
             ([(0, 0), (1, 1), (2, 0)], [(1, 1), (3, 3)]),
@@ -300,6 +301,10 @@ class TestCrossingOracle:
             # a long segment in the sweep coordinate among short ones
             ([(-50.0, 0.0), (50.0, 1.0)],
              [(x, 0.5 + (-1) ** k) for k, x in enumerate(np.linspace(-40, 40, 30))]),
+            # first coordinates at the float maximum, whose padded bounds
+            # overflow; a pair whose extent overflows has t and u NaN
+            ([(-M, 0), (M, 1), (0, 5), (1, 6)], [(-M, 1), (M, 0), (0, 6), (1, 5)]),
+            ([(-M, 0), (M / 2, 1)], [(-M / 2, 1), (M, 0)]),
         ]
         n = sum(_assert_same_hits(P, Q) + _assert_same_hits(Q, P) for P, Q in cases)
         assert n > 40

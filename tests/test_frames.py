@@ -80,6 +80,17 @@ class TestFindRoot:
         s = np.linalg.svd(op.char_matrix(res.root), compute_uv=False)
         assert s[-1] < 1e-12 * s[0]
 
+    @pytest.mark.parametrize("s", [2e-3, 2.0 ** -20, 1e-8])
+    def test_slow_time_ring_converges_by_newton(self, s):
+        # ring3 in the time t / s: lags r / s, coefficients s A_k, so its
+        # roots are s lam and det Delta is s^3 det Delta(lam); the floors
+        # shrink with it, and Newton reaches the s = 1 root scaled
+        ref = find_root(_ring(3), 2j).root
+        op = DelayOperator(n=3, terms=tuple((r / s, s * A) for r, A in _ring(3).terms))
+        res = find_root(op, s * 2j)
+        assert not res.used_secant
+        assert abs(res.root / s - ref) <= 1e-12 * abs(ref)
+
 
 def _adjugate_loop(A):
     """Reference: one cofactor determinant per entry, the minors built with
